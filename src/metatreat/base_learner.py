@@ -2,15 +2,18 @@
 embedding table with one row per group (including the held-out one), and a
 dense output head over the concatenated representations.
 
-``inner_update`` is the k-shot update operator: it runs a fixed number of
-full-batch gradient steps on a task slice and returns fresh weights without
-mutating its input, so identical (weights, data, config, seed) always give
-identical results.
+Every weight lives in one flat vector that the layers view by name, so
+``loss_and_grads`` returns one flat gradient and the optimizer and the
+meta-update step the whole network at once. ``inner_update`` is the k-shot
+update operator: it runs a fixed number of full-batch gradient steps on a
+task slice and returns fresh weights without mutating its input, so
+identical (weights, data, config, seed) always give identical results.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,17 +24,13 @@ from .data_model import TaskData
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn_core import (
     DenseLayer,
-    DropoutSpec,
-    FlatParams,
     OptimizerState,
     activation_grad,
     dense_backward,
     dense_forward,
     dropout_mask,
-    flatten_arrays,
     init_dense_layer,
     optimizer_step,
-    unflatten,
 )
 from .task_selection import TaskSpec
 
@@ -64,7 +63,6 @@ class BaseLearnerConfig:
     optimizer: str = "sgd"
     learning_rate: float = 0.1
     inner_iterations: int = 5
-    head_kind: str = "linear"
 
     def __post_init__(self) -> None:
         if self.n_layers < 1:
@@ -75,8 +73,6 @@ class BaseLearnerConfig:
             raise ConfigError(f"unknown reg_kind {self.reg_kind!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.head_kind not in ("linear", "sigmoid"):
-            raise ConfigError(f"unknown head_kind {self.head_kind!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if self.learning_rate < 0.0:
@@ -101,16 +97,54 @@ def off_grid_fields(config: BaseLearnerConfig) -> list[str]:
     return out
 
 
-@dataclass
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+_LAYER_PARTS = ("v", "gain", "bias")
+
+
+def _layout_names(n_layers: int) -> list[str]:
+    """Checkpoint order: extractor layers, embedding table, output head."""
+    names = [f"extractor.{i}.{part}" for i in range(n_layers) for part in _LAYER_PARTS]
+    return names + ["embeddings"] + [f"head.{part}" for part in _LAYER_PARTS]
+
+
 class BaseLearnerWeights:
-    """All trainable state: extractor stack, embedding table, output head."""
+    """All trainable state in one contiguous float64 vector.
 
-    extractor: list[DenseLayer]
-    embeddings: np.ndarray  # (n_groups, embedding_dim)
-    head: DenseLayer
+    ``extractor``, ``embeddings`` and ``head`` are named views into
+    ``values`` laid out as ``layout`` (name, shape) pairs in checkpoint
+    order, so writing either side moves the other and an optimizer or an
+    interpolation can treat every weight at once. ``activations`` names the
+    extractor layers' activations followed by the head's.
+    """
 
-    def __post_init__(self) -> None:
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+    def __init__(self, values: np.ndarray, layout: Layout, activations: tuple[str, ...]) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        n_layers = len(activations) - 1
+        if n_layers < 1 or [name for name, _ in layout] != _layout_names(n_layers):
+            raise ShapeError(
+                f"parameter layout does not match a network with {n_layers} extractor layers"
+            )
+        sizes = [math.prod(shape) for _, shape in layout]
+        if values.ndim != 1 or values.size != sum(sizes):
+            raise ShapeError("flat parameter vector does not match its layout")
+        views = {}
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            views[name] = values[offset : offset + size].reshape(shape)
+            offset += size
+
+        def layer(prefix: str, activation: str) -> DenseLayer:
+            return DenseLayer(
+                views[f"{prefix}.v"], views[f"{prefix}.gain"], views[f"{prefix}.bias"], activation
+            )
+
+        self.values = values
+        self.layout = layout
+        self.activations = tuple(activations)
+        self.extractor = [layer(f"extractor.{i}", activations[i]) for i in range(n_layers)]
+        self.embeddings = views["embeddings"]
+        self.head = layer("head", activations[-1])
         if self.embeddings.ndim != 2:
             raise ShapeError("embedding table must be 2-D (groups x embedding dim)")
         concat_dim = self.extractor[-1].n_out + self.embeddings.shape[1]
@@ -127,41 +161,12 @@ class BaseLearnerWeights:
     def n_features(self) -> int:
         return self.extractor[0].n_in
 
+    def with_values(self, values: np.ndarray) -> "BaseLearnerWeights":
+        """Weights of the same network over another vector laid out like ``values``."""
+        return BaseLearnerWeights(values, self.layout, self.activations)
+
     def clone(self) -> "BaseLearnerWeights":
-        return BaseLearnerWeights(
-            [layer.clone() for layer in self.extractor],
-            self.embeddings.copy(),
-            self.head.clone(),
-        )
-
-    def to_flat(self) -> FlatParams:
-        named: list[tuple[str, np.ndarray]] = []
-        for i, layer in enumerate(self.extractor):
-            named.append((f"extractor.{i}.v", layer.v))
-            named.append((f"extractor.{i}.gain", layer.gain))
-            named.append((f"extractor.{i}.bias", layer.bias))
-        named.append(("embeddings", self.embeddings))
-        named.append(("head.v", self.head.v))
-        named.append(("head.gain", self.head.gain))
-        named.append(("head.bias", self.head.bias))
-        return flatten_arrays(named)
-
-    @classmethod
-    def from_flat(cls, flat: FlatParams, template: "BaseLearnerWeights") -> "BaseLearnerWeights":
-        arrays = unflatten(flat)
-        extractor = [
-            DenseLayer(
-                arrays[f"extractor.{i}.v"],
-                arrays[f"extractor.{i}.gain"],
-                arrays[f"extractor.{i}.bias"],
-                layer.activation,
-            )
-            for i, layer in enumerate(template.extractor)
-        ]
-        head = DenseLayer(
-            arrays["head.v"], arrays["head.gain"], arrays["head.bias"], template.head.activation
-        )
-        return cls(extractor, arrays["embeddings"], head)
+        return self.with_values(self.values.copy())
 
 
 def init_weights(
@@ -170,16 +175,20 @@ def init_weights(
     """Random initialization; the embedding table covers every group."""
     if n_groups < 2:
         raise ConfigError("need at least two treatment groups")
-    extractor = []
+    layers = []
     n_in = n_features
     for _ in range(config.n_layers):
-        extractor.append(init_dense_layer(rng, n_in, config.hidden_dim, config.activation))
+        layers.append(init_dense_layer(rng, n_in, config.hidden_dim, config.activation))
         n_in = config.hidden_dim
     embeddings = rng.uniform(
         -EMBEDDING_INIT_SCALE, EMBEDDING_INIT_SCALE, size=(n_groups, config.embedding_dim)
     )
-    head = init_dense_layer(rng, config.hidden_dim + config.embedding_dim, 1, "identity")
-    return BaseLearnerWeights(extractor, embeddings, head)
+    layers.append(init_dense_layer(rng, config.hidden_dim + config.embedding_dim, 1, "identity"))
+    arrays = [arr for layer in layers[:-1] for arr in (layer.v, layer.gain, layer.bias)]
+    arrays += [embeddings, layers[-1].v, layers[-1].gain, layers[-1].bias]
+    layout = tuple(zip(_layout_names(config.n_layers), (arr.shape for arr in arrays)))
+    values = np.concatenate([arr.ravel() for arr in arrays])
+    return BaseLearnerWeights(values, layout, tuple(layer.activation for layer in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +203,43 @@ def _check_groups(weights: BaseLearnerWeights, group_ids: np.ndarray) -> np.ndar
             f"group id out of range: embedding table has {weights.n_groups} rows"
         )
     return g
+
+
+def _forward_pass(
+    weights: BaseLearnerWeights,
+    x: np.ndarray,
+    g: np.ndarray,
+    config: BaseLearnerConfig,
+    train: bool,
+    rng: np.random.Generator | None,
+    kind: str,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray | None]], np.ndarray]:
+    """Predictions, plus what backprop needs: each extractor layer's
+    (input, output, dropout mask) and the head's input.
+
+    In training, a dropout mask is drawn after every extractor layer.
+    """
+    caches = []
+    h = np.asarray(x, dtype=np.float64)
+    for i, layer in enumerate(weights.extractor):
+        x_in = h
+        try:
+            out = dense_forward(x_in, layer)
+        except NumericError as exc:
+            raise NumericError(f"extractor layer {i}: {exc}") from None
+        mask = None
+        if train and config.dropout_rate > 0.0:
+            if rng is None:
+                raise ConfigError("train-mode forward requires an RNG stream for dropout")
+            mask = dropout_mask(rng, out.shape, config.dropout_rate)
+            h = out * mask
+        else:
+            h = out
+        caches.append((x_in, out, mask))
+    concat = np.concatenate([h, weights.embeddings[g]], axis=1)
+    z = dense_forward(concat, weights.head)[:, 0]
+    pred = nn_core.apply_activation("sigmoid", z) if kind == "classification" else z
+    return pred, caches, concat
 
 
 def forward(
@@ -211,20 +257,9 @@ def forward(
     (0, 1); eval mode disables dropout and is fully deterministic.
     """
     g = _check_groups(weights, group_ids)
-    x = np.asarray(x, dtype=np.float64)
-    dropout = DropoutSpec(config.dropout_rate, mode)
-    h = x
-    for layer in weights.extractor:
-        h = dense_forward(h, layer)
-        if mode == "train" and config.dropout_rate > 0.0:
-            if rng is None:
-                raise ConfigError("train-mode forward requires an RNG stream for dropout")
-            h = h * dropout_mask(rng, h.shape, dropout.rate)
-    concat = np.concatenate([h, weights.embeddings[g]], axis=1)
-    z = dense_forward(concat, weights.head)[:, 0]
-    if kind == "classification":
-        return nn_core.apply_activation("sigmoid", z)
-    return z
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
+    return _forward_pass(weights, x, g, config, mode == "train", rng, kind)[0]
 
 
 def loss_and_grads(
@@ -236,8 +271,9 @@ def loss_and_grads(
     config: BaseLearnerConfig,
     rng: np.random.Generator | None = None,
     train: bool = True,
-) -> tuple[float, FlatParams]:
-    """Exact gradients of mean task loss + regularization.
+) -> tuple[float, np.ndarray]:
+    """Exact gradients of mean task loss + regularization, as one flat
+    vector laid out like ``weights.values``.
 
     Regularization covers direction matrices and the embedding rows active
     in the batch; untouched embedding rows receive a strictly zero gradient,
@@ -255,29 +291,8 @@ def loss_and_grads(
     loss_kind = "binary_cross_entropy" if kind == "classification" else "mse"
     head_act = "sigmoid" if kind == "classification" else "identity"
 
-    # forward with caches
-    caches = []
-    h = x
-    for i, layer in enumerate(weights.extractor):
-        x_in = h
-        try:
-            out = dense_forward(x_in, layer)
-        except NumericError as exc:
-            raise NumericError(f"extractor layer {i}: {exc}") from None
-        mask = None
-        if train and config.dropout_rate > 0.0:
-            if rng is None:
-                raise ConfigError("train-mode gradients require an RNG stream for dropout")
-            mask = dropout_mask(rng, out.shape, config.dropout_rate)
-            h = out * mask
-        else:
-            h = out
-        caches.append((x_in, out, mask))
-    emb_rows = weights.embeddings[g]
-    concat = np.concatenate([h, emb_rows], axis=1)
-    z = dense_forward(concat, weights.head)
-    pred = nn_core.apply_activation(head_act, z[:, 0]).reshape(-1, 1)
-
+    pred, caches, concat = _forward_pass(weights, x, g, config, train, rng, kind)
+    pred = pred.reshape(-1, 1)
     y2 = y.reshape(-1, 1)
     loss = nn_core.loss_value(pred, y2, loss_kind)
     active = np.unique(g)
@@ -288,41 +303,29 @@ def loss_and_grads(
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
 
-    # backward
+    # backward, written into views of one zeroed gradient vector
+    grads = weights.with_values(np.zeros_like(weights.values))
     dz = nn_core.output_delta(pred, y2, loss_kind, head_act)
-    dconcat, dv_head, dg_head, db_head = dense_backward(weights.head, concat, dz)
-    dv_head += nn_core.regularization_grad(weights.head.v, l1, l2)
+    dconcat, grads.head.v[...], grads.head.gain[...], grads.head.bias[...] = dense_backward(
+        weights.head, concat, dz
+    )
+    grads.head.v[...] += nn_core.regularization_grad(weights.head.v, l1, l2)
     hidden_dim = weights.extractor[-1].n_out
-    grad_h = dconcat[:, :hidden_dim]
-    grad_emb_rows = dconcat[:, hidden_dim:]
-    demb = np.zeros_like(weights.embeddings)
-    np.add.at(demb, g, grad_emb_rows)
-    demb[active] += nn_core.regularization_grad(weights.embeddings[active], l1, l2)
+    np.add.at(grads.embeddings, g, dconcat[:, hidden_dim:])
+    grads.embeddings[active] += nn_core.regularization_grad(weights.embeddings[active], l1, l2)
 
-    per_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    grad_out = grad_h
+    grad_out = dconcat[:, :hidden_dim]
     for i in range(len(weights.extractor) - 1, -1, -1):
-        layer = weights.extractor[i]
+        layer, grad_layer = weights.extractor[i], grads.extractor[i]
         x_in, out, mask = caches[i]
         if mask is not None:
             grad_out = grad_out * mask
         dz_i = grad_out * activation_grad(layer.activation, out)
-        dx, dv, dgain, dbias = dense_backward(layer, x_in, dz_i)
-        dv += nn_core.regularization_grad(layer.v, l1, l2)
-        per_layer.append((dv, dgain, dbias))
-        grad_out = dx
-    per_layer.reverse()
-
-    named: list[tuple[str, np.ndarray]] = []
-    for i, (dv, dgain, dbias) in enumerate(per_layer):
-        named.append((f"extractor.{i}.v", dv))
-        named.append((f"extractor.{i}.gain", dgain))
-        named.append((f"extractor.{i}.bias", dbias))
-    named.append(("embeddings", demb))
-    named.append(("head.v", dv_head))
-    named.append(("head.gain", dg_head))
-    named.append(("head.bias", db_head))
-    return loss, flatten_arrays(named)
+        grad_out, grad_layer.v[...], grad_layer.gain[...], grad_layer.bias[...] = (
+            dense_backward(layer, x_in, dz_i)
+        )
+        grad_layer.v[...] += nn_core.regularization_grad(layer.v, l1, l2)
+    return loss, grads.values
 
 
 def inner_update(
@@ -336,17 +339,15 @@ def inner_update(
     one task slice with a fresh optimizer; the input weights are not mutated."""
     if data.n == 0:
         raise DataError("inner update requires a nonempty data slice")
-    flat = weights.to_flat()
+    current = weights.clone()
     if config.learning_rate == 0.0 or config.inner_iterations == 0:
-        return BaseLearnerWeights.from_flat(flat, weights)
-    current = BaseLearnerWeights.from_flat(flat, weights)
+        return current
     state = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
     for _ in range(config.inner_iterations):
-        loss, grads = loss_and_grads(
+        _, grads = loss_and_grads(
             current, data.x, data.group_ids, data.y, task.kind, config, rng=rng, train=True
         )
-        flat = optimizer_step(flat, grads, state)
-        current = BaseLearnerWeights.from_flat(flat, weights)
+        optimizer_step(current.values, grads, state)
     return current
 
 
@@ -358,15 +359,14 @@ CHECKPOINT_VERSION = 1
 
 
 def weights_to_dict(weights: BaseLearnerWeights, config_hash: str = "") -> dict:
-    flat = weights.to_flat()
     return {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
-        "layout": [[name, list(shape)] for name, shape in flat.layout],
-        "values": flat.values.tolist(),
+        "layout": [[name, list(shape)] for name, shape in weights.layout],
+        "values": weights.values.tolist(),
         "activations": {
-            "extractor": [layer.activation for layer in weights.extractor],
-            "head": weights.head.activation,
+            "extractor": list(weights.activations[:-1]),
+            "head": weights.activations[-1],
         },
     }
 
@@ -374,24 +374,14 @@ def weights_to_dict(weights: BaseLearnerWeights, config_hash: str = "") -> dict:
 def weights_from_dict(doc: dict) -> BaseLearnerWeights:
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    layout = tuple((name, tuple(shape)) for name, shape in doc["layout"])
-    flat = FlatParams(np.asarray(doc["values"], dtype=np.float64), layout)
-    arrays = unflatten(flat)
-    acts = doc["activations"]
-    extractor = []
-    i = 0
-    while f"extractor.{i}.v" in arrays:
-        extractor.append(
-            DenseLayer(
-                arrays[f"extractor.{i}.v"],
-                arrays[f"extractor.{i}.gain"],
-                arrays[f"extractor.{i}.bias"],
-                acts["extractor"][i],
-            )
-        )
-        i += 1
-    head = DenseLayer(arrays["head.v"], arrays["head.gain"], arrays["head.bias"], acts["head"])
-    return BaseLearnerWeights(extractor, arrays["embeddings"], head)
+    try:
+        layout = tuple((str(name), tuple(int(n) for n in shape)) for name, shape in doc["layout"])
+        acts = doc["activations"]
+        activations = (*acts["extractor"], acts["head"])
+        values = np.asarray(doc["values"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
+    return BaseLearnerWeights(values, layout, activations)
 
 
 def save_weights(path: str | Path, weights: BaseLearnerWeights, config_hash: str = "") -> None:

@@ -13,11 +13,14 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +28,7 @@ from .base_learner import off_grid_fields
 from .data_model import load_csv, load_manifest
 from .errors import ConfigError, DataError, NumericError
 from .eval_harness import (
+    REPORT_COLUMNS,
     CvConfig,
     MetricReport,
     MetricRow,
@@ -82,12 +86,12 @@ def _run_config(args) -> tuple[PipelineConfig, CvConfig]:
         cv_doc["excluded_holdout_groups"] = tuple(cv_doc["excluded_holdout_groups"])
     cv = strict_dataclass(CvConfig, cv_doc)
     if getattr(args, "seed", None) is not None:
-        cv = CvConfig(cv.excluded_holdout_groups, args.seed, cv.jobs)
+        cv = replace(cv, seed=args.seed)
     if getattr(args, "jobs", None) is not None:
-        cv = CvConfig(cv.excluded_holdout_groups, cv.seed, args.jobs)
+        cv = replace(cv, jobs=args.jobs)
     if getattr(args, "holdout_exclude", None):
         merged = tuple(dict.fromkeys(list(cv.excluded_holdout_groups) + args.holdout_exclude))
-        cv = CvConfig(merged, cv.seed, cv.jobs)
+        cv = replace(cv, excluded_holdout_groups=merged)
     return pipeline, cv
 
 
@@ -182,28 +186,41 @@ def _space_doc(path: str) -> dict:
 
 
 def report_from_csv_text(text: str) -> MetricReport:
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    expected = ["group", "task", "model", "metric", "value", "train_value", "n_test", "note"]
-    if header != expected:
-        raise DataError(f"unexpected report header: {header}")
+    """Parse ``MetricReport.to_csv_text`` output, after any leading stamp lines."""
+    while text.startswith("#"):
+        text = text.partition("\n")[2]
+    try:
+        records = [cells for cells in csv.reader(io.StringIO(text, newline="")) if cells]
+    except csv.Error as exc:
+        raise DataError(f"malformed report CSV: {exc}") from None
+    if not records or tuple(records[0]) != REPORT_COLUMNS:
+        raise DataError(f"unexpected report header: {records[0] if records else 'none'}")
     rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append(
-            MetricRow(
-                group=cells[0], task=cells[1], model=cells[2], metric=cells[3],
-                value=float(cells[4]), train_value=float(cells[5]),
-                n_test=int(cells[6]), note=",".join(cells[7:]),
+    for n, cells in enumerate(records[1:], start=1):
+        if len(cells) != len(REPORT_COLUMNS):
+            raise DataError(
+                f"report row {n} has {len(cells)} cells, expected {len(REPORT_COLUMNS)}"
             )
-        )
+        group, task, model, metric, value, train_value, n_test, note = cells
+        try:
+            rows.append(
+                MetricRow(
+                    group, task, model, metric, float(value), float(train_value), int(n_test), note
+                )
+            )
+        except ValueError as exc:
+            raise DataError(f"report row {n}: {exc}") from None
     return MetricReport(tuple(rows))
 
 
 def cmd_report(args) -> int:
-    text = Path(args.report).read_text(encoding="utf-8")
-    stamp_line = text.splitlines()[0]
+    try:
+        with open(args.report, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.report}: not UTF-8 text ({exc.reason})") from None
     report = report_from_csv_text(text)
+    stamp_line = text.partition("\n")[0]
     out = _out_dir(args)
     stamp = stamp_line + "\n" if stamp_line.startswith("#") else ""
     (out / "plot_data.csv").write_text(stamp + plot_data_csv(report), encoding="utf-8")

@@ -159,14 +159,9 @@ class DatasetTable:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Which group is held out, and which groups never become test folds."""
+    """Which group is held out."""
 
     held_out_group: int | str
-    excluded_holdout_groups: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.held_out_group in self.excluded_holdout_groups:
-            raise ConfigError("held-out group cannot also be excluded from holdout")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .task_selection import SelectionConfig, TaskSpec, select_training_tasks
 
 REGRESSION_BASELINES = ("mean", "median", "knn", "ridge")
 CLASSIFICATION_BASELINES = ("knn", "logistic")
+REPORT_COLUMNS = ("group", "task", "model", "metric", "value", "train_value", "n_test", "note")
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +237,24 @@ class MetricReport:
         return out
 
     def to_csv_text(self) -> str:
-        lines = ["group,task,model,metric,value,train_value,n_test,note"]
+        lines = [",".join(REPORT_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                f"{r.group},{r.task},{r.model},{r.metric},{r.value!r},"
-                f"{r.train_value!r},{r.n_test},{r.note}"
+            cells = (
+                r.group, r.task, r.model, r.metric,
+                repr(r.value), repr(r.train_value), str(r.n_test), r.note,
             )
+            lines.append(",".join(_csv_cell(c) for c in cells))
         return "\n".join(lines) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """Minimal RFC-4180 quoting: only a cell holding a comma, a quote or a
+    line break is quoted. Python's ``csv`` writer (before 3.12) leaves a bare
+    carriage return unquoted under a "\\n" line terminator, which its own
+    reader then splits on, so the rule is spelled out here."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def overfit_gap(report: MetricReport) -> dict[str, dict[str, float]]:
@@ -388,12 +400,9 @@ def _fold_rows(
     targets = tuple(TaskSpec(col, config.task_kind, "target_task") for col in target_cols)
     tasks = select_training_tasks(train_table, targets, config.selection)
 
-    base_config = replace(
-        config.base, head_kind="sigmoid" if config.task_kind == "classification" else "linear"
-    )
     n_features = model_inputs(train_table).shape[1]
     theta0 = init_weights(
-        base_config,
+        config.base,
         n_features,
         len(train_table.group_names),
         child_rng(cv.seed, "fold", fold_index, "init"),
@@ -402,7 +411,7 @@ def _fold_rows(
         train_table,
         masked_test,
         tasks,
-        base_config,
+        config.base,
         config.meta,
         child_rng(cv.seed, "fold", fold_index, "meta"),
         initial_weights=theta0,
@@ -422,11 +431,11 @@ def _fold_rows(
 
         for model_name, theta in (("base_initial", theta0), ("meta", theta_star)):
             rng_ft = child_rng(cv.seed, "fold", fold_index, model_name, task.column)
-            adapted, transform = fine_tune(theta, task, train_table, base_config, rng_ft)
-            preds_test = predict_rows(adapted, masked_test, task.kind, base_config, transform)[
+            adapted, transform = fine_tune(theta, task, train_table, config.base, rng_ft)
+            preds_test = predict_rows(adapted, masked_test, task.kind, config.base, transform)[
                 scored
             ]
-            preds_train = predict_rows(adapted, train_table, task.kind, base_config, transform)[
+            preds_train = predict_rows(adapted, train_table, task.kind, config.base, transform)[
                 train_data.row_indices
             ]
             value, note = _score(task.kind, preds_test, y_test)
@@ -597,9 +606,7 @@ def grid_search(
         candidate = sample_candidate(space, child_rng(seed, "candidate", i), template)
         entry: dict = {"candidate": i, "config": candidate.to_dict()}
         try:
-            report = run_cv(
-                raw_table, manifest, candidate, replace(cv_config, seed=cv_config.seed)
-            )
+            report = run_cv(raw_table, manifest, candidate, cv_config)
             vals = [
                 r.value for r in report.rows if r.model == "meta" and math.isfinite(r.value)
             ]

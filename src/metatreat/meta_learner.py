@@ -148,9 +148,34 @@ def meta_step(
         adapted = inner_update(adapted, batch.train_data, batch.task, base_config, state.rng)
         adapted = inner_update(adapted, batch.finetune_data, batch.task, base_config, state.rng)
     scale = eps if meta_config.update_direction == "toward_adapted" else -eps
-    new_flat = param_axpy(state.theta.to_flat(), adapted.to_flat(), scale)
-    theta = BaseLearnerWeights.from_flat(new_flat, state.theta)
+    theta = state.theta.with_values(param_axpy(state.theta.values, adapted.values, scale))
     return MetaState(theta=theta, t=state.t + 1, rng=state.rng)
+
+
+def resume_meta_train(
+    state: MetaState,
+    train_table: DatasetTable,
+    test_table: DatasetTable,
+    tasks: TaskSet,
+    base_config: BaseLearnerConfig,
+    meta_config: MetaConfig,
+) -> BaseLearnerWeights:
+    """Run the meta-loop from ``state`` (fresh or checkpointed) to completion.
+
+    The test table must arrive with its target columns withheld; this is the
+    structural zero-shot firewall, checked here rather than trusted.
+    """
+    if not targets_withheld(test_table):
+        raise DataError(
+            "test table still carries target values; withhold them before meta-training"
+        )
+    while state.t < meta_config.meta_iterations:
+        batches = [
+            sample_task_batch(tasks, train_table, test_table, meta_config.k, state.rng)
+            for _ in range(meta_config.tasks_per_iteration)
+        ]
+        state = meta_step(state, batches, base_config, meta_config)
+    return state.theta
 
 
 def meta_train(
@@ -162,31 +187,20 @@ def meta_train(
     seed: int | np.random.Generator,
     initial_weights: BaseLearnerWeights | None = None,
 ) -> BaseLearnerWeights:
-    """Run the full meta-loop and return the learned initialization.
+    """Run the full meta-loop from a fresh state and return the learned
+    initialization.
 
-    The test table must arrive with its target columns withheld; this is the
-    structural zero-shot firewall, checked here rather than trusted.
     ``initial_weights`` (cloned, never mutated) lets callers score the same
     random initialization the meta-loop started from.
     """
-    if not targets_withheld(test_table):
-        raise DataError(
-            "test table still carries target values; withhold them before meta-training"
-        )
     rng = as_rng(seed)
-    n_features = model_inputs(train_table).shape[1]
     if initial_weights is None:
+        n_features = model_inputs(train_table).shape[1]
         theta = init_weights(base_config, n_features, len(train_table.group_names), rng)
     else:
         theta = initial_weights.clone()
     state = MetaState(theta=theta, t=0, rng=rng)
-    for _ in range(meta_config.meta_iterations):
-        batches = [
-            sample_task_batch(tasks, train_table, test_table, meta_config.k, state.rng)
-            for _ in range(meta_config.tasks_per_iteration)
-        ]
-        state = meta_step(state, batches, base_config, meta_config)
-    return state.theta
+    return resume_meta_train(state, train_table, test_table, tasks, base_config, meta_config)
 
 
 @dataclass(frozen=True)
@@ -287,25 +301,9 @@ def load_meta_state(path: str | Path) -> MetaState:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     theta = weights_from_dict(doc)
     rng = np.random.default_rng()
-    rng.bit_generator.state = doc["rng_state"]
-    return MetaState(theta=theta, t=int(doc["meta_iteration"]), rng=rng)
-
-
-def resume_meta_train(
-    state: MetaState,
-    train_table: DatasetTable,
-    test_table: DatasetTable,
-    tasks: TaskSet,
-    base_config: BaseLearnerConfig,
-    meta_config: MetaConfig,
-) -> BaseLearnerWeights:
-    """Continue a checkpointed meta-loop to completion."""
-    if not targets_withheld(test_table):
-        raise DataError("test table still carries target values")
-    while state.t < meta_config.meta_iterations:
-        batches = [
-            sample_task_batch(tasks, train_table, test_table, meta_config.k, state.rng)
-            for _ in range(meta_config.tasks_per_iteration)
-        ]
-        state = meta_step(state, batches, base_config, meta_config)
-    return state.theta
+    try:
+        rng.bit_generator.state = doc["rng_state"]
+        t = int(doc["meta_iteration"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
+    return MetaState(theta=theta, t=t, rng=rng)

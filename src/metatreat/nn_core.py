@@ -1,8 +1,8 @@
 """Minimal dense-network substrate.
 
-Weight-normalized feed-forward layers, inverted dropout, MSE / binary
-cross-entropy losses with exact analytic backprop, SGD and Adam updates,
-and a flat parameter vector representation used for weight interpolation.
+Weight-normalized dense layers with their exact backward pass, inverted
+dropout masks, MSE / binary cross-entropy losses, in-place SGD and Adam
+updates, and weight interpolation.
 
 Everything is float64 numpy, single-threaded, and driven by explicit RNG
 streams; independent networks can therefore run on independent threads.
@@ -88,9 +88,6 @@ class DenseLayer:
     def n_out(self) -> int:
         return self.v.shape[1]
 
-    def clone(self) -> "DenseLayer":
-        return DenseLayer(self.v.copy(), self.gain.copy(), self.bias.copy(), self.activation)
-
 
 def column_norms(layer: DenseLayer) -> np.ndarray:
     norms = np.linalg.norm(layer.v, axis=0)
@@ -155,94 +152,30 @@ def dense_backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Inverted dropout: in eval mode the output equals the input exactly."""
-
-    rate: float
-    mode: str = "train"
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.rate < 1.0):
-            raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
-        if self.mode not in ("train", "eval"):
-            raise ConfigError(f"dropout mode must be 'train' or 'eval', got {self.mode!r}")
-
-
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
     """Scaled keep-mask: entries are 0 with probability rate, else 1/(1-rate)."""
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def dropout_apply(
-    x: np.ndarray, spec: DropoutSpec, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if spec.mode == "eval" or spec.rate == 0.0:
-        return x
-    if rng is None:
-        raise ConfigError("dropout in train mode requires an RNG stream")
-    return x * dropout_mask(rng, x.shape, spec.rate)
-
-
 # ---------------------------------------------------------------------------
-# Flat parameter vectors
+# Interpolation
 # ---------------------------------------------------------------------------
 
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
-
-@dataclass(frozen=True)
-class FlatParams:
-    """All trainable scalars of a network as one contiguous float64 vector,
-    plus the layout needed to rebuild the named arrays.
-
-    flatten -> unflatten is an exact round trip, and the layout is stable
-    across clones so flat vectors from two clones can be combined.
-    """
-
-    values: np.ndarray
-    layout: Layout
-
-    def __post_init__(self) -> None:
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
-        if self.values.ndim != 1 or self.values.size != expected:
-            raise ShapeError("flat parameter vector does not match its layout")
-
-
-def flatten_arrays(named: list[tuple[str, np.ndarray]]) -> FlatParams:
-    layout = tuple((name, tuple(arr.shape)) for name, arr in named)
-    if named:
-        values = np.concatenate([np.asarray(arr, dtype=np.float64).ravel() for _, arr in named])
-    else:
-        values = np.zeros(0)
-    return FlatParams(values, layout)
-
-
-def unflatten(flat: FlatParams) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in flat.layout:
-        size = int(np.prod(shape))
-        out[name] = flat.values[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return out
-
-
-def param_axpy(a: FlatParams, b: FlatParams, scale: float) -> FlatParams:
-    """a + scale * (b - a), elementwise.
+def param_axpy(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """a + scale * (b - a), elementwise, as a new array.
 
     scale 0 and 1 return exact copies of a and b respectively, so callers
     can rely on bitwise equality at the interpolation endpoints.
     """
-    if a.layout != b.layout:
-        raise ShapeError("param_axpy requires identical parameter layouts")
+    if a.shape != b.shape:
+        raise ShapeError("param_axpy requires equally shaped parameter vectors")
     if scale == 0.0:
-        return FlatParams(a.values.copy(), a.layout)
+        return a.copy()
     if scale == 1.0:
-        return FlatParams(b.values.copy(), b.layout)
-    return FlatParams(a.values + scale * (b.values - a.values), a.layout)
+        return b.copy()
+    return a + scale * (b - a)
 
 
 # ---------------------------------------------------------------------------
@@ -302,115 +235,6 @@ def regularization_grad(m: np.ndarray, l1: float, l2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Backprop over a sequential stack
-# ---------------------------------------------------------------------------
-
-
-def stack_forward(
-    net: list[DenseLayer],
-    x: np.ndarray,
-    dropout: DropoutSpec | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]]:
-    """Forward pass keeping per-layer caches (input, output, dropout mask).
-
-    Dropout, when given in train mode, follows every layer except the last.
-    """
-    caches = []
-    h = np.asarray(x, dtype=np.float64)
-    for i, layer in enumerate(net):
-        x_in = h
-        try:
-            out = dense_forward(x_in, layer)
-        except NumericError as exc:
-            raise NumericError(f"layer {i}: {exc}") from None
-        mask = None
-        if dropout is not None and dropout.mode == "train" and dropout.rate > 0.0 and i < len(net) - 1:
-            mask = dropout_mask(rng, out.shape, dropout.rate)
-            h = out * mask
-        else:
-            h = out
-        caches.append((x_in, out, mask))
-    return h, caches
-
-
-def backprop(
-    net: list[DenseLayer],
-    batch: tuple[np.ndarray, np.ndarray],
-    loss_kind: str,
-    reg: tuple[float, float] = (0.0, 0.0),
-    dropout: DropoutSpec | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, FlatParams]:
-    """Exact gradients of mean loss + regularization for a sequential net.
-
-    Regularization (l1, l2) applies to the direction matrices only; gains
-    and biases are scale/offset parameters and stay unpenalized. Gradient
-    arrays come back flattened in layer order as v / gain / bias triples.
-    """
-    x, y = batch
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ShapeError("backprop requires a nonempty batch")
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
-    l1, l2 = reg
-
-    pred, caches = stack_forward(net, x, dropout, rng)
-    loss = loss_value(pred, y, loss_kind)
-    loss += regularization_value([layer.v for layer in net], l1, l2)
-
-    grads: list[tuple[str, np.ndarray]] = []
-    dz = output_delta(pred, y, loss_kind, net[-1].activation)
-    grad_out = dz  # already a pre-activation gradient for the last layer
-    per_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for i in range(len(net) - 1, -1, -1):
-        layer = net[i]
-        x_in, out, mask = caches[i]
-        if i == len(net) - 1:
-            dz_i = grad_out
-        else:
-            if mask is not None:
-                grad_out = grad_out * mask
-            dz_i = grad_out * activation_grad(layer.activation, out)
-        dx, dv, dgain, dbias = dense_backward(layer, x_in, dz_i)
-        dv += regularization_grad(layer.v, l1, l2)
-        per_layer.append((dv, dgain, dbias))
-        grad_out = dx
-    per_layer.reverse()
-    for i, (dv, dgain, dbias) in enumerate(per_layer):
-        grads.append((f"layer{i}.v", dv))
-        grads.append((f"layer{i}.gain", dgain))
-        grads.append((f"layer{i}.bias", dbias))
-    if not np.isfinite(loss):
-        raise NumericError("loss is not finite")
-    return loss, flatten_arrays(grads)
-
-
-def stack_flatten(net: list[DenseLayer]) -> FlatParams:
-    named = []
-    for i, layer in enumerate(net):
-        named.append((f"layer{i}.v", layer.v))
-        named.append((f"layer{i}.gain", layer.gain))
-        named.append((f"layer{i}.bias", layer.bias))
-    return flatten_arrays(named)
-
-
-def stack_from_flat(flat: FlatParams, template: list[DenseLayer]) -> list[DenseLayer]:
-    arrays = unflatten(flat)
-    return [
-        DenseLayer(
-            arrays[f"layer{i}.v"],
-            arrays[f"layer{i}.gain"],
-            arrays[f"layer{i}.bias"],
-            layer.activation,
-        )
-        for i, layer in enumerate(template)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Optimizers
 # ---------------------------------------------------------------------------
 
@@ -441,34 +265,33 @@ class OptimizerState:
             raise ConfigError("learning rate must be non-negative")
 
 
-def optimizer_step(params: FlatParams, grads: FlatParams, state: OptimizerState) -> FlatParams:
-    """One optimizer update; advances the state buffers in place."""
-    if params.layout != grads.layout:
-        raise ShapeError("parameter and gradient layouts differ")
-    p = params.values
-    g = grads.values
+def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
+    """One optimizer update of ``params`` in place; advances the state buffers."""
+    if params.shape != grads.shape:
+        raise ShapeError("parameter and gradient shapes differ")
     if state.kind == "sgd":
         if state.momentum != 0.0:
             if state.velocity is None:
-                state.velocity = np.zeros_like(p)
-            elif state.velocity.shape != p.shape:
+                state.velocity = np.zeros_like(params)
+            elif state.velocity.shape != params.shape:
                 raise ShapeError("momentum buffer does not match parameter shape")
-            state.velocity = state.momentum * state.velocity + g
+            state.velocity = state.momentum * state.velocity + grads
             update = state.velocity
         else:
-            update = g
+            update = grads
         state.step_count += 1
-        return FlatParams(p - state.learning_rate * update, params.layout)
+        params -= state.learning_rate * update
+        return
     # adam
     if state.m is None:
-        state.m = np.zeros_like(p)
-        state.v = np.zeros_like(p)
-    elif state.m.shape != p.shape:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    elif state.m.shape != params.shape:
         raise ShapeError("adam moment buffers do not match parameter shape")
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
     m_hat = state.m / (1.0 - state.beta1**t)
     v_hat = state.v / (1.0 - state.beta2**t)
-    return FlatParams(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps), params.layout)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -2,7 +2,8 @@
 PASS/FAIL line (visible with ``pytest -s`` or in failure output).
 
 Numbered criteria:
- 1. analytic gradients match central finite differences on 100 random nets
+ 1. the production gradients (base_learner.loss_and_grads) match central
+    finite differences on 100 random base-learner nets
  2. AUC equals pairwise counting, MSE equals the direct formula
  3. interpolation-update algebra (exact endpoints, fixed point at lr=0)
  4. zero-shot firewall under label perturbation, 20 random runs
@@ -46,15 +47,6 @@ from metatreat.meta_learner import (
     meta_train,
     sample_task_batch,
 )
-from metatreat.nn_core import (
-    FlatParams,
-    backprop,
-    init_dense_layer,
-    loss_value,
-    stack_flatten,
-    stack_forward,
-    stack_from_flat,
-)
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
 from oracles import central_diff, max_rel_error, pairwise_auc
@@ -95,40 +87,78 @@ def report_line(criterion: int, name: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_loss(values, net, x, g, y, kind, reg, masks):
+    """The base-learner's training loss assembled directly from the weight
+    views with plain numpy, independently of ``base_learner``'s passes."""
+    w = net.with_values(values)
+
+    def affine(h, layer):
+        return h @ (layer.v / np.linalg.norm(layer.v, axis=0) * layer.gain) + layer.bias
+
+    h = x
+    for layer, mask in zip(w.extractor, masks):
+        z = affine(h, layer)
+        h = (np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)) * mask
+    z = affine(np.concatenate([h, w.embeddings[g]], axis=1), w.head)[:, 0]
+    if kind == "classification":
+        p = 1.0 / (1.0 + np.exp(-z))
+        total = np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    else:
+        total = np.mean((z - y) ** 2)
+    l1, l2 = reg
+    for m in [layer.v for layer in w.extractor] + [w.head.v, w.embeddings[np.unique(g)]]:
+        total += l1 * np.abs(m).sum() + l2 * (m * m).sum()
+    return total
+
+
 def test_criterion_1_gradient_oracle():
+    from metatreat.base_learner import loss_and_grads
+
     start = time.time()
     rng = np.random.default_rng(20240001)
     worst = 0.0
     for _ in range(100):
-        n_layers = int(rng.integers(1, 4))  # up to 3 layers
-        sizes = [int(rng.integers(2, 9))]
-        for _ in range(n_layers - 1):
-            sizes.append(int(rng.integers(2, 33)))  # up to 32 units
-        sizes.append(1)
-        loss_kind = str(rng.choice(["mse", "binary_cross_entropy"]))
-        acts = [str(rng.choice(["relu", "tanh"])) for _ in range(n_layers - 1)]
-        acts.append("sigmoid" if loss_kind == "binary_cross_entropy" else "identity")
-        net = [init_dense_layer(rng, sizes[i], sizes[i + 1], acts[i]) for i in range(n_layers)]
-        x = rng.normal(size=(int(rng.integers(2, 7)), sizes[0]))
-        if loss_kind == "binary_cross_entropy":
-            y = (rng.random((x.shape[0], 1)) > 0.5).astype(np.float64)
+        kind = str(rng.choice(["regression", "classification"]))
+        config = BaseLearnerConfig(
+            n_layers=int(rng.integers(1, 3)),  # plus the head: up to 3 layers
+            hidden_dim=int(rng.integers(2, 33)),  # up to 32 units
+            embedding_dim=int(rng.integers(2, 9)),
+            activation=str(rng.choice(["relu", "tanh"])),
+            dropout_rate=float(rng.choice([0.0, 0.2])),
+            reg_kind=str(rng.choice(["l1", "l2", "both"])),
+            reg_strength=1e-3,
+        )
+        n_features, n_groups = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        net = init_weights(config, n_features, n_groups, rng)
+        # away from init, where zero biases behind a dead ReLU layer sit
+        # exactly on the kink and central differences read half the slope
+        net.values[:] += rng.normal(scale=0.3, size=net.values.size)
+        n = int(rng.integers(2, 7))
+        absent = int(rng.integers(n_groups))  # one group never in the batch
+        g = rng.choice([k for k in range(n_groups) if k != absent], size=n)
+        x = rng.normal(size=(n, n_features))
+        if kind == "classification":
+            y = (rng.random(n) > 0.5).astype(np.float64)
         else:
-            y = rng.normal(size=(x.shape[0], 1))
-        reg = (float(rng.choice([0.0, 1e-3])), float(rng.choice([0.0, 1e-3])))
+            y = rng.normal(size=n)
 
-        _, grads = backprop(net, (x, y), loss_kind, reg)
+        mask_seed = int(rng.integers(2**31))
+        _, grads = loss_and_grads(
+            net, x, g, y, kind, config, rng=np.random.default_rng(mask_seed), train=True
+        )
+        mask_rng = np.random.default_rng(mask_seed)
+        rate = config.dropout_rate
+        masks = [
+            (mask_rng.random((n, config.hidden_dim)) >= rate) / (1.0 - rate)
+            if rate > 0.0 else np.ones((n, config.hidden_dim))
+            for _ in range(config.n_layers)
+        ]
 
-        def loss_fn(flat_values, template=net, x=x, y=y, loss_kind=loss_kind, reg=reg):
-            flat = FlatParams(flat_values, stack_flatten(template).layout)
-            cand = stack_from_flat(flat, template)
-            pred, _ = stack_forward(cand, x)
-            total = loss_value(pred, y, loss_kind)
-            for layer in cand:
-                total += reg[0] * np.abs(layer.v).sum() + reg[1] * (layer.v**2).sum()
-            return total
+        def loss_fn(values, net=net, x=x, g=g, y=y, kind=kind, config=config, masks=masks):
+            return _oracle_loss(values, net, x, g, y, kind, config.l1_l2(), masks)
 
-        numeric = central_diff(loss_fn, stack_flatten(net).values, h=1e-6)
-        worst = max(worst, max_rel_error(grads.values, numeric))
+        numeric = central_diff(loss_fn, net.values.copy(), h=1e-6)
+        worst = max(worst, max_rel_error(grads, numeric))
     elapsed = time.time() - start
     report_line(
         1, "gradient oracle", worst <= 1e-5 and elapsed < 30.0,
@@ -215,7 +245,7 @@ def test_criterion_3_update_algebra():
     adapted = inner_update(theta, batch.train_data, batch.task, base, np.random.default_rng(0))
     adapted = inner_update(adapted, batch.finetune_data, batch.task, base, np.random.default_rng(0))
     stepped = meta_step(state, [batch], base, meta)
-    eps1_ok = np.array_equal(stepped.theta.to_flat().values, adapted.to_flat().values)
+    eps1_ok = np.array_equal(stepped.theta.values, adapted.values)
 
     # (c) lr=0 is a fixed point across every meta-iteration
     train_table, masked_test, tasks, base0 = _algebra_setup(lr=0.0)
@@ -225,7 +255,7 @@ def test_criterion_3_update_algebra():
     theta_final = meta_train(
         train_table, masked_test, tasks, base0, meta, seed=6, initial_weights=theta0
     )
-    fixed_point_ok = np.array_equal(theta_final.to_flat().values, theta0.to_flat().values)
+    fixed_point_ok = np.array_equal(theta_final.values, theta0.values)
 
     report_line(
         3, "update algebra", endpoints_ok and eps1_ok and fixed_point_ok,

@@ -3,7 +3,6 @@ import pytest
 
 from metatreat.base_learner import (
     BaseLearnerConfig,
-    BaseLearnerWeights,
     forward,
     init_weights,
     inner_update,
@@ -13,7 +12,7 @@ from metatreat.base_learner import (
     save_weights,
 )
 from metatreat.data_model import TaskData
-from metatreat.errors import ConfigError, DataError
+from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.nn_core import loss_value
 from metatreat.task_selection import TaskSpec
 from oracles import central_diff, max_rel_error
@@ -106,6 +105,49 @@ def test_forward_respects_batch_decomposition():
     assert np.allclose(batch, single, atol=1e-12)
 
 
+def test_forward_eval_mode_ignores_dropout():
+    rng = np.random.default_rng(6)
+    w = init_weights(small_config(dropout_rate=0.7), 3, 2, rng)
+    x = rng.normal(size=(5, 3))
+    g = rng.integers(0, 2, 5)
+    dropped = forward(w, x, g, small_config(dropout_rate=0.7), mode="eval")
+    assert np.array_equal(dropped, forward(w, x, g, small_config(dropout_rate=0.0)))
+
+
+def test_forward_rejects_unknown_mode():
+    rng = np.random.default_rng(7)
+    config = small_config()
+    w = init_weights(config, 3, 2, rng)
+    with pytest.raises(ConfigError, match="mode"):
+        forward(w, rng.normal(size=(2, 3)), np.array([0, 1]), config, mode="test")
+
+
+# ---------------------------------------------------------------------------
+# one flat parameter vector with named views
+# ---------------------------------------------------------------------------
+
+
+def test_named_views_alias_values_and_clone_copies():
+    rng = np.random.default_rng(8)
+    w = init_weights(small_config(), 3, 3, rng)
+    views = [arr for layer in w.extractor for arr in (layer.v, layer.gain, layer.bias)]
+    views += [w.embeddings, w.head.v, w.head.gain, w.head.bias]
+    assert [view.shape for view in views] == [shape for _, shape in w.layout]
+    assert np.array_equal(np.concatenate([view.ravel() for view in views]), w.values)
+    # writing the vector moves the views, and the other way round
+    w.values[:] = np.arange(w.values.size)
+    assert np.array_equal(w.head.v.ravel(), w.values[-w.head.v.size - 2 : -2])
+    w.head.bias[:] = -1.0
+    assert w.values[-1] == -1.0
+    # a clone shares no memory with its source
+    copy = w.clone()
+    assert not np.shares_memory(copy.values, w.values)
+    before = w.values.copy()
+    copy.values[:] = 0.0
+    copy.head.gain[:] = 5.0
+    assert np.array_equal(w.values, before)
+
+
 # ---------------------------------------------------------------------------
 # gradients of the composite network
 # ---------------------------------------------------------------------------
@@ -126,9 +168,7 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
     active = np.unique(g)
 
     def loss_fn(flat_values):
-        from metatreat.nn_core import FlatParams
-
-        cand = BaseLearnerWeights.from_flat(FlatParams(flat_values, w.to_flat().layout), w)
+        cand = w.with_values(flat_values)
         pred = forward(cand, x, g, config, mode="eval", kind=kind)
         lk = "binary_cross_entropy" if kind == "classification" else "mse"
         total = loss_value(pred.reshape(-1, 1), y.reshape(-1, 1), lk)
@@ -136,8 +176,8 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
             total += l1 * np.abs(mat).sum() + l2 * (mat**2).sum()
         return total
 
-    numeric = central_diff(loss_fn, w.to_flat().values)
-    assert max_rel_error(grads.values, numeric) <= 1e-5
+    numeric = central_diff(loss_fn, w.values)
+    assert max_rel_error(grads, numeric) <= 1e-5
 
 
 def test_untouched_embedding_rows_have_zero_gradient():
@@ -146,11 +186,51 @@ def test_untouched_embedding_rows_have_zero_gradient():
     w = init_weights(config, 3, 4, rng)
     x, g, y = make_batch(rng, 8, 3, 4, exclude_group=2)
     _, grads = loss_and_grads(w, x, g, y, "regression", config, train=False)
-    from metatreat.nn_core import unflatten
-
-    demb = unflatten(grads)["embeddings"]
+    demb = w.with_values(grads).embeddings
     assert np.all(demb[2] == 0.0)
     assert np.any(demb[0] != 0.0)
+
+
+def test_loss_and_grads_zero_output_is_stationary():
+    # head gain, bias and embeddings 0 give predictions 0; with y = 0 and no
+    # regularization, loss and every gradient entry vanish
+    rng = np.random.default_rng(18)
+    config = small_config(reg_strength=0.0)
+    w = init_weights(config, 2, 3, rng)
+    w.head.gain[:] = 0.0
+    w.head.bias[:] = 0.0
+    w.embeddings[:] = 0.0
+    loss, grads = loss_and_grads(
+        w, np.ones((3, 2)), np.array([0, 1, 2]), np.zeros(3), "regression", config, train=False
+    )
+    assert loss == 0.0
+    assert grads.shape == w.values.shape
+    assert np.all(grads == 0.0)
+
+
+def test_loss_and_grads_rejects_empty_batch():
+    rng = np.random.default_rng(19)
+    config = small_config()
+    w = init_weights(config, 2, 2, rng)
+    with pytest.raises(DataError):
+        loss_and_grads(
+            w, np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0), "regression", config
+        )
+
+
+def test_loss_and_grads_reports_nonfinite_layer():
+    # layer 0 stays finite (1e300); layer 1 overflows to inf and is named
+    config = small_config(n_layers=2, hidden_dim=1, activation="relu")
+    w = init_weights(config, 1, 2, np.random.default_rng(20))
+    for layer, gain in zip(w.extractor, (1e150, 1e20)):
+        layer.v[:] = 1.0
+        layer.gain[:] = gain
+        layer.bias[:] = 0.0
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="extractor layer 1"):
+        loss_and_grads(
+            w, np.array([[1e150]]), np.array([0]), np.array([0.0]), "regression", config,
+            train=False,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +244,7 @@ def test_inner_update_zero_lr_is_identity():
     w = init_weights(config, 3, 2, rng)
     data = TaskData(*make_batch(rng, 5, 3, 2), np.arange(5))
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
-    assert np.array_equal(out.to_flat().values, w.to_flat().values)
+    assert np.array_equal(out.values, w.values)
 
 
 def test_inner_update_single_step_matches_hand_sgd():
@@ -181,9 +261,9 @@ def test_inner_update_single_step_matches_hand_sgd():
         rng.normal(size=(4, 2)), np.array([0, 1, 0, 1]), rng.normal(size=4), np.arange(4)
     )
     _, grads = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config, train=False)
-    expected = w.to_flat().values - 0.1 * grads.values
+    expected = w.values - 0.1 * grads
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
-    assert np.allclose(out.to_flat().values, expected, atol=1e-12)
+    assert np.allclose(out.values, expected, atol=1e-12)
 
 
 def test_inner_update_reduces_convex_loss():
@@ -206,10 +286,10 @@ def test_inner_update_does_not_mutate_input():
     rng = np.random.default_rng(15)
     config = small_config()
     w = init_weights(config, 3, 2, rng)
-    before = w.to_flat().values.copy()
+    before = w.values.copy()
     data = TaskData(*make_batch(rng, 6, 3, 2), np.arange(6))
     inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
-    assert np.array_equal(w.to_flat().values, before)
+    assert np.array_equal(w.values, before)
 
 
 def test_inner_update_is_pure_given_seed():
@@ -219,7 +299,7 @@ def test_inner_update_is_pure_given_seed():
     data = TaskData(*make_batch(rng, 6, 3, 2), np.arange(6))
     a = inner_update(w, data, REG_TASK, config, np.random.default_rng(7))
     b = inner_update(w, data, REG_TASK, config, np.random.default_rng(7))
-    assert np.array_equal(a.to_flat().values, b.to_flat().values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_plain_training_never_touches_held_out_embedding():
@@ -260,6 +340,8 @@ def test_config_validation():
         BaseLearnerConfig(reg_kind="l3")
     with pytest.raises(ConfigError):
         BaseLearnerConfig(dropout_rate=1.0)
+    with pytest.raises(ConfigError):
+        BaseLearnerConfig(dropout_rate=-0.1)
 
 
 def test_weights_checkpoint_round_trip(tmp_path):
@@ -269,6 +351,6 @@ def test_weights_checkpoint_round_trip(tmp_path):
     path = tmp_path / "weights.json"
     save_weights(path, w, config_hash="abc123")
     back = load_weights(path)
-    assert np.array_equal(back.to_flat().values, w.to_flat().values)
-    assert back.to_flat().layout == w.to_flat().layout
+    assert np.array_equal(back.values, w.values)
+    assert back.layout == w.layout
     assert [l.activation for l in back.extractor] == [l.activation for l in w.extractor]

@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatreat.cli import main, report_from_csv_text
+from metatreat.eval_harness import MetricReport, MetricRow
 
 GEN_CONFIG = {
     "n_groups": 3,
@@ -246,6 +250,56 @@ def test_report_command_recomputes_gap_files(tmp_path, study_dir):
     assert (rep_out / "plot_data.csv").read_bytes() == (cv_out / "plot_data.csv").read_bytes()
     gaps = json.loads((rep_out / "gap_stats.json").read_text())
     assert "meta" in gaps["overfit_gap"]
+
+
+# Any legal name: every Unicode text except lone surrogates, which cannot
+# be written as UTF-8.
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+CELL_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(NAMES, NAMES, NAMES, NAMES, CELL_FLOATS, CELL_FLOATS,
+                  st.integers(0, 10**9), NAMES),
+        max_size=4,
+    )
+)
+def test_report_csv_round_trips_any_names(cells):
+    report = MetricReport(tuple(MetricRow(*row) for row in cells))
+    back = report_from_csv_text("# stamp\n" + report.to_csv_text())
+    assert len(back.rows) == len(report.rows)
+    for got, want in zip(back.rows, report.rows):
+        for a, b in zip(got.__dict__.values(), want.__dict__.values()):
+            assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def test_report_csv_quotes_only_names_that_need_it():
+    rows = (
+        MetricRow("g0", "y", "meta", "mse", 0.5, 0.25, 3),
+        MetricRow("ctrl, placebo", 'say "hi"', "meta", "mse", 1.0, 2.0, 4, "a\rb"),
+    )
+    lines = MetricReport(rows).to_csv_text().split("\n")
+    assert lines[1] == "g0,y,meta,mse,0.5,0.25,3,"
+    assert lines[2] == '"ctrl, placebo","say ""hi""",meta,mse,1.0,2.0,4,"a\rb"'
+
+
+def test_report_command_reads_quoted_names_and_rejects_malformed_rows(tmp_path):
+    rows = (MetricRow("ctrl, placebo", "y", "meta", "mse", 1.0, 2.0, 4),)
+    good = tmp_path / "report.csv"
+    good.write_text("# stamp\n" + MetricReport(rows).to_csv_text(), encoding="utf-8")
+    assert main(["report", "--report", str(good), "--out", str(tmp_path / "a")]) == 0
+    bad = tmp_path / "bad.csv"
+    for text in (
+        "group,task,model,metric,value,train_value,n_test,note\nctrl, placebo,y,meta,mse,1,2,4,\n",
+        "group,task,model,metric,value,train_value,n_test,note\ng0,y,meta,mse,one,2,4,\n",
+        "",
+    ):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["report", "--report", str(bad), "--out", str(tmp_path / "b")]) == 3
+    bad.write_bytes(b"group,task\n\xff\xfe\n")
+    assert main(["report", "--report", str(bad), "--out", str(tmp_path / "b")]) == 3
 
 
 def test_out_dir_env_override(tmp_path, study_dir, monkeypatch):

@@ -470,11 +470,6 @@ def test_split_empty_group_errors():
         group_holdout_split(table, SplitSpec("ghost"))
 
 
-def test_split_spec_rejects_excluded_holdout():
-    with pytest.raises(ConfigError):
-        SplitSpec("a", ("a", "b"))
-
-
 # ---------------------------------------------------------------------------
 # the fitted plan
 # ---------------------------------------------------------------------------

@@ -414,3 +414,8 @@ def test_pipeline_config_round_trip_and_strictness():
     doc["base"]["warp_factor"] = 9
     with pytest.raises(ConfigError, match="warp_factor"):
         PipelineConfig.from_dict(doc)
+    # the retired head_kind knob is rejected like any unknown key
+    doc = FAST_PIPELINE.to_dict()
+    doc["base"]["head_kind"] = "linear"
+    with pytest.raises(ConfigError, match=r"unknown BaseLearnerConfig keys: \['head_kind'\]"):
+        PipelineConfig.from_dict(doc)

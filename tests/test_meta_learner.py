@@ -155,27 +155,27 @@ def test_meta_step_eps1_returns_adapted_weights_bitwise():
     expected = inner_update(expected, batch.finetune_data, batch.task, config, np.random.default_rng(0))
     out = meta_step(state, [batch], config, meta)
     # epsilon = eps0 * (T - 0) / T = 1.0 exactly -> theta equals adapted weights
-    assert np.array_equal(out.theta.to_flat().values, expected.to_flat().values)
+    assert np.array_equal(out.theta.values, expected.values)
     assert out.t == 1
 
 
 def test_meta_step_zero_lr_leaves_theta_constant():
     state, batch, config, meta = _state_and_batch(lr=0.0, iterations=3)
-    before = state.theta.to_flat().values.copy()
+    before = state.theta.values.copy()
     out = meta_step(state, [batch], config, meta)
-    assert np.array_equal(out.theta.to_flat().values, before)
+    assert np.array_equal(out.theta.values, before)
 
 
 def test_meta_step_away_from_adapted_moves_opposite():
     state, batch, config, meta = _state_and_batch(eps0=0.5, iterations=1)
-    before = state.theta.to_flat().values.copy()
-    toward = meta_step(state, [batch], config, meta).theta.to_flat().values
+    before = state.theta.values.copy()
+    toward = meta_step(state, [batch], config, meta).theta.values
 
     state2, batch2, config2, meta2 = _state_and_batch(eps0=0.5, iterations=1)
     meta2 = MetaConfig(
         meta_iterations=1, epsilon0=0.5, k=4, update_direction="away_from_adapted"
     )
-    literal = meta_step(state2, [batch2], config2, meta2).theta.to_flat().values
+    literal = meta_step(state2, [batch2], config2, meta2).theta.values
     # same adapted target, mirrored displacement
     assert np.allclose(literal - before, -(toward - before), atol=1e-12)
 
@@ -191,7 +191,7 @@ def test_meta_train_zero_iterations_returns_seeded_init():
     theta = meta_train(train_table, masked_test, tasks, BASE, meta, seed=11)
     rng = np.random.default_rng(11)
     expected = init_weights(BASE, 3, 3, rng)
-    assert np.array_equal(theta.to_flat().values, expected.to_flat().values)
+    assert np.array_equal(theta.values, expected.values)
 
 
 def test_meta_train_touches_held_out_embedding():
@@ -210,7 +210,7 @@ def test_meta_train_is_deterministic():
     meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
     a = meta_train(train_table, masked_test, tasks, BASE, meta, seed=3)
     b = meta_train(train_table, masked_test, tasks, BASE, meta, seed=3)
-    assert np.array_equal(a.to_flat().values, b.to_flat().values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_meta_train_rejects_leaky_test_table():
@@ -303,4 +303,4 @@ def test_checkpoint_resume_matches_straight_run(tmp_path):
     restored = load_meta_state(tmp_path / "ckpt.json")
     assert restored.t == 3
     final = resume_meta_train(restored, train_table, masked_test, tasks, BASE, meta)
-    assert np.array_equal(final.to_flat().values, straight.to_flat().values)
+    assert np.array_equal(final.values, straight.values)

@@ -1,32 +1,26 @@
 import numpy as np
 import pytest
 
-from metatreat.errors import ConfigError, NumericError, ShapeError
+from metatreat.errors import NumericError, ShapeError
 from metatreat.nn_core import (
     DenseLayer,
-    DropoutSpec,
-    FlatParams,
     OptimizerState,
-    backprop,
+    dense_backward,
     dense_forward,
-    dropout_apply,
+    dropout_mask,
     effective_weights,
-    flatten_arrays,
     init_dense_layer,
     loss_value,
     optimizer_step,
+    output_delta,
     param_axpy,
-    stack_flatten,
-    stack_forward,
-    stack_from_flat,
-    unflatten,
+    regularization_grad,
 )
 from oracles import central_diff, max_rel_error
 
 
-def _flat(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FlatParams(values, (("p", tuple(values.shape)),))
+def _arr(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -89,43 +83,29 @@ def test_init_gains_match_initial_column_norms():
 
 
 # ---------------------------------------------------------------------------
-# dropout
+# dropout masks
 # ---------------------------------------------------------------------------
 
 
-def test_dropout_eval_mode_is_identity():
-    x = np.random.default_rng(1).normal(size=(4, 4))
-    out = dropout_apply(x, DropoutSpec(0.7, "eval"))
-    assert np.array_equal(out, x)
-
-
 def test_dropout_zero_rate_is_identity():
-    x = np.random.default_rng(2).normal(size=(4, 4))
-    out = dropout_apply(x, DropoutSpec(0.0, "train"), np.random.default_rng(0))
-    assert np.array_equal(out, x)
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(ConfigError):
-        DropoutSpec(1.0, "train")
-    with pytest.raises(ConfigError):
-        DropoutSpec(-0.1, "train")
+    mask = dropout_mask(np.random.default_rng(0), (4, 4), 0.0)
+    assert np.array_equal(mask, np.ones((4, 4)))
 
 
 def test_dropout_preserves_expectation():
-    # 1e5 masked samples at rate 0.5: survivors scaled by 2, mean within 1%
+    # 1e5 mask entries at rate 0.5: survivors scaled by 2, mean within 1%
     rng = np.random.default_rng(3)
-    x = np.ones((100, 10))
-    spec = DropoutSpec(0.5, "train")
     total = 0.0
     draws = 100
     for _ in range(draws):
-        total += dropout_apply(x, spec, rng).mean()
+        mask = dropout_mask(rng, (100, 10), 0.5)
+        assert set(np.unique(mask)) <= {0.0, 2.0}
+        total += mask.mean()
     assert abs(total / draws - 1.0) < 0.01
 
 
 # ---------------------------------------------------------------------------
-# backprop
+# backprop through one layer
 # ---------------------------------------------------------------------------
 
 
@@ -134,146 +114,129 @@ def test_backprop_single_unit_hand_case():
     # loss = (1*1 - 0)^2 = 1; d loss / d w_eff = 2. Under weight norm the
     # effective-weight gradient lands in the gain (dv is orthogonal, hence 0
     # for a 1-D direction) and the bias gradient equals dz = 2.
-    net = [DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")]
-    loss, grads = backprop(net, (np.array([[1.0]]), np.array([[0.0]])), "mse")
-    assert loss == pytest.approx(1.0)
-    parts = unflatten(grads)
-    assert parts["layer0.gain"][0] == pytest.approx(2.0)
-    assert parts["layer0.v"][0, 0] == pytest.approx(0.0)
-    assert parts["layer0.bias"][0] == pytest.approx(2.0)
-
-
-def test_backprop_zero_output_is_stationary():
-    # gain 0 and bias 0 give predictions 0; with y = 0, loss and grads vanish
-    net = [DenseLayer(np.array([[1.0, -1.0]]).T.copy(), np.zeros(1), np.zeros(1), "identity")]
-    loss, grads = backprop(net, (np.ones((3, 2)), np.zeros((3, 1))), "mse")
-    assert loss == 0.0
-    assert np.all(grads.values == 0.0)
-
-
-def _random_stack(rng, loss_kind):
-    sizes = [int(rng.integers(2, 9))]
-    n_layers = int(rng.integers(1, 4))
-    for _ in range(n_layers - 1):
-        sizes.append(int(rng.integers(2, 33)))
-    sizes.append(1)
-    acts = [str(rng.choice(["relu", "tanh"])) for _ in range(n_layers - 1)]
-    acts.append("sigmoid" if loss_kind == "binary_cross_entropy" else "identity")
-    net = [
-        init_dense_layer(rng, sizes[i], sizes[i + 1], acts[i]) for i in range(len(sizes) - 1)
-    ]
-    x = rng.normal(size=(int(rng.integers(2, 7)), sizes[0]))
-    if loss_kind == "binary_cross_entropy":
-        y = (rng.random((x.shape[0], 1)) > 0.5).astype(np.float64)
-    else:
-        y = rng.normal(size=(x.shape[0], 1))
-    return net, x, y
+    layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")
+    x, y = np.array([[1.0]]), np.array([[0.0]])
+    pred = dense_forward(x, layer)
+    assert loss_value(pred, y, "mse") == pytest.approx(1.0)
+    dx, dv, dgain, dbias = dense_backward(layer, x, output_delta(pred, y, "mse", "identity"))
+    assert dgain[0] == pytest.approx(2.0)
+    assert dv[0, 0] == pytest.approx(0.0)
+    assert dbias[0] == pytest.approx(2.0)
+    assert dx[0, 0] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("loss_kind", ["mse", "binary_cross_entropy"])
 @pytest.mark.parametrize("reg", [(0.0, 0.0), (1e-3, 1e-2)])
 def test_backprop_matches_central_differences(loss_kind, reg):
+    # one weight-normalized layer plus loss: dense_backward's chain rule for
+    # the input, direction, gain and bias against finite differences
     rng = np.random.default_rng(42 if loss_kind == "mse" else 43)
+    head = "sigmoid" if loss_kind == "binary_cross_entropy" else "identity"
     for _ in range(5):
-        net, x, y = _random_stack(rng, loss_kind)
-        _, grads = backprop(net, (x, y), loss_kind, reg)
+        n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        layer = init_dense_layer(rng, n_in, n_out, head)
+        layer.bias[:] = rng.normal(size=n_out)
+        x = rng.normal(size=(int(rng.integers(2, 7)), n_in))
+        if loss_kind == "binary_cross_entropy":
+            y = (rng.random((x.shape[0], n_out)) > 0.5).astype(np.float64)
+        else:
+            y = rng.normal(size=(x.shape[0], n_out))
+        pred = dense_forward(x, layer)
+        dx, dv, dgain, dbias = dense_backward(layer, x, output_delta(pred, y, loss_kind, head))
+        dv += regularization_grad(layer.v, *reg)
+        shapes = [x.shape, layer.v.shape, (n_out,), (n_out,)]
+        cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
 
-        def loss_fn(flat_values, template=net, x=x, y=y):
-            flat = FlatParams(flat_values, stack_flatten(template).layout)
-            candidate = stack_from_flat(flat, template)
-            pred, _ = stack_forward(candidate, x)
-            total = loss_value(pred, y, loss_kind)
-            for layer in candidate:
-                total += reg[0] * np.abs(layer.v).sum() + reg[1] * (layer.v**2).sum()
-            return total
+        def loss_fn(flat):
+            xs, v, gain, bias = (
+                part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)
+            )
+            total = loss_value(dense_forward(xs, DenseLayer(v, gain, bias, head)), y, loss_kind)
+            return total + reg[0] * np.abs(v).sum() + reg[1] * (v**2).sum()
 
-        numeric = central_diff(loss_fn, stack_flatten(net).values)
-        assert max_rel_error(grads.values, numeric) <= 1e-5
-
-
-def test_backprop_rejects_empty_batch():
-    net = [DenseLayer(np.array([[1.0]]), np.ones(1), np.zeros(1), "identity")]
-    with pytest.raises(ShapeError):
-        backprop(net, (np.zeros((0, 1)), np.zeros((0, 1))), "mse")
-
-
-def test_backprop_reports_nonfinite_layer():
-    # layer 0 stays finite (1e300); layer 1 overflows to inf and is named
-    net = [
-        DenseLayer(np.array([[1.0]]), np.array([1e150]), np.zeros(1), "identity"),
-        DenseLayer(np.array([[1.0]]), np.array([1e20]), np.zeros(1), "identity"),
-    ]
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 1"):
-        backprop(net, (np.array([[1e150]]), np.array([[0.0]])), "mse")
+        theta = np.concatenate([x.ravel(), layer.v.ravel(), layer.gain, layer.bias])
+        analytic = np.concatenate([dx.ravel(), dv.ravel(), dgain, dbias])
+        assert max_rel_error(analytic, central_diff(loss_fn, theta)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizers (in place on plain arrays)
 # ---------------------------------------------------------------------------
 
 
 def test_sgd_single_step():
     state = OptimizerState("sgd", learning_rate=0.1)
-    out = optimizer_step(_flat([1.0]), _flat([1.0]), state)
-    assert out.values[0] == pytest.approx(0.9)
+    params = _arr([1.0])
+    optimizer_step(params, _arr([1.0]), state)
+    assert params[0] == pytest.approx(0.9)
 
 
 def test_sgd_zero_grad_is_identity():
     state = OptimizerState("sgd", learning_rate=0.1)
-    params = _flat([1.0, -2.0, 3.0])
-    out = optimizer_step(params, _flat([0.0, 0.0, 0.0]), state)
-    assert np.array_equal(out.values, params.values)
+    params = _arr([1.0, -2.0, 3.0])
+    before = params.copy()
+    optimizer_step(params, _arr([0.0, 0.0, 0.0]), state)
+    assert np.array_equal(params, before)
 
 
 def test_adam_first_step_moves_by_lr_sign():
     state = OptimizerState("adam", learning_rate=0.01)
-    out = optimizer_step(_flat([1.0, 1.0]), _flat([0.5, -3.0]), state)
+    params = _arr([1.0, 1.0])
+    optimizer_step(params, _arr([0.5, -3.0]), state)
     # bias correction makes m_hat/sqrt(v_hat) = sign(g) on the first step
-    assert np.allclose(out.values, [1.0 - 0.01, 1.0 + 0.01], atol=1e-6)
+    assert np.allclose(params, [1.0 - 0.01, 1.0 + 0.01], atol=1e-6)
 
 
 def test_optimizer_shape_mismatch():
     state = OptimizerState("sgd", learning_rate=0.1)
     with pytest.raises(ShapeError):
-        optimizer_step(_flat([1.0]), _flat([1.0, 2.0]), state)
+        optimizer_step(_arr([1.0]), _arr([1.0, 2.0]), state)
 
 
 def test_sgd_momentum_accumulates():
     state = OptimizerState("sgd", learning_rate=1.0, momentum=0.5)
-    params = _flat([0.0])
-    params = optimizer_step(params, _flat([1.0]), state)  # vel 1 -> -1
-    params = optimizer_step(params, _flat([1.0]), state)  # vel 1.5 -> -2.5
-    assert params.values[0] == pytest.approx(-2.5)
+    params = _arr([0.0])
+    optimizer_step(params, _arr([1.0]), state)  # vel 1 -> -1
+    optimizer_step(params, _arr([1.0]), state)  # vel 1.5 -> -2.5
+    assert params[0] == pytest.approx(-2.5)
+
+
+def test_optimizer_step_matches_out_of_place_rounding():
+    # the in-place update rounds exactly like p - lr * update
+    rng = np.random.default_rng(8)
+    p, g = rng.normal(size=50), rng.normal(size=50)
+    for kind in ("sgd", "adam"):
+        params = p.copy()
+        optimizer_step(params, g, OptimizerState(kind, learning_rate=0.1))
+        if kind == "sgd":
+            expected = p - 0.1 * g
+        else:
+            b1, b2 = 0.9, 0.999
+            m_hat = (b1 * np.zeros(50) + (1.0 - b1) * g) / (1.0 - b1)
+            v_hat = (b2 * np.zeros(50) + (1.0 - b2) * (g * g)) / (1.0 - b2)
+            expected = p - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(params, expected)
 
 
 # ---------------------------------------------------------------------------
-# flat params
+# interpolation
 # ---------------------------------------------------------------------------
-
-
-def test_flatten_unflatten_round_trip_exact():
-    rng = np.random.default_rng(9)
-    named = [("a", rng.normal(size=(3, 2))), ("b", rng.normal(size=(4,)))]
-    flat = flatten_arrays(named)
-    back = unflatten(flat)
-    for name, arr in named:
-        assert np.array_equal(back[name], arr)
 
 
 def test_param_axpy_endpoints_exact():
-    a = _flat([0.1, 1e16, -3.0])
-    b = _flat([0.7, 1.0, 2.0])
-    assert np.array_equal(param_axpy(a, b, 1.0).values, b.values)
-    assert np.array_equal(param_axpy(a, b, 0.0).values, a.values)
+    a = _arr([0.1, 1e16, -3.0])
+    b = _arr([0.7, 1.0, 2.0])
+    assert np.array_equal(param_axpy(a, b, 1.0), b)
+    assert np.array_equal(param_axpy(a, b, 0.0), a)
+    assert param_axpy(a, b, 1.0) is not b and param_axpy(a, b, 0.0) is not a
 
 
 def test_param_axpy_midpoint():
-    out = param_axpy(_flat([0.0, 0.0]), _flat([1.0, 2.0]), 0.5)
-    assert np.allclose(out.values, [0.5, 1.0])
+    out = param_axpy(_arr([0.0, 0.0]), _arr([1.0, 2.0]), 0.5)
+    assert np.allclose(out, [0.5, 1.0])
 
 
 def test_param_axpy_layout_mismatch():
-    a = FlatParams(np.zeros(2), (("a", (2,)),))
-    b = FlatParams(np.zeros(2), (("b", (2,)),))
+    # differently shaped vectors cannot come from the same network layout
     with pytest.raises(ShapeError):
-        param_axpy(a, b, 0.5)
+        param_axpy(np.zeros(2), np.zeros(3), 0.5)
