@@ -114,8 +114,10 @@ class BaseLearnerWeights:
     ``extractor``, ``embeddings`` and ``head`` are named views into
     ``values`` laid out as ``layout`` (name, shape) pairs in checkpoint
     order, so writing either side moves the other and an optimizer or an
-    interpolation can treat every weight at once. ``activations`` names the
-    extractor layers' activations followed by the head's.
+    interpolation can treat every weight at once. ``slices`` maps each layout
+    name to its range in ``values``, so a vector laid out like ``values``,
+    such as a gradient, can be written part by part. ``activations`` names
+    the extractor layers' activations followed by the head's.
     """
 
     def __init__(self, values: np.ndarray, layout: Layout, activations: tuple[str, ...]) -> None:
@@ -128,10 +130,12 @@ class BaseLearnerWeights:
         sizes = [math.prod(shape) for _, shape in layout]
         if values.ndim != 1 or values.size != sum(sizes):
             raise ShapeError("flat parameter vector does not match its layout")
+        slices = {}
         views = {}
         offset = 0
         for (name, shape), size in zip(layout, sizes):
-            views[name] = values[offset : offset + size].reshape(shape)
+            slices[name] = slice(offset, offset + size)
+            views[name] = values[slices[name]].reshape(shape)
             offset += size
 
         def layer(prefix: str, activation: str) -> DenseLayer:
@@ -141,6 +145,7 @@ class BaseLearnerWeights:
 
         self.values = values
         self.layout = layout
+        self.slices = slices
         self.activations = tuple(activations)
         self.extractor = [layer(f"extractor.{i}", activations[i]) for i in range(n_layers)]
         self.embeddings = views["embeddings"]
@@ -213,9 +218,10 @@ def _forward_pass(
     train: bool,
     rng: np.random.Generator | None,
     kind: str,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray | None]], np.ndarray]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]]:
     """Predictions, plus what backprop needs: each extractor layer's
-    (input, output, dropout mask) and the head's input.
+    (input, output, dropout mask, column norms, effective weights) and the
+    head's (input, column norms, effective weights).
 
     In training, a dropout mask is drawn after every extractor layer.
     """
@@ -224,7 +230,7 @@ def _forward_pass(
     for i, layer in enumerate(weights.extractor):
         x_in = h
         try:
-            out = dense_forward(x_in, layer)
+            out, norms, w_eff = dense_forward(x_in, layer)
         except NumericError as exc:
             raise NumericError(f"extractor layer {i}: {exc}") from None
         mask = None
@@ -235,11 +241,12 @@ def _forward_pass(
             h = out * mask
         else:
             h = out
-        caches.append((x_in, out, mask))
+        caches.append((x_in, out, mask, norms, w_eff))
     concat = np.concatenate([h, weights.embeddings[g]], axis=1)
-    z = dense_forward(concat, weights.head)[:, 0]
+    z, head_norms, head_w_eff = dense_forward(concat, weights.head)
+    z = z[:, 0]
     pred = nn_core.apply_activation("sigmoid", z) if kind == "classification" else z
-    return pred, caches, concat
+    return pred, caches, (concat, head_norms, head_w_eff)
 
 
 def forward(
@@ -291,41 +298,48 @@ def loss_and_grads(
     loss_kind = "binary_cross_entropy" if kind == "classification" else "mse"
     head_act = "sigmoid" if kind == "classification" else "identity"
 
-    pred, caches, concat = _forward_pass(weights, x, g, config, train, rng, kind)
+    pred, caches, (concat, head_norms, head_w_eff) = _forward_pass(
+        weights, x, g, config, train, rng, kind
+    )
     pred = pred.reshape(-1, 1)
     y2 = y.reshape(-1, 1)
     loss = nn_core.loss_value(pred, y2, loss_kind)
     active = np.unique(g)
+    active_embeddings = weights.embeddings[active]
     loss += nn_core.regularization_value(
         [layer.v for layer in weights.extractor] + [weights.head.v], l1, l2
     )
-    loss += nn_core.regularization_value([weights.embeddings[active]], l1, l2)
-    if not np.isfinite(loss):
+    loss += nn_core.regularization_value([active_embeddings], l1, l2)
+    if not math.isfinite(loss):
         raise NumericError("loss is not finite")
 
-    # backward, written into views of one zeroed gradient vector
-    grads = weights.with_values(np.zeros_like(weights.values))
+    # backward, written part by part into one zeroed vector laid out like values
+    grad = np.zeros_like(weights.values)
+    at = weights.slices
+
+    def put(prefix, layer, dv, dgain, dbias) -> None:
+        grad[at[prefix + ".v"]] = (dv + nn_core.regularization_grad(layer.v, l1, l2)).ravel()
+        grad[at[prefix + ".gain"]] = dgain
+        grad[at[prefix + ".bias"]] = dbias
+
     dz = nn_core.output_delta(pred, y2, loss_kind, head_act)
-    dconcat, grads.head.v[...], grads.head.gain[...], grads.head.bias[...] = dense_backward(
-        weights.head, concat, dz
-    )
-    grads.head.v[...] += nn_core.regularization_grad(weights.head.v, l1, l2)
+    dconcat, *head_grads = dense_backward(weights.head, concat, dz, head_norms, head_w_eff)
+    put("head", weights.head, *head_grads)
     hidden_dim = weights.extractor[-1].n_out
-    np.add.at(grads.embeddings, g, dconcat[:, hidden_dim:])
-    grads.embeddings[active] += nn_core.regularization_grad(weights.embeddings[active], l1, l2)
+    demb = grad[at["embeddings"]].reshape(weights.embeddings.shape)
+    np.add.at(demb, g, dconcat[:, hidden_dim:])
+    demb[active] += nn_core.regularization_grad(active_embeddings, l1, l2)
 
     grad_out = dconcat[:, :hidden_dim]
     for i in range(len(weights.extractor) - 1, -1, -1):
-        layer, grad_layer = weights.extractor[i], grads.extractor[i]
-        x_in, out, mask = caches[i]
+        layer = weights.extractor[i]
+        x_in, out, mask, norms, w_eff = caches[i]
         if mask is not None:
             grad_out = grad_out * mask
         dz_i = grad_out * activation_grad(layer.activation, out)
-        grad_out, grad_layer.v[...], grad_layer.gain[...], grad_layer.bias[...] = (
-            dense_backward(layer, x_in, dz_i)
-        )
-        grad_layer.v[...] += nn_core.regularization_grad(layer.v, l1, l2)
-    return loss, grads.values
+        grad_out, *layer_grads = dense_backward(layer, x_in, dz_i, norms, w_eff)
+        put(f"extractor.{i}", layer, *layer_grads)
+    return loss, grad
 
 
 def inner_update(

@@ -57,11 +57,16 @@ def _stamp(hash_: str, seed: int) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _out_dir(args) -> Path:

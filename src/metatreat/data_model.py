@@ -252,11 +252,17 @@ def parse_manifest(doc: dict) -> Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"manifest {path}: invalid JSON ({exc})") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"manifest {path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"manifest {path}: expected a JSON object")
     return parse_manifest(doc)
 
 
@@ -274,13 +280,17 @@ def load_csv(manifest_path: str | Path, data_path: str | Path) -> DatasetTable:
     integer ids in order of first appearance.
     """
     manifest = load_manifest(manifest_path) if not isinstance(manifest_path, Manifest) else manifest_path
-    with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{data_path}: empty file") from None
-        rows = [row for row in reader]
+    try:
+        with open(data_path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{data_path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{data_path}: malformed CSV ({exc})") from None
+    if header is None:
+        raise DataError(f"{data_path}: empty file")
     return table_from_rows(manifest, header, rows, source=str(data_path))
 
 

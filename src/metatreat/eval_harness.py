@@ -44,6 +44,10 @@ REGRESSION_BASELINES = ("mean", "median", "knn", "ridge")
 CLASSIFICATION_BASELINES = ("knn", "logistic")
 REPORT_COLUMNS = ("group", "task", "model", "metric", "value", "train_value", "n_test", "note")
 
+# Upper bound on the (test rows x training rows x features) difference block
+# kNN materializes at once, so its memory stays flat as the row count grows.
+KNN_BLOCK_BYTES = 16 * 2**20
+
 
 # ---------------------------------------------------------------------------
 # Metrics
@@ -149,9 +153,15 @@ def _knn_predict(
             f"knn k={k} exceeds {train_x.shape[0]} training rows; clipping", stacklevel=2
         )
         k = train_x.shape[0]
-    d2 = ((test_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return train_y[neighbors].mean(axis=1)
+    n_train, d = train_x.shape
+    rows = max(1, KNN_BLOCK_BYTES // max(1, 8 * n_train * d))
+    out = np.empty(test_x.shape[0])
+    for start in range(0, test_x.shape[0], rows):
+        block = test_x[start : start + rows]
+        d2 = ((block[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+        neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + rows] = train_y[neighbors].mean(axis=1)
+    return out
 
 
 def baseline_predict(
@@ -387,11 +397,8 @@ def _fold_rows(
 ) -> list[MetricRow]:
     gid = raw_table.resolve_group(group_name)
     train_mask = raw_table.group_ids != gid
-    preprocess = config.preprocess
-    if preprocess.scaling == "standardize_vs_reference_group" and preprocess.reference_group is None:
-        preprocess = replace(preprocess, reference_group=manifest.reference_group)
     plan, processed = fit_preprocess(
-        raw_table, train_mask, preprocess, manifest.differential_pairs
+        raw_table, train_mask, config.preprocess, manifest.differential_pairs
     )
     train_table, test_table = group_holdout_split(processed, SplitSpec(group_name))
     masked_test = withhold_targets(test_table)
@@ -485,7 +492,8 @@ def run_cv(
     Each fold preprocesses on its own training rows, selects tasks,
     meta-trains, meta-tests per target task, and scores baselines on the
     same features. Fold order and output ordering are deterministic and
-    independent of the worker count.
+    independent of the worker count. Under ``standardize_vs_reference_group``
+    scaling the reference group must be excluded from holdout.
     """
     if raw_table.n_groups < 2:
         raise DataError("group-holdout CV needs at least two groups")
@@ -494,6 +502,20 @@ def run_cv(
     ]
     if not eligible:
         raise ConfigError("every group is excluded from holdout; nothing to evaluate")
+    preprocess = model_config.preprocess
+    if preprocess.scaling == "standardize_vs_reference_group":
+        if preprocess.reference_group is None:
+            preprocess = replace(preprocess, reference_group=manifest.reference_group)
+            model_config = replace(model_config, preprocess=preprocess)
+        if preprocess.reference_group is not None:
+            # the reference group's own fold has no reference rows to scale
+            # targets with; fail before any fold spends its meta-training
+            ref = raw_table.group_names[raw_table.resolve_group(preprocess.reference_group)]
+            if ref in eligible:
+                raise DataError(
+                    f"reference group {ref!r} has no training rows to fit on when held out; "
+                    f"exclude it with --holdout-exclude {ref}"
+                )
     payloads = [
         (raw_table, manifest, model_config, cv_config, i, name)
         for i, name in enumerate(eligible)

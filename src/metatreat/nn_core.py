@@ -90,16 +90,11 @@ class DenseLayer:
 
 
 def column_norms(layer: DenseLayer) -> np.ndarray:
-    norms = np.linalg.norm(layer.v, axis=0)
-    if np.any(norms == 0.0):
+    norms = np.sqrt((layer.v * layer.v).sum(axis=0))
+    if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise NumericError(f"degenerate dense layer: direction column {bad} has zero norm")
     return norms
-
-
-def effective_weights(layer: DenseLayer) -> np.ndarray:
-    """The plain weight matrix the reparameterization denotes."""
-    return layer.v * (layer.gain / column_norms(layer))
 
 
 def init_dense_layer(
@@ -114,31 +109,37 @@ def init_dense_layer(
     return DenseLayer(v, gain, bias, activation)
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    """activation(x @ W_eff + bias) for a weight-normalized layer."""
+def dense_forward(x: np.ndarray, layer: DenseLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """activation(x @ W_eff + bias) for a weight-normalized layer.
+
+    Returns (out, norms, w_eff): the activations, plus the column norms of
+    ``v`` and the effective weights that ``dense_backward`` takes, so one
+    training step computes them once per layer.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.n_in:
         raise ShapeError(
             f"dense layer expects input with {layer.n_in} columns, got shape {x.shape}"
         )
-    out = apply_activation(layer.activation, x @ effective_weights(layer) + layer.bias)
-    if not np.all(np.isfinite(out)):
+    norms = column_norms(layer)
+    w_eff = layer.v * (layer.gain / norms)
+    out = apply_activation(layer.activation, x @ w_eff + layer.bias)
+    if not np.isfinite(out).all():
         raise NumericError("dense layer produced non-finite activations")
-    return out
+    return out, norms, w_eff
 
 
 def dense_backward(
-    layer: DenseLayer, x: np.ndarray, dz: np.ndarray
+    layer: DenseLayer, x: np.ndarray, dz: np.ndarray, norms: np.ndarray, w_eff: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop through the affine part given dL/dz (pre-activation grad).
+    """Backprop through the affine part given dL/dz (pre-activation grad),
+    with the column norms and effective weights ``dense_forward`` returned.
 
     Returns (dx, dv, dgain, dbias). The weight-norm chain rule is
         dgain_j = v_j . dW_j / ||v_j||
         dv_j    = (gain_j / ||v_j||) dW_j - (gain_j dgain_j / ||v_j||^2) v_j
     with dW = x^T dz the gradient w.r.t. the effective weights.
     """
-    norms = column_norms(layer)
-    w_eff = layer.v * (layer.gain / norms)
     dw = x.T @ dz
     dbias = dz.sum(axis=0)
     dx = dz @ w_eff.T
@@ -226,12 +227,12 @@ def regularization_value(mats: list[np.ndarray], l1: float, l2: float) -> float:
 
 
 def regularization_grad(m: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    g = np.zeros_like(m)
+    """Gradient of ``regularization_value`` for one matrix."""
+    if l1 and l2:
+        return l1 * np.sign(m) + 2.0 * l2 * m
     if l1:
-        g += l1 * np.sign(m)
-    if l2:
-        g += 2.0 * l2 * m
-    return g
+        return l1 * np.sign(m)
+    return 2.0 * l2 * m
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from metatreat.base_learner import (
 )
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError
-from metatreat.nn_core import loss_value
+from metatreat.nn_core import OptimizerState, loss_value, optimizer_step
 from metatreat.task_selection import TaskSpec
-from oracles import central_diff, max_rel_error
+from oracles import central_diff, max_rel_error, reference_loss_and_grads
 
 REG_TASK = TaskSpec("t", "regression", "training_task")
 CLS_TASK = TaskSpec("t", "classification", "target_task")
@@ -178,6 +178,56 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
 
     numeric = central_diff(loss_fn, w.values)
     assert max_rel_error(grads, numeric) <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("reg_kind", ["l1", "l2", "both"])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_loss_and_grads_matches_unfused_reference_bitwise(kind, activation, reg_kind, dropout_rate):
+    # the fused step computes each layer's weight-norm terms once and writes
+    # one flat gradient; it must round exactly like the unfused backprop
+    rng = np.random.default_rng(30)
+    config = small_config(
+        n_layers=3, hidden_dim=7, activation=activation, reg_kind=reg_kind,
+        reg_strength=1e-2, dropout_rate=dropout_rate,
+    )
+    for seed in range(3):
+        w = init_weights(config, 4, 4, rng)
+        w.values[:] += rng.normal(scale=0.3, size=w.values.size)
+        x, g, y = make_batch(rng, 9, 4, 4, exclude_group=3)
+        if kind == "classification":
+            y = (y > 0).astype(float)
+        before = w.values.copy()
+        loss, grads = loss_and_grads(w, x, g, y, kind, config, rng=np.random.default_rng(seed))
+        ref_loss, ref_grads = reference_loss_and_grads(
+            w, x, g, y, kind, config, rng=np.random.default_rng(seed)
+        )
+        assert loss == ref_loss
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert not np.shares_memory(grads, w.values)
+        assert w.values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_inner_update_matches_unfused_reference_bitwise(optimizer):
+    rng = np.random.default_rng(31)
+    config = small_config(
+        optimizer=optimizer, activation="relu", reg_kind="both", dropout_rate=0.2,
+        inner_iterations=4,
+    )
+    w = init_weights(config, 3, 3, rng)
+    data = TaskData(*make_batch(rng, 8, 3, 3), np.arange(8))
+    out = inner_update(w, data, REG_TASK, config, np.random.default_rng(9))
+    expected = w.clone()
+    state = OptimizerState(optimizer, learning_rate=config.learning_rate)
+    step_rng = np.random.default_rng(9)
+    for _ in range(config.inner_iterations):
+        _, grads = reference_loss_and_grads(
+            expected, data.x, data.group_ids, data.y, "regression", config, rng=step_rng
+        )
+        optimizer_step(expected.values, grads, state)
+    assert out.values.tobytes() == expected.values.tobytes()
 
 
 def test_untouched_embedding_rows_have_zero_gradient():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metatreat import eval_harness
 from metatreat.cli import main, report_from_csv_text
 from metatreat.eval_harness import MetricReport, MetricRow
 
@@ -190,6 +191,93 @@ def test_cv_numeric_blowup_exit_4(tmp_path, study_dir, capsys):
         ])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cv_reference_group_holdout_fails_before_any_fold(tmp_path, study_dir, monkeypatch, capsys):
+    # g2 is the reference group and the last fold; its own fold cannot fit
+    # the reference scaling, so the run stops before any fold meta-trains
+    calls = []
+    real_meta_train = eval_harness.meta_train
+
+    def counting_meta_train(*args, **kwargs):
+        calls.append(1)
+        return real_meta_train(*args, **kwargs)
+
+    monkeypatch.setattr(eval_harness, "meta_train", counting_meta_train)
+    run = tmp_path / "run.json"
+    scaling = {"scaling": "standardize_vs_reference_group", "reference_group": "g2"}
+    run.write_text(json.dumps({**FAST_RUN, "preprocess": scaling}))
+    args = [
+        "cv", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"), "--config", str(run),
+    ]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 3
+    assert "--holdout-exclude g2" in capsys.readouterr().err
+    assert calls == []
+    assert main(args + ["--holdout-exclude", "g2", "--out", str(tmp_path / "b")]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, code", [("data", 3), ("manifest", 3), ("config", 2), ("space", 2)]
+)
+def test_non_utf8_input_file_exits_with_message(tmp_path, study_dir, capsys, kind, code):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(TINY_SPACE))
+    files = {
+        "data": study_dir / "data.csv", "manifest": study_dir / "manifest.json",
+        "config": write_run_config(tmp_path), "space": space,
+    }
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(b"\xff\xfe" + files[kind].read_bytes())
+    files[kind] = bad
+    code_seen = main([
+        "grid-search", "--data", str(files["data"]), "--manifest", str(files["manifest"]),
+        "--config", str(files["config"]), "--space", str(files["space"]),
+        "--budget", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert code_seen == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("kind, text", [("config", "null"), ("config", "[]"), ("manifest", "0")])
+def test_json_input_that_is_not_an_object_exits_2(tmp_path, study_dir, capsys, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    manifest = bad if kind == "manifest" else study_dir / "manifest.json"
+    argv = ["cv", "--data", str(study_dir / "data.csv"), "--manifest", str(manifest)]
+    if kind == "config":
+        argv += ["--config", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    gen = root / "gen.json"
+    gen.write_text(json.dumps(GEN_CONFIG))
+    assert main(["generate", "--config", str(gen), "--out", str(root / "data")]) == 0
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["data", "manifest", "config"]),
+    payload=st.one_of(st.binary(max_size=64), st.text(max_size=64).map(str.encode)),
+)
+def test_cli_any_input_bytes_exit_2_3_or_4(fuzz_dir, kind, payload):
+    # the fuzzed file replaces one input; for manifest and config the data
+    # path does not exist, so input that parses still stops before any work
+    fuzzed = fuzz_dir / f"fuzzed-{kind}"
+    fuzzed.write_bytes(payload)
+    data = fuzzed if kind == "data" else fuzz_dir / "missing.csv"
+    manifest = fuzzed if kind == "manifest" else fuzz_dir / "data" / "manifest.json"
+    argv = ["cv", "--data", str(data), "--manifest", str(manifest)]
+    if kind == "config":
+        argv += ["--config", str(fuzzed)]
+    assert main(argv + ["--out", str(fuzz_dir / "out")]) in (2, 3, 4)
 
 
 def test_grid_search_budget_one(tmp_path, study_dir):

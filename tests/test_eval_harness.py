@@ -1,8 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metatreat import eval_harness
 from metatreat.base_learner import BaseLearnerConfig
 from metatreat.data_model import DatasetTable, PreprocessConfig
 from metatreat.errors import ConfigError, DataError
@@ -154,6 +159,32 @@ def test_knn_clips_k_with_warning():
             BaselineConfig(knn_k=10),
         )
     assert preds[0] == 2.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_train=st.integers(1, 12),
+    n_test=st.integers(0, 12),
+    d=st.integers(1, 3),
+    k=st.integers(1, 15),
+    block_bytes=st.integers(1, 4000),
+    seed=st.integers(0, 2**16),
+)
+def test_knn_blockwise_matches_one_shot_formula(n_train, n_test, d, k, block_bytes, seed):
+    # integer features on a small range give many distance ties, whose order
+    # the stable sort keeps; small byte caps split the test rows into blocks
+    rng = np.random.default_rng(seed)
+    train_x = rng.integers(-2, 3, size=(n_train, d)).astype(np.float64)
+    train_y = rng.normal(size=n_train)
+    test_x = rng.integers(-2, 3, size=(n_test, d)).astype(np.float64)
+    d2 = ((test_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, : min(k, n_train)]
+    expected = train_y[neighbors].mean(axis=1)
+    with mock.patch.object(eval_harness, "KNN_BLOCK_BYTES", block_bytes), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = baseline_predict("knn", (train_x, train_y), test_x, BaselineConfig(knn_k=k))
+    assert np.array_equal(got, expected)
 
 
 def test_ridge_zero_reg_recovers_exact_line():

@@ -8,7 +8,6 @@ from metatreat.nn_core import (
     dense_backward,
     dense_forward,
     dropout_mask,
-    effective_weights,
     init_dense_layer,
     loss_value,
     optimizer_step,
@@ -30,21 +29,23 @@ def _arr(values):
 
 def test_dense_forward_identity_case():
     layer = DenseLayer(np.eye(2), np.ones(2), np.zeros(2), "identity")
-    out = dense_forward(np.array([[1.0, 2.0]]), layer)
+    out, norms, w_eff = dense_forward(np.array([[1.0, 2.0]]), layer)
     assert np.array_equal(out, np.array([[1.0, 2.0]]))
+    assert np.array_equal(norms, np.ones(2)) and np.array_equal(w_eff, np.eye(2))
 
 
 def test_dense_forward_norm_cancels_gain():
     # column [3, 4] has norm 5; gain 5 restores the raw column
     layer = DenseLayer(np.array([[3.0], [4.0]]), np.array([5.0]), np.zeros(1), "identity")
-    assert np.allclose(effective_weights(layer), np.array([[3.0], [4.0]]))
-    out = dense_forward(np.array([[1.0, 0.0], [0.0, 1.0]]), layer)
+    out, norms, w_eff = dense_forward(np.array([[1.0, 0.0], [0.0, 1.0]]), layer)
+    assert norms == np.array([5.0])
+    assert np.allclose(w_eff, np.array([[3.0], [4.0]]))
     assert np.allclose(out, np.array([[3.0], [4.0]]))
 
 
 def test_dense_forward_relu_clips_negatives():
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "relu")
-    assert dense_forward(np.array([[-1.0]]), layer) == np.array([[0.0]])
+    assert dense_forward(np.array([[-1.0]]), layer)[0] == np.array([[0.0]])
 
 
 def test_dense_forward_shape_error():
@@ -66,11 +67,11 @@ def test_weight_norm_reparameterization_properties():
     # forward equals a plain dense layer over gain-scaled unit directions
     unit = layer.v / np.linalg.norm(layer.v, axis=0)
     plain = np.tanh(x @ (unit * layer.gain) + layer.bias)
-    assert np.allclose(dense_forward(x, layer), plain, atol=1e-12)
+    assert np.allclose(dense_forward(x, layer)[0], plain, atol=1e-12)
     # scaling v by any c > 0 leaves the output unchanged
     for c in (0.1, 3.0, 117.0):
         scaled = DenseLayer(c * layer.v, layer.gain, layer.bias, "tanh")
-        assert np.allclose(dense_forward(x, scaled), dense_forward(x, layer), atol=1e-10)
+        assert np.allclose(dense_forward(x, scaled)[0], dense_forward(x, layer)[0], atol=1e-10)
 
 
 def test_init_gains_match_initial_column_norms():
@@ -79,7 +80,7 @@ def test_init_gains_match_initial_column_norms():
     assert np.allclose(layer.gain, np.linalg.norm(layer.v, axis=0))
     # so the initial forward pass equals the unnormalized init
     x = rng.normal(size=(3, 6))
-    assert np.allclose(dense_forward(x, layer), np.maximum(x @ layer.v + layer.bias, 0.0))
+    assert np.allclose(dense_forward(x, layer)[0], np.maximum(x @ layer.v + layer.bias, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +117,10 @@ def test_backprop_single_unit_hand_case():
     # for a 1-D direction) and the bias gradient equals dz = 2.
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")
     x, y = np.array([[1.0]]), np.array([[0.0]])
-    pred = dense_forward(x, layer)
+    pred, norms, w_eff = dense_forward(x, layer)
     assert loss_value(pred, y, "mse") == pytest.approx(1.0)
-    dx, dv, dgain, dbias = dense_backward(layer, x, output_delta(pred, y, "mse", "identity"))
+    dz = output_delta(pred, y, "mse", "identity")
+    dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff)
     assert dgain[0] == pytest.approx(2.0)
     assert dv[0, 0] == pytest.approx(0.0)
     assert dbias[0] == pytest.approx(2.0)
@@ -141,8 +143,9 @@ def test_backprop_matches_central_differences(loss_kind, reg):
             y = (rng.random((x.shape[0], n_out)) > 0.5).astype(np.float64)
         else:
             y = rng.normal(size=(x.shape[0], n_out))
-        pred = dense_forward(x, layer)
-        dx, dv, dgain, dbias = dense_backward(layer, x, output_delta(pred, y, loss_kind, head))
+        pred, norms, w_eff = dense_forward(x, layer)
+        dz = output_delta(pred, y, loss_kind, head)
+        dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff)
         dv += regularization_grad(layer.v, *reg)
         shapes = [x.shape, layer.v.shape, (n_out,), (n_out,)]
         cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
@@ -151,7 +154,8 @@ def test_backprop_matches_central_differences(loss_kind, reg):
             xs, v, gain, bias = (
                 part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)
             )
-            total = loss_value(dense_forward(xs, DenseLayer(v, gain, bias, head)), y, loss_kind)
+            pred = dense_forward(xs, DenseLayer(v, gain, bias, head))[0]
+            total = loss_value(pred, y, loss_kind)
             return total + reg[0] * np.abs(v).sum() + reg[1] * (v**2).sum()
 
         theta = np.concatenate([x.ravel(), layer.v.ravel(), layer.gain, layer.bias])
