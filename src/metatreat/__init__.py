@@ -11,7 +11,6 @@ from .data_model import (
     Manifest,
     PreprocessConfig,
     PreprocessPlan,
-    SplitSpec,
     apply_preprocess,
     fit_preprocess,
     group_holdout_split,
@@ -31,7 +30,7 @@ from .eval_harness import (
     overfit_gap,
     run_cv,
 )
-from .meta_learner import MetaConfig, epsilon_schedule, meta_test, meta_train
+from .meta_learner import MetaConfig, epsilon_schedule, meta_train
 from .synth_gen import GeneratorConfig, bayes_optimal_mse, generate
 from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
 
@@ -52,7 +51,6 @@ __all__ = [
     "PreprocessPlan",
     "SearchSpace",
     "SelectionConfig",
-    "SplitSpec",
     "TaskSet",
     "TaskSpec",
     "apply_preprocess",
@@ -69,7 +67,6 @@ __all__ = [
     "inner_update",
     "load_csv",
     "load_manifest",
-    "meta_test",
     "meta_train",
     "mse",
     "overfit_gap",

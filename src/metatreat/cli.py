@@ -83,13 +83,10 @@ def _run_config(args) -> tuple[PipelineConfig, CvConfig]:
     unknown = set(doc) - {"task_kind", "preprocess", "selection", "base", "meta", "baselines", "cv"}
     if unknown:
         raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-    cv_doc = dict(doc.pop("cv", {}))
+    cv = strict_dataclass(CvConfig, doc.pop("cv", {}))
     pipeline = PipelineConfig.from_dict(doc)
     if getattr(args, "task_kind", None):
-        pipeline = PipelineConfig.from_dict({**pipeline.to_dict(), "task_kind": args.task_kind})
-    if "excluded_holdout_groups" in cv_doc:
-        cv_doc["excluded_holdout_groups"] = tuple(cv_doc["excluded_holdout_groups"])
-    cv = strict_dataclass(CvConfig, cv_doc)
+        pipeline = replace(pipeline, task_kind=args.task_kind)
     if getattr(args, "seed", None) is not None:
         cv = replace(cv, seed=args.seed)
     if getattr(args, "jobs", None) is not None:
@@ -153,7 +150,7 @@ def cmd_grid_search(args) -> int:
     manifest = load_manifest(args.manifest)
     table = load_csv(manifest, args.data)
     space = (
-        strict_dataclass(SearchSpace, _space_doc(args.space)) if args.space else SearchSpace()
+        strict_dataclass(SearchSpace, _load_json(args.space)) if args.space else SearchSpace()
     )
     hash_ = config_hash(
         {"pipeline": pipeline.to_dict(), "budget": args.budget, "seed": cv.seed}
@@ -180,14 +177,6 @@ def cmd_grid_search(args) -> int:
     )
     print(f"wrote {out / 'leaderboard.csv'}, {out / 'best_config.json'}")
     return 0
-
-
-def _space_doc(path: str) -> dict:
-    doc = _load_json(path)
-    for key, value in doc.items():
-        if isinstance(value, list):
-            doc[key] = tuple(value)
-    return doc
 
 
 def report_from_csv_text(text: str) -> MetricReport:

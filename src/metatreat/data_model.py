@@ -158,13 +158,6 @@ class DatasetTable:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """Which group is held out."""
-
-    held_out_group: int | str
-
-
-@dataclass(frozen=True)
 class Manifest:
     """Column declarations plus study-level preprocessing hints."""
 
@@ -204,25 +197,31 @@ _MANIFEST_KEYS = {"columns", "differential_pairs", "reference_group", "missing_v
 _COLUMN_KEYS = {"name", "timing", "kind", "role"}
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"manifest {what} must be a list of strings")
+    return tuple(value)
+
+
 def parse_manifest(doc: dict) -> Manifest:
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
     if "columns" not in doc:
         raise ConfigError("manifest is missing 'columns'")
+    if not isinstance(doc["columns"], list):
+        raise ConfigError("manifest 'columns' must be a list of column objects")
     metas = []
     for entry in doc["columns"]:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"manifest column entry must be an object, got {entry!r}")
         extra = set(entry) - _COLUMN_KEYS
         if extra:
             raise ConfigError(f"unknown column keys {sorted(extra)} in manifest")
-        metas.append(
-            ColumnMeta(
-                name=entry["name"],
-                timing=entry.get("timing", "pre"),
-                kind=entry.get("kind", "numeric"),
-                role=entry.get("role", "feature"),
-            )
-        )
+        fields = {"timing": "pre", "kind": "numeric", "role": "feature", **entry}
+        if not all(isinstance(fields.get(k), str) for k in _COLUMN_KEYS):
+            raise ConfigError(f"manifest column needs a string name, timing, kind, role: {entry!r}")
+        metas.append(ColumnMeta(**fields))
     names = [c.name for c in metas]
     if len(set(names)) != len(names):
         raise ConfigError("manifest declares duplicate column names")
@@ -239,15 +238,23 @@ def parse_manifest(doc: dict) -> Manifest:
     pairs_doc = doc.get("differential_pairs", [])
     if pairs_doc == "auto":
         pairs = auto_differential_pairs(table_metas)
+    elif isinstance(pairs_doc, list):
+        pairs = tuple(_strings(p, "differential pair") for p in pairs_doc)
+        if any(len(p) != 2 for p in pairs):
+            raise ConfigError("manifest differential pairs must be [post, pre] column names")
     else:
-        pairs = tuple((str(p[0]), str(p[1])) for p in pairs_doc)
-    missing = tuple(str(s) for s in doc.get("missing_values", DEFAULT_MISSING_SENTINELS))
+        raise ConfigError("manifest 'differential_pairs' must be \"auto\" or a list of pairs")
+    reference_group = doc.get("reference_group")
+    if reference_group is not None and not isinstance(reference_group, str):
+        raise ConfigError("manifest 'reference_group' must be a group name or null")
     return Manifest(
         columns=table_metas,
         group_column=groups[0].name,
         differential_pairs=pairs,
-        reference_group=doc.get("reference_group"),
-        missing_values=missing,
+        reference_group=reference_group,
+        missing_values=_strings(
+            doc.get("missing_values", list(DEFAULT_MISSING_SENTINELS)), "'missing_values'"
+        ),
     )
 
 
@@ -298,13 +305,16 @@ def table_from_rows(
     manifest: Manifest, header: list[str], rows: list[list[str]], source: str = "<data>"
 ) -> DatasetTable:
     declared = {c.name for c in manifest.columns} | {manifest.group_column}
-    for name in header:
+    col_pos: dict[str, int] = {}
+    for i, name in enumerate(header):
         if name not in declared:
             raise DataError(f"{source}: column {name!r} not declared in manifest")
+        if name in col_pos:
+            raise DataError(f"{source}: column {name!r} appears twice in the data header")
+        col_pos[name] = i
     for name in declared:
-        if name not in header:
+        if name not in col_pos:
             raise DataError(f"{source}: manifest column {name!r} missing from data header")
-    col_pos = {name: i for i, name in enumerate(header)}
     sentinels = set(manifest.missing_values)
     n = len(rows)
 
@@ -477,7 +487,6 @@ class ResidualStats:
     """Per-column stratum means fitted on training rows."""
 
     stratifier: str
-    mode: str  # replace | append
     columns: dict[str, tuple[tuple[float, float], tuple[float, float]]] = field(default_factory=dict)
 
 
@@ -486,17 +495,13 @@ def residualize(
     stratifier_column: str,
     alpha: float = 0.05,
     train_mask: np.ndarray | None = None,
-    mode: str = "replace",
 ) -> tuple[DatasetTable, ResidualStats]:
     """Replace stratifier-sensitive features by within-stratum residuals.
 
     A feature qualifies when a Welch t-test between the two strata (training
     rows only) comes out below ``alpha``; its values then become
-    ``value - mean(feature | same stratum, training rows)``. ``mode='append'``
-    keeps the original and adds a ``<name>_resid`` column instead.
+    ``value - mean(feature | same stratum, training rows)``.
     """
-    if mode not in ("replace", "append"):
-        raise ConfigError(f"residual mode must be 'replace' or 'append', got {mode!r}")
     train = (
         np.ones(table.n_rows, dtype=bool) if train_mask is None else np.asarray(train_mask, bool)
     )
@@ -524,7 +529,7 @@ def residualize(
                 (float(strata[0]), float(vals[in0].mean())),
                 (float(strata[1]), float(vals[in1].mean())),
             )
-    rstats = ResidualStats(stratifier=stratifier_column, mode=mode, columns=stats)
+    rstats = ResidualStats(stratifier=stratifier_column, columns=stats)
     return apply_residual(table, rstats), rstats
 
 
@@ -533,30 +538,15 @@ def apply_residual(table: DatasetTable, stats: ResidualStats) -> DatasetTable:
         return table
     s_vals, s_obs = table.column_values(stats.stratifier)
     values = np.array(table.values)
-    mask = np.array(table.missing_mask)
-    new_cols = list(table.columns)
-    appended_values = []
-    appended_mask = []
     for name, ((v0, m0), (v1, m1)) in stats.columns.items():
         j = table.column_index(name)
-        col_vals = np.array(values[:, j])
-        obs = ~mask[:, j]
+        obs = ~table.missing_mask[:, j]
         # rows with an unknown stratum keep their raw value
         sel0 = obs & s_obs & (s_vals == v0)
         sel1 = obs & s_obs & (s_vals == v1)
-        col_vals[sel0] = col_vals[sel0] - m0
-        col_vals[sel1] = col_vals[sel1] - m1
-        if stats.mode == "replace":
-            values[:, j] = col_vals
-        else:
-            meta = table.columns[j]
-            new_cols.append(ColumnMeta(f"{name}_resid", meta.timing, "numeric", "feature"))
-            appended_values.append(col_vals)
-            appended_mask.append(mask[:, j].copy())
-    if appended_values:
-        values = np.column_stack([values] + appended_values)
-        mask = np.column_stack([mask] + appended_mask)
-    return table.replace_matrix(tuple(new_cols), values, mask)
+        values[sel0, j] = values[sel0, j] - m0
+        values[sel1, j] = values[sel1, j] - m1
+    return table.replace_matrix(table.columns, values, table.missing_mask)
 
 
 def differential_features(
@@ -697,10 +687,10 @@ def scale_features(table: DatasetTable, stats: ScaleStats) -> DatasetTable:
 
 
 def group_holdout_split(
-    table: DatasetTable, spec: SplitSpec
+    table: DatasetTable, held_out_group: int | str
 ) -> tuple[DatasetTable, DatasetTable]:
     """Partition rows into (train = other groups, test = held-out group)."""
-    gid = table.resolve_group(spec.held_out_group)
+    gid = table.resolve_group(held_out_group)
     test_rows = table.group_ids == gid
     if not test_rows.any():
         raise DataError(f"held-out group {table.group_names[gid]!r} has no rows")
@@ -718,7 +708,6 @@ class PreprocessConfig:
     scaling: str = "standardize"
     reference_group: str | None = None
     residual_alpha: float = 0.05
-    residual_mode: str = "replace"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.missing_threshold <= 1.0):
@@ -749,7 +738,6 @@ class PreprocessPlan:
                 "scaling": self.config.scaling,
                 "reference_group": self.config.reference_group,
                 "residual_alpha": self.config.residual_alpha,
-                "residual_mode": self.config.residual_mode,
             },
             "differential_pairs": [list(p) for p in self.differential_pairs],
             "dropped_columns": list(self.dropped_columns),
@@ -757,7 +745,6 @@ class PreprocessPlan:
             if self.residual_stats is None
             else {
                 "stratifier": self.residual_stats.stratifier,
-                "mode": self.residual_stats.mode,
                 "columns": {
                     name: [list(pair[0]), list(pair[1])]
                     for name, pair in self.residual_stats.columns.items()
@@ -781,7 +768,6 @@ class PreprocessPlan:
         if res is not None:
             rstats = ResidualStats(
                 stratifier=res["stratifier"],
-                mode=res["mode"],
                 columns={
                     name: (tuple(pair[0]), tuple(pair[1]))
                     for name, pair in res["columns"].items()
@@ -823,9 +809,7 @@ def fit_preprocess(
     rstats = None
     stratifiers = t.columns_with(role="stratifier")
     if stratifiers:
-        t, rstats = residualize(
-            t, stratifiers[0].name, config.residual_alpha, train, config.residual_mode
-        )
+        t, rstats = residualize(t, stratifiers[0].name, config.residual_alpha, train)
     t, means = impute_means(t, train)
     sstats = fit_scaling(t, train, config.scaling, config.reference_group)
     t = scale_features(t, sstats)
@@ -894,7 +878,14 @@ class TaskData:
 
 
 def binarize_labels(y: np.ndarray) -> np.ndarray:
-    """Positive class is a strict increase: y > 0 maps to 1, ties at 0 to 0."""
+    """Positive class is a strict increase: y > 0 maps to 1, ties at 0 to 0.
+
+    Labels are binarized after preprocessing, so under
+    ``standardize_vs_reference_group`` scaling, which standardizes targets
+    against the reference group's training rows, the positive class is a
+    raw target above the reference group's training mean (a target constant
+    in the reference group is left unscaled and keeps the raw y > 0).
+    """
     return (np.asarray(y, dtype=np.float64) > 0.0).astype(np.float64)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -27,7 +29,6 @@ from .data_model import (
     DatasetTable,
     Manifest,
     PreprocessConfig,
-    SplitSpec,
     binarize_labels,
     fit_preprocess,
     group_holdout_split,
@@ -47,6 +48,11 @@ REPORT_COLUMNS = ("group", "task", "model", "metric", "value", "train_value", "n
 # Upper bound on the (test rows x training rows x features) difference block
 # kNN materializes at once, so its memory stays flat as the row count grows.
 KNN_BLOCK_BYTES = 16 * 2**20
+
+# Stopping rule of the gradient descent that fits the ridge and logistic
+# baselines: the largest gradient entry falls below GD_TOL, or GD_MAX_ITERS.
+GD_MAX_ITERS = 20000
+GD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +103,19 @@ class BaselineConfig:
     knn_k: int = 5
     ridge_alpha: float = 1.0
     logistic_alpha: float = 1e-3
-    gd_max_iters: int = 20000
-    gd_tol: float = 1e-12
 
 
-def _gd_minimize(grad_fn, w0: np.ndarray, lr: float, max_iters: int, tol: float) -> np.ndarray:
+def _gd_minimize(grad_fn, w0: np.ndarray, lr: float) -> np.ndarray:
     w = w0.copy()
-    for _ in range(max_iters):
+    for _ in range(GD_MAX_ITERS):
         g = grad_fn(w)
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) < GD_TOL:
             break
         w = w - lr * g
     return w
 
 
-def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float, cfg: BaselineConfig) -> np.ndarray:
+def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Gradient descent on mean squared error + alpha*||w||^2 (bias free)."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
@@ -127,10 +131,10 @@ def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float, cfg: BaselineConfig) 
         g[:d] += 2.0 * alpha * wb[:d]
         return g
 
-    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip, cfg.gd_max_iters, cfg.gd_tol)
+    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip)
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float, cfg: BaselineConfig) -> np.ndarray:
+def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Gradient descent on binary cross-entropy + alpha*||w||^2 (bias free)."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
@@ -142,7 +146,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float, cfg: BaselineConfi
         g[:d] += 2.0 * alpha * wb[:d]
         return g
 
-    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip, cfg.gd_max_iters, cfg.gd_tol)
+    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip)
 
 
 def _knn_predict(
@@ -190,10 +194,10 @@ def baseline_predict(
     if kind == "knn":
         return _knn_predict(train_x, train_y, test_x, config.knn_k)
     if kind == "ridge":
-        wb = _fit_ridge(train_x, train_y, config.ridge_alpha, config)
+        wb = _fit_ridge(train_x, train_y, config.ridge_alpha)
         return test_x @ wb[:-1] + wb[-1]
     if kind == "logistic":
-        wb = _fit_logistic(train_x, train_y, config.logistic_alpha, config)
+        wb = _fit_logistic(train_x, train_y, config.logistic_alpha)
         return expit(test_x @ wb[:-1] + wb[-1])
     raise ConfigError(f"unknown baseline {kind!r}")
 
@@ -360,12 +364,40 @@ class PipelineConfig:
 
 
 def strict_dataclass(klass, doc: dict):
-    """Build a dataclass from a dict, rejecting unknown keys."""
-    known = set(klass.__dataclass_fields__)
-    unknown = set(doc) - known
+    """Build a dataclass from a JSON object, rejecting unknown keys and
+    values whose type differs from their field's; JSON lists become tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{klass.__name__}: expected a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(klass.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
-    return klass(**doc)
+    hints = typing.get_type_hints(klass)
+    return klass(
+        **{name: _typed(f"{klass.__name__}.{name}", hints[name], v) for name, v in doc.items()}
+    )
+
+
+def _typed(where: str, hint, value):
+    """``value`` checked against the field type ``hint``: an int field takes
+    no float or bool, a float field takes an int, ``tuple[...]`` takes a list."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # ``X | None``
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(where, hint, value)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_typed(f"{where}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
+    allowed = (int, float) if hint is float else hint
+    if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -400,7 +432,7 @@ def _fold_rows(
     plan, processed = fit_preprocess(
         raw_table, train_mask, config.preprocess, manifest.differential_pairs
     )
-    train_table, test_table = group_holdout_split(processed, SplitSpec(group_name))
+    train_table, test_table = group_holdout_split(processed, group_name)
     masked_test = withhold_targets(test_table)
 
     target_cols = [c.name for c in processed.columns if c.role == "target"]
@@ -560,6 +592,11 @@ class SearchSpace:
     keep_fraction_range: tuple[float, float] = (0.70, 0.99)
     scaling: tuple[str, ...] = ("none", "normalize", "standardize")
     missing_threshold: tuple[float, ...] = (0.3, 0.5, 0.7)
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name):
+                raise ConfigError(f"search space grid {f.name!r} is empty")
 
 
 def _pick(rng: np.random.Generator, grid: tuple):

@@ -5,10 +5,11 @@ clone of the current weights on the training groups, fine-tunes it on the
 held-out group's rows for that task (training tasks are post-treatment
 features, so those labels are observable for every group), then interpolates
 the shared initialization toward the adapted weights with a linearly
-annealed step size. Meta-testing fine-tunes the learned initialization on
-the full training set for a target task and predicts for the held-out group
-whose target labels are never read — they must already be withheld from the
-test table this module receives.
+annealed step size. Meta-testing (``fine_tune`` then ``predict_rows``)
+adapts the learned initialization on the full training set for a target
+task and predicts for the held-out group, whose target labels are never
+read: the caller withholds them, and ``meta_train`` refuses a test table
+that still carries them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .nn_core import param_axpy
 from .rng import as_rng
 from .task_selection import TaskSet, TaskSpec
 
-UPDATE_DIRECTIONS = ("toward_adapted", "away_from_adapted")
-
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -44,7 +43,6 @@ class MetaConfig:
     epsilon0: float = 0.5
     k: int = 15
     tasks_per_iteration: int = 2
-    update_direction: str = "toward_adapted"
 
     def __post_init__(self) -> None:
         if self.meta_iterations < 0:
@@ -55,8 +53,6 @@ class MetaConfig:
             raise ConfigError("k must be at least 1")
         if self.tasks_per_iteration < 1:
             raise ConfigError("tasks_per_iteration must be at least 1")
-        if self.update_direction not in UPDATE_DIRECTIONS:
-            raise ConfigError(f"unknown update direction {self.update_direction!r}")
 
 
 @dataclass
@@ -136,9 +132,8 @@ def meta_step(
     """One meta-iteration: train, fine-tune, then interpolate.
 
     With several task batches the train/fine-tune pair runs sequentially on
-    each before the single interpolation. ``toward_adapted`` moves the
-    initialization toward the adapted weights (theta + eps*(adapted - theta));
-    ``away_from_adapted`` applies the mirrored update (opposite sign).
+    each before the single interpolation, which moves the initialization
+    toward the adapted weights: theta + eps*(adapted - theta).
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
@@ -147,8 +142,7 @@ def meta_step(
     for batch in batches:
         adapted = inner_update(adapted, batch.train_data, batch.task, base_config, state.rng)
         adapted = inner_update(adapted, batch.finetune_data, batch.task, base_config, state.rng)
-    scale = eps if meta_config.update_direction == "toward_adapted" else -eps
-    theta = state.theta.with_values(param_axpy(state.theta.values, adapted.values, scale))
+    theta = state.theta.with_values(param_axpy(state.theta.values, adapted.values, eps))
     return MetaState(theta=theta, t=state.t + 1, rng=state.rng)
 
 
@@ -245,28 +239,6 @@ def fine_tune(
     transform = fit_target_transform(data.y, task.kind)
     data = TaskData(data.x, data.group_ids, transform.apply(data.y), data.row_indices)
     return inner_update(weights, data, task, base_config, rng), transform
-
-
-def meta_test(
-    weights: BaseLearnerWeights,
-    target_task: TaskSpec,
-    train_table: DatasetTable,
-    test_table: DatasetTable,
-    base_config: BaseLearnerConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Fine-tune on the training groups' target labels, then predict every
-    held-out row in eval mode. The held-out labels are structurally absent."""
-    if not targets_withheld(test_table):
-        raise DataError(
-            "test table still carries target values; withhold them before meta-testing"
-        )
-    adapted, transform = fine_tune(weights, target_task, train_table, base_config, rng)
-    x_test = model_inputs(test_table)
-    preds = forward(
-        adapted, x_test, test_table.group_ids, base_config, mode="eval", kind=target_task.kind
-    )
-    return transform.invert(preds) if target_task.kind == "regression" else preds
 
 
 def predict_rows(

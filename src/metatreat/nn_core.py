@@ -24,6 +24,11 @@ OPTIMIZER_KINDS = ("sgd", "adam")
 # Floor used when clipping sigmoid outputs inside the cross-entropy loss.
 _BCE_EPS = 1e-12
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
@@ -242,22 +247,17 @@ def regularization_grad(m: np.ndarray, l1: float, l2: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """SGD (with optional momentum) or Adam over a flat parameter vector.
+    """Plain SGD or Adam over a flat parameter vector.
 
-    Moment buffers are allocated lazily on the first step and must
+    Adam's moment buffers are allocated lazily on the first step and must
     shape-match the parameters afterwards; the step counter never decreases.
     """
 
     kind: str
     learning_rate: float
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-    velocity: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -271,17 +271,8 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
     if params.shape != grads.shape:
         raise ShapeError("parameter and gradient shapes differ")
     if state.kind == "sgd":
-        if state.momentum != 0.0:
-            if state.velocity is None:
-                state.velocity = np.zeros_like(params)
-            elif state.velocity.shape != params.shape:
-                raise ShapeError("momentum buffer does not match parameter shape")
-            state.velocity = state.momentum * state.velocity + grads
-            update = state.velocity
-        else:
-            update = grads
         state.step_count += 1
-        params -= state.learning_rate * update
+        params -= state.learning_rate * grads
         return
     # adam
     if state.m is None:
@@ -291,8 +282,8 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
         raise ShapeError("adam moment buffers do not match parameter shape")
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
+    m_hat = state.m / (1.0 - ADAM_BETA1**t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

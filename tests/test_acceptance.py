@@ -6,7 +6,7 @@ Numbered criteria:
     finite differences on 100 random base-learner nets
  2. AUC equals pairwise counting, MSE equals the direct formula
  3. interpolation-update algebra (exact endpoints, fixed point at lr=0)
- 4. zero-shot firewall under label perturbation, 20 random runs
+ 4. zero-shot firewall under label perturbation: 20 random run_cv folds
  5. synthetic zero-shot benchmark beats the pooled ridge baseline and
     approaches the analytic noise floor
  6. overfitting-gap analog: the meta-learner's |test-train| AUC gap stays
@@ -30,20 +30,19 @@ from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
     PreprocessConfig,
-    SplitSpec,
     fit_preprocess,
     group_holdout_split,
     impute_means,
     residualize,
     withhold_targets,
 )
+from metatreat import eval_harness
 from metatreat.eval_harness import CvConfig, PipelineConfig, auc, mse, run_cv
 from metatreat.meta_learner import (
     MetaConfig,
     MetaState,
     epsilon_schedule,
     meta_step,
-    meta_test,
     meta_train,
     sample_task_batch,
 )
@@ -213,7 +212,7 @@ def _algebra_setup(lr):
     _, processed = fit_preprocess(
         table, table.group_ids != 2, PreprocessConfig(scaling="standardize"), ()
     )
-    train_table, test_table = group_holdout_split(processed, SplitSpec("g2"))
+    train_table, test_table = group_holdout_split(processed, "g2")
     tasks = select_training_tasks(
         train_table, [TaskSpec("y", "regression", "target_task")], SelectionConfig()
     )
@@ -268,7 +267,26 @@ def test_criterion_3_update_algebra():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_zero_shot_firewall():
+def test_criterion_4_zero_shot_firewall(monkeypatch):
+    # run_cv's own fold path, one fold per run (every other group excluded
+    # from holdout): every array a model predicts there (meta and
+    # base_initial through predict_rows, each baseline through
+    # baseline_predict, on held-out and training rows) and the train_value
+    # column must keep their bits when the held-out labels are replaced
+    recorded: list[np.ndarray] = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            recorded.append(np.array(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(eval_harness, "predict_rows", recording(eval_harness.predict_rows))
+    monkeypatch.setattr(
+        eval_harness, "baseline_predict", recording(eval_harness.baseline_predict)
+    )
     rng = np.random.default_rng(20240004)
     clean = 0
     runs = 20
@@ -284,7 +302,7 @@ def test_criterion_4_zero_shot_firewall():
             noise_sigma=float(rng.uniform(0.3, 1.5)),
             seed=int(rng.integers(1_000_000)),
         )
-        table, _, _ = generate(gen)
+        table, manifest, _ = generate(gen)
         g_star = f"g{int(rng.integers(n_groups))}"
         kind = str(rng.choice(["regression", "classification"]))
         base = BaseLearnerConfig(
@@ -299,26 +317,23 @@ def test_criterion_4_zero_shot_firewall():
             learning_rate=0.05,
             inner_iterations=2,
         )
-        meta = MetaConfig(meta_iterations=2, epsilon0=0.5, k=4)
-        fold_seed = int(rng.integers(1_000_000))
+        pipeline = PipelineConfig(
+            task_kind=kind,
+            preprocess=PreprocessConfig(scaling="standardize"),
+            selection=SelectionConfig(),
+            base=base,
+            meta=MetaConfig(meta_iterations=2, epsilon0=0.5, k=4),
+        )
+        others = tuple(g for g in table.group_names if g != g_star)
+        cv = CvConfig(excluded_holdout_groups=others, seed=int(rng.integers(1_000_000)))
 
         def predictions(raw):
-            gid = raw.resolve_group(g_star)
-            _, processed = fit_preprocess(
-                raw, raw.group_ids != gid, PreprocessConfig(scaling="standardize"), ()
-            )
-            train_table, test_table = group_holdout_split(processed, SplitSpec(g_star))
-            tasks = select_training_tasks(
-                train_table, [TaskSpec("y", kind, "target_task")], SelectionConfig()
-            )
-            masked = withhold_targets(test_table)
-            theta = meta_train(train_table, masked, tasks, base, meta, seed=fold_seed)
-            return meta_test(
-                theta, TaskSpec("y", kind, "target_task"), train_table, masked, base,
-                rng=np.random.default_rng(fold_seed),
-            )
+            recorded.clear()
+            report = run_cv(raw, manifest, pipeline, cv)
+            assert {r.group for r in report.rows} == {g_star}
+            return list(recorded), np.array([r.train_value for r in report.rows])
 
-        base_preds = predictions(table)
+        base_preds, base_train = predictions(table)
         values = np.array(table.values)
         j = table.column_index("y")
         rows = table.group_ids == table.resolve_group(g_star)
@@ -326,11 +341,16 @@ def test_criterion_4_zero_shot_firewall():
         corrupted = DatasetTable(
             table.columns, values, table.missing_mask, table.group_ids, table.group_names
         )
-        if np.array_equal(predictions(corrupted), base_preds):
+        preds, train = predictions(corrupted)
+        same_preds = len(preds) == len(base_preds) and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(preds, base_preds)
+        )
+        if same_preds and np.array_equal(train, base_train, equal_nan=True):
             clean += 1
     report_line(
         4, "zero-shot firewall", clean == runs,
-        f"{clean}/{runs} perturbed runs left every prediction bit unchanged",
+        f"{clean}/{runs} perturbed run_cv folds left every prediction bit unchanged",
     )
 
 
@@ -531,7 +551,7 @@ def test_criterion_9_preprocessing_properties():
             tuple(f"g{i}" for i in range(n_groups)),
         )
         g_star = int(rng.integers(n_groups))
-        train, test = group_holdout_split(table, SplitSpec(g_star))
+        train, test = group_holdout_split(table, g_star)
         ids = sorted(np.concatenate([train.values[:, 0], test.values[:, 0]]))
         if ids != list(range(n)) or not np.all(test.group_ids == g_star):
             partition_ok = False

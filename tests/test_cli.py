@@ -253,6 +253,55 @@ def test_json_input_that_is_not_an_object_exits_2(tmp_path, study_dir, capsys, k
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, doc, needle",
+    [
+        ("config", {"cv": 5}, "CvConfig: expected a JSON object"),
+        ("config", {"base": 5}, "BaseLearnerConfig: expected a JSON object"),
+        ("config", {"base": {"n_layers": "x"}}, "BaseLearnerConfig.n_layers: expected int"),
+        ("config", {"meta": {"k": 2.5}}, "MetaConfig.k: expected int, got float"),
+        ("config", {"cv": {"excluded_holdout_groups": 5}}, "expected a list, got int"),
+        ("config", {"cv": {"jobs": "2"}}, "CvConfig.jobs: expected int, got str"),
+        ("config", {"cv": {"jobs": True}}, "CvConfig.jobs: expected int, got bool"),
+        ("config", {"preprocess": {"missing_threshold": "a"}}, "missing_threshold"),
+        ("manifest", {"columns": 5}, "'columns' must be a list"),
+        ("manifest", {"columns": [5]}, "must be an object"),
+        ("manifest", {"missing_values": 5}, "'missing_values' must be a list of strings"),
+        ("space", {"n_layers": 5}, "SearchSpace.n_layers: expected a list, got int"),
+        ("space", {"n_layers": []}, "grid 'n_layers' is empty"),
+        ("space", {"n_layers": ["a"]}, "SearchSpace.n_layers[0]: expected int, got str"),
+        ("space", {"keep_fraction_range": [0.9]}, "expected 2 entries, got 1"),
+    ],
+)
+def test_wrongly_typed_json_exits_2(tmp_path, study_dir, capsys, kind, doc, needle):
+    files = {"manifest": study_dir / "manifest.json", "config": write_run_config(tmp_path)}
+    if kind == "manifest":
+        doc = {**json.loads(files["manifest"].read_text()), **doc}
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(json.dumps(doc))
+    files[kind] = bad
+    argv = [
+        "cv", "--data", str(study_dir / "data.csv"), "--manifest", str(files["manifest"]),
+        "--config", str(files["config"]), "--out", str(tmp_path / "x"),
+    ]
+    if kind == "space":
+        argv = ["grid-search", *argv[1:], "--budget", "1", "--space", str(bad)]
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_data_header_naming_a_column_twice_exits_3(tmp_path, study_dir, capsys):
+    lines = (study_dir / "data.csv").read_text().splitlines()
+    data = tmp_path / "dup.csv"
+    data.write_text("\n".join([lines[0] + ",x0"] + [line + ",999" for line in lines[1:]]) + "\n")
+    argv = [
+        "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / "x"),
+    ]
+    assert main(argv) == 3
+    assert "column 'x0' appears twice" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

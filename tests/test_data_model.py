@@ -8,7 +8,6 @@ from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
     PreprocessConfig,
-    SplitSpec,
     apply_preprocess,
     binarize_labels,
     differential_features,
@@ -125,6 +124,30 @@ def test_manifest_requires_one_group_and_a_target():
         parse_manifest(
             {"columns": [{"name": "g", "role": "group", "kind": "categorical", "timing": "pre"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "patch, needle",
+    [
+        ({"columns": 5}, "'columns' must be a list"),
+        ({"columns": [5]}, "must be an object"),
+        ({"columns": [{"timing": "pre"}]}, "string name"),
+        ({"columns": [{"name": 3}]}, "string name"),
+        ({"missing_values": 5}, "'missing_values' must be a list of strings"),
+        ({"missing_values": ["", 5]}, "'missing_values' must be a list of strings"),
+        ({"differential_pairs": 5}, "differential_pairs"),
+        ({"differential_pairs": [["f2"]]}, r"\[post, pre\]"),
+        ({"differential_pairs": [["f2", 1]]}, "differential pair"),
+        ({"reference_group": 0}, "reference_group"),
+    ],
+)
+def test_manifest_rejects_wrongly_typed_values(patch, needle):
+    doc = {"columns": [
+        {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
+        {"name": "y", "role": "target", "timing": "post"},
+    ]}
+    with pytest.raises(ConfigError, match=needle):
+        parse_manifest({**doc, **patch})
 
 
 def test_manifest_rejects_unknown_keys():
@@ -313,14 +336,6 @@ def test_residualize_rejects_nonbinary_stratifier():
         residualize(table, "s", 0.05)
 
 
-def test_residualize_append_mode_keeps_original():
-    table = residual_fixture()
-    out, _ = residualize(table, "sex", 0.05, mode="append")
-    names = [c.name for c in out.columns]
-    assert "f1" in names and "f1_resid" in names
-    assert np.array_equal(out.values[:, out.column_index("f1")], table.values[:, 1])
-
-
 # ---------------------------------------------------------------------------
 # differential features
 # ---------------------------------------------------------------------------
@@ -426,19 +441,19 @@ def split_fixture():
 
 
 def test_split_by_group():
-    train, test = group_holdout_split(split_fixture(), SplitSpec(0))
+    train, test = group_holdout_split(split_fixture(), 0)
     assert list(test.group_ids) == [0, 0]
     assert list(train.group_ids) == [1, 2]
 
 
 def test_split_singleton_group():
-    _, test = group_holdout_split(split_fixture(), SplitSpec("c"))
+    _, test = group_holdout_split(split_fixture(), "c")
     assert test.n_rows == 1
 
 
 def test_split_is_a_partition():
     table = split_fixture()
-    train, test = group_holdout_split(table, SplitSpec("b"))
+    train, test = group_holdout_split(table, "b")
     assert train.n_rows + test.n_rows == table.n_rows
     all_rows = np.concatenate([train.values[:, 0], test.values[:, 0]])
     assert sorted(all_rows) == sorted(table.values[:, 0])
@@ -455,7 +470,7 @@ def test_split_partition_property_random_tables():
         vals = np.column_stack([np.arange(n, dtype=float), rng.normal(size=n)])
         table = make_table(vals, cols, gids, group_names=tuple(f"g{i}" for i in range(n_groups)))
         g_star = int(rng.integers(n_groups))
-        train, test = group_holdout_split(table, SplitSpec(g_star))
+        train, test = group_holdout_split(table, g_star)
         ids = np.concatenate([train.values[:, 0], test.values[:, 0]])
         assert sorted(ids) == list(range(n))  # exact partition, no dup, no loss
         assert np.all(test.group_ids == g_star)
@@ -467,7 +482,7 @@ def test_split_empty_group_errors():
     cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
     table = make_table(vals, cols, [0, 1], group_names=("a", "b", "ghost"))
     with pytest.raises(DataError, match="ghost"):
-        group_holdout_split(table, SplitSpec("ghost"))
+        group_holdout_split(table, "ghost")
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +590,18 @@ def test_task_dataset_binarizes_strictly_above_zero():
     data = task_dataset(table, "y", "classification")
     assert list(data.y) == [0.0, 0.0, 1.0]
     assert list(binarize_labels(np.array([-1.0, 0.0, 1e-12]))) == [0.0, 0.0, 1.0]
+
+
+def test_reference_scaling_binarizes_above_the_reference_mean():
+    # targets are scaled before binarization, so under
+    # standardize_vs_reference_group the positive class is a raw target above
+    # the reference group's training mean (5 here): a raw 2.0 is labelled 0
+    vals = np.array([[0.1, 4.0], [0.2, 6.0], [0.3, 2.0], [0.4, 7.0], [0.5, -1.0]])
+    cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
+    table = make_table(vals, cols, [0, 0, 1, 1, 1])
+    config = PreprocessConfig(scaling="standardize_vs_reference_group", reference_group="a")
+    _, processed = fit_preprocess(table, np.ones(5, dtype=bool), config, ())
+    assert list(task_dataset(processed, "y", "classification").y) == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_withhold_targets_masks_all_target_cells():

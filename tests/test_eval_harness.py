@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -26,6 +27,7 @@ from metatreat.eval_harness import (
     plot_data_csv,
     run_cv,
     sample_candidate,
+    strict_dataclass,
 )
 from metatreat.meta_learner import MetaConfig
 from metatreat.synth_gen import GeneratorConfig, generate
@@ -450,3 +452,83 @@ def test_pipeline_config_round_trip_and_strictness():
     doc["base"]["head_kind"] = "linear"
     with pytest.raises(ConfigError, match=r"unknown BaseLearnerConfig keys: \['head_kind'\]"):
         PipelineConfig.from_dict(doc)
+    # so are the retired update_direction, residual_mode, gd_max_iters, gd_tol
+    for section, klass, key, value in (
+        ("meta", "MetaConfig", "update_direction", "toward_adapted"),
+        ("preprocess", "PreprocessConfig", "residual_mode", "replace"),
+        ("baselines", "BaselineConfig", "gd_max_iters", 20000),
+        ("baselines", "BaselineConfig", "gd_tol", 1e-12),
+    ):
+        doc = FAST_PIPELINE.to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"unknown {klass} keys: \['{key}'\]"):
+            PipelineConfig.from_dict(doc)
+
+
+# Each JSON kind a field of the given annotation accepts; a float field takes
+# a JSON integer too, and a tuple field takes a list.
+ACCEPTED_KINDS = {
+    "int": {"int"},
+    "float": {"int", "float"},
+    "str": {"str"},
+    "str | None": {"str", "null"},
+}
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10, 10),
+    "float": st.floats(-10.0, 10.0).filter(lambda v: v != int(v)) | st.just(2.0),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(1, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+SECTIONS = {
+    "preprocess": PreprocessConfig,
+    "selection": SelectionConfig,
+    "base": BaseLearnerConfig,
+    "meta": MetaConfig,
+    "baselines": BaselineConfig,
+}
+
+
+@st.composite
+def wrongly_typed_field(draw):
+    """(dataclass, field name, a JSON value of a kind that field refuses)."""
+    klass = draw(st.sampled_from([*SECTIONS.values(), CvConfig, SearchSpace]))
+    field = draw(st.sampled_from(dataclasses.fields(klass)))
+    if field.type.startswith("tuple["):
+        kinds = sorted(set(JSON_KINDS) - {"list"})
+        wrong = st.one_of(*(JSON_KINDS[k] for k in kinds), st.just([{}]), st.just([None]))
+    else:
+        kinds = sorted(set(JSON_KINDS) - ACCEPTED_KINDS[field.type])
+        wrong = st.one_of(*(JSON_KINDS[k] for k in kinds))
+    return klass, field.name, draw(wrong)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=wrongly_typed_field())
+def test_wrongly_typed_config_values_raise_config_error(case):
+    klass, name, value = case
+    with pytest.raises(ConfigError, match=rf"{klass.__name__}\.{name}"):
+        strict_dataclass(klass, {name: value})
+    section = next((s for s, k in SECTIONS.items() if k is klass), None)
+    if section is not None:
+        with pytest.raises(ConfigError, match=rf"{klass.__name__}\.{name}"):
+            PipelineConfig.from_dict({section: {name: value}})
+
+
+@pytest.mark.parametrize("value", [5, "x", None, [1, 2]])
+def test_config_section_must_be_an_object(value):
+    with pytest.raises(ConfigError, match="BaseLearnerConfig: expected a JSON object"):
+        PipelineConfig.from_dict({"base": value})
+
+
+def test_strict_dataclass_turns_lists_into_tuples():
+    cv = strict_dataclass(CvConfig, {"excluded_holdout_groups": ["g0", "g1"], "jobs": 2})
+    assert cv == CvConfig(excluded_holdout_groups=("g0", "g1"), jobs=2)
+    space = strict_dataclass(SearchSpace, {"n_layers": [1, 2], "keep_fraction_range": [0.5, 1]})
+    assert space.n_layers == (1, 2) and space.keep_fraction_range == (0.5, 1)
+    with pytest.raises(ConfigError, match=r"keep_fraction_range: expected 2 entries, got 1"):
+        strict_dataclass(SearchSpace, {"keep_fraction_range": [0.9]})
+    with pytest.raises(ConfigError, match="search space grid 'n_layers' is empty"):
+        strict_dataclass(SearchSpace, {"n_layers": []})

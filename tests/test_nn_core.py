@@ -197,14 +197,6 @@ def test_optimizer_shape_mismatch():
         optimizer_step(_arr([1.0]), _arr([1.0, 2.0]), state)
 
 
-def test_sgd_momentum_accumulates():
-    state = OptimizerState("sgd", learning_rate=1.0, momentum=0.5)
-    params = _arr([0.0])
-    optimizer_step(params, _arr([1.0]), state)  # vel 1 -> -1
-    optimizer_step(params, _arr([1.0]), state)  # vel 1.5 -> -2.5
-    assert params[0] == pytest.approx(-2.5)
-
-
 def test_optimizer_step_matches_out_of_place_rounding():
     # the in-place update rounds exactly like p - lr * update
     rng = np.random.default_rng(8)
