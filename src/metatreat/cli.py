@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .base_learner import off_grid_fields
-from .data_model import load_csv, load_manifest
+from .data_model import load_csv, load_manifest, strict_dataclass
 from .errors import ConfigError, DataError, NumericError
 from .eval_harness import (
     REPORT_COLUMNS,
@@ -38,7 +38,6 @@ from .eval_harness import (
     overfit_gap,
     plot_data_csv,
     run_cv,
-    strict_dataclass,
 )
 from .synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -62,7 +61,7 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")

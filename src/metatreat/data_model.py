@@ -1,7 +1,7 @@
-"""Dataset representation, CSV/manifest ingestion, and the preprocessing
-pipeline: differential features, sparse-feature removal, sex-style residual
-features, train-only mean imputation, feature/target scaling, and
-group-holdout splitting.
+"""Dataset representation, CSV/manifest ingestion, typed reading of JSON
+config objects, and the preprocessing pipeline: differential features,
+sparse-feature removal, sex-style residual features, train-only mean
+imputation, feature/target scaling, and group-holdout splitting.
 
 Tables are immutable after construction; every operation returns a new
 table, so read-only sharing across threads is safe. All fit statistics are
@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+import types
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,6 +196,46 @@ def auto_differential_pairs(columns: tuple[ColumnMeta, ...]) -> tuple[tuple[str,
     return tuple(pairs)
 
 
+def strict_dataclass(klass, doc: dict):
+    """Build a dataclass from a JSON object, rejecting unknown keys and
+    values whose type differs from their field's; JSON lists become tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{klass.__name__}: expected a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(klass.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(klass)
+    return klass(
+        **{name: _typed(f"{klass.__name__}.{name}", hints[name], v) for name, v in doc.items()}
+    )
+
+
+def _typed(where: str, hint, value):
+    """``value`` checked against the field type ``hint``: an int field takes
+    no float or bool, a float field takes an int within float range,
+    ``tuple[...]`` takes a list."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # ``X | None``
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(where, hint, value)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_typed(f"{where}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
+    allowed = (int, float) if hint is float else hint
+    if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+    if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{where}: integer out of float range")
+    return value
+
+
 _MANIFEST_KEYS = {"columns", "differential_pairs", "reference_group", "missing_values"}
 _COLUMN_KEYS = {"name", "timing", "kind", "role"}
 
@@ -266,7 +309,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataError(f"manifest {path}: not UTF-8 text ({exc.reason})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"manifest {path}: expected a JSON object")

@@ -13,10 +13,11 @@ meta-learner.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import types
-import typing
+import os
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,7 @@ from .data_model import (
     fit_preprocess,
     group_holdout_split,
     model_inputs,
+    strict_dataclass,
     task_dataset,
     withhold_targets,
 )
@@ -363,43 +365,6 @@ class PipelineConfig:
         return cls(**kwargs)
 
 
-def strict_dataclass(klass, doc: dict):
-    """Build a dataclass from a JSON object, rejecting unknown keys and
-    values whose type differs from their field's; JSON lists become tuples."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{klass.__name__}: expected a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(klass.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(klass)
-    return klass(
-        **{name: _typed(f"{klass.__name__}.{name}", hints[name], v) for name, v in doc.items()}
-    )
-
-
-def _typed(where: str, hint, value):
-    """``value`` checked against the field type ``hint``: an int field takes
-    no float or bool, a float field takes an int, ``tuple[...]`` takes a list."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # ``X | None``
-        if value is None and type(None) in args:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(where, hint, value)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
-        return tuple(_typed(f"{where}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
-    allowed = (int, float) if hint is float else hint
-    if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class CvConfig:
     excluded_holdout_groups: tuple[str, ...] = ()
@@ -509,24 +474,27 @@ def _fold_rows(
     return rows
 
 
-def _fold_worker(payload) -> list[MetricRow]:
-    return _fold_rows(*payload)
+FoldResult = list[MetricRow] | ConfigError | DataError | NumericError
 
 
-def run_cv(
+def _fold_worker(payload) -> FoldResult:
+    """One fold's rows, or the configuration, data or numeric error that
+    stopped it; any other exception propagates."""
+    try:
+        return _fold_rows(*payload)
+    except (ConfigError, DataError, NumericError) as exc:
+        return exc
+
+
+def _fold_payloads(
     raw_table: DatasetTable,
     manifest: Manifest,
     model_config: PipelineConfig,
-    cv_config: CvConfig = CvConfig(),
-) -> MetricReport:
-    """Full group-holdout protocol: one fold per eligible held-out group.
-
-    Each fold preprocesses on its own training rows, selects tasks,
-    meta-trains, meta-tests per target task, and scores baselines on the
-    same features. Fold order and output ordering are deterministic and
-    independent of the worker count. Under ``standardize_vs_reference_group``
-    scaling the reference group must be excluded from holdout.
-    """
+    cv_config: CvConfig,
+) -> list[tuple]:
+    """Pre-flight of ``run_cv``: the ``_fold_worker`` payload of every
+    eligible held-out group, in fold order. Raises before any fold runs
+    when the configuration cannot be evaluated on this table."""
     if raw_table.n_groups < 2:
         raise DataError("group-holdout CV needs at least two groups")
     eligible = [
@@ -548,19 +516,58 @@ def run_cv(
                     f"reference group {ref!r} has no training rows to fit on when held out; "
                     f"exclude it with --holdout-exclude {ref}"
                 )
-    payloads = [
+    return [
         (raw_table, manifest, model_config, cv_config, i, name)
         for i, name in enumerate(eligible)
     ]
-    if cv_config.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cv_config.jobs) as pool:
-            fold_rows = list(pool.map(_fold_worker, payloads))
-    else:
-        fold_rows = [_fold_worker(p) for p in payloads]
+
+
+def _map_folds(payloads: list[tuple], jobs: int) -> Iterable[FoldResult]:
+    """``_fold_worker`` over ``payloads``, results in payload order.
+
+    The pool has no more workers than payloads or CPUs this process may run
+    on; results do not depend on the worker count. With one worker the
+    folds run lazily in this process, so a caller may stop at an error.
+    """
+    workers = min(jobs, len(payloads), _usable_cpus())
+    if workers < 2:
+        return map(_fold_worker, payloads)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_fold_worker, payloads))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _report(results: Iterable[FoldResult]) -> MetricReport:
+    """Fold rows concatenated in fold order; the first fold error is raised."""
     rows: list[MetricRow] = []
-    for chunk in fold_rows:
-        rows.extend(chunk)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        rows.extend(result)
     return MetricReport(tuple(rows))
+
+
+def run_cv(
+    raw_table: DatasetTable,
+    manifest: Manifest,
+    model_config: PipelineConfig,
+    cv_config: CvConfig = CvConfig(),
+) -> MetricReport:
+    """Full group-holdout protocol: one fold per eligible held-out group.
+
+    Each fold preprocesses on its own training rows, selects tasks,
+    meta-trains, meta-tests per target task, and scores baselines on the
+    same features. Fold order and output ordering are deterministic and
+    independent of the worker count. Under ``standardize_vs_reference_group``
+    scaling the reference group must be excluded from holdout.
+    """
+    payloads = _fold_payloads(raw_table, manifest, model_config, cv_config)
+    return _report(_map_folds(payloads, cv_config.jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +667,18 @@ def grid_search(
     if budget < 1:
         raise ConfigError("grid search budget must be at least 1")
     maximize = template.task_kind == "classification"
+    candidates = [
+        sample_candidate(space, child_rng(seed, "candidate", i), template) for i in range(budget)
+    ]
+    outcomes = _candidate_scores(candidates, raw_table, manifest, cv_config)
     entries: list[dict] = []
-    for i in range(budget):
-        candidate = sample_candidate(space, child_rng(seed, "candidate", i), template)
+    for i, (candidate, outcome) in enumerate(zip(candidates, outcomes)):
         entry: dict = {"candidate": i, "config": candidate.to_dict()}
-        try:
-            report = run_cv(raw_table, manifest, candidate, cv_config)
-            vals = [
-                r.value for r in report.rows if r.model == "meta" and math.isfinite(r.value)
-            ]
-            if not vals:
-                raise DataError("no defined metric values for the meta model")
-            entry["score"] = float(np.mean(vals))
-            entry["status"] = "ok"
-        except (ConfigError, DataError, NumericError) as exc:
-            entry["score"] = float("nan")
-            entry["status"] = "failed"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
+        if isinstance(outcome, Exception):
+            error = f"{type(outcome).__name__}: {outcome}"
+            entry.update(score=float("nan"), status="failed", error=error)
+        else:
+            entry.update(score=outcome, status="ok")
         entries.append(entry)
 
     scored = [e for e in entries if e["status"] == "ok"]
@@ -690,3 +692,53 @@ def grid_search(
         e["rank"] = rank
     best = PipelineConfig.from_dict(leaderboard[0]["config"])
     return best, leaderboard
+
+
+def _candidate_scores(
+    candidates: list[PipelineConfig],
+    raw_table: DatasetTable,
+    manifest: Manifest,
+    cv_config: CvConfig,
+) -> list[float | ConfigError | DataError | NumericError]:
+    """Each candidate's mean meta metric over every fold and task, or the
+    error that ``run_cv`` raises for it.
+
+    With one job the candidates run one after another through ``run_cv``,
+    which stops a candidate at its first failing fold. With more, every
+    (candidate x fold) goes through one pool in candidate-major order; a
+    candidate that fails pre-flight sends no folds.
+    """
+    errors = (ConfigError, DataError, NumericError)
+    outcomes: list = []
+    if cv_config.jobs == 1:
+        for candidate in candidates:
+            try:
+                outcomes.append(_meta_score(run_cv(raw_table, manifest, candidate, cv_config)))
+            except errors as exc:
+                outcomes.append(exc)
+        return outcomes
+    plans: list = []
+    for candidate in candidates:
+        try:
+            plans.append(_fold_payloads(raw_table, manifest, candidate, cv_config))
+        except (ConfigError, DataError) as exc:
+            plans.append(exc)
+    flat = [p for plan in plans if isinstance(plan, list) for p in plan]
+    results = iter(_map_folds(flat, cv_config.jobs))
+    for plan in plans:
+        if isinstance(plan, Exception):
+            outcomes.append(plan)
+            continue
+        folds = list(itertools.islice(results, len(plan)))  # all of them, even after an error
+        try:
+            outcomes.append(_meta_score(_report(folds)))
+        except errors as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _meta_score(report: MetricReport) -> float:
+    vals = [r.value for r in report.rows if r.model == "meta" and math.isfinite(r.value)]
+    if not vals:
+        raise DataError("no defined metric values for the meta model")
+    return float(np.mean(vals))

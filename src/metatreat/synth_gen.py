@@ -12,12 +12,12 @@ noise variance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import ColumnMeta, DatasetTable, Manifest
+from .data_model import ColumnMeta, DatasetTable, Manifest, strict_dataclass
 from .errors import ConfigError
 
 COUPLINGS = ("linear", "mild_nonlinear")
@@ -46,6 +46,8 @@ class GeneratorConfig:
             raise ConfigError("need at least two groups")
         if self.n_per_group < 1:
             raise ConfigError("n_per_group must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.d_pre < 1 or self.d_aux < 0:
             raise ConfigError("d_pre must be >=1 and d_aux >=0")
         if len(self.delta) != self.n_groups:
@@ -93,16 +95,15 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if "delta" in doc:
-            doc["delta"] = tuple(float(v) for v in doc["delta"])
-        if doc.get("aux_delta") is not None:
-            doc["aux_delta"] = tuple(tuple(float(v) for v in row) for row in doc["aux_delta"])
-        return cls(**doc)
+        """Checked like every JSON config; shifts written as JSON integers
+        are kept as floats, which is how ``ground_truth.json`` spells them."""
+        config = strict_dataclass(cls, doc)
+        aux = config.aux_delta
+        return replace(
+            config,
+            delta=tuple(float(v) for v in config.delta),
+            aux_delta=None if aux is None else tuple(tuple(float(v) for v in r) for r in aux),
+        )
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,48 @@ def test_wrongly_typed_json_exits_2(tmp_path, study_dir, capsys, kind, doc, need
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        ({"n_groups": "x"}, "GeneratorConfig.n_groups: expected int, got str"),
+        ({"delta": 5}, "GeneratorConfig.delta: expected a list, got int"),
+        ({"seed": 1.5}, "GeneratorConfig.seed: expected int, got float"),
+        ({"n_per_group": True}, "GeneratorConfig.n_per_group: expected int, got bool"),
+        ({"delta": [0, 1, 10**400]}, "GeneratorConfig.delta[2]: integer out of float range"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"bogus_knob": 1}, "unknown GeneratorConfig keys: ['bogus_knob']"),
+    ],
+)
+def test_wrongly_typed_generator_config_exits_2(tmp_path, capsys, doc, needle):
+    bad = tmp_path / "gen.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["config", "manifest"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, kind):
+    # json refuses integers of more than 4300 digits with a plain ValueError
+    bad = tmp_path / "big.json"
+    bad.write_text('{"seed": ' + "9" * 5000 + "}")
+    if kind == "config":
+        argv = ["generate", "--config", str(bad)]
+    else:
+        argv = ["cv", "--data", str(tmp_path / "missing.csv"), "--manifest", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_generator_integer_shifts_are_written_as_floats(tmp_path):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({**GEN_CONFIG, "delta": [-1, 0, 1]}))
+    assert main(["generate", "--config", str(gen), "--out", str(tmp_path / "ints")]) == 0
+    gen.write_text(json.dumps(GEN_CONFIG))
+    assert main(["generate", "--config", str(gen), "--out", str(tmp_path / "floats")]) == 0
+    for name in ("data.csv", "manifest.json", "ground_truth.json"):
+        assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+
 def test_data_header_naming_a_column_twice_exits_3(tmp_path, study_dir, capsys):
     lines = (study_dir / "data.csv").read_text().splitlines()
     data = tmp_path / "dup.csv"

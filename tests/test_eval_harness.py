@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from metatreat import eval_harness
 from metatreat.base_learner import BaseLearnerConfig
 from metatreat.data_model import DatasetTable, PreprocessConfig
-from metatreat.errors import ConfigError, DataError
+from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.eval_harness import (
     BaselineConfig,
     CvConfig,
@@ -439,6 +440,110 @@ def test_grid_search_all_failures_carry_diagnostics():
     table, manifest, _ = generate(config)
     with pytest.raises(DataError, match="no training tasks"):
         grid_search(tiny_space(), table, manifest, 2, 1, FAST_PIPELINE)
+
+
+def mixed_outcome_search():
+    """A study, space and template whose budget-5 search at seed 1 gives, by
+    candidate: ok, a NumericError in fold 1 (folds 0 and 2 run fine), ok, and
+    two pre-flight DataErrors (the reference group is eligible for holdout)."""
+    table, manifest, _ = small_raw(seed=16)
+    space = dataclasses.replace(
+        tiny_space(),
+        learning_rate=(0.05, 1.0),
+        scaling=("standardize", "standardize_vs_reference_group"),
+    )
+    template = dataclasses.replace(
+        FAST_PIPELINE, preprocess=PreprocessConfig(scaling="standardize", reference_group="g0")
+    )
+    return table, manifest, space, template
+
+
+def test_grid_search_results_identical_at_any_worker_count():
+    table, manifest, space, template = mixed_outcome_search()
+    boards = {
+        jobs: grid_search(space, table, manifest, 5, 1, template, CvConfig(seed=0, jobs=jobs))[1]
+        for jobs in (1, 2, 3)
+    }
+    # as best_config.json writes them; failed scores are NaN, which != itself
+    as_json = {jobs: json.dumps(board, sort_keys=True) for jobs, board in boards.items()}
+    assert as_json[1] == as_json[2] == as_json[3]
+    failed = {e["candidate"]: e for e in boards[1] if e["status"] == "failed"}
+    assert sorted(failed) == [1, 3, 4]
+    assert failed[1]["error"] == "NumericError: loss is not finite"
+    assert all("--holdout-exclude g0" in failed[i]["error"] for i in (3, 4))
+    for entry in failed.values():
+        candidate = PipelineConfig.from_dict(entry["config"])
+        with pytest.raises((ConfigError, DataError, NumericError)) as alone:
+            run_cv(table, manifest, candidate, CvConfig(seed=0))
+        assert entry["error"] == f"{type(alone.value).__name__}: {alone.value}"
+    numeric = PipelineConfig.from_dict(failed[1]["config"])
+    folds = eval_harness._fold_payloads(table, manifest, numeric, CvConfig(seed=0))
+    outcomes = [eval_harness._fold_worker(p) for p in folds]
+    assert [type(o).__name__ for o in outcomes] == ["list", "NumericError", "list"]
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor: records each pool's
+    size and runs ``map`` serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, expected_size",
+    [(2, 64, 2), (10**6, 64, 12), (10**6, 3, 3)],
+)
+def test_grid_search_uses_one_pool_no_larger_than_the_work(monkeypatch, jobs, cpus, expected_size):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(eval_harness, "_usable_cpus", lambda: cpus)
+    table, manifest, _ = small_raw(seed=12)
+    _, board = grid_search(
+        tiny_space(), table, manifest, 4, 7, FAST_PIPELINE, CvConfig(seed=0, jobs=jobs)
+    )
+    # 4 candidates x 3 folds = 12 payloads, all sent to one pool
+    assert RecordingPool.sizes == [expected_size]
+    _, serial = grid_search(tiny_space(), table, manifest, 4, 7, FAST_PIPELINE, CvConfig(seed=0))
+    assert json.dumps(board, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_one_job_runs_each_candidate_through_run_cv_without_a_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
+    calls = []
+    real_run_cv = eval_harness.run_cv
+
+    def counting_run_cv(*args, **kwargs):
+        calls.append(args[2])
+        return real_run_cv(*args, **kwargs)
+
+    monkeypatch.setattr(eval_harness, "run_cv", counting_run_cv)
+    table, manifest, _ = small_raw(seed=12)
+    grid_search(tiny_space(), table, manifest, 3, 7, FAST_PIPELINE, CvConfig(seed=0, jobs=1))
+    assert len(calls) == 3 and RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("jobs, expected_sizes", [(1, []), (2, [2]), (10**6, [3])])
+def test_run_cv_pool_no_larger_than_its_folds(monkeypatch, jobs, expected_sizes):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(eval_harness, "_usable_cpus", lambda: 64)
+    table, manifest, _ = small_raw(seed=6)
+    report = run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4, jobs=jobs))
+    assert RecordingPool.sizes == expected_sizes
+    assert report == run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4))
 
 
 def test_pipeline_config_round_trip_and_strictness():
