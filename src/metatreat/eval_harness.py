@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .base_learner import BaseLearnerConfig, init_weights
+from .base_learner import BaseLearnerConfig, BaseLearnerWeights, init_weights
 from .data_model import (
     DatasetTable,
     Manifest,
@@ -41,7 +41,7 @@ from .data_model import (
 from .errors import ConfigError, DataError, NumericError
 from .meta_learner import MetaConfig, fine_tune, meta_train, predict_rows
 from .rng import child_rng
-from .task_selection import SelectionConfig, TaskSpec, select_training_tasks
+from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
 
 REGRESSION_BASELINES = ("mean", "median", "knn", "ridge")
 CLASSIFICATION_BASELINES = ("knn", "logistic")
@@ -384,14 +384,28 @@ def _score(kind: str, preds: np.ndarray, y: np.ndarray) -> tuple[float, str]:
     return mse(preds, y), ""
 
 
-def _fold_rows(
+@dataclass(frozen=True)
+class _FoldSetup:
+    """One fold ready to meta-train: its split, tasks and initial weights."""
+
+    fold_index: int
+    group_name: str
+    train_table: DatasetTable
+    test_table: DatasetTable
+    masked_test: DatasetTable
+    targets: tuple[TaskSpec, ...]
+    tasks: TaskSet
+    theta0: BaseLearnerWeights
+
+
+def _fold_setup(
     raw_table: DatasetTable,
     manifest: Manifest,
     config: PipelineConfig,
     cv: CvConfig,
     fold_index: int,
     group_name: str,
-) -> list[MetricRow]:
+) -> _FoldSetup:
     gid = raw_table.resolve_group(group_name)
     train_mask = raw_table.group_ids != gid
     plan, processed = fit_preprocess(
@@ -411,19 +425,20 @@ def _fold_rows(
         len(train_table.group_names),
         child_rng(cv.seed, "fold", fold_index, "init"),
     )
-    theta_star = meta_train(
-        train_table,
-        masked_test,
-        tasks,
-        config.base,
-        config.meta,
-        child_rng(cv.seed, "fold", fold_index, "meta"),
-        initial_weights=theta0,
+    return _FoldSetup(
+        fold_index, group_name, train_table, test_table, masked_test, targets, tasks, theta0
     )
 
+
+def _fold_rows(
+    fold: _FoldSetup, theta_star: BaseLearnerWeights, config: PipelineConfig, cv: CvConfig
+) -> list[MetricRow]:
+    """One fold's report rows: meta-test and baselines on every target task."""
+    group_name, fold_index = fold.group_name, fold.fold_index
+    train_table, test_table, masked_test = fold.train_table, fold.test_table, fold.masked_test
     metric_name = "auc" if config.task_kind == "classification" else "mse"
     rows: list[MetricRow] = []
-    for task in targets:
+    for task in fold.targets:
         y_vals, y_obs = test_table.column_values(task.column)
         scored = np.flatnonzero(y_obs)
         if scored.size == 0:
@@ -433,7 +448,7 @@ def _fold_rows(
             y_test = binarize_labels(y_test)
         train_data = task_dataset(train_table, task.column, task.kind)
 
-        for model_name, theta in (("base_initial", theta0), ("meta", theta_star)):
+        for model_name, theta in (("base_initial", fold.theta0), ("meta", theta_star)):
             rng_ft = child_rng(cv.seed, "fold", fold_index, model_name, task.column)
             adapted, transform = fine_tune(theta, task, train_table, config.base, rng_ft)
             preds_test = predict_rows(adapted, masked_test, task.kind, config.base, transform)[
@@ -475,15 +490,54 @@ def _fold_rows(
 
 
 FoldResult = list[MetricRow] | ConfigError | DataError | NumericError
+FOLD_ERRORS = (ConfigError, DataError, NumericError)
 
 
-def _fold_worker(payload) -> FoldResult:
-    """One fold's rows, or the configuration, data or numeric error that
-    stopped it; any other exception propagates."""
-    try:
-        return _fold_rows(*payload)
-    except (ConfigError, DataError, NumericError) as exc:
-        return exc
+def _fold_group_worker(payloads: list[tuple]) -> list[FoldResult]:
+    """The rows of each fold in ``payloads`` (consecutive folds of one
+    candidate), or the configuration, data or numeric error that stopped
+    it; any other exception propagates.
+
+    Every fold is set up, then all meta-train in lockstep, then each is
+    scored. A fold after the first failing one carries that failure, as a
+    serial run would stop there, and a fold whose setup fails stops the
+    folds after it before any of them is set up.
+    """
+    config, cv = payloads[0][2], payloads[0][3]
+    setups: list[_FoldSetup] = []
+    failure = None
+    for payload in payloads:
+        try:
+            setups.append(_fold_setup(*payload))
+        except FOLD_ERRORS as exc:
+            failure = exc
+            break
+    results: list[FoldResult] = []
+    if setups:
+        thetas = meta_train(
+            [s.train_table for s in setups],
+            [s.masked_test for s in setups],
+            [s.tasks for s in setups],
+            config.base,
+            config.meta,
+            [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
+            [s.theta0 for s in setups],
+        )
+        for setup, theta in zip(setups, thetas):
+            if isinstance(theta, Exception):
+                failure = theta
+                break
+            try:
+                results.append(_fold_rows(setup, theta, config, cv))
+            except FOLD_ERRORS as exc:
+                failure = exc
+                break
+    return results + [failure] * (len(payloads) - len(results))
+
+
+def _fold_worker(payload: tuple) -> FoldResult:
+    """One fold alone: a group of one."""
+    return _fold_group_worker([payload])[0]
 
 
 def _fold_payloads(
@@ -492,8 +546,8 @@ def _fold_payloads(
     model_config: PipelineConfig,
     cv_config: CvConfig,
 ) -> list[tuple]:
-    """Pre-flight of ``run_cv``: the ``_fold_worker`` payload of every
-    eligible held-out group, in fold order. Raises before any fold runs
+    """Pre-flight of ``run_cv``: the payload of every eligible held-out
+    group's fold, in fold order. Raises before any fold runs
     when the configuration cannot be evaluated on this table."""
     if raw_table.n_groups < 2:
         raise DataError("group-holdout CV needs at least two groups")
@@ -522,18 +576,34 @@ def _fold_payloads(
     ]
 
 
-def _map_folds(payloads: list[tuple], jobs: int) -> Iterable[FoldResult]:
-    """``_fold_worker`` over ``payloads``, results in payload order.
+def _fold_groups(plans: list[list[tuple]], jobs: int) -> list[list[tuple]]:
+    """The pool payloads of some candidates' fold payloads: each candidate's
+    folds split, in fold order, into ``clamp(workers // candidates, 1,
+    folds)`` groups of consecutive folds that meta-train in lockstep, with
+    ``workers = min(jobs, CPUs)``. One job makes one stack of a
+    candidate's folds; spare workers get a candidate's folds apart."""
+    workers = min(jobs, _usable_cpus())
+    groups = []
+    for plan in plans:
+        n = max(1, min(workers // len(plans), len(plan)))
+        cuts = [-(-i * len(plan) // n) for i in range(n + 1)]  # ceil: larger groups first
+        groups += [plan[a:b] for a, b in zip(cuts, cuts[1:])]
+    return groups
 
-    The pool has no more workers than payloads or CPUs this process may run
+
+def _map_fold_groups(groups: list[list[tuple]], jobs: int) -> Iterable[FoldResult]:
+    """``_fold_group_worker`` over ``groups``, one result per fold in
+    payload order.
+
+    The pool has no more workers than groups or CPUs this process may run
     on; results do not depend on the worker count. With one worker the
-    folds run lazily in this process, so a caller may stop at an error.
+    groups run lazily in this process, so a caller may stop at an error.
     """
-    workers = min(jobs, len(payloads), _usable_cpus())
+    workers = min(jobs, len(groups), _usable_cpus())
     if workers < 2:
-        return map(_fold_worker, payloads)
+        return itertools.chain.from_iterable(map(_fold_group_worker, groups))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_fold_worker, payloads))
+        return [result for group in pool.map(_fold_group_worker, groups) for result in group]
 
 
 def _usable_cpus() -> int:
@@ -567,7 +637,8 @@ def run_cv(
     scaling the reference group must be excluded from holdout.
     """
     payloads = _fold_payloads(raw_table, manifest, model_config, cv_config)
-    return _report(_map_folds(payloads, cv_config.jobs))
+    groups = _fold_groups([payloads], cv_config.jobs)
+    return _report(_map_fold_groups(groups, cv_config.jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +776,10 @@ def _candidate_scores(
 
     With one job the candidates run one after another through ``run_cv``,
     which stops a candidate at its first failing fold. With more, every
-    (candidate x fold) goes through one pool in candidate-major order; a
-    candidate that fails pre-flight sends no folds.
+    candidate's fold groups (``_fold_groups``) go through one pool in
+    candidate-major order; a candidate that fails pre-flight sends no folds.
     """
-    errors = (ConfigError, DataError, NumericError)
+    errors = FOLD_ERRORS
     outcomes: list = []
     if cv_config.jobs == 1:
         for candidate in candidates:
@@ -723,8 +794,8 @@ def _candidate_scores(
             plans.append(_fold_payloads(raw_table, manifest, candidate, cv_config))
         except (ConfigError, DataError) as exc:
             plans.append(exc)
-    flat = [p for plan in plans if isinstance(plan, list) for p in plan]
-    results = iter(_map_folds(flat, cv_config.jobs))
+    groups = _fold_groups([plan for plan in plans if isinstance(plan, list)], cv_config.jobs)
+    results = iter(_map_fold_groups(groups, cv_config.jobs))
     for plan in plans:
         if isinstance(plan, Exception):
             outcomes.append(plan)

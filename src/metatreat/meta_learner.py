@@ -9,15 +9,15 @@ annealed step size. Meta-testing (``fine_tune`` then ``predict_rows``)
 adapts the learned initialization on the full training set for a target
 task and predicts for the held-out group, whose target labels are never
 read: the caller withholds them, and ``meta_train`` refuses a test table
-that still carries them.
+that still carries them. ``meta_train`` runs one fold, or steps several
+folds in lockstep on one stacked parameter array.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from .base_learner import (
     forward,
     init_weights,
     inner_update,
-    weights_from_dict,
-    weights_to_dict,
+    stack_weights,
 )
 from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld, task_dataset
 from .errors import ConfigError, DataError
-from .nn_core import param_axpy
+from .nn_core import FoldErrors, param_axpy
 from .rng import as_rng
 from .task_selection import TaskSet, TaskSpec
 
@@ -57,16 +56,25 @@ class MetaConfig:
 
 @dataclass
 class MetaState:
-    """Shared initialization plus progress through the meta-loop."""
+    """Shared initialization plus progress through the meta-loop: one
+    network with its RNG stream, or a stack of folds with one stream each.
+
+    ``errors`` (a stack's, or None to raise at once) holds each fold's first
+    failure, as ``base_learner.loss_and_grads`` records it.
+    """
 
     theta: BaseLearnerWeights
     t: int
-    rng: np.random.Generator
+    rng: np.random.Generator | tuple[np.random.Generator, ...]
+    errors: FoldErrors | None = None
 
 
 @dataclass(frozen=True)
 class TaskBatch:
-    task: TaskSpec
+    """One sampled task with its training and fine-tune rows; stacked, one
+    task per fold and the rows with a leading fold axis."""
+
+    task: TaskSpec | tuple[TaskSpec, ...]
     train_data: TaskData
     finetune_data: TaskData
 
@@ -128,73 +136,180 @@ def meta_step(
     batches: list[TaskBatch],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
+    out: BaseLearnerWeights | None = None,
 ) -> MetaState:
     """One meta-iteration: train, fine-tune, then interpolate.
 
     With several task batches the train/fine-tune pair runs sequentially on
     each before the single interpolation, which moves the initialization
-    toward the adapted weights: theta + eps*(adapted - theta).
+    toward the adapted weights: theta + eps*(adapted - theta). ``out``, laid
+    out like ``state.theta`` but not it, receives the adapted and then the
+    new weights, so a loop can alternate two buffers; by default it is a
+    fresh copy.
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
     eps = epsilon_schedule(state.t, meta_config.meta_iterations, meta_config.epsilon0)
+    work = state.theta.clone() if out is None else out
     adapted = state.theta
     for batch in batches:
-        adapted = inner_update(adapted, batch.train_data, batch.task, base_config, state.rng)
-        adapted = inner_update(adapted, batch.finetune_data, batch.task, base_config, state.rng)
-    theta = state.theta.with_values(param_axpy(state.theta.values, adapted.values, eps))
-    return MetaState(theta=theta, t=state.t + 1, rng=state.rng)
+        for data in (batch.train_data, batch.finetune_data):
+            adapted = inner_update(
+                adapted, data, batch.task, base_config, state.rng, errors=state.errors, out=work
+            )
+    with np.errstate(all="ignore"):
+        param_axpy(state.theta.values, adapted.values, eps, out=work.values)
+    return MetaState(theta=work, t=state.t + 1, rng=state.rng, errors=state.errors)
 
 
-def resume_meta_train(
-    state: MetaState,
-    train_table: DatasetTable,
-    test_table: DatasetTable,
-    tasks: TaskSet,
-    base_config: BaseLearnerConfig,
-    meta_config: MetaConfig,
-) -> BaseLearnerWeights:
-    """Run the meta-loop from ``state`` (fresh or checkpointed) to completion.
+def _stack_batches(batches: list[TaskBatch]) -> TaskBatch:
+    """Per-fold batches of one shape as one batch with a leading fold axis."""
 
-    The test table must arrive with its target columns withheld; this is the
-    structural zero-shot firewall, checked here rather than trusted.
-    """
-    if not targets_withheld(test_table):
-        raise DataError(
-            "test table still carries target values; withhold them before meta-training"
+    def stack(parts: list[TaskData]) -> TaskData:
+        return TaskData(
+            *(np.stack([getattr(p, name) for p in parts])
+              for name in ("x", "group_ids", "y", "row_indices"))
         )
-    while state.t < meta_config.meta_iterations:
-        batches = [
-            sample_task_batch(tasks, train_table, test_table, meta_config.k, state.rng)
-            for _ in range(meta_config.tasks_per_iteration)
-        ]
-        state = meta_step(state, batches, base_config, meta_config)
-    return state.theta
+
+    return TaskBatch(
+        tuple(b.task for b in batches),
+        stack([b.train_data for b in batches]),
+        stack([b.finetune_data for b in batches]),
+    )
 
 
 def meta_train(
-    train_table: DatasetTable,
-    test_table: DatasetTable,
-    tasks: TaskSet,
+    train_table: DatasetTable | Sequence[DatasetTable],
+    test_table: DatasetTable | Sequence[DatasetTable],
+    tasks: TaskSet | Sequence[TaskSet],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
-    seed: int | np.random.Generator,
-    initial_weights: BaseLearnerWeights | None = None,
-) -> BaseLearnerWeights:
+    seed: int | np.random.Generator | Sequence[int | np.random.Generator],
+    initial_weights: BaseLearnerWeights | None | Sequence[BaseLearnerWeights] = None,
+) -> BaseLearnerWeights | list[BaseLearnerWeights | Exception]:
     """Run the full meta-loop from a fresh state and return the learned
     initialization.
 
     ``initial_weights`` (cloned, never mutated) lets callers score the same
-    random initialization the meta-loop started from.
+    random initialization the meta-loop started from; without it the
+    weights are drawn from ``seed``'s stream before the loop. Each test
+    table must arrive with its target columns withheld; this is the
+    structural zero-shot firewall, checked here rather than trusted.
+
+    Given sequences, with one entry per fold (``initial_weights`` None or a
+    sequence too), the folds step in lockstep: folds of one layout, batch
+    shape and task kind form one stack, and each fold samples its batches
+    and draws its dropout masks from its own stream in the order it would
+    alone, so its result is bitwise the same. The result is then a list in
+    fold order: each fold's weights, or the configuration, data or numeric
+    error that stopped it. A fold leaves its stack after the meta-iteration
+    it failed in, and every later fold stops with it, as a serial run would
+    stop at the first failing fold; those later folds carry the earliest
+    failure. One fold alone raises its error instead.
     """
-    rng = as_rng(seed)
-    if initial_weights is None:
-        n_features = model_inputs(train_table).shape[1]
-        theta = init_weights(base_config, n_features, len(train_table.group_names), rng)
-    else:
-        theta = initial_weights.clone()
-    state = MetaState(theta=theta, t=0, rng=rng)
-    return resume_meta_train(state, train_table, test_table, tasks, base_config, meta_config)
+    one = isinstance(train_table, DatasetTable)
+    if one:
+        train_table, test_table, tasks = [train_table], [test_table], [tasks]
+        seed, initial_weights = [seed], [initial_weights]
+    elif initial_weights is None:
+        initial_weights = [None] * len(train_table)
+    folds = list(zip(train_table, test_table, tasks, seed, initial_weights, strict=True))
+    if not all(targets_withheld(fold[1]) for fold in folds):
+        raise DataError(
+            "test table still carries target values; withhold them before meta-training"
+        )
+    rngs = [as_rng(s) for _, _, _, s, _ in folds]
+    thetas = [
+        init_weights(base_config, model_inputs(train).shape[1], len(train.group_names), rng)
+        if theta is None else theta
+        for (train, _, _, _, theta), rng in zip(folds, rngs)
+    ]
+    stacks: dict = {}
+    for f, ((train, test, fold_tasks, _, _), theta) in enumerate(zip(folds, thetas)):
+        kinds = frozenset(t.kind for t in fold_tasks.training)
+        key = (
+            theta.layout, theta.activations,
+            np.unique(train.group_ids).size, np.unique(test.group_ids).size,
+            kinds if len(kinds) <= 1 else f,
+        )
+        stacks.setdefault(key, []).append(f)
+
+    results: list = [None] * len(folds)
+    first_failed = len(folds)
+    for members in stacks.values():
+        members = [f for f in members if f < first_failed]
+        if not members:
+            continue
+        theta = stack_weights([thetas[f] for f in members])
+        for f, result in zip(members, _lockstep(
+            theta, [folds[f][:3] for f in members], tuple(rngs[f] for f in members),
+            base_config, meta_config,
+        )):
+            results[f] = result
+            if isinstance(result, Exception):
+                first_failed = min(first_failed, f)
+    results = [results[first_failed] if r is None else r for r in results]
+    if one:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results
+
+
+def _lockstep(
+    theta: BaseLearnerWeights,
+    folds: list[tuple[DatasetTable, DatasetTable, TaskSet]],
+    rngs: tuple[np.random.Generator, ...],
+    base_config: BaseLearnerConfig,
+    meta_config: MetaConfig,
+) -> list[BaseLearnerWeights | Exception | None]:
+    """The meta-loop of one stack (owned by the loop), in fold order: each
+    fold's weights, its error, or None if an earlier fold's failure stopped
+    it. Weights objects are built only as folds enter and leave the stack."""
+    errors: FoldErrors = [None] * len(folds)
+    results: list = [None] * len(folds)
+    state = MetaState(theta, 0, rngs, errors)
+    spare = None
+
+    def shrink() -> bool:
+        """Drop the first failed fold and every later one; False once the
+        stack is empty."""
+        nonlocal state, spare
+        cut = next((j for j, e in enumerate(state.errors) if e is not None), None)
+        if cut is None:
+            return True
+        results[cut] = state.errors[cut]
+        state = MetaState(
+            state.theta.with_values(state.theta.values[:cut]), state.t, state.rng[:cut],
+            [None] * cut,
+        )
+        if spare is not None:
+            spare = spare.with_values(spare.values[:cut])
+        del folds[cut:]
+        return cut > 0
+
+    while state.t < meta_config.meta_iterations:
+        per_fold = []
+        for j, (train, test, fold_tasks) in enumerate(folds):
+            try:
+                per_fold.append([
+                    sample_task_batch(fold_tasks, train, test, meta_config.k, state.rng[j])
+                    for _ in range(meta_config.tasks_per_iteration)
+                ])
+            except (ConfigError, DataError) as exc:
+                state.errors[j] = exc
+                break
+        if not shrink():
+            return results
+        batches = [_stack_batches(list(b)) for b in zip(*per_fold)]
+        previous = state.theta
+        state = meta_step(state, batches, base_config, meta_config, out=spare)
+        spare = previous
+        if not shrink():
+            return results
+    for j, weights in enumerate(state.theta.unstack()):
+        results[j] = weights
+    return results
 
 
 @dataclass(frozen=True)
@@ -255,27 +370,3 @@ def predict_rows(
     if transform is not None and task_kind == "regression":
         preds = transform.invert(preds)
     return preds
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def save_meta_state(path: str | Path, state: MetaState, config_hash: str = "") -> None:
-    doc = weights_to_dict(state.theta, config_hash)
-    doc["meta_iteration"] = state.t
-    doc["rng_state"] = state.rng.bit_generator.state
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-
-
-def load_meta_state(path: str | Path) -> MetaState:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    theta = weights_from_dict(doc)
-    rng = np.random.default_rng()
-    try:
-        rng.bit_generator.state = doc["rng_state"]
-        t = int(doc["meta_iteration"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
-    return MetaState(theta=theta, t=t, rng=rng)

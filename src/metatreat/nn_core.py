@@ -5,11 +5,14 @@ dropout masks, MSE / binary cross-entropy losses, in-place SGD and Adam
 updates, and weight interpolation.
 
 Everything is float64 numpy, single-threaded, and driven by explicit RNG
-streams; independent networks can therefore run on independent threads.
+streams. Layer arrays may carry a leading fold axis: a stack of networks
+with one layout then steps together, each numpy call serving every fold,
+and each fold's numbers round exactly as they would alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +31,10 @@ _BCE_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Each fold's first numeric failure, in a stack's fold order; None while the
+# fold is healthy.
+FoldErrors = list[Exception | None]
 
 
 def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
@@ -55,6 +62,24 @@ def activation_grad(kind: str, out: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}")
 
 
+def record_failures(
+    errors: FoldErrors | None, bad: np.ndarray, message: Callable[[int], str]
+) -> None:
+    """Note ``NumericError(message(f))`` as the first failure of every fold
+    ``f`` flagged in ``bad`` (one flag per fold, a 0-d flag for one
+    network). Without a record the first flagged fold raises instead; with
+    one, a failed fold keeps computing garbage that nothing reads, so the
+    healthy folds of its stack can go on."""
+    bad = np.atleast_1d(bad)
+    if not bad.any():
+        return
+    for f in np.flatnonzero(bad):
+        if errors is None:
+            raise NumericError(message(int(f)))
+        if errors[f] is None:
+            errors[f] = NumericError(message(int(f)))
+
+
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -66,40 +91,34 @@ class DenseLayer:
 
     The effective weight for output unit j is ``gain[j] * v[:, j] / ||v[:, j]||``,
     so each column's direction and scale are decoupled. Every column of ``v``
-    must keep a nonzero norm.
+    must keep a nonzero norm. A stack of layers puts a leading fold axis on
+    ``v``, ``gain`` and ``bias`` alike.
     """
 
-    v: np.ndarray  # (n_in, n_out) direction matrix
-    gain: np.ndarray  # (n_out,)
-    bias: np.ndarray  # (n_out,)
+    v: np.ndarray  # ([folds,] n_in, n_out) direction matrix
+    gain: np.ndarray  # ([folds,] n_out)
+    bias: np.ndarray  # ([folds,] n_out)
     activation: str = "identity"
 
     def __post_init__(self) -> None:
         self.v = np.asarray(self.v, dtype=np.float64)
         self.gain = np.asarray(self.gain, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.v.ndim != 2:
-            raise ShapeError("dense layer direction matrix must be 2-D")
-        if self.gain.shape != (self.v.shape[1],) or self.bias.shape != (self.v.shape[1],):
+        if self.v.ndim not in (2, 3):
+            raise ShapeError("dense layer direction matrix must be 2-D, or 3-D with a fold axis")
+        out_shape = self.v.shape[:-2] + (self.n_out,)
+        if self.gain.shape != out_shape or self.bias.shape != out_shape:
             raise ShapeError("gain/bias length must equal the layer output dim")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def n_in(self) -> int:
-        return self.v.shape[0]
+        return self.v.shape[-2]
 
     @property
     def n_out(self) -> int:
-        return self.v.shape[1]
-
-
-def column_norms(layer: DenseLayer) -> np.ndarray:
-    norms = np.sqrt((layer.v * layer.v).sum(axis=0))
-    if (norms == 0.0).any():
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise NumericError(f"degenerate dense layer: direction column {bad} has zero norm")
-    return norms
+        return self.v.shape[-1]
 
 
 def init_dense_layer(
@@ -114,42 +133,70 @@ def init_dense_layer(
     return DenseLayer(v, gain, bias, activation)
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dense_forward(
+    x: np.ndarray, layer: DenseLayer, errors: FoldErrors | None = None, where: str = ""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """activation(x @ W_eff + bias) for a weight-normalized layer.
 
     Returns (out, norms, w_eff): the activations, plus the column norms of
     ``v`` and the effective weights that ``dense_backward`` takes, so one
-    training step computes them once per layer.
+    training step computes them once per layer. A stacked layer takes
+    ``x`` as (folds, rows, n_in). A zero-norm column or a non-finite
+    activation is a numeric failure, prefixed with ``where`` and handled by
+    ``record_failures``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.n_in:
+    if x.ndim != layer.v.ndim or x.shape[-1] != layer.n_in:
         raise ShapeError(
             f"dense layer expects input with {layer.n_in} columns, got shape {x.shape}"
         )
-    norms = column_norms(layer)
-    w_eff = layer.v * (layer.gain / norms)
-    out = apply_activation(layer.activation, x @ w_eff + layer.bias)
-    if not np.isfinite(out).all():
-        raise NumericError("dense layer produced non-finite activations")
+    norms = np.sqrt((layer.v * layer.v).sum(axis=-2))
+    zero = norms == 0.0
+    if zero.any():
+        cols = zero.reshape(-1, layer.n_out)
+        record_failures(
+            errors,
+            zero.any(axis=-1),
+            lambda f: f"{where}degenerate dense layer: direction column "
+            f"{int(np.argmax(cols[f]))} has zero norm",
+        )
+    w_eff = layer.v * (layer.gain / norms)[..., None, :]
+    out = apply_activation(layer.activation, x @ w_eff + layer.bias[..., None, :])
+    finite = np.isfinite(out)
+    if not finite.all():
+        record_failures(
+            errors,
+            ~finite.all(axis=(-2, -1)),
+            lambda f: f"{where}dense layer produced non-finite activations",
+        )
     return out, norms, w_eff
 
 
 def dense_backward(
-    layer: DenseLayer, x: np.ndarray, dz: np.ndarray, norms: np.ndarray, w_eff: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    layer: DenseLayer,
+    x: np.ndarray,
+    dz: np.ndarray,
+    norms: np.ndarray,
+    w_eff: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Backprop through the affine part given dL/dz (pre-activation grad),
     with the column norms and effective weights ``dense_forward`` returned.
 
-    Returns (dx, dv, dgain, dbias). The weight-norm chain rule is
+    Returns (dx, dv, dgain, dbias); dx is None when ``input_grad`` is off,
+    for a first layer whose input gradient nothing reads. The weight-norm
+    chain rule is
         dgain_j = v_j . dW_j / ||v_j||
         dv_j    = (gain_j / ||v_j||) dW_j - (gain_j dgain_j / ||v_j||^2) v_j
     with dW = x^T dz the gradient w.r.t. the effective weights.
     """
-    dw = x.T @ dz
-    dbias = dz.sum(axis=0)
-    dx = dz @ w_eff.T
-    dgain = (layer.v * dw).sum(axis=0) / norms
-    dv = dw * (layer.gain / norms) - layer.v * (layer.gain * dgain / norms**2)
+    dw = x.swapaxes(-1, -2) @ dz
+    dbias = dz.sum(axis=-2)
+    dx = dz @ w_eff.swapaxes(-1, -2) if input_grad else None
+    dgain = (layer.v * dw).sum(axis=-2) / norms
+    dv = dw * (layer.gain / norms)[..., None, :] - layer.v * (
+        layer.gain * dgain / norms**2
+    )[..., None, :]
     return dx, dv, dgain, dbias
 
 
@@ -158,9 +205,21 @@ def dense_backward(
 # ---------------------------------------------------------------------------
 
 
-def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Scaled keep-mask: entries are 0 with probability rate, else 1/(1-rate)."""
-    keep = rng.random(shape) >= rate
+def dropout_mask(
+    rng: np.random.Generator | Sequence[np.random.Generator], shape: tuple[int, ...], rate: float
+) -> np.ndarray:
+    """Scaled keep-mask: entries are 0 with probability rate, else 1/(1-rate).
+
+    Given one stream per fold, the masks come stacked as (folds, *shape),
+    each fold's drawn from its own stream exactly as it would be alone.
+    """
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(shape)
+    else:
+        draws = np.empty((len(rng), *shape))
+        for stream, fold_draws in zip(rng, draws):
+            stream.random(out=fold_draws)
+    keep = draws >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
@@ -169,19 +228,28 @@ def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) 
 # ---------------------------------------------------------------------------
 
 
-def param_axpy(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    """a + scale * (b - a), elementwise, as a new array.
+def param_axpy(
+    a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a + scale * (b - a), elementwise, into ``out`` (a new array by
+    default; ``out`` may be ``b`` but not ``a``).
 
-    scale 0 and 1 return exact copies of a and b respectively, so callers
+    scale 0 and 1 give exact copies of a and b respectively, so callers
     can rely on bitwise equality at the interpolation endpoints.
     """
     if a.shape != b.shape:
         raise ShapeError("param_axpy requires equally shaped parameter vectors")
+    if out is None:
+        out = np.empty_like(a)
     if scale == 0.0:
-        return a.copy()
-    if scale == 1.0:
-        return b.copy()
-    return a + scale * (b - a)
+        np.copyto(out, a)
+    elif scale == 1.0:
+        np.copyto(out, b)
+    else:
+        np.subtract(b, a, out=out)
+        out *= scale
+        out += a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +257,34 @@ def param_axpy(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def loss_value(pred: np.ndarray, y: np.ndarray, loss_kind: str) -> float:
-    """Mean data loss over every element of the batch."""
+def loss_value(
+    pred: np.ndarray, y: np.ndarray, loss_kind: str, axis: int | None = None
+) -> float | np.ndarray:
+    """Mean data loss over every element of the batch, or along ``axis``
+    (one mean per fold of a stacked batch)."""
     pred = np.asarray(pred, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
     if loss_kind == "mse":
-        return float(np.mean((pred - y) ** 2))
+        return np.mean((pred - y) ** 2, axis=axis)
     if loss_kind == "binary_cross_entropy":
         p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-        return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+        return np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=axis)
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
-def output_delta(pred: np.ndarray, y: np.ndarray, loss_kind: str, head_activation: str) -> np.ndarray:
-    """dL/dz at the output layer's pre-activation.
+def output_delta(
+    pred: np.ndarray, y: np.ndarray, loss_kind: str, head_activation: str, axis: int | None = None
+) -> np.ndarray:
+    """dL/dz at the output layer's pre-activation, for the loss that
+    ``loss_value`` averages over every element or along ``axis``.
 
     For binary cross-entropy on a sigmoid head the two gradients fuse to the
     numerically exact (pred - y) / n; anything else chains through the head
     activation explicitly.
     """
-    n = pred.size
+    n = pred.size if axis is None else pred.shape[axis]
     if loss_kind == "binary_cross_entropy":
         if head_activation != "sigmoid":
             raise ConfigError("binary cross-entropy requires a sigmoid output head")
@@ -221,13 +295,16 @@ def output_delta(pred: np.ndarray, y: np.ndarray, loss_kind: str, head_activatio
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
-def regularization_value(mats: list[np.ndarray], l1: float, l2: float) -> float:
+def regularization_value(mats: list[np.ndarray], l1: float, l2: float) -> np.ndarray | float:
+    """Per fold, l1 * sum|m| + l2 * sum m^2 over every matrix; each matrix
+    has a leading fold axis."""
     total = 0.0
     for m in mats:
+        flat = m.reshape(len(m), -1)
         if l1:
-            total += l1 * float(np.abs(m).sum())
+            total = total + l1 * np.abs(flat).sum(axis=1)
         if l2:
-            total += l2 * float((m * m).sum())
+            total = total + l2 * (flat * flat).sum(axis=1)
     return total
 
 
@@ -247,10 +324,11 @@ def regularization_grad(m: np.ndarray, l1: float, l2: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or Adam over a flat parameter vector.
+    """Plain SGD or Adam over a flat parameter vector (or a stack of them).
 
-    Adam's moment buffers are allocated lazily on the first step and must
-    shape-match the parameters afterwards; the step counter never decreases.
+    Adam's moment buffers and the update's scratch space are allocated
+    lazily on the first step and must shape-match the parameters
+    afterwards; the step counter never decreases.
     """
 
     kind: str
@@ -258,6 +336,7 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -267,23 +346,40 @@ class OptimizerState:
 
 
 def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
-    """One optimizer update of ``params`` in place; advances the state buffers."""
+    """One optimizer update of ``params`` in place; advances the state buffers.
+
+    Every temporary lives in the state's buffers, and each operation rounds
+    as the out-of-place ``params - lr * update`` would.
+    """
     if params.shape != grads.shape:
         raise ShapeError("parameter and gradient shapes differ")
+    if state.scratch is None:
+        state.scratch = np.empty((2 if state.kind == "adam" else 1, *params.shape))
+    elif state.scratch.shape[1:] != params.shape:
+        raise ShapeError("optimizer buffers do not match parameter shape")
+    step = state.scratch[0]
+    state.step_count += 1
     if state.kind == "sgd":
-        state.step_count += 1
-        params -= state.learning_rate * grads
+        np.multiply(grads, state.learning_rate, out=step)
+        params -= step
         return
     # adam
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    elif state.m.shape != params.shape:
-        raise ShapeError("adam moment buffers do not match parameter shape")
-    state.step_count += 1
     t = state.step_count
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
-    m_hat = state.m / (1.0 - ADAM_BETA1**t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    denom = state.scratch[1]
+    state.m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+    state.m += step
+    state.v *= ADAM_BETA2
+    np.multiply(grads, grads, out=step)
+    step *= 1.0 - ADAM_BETA2
+    state.v += step
+    np.divide(state.v, 1.0 - ADAM_BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= state.learning_rate
+    step /= denom
+    params -= step

@@ -10,6 +10,7 @@ from metatreat.base_learner import (
     loss_and_grads,
     off_grid_fields,
     save_weights,
+    stack_weights,
 )
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError
@@ -228,6 +229,55 @@ def test_inner_update_matches_unfused_reference_bitwise(optimizer):
         )
         optimizer_step(expected.values, grads, state)
     assert out.values.tobytes() == expected.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("hidden_dim", [7, 128])
+def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
+    # folds of one layout step together on a leading fold axis; each fold's
+    # loss and gradient keep the bits it gets alone, dropout draws included
+    rng = np.random.default_rng(32)
+    config = small_config(
+        n_layers=3, hidden_dim=hidden_dim, activation="relu", reg_kind="both",
+        reg_strength=1e-2, dropout_rate=0.2,
+    )
+    nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
+    for net in nets:
+        net.values[:] += rng.normal(scale=0.3, size=net.values.size)
+    batches = [make_batch(rng, 9, 4, 4, exclude_group=f) for f in range(3)]
+    if kind == "classification":
+        batches = [(x, g, (y > 0).astype(float)) for x, g, y in batches]
+    x, g, y = (np.stack(parts) for parts in zip(*batches))
+    streams = tuple(np.random.default_rng(seed) for seed in range(3))
+    losses, grads = loss_and_grads(stack_weights(nets), x, g, y, kind, config, rng=streams)
+    assert grads.shape == (3, nets[0].values.size)
+    for f, net in enumerate(nets):
+        loss, grad = loss_and_grads(net, *batches[f], kind, config, rng=np.random.default_rng(f))
+        assert losses[f] == loss
+        assert grads[f].tobytes() == grad.tobytes()
+
+
+def test_stack_keeps_each_folds_first_numeric_failure():
+    # fold 1 overflows in extractor layer 1; fold 0 goes on with its own bits
+    config = small_config(n_layers=2, hidden_dim=1, activation="relu")
+    nets = [init_weights(config, 1, 2, np.random.default_rng(seed)) for seed in (20, 21)]
+    for layer, gain in zip(nets[1].extractor, (1e150, 1e20)):
+        layer.v[:] = 1.0
+        layer.gain[:] = gain
+        layer.bias[:] = 0.0
+    x = np.array([[[1.0]], [[1e150]]])
+    g, y = np.zeros((2, 1), dtype=int), np.zeros((2, 1))
+    errors = [None, None]
+    losses, grads = loss_and_grads(
+        stack_weights(nets), x, g, y, "regression", config, train=False, errors=errors
+    )
+    assert errors[0] is None
+    assert str(errors[1]) == "extractor layer 1: dense layer produced non-finite activations"
+    loss, grad = loss_and_grads(nets[0], x[0], g[0], y[0], "regression", config, train=False)
+    assert losses[0] == loss and grads[0].tobytes() == grad.tobytes()
+    # without a record, the first failing fold raises
+    with pytest.raises(NumericError, match="extractor layer 1"):
+        loss_and_grads(stack_weights(nets), x, g, y, "regression", config, train=False)
 
 
 def test_untouched_embedding_rows_have_zero_gradient():

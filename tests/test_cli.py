@@ -199,9 +199,9 @@ def test_cv_reference_group_holdout_fails_before_any_fold(tmp_path, study_dir, m
     calls = []
     real_meta_train = eval_harness.meta_train
 
-    def counting_meta_train(*args, **kwargs):
-        calls.append(1)
-        return real_meta_train(*args, **kwargs)
+    def counting_meta_train(train_tables, *args, **kwargs):
+        calls.extend(train_tables)  # one training table per fold
+        return real_meta_train(train_tables, *args, **kwargs)
 
     monkeypatch.setattr(eval_harness, "meta_train", counting_meta_train)
     run = tmp_path / "run.json"

@@ -31,6 +31,7 @@ from metatreat.eval_harness import (
     strict_dataclass,
 )
 from metatreat.meta_learner import MetaConfig
+from metatreat.rng import child_rng
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig
 from oracles import pairwise_auc
@@ -484,9 +485,10 @@ def test_grid_search_results_identical_at_any_worker_count():
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor: records each pool's
-    size and runs ``map`` serially."""
+    size and the fold count of each payload, and runs ``map`` serially."""
 
     sizes: list[int] = []
+    payloads: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -498,23 +500,34 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.payloads.extend(len(group) for group in items)
         return map(fn, items)
 
 
 @pytest.mark.parametrize(
-    "jobs, cpus, expected_size",
-    [(2, 64, 2), (10**6, 64, 12), (10**6, 3, 3)],
+    "jobs, cpus, expected_size, expected_payloads",
+    [
+        pytest.param(2, 64, 2, [3] * 4, id="2-64-2"),
+        pytest.param(10**6, 64, 12, [1] * 12, id="1000000-64-12"),
+        pytest.param(10**6, 3, 3, [3] * 4, id="1000000-3-3"),
+    ],
 )
-def test_grid_search_uses_one_pool_no_larger_than_the_work(monkeypatch, jobs, cpus, expected_size):
+def test_grid_search_uses_one_pool_no_larger_than_the_work(
+    monkeypatch, jobs, cpus, expected_size, expected_payloads
+):
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "payloads", [])
     monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(eval_harness, "_usable_cpus", lambda: cpus)
     table, manifest, _ = small_raw(seed=12)
     _, board = grid_search(
         tiny_space(), table, manifest, 4, 7, FAST_PIPELINE, CvConfig(seed=0, jobs=jobs)
     )
-    # 4 candidates x 3 folds = 12 payloads, all sent to one pool
+    # 4 candidates x 3 folds, each candidate's folds split into
+    # clamp(workers // 4, 1, 3) lockstep groups, all sent to one pool
     assert RecordingPool.sizes == [expected_size]
+    assert RecordingPool.payloads == expected_payloads
     _, serial = grid_search(tiny_space(), table, manifest, 4, 7, FAST_PIPELINE, CvConfig(seed=0))
     assert json.dumps(board, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
@@ -544,6 +557,57 @@ def test_run_cv_pool_no_larger_than_its_folds(monkeypatch, jobs, expected_sizes)
     report = run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4, jobs=jobs))
     assert RecordingPool.sizes == expected_sizes
     assert report == run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4))
+
+
+def _in_process_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "payloads", [])
+    monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(eval_harness, "_usable_cpus", lambda: 64)
+
+
+def test_lockstep_folds_match_folds_alone_across_layouts(monkeypatch):
+    # x0 is missing in g0 and g1, so only the fold holding out g2 (training
+    # on g0 and g1) drops it as sparse: one group of three folds holds two
+    # stacks. One job steps all folds in one group, two jobs split them into
+    # (g0, g1) and (g2), three run each fold alone; the reports are the same
+    _in_process_pool(monkeypatch)
+    table, manifest, _ = small_raw(seed=8)
+    values, missing = np.array(table.values), np.array(table.missing_mask)
+    rows = table.group_ids != table.resolve_group("g2")
+    values[rows, table.column_index("x0")] = np.nan
+    missing[rows, table.column_index("x0")] = True
+    table = DatasetTable(table.columns, values, missing, table.group_ids, table.group_names)
+    payloads = eval_harness._fold_payloads(table, manifest, FAST_PIPELINE, CvConfig(seed=2))
+    widths = [eval_harness._fold_setup(*p).theta0.n_features for p in payloads]
+    assert widths[0] == widths[1] == widths[2] + 1
+    texts = {
+        jobs: run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=2, jobs=jobs)).to_csv_text()
+        for jobs in (1, 2, 3)
+    }
+    assert RecordingPool.payloads == [2, 1, 1, 1, 1]
+    assert texts[1] == texts[2] == texts[3]
+
+
+def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):
+    # candidate 1 of the mixed-outcome search fails in fold 1 whether its
+    # folds step together or alone, with the same error, and the overflow
+    # behind it prints no RuntimeWarning
+    _in_process_pool(monkeypatch)
+    table, manifest, space, template = mixed_outcome_search()
+    numeric = sample_candidate(space, child_rng(1, "candidate", 1), template)
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for jobs in (1, 2, 3):
+            with pytest.raises(NumericError) as failure:
+                run_cv(table, manifest, numeric, CvConfig(seed=0, jobs=jobs))
+            messages.append(str(failure.value))
+        _, board = grid_search(space, table, manifest, 2, 1, template, CvConfig(seed=0))
+    assert messages == ["loss is not finite"] * 3
+    assert board[-1]["candidate"] == 1
+    assert board[-1]["error"] == "NumericError: loss is not finite"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_pipeline_config_round_trip_and_strictness():

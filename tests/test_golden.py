@@ -3,7 +3,8 @@
 ``fixtures/golden_report.json`` holds every row of two 3x60 ``run_cv``
 reports (the default regression pipeline, and a classification pipeline
 with adam, l1+l2 regularization and dropout). ``fixtures/checkpoint_v1.json``
-is a ``save_meta_state`` checkpoint of a tiny net and
+is a weights checkpoint of a tiny net (with the meta-loop progress that
+checkpoints once carried, which ``weights_from_dict`` ignores) and
 ``fixtures/checkpoint_v1_predictions.json`` its eval-mode predictions.
 
 The fixtures are regenerated with ``PYTHONPATH=src python tests/test_golden.py``,
@@ -17,11 +18,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metatreat.base_learner import BaseLearnerConfig, forward, init_weights
+from metatreat.base_learner import (
+    BaseLearnerConfig,
+    BaseLearnerWeights,
+    forward,
+    init_weights,
+    weights_from_dict,
+    weights_to_dict,
+)
 from metatreat.cli import report_from_csv_text
 from metatreat.errors import ConfigError, ShapeError
 from metatreat.eval_harness import CvConfig, PipelineConfig, run_cv
-from metatreat.meta_learner import MetaState, load_meta_state, save_meta_state
 from metatreat.synth_gen import GeneratorConfig, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,25 +74,21 @@ def _checkpoint_inputs() -> tuple[np.ndarray, np.ndarray]:
     return rng.normal(size=(6, 2)), np.array([0, 1, 2, 0, 1, 2])
 
 
-def _predictions(state: MetaState) -> dict[str, list[float]]:
+def _load(path: Path) -> BaseLearnerWeights:
+    return weights_from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _predictions(weights: BaseLearnerWeights) -> dict[str, list[float]]:
     x, g = _checkpoint_inputs()
     return {
-        kind: forward(state.theta, x, g, TINY, mode="eval", kind=kind).tolist()
+        kind: forward(weights, x, g, TINY, mode="eval", kind=kind).tolist()
         for kind in ("regression", "classification")
     }
 
 
-def test_checkpoint_v1_loads_and_reserializes_byte_identically(tmp_path):
-    state = load_meta_state(CHECKPOINT)
-    assert state.t == 3
-    out = tmp_path / "again.json"
-    save_meta_state(out, state, CHECKPOINT_HASH)
-    assert out.read_bytes() == CHECKPOINT.read_bytes()
-
-
 def test_checkpoint_v1_predicts_stored_values_exactly():
     stored = json.loads(CHECKPOINT_PREDICTIONS.read_text(encoding="utf-8"))
-    assert _predictions(load_meta_state(CHECKPOINT)) == stored
+    assert _predictions(_load(CHECKPOINT)) == stored
 
 
 def _malformed(tmp_path, edit) -> Path:
@@ -99,7 +102,7 @@ def _malformed(tmp_path, edit) -> Path:
 def test_checkpoint_values_length_must_match_layout(tmp_path):
     path = _malformed(tmp_path, lambda doc: doc["values"].pop())
     with pytest.raises(ShapeError):
-        load_meta_state(path)
+        _load(path)
 
 
 def test_checkpoint_layout_missing_head_direction_rejected(tmp_path):
@@ -107,14 +110,14 @@ def test_checkpoint_layout_missing_head_direction_rejected(tmp_path):
         doc["layout"] = [entry for entry in doc["layout"] if entry[0] != "head.v"]
 
     with pytest.raises((ShapeError, ConfigError)):
-        load_meta_state(_malformed(tmp_path, drop_head_v))
+        _load(_malformed(tmp_path, drop_head_v))
 
 
-@pytest.mark.parametrize("key", ["activations", "rng_state", "meta_iteration"])
+@pytest.mark.parametrize("key", ["activations"])
 def test_checkpoint_missing_key_rejected(tmp_path, key):
     path = _malformed(tmp_path, lambda doc: doc.pop(key))
     with pytest.raises(ConfigError):
-        load_meta_state(path)
+        _load(path)
 
 
 def _write_fixtures() -> None:
@@ -124,8 +127,11 @@ def _write_fixtures() -> None:
     rng = np.random.default_rng(3)
     theta = init_weights(TINY, 2, 3, rng)
     theta.embeddings[:] = rng.normal(size=theta.embeddings.shape)
-    save_meta_state(CHECKPOINT, MetaState(theta, 3, rng), CHECKPOINT_HASH)
-    predictions = _predictions(load_meta_state(CHECKPOINT))
+    doc = weights_to_dict(theta, CHECKPOINT_HASH)
+    doc["meta_iteration"] = 3
+    doc["rng_state"] = rng.bit_generator.state
+    CHECKPOINT.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    predictions = _predictions(_load(CHECKPOINT))
     CHECKPOINT_PREDICTIONS.write_text(json.dumps(predictions, indent=1) + "\n", encoding="utf-8")
 
 

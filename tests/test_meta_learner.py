@@ -8,19 +8,16 @@ from metatreat.data_model import (
     group_holdout_split,
     withhold_targets,
 )
-from metatreat.errors import ConfigError, DataError
+from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.meta_learner import (
     MetaConfig,
     MetaState,
     epsilon_schedule,
     fine_tune,
-    load_meta_state,
     meta_step,
     meta_train,
     predict_rows,
-    resume_meta_train,
     sample_task_batch,
-    save_meta_state,
 )
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
@@ -227,28 +224,37 @@ def test_fine_tune_standardizes_regression_labels():
 
 
 # ---------------------------------------------------------------------------
-# checkpoint / resume
+# lockstep folds
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_resume_matches_straight_run(tmp_path):
-    train_table, masked_test, _, tasks = small_study()
-    meta = MetaConfig(meta_iterations=6, k=4)
+def _three_folds():
+    studies = [small_study(seed=s, g_star=g) for s, g in ((0, "g0"), (1, "g1"), (2, "g2"))]
+    return [s[0] for s in studies], [s[1] for s in studies], [s[3] for s in studies]
 
-    straight = meta_train(train_table, masked_test, tasks, BASE, meta, seed=33)
 
-    # same run, checkpointed halfway through
-    rng = np.random.default_rng(33)
-    theta = init_weights(BASE, 3, 3, rng)
-    state = MetaState(theta, 0, rng)
-    for _ in range(3):
-        batches = [
-            sample_task_batch(tasks, train_table, masked_test, meta.k, state.rng)
-            for _ in range(meta.tasks_per_iteration)
-        ]
-        state = meta_step(state, batches, BASE, meta)
-    save_meta_state(tmp_path / "ckpt.json", state, "deadbeef")
-    restored = load_meta_state(tmp_path / "ckpt.json")
-    assert restored.t == 3
-    final = resume_meta_train(restored, train_table, masked_test, tasks, BASE, meta)
-    assert np.array_equal(final.values, straight.values)
+def test_lockstep_meta_train_matches_each_fold_alone():
+    trains, tests, task_sets = _three_folds()
+    meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
+    seeds = [10, 11, 12]
+    stacked = meta_train(trains, tests, task_sets, BASE, meta, seeds)
+    for f, seed in enumerate(seeds):
+        alone = meta_train(trains[f], tests[f], task_sets[f], BASE, meta, seed=seed)
+        assert stacked[f].values.tobytes() == alone.values.tobytes()
+
+
+def test_lockstep_failure_stops_the_later_folds_only():
+    # fold 1 starts with a zero-norm direction column: it fails at its first
+    # step, fold 2 stops with it as a serial run would, fold 0 runs on
+    trains, tests, task_sets = _three_folds()
+    meta = MetaConfig(meta_iterations=4, k=4)
+    thetas = [init_weights(BASE, 3, 3, np.random.default_rng(s)) for s in range(3)]
+    thetas[1].extractor[1].v[:, 0] = 0.0
+    results = meta_train(trains, tests, task_sets, BASE, meta, [5, 6, 7], thetas)
+    message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"
+    assert isinstance(results[1], NumericError) and str(results[1]) == message
+    assert results[2] is results[1]
+    alone = meta_train(trains[0], tests[0], task_sets[0], BASE, meta, 5, thetas[0])
+    assert results[0].values.tobytes() == alone.values.tobytes()
+    with pytest.raises(NumericError, match=message):
+        meta_train(trains[1], tests[1], task_sets[1], BASE, meta, 6, thetas[1])
