@@ -11,7 +11,6 @@ from .data_model import (
     Manifest,
     PreprocessConfig,
     PreprocessPlan,
-    apply_preprocess,
     fit_preprocess,
     group_holdout_split,
     load_csv,
@@ -53,7 +52,6 @@ __all__ = [
     "SelectionConfig",
     "TaskSet",
     "TaskSpec",
-    "apply_preprocess",
     "auc",
     "baseline_predict",
     "bayes_optimal_mse",

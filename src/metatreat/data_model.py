@@ -5,8 +5,7 @@ imputation, feature/target scaling, and group-holdout splitting.
 
 Tables are immutable after construction; every operation returns a new
 table, so read-only sharing across threads is safe. All fit statistics are
-computed on training rows only and recorded in a serializable plan that can
-be replayed bit-exactly.
+computed on training rows only and recorded in a serializable plan.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ConfigError, DataError, ShapeError
 
@@ -440,14 +438,6 @@ def table_from_rows(
 # ---------------------------------------------------------------------------
 
 
-def drop_columns(table: DatasetTable, names: tuple[str, ...]) -> DatasetTable:
-    if not names:
-        return table
-    keep = [i for i, c in enumerate(table.columns) if c.name not in names]
-    cols = tuple(table.columns[i] for i in keep)
-    return table.replace_matrix(cols, table.values[:, keep], table.missing_mask[:, keep])
-
-
 def drop_sparse_features(
     table: DatasetTable, threshold: float, train_mask: np.ndarray | None = None
 ) -> tuple[DatasetTable, tuple[str, ...]]:
@@ -466,7 +456,12 @@ def drop_sparse_features(
         frac = float(table.missing_mask[rows, j].mean()) if table.n_rows else 0.0
         if frac > threshold:
             dropped.append(col.name)
-    return drop_columns(table, tuple(dropped)), tuple(dropped)
+    if not dropped:
+        return table, ()
+    keep = [j for j, c in enumerate(table.columns) if c.name not in dropped]
+    cols = tuple(table.columns[j] for j in keep)
+    kept = table.replace_matrix(cols, table.values[:, keep], table.missing_mask[:, keep])
+    return kept, tuple(dropped)
 
 
 def impute_means(
@@ -522,6 +517,9 @@ def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> float:
         return 1.0
     t = (a.mean() - b.mean()) / np.sqrt(se2)
     df = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
+    # Imported on use: scipy takes ~1 s to load and regression runs never call it.
+    from scipy.special import stdtr
+
     return float(2.0 * stdtr(df, -abs(t)))
 
 
@@ -761,10 +759,9 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class PreprocessPlan:
-    """Everything needed to replay preprocessing bit-exactly.
+    """What preprocessing fitted, as a serializable record.
 
-    Fit statistics derive only from training rows; applying the plan to the
-    same raw table reproduces the processed table exactly.
+    Fit statistics derive only from training rows.
     """
 
     config: PreprocessConfig
@@ -803,36 +800,6 @@ class PreprocessPlan:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PreprocessPlan":
-        cfg = PreprocessConfig(**doc["config"])
-        res = doc["residual_stats"]
-        rstats = None
-        if res is not None:
-            rstats = ResidualStats(
-                stratifier=res["stratifier"],
-                columns={
-                    name: (tuple(pair[0]), tuple(pair[1]))
-                    for name, pair in res["columns"].items()
-                },
-            )
-        sc = doc["scale_stats"]
-        sstats = ScaleStats(
-            mode=sc["mode"],
-            feature_affine={k: tuple(v) for k, v in sc["feature_affine"].items()},
-            target_affine={k: tuple(v) for k, v in sc["target_affine"].items()},
-            reference_group=sc["reference_group"],
-            skipped=tuple(sc["skipped"]),
-        )
-        return cls(
-            config=cfg,
-            differential_pairs=tuple((p[0], p[1]) for p in doc["differential_pairs"]),
-            dropped_columns=tuple(doc["dropped_columns"]),
-            residual_stats=rstats,
-            imputation_means={k: float(v) for k, v in doc["imputation_means"].items()},
-            scale_stats=sstats,
-        )
-
 
 def fit_preprocess(
     table: DatasetTable,
@@ -865,16 +832,6 @@ def fit_preprocess(
         scale_stats=sstats,
     )
     return plan, t
-
-
-def apply_preprocess(table: DatasetTable, plan: PreprocessPlan) -> DatasetTable:
-    """Replay a fitted plan on a raw table (bit-exact with the fit output)."""
-    t = differential_features(table, plan.differential_pairs)
-    t = drop_columns(t, plan.dropped_columns)
-    if plan.residual_stats is not None:
-        t = apply_residual(t, plan.residual_stats)
-    t = apply_imputation(t, plan.imputation_means)
-    return scale_features(t, plan.scale_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +872,6 @@ class TaskData:
     @property
     def n(self) -> int:
         return len(self.y)
-
-    def take(self, idx: np.ndarray) -> "TaskData":
-        return TaskData(self.x[idx], self.group_ids[idx], self.y[idx], self.row_indices[idx])
 
 
 def binarize_labels(y: np.ndarray) -> np.ndarray:

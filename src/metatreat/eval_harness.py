@@ -22,8 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .base_learner import BaseLearnerConfig, BaseLearnerWeights, init_weights
 from .data_model import (
@@ -40,6 +38,7 @@ from .data_model import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .meta_learner import MetaConfig, fine_tune, meta_train, predict_rows
+from .nn_core import apply_activation
 from .rng import child_rng
 from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
 
@@ -79,6 +78,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
+    # Imported on use: scipy takes ~1 s to load and regression runs never call it.
+    from scipy.stats import rankdata
+
     ranks = rankdata(scores, method="average")
     u = ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -143,7 +145,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     lip = float(np.linalg.eigvalsh(a.T @ a).max()) / (4.0 * n) + 2.0 * alpha
 
     def grad(wb: np.ndarray) -> np.ndarray:
-        p = expit(a @ wb)
+        p = apply_activation("sigmoid", a @ wb)
         g = a.T @ (p - y) / n
         g[:d] += 2.0 * alpha * wb[:d]
         return g
@@ -200,7 +202,7 @@ def baseline_predict(
         return test_x @ wb[:-1] + wb[-1]
     if kind == "logistic":
         wb = _fit_logistic(train_x, train_y, config.logistic_alpha)
-        return expit(test_x @ wb[:-1] + wb[-1])
+        return apply_activation("sigmoid", test_x @ wb[:-1] + wb[-1])
     raise ConfigError(f"unknown baseline {kind!r}")
 
 

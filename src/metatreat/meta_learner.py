@@ -86,13 +86,37 @@ def epsilon_schedule(t: int, total: int, epsilon0: float) -> float:
     return epsilon0 * (total - t) / total
 
 
+class TaskCache:
+    """Each drawn task's observed rows on both sides of one split, with each
+    group's positions among them, built on first use. A side keeps one input
+    matrix, shared by all its tasks, so the cache holds about one copy of the
+    split's inputs however many tasks are drawn."""
+
+    def __init__(self) -> None:
+        self.inputs: list[np.ndarray | None] = [None, None]
+        self.tasks: dict[tuple[str, str], list[tuple]] = {}
+
+    def get(self, tables: tuple[DatasetTable, DatasetTable], task: TaskSpec) -> list[tuple]:
+        key = (task.column, task.kind)
+        if key not in self.tasks:
+            self.tasks[key] = [self._build(side, t, *key) for side, t in enumerate(tables)]
+        return self.tasks[key]
+
+    def _build(self, side: int, table: DatasetTable, column: str, kind: str) -> tuple:
+        data = task_dataset(table, column, kind)
+        if self.inputs[side] is None:
+            self.inputs[side] = model_inputs(table)
+        groups = [(g, np.flatnonzero(data.group_ids == g)) for g in np.unique(table.group_ids)]
+        return self.inputs[side], data.row_indices, data.y, groups
+
+
 def _sample_per_group(
-    table: DatasetTable, data: TaskData, k: int, rng: np.random.Generator
+    table: DatasetTable, task_rows: tuple, k: int, rng: np.random.Generator
 ) -> TaskData:
     """k rows per group present in the table, without replacement when possible."""
+    inputs, observed, y, groups = task_rows
     picks = []
-    for gid in np.unique(table.group_ids):
-        rows = np.flatnonzero(data.group_ids == gid)
+    for gid, rows in groups:
         if rows.size == 0:
             raise DataError(
                 f"group {table.group_names[gid]!r} has no rows with observed task values"
@@ -106,7 +130,9 @@ def _sample_per_group(
             picks.append(rng.choice(rows, size=k, replace=True))
         else:
             picks.append(rng.choice(rows, size=k, replace=False))
-    return data.take(np.concatenate(picks))
+    idx = np.concatenate(picks)
+    rows = observed[idx]
+    return TaskData(inputs[rows], table.group_ids[rows], y[idx], rows)
 
 
 def sample_task_batch(
@@ -115,19 +141,20 @@ def sample_task_batch(
     test_table: DatasetTable,
     k: int,
     rng: np.random.Generator,
+    cache: TaskCache | None = None,
 ) -> TaskBatch:
     """Sample a training task plus k rows per group on both sides of the split.
 
     The fine-tune slice comes from the held-out group's rows and uses only
-    the training-task column, never a target column.
+    the training-task column, never a target column. A caller that samples
+    from the same tables again passes one ``cache`` to every call.
     """
     if not tasks.training:
         raise ConfigError("no training tasks to sample from")
     task = tasks.training[int(rng.integers(len(tasks.training)))]
-    train_all = task_dataset(train_table, task.column, task.kind)
-    finetune_all = task_dataset(test_table, task.column, task.kind)
-    train_data = _sample_per_group(train_table, train_all, k, rng)
-    finetune_data = _sample_per_group(test_table, finetune_all, k, rng)
+    train_rows, finetune_rows = (cache or TaskCache()).get((train_table, test_table), task)
+    train_data = _sample_per_group(train_table, train_rows, k, rng)
+    finetune_data = _sample_per_group(test_table, finetune_rows, k, rng)
     return TaskBatch(task, train_data, finetune_data)
 
 
@@ -268,6 +295,7 @@ def _lockstep(
     it. Weights objects are built only as folds enter and leave the stack."""
     errors: FoldErrors = [None] * len(folds)
     results: list = [None] * len(folds)
+    caches = [TaskCache() for _ in folds]
     state = MetaState(theta, 0, rngs, errors)
     spare = None
 
@@ -285,7 +313,7 @@ def _lockstep(
         )
         if spare is not None:
             spare = spare.with_values(spare.values[:cut])
-        del folds[cut:]
+        del folds[cut:], caches[cut:]
         return cut > 0
 
     while state.t < meta_config.meta_iterations:
@@ -293,7 +321,9 @@ def _lockstep(
         for j, (train, test, fold_tasks) in enumerate(folds):
             try:
                 per_fold.append([
-                    sample_task_batch(fold_tasks, train, test, meta_config.k, state.rng[j])
+                    sample_task_batch(
+                        fold_tasks, train, test, meta_config.k, state.rng[j], caches[j]
+                    )
                     for _ in range(meta_config.tasks_per_iteration)
                 ])
             except (ConfigError, DataError) as exc:

@@ -16,7 +16,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -43,6 +42,9 @@ def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(z)
     if kind == "sigmoid":
+        # Imported on use: scipy takes ~1 s to load and regression runs never call it.
+        from scipy.special import expit
+
         return expit(z)
     if kind == "identity":
         return z

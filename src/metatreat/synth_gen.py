@@ -22,6 +22,11 @@ from .errors import ConfigError
 
 COUPLINGS = ("linear", "mild_nonlinear")
 
+# Largest study `generate` builds, in table cells: rows x (d_pre + d_aux + 1
+# target). Each float64 copy of such a table is 80 MB, and the cap still
+# admits a 50,000-row study with 199 feature columns.
+MAX_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -50,6 +55,12 @@ class GeneratorConfig:
             raise ConfigError("seed must be non-negative")
         if self.d_pre < 1 or self.d_aux < 0:
             raise ConfigError("d_pre must be >=1 and d_aux >=0")
+        cells = self.n_groups * self.n_per_group * (self.d_pre + self.d_aux + 1)
+        if cells > MAX_CELLS:
+            raise ConfigError(
+                f"study of {cells} cells (groups x rows per group x columns) exceeds the "
+                f"generator's cap of {MAX_CELLS}"
+            )
         if len(self.delta) != self.n_groups:
             raise ConfigError(f"delta must list one shift per group ({self.n_groups})")
         if self.noise_sigma <= 0.0 or (self.aux_noise_sigma is not None and self.aux_noise_sigma <= 0.0):

@@ -322,6 +322,14 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, kind):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_generate_over_the_cell_cap_exits_2_without_output(tmp_path, capsys):
+    bad = tmp_path / "gen.json"
+    bad.write_text(json.dumps({**GEN_CONFIG, "n_per_group": 10**9}))
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert "exceeds the generator's cap" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_generator_integer_shifts_are_written_as_floats(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({**GEN_CONFIG, "delta": [-1, 0, 1]}))

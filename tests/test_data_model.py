@@ -8,7 +8,6 @@ from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
     PreprocessConfig,
-    apply_preprocess,
     binarize_labels,
     differential_features,
     drop_sparse_features,
@@ -19,7 +18,6 @@ from metatreat.data_model import (
     load_csv,
     model_inputs,
     parse_manifest,
-    PreprocessPlan,
     residualize,
     scale_features,
     table_from_rows,
@@ -511,32 +509,6 @@ def plan_fixture():
         ColumnMeta("y", "post", "numeric", "target"),
     ]
     return make_table(vals, cols, gids, group_names=("a", "b", "c"))
-
-
-def test_plan_replay_is_bit_exact():
-    table = plan_fixture()
-    train = table.group_ids != 2
-    config = PreprocessConfig(missing_threshold=0.5, scaling="standardize")
-    plan, processed = fit_preprocess(table, train, config, (("f1_post", "f1_pre"),))
-    replayed = apply_preprocess(table, plan)
-    assert [c.name for c in replayed.columns] == [c.name for c in processed.columns]
-    assert np.array_equal(
-        np.nan_to_num(replayed.values, nan=-1.0), np.nan_to_num(processed.values, nan=-1.0)
-    )
-    assert np.array_equal(replayed.missing_mask, processed.missing_mask)
-
-
-def test_plan_round_trips_through_json():
-    table = plan_fixture()
-    train = table.group_ids != 2
-    config = PreprocessConfig(scaling="standardize_vs_reference_group", reference_group="a")
-    plan, processed = fit_preprocess(table, train, config, ())
-    doc = json.loads(json.dumps(plan.to_dict()))
-    plan2 = PreprocessPlan.from_dict(doc)
-    replayed = apply_preprocess(table, plan2)
-    assert np.array_equal(
-        np.nan_to_num(replayed.values, nan=-1.0), np.nan_to_num(processed.values, nan=-1.0)
-    )
 
 
 def test_plan_never_reads_test_rows():

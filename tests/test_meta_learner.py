@@ -6,12 +6,16 @@ from metatreat.data_model import (
     PreprocessConfig,
     fit_preprocess,
     group_holdout_split,
+    model_inputs,
+    task_dataset,
     withhold_targets,
 )
+from metatreat import meta_learner
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.meta_learner import (
     MetaConfig,
     MetaState,
+    TaskCache,
     epsilon_schedule,
     fine_tune,
     meta_step,
@@ -111,6 +115,39 @@ def test_small_group_warns_and_samples_with_replacement():
     with pytest.warns(UserWarning, match="replacement"):
         batch = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(0))
     assert batch.finetune_data.n == 5
+
+
+def test_sampling_from_a_kept_cache_draws_the_same_rows():
+    train_table, masked_test, _, tasks = small_study()
+    plain, kept = np.random.default_rng(8), np.random.default_rng(8)
+    cache = TaskCache()
+    for _ in range(12):
+        a = sample_task_batch(tasks, train_table, masked_test, 4, plain)
+        b = sample_task_batch(tasks, train_table, masked_test, 4, kept, cache)
+        assert a.task == b.task
+        for side, table in (("train_data", train_table), ("finetune_data", masked_test)):
+            full = task_dataset(table, b.task.column, b.task.kind)
+            pos = np.searchsorted(full.row_indices, getattr(b, side).row_indices)
+            for name in ("x", "group_ids", "y", "row_indices"):
+                want = getattr(full, name)[pos].tobytes()
+                assert getattr(getattr(a, side), name).tobytes() == want
+                assert getattr(getattr(b, side), name).tobytes() == want
+    assert set(cache.tasks) == {(t.column, t.kind) for t in tasks.training}
+
+
+def test_task_cache_keeps_one_input_matrix_per_side():
+    train_table, masked_test, _, tasks = small_study()
+    cache, rng = TaskCache(), np.random.default_rng(2)
+    for _ in range(20):
+        sample_task_batch(tasks, train_table, masked_test, 4, rng, cache)
+    assert len(cache.tasks) > 1
+    for side, table in enumerate((train_table, masked_test)):
+        assert cache.inputs[side].tobytes() == model_inputs(table).tobytes()
+        for sides in cache.tasks.values():
+            # no per-task copy of the inputs: only 1-D row data besides the shared matrix
+            inputs, observed, y, groups = sides[side]
+            assert inputs is cache.inputs[side]
+            assert observed.ndim == y.ndim == 1 and all(pos.ndim == 1 for _, pos in groups)
 
 
 def test_sampled_task_is_always_a_training_task():
@@ -258,3 +295,23 @@ def test_lockstep_failure_stops_the_later_folds_only():
     assert results[0].values.tobytes() == alone.values.tobytes()
     with pytest.raises(NumericError, match=message):
         meta_train(trains[1], tests[1], task_sets[1], BASE, meta, 6, thetas[1])
+
+
+def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
+    trains, tests, task_sets = _three_folds()
+    calls = {}
+    build = meta_learner.task_dataset
+
+    def counted(table, column, kind):
+        calls[id(table), column] = calls.get((id(table), column), 0) + 1
+        return build(table, column, kind)
+
+    monkeypatch.setattr(meta_learner, "task_dataset", counted)
+    meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
+    meta_train(trains, tests, task_sets, BASE, meta, [10, 11, 12])
+    columns = {t.column for tasks in task_sets for t in tasks.training}
+    assert len(columns) > 1
+    # 3 folds x 10 iterations x 2 draws, each needing a train and a test slice
+    assert set(calls.values()) == {1} and len(calls) < 3 * 10 * 2 * 2
+    tables = {id(t) for t in trains + tests}
+    assert {table for table, _ in calls} == tables

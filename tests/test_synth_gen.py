@@ -7,6 +7,7 @@ from metatreat.data_model import load_csv
 from metatreat.errors import ConfigError
 from metatreat.eval_harness import baseline_predict, mse
 from metatreat.synth_gen import (
+    MAX_CELLS,
     GeneratorConfig,
     bayes_optimal_mse,
     generate,
@@ -137,6 +138,18 @@ def test_config_validation():
         GeneratorConfig(noise_sigma=0.0)
     with pytest.raises(ConfigError):
         GeneratorConfig.from_dict({"bogus_knob": 1})
+
+
+def test_config_over_the_cell_cap_is_refused_before_generating():
+    # constructing a config allocates nothing, so only the check runs
+    rows = MAX_CELLS // (4 + 8 + 1) // 3
+    GeneratorConfig(n_per_group=rows)
+    with pytest.raises(ConfigError, match="exceeds the generator's cap"):
+        GeneratorConfig(n_per_group=rows + 1)
+    with pytest.raises(ConfigError, match="exceeds the generator's cap"):
+        GeneratorConfig(d_aux=10**12)
+    with pytest.raises(ConfigError, match="exceeds the generator's cap"):
+        GeneratorConfig.from_dict({"n_groups": 2, "n_per_group": 10**15, "delta": [0, 1]})
 
 
 def test_explicit_aux_delta_matrix():
