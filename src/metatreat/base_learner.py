@@ -12,11 +12,9 @@ identical (weights, data, config, seed) always give identical results.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,20 +34,6 @@ from .nn_core import (
     record_failures,
 )
 from .task_selection import TaskSpec
-
-# Hyperparameter grids used by the published search space; values outside
-# these are accepted but reported as off-grid by `off_grid_fields`.
-PAPER_GRIDS = {
-    "n_layers": (2, 4, 6, 8),
-    "hidden_dim": (8, 16, 32, 64, 128),
-    "embedding_dim": (8, 16, 32, 64, 128),
-    "activation": ("relu", "tanh"),
-    "dropout_rate": (0.05, 0.1, 0.2),
-    "reg_kind": ("l1", "l2", "both"),
-    "reg_strength": (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-    "optimizer": ("adam", "sgd"),
-    "inner_iterations": (1, 2, 5),
-}
 
 EMBEDDING_INIT_SCALE = 0.05
 
@@ -91,22 +75,13 @@ class BaseLearnerConfig:
         return self.reg_strength, self.reg_strength
 
 
-def off_grid_fields(config: BaseLearnerConfig) -> list[str]:
-    """Config fields whose values fall outside the published grids."""
-    out = []
-    for name, grid in PAPER_GRIDS.items():
-        if getattr(config, name) not in grid:
-            out.append(name)
-    return out
-
-
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 _LAYER_PARTS = ("v", "gain", "bias")
 
 
 def _layout_names(n_layers: int) -> list[str]:
-    """Checkpoint order: extractor layers, embedding table, output head."""
+    """Parameter order: extractor layers, embedding table, output head."""
     names = [f"extractor.{i}.{part}" for i in range(n_layers) for part in _LAYER_PARTS]
     return names + ["embeddings"] + [f"head.{part}" for part in _LAYER_PARTS]
 
@@ -116,7 +91,7 @@ class BaseLearnerWeights:
     networks of one layout in a (folds, P) array that step together.
 
     ``extractor``, ``embeddings`` and ``head`` are named views into
-    ``values`` laid out as ``layout`` (name, shape) pairs in checkpoint
+    ``values`` laid out as ``layout`` (name, shape) pairs in parameter
     order, so writing either side moves the other and an optimizer or an
     interpolation can treat every weight at once; in a stack every view
     carries the leading fold axis. ``slices`` maps each layout name to its
@@ -173,10 +148,6 @@ class BaseLearnerWeights:
     @property
     def n_groups(self) -> int:
         return self.embeddings.shape[-2]
-
-    @property
-    def n_features(self) -> int:
-        return self.extractor[0].n_in
 
     def with_values(self, values: np.ndarray) -> "BaseLearnerWeights":
         """Weights of the same network over another array laid out like
@@ -472,46 +443,3 @@ def inner_update(
             )
             optimizer_step(current.values, grads, state)
     return current
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def weights_to_dict(weights: BaseLearnerWeights, config_hash: str = "") -> dict:
-    return {
-        "format_version": CHECKPOINT_VERSION,
-        "config_hash": config_hash,
-        "layout": [[name, list(shape)] for name, shape in weights.layout],
-        "values": weights.values.tolist(),
-        "activations": {
-            "extractor": list(weights.activations[:-1]),
-            "head": weights.activations[-1],
-        },
-    }
-
-
-def weights_from_dict(doc: dict) -> BaseLearnerWeights:
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    try:
-        layout = tuple((str(name), tuple(int(n) for n in shape)) for name, shape in doc["layout"])
-        acts = doc["activations"]
-        activations = (*acts["extractor"], acts["head"])
-        values = np.asarray(doc["values"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
-    return BaseLearnerWeights(values, layout, activations)
-
-
-def save_weights(path: str | Path, weights: BaseLearnerWeights, config_hash: str = "") -> None:
-    Path(path).write_text(
-        json.dumps(weights_to_dict(weights, config_hash), sort_keys=True), encoding="utf-8"
-    )
-
-
-def load_weights(path: str | Path) -> BaseLearnerWeights:
-    return weights_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

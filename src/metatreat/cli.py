@@ -20,11 +20,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .base_learner import off_grid_fields
 from .data_model import load_csv, load_manifest, strict_dataclass
 from .errors import ConfigError, DataError, NumericError
 from .eval_harness import (
@@ -35,6 +34,7 @@ from .eval_harness import (
     PipelineConfig,
     SearchSpace,
     grid_search,
+    off_grid_fields,
     overfit_gap,
     plot_data_csv,
     run_cv,
@@ -47,6 +47,14 @@ OUT_DIR_ENV = "METATREAT_OUT_DIR"
 def config_hash(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _run_hash(pipeline: PipelineConfig, cv: CvConfig, **extra) -> str:
+    """Hash of what a run's outputs depend on: the pipeline, the groups
+    never held out, the seed, and ``extra`` inputs of the command."""
+    return config_hash(
+        {"pipeline": pipeline.to_dict(), "cv": cv.excluded_holdout_groups, "seed": cv.seed, **extra}
+    )
 
 
 def _stamp(hash_: str, seed: int) -> str:
@@ -134,7 +142,7 @@ def cmd_cv(args) -> int:
     off_grid = off_grid_fields(pipeline.base)
     if off_grid:
         print(f"note: base-learner fields outside the published grids: {off_grid}", file=sys.stderr)
-    hash_ = config_hash({"pipeline": pipeline.to_dict(), "cv": cv.excluded_holdout_groups, "seed": cv.seed})
+    hash_ = _run_hash(pipeline, cv)
     report = run_cv(table, manifest, pipeline, cv)
     out = _out_dir(args)
     _write_report_files(out, report, hash_, cv.seed, {"pipeline": pipeline.to_dict()})
@@ -151,9 +159,7 @@ def cmd_grid_search(args) -> int:
     space = (
         strict_dataclass(SearchSpace, _load_json(args.space)) if args.space else SearchSpace()
     )
-    hash_ = config_hash(
-        {"pipeline": pipeline.to_dict(), "budget": args.budget, "seed": cv.seed}
-    )
+    hash_ = _run_hash(pipeline, cv, budget=args.budget, space=asdict(space))
     best, leaderboard = grid_search(
         space, table, manifest, args.budget, cv.seed, pipeline, cv
     )

@@ -143,9 +143,6 @@ class DatasetTable:
             columns, values, missing_mask, self.group_ids, self.group_names, self.group_column
         )
 
-    def group_rows(self, group_id: int) -> np.ndarray:
-        return np.flatnonzero(self.group_ids == group_id)
-
     def resolve_group(self, group: int | str) -> int:
         if isinstance(group, str):
             try:
@@ -868,10 +865,6 @@ class TaskData:
     def __post_init__(self) -> None:
         if not (len(self.x) == len(self.group_ids) == len(self.y) == len(self.row_indices)):
             raise ShapeError("task data arrays must share their first dimension")
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
 
 
 def binarize_labels(y: np.ndarray) -> np.ndarray:

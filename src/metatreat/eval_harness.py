@@ -537,11 +537,6 @@ def _fold_group_worker(payloads: list[tuple]) -> list[FoldResult]:
     return results + [failure] * (len(payloads) - len(results))
 
 
-def _fold_worker(payload: tuple) -> FoldResult:
-    """One fold alone: a group of one."""
-    return _fold_group_worker([payload])[0]
-
-
 def _fold_payloads(
     raw_table: DatasetTable,
     manifest: Manifest,
@@ -677,6 +672,16 @@ class SearchSpace:
         for f in dataclasses.fields(self):
             if not getattr(self, f.name):
                 raise ConfigError(f"search space grid {f.name!r} is empty")
+
+
+def off_grid_fields(config: BaseLearnerConfig) -> list[str]:
+    """Base-learner fields whose values fall outside the published grids:
+    ``SearchSpace``'s, leaving out the locally added learning-rate grid."""
+    space = SearchSpace()
+    return [
+        f.name for f in dataclasses.fields(config)
+        if f.name != "learning_rate" and getattr(config, f.name) not in getattr(space, f.name)
+    ]
 
 
 def _pick(rng: np.random.Generator, grid: tuple):

@@ -9,8 +9,8 @@ annealed step size. Meta-testing (``fine_tune`` then ``predict_rows``)
 adapts the learned initialization on the full training set for a target
 task and predicts for the held-out group, whose target labels are never
 read: the caller withholds them, and ``meta_train`` refuses a test table
-that still carries them. ``meta_train`` runs one fold, or steps several
-folds in lockstep on one stacked parameter array.
+that still carries them. ``meta_train`` steps the folds of a run in
+lockstep on one stacked parameter array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .base_learner import (
     BaseLearnerConfig,
     BaseLearnerWeights,
     forward,
-    init_weights,
     inner_update,
     stack_weights,
 )
@@ -206,53 +205,40 @@ def _stack_batches(batches: list[TaskBatch]) -> TaskBatch:
 
 
 def meta_train(
-    train_table: DatasetTable | Sequence[DatasetTable],
-    test_table: DatasetTable | Sequence[DatasetTable],
-    tasks: TaskSet | Sequence[TaskSet],
+    train_tables: Sequence[DatasetTable],
+    test_tables: Sequence[DatasetTable],
+    tasks: Sequence[TaskSet],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
-    seed: int | np.random.Generator | Sequence[int | np.random.Generator],
-    initial_weights: BaseLearnerWeights | None | Sequence[BaseLearnerWeights] = None,
-) -> BaseLearnerWeights | list[BaseLearnerWeights | Exception]:
-    """Run the full meta-loop from a fresh state and return the learned
-    initialization.
+    seeds: Sequence[int | np.random.Generator],
+    initial_weights: Sequence[BaseLearnerWeights],
+) -> list[BaseLearnerWeights | Exception]:
+    """Run the full meta-loop of each fold from a fresh state and return
+    the learned initializations.
 
-    ``initial_weights`` (cloned, never mutated) lets callers score the same
-    random initialization the meta-loop started from; without it the
-    weights are drawn from ``seed``'s stream before the loop. Each test
-    table must arrive with its target columns withheld; this is the
-    structural zero-shot firewall, checked here rather than trusted.
+    Every argument but the configs has one entry per fold. Each fold's loop
+    starts from its ``initial_weights`` (never mutated), so callers can score
+    the same random initialization. Each test table must arrive with its
+    target columns withheld; this is the structural zero-shot firewall,
+    checked here rather than trusted, and a table that fails it raises.
 
-    Given sequences, with one entry per fold (``initial_weights`` None or a
-    sequence too), the folds step in lockstep: folds of one layout, batch
-    shape and task kind form one stack, and each fold samples its batches
-    and draws its dropout masks from its own stream in the order it would
-    alone, so its result is bitwise the same. The result is then a list in
-    fold order: each fold's weights, or the configuration, data or numeric
-    error that stopped it. A fold leaves its stack after the meta-iteration
-    it failed in, and every later fold stops with it, as a serial run would
-    stop at the first failing fold; those later folds carry the earliest
-    failure. One fold alone raises its error instead.
+    The folds step in lockstep: folds of one layout, batch shape and task
+    kind form one stack, and each fold samples its batches and draws its
+    dropout masks from its own stream in the order it would alone, so its
+    result is bitwise the same. The result is a list in fold order: each
+    fold's weights, or the configuration, data or numeric error that stopped
+    it. A fold leaves its stack after the meta-iteration it failed in, and
+    every later fold stops with it, as a serial run would stop at the first
+    failing fold; those later folds carry the earliest failure.
     """
-    one = isinstance(train_table, DatasetTable)
-    if one:
-        train_table, test_table, tasks = [train_table], [test_table], [tasks]
-        seed, initial_weights = [seed], [initial_weights]
-    elif initial_weights is None:
-        initial_weights = [None] * len(train_table)
-    folds = list(zip(train_table, test_table, tasks, seed, initial_weights, strict=True))
+    folds = list(zip(train_tables, test_tables, tasks, seeds, initial_weights, strict=True))
     if not all(targets_withheld(fold[1]) for fold in folds):
         raise DataError(
             "test table still carries target values; withhold them before meta-training"
         )
-    rngs = [as_rng(s) for _, _, _, s, _ in folds]
-    thetas = [
-        init_weights(base_config, model_inputs(train).shape[1], len(train.group_names), rng)
-        if theta is None else theta
-        for (train, _, _, _, theta), rng in zip(folds, rngs)
-    ]
+    rngs = [as_rng(fold[3]) for fold in folds]
     stacks: dict = {}
-    for f, ((train, test, fold_tasks, _, _), theta) in enumerate(zip(folds, thetas)):
+    for f, (train, test, fold_tasks, _, theta) in enumerate(folds):
         kinds = frozenset(t.kind for t in fold_tasks.training)
         key = (
             theta.layout, theta.activations,
@@ -267,7 +253,7 @@ def meta_train(
         members = [f for f in members if f < first_failed]
         if not members:
             continue
-        theta = stack_weights([thetas[f] for f in members])
+        theta = stack_weights([folds[f][4] for f in members])
         for f, result in zip(members, _lockstep(
             theta, [folds[f][:3] for f in members], tuple(rngs[f] for f in members),
             base_config, meta_config,
@@ -275,12 +261,7 @@ def meta_train(
             results[f] = result
             if isinstance(result, Exception):
                 first_failed = min(first_failed, f)
-    results = [results[first_failed] if r is None else r for r in results]
-    if one:
-        if isinstance(results[0], Exception):
-            raise results[0]
-        return results[0]
-    return results
+    return [results[first_failed] if r is None else r for r in results]
 
 
 def _lockstep(

@@ -208,19 +208,15 @@ def dense_backward(
 
 
 def dropout_mask(
-    rng: np.random.Generator | Sequence[np.random.Generator], shape: tuple[int, ...], rate: float
+    rng: Sequence[np.random.Generator], shape: tuple[int, ...], rate: float
 ) -> np.ndarray:
-    """Scaled keep-mask: entries are 0 with probability rate, else 1/(1-rate).
-
-    Given one stream per fold, the masks come stacked as (folds, *shape),
-    each fold's drawn from its own stream exactly as it would be alone.
+    """Scaled keep-masks, stacked as (folds, *shape): entries are 0 with
+    probability rate, else 1/(1-rate), each fold's drawn from its own stream
+    exactly as ``stream.random(shape)`` would draw them.
     """
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(shape)
-    else:
-        draws = np.empty((len(rng), *shape))
-        for stream, fold_draws in zip(rng, draws):
-            stream.random(out=fold_draws)
+    draws = np.empty((len(rng), *shape))
+    for stream, fold_draws in zip(rng, draws):
+        stream.random(out=fold_draws)
     keep = draws >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 

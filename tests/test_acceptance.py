@@ -251,8 +251,8 @@ def test_criterion_3_update_algebra():
     meta = MetaConfig(meta_iterations=20, epsilon0=0.5, k=4)
     rng = np.random.default_rng(6)
     theta0 = init_weights(base0, 3, 3, rng)
-    theta_final = meta_train(
-        train_table, masked_test, tasks, base0, meta, seed=6, initial_weights=theta0
+    [theta_final] = meta_train(
+        [train_table], [masked_test], [tasks], base0, meta, seeds=[6], initial_weights=[theta0]
     )
     fixed_point_ok = np.array_equal(theta_final.values, theta0.values)
 

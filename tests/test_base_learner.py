@@ -6,14 +6,12 @@ from metatreat.base_learner import (
     forward,
     init_weights,
     inner_update,
-    load_weights,
     loss_and_grads,
-    off_grid_fields,
-    save_weights,
     stack_weights,
 )
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError
+from metatreat.eval_harness import off_grid_fields
 from metatreat.nn_core import OptimizerState, loss_value, optimizer_step
 from metatreat.task_selection import TaskSpec
 from oracles import central_diff, max_rel_error, reference_loss_and_grads
@@ -423,7 +421,7 @@ def test_plain_training_never_touches_held_out_embedding():
 
 
 # ---------------------------------------------------------------------------
-# config and checkpointing
+# config
 # ---------------------------------------------------------------------------
 
 
@@ -442,15 +440,3 @@ def test_config_validation():
         BaseLearnerConfig(dropout_rate=1.0)
     with pytest.raises(ConfigError):
         BaseLearnerConfig(dropout_rate=-0.1)
-
-
-def test_weights_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(20)
-    config = small_config()
-    w = init_weights(config, 5, 3, rng)
-    path = tmp_path / "weights.json"
-    save_weights(path, w, config_hash="abc123")
-    back = load_weights(path)
-    assert np.array_equal(back.values, w.values)
-    assert back.layout == w.layout
-    assert [l.activation for l in back.extractor] == [l.activation for l in w.extractor]

@@ -413,6 +413,29 @@ def test_grid_search_fixed_seed_identical_leaderboard(tmp_path, study_dir):
     assert (out1 / "best_config.json").read_bytes() == (out2 / "best_config.json").read_bytes()
 
 
+def test_grid_search_stamp_covers_excluded_groups_and_space(tmp_path, study_dir):
+    run = write_run_config(tmp_path)
+    wide, narrow = tmp_path / "wide.json", tmp_path / "narrow.json"
+    wide.write_text(json.dumps(TINY_SPACE))
+    narrow.write_text(json.dumps({**TINY_SPACE, "learning_rate": [0.05]}))
+    args = [
+        "grid-search", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(run), "--budget", "1", "--seed", "5",
+    ]
+    variants = {
+        "plain": ["--space", str(wide)],
+        "excluded": ["--space", str(wide), "--holdout-exclude", "g0"],
+        "space": ["--space", str(narrow)],
+    }
+    stamps = set()
+    for name, extra in variants.items():
+        out = tmp_path / name
+        assert main(args + extra + ["--out", str(out)]) == 0
+        stamps.add(json.loads((out / "best_config.json").read_text())["config_hash"])
+    assert len(stamps) == 3
+
+
 def test_grid_search_budget_zero_usage_error(tmp_path, study_dir):
     run = write_run_config(tmp_path)
     code = main([

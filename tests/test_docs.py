@@ -1,10 +1,15 @@
-"""The README's configuration reference lists every settable run-config key."""
+"""The README's configuration reference lists every settable run-config
+key, and its library section names only modules and functions that exist."""
 
 import dataclasses
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import metatreat
 from metatreat.base_learner import BaseLearnerConfig
 from metatreat.data_model import PreprocessConfig
 from metatreat.eval_harness import BaselineConfig, CvConfig
@@ -14,9 +19,9 @@ from metatreat.task_selection import SelectionConfig
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def config_reference() -> str:
+def readme_section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Configuration reference\n", 1)[1]
+    section = text.split(f"\n## {title}\n", 1)[1]
     return section.split("\n## ", 1)[0]
 
 
@@ -25,6 +30,24 @@ def config_reference() -> str:
     [PreprocessConfig, SelectionConfig, BaseLearnerConfig, MetaConfig, BaselineConfig, CvConfig],
 )
 def test_every_config_field_is_documented(klass):
-    reference = config_reference()
+    reference = readme_section("Configuration reference")
     missing = [f.name for f in dataclasses.fields(klass) if f"`{f.name}`" not in reference]
     assert missing == [], f"{klass.__name__} fields missing from the README: {missing}"
+
+
+def test_library_section_names_resolve_inside_the_package():
+    # inline code spans that are bare Python names, outside the code block;
+    # "Lower-level pieces" is the section's closing paragraph
+    prose = re.sub(r"```.*?```", "", readme_section("Library use"), flags=re.S)
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", prose))
+    modules = [
+        importlib.import_module(f"metatreat.{m.name}")
+        for m in pkgutil.iter_modules(metatreat.__path__)
+    ]
+    module_names = {m.__name__.rpartition(".")[2] for m in modules}
+    missing = sorted(
+        name for name in names
+        if name not in module_names and not any(hasattr(m, name) for m in modules)
+    )
+    assert len(names) > 10
+    assert missing == []

@@ -479,7 +479,7 @@ def test_grid_search_results_identical_at_any_worker_count():
         assert entry["error"] == f"{type(alone.value).__name__}: {alone.value}"
     numeric = PipelineConfig.from_dict(failed[1]["config"])
     folds = eval_harness._fold_payloads(table, manifest, numeric, CvConfig(seed=0))
-    outcomes = [eval_harness._fold_worker(p) for p in folds]
+    outcomes = [eval_harness._fold_group_worker([p])[0] for p in folds]
     assert [type(o).__name__ for o in outcomes] == ["list", "NumericError", "list"]
 
 
@@ -579,7 +579,7 @@ def test_lockstep_folds_match_folds_alone_across_layouts(monkeypatch):
     missing[rows, table.column_index("x0")] = True
     table = DatasetTable(table.columns, values, missing, table.group_ids, table.group_names)
     payloads = eval_harness._fold_payloads(table, manifest, FAST_PIPELINE, CvConfig(seed=2))
-    widths = [eval_harness._fold_setup(*p).theta0.n_features for p in payloads]
+    widths = [eval_harness._fold_setup(*p).theta0.extractor[0].n_in for p in payloads]
     assert widths[0] == widths[1] == widths[2] + 1
     texts = {
         jobs: run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=2, jobs=jobs)).to_csv_text()

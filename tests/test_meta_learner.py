@@ -23,6 +23,7 @@ from metatreat.meta_learner import (
     predict_rows,
     sample_task_batch,
 )
+from metatreat.rng import as_rng
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
 
@@ -90,8 +91,8 @@ def test_epsilon_rejects_out_of_range():
 def test_sample_sizes_k_per_group():
     train_table, masked_test, _, tasks = small_study()
     batch = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(0))
-    assert batch.train_data.n == 10  # 2 training groups x k
-    assert batch.finetune_data.n == 5  # one held-out group x k
+    assert len(batch.train_data.y) == 10  # 2 training groups x k
+    assert len(batch.finetune_data.y) == 5  # one held-out group x k
 
 
 def test_finetune_rows_come_from_held_out_group_only():
@@ -114,7 +115,7 @@ def test_small_group_warns_and_samples_with_replacement():
     train_table, masked_test, _, tasks = small_study(n_per_group=3)
     with pytest.warns(UserWarning, match="replacement"):
         batch = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(0))
-    assert batch.finetune_data.n == 5
+    assert len(batch.finetune_data.y) == 5
 
 
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
@@ -204,10 +205,24 @@ def test_meta_step_zero_lr_leaves_theta_constant():
 # ---------------------------------------------------------------------------
 
 
+def seeded_init(seed):
+    """A fold's stream and the initial weights drawn first from it."""
+    rng = as_rng(seed)
+    return rng, init_weights(BASE, 3, 3, rng)
+
+
+def train_one(train_table, masked_test, tasks, meta, seed, theta0=None):
+    """``meta_train`` on one fold: its weights or the error that stopped it.
+    Without ``theta0`` the loop continues the stream that drew its weights."""
+    if theta0 is None:
+        seed, theta0 = seeded_init(seed)
+    return meta_train([train_table], [masked_test], [tasks], BASE, meta, [seed], [theta0])[0]
+
+
 def test_meta_train_zero_iterations_returns_seeded_init():
     train_table, masked_test, _, tasks = small_study()
     meta = MetaConfig(meta_iterations=0)
-    theta = meta_train(train_table, masked_test, tasks, BASE, meta, seed=11)
+    theta = train_one(train_table, masked_test, tasks, meta, seed=11)
     rng = np.random.default_rng(11)
     expected = init_weights(BASE, 3, 3, rng)
     assert np.array_equal(theta.values, expected.values)
@@ -218,17 +233,15 @@ def test_meta_train_touches_held_out_embedding():
     meta = MetaConfig(meta_iterations=8, epsilon0=0.5, k=4)
     rng = np.random.default_rng(21)
     theta0 = init_weights(BASE, 3, 3, rng)
-    theta = meta_train(
-        train_table, masked_test, tasks, BASE, meta, seed=21, initial_weights=theta0
-    )
+    theta = train_one(train_table, masked_test, tasks, meta, seed=21, theta0=theta0)
     assert not np.array_equal(theta.embeddings[2], theta0.embeddings[2])
 
 
 def test_meta_train_is_deterministic():
     train_table, masked_test, _, tasks = small_study()
     meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
-    a = meta_train(train_table, masked_test, tasks, BASE, meta, seed=3)
-    b = meta_train(train_table, masked_test, tasks, BASE, meta, seed=3)
+    a = train_one(train_table, masked_test, tasks, meta, seed=3)
+    b = train_one(train_table, masked_test, tasks, meta, seed=3)
     assert np.array_equal(a.values, b.values)
 
 
@@ -236,13 +249,13 @@ def test_meta_train_rejects_leaky_test_table():
     train_table, _, leaky_test, tasks = small_study()
     meta = MetaConfig(meta_iterations=1, k=4)
     with pytest.raises(DataError, match="withhold"):
-        meta_train(train_table, leaky_test, tasks, BASE, meta, seed=0)
+        train_one(train_table, leaky_test, tasks, meta, seed=0)
 
 
 def test_meta_test_prediction_count_and_range():
     train_table, masked_test, _, tasks = small_study()
     meta = MetaConfig(meta_iterations=4, k=4)
-    theta = meta_train(train_table, masked_test, tasks, BASE, meta, seed=5)
+    theta = train_one(train_table, masked_test, tasks, meta, seed=5)
     target = TaskSpec("y", "classification", "target_task")
     adapted, transform = fine_tune(theta, target, train_table, BASE)
     preds = predict_rows(adapted, masked_test, target.kind, BASE, transform)
@@ -252,7 +265,7 @@ def test_meta_test_prediction_count_and_range():
 
 def test_fine_tune_standardizes_regression_labels():
     train_table, masked_test, _, tasks = small_study()
-    theta = meta_train(train_table, masked_test, tasks, BASE, MetaConfig(meta_iterations=2, k=4), seed=9)
+    theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=2, k=4), seed=9)
     target = TaskSpec("y", "regression", "target_task")
     _, transform = fine_tune(theta, target, train_table, BASE, np.random.default_rng(0))
     vals, obs = train_table.column_values("y")
@@ -274,9 +287,10 @@ def test_lockstep_meta_train_matches_each_fold_alone():
     trains, tests, task_sets = _three_folds()
     meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
     seeds = [10, 11, 12]
-    stacked = meta_train(trains, tests, task_sets, BASE, meta, seeds)
+    rngs, thetas = zip(*map(seeded_init, seeds))
+    stacked = meta_train(trains, tests, task_sets, BASE, meta, rngs, thetas)
     for f, seed in enumerate(seeds):
-        alone = meta_train(trains[f], tests[f], task_sets[f], BASE, meta, seed=seed)
+        alone = train_one(trains[f], tests[f], task_sets[f], meta, seed=seed)
         assert stacked[f].values.tobytes() == alone.values.tobytes()
 
 
@@ -291,10 +305,10 @@ def test_lockstep_failure_stops_the_later_folds_only():
     message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"
     assert isinstance(results[1], NumericError) and str(results[1]) == message
     assert results[2] is results[1]
-    alone = meta_train(trains[0], tests[0], task_sets[0], BASE, meta, 5, thetas[0])
+    alone = train_one(trains[0], tests[0], task_sets[0], meta, 5, thetas[0])
     assert results[0].values.tobytes() == alone.values.tobytes()
-    with pytest.raises(NumericError, match=message):
-        meta_train(trains[1], tests[1], task_sets[1], BASE, meta, 6, thetas[1])
+    failed = train_one(trains[1], tests[1], task_sets[1], meta, 6, thetas[1])
+    assert isinstance(failed, NumericError) and str(failed) == message
 
 
 def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
@@ -308,7 +322,7 @@ def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
 
     monkeypatch.setattr(meta_learner, "task_dataset", counted)
     meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
-    meta_train(trains, tests, task_sets, BASE, meta, [10, 11, 12])
+    meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [10, 11, 12])))
     columns = {t.column for tasks in task_sets for t in tasks.training}
     assert len(columns) > 1
     # 3 folds x 10 iterations x 2 draws, each needing a train and a test slice

@@ -89,8 +89,8 @@ def test_init_gains_match_initial_column_norms():
 
 
 def test_dropout_zero_rate_is_identity():
-    mask = dropout_mask(np.random.default_rng(0), (4, 4), 0.0)
-    assert np.array_equal(mask, np.ones((4, 4)))
+    mask = dropout_mask((np.random.default_rng(0),), (4, 4), 0.0)
+    assert np.array_equal(mask, np.ones((1, 4, 4)))
 
 
 def test_dropout_preserves_expectation():
@@ -99,7 +99,7 @@ def test_dropout_preserves_expectation():
     total = 0.0
     draws = 100
     for _ in range(draws):
-        mask = dropout_mask(rng, (100, 10), 0.5)
+        mask = dropout_mask((rng,), (100, 10), 0.5)
         assert set(np.unique(mask)) <= {0.0, 2.0}
         total += mask.mean()
     assert abs(total / draws - 1.0) < 0.01
