@@ -126,11 +126,31 @@ class BaseLearnerWeights:
             )
 
     def _bind(
-        self, values: np.ndarray, layout: Layout, activations: tuple[str, ...], slices: dict
+        self,
+        values: np.ndarray,
+        layout: Layout,
+        activations: tuple[str, ...],
+        slices: dict,
+        folds: int | None = None,
     ) -> None:
-        """Point the named views at ``values``, for a layout already checked."""
-        lead = values.shape[:-1]
-        views = {name: values[..., slices[name]].reshape(lead + shape) for name, shape in layout}
+        """Point the named views at ``values``, for a layout already checked.
+
+        With ``folds``, ``values`` is a flat part-major buffer instead: each
+        part's (folds, *shape) block is contiguous, and starts at ``folds``
+        times the part's offset in one network's vector.
+        """
+        if folds is None:
+            lead = values.shape[:-1]
+            views = {
+                name: values[..., slices[name]].reshape(lead + shape) for name, shape in layout
+            }
+        else:
+            views = {
+                name: values[folds * slices[name].start : folds * slices[name].stop].reshape(
+                    (folds, *shape)
+                )
+                for name, shape in layout
+            }
 
         def layer(prefix: str, activation: str) -> DenseLayer:
             return DenseLayer(
@@ -157,6 +177,15 @@ class BaseLearnerWeights:
             raise ShapeError("flat parameter vector does not match its layout")
         out = object.__new__(BaseLearnerWeights)
         out._bind(values, self.layout, self.activations, self.slices)
+        return out
+
+    def part_major(self, buffer: np.ndarray) -> "BaseLearnerWeights":
+        """The layers of this stack over a flat ``buffer`` of its size laid
+        out part by part, so that every view is one contiguous block (its
+        ``values`` is ``buffer``). Elementwise updates of ``buffer`` move
+        each weight as they would in the stack's own (folds, P) layout."""
+        out = object.__new__(BaseLearnerWeights)
+        out._bind(buffer, self.layout, self.activations, self.slices, folds=len(self.values))
         return out
 
     def clone(self) -> "BaseLearnerWeights":
@@ -215,51 +244,237 @@ def _check_groups(weights: BaseLearnerWeights, group_ids: np.ndarray) -> np.ndar
     return g
 
 
-def _one_as_stack(weights: BaseLearnerWeights, x, group_ids, rng):
-    """One network's weights, inputs, group ids and RNG stream as those of
-    a stack of one."""
+def _one_as_stack(weights: BaseLearnerWeights, x, group_ids):
+    """One network's weights, inputs and group ids as those of a stack of one."""
     return (
         weights.with_values(weights.values[None]),
         np.asarray(x, dtype=np.float64)[None],
         np.asarray(group_ids)[None],
-        None if rng is None else (rng,),
     )
+
+
+def _as_stack(weights: BaseLearnerWeights, x, group_ids, y, rng):
+    """A step's arguments for a stack: one network, its batch and its RNG
+    stream become a stack of one; a stack needs one stream per fold."""
+    g = _check_groups(weights, group_ids)
+    if weights.values.ndim == 1:
+        weights, x, g = _one_as_stack(weights, x, g)
+        y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+        rng = None if rng is None else (rng,)
+    elif isinstance(rng, np.random.Generator):
+        raise ConfigError("a stack of folds takes one RNG stream per fold")
+    return weights, x, g, y, rng
+
+
+class StepWorkspace:
+    """Where the stacked steps on one (folds, P) stack run and write.
+
+    ``net`` is a part-major copy of the stack (``part_major``), so that
+    every numpy call of a step sees contiguous arrays; ``load`` and
+    ``store`` copy the stack in and out. ``grads`` is the gradient in the
+    same layout. The optimizer's buffers and every other array a step
+    writes are made on first use and kept, one buffer per role: per layer
+    for an array that lives from the forward to the backward pass (a
+    layer's activations, norms and effective weights), one for all layers
+    for a transient, and each grown to the largest batch, so that the
+    training and fine-tune batches of a meta-iteration share it. The
+    owner, one meta-loop stack or one ``inner_update`` or
+    ``loss_and_grads`` call, drops the workspace with the stack.
+    """
+
+    def __init__(self, weights: BaseLearnerWeights) -> None:
+        self.shape = weights.values.shape
+        self.net = weights.part_major(np.empty(weights.values.size))
+        # row 1 is the gradient, row 0 the optimizer's step (see ``optimizer``)
+        self._update = np.empty((2, weights.values.size))
+        self.grads = weights.part_major(self._update[1])
+        n_folds = len(weights.values)
+        self._parts = [
+            (part, slice(n_folds * part.start, n_folds * part.stop))
+            for part in weights.slices.values()
+        ]
+        self._arrays: dict = {}
+        self._batches: dict = {}
+
+    def _array(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        """The workspace's (uninitialized) array ``name`` as ``shape``: one
+        buffer per name, grown on demand, so that batches of different sizes
+        share it. Growing drops the batch buffers that viewed the old one."""
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            if buf is not None:
+                self._batches.clear()
+            buf = self._arrays[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _copy(self, buffer: np.ndarray, values: np.ndarray, load: bool) -> None:
+        values = values.reshape(self.shape, copy=False)  # one network as a stack of one
+        for part, block in self._parts:
+            mine = buffer[block].reshape(len(values), -1)
+            if load:
+                np.copyto(mine, values[:, part])
+            else:
+                np.copyto(values[:, part], mine)
+
+    def load(self, values: np.ndarray) -> None:
+        """Copy a stack's (folds, P) ``values`` into ``net``."""
+        self._copy(self.net.values, values, load=True)
+
+    def store(self, values: np.ndarray) -> None:
+        """Copy ``net`` out into a stack's (folds, P) ``values``."""
+        self._copy(self.net.values, values, load=False)
+
+    def gradient(self) -> np.ndarray:
+        """The gradient as a fresh array in the stack's (folds, P) layout."""
+        out = np.empty(self.shape)
+        self._copy(self.grads.values, out, load=False)
+        return out
+
+    def optimizer(self, config: BaseLearnerConfig) -> OptimizerState:
+        """A fresh optimizer over ``net``, whose buffers are this
+        workspace's, zeroed. Its scratch ends with the gradient's row, which
+        ``optimizer_step`` may overwrite once it has read the gradient (SGD's
+        step, Adam's denominator), as the next step writes it anew."""
+        state = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
+        size = self.net.values.shape
+        state.scratch = self._update if state.kind == "adam" else self._update[1:]
+        if state.kind == "adam":
+            state.m = self._array("optimizer.m", size)
+            state.v = self._array("optimizer.v", size)
+            state.m.fill(0.0)
+            state.v.fill(0.0)
+        return state
+
+    def batch(self, n_rows: int, dropout: bool) -> "_BatchBuffers":
+        """The buffers of a step on batches of ``n_rows`` rows per fold."""
+        key = (n_rows, dropout)
+        if key not in self._batches:
+            self._batches[key] = _BatchBuffers(self, n_rows, dropout)
+        return self._batches[key]
+
+
+class _BatchBuffers:
+    """A workspace's arrays for one batch size, bound once: per layer
+    (extractor layers, then the head), the ``dense_forward`` and
+    ``dense_backward`` buffers, the latter writing into the gradient's
+    views; the dropout draw with each extractor layer's mask as a view
+    into it; and scratch for the regularization terms."""
+
+    def __init__(self, ws: StepWorkspace, n_rows: int, dropout: bool) -> None:
+        net, grads, array = ws.net, ws.grads, ws._array
+        lead = (len(net.embeddings), n_rows)
+        self.layers = net.extractor + [net.head]
+        self.forward = []
+        self.backward = []
+        self.act_grad = []
+        for i, (layer, grad) in enumerate(zip(self.layers, grads.extractor + [grads.head])):
+            scratch = array("scratch", layer.v.shape)
+            out_shape = (*lead, layer.n_out)
+            self.forward.append((
+                array(("out", i), out_shape), array(("norms", i), layer.gain.shape),
+                array(("w_eff", i), layer.v.shape), scratch,
+            ))
+            dx = array("dx", (*lead, layer.n_in)) if i > 0 else None
+            self.backward.append((dx, grad.v, grad.gain, grad.bias, scratch))
+            self.act_grad.append(array("act_grad", out_shape))
+        self.directions = [layer.v for layer in self.layers]
+        self.reg_terms = [b[-1].reshape(lead[0], -1) for b in self.forward]
+        self.concat = array("concat", (*lead, net.head.n_in))
+        self.h = self.draws = self.masks = None
+        if dropout:
+            self.h = [array(("h", i), (*lead, layer.n_out)) for i, layer in enumerate(net.extractor)]
+            ends = np.cumsum([n_rows * layer.n_out for layer in net.extractor])
+            self.draws = array("dropout", (lead[0], int(ends[-1])))
+            self.masks = [
+                self.draws[:, end - n_rows * layer.n_out : end].reshape(*lead, layer.n_out)
+                for layer, end in zip(net.extractor, ends)
+            ]
+
+
+@dataclass(frozen=True)
+class _StepPlan:
+    """One stacked batch, checked once for every step taken on it: inputs
+    (folds, rows, features), group ids and labels (folds, rows), each
+    fold's active embedding rows as (``fold_of``, ``active``) pairs, the
+    loss settings, and the workspace buffers sized for it. ``dropout`` is
+    the rate masks are drawn at, 0 for steps without dropout."""
+
+    x: np.ndarray
+    g: np.ndarray
+    y: np.ndarray
+    folds: np.ndarray
+    fold_of: np.ndarray
+    active: np.ndarray
+    kind: str
+    l1: float
+    l2: float
+    dropout: float
+    buffers: _BatchBuffers
+
+
+def _plan(
+    weights: BaseLearnerWeights, x, g: np.ndarray, y, kind: str, config: BaseLearnerConfig,
+    train: bool, ws: StepWorkspace,
+) -> _StepPlan:
+    """Check a stacked batch against a stack of weights and index it."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim == 3 and x.shape[1] == 0:
+        raise DataError("empty batch")
+    if x.ndim != 3 or not (x.shape[:2] == y.shape == g.shape) or len(x) != len(weights.values):
+        raise ShapeError("batch arrays must share their fold and row dimensions")
+    folds = np.arange(len(x))[:, None]
+    present = np.zeros(weights.embeddings.shape[:2], dtype=bool)
+    present[folds, g] = True
+    counts = present.sum(axis=1)
+    if (counts != counts[0]).any():
+        raise ShapeError("folds stepped together must each cover the same number of groups")
+    fold_of, active = np.nonzero(present)
+    l1, l2 = config.l1_l2()
+    dropout = config.dropout_rate if train else 0.0
+    buffers = ws.batch(x.shape[1], dropout > 0.0)
+    return _StepPlan(x, g, y, folds, fold_of, active, kind, l1, l2, dropout, buffers)
 
 
 def _forward_pass(
     weights: BaseLearnerWeights,
     x: np.ndarray,
     g: np.ndarray,
-    config: BaseLearnerConfig,
-    train: bool,
-    rng: Sequence[np.random.Generator] | None,
     kind: str,
     errors: FoldErrors | None,
+    buffers: _BatchBuffers | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]]:
     """Predictions (folds, rows), plus what backprop needs: each extractor
     layer's (input, output, dropout mask, column norms, effective weights)
     and the head's (input, column norms, effective weights).
 
-    In training, a dropout mask is drawn after every extractor layer, each
-    fold's from its own stream.
+    With ``buffers``, every array is written into them, and each extractor
+    layer's output is multiplied by its dropout mask when they hold masks;
+    without, every array is fresh and there is no dropout.
     """
     caches = []
     h = x
     for i, layer in enumerate(weights.extractor):
         x_in = h
-        out, norms, w_eff = dense_forward(x_in, layer, errors, f"extractor layer {i}: ")
+        out, norms, w_eff = dense_forward(
+            x_in, layer, errors, f"extractor layer {i}: ",
+            None if buffers is None else buffers.forward[i],
+        )
         mask = None
-        if train and config.dropout_rate > 0.0:
-            if rng is None:
-                raise ConfigError("train-mode forward requires an RNG stream for dropout")
-            mask = dropout_mask(rng, out.shape[1:], config.dropout_rate)
-            h = out * mask
-        else:
+        if buffers is None or buffers.masks is None:
             h = out
+        else:
+            mask = buffers.masks[i]
+            h = np.multiply(out, mask, out=buffers.h[i])
         caches.append((x_in, out, mask, norms, w_eff))
-    folds = np.arange(len(g))[:, None]
-    concat = np.concatenate([h, weights.embeddings[folds, g]], axis=-1)
-    z, head_norms, head_w_eff = dense_forward(concat, weights.head, errors)
+    concat = np.concatenate(
+        [h, weights.embeddings[np.arange(len(g))[:, None], g]], axis=-1,
+        out=None if buffers is None else buffers.concat,
+    )
+    z, head_norms, head_w_eff = dense_forward(
+        concat, weights.head, errors, "", None if buffers is None else buffers.forward[-1]
+    )
     z = z[..., 0]
     pred = nn_core.apply_activation("sigmoid", z) if kind == "classification" else z
     return pred, caches, (concat, head_norms, head_w_eff)
@@ -270,22 +485,76 @@ def forward(
     x: np.ndarray,
     group_ids: np.ndarray,
     config: BaseLearnerConfig,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
     kind: str = "regression",
 ) -> np.ndarray:
     """One network's predictions for a batch: extractor(x) ++ embeddings[g]
-    -> head.
+    -> head, without dropout, so fully deterministic.
 
     Classification applies a sigmoid on the head output, so values land in
-    (0, 1); eval mode disables dropout and is fully deterministic.
+    (0, 1).
     """
     g = _check_groups(weights, group_ids)
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
-    stack, x, g, rng = _one_as_stack(weights, x, g, rng)
+    stack, x, g = _one_as_stack(weights, x, g)
     with np.errstate(all="ignore"):
-        return _forward_pass(stack, x, g, config, mode == "train", rng, kind, None)[0][0]
+        return _forward_pass(stack, x, g, kind, None)[0][0]
+
+
+def _step(
+    net: BaseLearnerWeights,
+    grads: BaseLearnerWeights,
+    plan: _StepPlan,
+    rng: Sequence[np.random.Generator] | None,
+    errors: FoldErrors | None,
+) -> np.ndarray:
+    """One forward/backward pass of a workspace's ``net`` on ``plan``'s
+    batch: the per-fold losses, with the gradient written into ``grads``.
+
+    With dropout, each fold draws the masks of every extractor layer, in
+    layer order, in one call on its stream.
+    """
+    b = plan.buffers
+    l1, l2 = plan.l1, plan.l2
+    if b.masks is not None:
+        dropout_mask(rng, b.draws.shape[1:], plan.dropout, out=b.draws)
+    pred, caches, (concat, head_norms, head_w_eff) = _forward_pass(
+        net, plan.x, plan.g, plan.kind, errors, b
+    )
+    loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
+    loss = nn_core.loss_value(pred, plan.y, loss_kind, axis=-1)
+    active_embeddings = net.embeddings[plan.fold_of, plan.active]
+    loss = loss + nn_core.regularization_value(b.directions, l1, l2, b.reg_terms)
+    loss = loss + nn_core.regularization_value(
+        [active_embeddings.reshape(len(loss), -1)], l1, l2
+    )
+    record_failures(errors, ~np.isfinite(loss), lambda f: "loss is not finite")
+
+    def backward(i: int, x_in, dz, norms, w_eff):
+        layer = b.layers[i]
+        dx, dv, _, _ = dense_backward(layer, x_in, dz, norms, w_eff, i > 0, b.backward[i])
+        # dW's buffer and the layer's effective weights are free from here on
+        reg = nn_core.regularization_grad(layer.v, l1, l2, out=b.backward[i][-1], scratch=w_eff)
+        np.add(dv, reg, out=dv)
+        return dx
+
+    head_act = "sigmoid" if plan.kind == "classification" else "identity"
+    dz = nn_core.output_delta(pred, plan.y, loss_kind, head_act, axis=-1)[..., None]
+    n_layers = len(net.extractor)
+    dconcat = backward(n_layers, concat, dz, head_norms, head_w_eff)
+    hidden_dim = net.extractor[-1].n_out
+    demb = grads.embeddings
+    demb.fill(0.0)
+    np.add.at(demb, (plan.folds, plan.g), dconcat[..., hidden_dim:])
+    demb[plan.fold_of, plan.active] += nn_core.regularization_grad(active_embeddings, l1, l2)
+
+    grad_out = dconcat[..., :hidden_dim]
+    for i in range(n_layers - 1, -1, -1):
+        x_in, out_i, mask, norms, w_eff = caches[i]
+        if mask is not None:
+            grad_out *= mask
+        dz_i = activation_grad(b.layers[i].activation, out_i, out=b.act_grad[i])
+        np.multiply(grad_out, dz_i, out=dz_i)
+        grad_out = backward(i, x_in, dz_i, norms, w_eff)
+    return loss
 
 
 def loss_and_grads(
@@ -298,7 +567,6 @@ def loss_and_grads(
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     train: bool = True,
     errors: FoldErrors | None = None,
-    out: np.ndarray | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Exact gradients of mean task loss + regularization, as one flat
     vector laid out like ``weights.values``.
@@ -313,88 +581,18 @@ def loss_and_grads(
     is one stream per fold, the loss comes per fold, and every fold's batch
     must cover the same number of groups. ``errors`` collects each fold's
     first numeric failure instead of raising it (``nn_core.record_failures``).
-    ``out``, laid out like ``weights.values``, receives the gradient.
+    Each call runs one step on a plan and workspace of its own, so the
+    gradient it returns is a fresh array.
     """
     one = weights.values.ndim == 1
-    g = _check_groups(weights, group_ids)
-    y = np.asarray(y, dtype=np.float64)
-    if one:
-        weights, x, g, rng = _one_as_stack(weights, x, g, rng)
-        y = y.reshape(1, -1)
-        out = None if out is None else out[None]
-    elif isinstance(rng, np.random.Generator):
-        raise ConfigError("a stack of folds takes one RNG stream per fold")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3 and x.shape[1] == 0:
-        raise DataError("empty batch")
-    if x.ndim != 3 or not (x.shape[:2] == y.shape == g.shape) or len(x) != len(weights.values):
-        raise ShapeError("batch arrays must share their fold and row dimensions")
+    weights, x, g, y, rng = _as_stack(weights, x, group_ids, y, rng)
+    ws = StepWorkspace(weights)
+    plan = _plan(weights, x, g, y, kind, config, train, ws)
+    ws.load(weights.values)
     with np.errstate(all="ignore"):
-        loss, grad = _stack_loss_and_grads(
-            weights, x, g, y, kind, config, rng, train, errors, out
-        )
+        loss = _step(ws.net, ws.grads, plan, rng, errors)
+    grad = ws.gradient()
     return (float(loss[0]), grad[0]) if one else (loss, grad)
-
-
-def _stack_loss_and_grads(weights, x, g, y, kind, config, rng, train, errors, out):
-    """``loss_and_grads`` on a stack: per-fold losses and the (folds, P) gradient."""
-    l1, l2 = config.l1_l2()
-    loss_kind = "binary_cross_entropy" if kind == "classification" else "mse"
-    head_act = "sigmoid" if kind == "classification" else "identity"
-    n_folds = len(x)
-    folds = np.arange(n_folds)[:, None]
-
-    pred, caches, (concat, head_norms, head_w_eff) = _forward_pass(
-        weights, x, g, config, train, rng, kind, errors
-    )
-    loss = nn_core.loss_value(pred, y, loss_kind, axis=-1)
-    present = np.zeros(weights.embeddings.shape[:2], dtype=bool)
-    present[folds, g] = True
-    counts = present.sum(axis=1)
-    if (counts != counts[0]).any():
-        raise ShapeError("folds stepped together must each cover the same number of groups")
-    fold_of, active = np.nonzero(present)
-    active_embeddings = weights.embeddings[fold_of, active]
-    loss = loss + nn_core.regularization_value(
-        [layer.v for layer in weights.extractor] + [weights.head.v], l1, l2
-    )
-    loss = loss + nn_core.regularization_value(
-        [active_embeddings.reshape(n_folds, -1)], l1, l2
-    )
-    record_failures(errors, ~np.isfinite(loss), lambda f: "loss is not finite")
-
-    # backward, written part by part into one vector per fold laid out like values
-    grad = np.zeros_like(weights.values) if out is None else out
-    at = weights.slices
-
-    def put(prefix, layer, dv, dgain, dbias) -> None:
-        dv = dv + nn_core.regularization_grad(layer.v, l1, l2)
-        grad[:, at[prefix + ".v"]] = dv.reshape(n_folds, -1)
-        grad[:, at[prefix + ".gain"]] = dgain
-        grad[:, at[prefix + ".bias"]] = dbias
-
-    dz = nn_core.output_delta(pred, y, loss_kind, head_act, axis=-1)[..., None]
-    dconcat, *head_grads = dense_backward(weights.head, concat, dz, head_norms, head_w_eff)
-    put("head", weights.head, *head_grads)
-    hidden_dim = weights.extractor[-1].n_out
-    demb = grad[:, at["embeddings"]].reshape(weights.embeddings.shape)
-    if out is not None:
-        demb[...] = 0.0
-    np.add.at(demb, (folds, g), dconcat[..., hidden_dim:])
-    demb[fold_of, active] += nn_core.regularization_grad(active_embeddings, l1, l2)
-
-    grad_out = dconcat[..., :hidden_dim]
-    for i in range(len(weights.extractor) - 1, -1, -1):
-        layer = weights.extractor[i]
-        x_in, out_i, mask, norms, w_eff = caches[i]
-        if mask is not None:
-            grad_out = grad_out * mask
-        dz_i = grad_out * activation_grad(layer.activation, out_i)
-        grad_out, *layer_grads = dense_backward(
-            layer, x_in, dz_i, norms, w_eff, input_grad=i > 0
-        )
-        put(f"extractor.{i}", layer, *layer_grads)
-    return loss, grad
 
 
 def _task_kind(task: TaskSpec | Sequence[TaskSpec]) -> str:
@@ -412,6 +610,7 @@ def inner_update(
     rng: np.random.Generator | Sequence[np.random.Generator],
     errors: FoldErrors | None = None,
     out: BaseLearnerWeights | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> BaseLearnerWeights:
     """The k-shot update operator: ``inner_iterations`` full-batch steps on
     one task slice with a fresh optimizer; the input weights are not mutated.
@@ -420,26 +619,30 @@ def inner_update(
     per fold (all of one kind) and ``rng`` one stream per fold; ``errors``
     is as in ``loss_and_grads``. ``out``, laid out like ``weights`` and
     possibly ``weights`` itself, receives the result instead of a fresh
-    copy; one gradient buffer serves every step.
+    copy. The batch is checked and indexed once for every step, and the
+    steps write into ``workspace``, a stack's ``StepWorkspace`` that the
+    caller keeps across updates, or a fresh one.
     """
     if np.size(data.y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    if out is None:
-        current = weights.clone()
-    else:
-        current = out
+    if config.learning_rate == 0.0 or config.inner_iterations == 0:
+        if out is None:
+            return weights.clone()
         if out is not weights:
             np.copyto(out.values, weights.values)
-    if config.learning_rate == 0.0 or config.inner_iterations == 0:
-        return current
+        return out
     kind = _task_kind(task)
-    state = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
-    grads = np.empty_like(current.values)
+    stack, x, g, y, rng = _as_stack(weights, data.x, data.group_ids, data.y, rng)
+    ws = StepWorkspace(stack) if workspace is None else workspace
+    if ws.shape != stack.values.shape:
+        raise ShapeError("step workspace does not match the stack")
+    plan = _plan(stack, x, g, y, kind, config, True, ws)
+    ws.load(stack.values)
+    state = ws.optimizer(config)
     with np.errstate(all="ignore"):
         for _ in range(config.inner_iterations):
-            loss_and_grads(
-                current, data.x, data.group_ids, data.y, kind, config,
-                rng=rng, train=True, errors=errors, out=grads,
-            )
-            optimizer_step(current.values, grads, state)
+            _step(ws.net, ws.grads, plan, rng, errors)
+            optimizer_step(ws.net.values, ws.grads.values, state)
+    current = weights.with_values(np.empty_like(weights.values)) if out is None else out
+    ws.store(current.values)
     return current

@@ -63,7 +63,7 @@ def _stamp(hash_: str, seed: int) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -214,7 +214,7 @@ def report_from_csv_text(text: str) -> MetricReport:
 
 def cmd_report(args) -> int:
     try:
-        with open(args.report, encoding="utf-8", newline="") as fh:
+        with open(args.report, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.report}: not UTF-8 text ({exc.reason})") from None

@@ -298,7 +298,7 @@ def parse_manifest(doc: dict) -> Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {path}: not UTF-8 text ({exc.reason})") from None
@@ -326,7 +326,7 @@ def load_csv(manifest_path: str | Path, data_path: str | Path) -> DatasetTable:
     """
     manifest = load_manifest(manifest_path) if not isinstance(manifest_path, Manifest) else manifest_path
     try:
-        with open(data_path, "r", encoding="utf-8", newline="") as fh:
+        with open(data_path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader]

@@ -167,9 +167,25 @@ def _knn_predict(
     for start in range(0, test_x.shape[0], rows):
         block = test_x[start : start + rows]
         d2 = ((block[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-        neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + rows] = train_y[neighbors].mean(axis=1)
+        out[start : start + rows] = train_y[_k_nearest(d2, k)].mean(axis=1)
     return out
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first k columns in a stable sort of ``d2`` (ties in
+    column order), without sorting the whole row: a partition finds the
+    k-th smallest distance, and only the columns at or below it, every
+    one tied with it included, are stable-sorted."""
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    if not np.isfinite(kth).all():
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows, cols = np.nonzero(d2 <= kth)
+    # lexsort is stable: by row, then distance, ties kept in column order
+    cols = cols[np.lexsort((d2[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=len(d2))
+    return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
 
 
 def baseline_predict(

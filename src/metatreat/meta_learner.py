@@ -24,6 +24,7 @@ import numpy as np
 from .base_learner import (
     BaseLearnerConfig,
     BaseLearnerWeights,
+    StepWorkspace,
     forward,
     inner_update,
     stack_weights,
@@ -163,6 +164,7 @@ def meta_step(
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
     out: BaseLearnerWeights | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> MetaState:
     """One meta-iteration: train, fine-tune, then interpolate.
 
@@ -171,7 +173,8 @@ def meta_step(
     toward the adapted weights: theta + eps*(adapted - theta). ``out``, laid
     out like ``state.theta`` but not it, receives the adapted and then the
     new weights, so a loop can alternate two buffers; by default it is a
-    fresh copy.
+    fresh copy. Every inner update steps in ``workspace`` (one made for
+    ``state.theta``'s stack) when given.
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
@@ -181,7 +184,7 @@ def meta_step(
     for batch in batches:
         for data in (batch.train_data, batch.finetune_data):
             adapted = inner_update(
-                adapted, data, batch.task, base_config, state.rng, errors=state.errors, out=work
+                adapted, data, batch.task, base_config, state.rng, state.errors, work, workspace
             )
     with np.errstate(all="ignore"):
         param_axpy(state.theta.values, adapted.values, eps, out=work.values)
@@ -273,17 +276,19 @@ def _lockstep(
 ) -> list[BaseLearnerWeights | Exception | None]:
     """The meta-loop of one stack (owned by the loop), in fold order: each
     fold's weights, its error, or None if an earlier fold's failure stopped
-    it. Weights objects are built only as folds enter and leave the stack."""
+    it. Weights objects and the step workspace are built only as folds
+    enter and leave the stack."""
     errors: FoldErrors = [None] * len(folds)
     results: list = [None] * len(folds)
     caches = [TaskCache() for _ in folds]
     state = MetaState(theta, 0, rngs, errors)
     spare = None
+    workspace = StepWorkspace(theta)
 
     def shrink() -> bool:
         """Drop the first failed fold and every later one; False once the
         stack is empty."""
-        nonlocal state, spare
+        nonlocal state, spare, workspace
         cut = next((j for j, e in enumerate(state.errors) if e is not None), None)
         if cut is None:
             return True
@@ -295,7 +300,10 @@ def _lockstep(
         if spare is not None:
             spare = spare.with_values(spare.values[:cut])
         del folds[cut:], caches[cut:]
-        return cut > 0
+        if cut == 0:
+            return False
+        workspace = StepWorkspace(state.theta)
+        return True
 
     while state.t < meta_config.meta_iterations:
         per_fold = []
@@ -314,7 +322,7 @@ def _lockstep(
             return results
         batches = [_stack_batches(list(b)) for b in zip(*per_fold)]
         previous = state.theta
-        state = meta_step(state, batches, base_config, meta_config, out=spare)
+        state = meta_step(state, batches, base_config, meta_config, spare, workspace)
         spare = previous
         if not shrink():
             return results
@@ -374,10 +382,8 @@ def predict_rows(
     base_config: BaseLearnerConfig,
     transform: TargetTransform | None = None,
 ) -> np.ndarray:
-    """Eval-mode predictions for every row of a table."""
-    preds = forward(
-        weights, model_inputs(table), table.group_ids, base_config, mode="eval", kind=task_kind
-    )
+    """Predictions (without dropout) for every row of a table."""
+    preds = forward(weights, model_inputs(table), table.group_ids, base_config, kind=task_kind)
     if transform is not None and task_kind == "regression":
         preds = transform.invert(preds)
     return preds

@@ -12,6 +12,7 @@ and each fold's numbers round exactly as they would alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -36,32 +37,42 @@ ADAM_EPS = 1e-8
 FoldErrors = list[Exception | None]
 
 
-def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
+def apply_activation(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of ``z``, written into ``out`` (which may be ``z``)
+    or a fresh array; identity returns ``z`` itself unless given ``out``."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if kind == "sigmoid":
         # Imported on use: scipy takes ~1 s to load and regression runs never call it.
         from scipy.special import expit
 
-        return expit(z)
+        return expit(z, out=out)
     if kind == "identity":
-        return z
+        if out is None or out is z:
+            return z
+        np.copyto(out, z)
+        return out
     raise ConfigError(f"unknown activation {kind!r}")
 
 
-def activation_grad(kind: str, out: np.ndarray) -> np.ndarray:
-    """d(activation)/dz expressed through the activation output."""
+def activation_grad(kind: str, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d(activation)/dz expressed through the activation output ``a``,
+    written into ``out`` (not ``a``) or a fresh array."""
+    if kind not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {kind!r}")
+    out = np.empty_like(a) if out is None else out
     if kind == "relu":
-        return (out > 0.0).astype(np.float64)
+        return np.greater(a, 0.0, out=out)
     if kind == "tanh":
-        return 1.0 - out * out
+        np.multiply(a, a, out=out)
+        return np.subtract(1.0, out, out=out)
     if kind == "sigmoid":
-        return out * (1.0 - out)
-    if kind == "identity":
-        return np.ones_like(out)
-    raise ConfigError(f"unknown activation {kind!r}")
+        np.subtract(1.0, a, out=out)
+        return np.multiply(a, out, out=out)
+    out.fill(1.0)  # identity
+    return out
 
 
 def record_failures(
@@ -72,8 +83,7 @@ def record_failures(
     network). Without a record the first flagged fold raises instead; with
     one, a failed fold keeps computing garbage that nothing reads, so the
     healthy folds of its stack can go on."""
-    bad = np.atleast_1d(bad)
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     for f in np.flatnonzero(bad):
         if errors is None:
@@ -136,7 +146,11 @@ def init_dense_layer(
 
 
 def dense_forward(
-    x: np.ndarray, layer: DenseLayer, errors: FoldErrors | None = None, where: str = ""
+    x: np.ndarray,
+    layer: DenseLayer,
+    errors: FoldErrors | None = None,
+    where: str = "",
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """activation(x @ W_eff + bias) for a weight-normalized layer.
 
@@ -145,27 +159,35 @@ def dense_forward(
     training step computes them once per layer. A stacked layer takes
     ``x`` as (folds, rows, n_in). A zero-norm column or a non-finite
     activation is a numeric failure, prefixed with ``where`` and handled by
-    ``record_failures``.
+    ``record_failures``. ``buffers``, if given, is (out, norms, w_eff,
+    scratch): arrays shaped like the three results, which receive them,
+    and one shaped like ``v`` for a temporary; by default all are fresh.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != layer.v.ndim or x.shape[-1] != layer.n_in:
         raise ShapeError(
             f"dense layer expects input with {layer.n_in} columns, got shape {x.shape}"
         )
-    norms = np.sqrt((layer.v * layer.v).sum(axis=-2))
-    zero = norms == 0.0
-    if zero.any():
-        cols = zero.reshape(-1, layer.n_out)
+    out, norms, w_eff, scratch = (None,) * 4 if buffers is None else buffers
+    squares = np.multiply(layer.v, layer.v, out=scratch)
+    norms = np.add.reduce(squares, axis=-2, out=norms)
+    np.sqrt(norms, out=norms)
+    if np.count_nonzero(norms) < norms.size:
+        cols = (norms == 0.0).reshape(-1, layer.n_out)
         record_failures(
             errors,
-            zero.any(axis=-1),
+            cols.any(axis=-1),
             lambda f: f"{where}degenerate dense layer: direction column "
             f"{int(np.argmax(cols[f]))} has zero norm",
         )
-    w_eff = layer.v * (layer.gain / norms)[..., None, :]
-    out = apply_activation(layer.activation, x @ w_eff + layer.bias[..., None, :])
-    finite = np.isfinite(out)
-    if not finite.all():
+    w_eff = np.multiply(layer.v, (layer.gain / norms)[..., None, :], out=w_eff)
+    out = np.matmul(x, w_eff, out=out)
+    out += layer.bias[..., None, :]
+    apply_activation(layer.activation, out, out=out)
+    # a finite sum proves every activation finite; only a sum that is not
+    # (an overflow, or a non-finite activation) needs the elementwise check
+    if not math.isfinite(np.add.reduce(out, axis=None)):
+        finite = np.isfinite(out)
         record_failures(
             errors,
             ~finite.all(axis=(-2, -1)),
@@ -181,6 +203,7 @@ def dense_backward(
     norms: np.ndarray,
     w_eff: np.ndarray,
     input_grad: bool = True,
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Backprop through the affine part given dL/dz (pre-activation grad),
     with the column norms and effective weights ``dense_forward`` returned.
@@ -191,14 +214,20 @@ def dense_backward(
         dgain_j = v_j . dW_j / ||v_j||
         dv_j    = (gain_j / ||v_j||) dW_j - (gain_j dgain_j / ||v_j||^2) v_j
     with dW = x^T dz the gradient w.r.t. the effective weights.
+    ``buffers``, if given, is (dx, dv, dgain, dbias, scratch): arrays
+    shaped like the four results, which receive them, and one shaped like
+    ``v`` for dW; by default all are fresh.
     """
-    dw = x.swapaxes(-1, -2) @ dz
-    dbias = dz.sum(axis=-2)
-    dx = dz @ w_eff.swapaxes(-1, -2) if input_grad else None
-    dgain = (layer.v * dw).sum(axis=-2) / norms
-    dv = dw * (layer.gain / norms)[..., None, :] - layer.v * (
-        layer.gain * dgain / norms**2
-    )[..., None, :]
+    dx, dv, dgain, dbias, dw = (None,) * 5 if buffers is None else buffers
+    dw = np.matmul(x.swapaxes(-1, -2), dz, out=dw)
+    dbias = np.add.reduce(dz, axis=-2, out=dbias)
+    dx = np.matmul(dz, w_eff.swapaxes(-1, -2), out=dx) if input_grad else None
+    # dv holds v * dW until the column sums are taken
+    dv = np.multiply(layer.v, dw, out=dv)
+    dgain = np.divide(np.add.reduce(dv, axis=-2), norms, out=dgain)
+    np.multiply(dw, (layer.gain / norms)[..., None, :], out=dv)
+    np.multiply(layer.v, (layer.gain * dgain / norms**2)[..., None, :], out=dw)
+    np.subtract(dv, dw, out=dv)
     return dx, dv, dgain, dbias
 
 
@@ -208,17 +237,20 @@ def dense_backward(
 
 
 def dropout_mask(
-    rng: Sequence[np.random.Generator], shape: tuple[int, ...], rate: float
+    rng: Sequence[np.random.Generator],
+    shape: tuple[int, ...],
+    rate: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled keep-masks, stacked as (folds, *shape): entries are 0 with
     probability rate, else 1/(1-rate), each fold's drawn from its own stream
-    exactly as ``stream.random(shape)`` would draw them.
+    exactly as ``stream.random(shape)`` would draw them. ``out``, if given,
+    receives the masks.
     """
-    draws = np.empty((len(rng), *shape))
+    draws = np.empty((len(rng), *shape)) if out is None else out
     for stream, fold_draws in zip(rng, draws):
         stream.random(out=fold_draws)
-    keep = draws >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return np.divide(draws >= rate, 1.0 - rate, out=draws)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +296,13 @@ def loss_value(
     y = np.asarray(y, dtype=np.float64)
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
+    n = pred.size if axis is None else pred.shape[axis]
+    # sum then divide: np.mean's own arithmetic, without its Python wrapper
     if loss_kind == "mse":
-        return np.mean((pred - y) ** 2, axis=axis)
+        return np.add.reduce((pred - y) ** 2, axis=axis) / n
     if loss_kind == "binary_cross_entropy":
         p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-        return np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=axis)
+        return np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=axis) / n
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
@@ -280,7 +314,7 @@ def output_delta(
 
     For binary cross-entropy on a sigmoid head the two gradients fuse to the
     numerically exact (pred - y) / n; anything else chains through the head
-    activation explicitly.
+    activation explicitly (an identity head's factor of one is skipped).
     """
     n = pred.size if axis is None else pred.shape[axis]
     if loss_kind == "binary_cross_entropy":
@@ -289,30 +323,46 @@ def output_delta(
         return (pred - y) / n
     if loss_kind == "mse":
         dpred = 2.0 * (pred - y) / n
+        if head_activation == "identity":
+            return dpred
         return dpred * activation_grad(head_activation, pred)
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
-def regularization_value(mats: list[np.ndarray], l1: float, l2: float) -> np.ndarray | float:
+def regularization_value(
+    mats: list[np.ndarray], l1: float, l2: float, scratch: list[np.ndarray] | None = None
+) -> np.ndarray | float:
     """Per fold, l1 * sum|m| + l2 * sum m^2 over every matrix; each matrix
-    has a leading fold axis."""
+    has a leading fold axis. ``scratch``, if given, holds one contiguous
+    array per matrix, shaped (folds, size of one fold's matrix), for the
+    elementwise terms."""
     total = 0.0
-    for m in mats:
+    for i, m in enumerate(mats):
         flat = m.reshape(len(m), -1)
+        terms = None if scratch is None else scratch[i]
         if l1:
-            total = total + l1 * np.abs(flat).sum(axis=1)
+            total = total + l1 * np.add.reduce(np.abs(flat, out=terms), axis=1)
         if l2:
-            total = total + l2 * (flat * flat).sum(axis=1)
+            total = total + l2 * np.add.reduce(np.multiply(flat, flat, out=terms), axis=1)
     return total
 
 
-def regularization_grad(m: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    """Gradient of ``regularization_value`` for one matrix."""
-    if l1 and l2:
-        return l1 * np.sign(m) + 2.0 * l2 * m
+def regularization_grad(
+    m: np.ndarray,
+    l1: float,
+    l2: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient of ``regularization_value`` for one matrix, into ``out``;
+    with both terms, ``scratch`` (shaped like ``m``) holds the l2 one."""
     if l1:
-        return l1 * np.sign(m)
-    return 2.0 * l2 * m
+        out = np.sign(m, out=out)
+        out *= l1
+        if l2:
+            out += np.multiply(2.0 * l2, m, out=scratch)
+        return out
+    return np.multiply(2.0 * l2, m, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +397,9 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
     """One optimizer update of ``params`` in place; advances the state buffers.
 
     Every temporary lives in the state's buffers, and each operation rounds
-    as the out-of-place ``params - lr * update`` would.
+    as the out-of-place ``params - lr * update`` would. The last row of
+    ``state.scratch`` may be ``grads`` itself, which the update then
+    overwrites: every read of ``grads`` comes before that row is written.
     """
     if params.shape != grads.shape:
         raise ShapeError("parameter and gradient shapes differ")

@@ -3,6 +3,7 @@ import pytest
 
 from metatreat.base_learner import (
     BaseLearnerConfig,
+    StepWorkspace,
     forward,
     init_weights,
     inner_update,
@@ -72,8 +73,8 @@ def test_forward_eval_mode_deterministic():
     w = init_weights(config, 3, 2, rng)
     x = rng.normal(size=(5, 3))
     g = rng.integers(0, 2, 5)
-    a = forward(w, x, g, config, mode="eval")
-    b = forward(w, x, g, config, mode="eval")
+    a = forward(w, x, g, config)
+    b = forward(w, x, g, config)
     assert np.array_equal(a, b)
 
 
@@ -109,16 +110,8 @@ def test_forward_eval_mode_ignores_dropout():
     w = init_weights(small_config(dropout_rate=0.7), 3, 2, rng)
     x = rng.normal(size=(5, 3))
     g = rng.integers(0, 2, 5)
-    dropped = forward(w, x, g, small_config(dropout_rate=0.7), mode="eval")
+    dropped = forward(w, x, g, small_config(dropout_rate=0.7))
     assert np.array_equal(dropped, forward(w, x, g, small_config(dropout_rate=0.0)))
-
-
-def test_forward_rejects_unknown_mode():
-    rng = np.random.default_rng(7)
-    config = small_config()
-    w = init_weights(config, 3, 2, rng)
-    with pytest.raises(ConfigError, match="mode"):
-        forward(w, rng.normal(size=(2, 3)), np.array([0, 1]), config, mode="test")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
 
     def loss_fn(flat_values):
         cand = w.with_values(flat_values)
-        pred = forward(cand, x, g, config, mode="eval", kind=kind)
+        pred = forward(cand, x, g, config, kind=kind)
         lk = "binary_cross_entropy" if kind == "classification" else "mse"
         total = loss_value(pred.reshape(-1, 1), y.reshape(-1, 1), lk)
         for mat in [layer.v for layer in cand.extractor] + [cand.head.v, cand.embeddings[active]]:
@@ -253,6 +246,79 @@ def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
         loss, grad = loss_and_grads(net, *batches[f], kind, config, rng=np.random.default_rng(f))
         assert losses[f] == loss
         assert grads[f].tobytes() == grad.tobytes()
+
+
+class CountingStream:
+    """A random stream that counts its ``random`` calls."""
+
+    def __init__(self, seed):
+        self.stream = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.stream.random(*args, **kwargs)
+
+
+def stacked_task(rng, n_folds, n_rows=9):
+    batches = [make_batch(rng, n_rows, 4, 4, exclude_group=f) for f in range(n_folds)]
+    x, g, y = (np.stack(parts) for parts in zip(*batches))
+    return batches, TaskData(x, g, y, np.zeros(g.shape, dtype=int))
+
+
+def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
+    # every extractor layer's mask comes from one draw per fold per step,
+    # in layer order, so each stream moves exactly as per-layer draws would
+    rng = np.random.default_rng(33)
+    config = small_config(
+        n_layers=3, hidden_dim=7, activation="relu", reg_kind="both", dropout_rate=0.2,
+        optimizer="adam", inner_iterations=4,
+    )
+    nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
+    batches, data = stacked_task(rng, 3)
+    streams = tuple(CountingStream(seed) for seed in range(3))
+    out = inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams)
+    assert [s.calls for s in streams] == [config.inner_iterations] * 3
+    for f, net in enumerate(nets):
+        expected = net.clone()
+        state = OptimizerState("adam", learning_rate=config.learning_rate)
+        reference = np.random.default_rng(f)
+        for _ in range(config.inner_iterations):
+            _, grads = reference_loss_and_grads(
+                expected, *batches[f], "regression", config, rng=reference
+            )
+            optimizer_step(expected.values, grads, state)
+        assert out.values[f].tobytes() == expected.values.tobytes()
+        assert streams[f].stream.random() == reference.random()
+
+
+def test_step_workspace_never_aliases_results():
+    rng = np.random.default_rng(34)
+    config = small_config(dropout_rate=0.2, optimizer="adam")
+    w = init_weights(config, 4, 4, rng)
+    x, g, y = make_batch(rng, 9, 4, 4)
+    _, first = loss_and_grads(w, x, g, y, "regression", config, rng=np.random.default_rng(0))
+    kept = first.copy()
+    _, second = loss_and_grads(w, x, g, -y, "regression", config, rng=np.random.default_rng(0))
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+
+    # updates that share one workspace return arrays of their own, and
+    # match updates that each had a fresh one
+    theta = stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)])
+    workspace = StepWorkspace(theta)
+    tasks = (REG_TASK,) * 2
+    _, data = stacked_task(rng, 2)
+    _, other = stacked_task(rng, 2, n_rows=5)
+    earlier = inner_update(theta, data, tasks, config, tuple(map(np.random.default_rng, (1, 2))),
+                           workspace=workspace)
+    kept = earlier.values.copy()
+    later = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))),
+                         workspace=workspace)
+    assert earlier.values.tobytes() == kept.tobytes()
+    assert not np.shares_memory(earlier.values, later.values)
+    fresh = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))))
+    assert later.values.tobytes() == fresh.values.tobytes()
 
 
 def test_stack_keeps_each_folds_first_numeric_failure():

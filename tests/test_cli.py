@@ -352,6 +352,38 @@ def test_data_header_naming_a_column_twice_exits_3(tmp_path, study_dir, capsys):
     assert "column 'x0' appears twice" in capsys.readouterr().err
 
 
+def test_utf8_bom_inputs_give_the_same_outputs(tmp_path, study_dir):
+    # Excel's "CSV UTF-8" and some editors prefix a byte-order mark
+    plain = {
+        "data": study_dir / "data.csv",
+        "manifest": study_dir / "manifest.json",
+        "config": write_run_config(tmp_path),
+    }
+    bom = {}
+    for kind, path in plain.items():
+        bom[kind] = tmp_path / f"bom-{path.name}"
+        bom[kind].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = ("report.csv", "summary.json", "plot_data.csv")
+    runs = {}
+    for name, files in (("plain", plain), ("bom", bom)):
+        argv = ["cv", "--out", str(tmp_path / name)]
+        for kind, path in files.items():
+            argv += [f"--{kind}", str(path)]
+        assert main(argv) == 0
+        runs[name] = [(tmp_path / name / out).read_bytes() for out in outputs]
+    assert runs["bom"] == runs["plain"]
+
+    report = tmp_path / "plain" / "report.csv"
+    bom_report = tmp_path / "bom-report.csv"
+    bom_report.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+    for name, path in (("gaps-plain", report), ("gaps-bom", bom_report)):
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / name)]) == 0
+    for out in ("plot_data.csv", "gap_stats.json"):
+        assert (tmp_path / "gaps-bom" / out).read_bytes() == (
+            tmp_path / "gaps-plain" / out
+        ).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

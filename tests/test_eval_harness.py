@@ -191,6 +191,21 @@ def test_knn_blockwise_matches_one_shot_formula(n_train, n_test, d, k, block_byt
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 6, 7])
+def test_knn_duplicate_rows_keep_stable_sort_order(k):
+    # duplicated training rows tie exactly; the neighbours (and so the order
+    # their labels are summed in) must be those of a full stable sort, up to
+    # k == n_train
+    base = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    train_x = np.vstack([base, base[:3]])
+    train_y = np.array([0.1, 1e16, 0.3, -1e16, 0.7, 1.0, 0.2])
+    test_x = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]])
+    d2 = ((test_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    expected = train_y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+    got = baseline_predict("knn", (train_x, train_y), test_x, BaselineConfig(knn_k=k))
+    assert np.array_equal(got, expected)
+
+
 def test_ridge_zero_reg_recovers_exact_line():
     x = np.arange(1.0, 9.0).reshape(-1, 1)
     y = 2.0 * x[:, 0]

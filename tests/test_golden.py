@@ -88,7 +88,7 @@ def _weights(doc: dict) -> BaseLearnerWeights:
 def _predictions(weights: BaseLearnerWeights) -> dict[str, list[float]]:
     x, g = _checkpoint_inputs()
     return {
-        kind: forward(weights, x, g, TINY, mode="eval", kind=kind).tolist()
+        kind: forward(weights, x, g, TINY, kind=kind).tolist()
         for kind in ("regression", "classification")
     }
 
