@@ -6,8 +6,8 @@ Every weight lives in one flat vector that the layers view by name, so
 ``loss_and_grads`` returns one flat gradient and the optimizer and the
 meta-update step the whole network at once. ``inner_update`` is the k-shot
 update operator: it runs a fixed number of full-batch gradient steps on a
-task slice and returns fresh weights without mutating its input, so
-identical (weights, data, config, seed) always give identical results.
+task slice in a step workspace, so identical (weights, data, config, seed)
+always give identical results.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ class BaseLearnerConfig:
     def __post_init__(self) -> None:
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be >= 1")
+        if self.embedding_dim < 0:
+            raise ConfigError("embedding_dim must be non-negative")
         if self.activation not in ("relu", "tanh"):
             raise ConfigError(f"extractor activation must be relu or tanh, got {self.activation!r}")
         if self.reg_kind not in ("l1", "l2", "both"):
@@ -62,6 +66,8 @@ class BaseLearnerConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
+        if self.reg_strength < 0.0:
+            raise ConfigError("reg_strength must be non-negative")
         if self.learning_rate < 0.0:
             raise ConfigError("learning_rate must be non-negative")
         if self.inner_iterations < 0:
@@ -87,18 +93,20 @@ def _layout_names(n_layers: int) -> list[str]:
 
 
 class BaseLearnerWeights:
-    """All trainable state in one contiguous float64 vector, or a stack of
-    networks of one layout in a (folds, P) array that step together.
+    """All trainable state in one contiguous float64 vector: one network, or
+    a stack of networks of one layout that step together.
 
     ``extractor``, ``embeddings`` and ``head`` are named views into
     ``values`` laid out as ``layout`` (name, shape) pairs in parameter
     order, so writing either side moves the other and an optimizer or an
-    interpolation can treat every weight at once; in a stack every view
-    carries the leading fold axis. ``slices`` maps each layout name to its
-    range along the last axis of ``values``, so an array laid out like
-    ``values``, such as a gradient, can be written part by part.
-    ``activations`` names the extractor layers' activations followed by the
-    head's.
+    interpolation can treat every weight at once. A stack of ``folds``
+    networks is laid out part-major: each part's (folds, *shape) block is
+    contiguous, so every numpy call of a step sees contiguous arrays, and
+    every view carries the leading fold axis. One network (``folds`` None)
+    has the bytes of a stack of one, without the axis. ``slices`` maps each
+    layout name to its range in one network's vector; in a stack the part's
+    block spans ``folds`` times that range. ``activations`` names the
+    extractor layers' activations followed by the head's.
     """
 
     def __init__(self, values: np.ndarray, layout: Layout, activations: tuple[str, ...]) -> None:
@@ -109,7 +117,7 @@ class BaseLearnerWeights:
                 f"parameter layout does not match a network with {n_layers} extractor layers"
             )
         sizes = [math.prod(shape) for _, shape in layout]
-        if values.ndim not in (1, 2) or values.shape[-1] != sum(sizes):
+        if values.ndim != 1 or values.size != sum(sizes):
             raise ShapeError("flat parameter vector does not match its layout")
         slices = {}
         offset = 0
@@ -118,7 +126,7 @@ class BaseLearnerWeights:
             offset += size
         if len(dict(layout)["embeddings"]) != 2:
             raise ShapeError("embedding table must be 2-D (groups x embedding dim)")
-        self._bind(values, layout, tuple(activations), slices)
+        self._bind(values, layout, tuple(activations), slices, None)
         concat_dim = self.extractor[-1].n_out + self.embeddings.shape[-1]
         if self.head.n_in != concat_dim:
             raise ShapeError(
@@ -131,26 +139,15 @@ class BaseLearnerWeights:
         layout: Layout,
         activations: tuple[str, ...],
         slices: dict,
-        folds: int | None = None,
+        folds: int | None,
     ) -> None:
-        """Point the named views at ``values``, for a layout already checked.
-
-        With ``folds``, ``values`` is a flat part-major buffer instead: each
-        part's (folds, *shape) block is contiguous, and starts at ``folds``
-        times the part's offset in one network's vector.
-        """
-        if folds is None:
-            lead = values.shape[:-1]
-            views = {
-                name: values[..., slices[name]].reshape(lead + shape) for name, shape in layout
-            }
-        else:
-            views = {
-                name: values[folds * slices[name].start : folds * slices[name].stop].reshape(
-                    (folds, *shape)
-                )
-                for name, shape in layout
-            }
+        """Point the named views at ``values``, for a layout already checked."""
+        n = 1 if folds is None else folds
+        lead = () if folds is None else (folds,)
+        views = {
+            name: values[n * slices[name].start : n * slices[name].stop].reshape(lead + shape)
+            for name, shape in layout
+        }
 
         def layer(prefix: str, activation: str) -> DenseLayer:
             return DenseLayer(
@@ -161,47 +158,49 @@ class BaseLearnerWeights:
         self.layout = layout
         self.slices = slices
         self.activations = activations
+        self.folds = folds
         self.extractor = [layer(f"extractor.{i}", act) for i, act in enumerate(activations[:-1])]
         self.embeddings = views["embeddings"]
         self.head = layer("head", activations[-1])
+
+    def _view(self, values: np.ndarray, folds: int | None) -> "BaseLearnerWeights":
+        """This layout over ``values``: one network, or a stack of ``folds``."""
+        out = object.__new__(BaseLearnerWeights)
+        out._bind(values, self.layout, self.activations, self.slices, folds)
+        return out
 
     @property
     def n_groups(self) -> int:
         return self.embeddings.shape[-2]
 
     def with_values(self, values: np.ndarray) -> "BaseLearnerWeights":
-        """Weights of the same network over another array laid out like
-        ``values``: one network's vector or a (folds, P) stack."""
+        """Weights of the same network, or stack, over another array laid
+        out like ``values``."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.values.shape[-1]:
+        if values.shape != self.values.shape:
             raise ShapeError("flat parameter vector does not match its layout")
-        out = object.__new__(BaseLearnerWeights)
-        out._bind(values, self.layout, self.activations, self.slices)
-        return out
-
-    def part_major(self, buffer: np.ndarray) -> "BaseLearnerWeights":
-        """The layers of this stack over a flat ``buffer`` of its size laid
-        out part by part, so that every view is one contiguous block (its
-        ``values`` is ``buffer``). Elementwise updates of ``buffer`` move
-        each weight as they would in the stack's own (folds, P) layout."""
-        out = object.__new__(BaseLearnerWeights)
-        out._bind(buffer, self.layout, self.activations, self.slices, folds=len(self.values))
-        return out
+        return self._view(values, self.folds)
 
     def clone(self) -> "BaseLearnerWeights":
-        return self.with_values(self.values.copy())
+        return self._view(self.values.copy(), self.folds)
 
     def unstack(self) -> list["BaseLearnerWeights"]:
         """Each fold of a stack as a network of its own (copies)."""
-        return [self.with_values(row.copy()) for row in self.values]
+        n = self.folds
+        blocks = [self.values[n * s.start : n * s.stop].reshape(n, -1) for s in self.slices.values()]
+        return [self._view(np.concatenate([b[f] for b in blocks]), None) for f in range(n)]
 
 
 def stack_weights(weights: Sequence[BaseLearnerWeights]) -> BaseLearnerWeights:
     """Networks of one layout as one stack, fold f a copy of ``weights[f]``."""
     first = weights[0]
-    if any(w.layout != first.layout or w.activations != first.activations for w in weights):
-        raise ShapeError("only networks of one layout can be stacked")
-    return first.with_values(np.stack([w.values for w in weights]))
+    if any(
+        w.folds is not None or w.layout != first.layout or w.activations != first.activations
+        for w in weights
+    ):
+        raise ShapeError("only single networks of one layout can be stacked")
+    values = np.concatenate([w.values[s] for s in first.slices.values() for w in weights])
+    return first._view(values, len(weights))
 
 
 def init_weights(
@@ -247,7 +246,7 @@ def _check_groups(weights: BaseLearnerWeights, group_ids: np.ndarray) -> np.ndar
 def _one_as_stack(weights: BaseLearnerWeights, x, group_ids):
     """One network's weights, inputs and group ids as those of a stack of one."""
     return (
-        weights.with_values(weights.values[None]),
+        weights._view(weights.values, 1),
         np.asarray(x, dtype=np.float64)[None],
         np.asarray(group_ids)[None],
     )
@@ -257,7 +256,7 @@ def _as_stack(weights: BaseLearnerWeights, x, group_ids, y, rng):
     """A step's arguments for a stack: one network, its batch and its RNG
     stream become a stack of one; a stack needs one stream per fold."""
     g = _check_groups(weights, group_ids)
-    if weights.values.ndim == 1:
+    if weights.folds is None:
         weights, x, g = _one_as_stack(weights, x, g)
         y = np.asarray(y, dtype=np.float64).reshape(1, -1)
         rng = None if rng is None else (rng,)
@@ -267,32 +266,29 @@ def _as_stack(weights: BaseLearnerWeights, x, group_ids, y, rng):
 
 
 class StepWorkspace:
-    """Where the stacked steps on one (folds, P) stack run and write.
+    """Where the steps on one stack run and write.
 
-    ``net`` is a part-major copy of the stack (``part_major``), so that
-    every numpy call of a step sees contiguous arrays; ``load`` and
-    ``store`` copy the stack in and out. ``grads`` is the gradient in the
-    same layout. The optimizer's buffers and every other array a step
-    writes are made on first use and kept, one buffer per role: per layer
-    for an array that lives from the forward to the backward pass (a
-    layer's activations, norms and effective weights), one for all layers
-    for a transient, and each grown to the largest batch, so that the
-    training and fine-tune batches of a meta-iteration share it. The
-    owner, one meta-loop stack or one ``inner_update`` or
+    ``net`` is the stack being stepped, an array of the workspace's own:
+    ``inner_update`` copies its input weights in (unless they are ``net``
+    already), steps ``net`` in place and returns it. ``grads`` is the
+    gradient in the same layout. The optimizer's buffers and every other
+    array a step writes are made on first use and kept, one buffer per
+    role: per layer for an array that lives from the forward to the
+    backward pass (a layer's activations, norms and effective weights), one
+    for all layers for a transient, and each grown to the largest batch, so
+    that the training and fine-tune batches of a meta-iteration share it.
+    The owner, one meta-loop stack or one ``inner_update`` or
     ``loss_and_grads`` call, drops the workspace with the stack.
     """
 
     def __init__(self, weights: BaseLearnerWeights) -> None:
-        self.shape = weights.values.shape
-        self.net = weights.part_major(np.empty(weights.values.size))
+        """A workspace for stacks laid out like ``weights``; one network
+        counts as a stack of one."""
+        folds = 1 if weights.folds is None else weights.folds
+        self.net = weights._view(np.empty(weights.values.size), folds)
         # row 1 is the gradient, row 0 the optimizer's step (see ``optimizer``)
         self._update = np.empty((2, weights.values.size))
-        self.grads = weights.part_major(self._update[1])
-        n_folds = len(weights.values)
-        self._parts = [
-            (part, slice(n_folds * part.start, n_folds * part.stop))
-            for part in weights.slices.values()
-        ]
+        self.grads = weights._view(self._update[1], folds)
         self._arrays: dict = {}
         self._batches: dict = {}
 
@@ -307,29 +303,6 @@ class StepWorkspace:
                 self._batches.clear()
             buf = self._arrays[name] = np.empty(size)
         return buf[:size].reshape(shape)
-
-    def _copy(self, buffer: np.ndarray, values: np.ndarray, load: bool) -> None:
-        values = values.reshape(self.shape, copy=False)  # one network as a stack of one
-        for part, block in self._parts:
-            mine = buffer[block].reshape(len(values), -1)
-            if load:
-                np.copyto(mine, values[:, part])
-            else:
-                np.copyto(values[:, part], mine)
-
-    def load(self, values: np.ndarray) -> None:
-        """Copy a stack's (folds, P) ``values`` into ``net``."""
-        self._copy(self.net.values, values, load=True)
-
-    def store(self, values: np.ndarray) -> None:
-        """Copy ``net`` out into a stack's (folds, P) ``values``."""
-        self._copy(self.net.values, values, load=False)
-
-    def gradient(self) -> np.ndarray:
-        """The gradient as a fresh array in the stack's (folds, P) layout."""
-        out = np.empty(self.shape)
-        self._copy(self.grads.values, out, load=False)
-        return out
 
     def optimizer(self, config: BaseLearnerConfig) -> OptimizerState:
         """A fresh optimizer over ``net``, whose buffers are this
@@ -396,14 +369,15 @@ class _BatchBuffers:
 class _StepPlan:
     """One stacked batch, checked once for every step taken on it: inputs
     (folds, rows, features), group ids and labels (folds, rows), each
-    fold's active embedding rows as (``fold_of``, ``active``) pairs, the
-    loss settings, and the workspace buffers sized for it. ``dropout`` is
-    the rate masks are drawn at, 0 for steps without dropout."""
+    fold's active embedding rows as (``fold_of``, ``active``) pairs with
+    the ``positions`` of their batch rows (``_row_positions``), the loss
+    settings, and the workspace buffers sized for it. ``dropout`` is the
+    rate masks are drawn at, 0 for steps without dropout."""
 
     x: np.ndarray
     g: np.ndarray
     y: np.ndarray
-    folds: np.ndarray
+    positions: np.ndarray
     fold_of: np.ndarray
     active: np.ndarray
     kind: str
@@ -422,11 +396,10 @@ def _plan(
     y = np.asarray(y, dtype=np.float64)
     if x.ndim == 3 and x.shape[1] == 0:
         raise DataError("empty batch")
-    if x.ndim != 3 or not (x.shape[:2] == y.shape == g.shape) or len(x) != len(weights.values):
+    if x.ndim != 3 or not (x.shape[:2] == y.shape == g.shape) or len(x) != weights.folds:
         raise ShapeError("batch arrays must share their fold and row dimensions")
-    folds = np.arange(len(x))[:, None]
     present = np.zeros(weights.embeddings.shape[:2], dtype=bool)
-    present[folds, g] = True
+    present[np.arange(len(x))[:, None], g] = True
     counts = present.sum(axis=1)
     if (counts != counts[0]).any():
         raise ShapeError("folds stepped together must each cover the same number of groups")
@@ -434,7 +407,35 @@ def _plan(
     l1, l2 = config.l1_l2()
     dropout = config.dropout_rate if train else 0.0
     buffers = ws.batch(x.shape[1], dropout > 0.0)
-    return _StepPlan(x, g, y, folds, fold_of, active, kind, l1, l2, dropout, buffers)
+    positions = _row_positions(g, present)
+    return _StepPlan(x, g, y, positions, fold_of, active, kind, l1, l2, dropout, buffers)
+
+
+def _row_positions(g: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Where the rows of each active (fold, group) pair lie among a stacked
+    batch's folds * rows rows: one row per pair, in the order of
+    ``np.nonzero(present)``, listing the pair's rows in batch order. Each
+    row starts with folds * rows, which ``_group_sums`` reads as a zero
+    row, and is padded with it to the longest pair's length."""
+    keys = (np.arange(len(g))[:, None] * present.shape[1] + g).ravel()
+    order = np.argsort(keys, kind="stable")
+    pair = np.cumsum(present.ravel())[keys[order]] - 1
+    counts = np.bincount(pair)
+    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[pair]
+    positions = np.full((len(counts), counts.max() + 1), keys.size)
+    positions[pair, rank + 1] = order
+    return positions
+
+
+def _group_sums(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """For each row of ``positions``, the sum of those rows of ``rows``
+    added in order, a position of ``len(rows)`` standing for a zero row.
+    As ``_row_positions`` starts each row with it, every sum is the one
+    ``np.add.at`` makes from zero: ((0 + r0) + r1) + ... The zero rows that
+    pad the end add +0.0 to a sum that, started from +0.0, is never -0.0,
+    so they change no bit."""
+    padded = np.concatenate((rows, np.zeros((1, rows.shape[1]))))
+    return np.add.accumulate(padded.take(positions, axis=0), axis=1)[:, -1]
 
 
 def _forward_pass(
@@ -542,9 +543,11 @@ def _step(
     dconcat = backward(n_layers, concat, dz, head_norms, head_w_eff)
     hidden_dim = net.extractor[-1].n_out
     demb = grads.embeddings
+    rows = dconcat[..., hidden_dim:].reshape(plan.g.size, demb.shape[-1])
+    sums = _group_sums(rows, plan.positions)
+    sums += nn_core.regularization_grad(active_embeddings, l1, l2)
     demb.fill(0.0)
-    np.add.at(demb, (plan.folds, plan.g), dconcat[..., hidden_dim:])
-    demb[plan.fold_of, plan.active] += nn_core.regularization_grad(active_embeddings, l1, l2)
+    demb[plan.fold_of, plan.active] = sums
 
     grad_out = dconcat[..., :hidden_dim]
     for i in range(n_layers - 1, -1, -1):
@@ -584,15 +587,14 @@ def loss_and_grads(
     Each call runs one step on a plan and workspace of its own, so the
     gradient it returns is a fresh array.
     """
-    one = weights.values.ndim == 1
+    one = weights.folds is None
     weights, x, g, y, rng = _as_stack(weights, x, group_ids, y, rng)
     ws = StepWorkspace(weights)
     plan = _plan(weights, x, g, y, kind, config, train, ws)
-    ws.load(weights.values)
+    np.copyto(ws.net.values, weights.values)
     with np.errstate(all="ignore"):
         loss = _step(ws.net, ws.grads, plan, rng, errors)
-    grad = ws.gradient()
-    return (float(loss[0]), grad[0]) if one else (loss, grad)
+    return (float(loss[0]) if one else loss), ws.grads.values
 
 
 def _task_kind(task: TaskSpec | Sequence[TaskSpec]) -> str:
@@ -609,40 +611,34 @@ def inner_update(
     config: BaseLearnerConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
     errors: FoldErrors | None = None,
-    out: BaseLearnerWeights | None = None,
     workspace: StepWorkspace | None = None,
 ) -> BaseLearnerWeights:
     """The k-shot update operator: ``inner_iterations`` full-batch steps on
-    one task slice with a fresh optimizer; the input weights are not mutated.
+    one task slice with a fresh optimizer.
 
     On a stack, ``data`` carries the leading fold axis, ``task`` is one spec
     per fold (all of one kind) and ``rng`` one stream per fold; ``errors``
-    is as in ``loss_and_grads``. ``out``, laid out like ``weights`` and
-    possibly ``weights`` itself, receives the result instead of a fresh
-    copy. The batch is checked and indexed once for every step, and the
-    steps write into ``workspace``, a stack's ``StepWorkspace`` that the
-    caller keeps across updates, or a fresh one.
+    is as in ``loss_and_grads``. The steps run in ``workspace``, a
+    ``StepWorkspace`` that the caller keeps across updates, or a fresh one:
+    ``weights`` are copied into its stack unless they are that stack
+    already, which is stepped in place and returned (as one network for
+    one network). Other input weights are never mutated. The batch is
+    checked and indexed once for every step.
     """
     if np.size(data.y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    if config.learning_rate == 0.0 or config.inner_iterations == 0:
-        if out is None:
-            return weights.clone()
-        if out is not weights:
-            np.copyto(out.values, weights.values)
-        return out
-    kind = _task_kind(task)
     stack, x, g, y, rng = _as_stack(weights, data.x, data.group_ids, data.y, rng)
     ws = StepWorkspace(stack) if workspace is None else workspace
-    if ws.shape != stack.values.shape:
+    net = ws.net
+    if net.folds != stack.folds or net.values.size != stack.values.size:
         raise ShapeError("step workspace does not match the stack")
-    plan = _plan(stack, x, g, y, kind, config, True, ws)
-    ws.load(stack.values)
-    state = ws.optimizer(config)
-    with np.errstate(all="ignore"):
-        for _ in range(config.inner_iterations):
-            _step(ws.net, ws.grads, plan, rng, errors)
-            optimizer_step(ws.net.values, ws.grads.values, state)
-    current = weights.with_values(np.empty_like(weights.values)) if out is None else out
-    ws.store(current.values)
-    return current
+    if stack.values is not net.values:
+        np.copyto(net.values, stack.values)
+    if config.learning_rate != 0.0 and config.inner_iterations != 0:
+        plan = _plan(stack, x, g, y, _task_kind(task), config, True, ws)
+        state = ws.optimizer(config)
+        with np.errstate(all="ignore"):
+            for _ in range(config.inner_iterations):
+                _step(net, ws.grads, plan, rng, errors)
+                optimizer_step(net.values, ws.grads.values, state)
+    return net if weights.folds is not None else weights._view(net.values, None)

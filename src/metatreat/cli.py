@@ -61,15 +61,29 @@ def _stamp(hash_: str, seed: int) -> str:
     return f"# config_hash={hash_} seed={seed} version={__version__}\n"
 
 
+class _Constant(str):
+    """One of the literals NaN, Infinity and -Infinity, which Python's json
+    accepts but JSON does not."""
+
+
+def _reject_constants(pairs: list[tuple[str, object]]) -> dict:
+    for key, value in pairs:
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, _Constant):
+                raise ValueError(f"{key}: {item} is not a JSON number")
+    return dict(pairs)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_Constant, object_pairs_hook=_reject_constants)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except ValueError as exc:  # also an integer literal past Python's digit limit
+    # also an integer literal past Python's digit limit, or NaN/Infinity
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")

@@ -392,6 +392,12 @@ def table_from_rows(
                         f"{source}: row {r + 2}, column {meta.name!r}: "
                         f"cannot parse {cell!r} as numeric"
                     ) from None
+            bad = np.flatnonzero(~(missing | np.isfinite(vals)))
+            if bad.size:
+                raise DataError(
+                    f"{source}: row {bad[0] + 2}, column {meta.name!r}: non-finite value "
+                    f"{raw[bad[0]]!r} (list it in missing_values if it marks a missing cell)"
+                )
             out_columns.append(meta)
             out_values.append(vals)
             out_mask.append(missing)

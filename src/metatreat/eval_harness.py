@@ -108,6 +108,13 @@ class BaselineConfig:
     ridge_alpha: float = 1.0
     logistic_alpha: float = 1e-3
 
+    def __post_init__(self) -> None:
+        if self.knn_k < 1:
+            raise ConfigError("knn_k must be at least 1")
+        for name in ("ridge_alpha", "logistic_alpha"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be non-negative")
+
 
 def _gd_minimize(grad_fn, w0: np.ndarray, lr: float) -> np.ndarray:
     w = w0.copy()
@@ -688,6 +695,9 @@ class SearchSpace:
         for f in dataclasses.fields(self):
             if not getattr(self, f.name):
                 raise ConfigError(f"search space grid {f.name!r} is empty")
+        lo, hi = self.keep_fraction_range
+        if not (0.0 < lo <= hi <= 1.0):
+            raise ConfigError("keep_fraction_range must satisfy 0 < low <= high <= 1")
 
 
 def off_grid_fields(config: BaseLearnerConfig) -> list[str]:

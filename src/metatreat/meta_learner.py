@@ -163,32 +163,32 @@ def meta_step(
     batches: list[TaskBatch],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
-    out: BaseLearnerWeights | None = None,
     workspace: StepWorkspace | None = None,
 ) -> MetaState:
     """One meta-iteration: train, fine-tune, then interpolate.
 
     With several task batches the train/fine-tune pair runs sequentially on
     each before the single interpolation, which moves the initialization
-    toward the adapted weights: theta + eps*(adapted - theta). ``out``, laid
-    out like ``state.theta`` but not it, receives the adapted and then the
-    new weights, so a loop can alternate two buffers; by default it is a
-    fresh copy. Every inner update steps in ``workspace`` (one made for
-    ``state.theta``'s stack) when given.
+    toward the adapted weights: theta + eps*(adapted - theta) is written
+    back into ``state.theta``. The adapted weights live in ``workspace``
+    (one made for ``state.theta``), or in one made here.
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
+    if not batches:
+        raise ConfigError("a meta-iteration needs at least one task batch")
     eps = epsilon_schedule(state.t, meta_config.meta_iterations, meta_config.epsilon0)
-    work = state.theta.clone() if out is None else out
+    workspace = StepWorkspace(state.theta) if workspace is None else workspace
     adapted = state.theta
     for batch in batches:
         for data in (batch.train_data, batch.finetune_data):
             adapted = inner_update(
-                adapted, data, batch.task, base_config, state.rng, state.errors, work, workspace
+                adapted, data, batch.task, base_config, state.rng, state.errors, workspace
             )
     with np.errstate(all="ignore"):
-        param_axpy(state.theta.values, adapted.values, eps, out=work.values)
-    return MetaState(theta=work, t=state.t + 1, rng=state.rng, errors=state.errors)
+        param_axpy(state.theta.values, adapted.values, eps, out=adapted.values)
+    np.copyto(state.theta.values, adapted.values)
+    return MetaState(theta=state.theta, t=state.t + 1, rng=state.rng, errors=state.errors)
 
 
 def _stack_batches(batches: list[TaskBatch]) -> TaskBatch:
@@ -282,26 +282,22 @@ def _lockstep(
     results: list = [None] * len(folds)
     caches = [TaskCache() for _ in folds]
     state = MetaState(theta, 0, rngs, errors)
-    spare = None
     workspace = StepWorkspace(theta)
 
     def shrink() -> bool:
         """Drop the first failed fold and every later one; False once the
         stack is empty."""
-        nonlocal state, spare, workspace
+        nonlocal state, workspace
         cut = next((j for j, e in enumerate(state.errors) if e is not None), None)
         if cut is None:
             return True
         results[cut] = state.errors[cut]
-        state = MetaState(
-            state.theta.with_values(state.theta.values[:cut]), state.t, state.rng[:cut],
-            [None] * cut,
-        )
-        if spare is not None:
-            spare = spare.with_values(spare.values[:cut])
         del folds[cut:], caches[cut:]
         if cut == 0:
             return False
+        state = MetaState(
+            stack_weights(state.theta.unstack()[:cut]), state.t, state.rng[:cut], [None] * cut
+        )
         workspace = StepWorkspace(state.theta)
         return True
 
@@ -321,9 +317,7 @@ def _lockstep(
         if not shrink():
             return results
         batches = [_stack_batches(list(b)) for b in zip(*per_fold)]
-        previous = state.theta
-        state = meta_step(state, batches, base_config, meta_config, spare, workspace)
-        spare = previous
+        state = meta_step(state, batches, base_config, meta_config, workspace)
         if not shrink():
             return results
     for j, weights in enumerate(state.theta.unstack()):

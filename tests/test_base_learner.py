@@ -4,6 +4,8 @@ import pytest
 from metatreat.base_learner import (
     BaseLearnerConfig,
     StepWorkspace,
+    _group_sums,
+    _row_positions,
     forward,
     init_weights,
     inner_update,
@@ -240,7 +242,9 @@ def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
         batches = [(x, g, (y > 0).astype(float)) for x, g, y in batches]
     x, g, y = (np.stack(parts) for parts in zip(*batches))
     streams = tuple(np.random.default_rng(seed) for seed in range(3))
-    losses, grads = loss_and_grads(stack_weights(nets), x, g, y, kind, config, rng=streams)
+    stack = stack_weights(nets)
+    losses, grads = loss_and_grads(stack, x, g, y, kind, config, rng=streams)
+    grads = per_fold(stack.with_values(grads))
     assert grads.shape == (3, nets[0].values.size)
     for f, net in enumerate(nets):
         loss, grad = loss_and_grads(net, *batches[f], kind, config, rng=np.random.default_rng(f))
@@ -266,6 +270,76 @@ def stacked_task(rng, n_folds, n_rows=9):
     return batches, TaskData(x, g, y, np.zeros(g.shape, dtype=int))
 
 
+def per_fold(stack):
+    """A stack's folds as the rows of one (folds, P) array."""
+    return np.stack([net.values for net in stack.unstack()])
+
+
+@pytest.mark.parametrize(
+    "n_layers, hidden_dim, embedding_dim", [(1, 5, 3), (3, 7, 4), (2, 6, 0)]
+)
+def test_stack_unstack_round_trips_bitwise(n_layers, hidden_dim, embedding_dim):
+    rng = np.random.default_rng(35)
+    config = small_config(n_layers=n_layers, hidden_dim=hidden_dim, embedding_dim=embedding_dim)
+    nets = [init_weights(config, 4, 3, rng) for _ in range(3)]
+    stack = stack_weights(nets)
+    # each part's (folds, *shape) block is contiguous, fold f holding net f
+    assert stack.values.size == 3 * nets[0].values.size
+    assert stack.embeddings.shape == (3, 3, embedding_dim)
+    for f, net in enumerate(nets):
+        assert np.array_equal(stack.head.v[f], net.head.v)
+        assert np.array_equal(stack.extractor[0].gain[f], net.extractor[0].gain)
+    assert [net.values.tobytes() for net in stack.unstack()] == [
+        net.values.tobytes() for net in nets
+    ]
+    # a stack of one has one network's bytes
+    assert stack_weights(nets[:1]).values.tobytes() == nets[0].values.tobytes()
+
+
+def test_update_of_a_workspace_stack_steps_it_in_place():
+    # an update leaves its input stack as it was, unless that stack is the
+    # workspace's own, which it steps in place to the bits a copy would get
+    rng = np.random.default_rng(36)
+    config = small_config(dropout_rate=0.2, optimizer="adam")
+    theta = stack_weights([init_weights(config, 4, 4, rng) for _ in range(3)])
+    before = theta.values.copy()
+    _, data = stacked_task(rng, 3)
+    tasks = (REG_TASK,) * 3
+    workspace = StepWorkspace(theta)
+    streams = lambda: tuple(map(np.random.default_rng, (5, 6, 7)))  # noqa: E731
+    out = inner_update(theta, data, tasks, config, streams(), workspace=workspace)
+    assert theta.values.tobytes() == before.tobytes()
+    copy = out.clone()
+    assert inner_update(out, data, tasks, config, streams(), workspace=workspace) is out
+    expected = inner_update(copy, data, tasks, config, streams())
+    assert out.values.tobytes() == expected.values.tobytes()
+
+
+def test_group_sums_match_add_at_bitwise():
+    # per (fold, group) sums in add.at's order, unequal group counts,
+    # signed zeros and infinities included; NaN compares as NaN
+    rng = np.random.default_rng(37)
+    for trial in range(200):
+        n_folds, n_rows, n_groups = rng.integers(1, 4), rng.integers(1, 12), rng.integers(2, 6)
+        emb = int(rng.choice([0, 1, 8, 128]))
+        g = rng.integers(0, n_groups, size=(n_folds, n_rows))
+        rows = rng.normal(size=(n_folds, n_rows, emb))
+        special = rng.random(rows.shape)
+        rows[special < 0.1] = -0.0
+        rows[(special >= 0.1) & (special < 0.13)] = np.inf
+        rows[(special >= 0.13) & (special < 0.15)] = -np.inf
+        present = np.zeros((n_folds, n_groups), dtype=bool)
+        present[np.arange(n_folds)[:, None], g] = True
+        expected = np.zeros((n_folds, n_groups, emb))
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            np.add.at(expected, (np.arange(n_folds)[:, None], g), rows)
+            sums = _group_sums(rows.reshape(g.size, emb), _row_positions(g, present))
+        got = np.zeros_like(expected)
+        got[np.nonzero(present)] = sums
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     # every extractor layer's mask comes from one draw per fold per step,
     # in layer order, so each stream moves exactly as per-layer draws would
@@ -277,7 +351,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
     batches, data = stacked_task(rng, 3)
     streams = tuple(CountingStream(seed) for seed in range(3))
-    out = inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams)
+    out = per_fold(inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams))
     assert [s.calls for s in streams] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
         expected = net.clone()
@@ -288,7 +362,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
                 expected, *batches[f], "regression", config, rng=reference
             )
             optimizer_step(expected.values, grads, state)
-        assert out.values[f].tobytes() == expected.values.tobytes()
+        assert out[f].tobytes() == expected.values.tobytes()
         assert streams[f].stream.random() == reference.random()
 
 
@@ -303,20 +377,18 @@ def test_step_workspace_never_aliases_results():
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()
 
-    # updates that share one workspace return arrays of their own, and
-    # match updates that each had a fresh one
+    # updates that share one workspace return its stack, and match updates
+    # that each had a fresh one
     theta = stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)])
     workspace = StepWorkspace(theta)
     tasks = (REG_TASK,) * 2
     _, data = stacked_task(rng, 2)
     _, other = stacked_task(rng, 2, n_rows=5)
-    earlier = inner_update(theta, data, tasks, config, tuple(map(np.random.default_rng, (1, 2))),
-                           workspace=workspace)
-    kept = earlier.values.copy()
+    inner_update(theta, data, tasks, config, tuple(map(np.random.default_rng, (1, 2))),
+                 workspace=workspace)
     later = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))),
                          workspace=workspace)
-    assert earlier.values.tobytes() == kept.tobytes()
-    assert not np.shares_memory(earlier.values, later.values)
+    assert later is workspace.net
     fresh = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))))
     assert later.values.tobytes() == fresh.values.tobytes()
 
@@ -332,9 +404,9 @@ def test_stack_keeps_each_folds_first_numeric_failure():
     x = np.array([[[1.0]], [[1e150]]])
     g, y = np.zeros((2, 1), dtype=int), np.zeros((2, 1))
     errors = [None, None]
-    losses, grads = loss_and_grads(
-        stack_weights(nets), x, g, y, "regression", config, train=False, errors=errors
-    )
+    stack = stack_weights(nets)
+    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, train=False, errors=errors)
+    grads = per_fold(stack.with_values(grads))
     assert errors[0] is None
     assert str(errors[1]) == "extractor layer 1: dense layer produced non-finite activations"
     loss, grad = loss_and_grads(nets[0], x[0], g[0], y[0], "regression", config, train=False)

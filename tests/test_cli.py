@@ -322,6 +322,57 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, kind):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, doc, needle",
+    [
+        ("generate", {**GEN_CONFIG, "noise_sigma": math.nan}, "noise_sigma: NaN is not a JSON"),
+        ("generate", {**GEN_CONFIG, "delta": [0.0, math.inf, 1.0]}, "delta: Infinity is not"),
+        ("config", {"baselines": {"ridge_alpha": math.nan}}, "ridge_alpha: NaN is not a JSON"),
+        ("config", {"base": {"learning_rate": -math.inf}}, "learning_rate: -Infinity is not"),
+        ("config", {"base": {"hidden_dim": 0}}, "hidden_dim must be >= 1"),
+        ("config", {"base": {"embedding_dim": -2}}, "embedding_dim must be non-negative"),
+        ("config", {"base": {"reg_strength": -1e-3}}, "reg_strength must be non-negative"),
+        ("config", {"baselines": {"knn_k": 0}}, "knn_k must be at least 1"),
+        ("config", {"baselines": {"ridge_alpha": -1.0}}, "ridge_alpha must be non-negative"),
+        ("config", {"baselines": {"logistic_alpha": -1.0}}, "logistic_alpha must be non-negative"),
+        ("space", {"keep_fraction_range": [0.99, 0.7]}, "keep_fraction_range must satisfy"),
+        ("space", {"keep_fraction_range": [0.0, 0.7]}, "keep_fraction_range must satisfy"),
+    ],
+)
+def test_out_of_range_config_values_exit_2_naming_the_key(
+    tmp_path, study_dir, capsys, kind, doc, needle
+):
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(json.dumps(doc))  # writes NaN and Infinity as Python's json does
+    if kind == "generate":
+        argv = ["generate", "--config", str(bad)]
+    else:
+        argv = ["cv", "--data", str(study_dir / "data.csv"), "--manifest",
+                str(study_dir / "manifest.json"), "--config", str(bad)]
+    if kind == "space":
+        argv = ["grid-search", *argv[1:5], "--budget", "1", "--space", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_data_cell_exits_3_naming_row_and_column(tmp_path, study_dir, capsys, cell):
+    lines = (study_dir / "data.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = cell
+    header = lines[0].split(",")
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+    argv = [
+        "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / "x"),
+    ]
+    assert main(argv) == 3
+    assert f"row 4, column {header[2]!r}: non-finite value {cell!r}" in capsys.readouterr().err
+
+
 def test_generate_over_the_cell_cap_exits_2_without_output(tmp_path, capsys):
     bad = tmp_path / "gen.json"
     bad.write_text(json.dumps({**GEN_CONFIG, "n_per_group": 10**9}))
