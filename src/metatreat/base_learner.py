@@ -309,15 +309,13 @@ class StepWorkspace:
         workspace's, zeroed. Its scratch ends with the gradient's row, which
         ``optimizer_step`` may overwrite once it has read the gradient (SGD's
         step, Adam's denominator), as the next step writes it anew."""
-        state = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
+        if config.optimizer == "sgd":
+            return OptimizerState("sgd", config.learning_rate, self._update[1:])
         size = self.net.values.shape
-        state.scratch = self._update if state.kind == "adam" else self._update[1:]
-        if state.kind == "adam":
-            state.m = self._array("optimizer.m", size)
-            state.v = self._array("optimizer.v", size)
-            state.m.fill(0.0)
-            state.v.fill(0.0)
-        return state
+        m, v = self._array("optimizer.m", size), self._array("optimizer.v", size)
+        m.fill(0.0)
+        v.fill(0.0)
+        return OptimizerState("adam", config.learning_rate, self._update, m, v)
 
     def batch(self, n_rows: int, dropout: bool) -> "_BatchBuffers":
         """The buffers of a step on batches of ``n_rows`` rows per fold."""
@@ -516,12 +514,12 @@ def _step(
     b = plan.buffers
     l1, l2 = plan.l1, plan.l2
     if b.masks is not None:
-        dropout_mask(rng, b.draws.shape[1:], plan.dropout, out=b.draws)
+        dropout_mask(rng, plan.dropout, b.draws)
     pred, caches, (concat, head_norms, head_w_eff) = _forward_pass(
         net, plan.x, plan.g, plan.kind, errors, b
     )
     loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
-    loss = nn_core.loss_value(pred, plan.y, loss_kind, axis=-1)
+    loss = nn_core.loss_value(pred, plan.y, loss_kind)
     active_embeddings = net.embeddings[plan.fold_of, plan.active]
     loss = loss + nn_core.regularization_value(b.directions, l1, l2, b.reg_terms)
     loss = loss + nn_core.regularization_value(
@@ -531,14 +529,13 @@ def _step(
 
     def backward(i: int, x_in, dz, norms, w_eff):
         layer = b.layers[i]
-        dx, dv, _, _ = dense_backward(layer, x_in, dz, norms, w_eff, i > 0, b.backward[i])
+        dx, dv, _, _ = dense_backward(layer, x_in, dz, norms, w_eff, b.backward[i])
         # dW's buffer and the layer's effective weights are free from here on
         reg = nn_core.regularization_grad(layer.v, l1, l2, out=b.backward[i][-1], scratch=w_eff)
         np.add(dv, reg, out=dv)
         return dx
 
-    head_act = "sigmoid" if plan.kind == "classification" else "identity"
-    dz = nn_core.output_delta(pred, plan.y, loss_kind, head_act, axis=-1)[..., None]
+    dz = nn_core.output_delta(pred, plan.y, loss_kind)[..., None]
     n_layers = len(net.extractor)
     dconcat = backward(n_layers, concat, dz, head_norms, head_w_eff)
     hidden_dim = net.extractor[-1].n_out

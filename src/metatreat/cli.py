@@ -101,9 +101,6 @@ def _out_dir(args) -> Path:
 
 def _run_config(args) -> tuple[PipelineConfig, CvConfig]:
     doc = _load_json(args.config) if args.config else {}
-    unknown = set(doc) - {"task_kind", "preprocess", "selection", "base", "meta", "baselines", "cv"}
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
     cv = strict_dataclass(CvConfig, doc.pop("cv", {}))
     pipeline = PipelineConfig.from_dict(doc)
     if getattr(args, "task_kind", None):

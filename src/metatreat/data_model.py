@@ -11,6 +11,7 @@ computed on training rows only and recorded in a serializable plan.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 import types
@@ -39,7 +40,7 @@ DEFAULT_MISSING_SENTINELS = ("", "NA")
 @dataclass(frozen=True)
 class ColumnMeta:
     name: str
-    timing: str
+    timing: str = "pre"
     kind: str = "numeric"
     role: str = "feature"
 
@@ -191,14 +192,26 @@ def auto_differential_pairs(columns: tuple[ColumnMeta, ...]) -> tuple[tuple[str,
     return tuple(pairs)
 
 
-def strict_dataclass(klass, doc: dict):
-    """Build a dataclass from a JSON object, rejecting unknown keys and
-    values whose type differs from their field's; JSON lists become tuples."""
+def strict_dataclass(klass, doc: dict, where: str | None = None):
+    """Build a dataclass from a JSON object, rejecting unknown and missing
+    keys and values whose type differs from their field's. JSON lists become
+    tuples, and a field typed as a dataclass, or a tuple of them, is built
+    the same way from its nested object. A message names the ``Class.field``
+    at fault; one about a nested object as a whole starts with ``where``,
+    the field that holds it."""
+    at = "" if where is None else f"{where}: "
     if not isinstance(doc, dict):
-        raise ConfigError(f"{klass.__name__}: expected a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(klass.__dataclass_fields__)
+        raise ConfigError(f"{at}{klass.__name__}: expected a JSON object, got {type(doc).__name__}")
+    fields = dataclasses.fields(klass)
+    unknown = set(doc) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
+        raise ConfigError(f"{at}unknown {klass.__name__} keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in fields
+        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{at}missing {klass.__name__} keys: {missing}")
     hints = typing.get_type_hints(klass)
     return klass(
         **{name: _typed(f"{klass.__name__}.{name}", hints[name], v) for name, v in doc.items()}
@@ -208,13 +221,15 @@ def strict_dataclass(klass, doc: dict):
 def _typed(where: str, hint, value):
     """``value`` checked against the field type ``hint``: an int field takes
     no float or bool, a float field takes an int within float range,
-    ``tuple[...]`` takes a list."""
+    ``tuple[...]`` takes a list, and a dataclass takes its JSON object."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):  # ``X | None``
         if value is None and type(None) in args:
             return None
         (hint,) = [a for a in args if a is not type(None)]
         return _typed(where, hint, value)
+    if dataclasses.is_dataclass(hint):
+        return strict_dataclass(hint, value, where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
@@ -231,8 +246,16 @@ def _typed(where: str, hint, value):
     return value
 
 
-_MANIFEST_KEYS = {"columns", "differential_pairs", "reference_group", "missing_values"}
-_COLUMN_KEYS = {"name", "timing", "kind", "role"}
+@dataclass(frozen=True)
+class ManifestDoc:
+    """A manifest file as written: the group column is one of ``columns``,
+    and ``differential_pairs`` (``"auto"`` or a list of pairs) is checked
+    by ``parse_manifest``."""
+
+    columns: tuple[ColumnMeta, ...]
+    differential_pairs: object = ()
+    reference_group: str | None = None
+    missing_values: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
 
 def _strings(value, what: str) -> tuple[str, ...]:
@@ -242,24 +265,8 @@ def _strings(value, what: str) -> tuple[str, ...]:
 
 
 def parse_manifest(doc: dict) -> Manifest:
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    if "columns" not in doc:
-        raise ConfigError("manifest is missing 'columns'")
-    if not isinstance(doc["columns"], list):
-        raise ConfigError("manifest 'columns' must be a list of column objects")
-    metas = []
-    for entry in doc["columns"]:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"manifest column entry must be an object, got {entry!r}")
-        extra = set(entry) - _COLUMN_KEYS
-        if extra:
-            raise ConfigError(f"unknown column keys {sorted(extra)} in manifest")
-        fields = {"timing": "pre", "kind": "numeric", "role": "feature", **entry}
-        if not all(isinstance(fields.get(k), str) for k in _COLUMN_KEYS):
-            raise ConfigError(f"manifest column needs a string name, timing, kind, role: {entry!r}")
-        metas.append(ColumnMeta(**fields))
+    spec = strict_dataclass(ManifestDoc, doc)
+    metas = spec.columns
     names = [c.name for c in metas]
     if len(set(names)) != len(names):
         raise ConfigError("manifest declares duplicate column names")
@@ -273,26 +280,20 @@ def parse_manifest(doc: dict) -> Manifest:
             raise ConfigError(f"target column {c.name!r} must be numeric")
     table_metas = tuple(c for c in metas if c.role != "group")
 
-    pairs_doc = doc.get("differential_pairs", [])
-    if pairs_doc == "auto":
+    if spec.differential_pairs == "auto":
         pairs = auto_differential_pairs(table_metas)
-    elif isinstance(pairs_doc, list):
-        pairs = tuple(_strings(p, "differential pair") for p in pairs_doc)
+    elif isinstance(spec.differential_pairs, (list, tuple)):
+        pairs = tuple(_strings(p, "differential pair") for p in spec.differential_pairs)
         if any(len(p) != 2 for p in pairs):
             raise ConfigError("manifest differential pairs must be [post, pre] column names")
     else:
         raise ConfigError("manifest 'differential_pairs' must be \"auto\" or a list of pairs")
-    reference_group = doc.get("reference_group")
-    if reference_group is not None and not isinstance(reference_group, str):
-        raise ConfigError("manifest 'reference_group' must be a group name or null")
     return Manifest(
         columns=table_metas,
         group_column=groups[0].name,
         differential_pairs=pairs,
-        reference_group=reference_group,
-        missing_values=_strings(
-            doc.get("missing_values", list(DEFAULT_MISSING_SENTINELS)), "'missing_values'"
-        ),
+        reference_group=spec.reference_group,
+        missing_values=spec.missing_values,
     )
 
 
@@ -306,8 +307,6 @@ def load_manifest(path: str | Path) -> Manifest:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"manifest {path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"manifest {path}: expected a JSON object")
     return parse_manifest(doc)
 
 
@@ -775,33 +774,7 @@ class PreprocessPlan:
     scale_stats: ScaleStats
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "missing_threshold": self.config.missing_threshold,
-                "scaling": self.config.scaling,
-                "reference_group": self.config.reference_group,
-                "residual_alpha": self.config.residual_alpha,
-            },
-            "differential_pairs": [list(p) for p in self.differential_pairs],
-            "dropped_columns": list(self.dropped_columns),
-            "residual_stats": None
-            if self.residual_stats is None
-            else {
-                "stratifier": self.residual_stats.stratifier,
-                "columns": {
-                    name: [list(pair[0]), list(pair[1])]
-                    for name, pair in self.residual_stats.columns.items()
-                },
-            },
-            "imputation_means": dict(self.imputation_means),
-            "scale_stats": {
-                "mode": self.scale_stats.mode,
-                "feature_affine": {k: list(v) for k, v in self.scale_stats.feature_affine.items()},
-                "target_affine": {k: list(v) for k, v in self.scale_stats.target_affine.items()},
-                "reference_group": self.scale_stats.reference_group,
-                "skipped": list(self.scale_stats.skipped),
-            },
-        }
+        return dataclasses.asdict(self)
 
 
 def fit_preprocess(

@@ -361,33 +361,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown task kind {self.task_kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "task_kind": self.task_kind,
-            "preprocess": dataclasses.asdict(self.preprocess),
-            "selection": dataclasses.asdict(self.selection),
-            "base": dataclasses.asdict(self.base),
-            "meta": dataclasses.asdict(self.meta),
-            "baselines": dataclasses.asdict(self.baselines),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {"task_kind", "preprocess", "selection", "base", "meta", "baselines"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-        sections = {
-            "preprocess": PreprocessConfig,
-            "selection": SelectionConfig,
-            "base": BaseLearnerConfig,
-            "meta": MetaConfig,
-            "baselines": BaselineConfig,
-        }
-        kwargs: dict = {"task_kind": doc.get("task_kind", "regression")}
-        for name, klass in sections.items():
-            sub = doc.get(name, {})
-            kwargs[name] = strict_dataclass(klass, sub)
-        return cls(**kwargs)
+        return strict_dataclass(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -569,13 +547,7 @@ def _fold_payloads(
     """Pre-flight of ``run_cv``: the payload of every eligible held-out
     group's fold, in fold order. Raises before any fold runs
     when the configuration cannot be evaluated on this table."""
-    if raw_table.n_groups < 2:
-        raise DataError("group-holdout CV needs at least two groups")
-    eligible = [
-        name for name in raw_table.group_names if name not in cv_config.excluded_holdout_groups
-    ]
-    if not eligible:
-        raise ConfigError("every group is excluded from holdout; nothing to evaluate")
+    eligible = _holdout_groups(raw_table, cv_config)
     preprocess = model_config.preprocess
     if preprocess.scaling == "standardize_vs_reference_group":
         if preprocess.reference_group is None:
@@ -594,6 +566,23 @@ def _fold_payloads(
         (raw_table, manifest, model_config, cv_config, i, name)
         for i, name in enumerate(eligible)
     ]
+
+
+def _holdout_groups(raw_table: DatasetTable, cv_config: CvConfig) -> list[str]:
+    """The groups that take a turn as the held-out fold, in table order: the
+    pre-flight checks that hold for every pipeline config alike."""
+    if raw_table.n_groups < 2:
+        raise DataError("group-holdout CV needs at least two groups")
+    unknown = [g for g in cv_config.excluded_holdout_groups if g not in raw_table.group_names]
+    if unknown:
+        raise DataError(
+            f"excluded holdout groups {unknown} are not in the data; "
+            f"its groups are {list(raw_table.group_names)}"
+        )
+    eligible = [g for g in raw_table.group_names if g not in cv_config.excluded_holdout_groups]
+    if not eligible:
+        raise ConfigError("every group is excluded from holdout; nothing to evaluate")
+    return eligible
 
 
 def _fold_groups(plans: list[list[tuple]], jobs: int) -> list[list[tuple]]:
@@ -767,9 +756,12 @@ def grid_search(
     Higher AUC wins for classification, lower MSE for regression. The
     leaderboard is deterministic for a given seed; candidates that fail are
     kept with their diagnostics, and an error is raised only if all fail.
+    A pre-flight check that no candidate can pass (too few groups, an
+    unknown or every group excluded) raises once, before any candidate.
     """
     if budget < 1:
         raise ConfigError("grid search budget must be at least 1")
+    _holdout_groups(raw_table, cv_config)
     maximize = template.task_kind == "classification"
     candidates = [
         sample_candidate(space, child_rng(seed, "candidate", i), template) for i in range(budget)

@@ -38,8 +38,8 @@ FoldErrors = list[Exception | None]
 
 
 def apply_activation(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of ``z``, written into ``out`` (which may be ``z``)
-    or a fresh array; identity returns ``z`` itself unless given ``out``."""
+    """The activation of ``z``, in place when ``out`` is ``z``, else in a
+    fresh array; identity returns ``z`` itself."""
     if kind == "relu":
         return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
@@ -50,19 +50,15 @@ def apply_activation(kind: str, z: np.ndarray, out: np.ndarray | None = None) ->
 
         return expit(z, out=out)
     if kind == "identity":
-        if out is None or out is z:
-            return z
-        np.copyto(out, z)
-        return out
+        return z
     raise ConfigError(f"unknown activation {kind!r}")
 
 
-def activation_grad(kind: str, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def activation_grad(kind: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """d(activation)/dz expressed through the activation output ``a``,
-    written into ``out`` (not ``a``) or a fresh array."""
+    written into ``out`` (not ``a``)."""
     if kind not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {kind!r}")
-    out = np.empty_like(a) if out is None else out
     if kind == "relu":
         return np.greater(a, 0.0, out=out)
     if kind == "tanh":
@@ -202,29 +198,27 @@ def dense_backward(
     dz: np.ndarray,
     norms: np.ndarray,
     w_eff: np.ndarray,
-    input_grad: bool = True,
-    buffers: tuple[np.ndarray, ...] | None = None,
+    buffers: tuple[np.ndarray | None, ...],
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Backprop through the affine part given dL/dz (pre-activation grad),
     with the column norms and effective weights ``dense_forward`` returned.
 
-    Returns (dx, dv, dgain, dbias); dx is None when ``input_grad`` is off,
-    for a first layer whose input gradient nothing reads. The weight-norm
-    chain rule is
+    ``buffers`` is (dx, dv, dgain, dbias, scratch): arrays shaped like the
+    four results, which receive them and are returned, and one shaped like
+    ``v`` for dW. A dx buffer of None skips the input gradient, for a first
+    layer whose input gradient nothing reads. The weight-norm chain rule is
         dgain_j = v_j . dW_j / ||v_j||
         dv_j    = (gain_j / ||v_j||) dW_j - (gain_j dgain_j / ||v_j||^2) v_j
     with dW = x^T dz the gradient w.r.t. the effective weights.
-    ``buffers``, if given, is (dx, dv, dgain, dbias, scratch): arrays
-    shaped like the four results, which receive them, and one shaped like
-    ``v`` for dW; by default all are fresh.
     """
-    dx, dv, dgain, dbias, dw = (None,) * 5 if buffers is None else buffers
-    dw = np.matmul(x.swapaxes(-1, -2), dz, out=dw)
-    dbias = np.add.reduce(dz, axis=-2, out=dbias)
-    dx = np.matmul(dz, w_eff.swapaxes(-1, -2), out=dx) if input_grad else None
+    dx, dv, dgain, dbias, dw = buffers
+    np.matmul(x.swapaxes(-1, -2), dz, out=dw)
+    np.add.reduce(dz, axis=-2, out=dbias)
+    if dx is not None:
+        np.matmul(dz, w_eff.swapaxes(-1, -2), out=dx)
     # dv holds v * dW until the column sums are taken
-    dv = np.multiply(layer.v, dw, out=dv)
-    dgain = np.divide(np.add.reduce(dv, axis=-2), norms, out=dgain)
+    np.multiply(layer.v, dw, out=dv)
+    np.divide(np.add.reduce(dv, axis=-2), norms, out=dgain)
     np.multiply(dw, (layer.gain / norms)[..., None, :], out=dv)
     np.multiply(layer.v, (layer.gain * dgain / norms**2)[..., None, :], out=dw)
     np.subtract(dv, dw, out=dv)
@@ -236,21 +230,14 @@ def dense_backward(
 # ---------------------------------------------------------------------------
 
 
-def dropout_mask(
-    rng: Sequence[np.random.Generator],
-    shape: tuple[int, ...],
-    rate: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Scaled keep-masks, stacked as (folds, *shape): entries are 0 with
-    probability rate, else 1/(1-rate), each fold's drawn from its own stream
-    exactly as ``stream.random(shape)`` would draw them. ``out``, if given,
-    receives the masks.
+def dropout_mask(rng: Sequence[np.random.Generator], rate: float, out: np.ndarray) -> np.ndarray:
+    """Scaled keep-masks written into ``out``, stacked as (folds, *shape):
+    entries are 0 with probability rate, else 1/(1-rate), each fold's drawn
+    from its own stream exactly as ``stream.random(shape)`` would draw them.
     """
-    draws = np.empty((len(rng), *shape)) if out is None else out
-    for stream, fold_draws in zip(rng, draws):
+    for stream, fold_draws in zip(rng, out, strict=True):
         stream.random(out=fold_draws)
-    return np.divide(draws >= rate, 1.0 - rate, out=draws)
+    return np.divide(out >= rate, 1.0 - rate, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +245,15 @@ def dropout_mask(
 # ---------------------------------------------------------------------------
 
 
-def param_axpy(
-    a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """a + scale * (b - a), elementwise, into ``out`` (a new array by
-    default; ``out`` may be ``b`` but not ``a``).
+def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """a + scale * (b - a), elementwise, into ``out`` (which may be ``b``
+    but not ``a``).
 
     scale 0 and 1 give exact copies of a and b respectively, so callers
     can rely on bitwise equality at the interpolation endpoints.
     """
     if a.shape != b.shape:
         raise ShapeError("param_axpy requires equally shaped parameter vectors")
-    if out is None:
-        out = np.empty_like(a)
     if scale == 0.0:
         np.copyto(out, a)
     elif scale == 1.0:
@@ -287,45 +270,32 @@ def param_axpy(
 # ---------------------------------------------------------------------------
 
 
-def loss_value(
-    pred: np.ndarray, y: np.ndarray, loss_kind: str, axis: int | None = None
-) -> float | np.ndarray:
-    """Mean data loss over every element of the batch, or along ``axis``
-    (one mean per fold of a stacked batch)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def loss_value(pred: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
+    """Mean data loss along the last axis: one mean per fold of a stacked
+    batch (folds, rows)."""
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    n = pred.size if axis is None else pred.shape[axis]
+    n = pred.shape[-1]
     # sum then divide: np.mean's own arithmetic, without its Python wrapper
     if loss_kind == "mse":
-        return np.add.reduce((pred - y) ** 2, axis=axis) / n
+        return np.add.reduce((pred - y) ** 2, axis=-1) / n
     if loss_kind == "binary_cross_entropy":
         p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-        return np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=axis) / n
+        return np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=-1) / n
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
-def output_delta(
-    pred: np.ndarray, y: np.ndarray, loss_kind: str, head_activation: str, axis: int | None = None
-) -> np.ndarray:
+def output_delta(pred: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
     """dL/dz at the output layer's pre-activation, for the loss that
-    ``loss_value`` averages over every element or along ``axis``.
-
-    For binary cross-entropy on a sigmoid head the two gradients fuse to the
-    numerically exact (pred - y) / n; anything else chains through the head
-    activation explicitly (an identity head's factor of one is skipped).
+    ``loss_value`` averages along the last axis: mean squared error on an
+    identity head, or binary cross-entropy on a sigmoid head, whose two
+    gradients fuse to the numerically exact (pred - y) / n.
     """
-    n = pred.size if axis is None else pred.shape[axis]
+    n = pred.shape[-1]
     if loss_kind == "binary_cross_entropy":
-        if head_activation != "sigmoid":
-            raise ConfigError("binary cross-entropy requires a sigmoid output head")
         return (pred - y) / n
     if loss_kind == "mse":
-        dpred = 2.0 * (pred - y) / n
-        if head_activation == "identity":
-            return dpred
-        return dpred * activation_grad(head_activation, pred)
+        return 2.0 * (pred - y) / n
     raise ConfigError(f"unknown loss {loss_kind!r}")
 
 
@@ -374,17 +344,17 @@ def regularization_grad(
 class OptimizerState:
     """Plain SGD or Adam over a flat parameter vector (or a stack of them).
 
-    Adam's moment buffers and the update's scratch space are allocated
-    lazily on the first step and must shape-match the parameters
-    afterwards; the step counter never decreases.
+    The caller owns the buffers: ``scratch`` holds one array shaped like the
+    parameters for SGD and two for Adam, and Adam's moments ``m`` and ``v``
+    start zeroed. The step counter never decreases.
     """
 
     kind: str
     learning_rate: float
-    step_count: int = 0
+    scratch: np.ndarray = field(repr=False)
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-    scratch: np.ndarray | None = field(default=None, repr=False)
+    step_count: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -401,12 +371,8 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
     ``state.scratch`` may be ``grads`` itself, which the update then
     overwrites: every read of ``grads`` comes before that row is written.
     """
-    if params.shape != grads.shape:
-        raise ShapeError("parameter and gradient shapes differ")
-    if state.scratch is None:
-        state.scratch = np.empty((2 if state.kind == "adam" else 1, *params.shape))
-    elif state.scratch.shape[1:] != params.shape:
-        raise ShapeError("optimizer buffers do not match parameter shape")
+    if not params.shape == grads.shape == state.scratch.shape[1:]:
+        raise ShapeError("parameter, gradient and optimizer buffer shapes differ")
     step = state.scratch[0]
     state.step_count += 1
     if state.kind == "sgd":
@@ -414,9 +380,6 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
         params -= step
         return
     # adam
-    if state.m is None:
-        state.m = np.zeros_like(params)
-        state.v = np.zeros_like(params)
     t = state.step_count
     denom = state.scratch[1]
     state.m *= ADAM_BETA1

@@ -12,7 +12,7 @@ noise variance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,23 +86,7 @@ class GeneratorConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_groups": self.n_groups,
-            "n_per_group": self.n_per_group,
-            "d_pre": self.d_pre,
-            "d_aux": self.d_aux,
-            "delta": list(self.delta),
-            "aux_delta_scale": self.aux_delta_scale,
-            "aux_delta": None if self.aux_delta is None else [list(r) for r in self.aux_delta],
-            "noise_sigma": self.noise_sigma,
-            "aux_noise_sigma": self.aux_noise_sigma,
-            "coupling": self.coupling,
-            "target_coupling_scale": self.target_coupling_scale,
-            "aux_coupling_scale": self.aux_coupling_scale,
-            "aux_mix": self.aux_mix,
-            "missing_rate": self.missing_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":

@@ -4,13 +4,16 @@ These deliberately avoid the code paths they check: gradients come from
 central finite differences of an independently assembled loss, AUC from
 O(n^2) pairwise counting, MI from the plug-in formula on explicit counts,
 and the base-learner's loss and gradient from a layer-by-layer backprop that
-recomputes every weight-norm term where it is used.
+recomputes every weight-norm term where it is used. ``fresh_optimizer``
+gives the reference optimizer steps their own buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit
+
+from metatreat.nn_core import OptimizerState
 
 
 def central_diff(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -160,3 +163,11 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None, t
         )
         grad_layer.v[...] += reg_grad(layer.v)
     return loss, grads.values
+
+
+def fresh_optimizer(kind: str, learning_rate: float, size: int) -> OptimizerState:
+    """An optimizer over buffers of its own for ``size`` parameters, Adam's
+    moments zeroed, as a step workspace hands one out."""
+    scratch = np.empty((2 if kind == "adam" else 1, size))
+    moments = (np.zeros(size), np.zeros(size)) if kind == "adam" else (None, None)
+    return OptimizerState(kind, learning_rate, scratch, *moments)

@@ -15,9 +15,9 @@ from metatreat.base_learner import (
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.eval_harness import off_grid_fields
-from metatreat.nn_core import OptimizerState, loss_value, optimizer_step
+from metatreat.nn_core import loss_value, optimizer_step
 from metatreat.task_selection import TaskSpec
-from oracles import central_diff, max_rel_error, reference_loss_and_grads
+from oracles import central_diff, fresh_optimizer, max_rel_error, reference_loss_and_grads
 
 REG_TASK = TaskSpec("t", "regression", "training_task")
 CLS_TASK = TaskSpec("t", "classification", "target_task")
@@ -165,7 +165,7 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
         cand = w.with_values(flat_values)
         pred = forward(cand, x, g, config, kind=kind)
         lk = "binary_cross_entropy" if kind == "classification" else "mse"
-        total = loss_value(pred.reshape(-1, 1), y.reshape(-1, 1), lk)
+        total = loss_value(pred[None], y[None], lk)[0]
         for mat in [layer.v for layer in cand.extractor] + [cand.head.v, cand.embeddings[active]]:
             total += l1 * np.abs(mat).sum() + l2 * (mat**2).sum()
         return total
@@ -214,7 +214,7 @@ def test_inner_update_matches_unfused_reference_bitwise(optimizer):
     data = TaskData(*make_batch(rng, 8, 3, 3), np.arange(8))
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(9))
     expected = w.clone()
-    state = OptimizerState(optimizer, learning_rate=config.learning_rate)
+    state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
     for _ in range(config.inner_iterations):
         _, grads = reference_loss_and_grads(
@@ -355,7 +355,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     assert [s.calls for s in streams] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
         expected = net.clone()
-        state = OptimizerState("adam", learning_rate=config.learning_rate)
+        state = fresh_optimizer("adam", config.learning_rate, net.values.size)
         reference = np.random.default_rng(f)
         for _ in range(config.inner_iterations):
             _, grads = reference_loss_and_grads(

@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatreat import eval_harness
-from metatreat.cli import main, report_from_csv_text
-from metatreat.eval_harness import MetricReport, MetricRow
+from metatreat.cli import _load_json, _run_config, build_parser, main, report_from_csv_text
+from metatreat.data_model import KINDS, SCALING_MODES, TIMINGS, load_manifest, strict_dataclass
+from metatreat.eval_harness import MetricReport, MetricRow, SearchSpace
+from metatreat.synth_gen import COUPLINGS, GeneratorConfig, manifest_to_json_text
+from metatreat.task_selection import SELECTION_METHODS
 
 GEN_CONFIG = {
     "n_groups": 3,
@@ -127,6 +132,61 @@ def test_cv_holdout_exclude_removes_fold(tmp_path, study_dir):
     assert code == 0
     report = report_from_csv_text((out / "report.csv").read_text())
     assert {r.group for r in report.rows} == {"g0", "g2"}
+
+
+def _search_argv(tmp_path, study_dir, command, data=None):
+    """``command`` on the study with the fast run config; grid-search with
+    the tiny space and a budget of three candidates."""
+    argv = [
+        command, "--data", str(data or study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / command),
+    ]
+    if command == "grid-search":
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(TINY_SPACE))
+        argv += ["--budget", "3", "--space", str(space)]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["cv", "grid-search"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_excluded_group_exits_3_listing_the_known_groups(
+    tmp_path, study_dir, capsys, command, source
+):
+    argv = _search_argv(tmp_path, study_dir, command)
+    if source == "flag":
+        argv += ["--holdout-exclude", "G0"]
+    else:
+        write_run_config(tmp_path).write_text(
+            json.dumps({**FAST_RUN, "cv": {"excluded_holdout_groups": ["G0"]}})
+        )
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "['G0'] are not in the data" in err and "['g0', 'g1', 'g2']" in err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize(
+    "case, code", [("every group excluded", 2), ("unknown group", 3), ("one group", 3)]
+)
+def test_grid_search_fails_a_pre_flight_no_candidate_passes_once_as_cv_does(
+    tmp_path, study_dir, capsys, case, code
+):
+    data, extra = None, []
+    if case == "one group":
+        lines = (study_dir / "data.csv").read_text().splitlines()
+        data = tmp_path / "one-group.csv"
+        data.write_text("\n".join(l for l in lines if not l.startswith(("g1", "g2"))) + "\n")
+    else:
+        groups = ["g0", "g1", "g2"] if case == "every group excluded" else ["g9"]
+        extra = [arg for g in groups for arg in ("--holdout-exclude", g)]
+    errors = []
+    for command in ("cv", "grid-search"):
+        assert main(_search_argv(tmp_path, study_dir, command, data) + extra) == code
+        errors.append(capsys.readouterr().err)
+    # cv notes the off-grid fields first; grid-search prints the error alone
+    assert errors[0].endswith(errors[1]) and errors[1].count("\n") == 1
 
 
 def test_cv_same_seed_byte_identical_reports(tmp_path, study_dir):
@@ -264,13 +324,19 @@ def test_json_input_that_is_not_an_object_exits_2(tmp_path, study_dir, capsys, k
         ("config", {"cv": {"jobs": "2"}}, "CvConfig.jobs: expected int, got str"),
         ("config", {"cv": {"jobs": True}}, "CvConfig.jobs: expected int, got bool"),
         ("config", {"preprocess": {"missing_threshold": "a"}}, "missing_threshold"),
-        ("manifest", {"columns": 5}, "'columns' must be a list"),
-        ("manifest", {"columns": [5]}, "must be an object"),
-        ("manifest", {"missing_values": 5}, "'missing_values' must be a list of strings"),
+        ("manifest", {"columns": 5}, "ManifestDoc.columns: expected a list"),
+        ("manifest", {"columns": [5]}, "ManifestDoc.columns[0]: ColumnMeta"),
+        ("manifest", {"missing_values": 5}, "ManifestDoc.missing_values"),
         ("space", {"n_layers": 5}, "SearchSpace.n_layers: expected a list, got int"),
         ("space", {"n_layers": []}, "grid 'n_layers' is empty"),
         ("space", {"n_layers": ["a"]}, "SearchSpace.n_layers[0]: expected int, got str"),
         ("space", {"keep_fraction_range": [0.9]}, "expected 2 entries, got 1"),
+        # every depth of a document: a top-level key, a section's, a list's entry
+        ("config", {"task_kind": 5}, "PipelineConfig.task_kind: expected str, got int"),
+        ("config", {"cv": {"excluded_holdout_groups": [1]}}, "CvConfig.excluded_holdout_groups[0]"),
+        ("space", {"keep_fraction_range": [0.8, "1"]}, "SearchSpace.keep_fraction_range[1]"),
+        ("manifest", {"reference_group": 0}, "ManifestDoc.reference_group: expected str"),
+        ("manifest", {"columns": [{"name": "y", "role": None}]}, "ColumnMeta.role: expected str"),
     ],
 )
 def test_wrongly_typed_json_exits_2(tmp_path, study_dir, capsys, kind, doc, needle):
@@ -300,6 +366,7 @@ def test_wrongly_typed_json_exits_2(tmp_path, study_dir, capsys, kind, doc, need
         ({"delta": [0, 1, 10**400]}, "GeneratorConfig.delta[2]: integer out of float range"),
         ({"seed": -1}, "seed must be non-negative"),
         ({"bogus_knob": 1}, "unknown GeneratorConfig keys: ['bogus_knob']"),
+        ({"aux_delta": [[0.0], [0.0, "x"]]}, "GeneratorConfig.aux_delta[1][1]: expected float"),
     ],
 )
 def test_wrongly_typed_generator_config_exits_2(tmp_path, capsys, doc, needle):
@@ -607,3 +674,162 @@ def test_out_dir_env_override(tmp_path, study_dir, monkeypatch):
     assert code == 0
     assert (env_out / "report.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: one checker in, one encoder out
+# ---------------------------------------------------------------------------
+
+
+def json_number(lo: int, hi: int) -> st.SearchStrategy:
+    """A JSON number in [lo, hi], an integer as often as a float."""
+    return st.integers(lo, hi) | st.floats(lo, hi)
+
+
+UNIT_OPEN_LOW = st.floats(0.0, 1.0, exclude_min=True) | st.just(1)  # (0, 1]
+UNIT_OPEN_HIGH = st.floats(0.0, 1.0, exclude_max=True) | st.just(0)  # [0, 1)
+POSITIVE = st.integers(1, 5) | st.floats(0.1, 5.0)
+
+RUN_CONFIGS = st.fixed_dictionaries({
+    "task_kind": st.sampled_from(["regression", "classification"]),
+    "preprocess": st.fixed_dictionaries({
+        "missing_threshold": json_number(0, 1),
+        "scaling": st.sampled_from(SCALING_MODES),
+        "reference_group": st.none() | st.text(max_size=4),
+        "residual_alpha": json_number(0, 1),
+    }),
+    "selection": st.fixed_dictionaries({
+        "method": st.sampled_from(SELECTION_METHODS),
+        "keep_fraction": UNIT_OPEN_LOW,
+        "mi_bins": st.integers(2, 40),
+    }),
+    "base": st.fixed_dictionaries({
+        "n_layers": st.integers(1, 8),
+        "hidden_dim": st.integers(1, 128),
+        "embedding_dim": st.integers(0, 128),
+        "activation": st.sampled_from(["relu", "tanh"]),
+        "dropout_rate": UNIT_OPEN_HIGH,
+        "reg_kind": st.sampled_from(["l1", "l2", "both"]),
+        "reg_strength": json_number(0, 1),
+        "optimizer": st.sampled_from(["sgd", "adam"]),
+        "learning_rate": json_number(0, 1),
+        "inner_iterations": st.integers(0, 5),
+    }),
+    "meta": st.fixed_dictionaries({
+        "meta_iterations": st.integers(0, 100),
+        "epsilon0": UNIT_OPEN_LOW,
+        "k": st.integers(1, 20),
+        "tasks_per_iteration": st.integers(1, 5),
+    }),
+    "baselines": st.fixed_dictionaries({
+        "knn_k": st.integers(1, 20),
+        "ridge_alpha": json_number(0, 10),
+        "logistic_alpha": json_number(0, 10),
+    }),
+    "cv": st.fixed_dictionaries({
+        "excluded_holdout_groups": st.lists(st.text(max_size=4), max_size=3),
+        "seed": st.integers(0, 2**40),
+        "jobs": st.integers(1, 4),
+    }),
+})
+
+GRID_VALUES = {int: st.integers(-10, 10), float: json_number(-10, 10), str: st.text(max_size=3)}
+SEARCH_SPACES = st.fixed_dictionaries({
+    name: st.lists(GRID_VALUES[typing.get_args(hint)[0]], min_size=1, max_size=3)
+    for name, hint in typing.get_type_hints(SearchSpace).items()
+    if name != "keep_fraction_range"
+} | {"keep_fraction_range": st.lists(UNIT_OPEN_LOW, min_size=2, max_size=2).map(sorted)})
+
+
+@st.composite
+def generator_configs(draw):
+    groups, d_aux = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    shifts = st.lists(json_number(-5, 5), min_size=groups, max_size=groups)
+    rows = st.lists(json_number(-5, 5), min_size=d_aux, max_size=d_aux)
+    return draw(st.fixed_dictionaries({
+        "n_groups": st.just(groups), "n_per_group": st.integers(1, 50),
+        "d_pre": st.integers(1, 5), "d_aux": st.just(d_aux), "delta": shifts,
+        "aux_delta": st.none() | st.lists(rows, min_size=groups, max_size=groups),
+        "aux_delta_scale": json_number(-5, 5), "noise_sigma": POSITIVE,
+        "aux_noise_sigma": st.none() | POSITIVE, "coupling": st.sampled_from(COUPLINGS),
+        "target_coupling_scale": json_number(-5, 5), "aux_coupling_scale": json_number(-5, 5),
+        "aux_mix": json_number(-5, 5), "missing_rate": UNIT_OPEN_HIGH,
+        "seed": st.integers(0, 2**40),
+    }))
+
+
+@st.composite
+def manifests(draw):
+    """A manifest document: one group column, a numeric target, other
+    columns of any timing and kind, and keys left to their defaults."""
+    names = draw(st.lists(st.text(max_size=6), min_size=2, max_size=6, unique=True))
+    columns = [{"name": names[0], "role": "group", "kind": "categorical"},
+               {"name": names[1], "role": "target", "timing": draw(st.sampled_from(TIMINGS))}]
+    for name in names[2:]:
+        columns.append(draw(st.fixed_dictionaries(
+            {"name": st.just(name)},
+            optional={
+                "role": st.sampled_from(["feature", "stratifier"]),
+                "kind": st.sampled_from(KINDS),
+                "timing": st.sampled_from(TIMINGS),
+            },
+        )))
+    pair = st.lists(st.sampled_from(names), min_size=2, max_size=2)
+    return draw(st.fixed_dictionaries(
+        {"columns": st.permutations(columns)},
+        optional={
+            "differential_pairs": st.just("auto") | st.lists(pair, max_size=2),
+            "reference_group": st.none() | st.sampled_from(names),
+            "missing_values": st.lists(st.text(max_size=3), max_size=3),
+        },
+    ))
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=RUN_CONFIGS)
+def test_run_config_round_trips_through_its_json_text(codec_dir, doc):
+    config = _write(codec_dir / "run.json", doc)
+    args = build_parser().parse_args(["cv", "--data", "d", "--manifest", "m", "--config", config])
+    pipeline, cv = _run_config(args)
+    # every value comes back with its JSON type: an integer stays an integer
+    written = {**pipeline.to_dict(), "cv": dataclasses.asdict(cv)}
+    assert json.dumps(written, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=SEARCH_SPACES)
+def test_search_space_round_trips_through_its_json_text(codec_dir, doc):
+    space = strict_dataclass(SearchSpace, _load_json(_write(codec_dir / "space.json", doc)))
+    assert json.dumps(dataclasses.asdict(space), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=generator_configs())
+def test_generator_config_round_trips_through_its_json_text(codec_dir, doc):
+    config = GeneratorConfig.from_dict(_load_json(_write(codec_dir / "gen.json", doc)))
+    text = json.dumps(config.to_dict(), sort_keys=True)
+    again = GeneratorConfig.from_dict(json.loads(text))
+    assert again == config and json.dumps(again.to_dict(), sort_keys=True) == text
+    # shifts are written as floats; every other value keeps its JSON type
+    kept = {k: v for k, v in doc.items() if k not in ("delta", "aux_delta")}
+    assert json.dumps({k: json.loads(text)[k] for k in kept}) == json.dumps(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=manifests())
+def test_manifest_round_trips_through_its_json_text(codec_dir, doc):
+    manifest = load_manifest(_write(codec_dir / "manifest.json", doc))
+    text = manifest_to_json_text(manifest)
+    (codec_dir / "written.json").write_text(text, encoding="utf-8")
+    again = load_manifest(codec_dir / "written.json")
+    assert again == manifest and manifest_to_json_text(again) == text

@@ -127,12 +127,12 @@ def test_manifest_requires_one_group_and_a_target():
 @pytest.mark.parametrize(
     "patch, needle",
     [
-        ({"columns": 5}, "'columns' must be a list"),
-        ({"columns": [5]}, "must be an object"),
-        ({"columns": [{"timing": "pre"}]}, "string name"),
-        ({"columns": [{"name": 3}]}, "string name"),
-        ({"missing_values": 5}, "'missing_values' must be a list of strings"),
-        ({"missing_values": ["", 5]}, "'missing_values' must be a list of strings"),
+        ({"columns": 5}, "columns: expected a list"),
+        ({"columns": [5]}, r"columns\[0\]: ColumnMeta"),
+        ({"columns": [{"timing": "pre"}]}, "missing ColumnMeta keys"),
+        ({"columns": [{"name": 3}]}, "ColumnMeta.name: expected"),
+        ({"missing_values": 5}, "missing_values: expected"),
+        ({"missing_values": ["", 5]}, r"missing_values\[1\]"),
         ({"differential_pairs": 5}, "differential_pairs"),
         ({"differential_pairs": [["f2"]]}, r"\[post, pre\]"),
         ({"differential_pairs": [["f2", 1]]}, "differential pair"),

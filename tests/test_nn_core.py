@@ -4,7 +4,6 @@ import pytest
 from metatreat.errors import NumericError, ShapeError
 from metatreat.nn_core import (
     DenseLayer,
-    OptimizerState,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -15,11 +14,17 @@ from metatreat.nn_core import (
     param_axpy,
     regularization_grad,
 )
-from oracles import central_diff, max_rel_error
+from oracles import central_diff, fresh_optimizer, max_rel_error
 
 
 def _arr(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def _backward_buffers(layer, x):
+    """dense_backward's (dx, dv, dgain, dbias, dW) buffers for one layer."""
+    parts = (x, layer.v, layer.gain, layer.bias, layer.v)
+    return tuple(np.empty_like(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def test_init_gains_match_initial_column_norms():
 
 
 def test_dropout_zero_rate_is_identity():
-    mask = dropout_mask((np.random.default_rng(0),), (4, 4), 0.0)
+    mask = dropout_mask((np.random.default_rng(0),), 0.0, np.empty((1, 4, 4)))
     assert np.array_equal(mask, np.ones((1, 4, 4)))
 
 
@@ -98,8 +103,9 @@ def test_dropout_preserves_expectation():
     rng = np.random.default_rng(3)
     total = 0.0
     draws = 100
+    mask = np.empty((1, 100, 10))
     for _ in range(draws):
-        mask = dropout_mask((rng,), (100, 10), 0.5)
+        dropout_mask((rng,), 0.5, mask)
         assert set(np.unique(mask)) <= {0.0, 2.0}
         total += mask.mean()
     assert abs(total / draws - 1.0) < 0.01
@@ -118,9 +124,9 @@ def test_backprop_single_unit_hand_case():
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")
     x, y = np.array([[1.0]]), np.array([[0.0]])
     pred, norms, w_eff = dense_forward(x, layer)
-    assert loss_value(pred, y, "mse") == pytest.approx(1.0)
-    dz = output_delta(pred, y, "mse", "identity")
-    dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff)
+    assert loss_value(pred, y, "mse") == pytest.approx([1.0])
+    dz = output_delta(pred, y, "mse")
+    dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff, _backward_buffers(layer, x))
     assert dgain[0] == pytest.approx(2.0)
     assert dv[0, 0] == pytest.approx(0.0)
     assert dbias[0] == pytest.approx(2.0)
@@ -144,8 +150,10 @@ def test_backprop_matches_central_differences(loss_kind, reg):
         else:
             y = rng.normal(size=(x.shape[0], n_out))
         pred, norms, w_eff = dense_forward(x, layer)
-        dz = output_delta(pred, y, loss_kind, head)
-        dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff)
+        # one loss per column of outputs, as a stack takes one per fold
+        dz = output_delta(pred.T, y.T, loss_kind).T
+        buffers = _backward_buffers(layer, x)
+        dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff, buffers)
         dv += regularization_grad(layer.v, *reg)
         shapes = [x.shape, layer.v.shape, (n_out,), (n_out,)]
         cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
@@ -155,7 +163,7 @@ def test_backprop_matches_central_differences(loss_kind, reg):
                 part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)
             )
             pred = dense_forward(xs, DenseLayer(v, gain, bias, head))[0]
-            total = loss_value(pred, y, loss_kind)
+            total = loss_value(pred.T, y.T, loss_kind).sum()
             return total + reg[0] * np.abs(v).sum() + reg[1] * (v**2).sum()
 
         theta = np.concatenate([x.ravel(), layer.v.ravel(), layer.gain, layer.bias])
@@ -169,14 +177,14 @@ def test_backprop_matches_central_differences(loss_kind, reg):
 
 
 def test_sgd_single_step():
-    state = OptimizerState("sgd", learning_rate=0.1)
+    state = fresh_optimizer("sgd", 0.1, 1)
     params = _arr([1.0])
     optimizer_step(params, _arr([1.0]), state)
     assert params[0] == pytest.approx(0.9)
 
 
 def test_sgd_zero_grad_is_identity():
-    state = OptimizerState("sgd", learning_rate=0.1)
+    state = fresh_optimizer("sgd", 0.1, 3)
     params = _arr([1.0, -2.0, 3.0])
     before = params.copy()
     optimizer_step(params, _arr([0.0, 0.0, 0.0]), state)
@@ -184,7 +192,7 @@ def test_sgd_zero_grad_is_identity():
 
 
 def test_adam_first_step_moves_by_lr_sign():
-    state = OptimizerState("adam", learning_rate=0.01)
+    state = fresh_optimizer("adam", 0.01, 2)
     params = _arr([1.0, 1.0])
     optimizer_step(params, _arr([0.5, -3.0]), state)
     # bias correction makes m_hat/sqrt(v_hat) = sign(g) on the first step
@@ -192,7 +200,7 @@ def test_adam_first_step_moves_by_lr_sign():
 
 
 def test_optimizer_shape_mismatch():
-    state = OptimizerState("sgd", learning_rate=0.1)
+    state = fresh_optimizer("sgd", 0.1, 1)
     with pytest.raises(ShapeError):
         optimizer_step(_arr([1.0]), _arr([1.0, 2.0]), state)
 
@@ -203,7 +211,7 @@ def test_optimizer_step_matches_out_of_place_rounding():
     p, g = rng.normal(size=50), rng.normal(size=50)
     for kind in ("sgd", "adam"):
         params = p.copy()
-        optimizer_step(params, g, OptimizerState(kind, learning_rate=0.1))
+        optimizer_step(params, g, fresh_optimizer(kind, 0.1, 50))
         if kind == "sgd":
             expected = p - 0.1 * g
         else:
@@ -222,17 +230,21 @@ def test_optimizer_step_matches_out_of_place_rounding():
 def test_param_axpy_endpoints_exact():
     a = _arr([0.1, 1e16, -3.0])
     b = _arr([0.7, 1.0, 2.0])
-    assert np.array_equal(param_axpy(a, b, 1.0), b)
-    assert np.array_equal(param_axpy(a, b, 0.0), a)
-    assert param_axpy(a, b, 1.0) is not b and param_axpy(a, b, 0.0) is not a
+    out = np.empty(3)
+    assert param_axpy(a, b, 1.0, out) is out and np.array_equal(out, b)
+    assert np.array_equal(param_axpy(a, b, 0.0, out), a)
+    # ``out`` may be ``b`` itself, as the meta-update writes it
+    adapted = b.copy()
+    param_axpy(a, adapted, 0.5, out=adapted)
+    assert adapted.tobytes() == param_axpy(a, b, 0.5, out).tobytes()
 
 
 def test_param_axpy_midpoint():
-    out = param_axpy(_arr([0.0, 0.0]), _arr([1.0, 2.0]), 0.5)
+    out = param_axpy(_arr([0.0, 0.0]), _arr([1.0, 2.0]), 0.5, np.empty(2))
     assert np.allclose(out, [0.5, 1.0])
 
 
 def test_param_axpy_layout_mismatch():
     # differently shaped vectors cannot come from the same network layout
     with pytest.raises(ShapeError):
-        param_axpy(np.zeros(2), np.zeros(3), 0.5)
+        param_axpy(np.zeros(2), np.zeros(3), 0.5, np.empty(2))
