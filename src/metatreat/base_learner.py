@@ -366,16 +366,17 @@ class _BatchBuffers:
 @dataclass(frozen=True)
 class _StepPlan:
     """One stacked batch, checked once for every step taken on it: inputs
-    (folds, rows, features), group ids and labels (folds, rows), each
-    fold's active embedding rows as (``fold_of``, ``active``) pairs with
-    the ``positions`` of their batch rows (``_row_positions``), the loss
-    settings, and the workspace buffers sized for it. ``dropout`` is the
-    rate masks are drawn at, 0 for steps without dropout."""
+    (folds, rows, features), group ids and labels (folds, rows), where each
+    row's embedding-gradient entries go in the stack's flattened (folds,
+    groups, embedding dim) block (``scatter``), each fold's active
+    embedding rows as (``fold_of``, ``active``) pairs, the loss settings,
+    and the workspace buffers sized for it. ``dropout`` is the rate masks
+    are drawn at, 0 for steps without dropout."""
 
     x: np.ndarray
     g: np.ndarray
     y: np.ndarray
-    positions: np.ndarray
+    scatter: np.ndarray
     fold_of: np.ndarray
     active: np.ndarray
     kind: str
@@ -405,35 +406,10 @@ def _plan(
     l1, l2 = config.l1_l2()
     dropout = config.dropout_rate if train else 0.0
     buffers = ws.batch(x.shape[1], dropout > 0.0)
-    positions = _row_positions(g, present)
-    return _StepPlan(x, g, y, positions, fold_of, active, kind, l1, l2, dropout, buffers)
-
-
-def _row_positions(g: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Where the rows of each active (fold, group) pair lie among a stacked
-    batch's folds * rows rows: one row per pair, in the order of
-    ``np.nonzero(present)``, listing the pair's rows in batch order. Each
-    row starts with folds * rows, which ``_group_sums`` reads as a zero
-    row, and is padded with it to the longest pair's length."""
-    keys = (np.arange(len(g))[:, None] * present.shape[1] + g).ravel()
-    order = np.argsort(keys, kind="stable")
-    pair = np.cumsum(present.ravel())[keys[order]] - 1
-    counts = np.bincount(pair)
-    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[pair]
-    positions = np.full((len(counts), counts.max() + 1), keys.size)
-    positions[pair, rank + 1] = order
-    return positions
-
-
-def _group_sums(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """For each row of ``positions``, the sum of those rows of ``rows``
-    added in order, a position of ``len(rows)`` standing for a zero row.
-    As ``_row_positions`` starts each row with it, every sum is the one
-    ``np.add.at`` makes from zero: ((0 + r0) + r1) + ... The zero rows that
-    pad the end add +0.0 to a sum that, started from +0.0, is never -0.0,
-    so they change no bit."""
-    padded = np.concatenate((rows, np.zeros((1, rows.shape[1]))))
-    return np.add.accumulate(padded.take(positions, axis=0), axis=1)[:, -1]
+    n_groups, dim = weights.embeddings.shape[1:]
+    rows = np.arange(len(x))[:, None] * n_groups + g
+    scatter = (rows[..., None] * dim + np.arange(dim)).ravel()
+    return _StepPlan(x, g, y, scatter, fold_of, active, kind, l1, l2, dropout, buffers)
 
 
 def _forward_pass(
@@ -539,12 +515,12 @@ def _step(
     n_layers = len(net.extractor)
     dconcat = backward(n_layers, concat, dz, head_norms, head_w_eff)
     hidden_dim = net.extractor[-1].n_out
+    # each row's entries added from zero in row order, as ``np.add.at``
+    # does on the (groups, dim) table; reshape views the contiguous block
     demb = grads.embeddings
-    rows = dconcat[..., hidden_dim:].reshape(plan.g.size, demb.shape[-1])
-    sums = _group_sums(rows, plan.positions)
-    sums += nn_core.regularization_grad(active_embeddings, l1, l2)
     demb.fill(0.0)
-    demb[plan.fold_of, plan.active] = sums
+    np.add.at(demb.reshape(-1), plan.scatter, dconcat[..., hidden_dim:].ravel())
+    demb[plan.fold_of, plan.active] += nn_core.regularization_grad(active_embeddings, l1, l2)
 
     grad_out = dconcat[..., :hidden_dim]
     for i in range(n_layers - 1, -1, -1):

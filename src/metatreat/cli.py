@@ -196,7 +196,8 @@ def cmd_grid_search(args) -> int:
 
 
 def report_from_csv_text(text: str) -> MetricReport:
-    """Parse ``MetricReport.to_csv_text`` output, after any leading stamp lines."""
+    """Parse ``MetricReport.to_csv_text`` output, after any leading stamp
+    lines; a report whose rows mix metrics is refused."""
     while text.startswith("#"):
         text = text.partition("\n")[2]
     try:
@@ -220,6 +221,9 @@ def report_from_csv_text(text: str) -> MetricReport:
             )
         except ValueError as exc:
             raise DataError(f"report row {n}: {exc}") from None
+    metrics = sorted({r.metric for r in rows})
+    if len(metrics) > 1:
+        raise DataError(f"report mixes the metrics {metrics}; a report holds one metric")
     return MetricReport(tuple(rows))
 
 

@@ -286,6 +286,16 @@ def parse_manifest(doc: dict) -> Manifest:
         pairs = tuple(_strings(p, "differential pair") for p in spec.differential_pairs)
         if any(len(p) != 2 for p in pairs):
             raise ConfigError("manifest differential pairs must be [post, pre] column names")
+        declared = {c.name for c in table_metas}
+        for i, pair in enumerate(pairs):
+            if pair in pairs[:i]:
+                raise ConfigError(f"manifest differential pair {list(pair)} is listed twice")
+            unknown = [name for name in pair if name not in declared]
+            if unknown:
+                what = "the group column" if unknown[0] == groups[0].name else "undeclared column"
+                raise ConfigError(
+                    f"manifest differential pair {list(pair)} names {what} {unknown[0]!r}"
+                )
     else:
         raise ConfigError("manifest 'differential_pairs' must be \"auto\" or a list of pairs")
     return Manifest(
@@ -476,29 +486,23 @@ def impute_means(
     (it should have been dropped as sparse).
     """
     train_row_mask = np.asarray(train_row_mask, dtype=bool)
+    values = np.array(table.values)
+    mask = np.array(table.missing_mask)
     means: dict[str, float] = {}
     for j, col in enumerate(table.columns):
         if col.role != "feature":
             continue
-        observed = ~table.missing_mask[:, j] & train_row_mask
+        gaps = mask[:, j]
+        observed = ~gaps & train_row_mask
         if not observed.any():
             raise DataError(
                 f"feature {col.name!r} has no observed training values; "
                 "drop it before imputing"
             )
-        means[col.name] = float(table.values[observed, j].mean())
-    return apply_imputation(table, means), means
-
-
-def apply_imputation(table: DatasetTable, means: dict[str, float]) -> DatasetTable:
-    values = np.array(table.values)
-    mask = np.array(table.missing_mask)
-    for name, mean in means.items():
-        j = table.column_index(name)
-        gaps = mask[:, j]
-        values[gaps, j] = mean
-        mask[gaps, j] = False
-    return table.replace_matrix(table.columns, values, mask)
+        means[col.name] = float(values[observed, j].mean())
+        values[gaps, j] = means[col.name]
+        mask[:, j] = False
+    return table.replace_matrix(table.columns, values, mask), means
 
 
 def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> float:
@@ -555,41 +559,28 @@ def residualize(
             f"stratifier {stratifier_column!r} must take exactly two values on "
             f"training rows, found {strata.size}"
         )
+    values = np.array(table.values)
     stats: dict[str, tuple[tuple[float, float], tuple[float, float]]] = {}
-    for col in table.columns:
+    for j, col in enumerate(table.columns):
         if col.role != "feature" or col.name == stratifier_column:
             continue
         vals, obs = table.column_values(col.name)
-        in0 = train & obs & s_obs & (s_vals == strata[0])
-        in1 = train & obs & s_obs & (s_vals == strata[1])
+        # rows with an unknown stratum keep their raw value
+        sel0 = obs & s_obs & (s_vals == strata[0])
+        sel1 = obs & s_obs & (s_vals == strata[1])
+        in0, in1 = train & sel0, train & sel1
         if in0.sum() < 2 or in1.sum() < 2:
             continue
         if vals[in0].var(ddof=1) == 0.0 and vals[in1].var(ddof=1) == 0.0:
             continue  # degenerate t-test; never significant
         p = two_sample_t_test(vals[in0], vals[in1])
         if p < alpha:
-            stats[col.name] = (
-                (float(strata[0]), float(vals[in0].mean())),
-                (float(strata[1]), float(vals[in1].mean())),
-            )
+            m0, m1 = float(vals[in0].mean()), float(vals[in1].mean())
+            stats[col.name] = ((float(strata[0]), m0), (float(strata[1]), m1))
+            values[sel0, j] = vals[sel0] - m0
+            values[sel1, j] = vals[sel1] - m1
     rstats = ResidualStats(stratifier=stratifier_column, columns=stats)
-    return apply_residual(table, rstats), rstats
-
-
-def apply_residual(table: DatasetTable, stats: ResidualStats) -> DatasetTable:
-    if not stats.columns:
-        return table
-    s_vals, s_obs = table.column_values(stats.stratifier)
-    values = np.array(table.values)
-    for name, ((v0, m0), (v1, m1)) in stats.columns.items():
-        j = table.column_index(name)
-        obs = ~table.missing_mask[:, j]
-        # rows with an unknown stratum keep their raw value
-        sel0 = obs & s_obs & (s_vals == v0)
-        sel1 = obs & s_obs & (s_vals == v1)
-        values[sel0, j] = values[sel0, j] - m0
-        values[sel1, j] = values[sel1, j] - m1
-    return table.replace_matrix(table.columns, values, table.missing_mask)
+    return table.replace_matrix(table.columns, values, table.missing_mask), rstats
 
 
 def differential_features(
@@ -642,8 +633,9 @@ def fit_scaling(
     train_mask: np.ndarray,
     mode: str,
     reference_group: str | None = None,
-) -> ScaleStats:
-    """Fit scaling statistics on training rows.
+) -> tuple[DatasetTable, ScaleStats]:
+    """Fit affine scaling on training rows and apply it to every row;
+    missing cells stay missing.
 
     ``normalize`` min-maxes features to [0, 1]; ``standardize`` centers and
     scales them; ``standardize_vs_reference_group`` additionally standardizes
@@ -652,14 +644,14 @@ def fit_scaling(
     """
     if mode not in SCALING_MODES:
         raise ConfigError(f"unknown scaling mode {mode!r}")
+    if mode == "none":
+        return table, ScaleStats(mode=mode)
     train = np.asarray(train_mask, dtype=bool)
+    values = np.array(table.values)
     feature_affine: dict[str, tuple[float, float]] = {}
     target_affine: dict[str, tuple[float, float]] = {}
     skipped: list[str] = []
-    if mode == "none":
-        return ScaleStats(mode=mode)
-
-    for col in table.columns:
+    for j, col in enumerate(table.columns):
         if col.role not in ("feature", "stratifier"):
             continue
         vals, obs = table.column_values(col.name)
@@ -669,19 +661,15 @@ def fit_scaling(
             continue
         x = vals[sel]
         if mode == "normalize":
-            lo, hi = float(x.min()), float(x.max())
-            if hi == lo:
-                warnings.warn(f"column {col.name!r} has zero range; left unscaled", stacklevel=2)
-                skipped.append(col.name)
-                continue
-            feature_affine[col.name] = (lo, hi - lo)
+            shift, spread, what = float(x.min()), float(x.max()) - float(x.min()), "range"
         else:
-            mu, sd = float(x.mean()), float(x.std())
-            if sd == 0.0:
-                warnings.warn(f"column {col.name!r} has zero variance; left unscaled", stacklevel=2)
-                skipped.append(col.name)
-                continue
-            feature_affine[col.name] = (mu, sd)
+            shift, spread, what = float(x.mean()), float(x.std()), "variance"
+        if spread == 0.0:
+            warnings.warn(f"column {col.name!r} has zero {what}; left unscaled", stacklevel=2)
+            skipped.append(col.name)
+            continue
+        feature_affine[col.name] = (shift, spread)
+        values[obs, j] = (vals[obs] - shift) / spread
 
     if mode == "standardize_vs_reference_group":
         if reference_group is None:
@@ -692,7 +680,7 @@ def fit_scaling(
             raise DataError(
                 f"reference group {reference_group!r} has no training rows to fit on"
             )
-        for col in table.columns:
+        for j, col in enumerate(table.columns):
             if col.role != "target":
                 continue
             vals, obs = table.column_values(col.name)
@@ -707,26 +695,16 @@ def fit_scaling(
                 skipped.append(col.name)
                 continue
             target_affine[col.name] = (mu, sd)
+            values[obs, j] = (vals[obs] - mu) / sd
 
-    return ScaleStats(
+    stats = ScaleStats(
         mode=mode,
         feature_affine=feature_affine,
         target_affine=target_affine,
         reference_group=reference_group,
         skipped=tuple(skipped),
     )
-
-
-def scale_features(table: DatasetTable, stats: ScaleStats) -> DatasetTable:
-    """Apply fitted affine transforms; missing cells stay missing."""
-    if stats.mode == "none":
-        return table
-    values = np.array(table.values)
-    for name, (shift, scale) in {**stats.feature_affine, **stats.target_affine}.items():
-        j = table.column_index(name)
-        obs = ~table.missing_mask[:, j]
-        values[obs, j] = (values[obs, j] - shift) / scale
-    return table.replace_matrix(table.columns, values, table.missing_mask)
+    return table.replace_matrix(table.columns, values, table.missing_mask), stats
 
 
 def group_holdout_split(
@@ -797,8 +775,7 @@ def fit_preprocess(
     if stratifiers:
         t, rstats = residualize(t, stratifiers[0].name, config.residual_alpha, train)
     t, means = impute_means(t, train)
-    sstats = fit_scaling(t, train, config.scaling, config.reference_group)
-    t = scale_features(t, sstats)
+    t, sstats = fit_scaling(t, train, config.scaling, config.reference_group)
     plan = PreprocessPlan(
         config=config,
         differential_pairs=differential_pairs,

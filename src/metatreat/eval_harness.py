@@ -436,55 +436,45 @@ def _fold_setup(
 def _fold_rows(
     fold: _FoldSetup, theta_star: BaseLearnerWeights, config: PipelineConfig, cv: CvConfig
 ) -> list[MetricRow]:
-    """One fold's report rows: meta-test and baselines on every target task."""
-    group_name, fold_index = fold.group_name, fold.fold_index
-    train_table, test_table, masked_test = fold.train_table, fold.test_table, fold.masked_test
+    """One fold's report rows: meta-test and baselines on every target task,
+    each fitted on the task's training rows, built once per task."""
+    train_table, masked_test = fold.train_table, fold.masked_test
     metric_name = "auc" if config.task_kind == "classification" else "mse"
+    networks = {"base_initial": fold.theta0, "meta": theta_star}
     rows: list[MetricRow] = []
     for task in fold.targets:
-        y_vals, y_obs = test_table.column_values(task.column)
+        y_vals, y_obs = fold.test_table.column_values(task.column)
         scored = np.flatnonzero(y_obs)
         if scored.size == 0:
-            raise DataError(f"held-out group {group_name!r} has no observed {task.column!r}")
+            raise DataError(f"held-out group {fold.group_name!r} has no observed {task.column!r}")
         y_test = y_vals[scored]
         if task.kind == "classification":
             y_test = binarize_labels(y_test)
-        train_data = task_dataset(train_table, task.column, task.kind)
-
-        for model_name, theta in (("base_initial", fold.theta0), ("meta", theta_star)):
-            rng_ft = child_rng(cv.seed, "fold", fold_index, model_name, task.column)
-            adapted, transform = fine_tune(theta, task, train_table, config.base, rng_ft)
-            preds_test = predict_rows(adapted, masked_test, task.kind, config.base, transform)[
-                scored
-            ]
-            preds_train = predict_rows(adapted, train_table, task.kind, config.base, transform)[
-                train_data.row_indices
-            ]
-            value, note = _score(task.kind, preds_test, y_test)
-            train_value, _ = _score(task.kind, preds_train, train_data.y)
-            rows.append(
-                MetricRow(
-                    group_name, task.column, model_name, metric_name,
-                    value, train_value, int(scored.size), note,
-                )
-            )
-
+        data = task_dataset(train_table, task.column, task.kind)
         x_test = model_inputs(masked_test)[scored]
-        baseline_kinds = (
+        baselines = (
             CLASSIFICATION_BASELINES if task.kind == "classification" else REGRESSION_BASELINES
         )
-        for kind in baseline_kinds:
-            preds_test = baseline_predict(
-                kind, (train_data.x, train_data.y), x_test, config.baselines
-            )
-            preds_train = baseline_predict(
-                kind, (train_data.x, train_data.y), train_data.x, config.baselines
-            )
+        for model_name in (*networks, *baselines):
+            if model_name in networks:
+                rng_ft = child_rng(cv.seed, "fold", fold.fold_index, model_name, task.column)
+                adapted, transform = fine_tune(
+                    networks[model_name], task, data, config.base, rng_ft
+                )
+                preds_test, preds_train = (
+                    predict_rows(adapted, table, task.kind, config.base, transform)[index]
+                    for table, index in ((masked_test, scored), (train_table, data.row_indices))
+                )
+            else:
+                preds_test, preds_train = (
+                    baseline_predict(model_name, (data.x, data.y), x, config.baselines)
+                    for x in (x_test, data.x)
+                )
             value, note = _score(task.kind, preds_test, y_test)
-            train_value, _ = _score(task.kind, preds_train, train_data.y)
+            train_value, _ = _score(task.kind, preds_train, data.y)
             rows.append(
                 MetricRow(
-                    group_name, task.column, kind, metric_name,
+                    fold.group_name, task.column, model_name, metric_name,
                     value, train_value, int(scored.size), note,
                 )
             )

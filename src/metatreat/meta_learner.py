@@ -357,13 +357,13 @@ def fit_target_transform(y: np.ndarray, kind: str) -> TargetTransform:
 def fine_tune(
     weights: BaseLearnerWeights,
     task: TaskSpec,
-    table: DatasetTable,
+    data: TaskData,
     base_config: BaseLearnerConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[BaseLearnerWeights, TargetTransform]:
-    """The meta-test adaptation: one k-shot update on all available rows."""
+    """The meta-test adaptation: one k-shot update on all of the task's
+    available rows, ``data`` as ``task_dataset`` builds it."""
     rng = as_rng(0) if rng is None else rng
-    data = task_dataset(table, task.column, task.kind)
     transform = fit_target_transform(data.y, task.kind)
     data = TaskData(data.x, data.group_ids, transform.apply(data.y), data.row_indices)
     return inner_update(weights, data, task, base_config, rng), transform

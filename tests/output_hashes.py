@@ -1,0 +1,123 @@
+"""SHA-256 of every output file of a fixed set of ``metatreat`` runs.
+
+    PYTHONPATH=src python tests/output_hashes.py OUT_DIR
+
+runs ``cv`` and ``grid-search`` in-process on the benchmark's generator
+study (``bench/workloads.py``'s settings at seed 7), with BLAS and OpenMP
+pinned to one thread, writes each run's outputs under ``OUT_DIR/<run>/`` and
+prints one ``<sha256>  <run>/<file>`` line per output file, plus a line for
+any run that exits non-zero. Run it in two checkouts and diff what they
+print: a change that keeps behaviour prints the same lines. The runs cover
+regression, classification and two jobs; a study with missing cells under
+two scalings; a binary stratifier tied to ``x0``, so that features
+residualize, under two scalings; and budget-12 searches on the bench space.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import numpy as np  # noqa: E402
+from workloads import GRID_BUDGET, WORKLOADS, study_config, write_space  # noqa: E402
+
+STUDY_SEED = 7
+MISSING_RATE = 0.35
+REFERENCE = "g0"
+
+# run name -> (study, command, extra argv, run config or None)
+RUNS = {
+    "cv-regression": ("plain", "cv", [], None),
+    "cv-classification": ("plain", "cv", ["--task-kind", "classification"], None),
+    "cv-jobs2": ("plain", "cv", ["--jobs", "2"], None),
+    "cv-missing-standardize": ("missing", "cv", [], None),
+    "cv-missing-normalize": (
+        "missing", "cv", [], {"preprocess": {"scaling": "normalize", "missing_threshold": 0.4}},
+    ),
+    "cv-stratifier-standardize": ("stratifier", "cv", [], None),
+    "cv-stratifier-reference": (
+        "stratifier", "cv", ["--holdout-exclude", REFERENCE],
+        {"preprocess": {
+            "scaling": "standardize_vs_reference_group", "reference_group": REFERENCE,
+        }},
+    ),
+    **{
+        f"grid-seed{seed}-jobs{jobs}": (
+            "plain", "grid-search", ["--seed", str(seed), "--jobs", str(jobs)], None,
+        )
+        for seed in (0, 1) for jobs in (1, 2)
+    },
+    "grid-missing-seed2": ("missing", "grid-search", ["--seed", "2"], None),
+}
+
+
+def write_studies(root: Path) -> dict[str, dict[str, Path]]:
+    """The plain study, the same settings with missing cells, and the plain
+    study with a 0/1 stratifier column ``s`` set where ``x0 > 0``."""
+    from metatreat.data_model import ColumnMeta, Manifest
+    from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
+
+    doc = {**study_config(WORKLOADS["cv-paper"], 0, 0), "seed": STUDY_SEED}
+    studies = {}
+    for name, extra in (("plain", {}), ("missing", {"missing_rate": MISSING_RATE})):
+        config = GeneratorConfig.from_dict({**doc, **extra})
+        table, manifest, truth = generate(config)
+        studies[name] = write_dataset(root / f"study-{name}", table, manifest, truth, config)
+    config = GeneratorConfig.from_dict(doc)
+    table, manifest, truth = generate(config)
+    s = (table.column_values("x0")[0] > 0.0).astype(np.float64)
+    meta = ColumnMeta("s", "pre", "numeric", "stratifier")
+    columns = table.columns + (meta,)
+    table = table.replace_matrix(
+        columns, np.column_stack([table.values, s]),
+        np.column_stack([table.missing_mask, np.zeros(table.n_rows, dtype=bool)]),
+    )
+    manifest = Manifest(columns=columns, group_column=manifest.group_column)
+    studies["stratifier"] = write_dataset(root / "study-stratifier", table, manifest, truth, config)
+    return studies
+
+
+def run_all(root: Path) -> list[str]:
+    from metatreat.cli import main
+
+    studies = write_studies(root)
+    space = write_space(root / "space.json")
+    lines = []
+    for run, (study, command, extra, config) in RUNS.items():
+        out = root / run
+        argv = [
+            command, "--data", str(studies[study]["data"]),
+            "--manifest", str(studies[study]["manifest"]), "--out", str(out), *extra,
+        ]
+        if command == "grid-search":
+            argv += ["--budget", str(GRID_BUDGET), "--space", str(space)]
+        if config is not None:
+            path = root / f"{run}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            lines.append(f"exit {code}  {run}")
+        for path in sorted(out.iterdir()) if out.is_dir() else ():
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {run}/{path.name}")
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
+    root = Path(sys.argv[1])
+    root.mkdir(parents=True, exist_ok=True)
+    print("\n".join(run_all(root)))

@@ -4,8 +4,6 @@ import pytest
 from metatreat.base_learner import (
     BaseLearnerConfig,
     StepWorkspace,
-    _group_sums,
-    _row_positions,
     forward,
     init_weights,
     inner_update,
@@ -315,29 +313,33 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     assert out.values.tobytes() == expected.values.tobytes()
 
 
-def test_group_sums_match_add_at_bitwise():
-    # per (fold, group) sums in add.at's order, unequal group counts,
-    # signed zeros and infinities included; NaN compares as NaN
+@pytest.mark.parametrize("embedding_dim", [0, 1, 128])
+def test_stacked_embedding_gradient_matches_reference_bitwise(embedding_dim):
+    # the stacked step scatters every row's embedding gradient with one flat
+    # np.add.at; each fold's gradient keeps the bits of the oracle's add.at,
+    # with unequal rows per group and a group whose rows are fitted exactly
+    # (zero entries, which the matmul gives as +0.0), so its sum is a zero
     rng = np.random.default_rng(37)
-    for trial in range(200):
-        n_folds, n_rows, n_groups = rng.integers(1, 4), rng.integers(1, 12), rng.integers(2, 6)
-        emb = int(rng.choice([0, 1, 8, 128]))
-        g = rng.integers(0, n_groups, size=(n_folds, n_rows))
-        rows = rng.normal(size=(n_folds, n_rows, emb))
-        special = rng.random(rows.shape)
-        rows[special < 0.1] = -0.0
-        rows[(special >= 0.1) & (special < 0.13)] = np.inf
-        rows[(special >= 0.13) & (special < 0.15)] = -np.inf
-        present = np.zeros((n_folds, n_groups), dtype=bool)
-        present[np.arange(n_folds)[:, None], g] = True
-        expected = np.zeros((n_folds, n_groups, emb))
-        with np.errstate(invalid="ignore"):  # inf + -inf
-            np.add.at(expected, (np.arange(n_folds)[:, None], g), rows)
-            sums = _group_sums(rows.reshape(g.size, emb), _row_positions(g, present))
-        got = np.zeros_like(expected)
-        got[np.nonzero(present)] = sums
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
-        np.testing.assert_array_equal(got, expected)
+    config = small_config(embedding_dim=embedding_dim, reg_strength=0.0)
+    nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
+    batches = []
+    for f, net in enumerate(nets):
+        net.values[:] += rng.normal(scale=0.3, size=net.values.size)
+        # 1, 3 and 5 rows of the groups other than f, in shuffled order
+        g = rng.permutation(np.repeat([c for c in range(4) if c != f], (1, 3, 5)))
+        x, y = rng.normal(size=(9, 4)), rng.normal(size=9)
+        fitted = g == g[0]
+        y[fitted] = forward(net, x, g, config)[fitted]
+        batches.append((x, g, y))
+    x, g, y = (np.stack(parts) for parts in zip(*batches))
+    stack = stack_weights(nets)
+    _, grads = loss_and_grads(stack, x, g, y, "regression", config)
+    got = per_fold(stack.with_values(grads))
+    for f, net in enumerate(nets):
+        _, expected = reference_loss_and_grads(net, *batches[f], "regression", config)
+        assert got[f].tobytes() == expected.tobytes()
+        fitted_group = batches[f][1][0]
+        assert not net.with_values(expected).embeddings[fitted_group].any()
 
 
 def test_stacked_inner_update_draws_each_folds_masks_once_per_step():

@@ -235,6 +235,29 @@ def test_cv_missing_data_file_exit_3(tmp_path, study_dir):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "pairs, needle",
+    [
+        ([["aux0", "nope"]], "['aux0', 'nope'] names undeclared column 'nope'"),
+        ([["aux0", "group"]], "['aux0', 'group'] names the group column 'group'"),
+        ([["aux0", "x0"], ["aux0", "x0"]], "['aux0', 'x0'] is listed twice"),
+    ],
+)
+def test_bad_differential_pair_exits_2_before_data_loads(
+    tmp_path, study_dir, capsys, pairs, needle
+):
+    doc = json.loads((study_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**doc, "differential_pairs": pairs}), encoding="utf-8")
+    # the data file does not exist: loading it would exit 3
+    code = main([
+        "cv", "--data", str(tmp_path / "absent.csv"), "--manifest", str(manifest),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_cv_numeric_blowup_exit_4(tmp_path, study_dir, capsys):
     # an absurd learning rate overflows the forward pass mid-run
     run = tmp_path / "run.json"
@@ -620,14 +643,15 @@ CELL_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 @settings(max_examples=200, deadline=None)
 @given(
+    NAMES,
     st.lists(
-        st.tuples(NAMES, NAMES, NAMES, NAMES, CELL_FLOATS, CELL_FLOATS,
-                  st.integers(0, 10**9), NAMES),
+        st.tuples(NAMES, NAMES, NAMES, CELL_FLOATS, CELL_FLOATS, st.integers(0, 10**9), NAMES),
         max_size=4,
-    )
+    ),
 )
-def test_report_csv_round_trips_any_names(cells):
-    report = MetricReport(tuple(MetricRow(*row) for row in cells))
+def test_report_csv_round_trips_any_names(metric, cells):
+    # a report holds one metric, of any name
+    report = MetricReport(tuple(MetricRow(*row[:3], metric, *row[3:]) for row in cells))
     back = report_from_csv_text("# stamp\n" + report.to_csv_text())
     assert len(back.rows) == len(report.rows)
     for got, want in zip(back.rows, report.rows):
@@ -660,6 +684,18 @@ def test_report_command_reads_quoted_names_and_rejects_malformed_rows(tmp_path):
         assert main(["report", "--report", str(bad), "--out", str(tmp_path / "b")]) == 3
     bad.write_bytes(b"group,task\n\xff\xfe\n")
     assert main(["report", "--report", str(bad), "--out", str(tmp_path / "b")]) == 3
+
+
+def test_report_mixing_metrics_exits_3_naming_both(tmp_path, capsys):
+    rows = (
+        MetricRow("g0", "y", "meta", "mse", 0.5, 0.25, 3),
+        MetricRow("g1", "y", "meta", "auc", 0.75, 0.5, 3),
+    )
+    path = tmp_path / "report.csv"
+    path.write_text("# stamp\n" + MetricReport(rows).to_csv_text(), encoding="utf-8")
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "['auc', 'mse']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plot_data.csv").exists()
 
 
 def test_out_dir_env_override(tmp_path, study_dir, monkeypatch):
@@ -774,11 +810,12 @@ def manifests(draw):
                 "timing": st.sampled_from(TIMINGS),
             },
         )))
-    pair = st.lists(st.sampled_from(names), min_size=2, max_size=2)
+    # pairs of declared table columns, none listed twice
+    pair = st.lists(st.sampled_from(names[1:]), min_size=2, max_size=2)
     return draw(st.fixed_dictionaries(
         {"columns": st.permutations(columns)},
         optional={
-            "differential_pairs": st.just("auto") | st.lists(pair, max_size=2),
+            "differential_pairs": st.just("auto") | st.lists(pair, max_size=2, unique_by=tuple),
             "reference_group": st.none() | st.sampled_from(names),
             "missing_values": st.lists(st.text(max_size=3), max_size=3),
         },

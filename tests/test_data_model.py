@@ -19,7 +19,6 @@ from metatreat.data_model import (
     model_inputs,
     parse_manifest,
     residualize,
-    scale_features,
     table_from_rows,
     task_dataset,
     two_sample_t_test,
@@ -146,6 +145,29 @@ def test_manifest_rejects_wrongly_typed_values(patch, needle):
     ]}
     with pytest.raises(ConfigError, match=needle):
         parse_manifest({**doc, **patch})
+
+
+@pytest.mark.parametrize(
+    "pairs, needle",
+    [
+        ([["f1", "nope"]], r"\['f1', 'nope'\] names undeclared column 'nope'"),
+        ([["grp", "f1"]], r"\['grp', 'f1'\] names the group column 'grp'"),
+        ([["f1", "f2"], ["f2", "f1"], ["f1", "f2"]], r"\['f1', 'f2'\] is listed twice"),
+    ],
+)
+def test_manifest_rejects_bad_differential_pairs(pairs, needle):
+    columns = [
+        {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
+        {"name": "f1", "timing": "post"},
+        {"name": "f2", "timing": "pre"},
+        {"name": "y", "role": "target", "timing": "post"},
+    ]
+    with pytest.raises(ConfigError, match=needle):
+        parse_manifest({"columns": columns, "differential_pairs": pairs})
+    # both orders of one pair are two pairs
+    both = [["f1", "f2"], ["f2", "f1"]]
+    manifest = parse_manifest({"columns": columns, "differential_pairs": both})
+    assert manifest.differential_pairs == (("f1", "f2"), ("f2", "f1"))
 
 
 def test_manifest_rejects_unknown_keys():
@@ -386,15 +408,14 @@ def scale_fixture():
 
 def test_normalize_min_max():
     table = scale_fixture()
-    stats = fit_scaling(table, np.array([True, True, True, False]), "normalize")
-    out = scale_features(table, stats)
+    out, _ = fit_scaling(table, np.array([True, True, True, False]), "normalize")
     assert np.allclose(out.values[:3, 0], [0.0, 0.5, 1.0])
 
 
 def test_standardize_unit_moments_on_fit_rows():
     table = scale_fixture()
     train = np.array([True, True, True, True])
-    out = scale_features(table, fit_scaling(table, train, "standardize"))
+    out, _ = fit_scaling(table, train, "standardize")
     for j in (0, 1):
         assert abs(out.values[:, j].mean()) < 1e-12
         assert abs(out.values[:, j].std() - 1.0) < 1e-12
@@ -404,8 +425,7 @@ def test_standardize_unit_moments_on_fit_rows():
 def test_reference_group_mode_standardizes_targets():
     table = scale_fixture()
     train = np.array([True, True, True, True])
-    stats = fit_scaling(table, train, "standardize_vs_reference_group", reference_group="a")
-    out = scale_features(table, stats)
+    out, _ = fit_scaling(table, train, "standardize_vs_reference_group", reference_group="a")
     ref = out.group_ids == 0
     y = out.values[:, 2]
     assert abs(y[ref].mean()) < 1e-12 and abs(y[ref].std() - 1.0) < 1e-12
@@ -421,8 +441,7 @@ def test_zero_variance_column_left_unscaled():
     ]
     table = make_table(vals, cols, [0, 1])
     with pytest.warns(UserWarning, match="const"):
-        stats = fit_scaling(table, np.array([True, True]), "standardize")
-    out = scale_features(table, stats)
+        out, stats = fit_scaling(table, np.array([True, True]), "standardize")
     assert np.array_equal(out.values[:, 0], table.values[:, 0])
     assert "const" in stats.skipped
 

@@ -6,7 +6,10 @@ with adam, l1+l2 regularization and dropout). ``fixtures/generate_*.json``
 hold the manifest and ground-truth bytes ``generate`` writes for
 ``GENERATE_CONFIG``, and ``STAMP_HASHES`` the ``config_hash`` of ``cv`` and
 ``grid-search`` stamps, so a change to how configs are read or written
-cannot move either unnoticed. ``fixtures/checkpoint_v1.json``
+cannot move either unnoticed. ``fixtures/golden_preprocess.json`` holds
+``fit_preprocess``'s plan and processed cells under each scaling, on a table
+with missing cells and a stratifier that residualizes features, and
+``fixtures/golden_grid.json`` a tiny ``grid_search`` leaderboard. ``fixtures/checkpoint_v1.json``
 describes a tiny net by its parameter layout, flat values and activations
 (its other keys are not read), and ``fixtures/checkpoint_v1_predictions.json``
 holds its eval-mode predictions.
@@ -30,12 +33,15 @@ from metatreat.base_learner import (
     init_weights,
 )
 from metatreat.cli import main, report_from_csv_text
+from metatreat.data_model import SCALING_MODES, ColumnMeta, PreprocessConfig, fit_preprocess
 from metatreat.errors import ShapeError
-from metatreat.eval_harness import CvConfig, PipelineConfig, run_cv
+from metatreat.eval_harness import CvConfig, PipelineConfig, SearchSpace, grid_search, run_cv
 from metatreat.synth_gen import GeneratorConfig, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_REPORT = FIXTURES / "golden_report.json"
+GOLDEN_PREPROCESS = FIXTURES / "golden_preprocess.json"
+GOLDEN_GRID = FIXTURES / "golden_grid.json"
 CHECKPOINT = FIXTURES / "checkpoint_v1.json"
 CHECKPOINT_PREDICTIONS = FIXTURES / "checkpoint_v1_predictions.json"
 CHECKPOINT_HASH = "0123456789abcdef"
@@ -103,6 +109,89 @@ def test_cv_report_matches_golden_rows(name):
             [row[column] for row in got], [row[column] for row in expected],
             rtol=1e-9, atol=0.0, equal_nan=True,
         )
+
+
+def _assert_close(got, expected, where="") -> None:
+    """JSON documents equal, except that numbers need only agree to rtol 1e-9."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(expected), where
+        for key in expected:
+            _assert_close(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), where
+        for i, (a, b) in enumerate(zip(got, expected)):
+            _assert_close(a, b, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(got, (int, float)), where
+        assert np.isclose(got, expected, rtol=1e-9, atol=0.0), where
+    else:
+        assert got == expected, where
+
+
+def _preprocess_golden() -> dict:
+    """For each scaling, the plan and processed cells (None where missing) of
+    ``fit_preprocess`` holding out g2, on a study with missing cells and a
+    stratifier ``s`` that is 1 where ``x0 > 0`` (missing where ``x0`` is)."""
+    table, _, _ = generate(
+        GeneratorConfig(n_groups=3, n_per_group=12, d_pre=2, d_aux=3, missing_rate=0.2, seed=2)
+    )
+    x0, observed = table.column_values("x0")
+    s = np.where(observed, (x0 > 0.0).astype(np.float64), np.nan)
+    table = table.replace_matrix(
+        table.columns + (ColumnMeta("s", "pre", "numeric", "stratifier"),),
+        np.column_stack([table.values, s]), np.column_stack([table.missing_mask, ~observed]),
+    )
+    out = {}
+    for scaling in SCALING_MODES:
+        reference = "g0" if scaling == "standardize_vs_reference_group" else None
+        config = PreprocessConfig(
+            missing_threshold=0.25, scaling=scaling, reference_group=reference
+        )
+        plan, t = fit_preprocess(table, table.group_ids != 2, config, (("aux0", "x1"),))
+        out[scaling] = {
+            "plan": plan.to_dict(),
+            "columns": [c.name for c in t.columns],
+            "values": np.where(t.missing_mask, None, t.values).tolist(),
+        }
+    return json.loads(json.dumps(out))
+
+
+def test_fit_preprocess_matches_golden_plans_and_values():
+    expected = json.loads(GOLDEN_PREPROCESS.read_text(encoding="utf-8"))
+    got = _preprocess_golden()
+    for scaling in SCALING_MODES:
+        assert got[scaling]["columns"] == expected[scaling]["columns"]
+        _assert_close(got[scaling], expected[scaling], scaling)
+    # the fixture covers what it is meant to
+    plan = expected["standardize"]["plan"]
+    assert plan["residual_stats"]["columns"] and plan["imputation_means"]
+
+
+GRID_SPACE = SearchSpace(
+    n_layers=(1, 2), hidden_dim=(4,), embedding_dim=(2, 3), learning_rate=(0.05, 0.1),
+    inner_iterations=(1, 2), meta_iterations=(2, 3), k=(3,), tasks_per_iteration=(1,),
+    missing_threshold=(0.1, 0.5),
+)
+
+
+def _grid_golden() -> list[list]:
+    """[rank, candidate, status, score or None] of a budget-6 search."""
+    table, manifest, _ = generate(
+        GeneratorConfig(n_groups=3, n_per_group=10, missing_rate=0.2, seed=3)
+    )
+    _, leaderboard = grid_search(GRID_SPACE, table, manifest, 6, 0)
+    return [
+        [e["rank"], e["candidate"], e["status"], e["score"] if e["status"] == "ok" else None]
+        for e in leaderboard
+    ]
+
+
+def test_grid_search_matches_golden_leaderboard():
+    expected = json.loads(GOLDEN_GRID.read_text(encoding="utf-8"))
+    got = _grid_golden()
+    assert [row[:3] for row in got] == [row[:3] for row in expected]
+    _assert_close(got, expected)
+    assert {row[2] for row in expected} == {"ok", "failed"}
 
 
 def _checkpoint_inputs() -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +287,8 @@ def _write_fixtures() -> None:
             (FIXTURES / f"generate_{name}").write_bytes((study / name).read_bytes())
     golden = {name: _golden_rows(name) for name in sorted(GOLDEN_CASES)}
     GOLDEN_REPORT.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    GOLDEN_PREPROCESS.write_text(json.dumps(_preprocess_golden()) + "\n", encoding="utf-8")
+    GOLDEN_GRID.write_text(json.dumps(_grid_golden(), indent=1) + "\n", encoding="utf-8")
     rng = np.random.default_rng(3)
     theta = init_weights(TINY, 2, 3, rng)
     theta.embeddings[:] = rng.normal(size=theta.embeddings.shape)

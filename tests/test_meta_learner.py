@@ -257,7 +257,8 @@ def test_meta_test_prediction_count_and_range():
     meta = MetaConfig(meta_iterations=4, k=4)
     theta = train_one(train_table, masked_test, tasks, meta, seed=5)
     target = TaskSpec("y", "classification", "target_task")
-    adapted, transform = fine_tune(theta, target, train_table, BASE)
+    data = task_dataset(train_table, target.column, target.kind)
+    adapted, transform = fine_tune(theta, target, data, BASE)
     preds = predict_rows(adapted, masked_test, target.kind, BASE, transform)
     assert preds.shape == (masked_test.n_rows,)
     assert np.all((preds > 0.0) & (preds < 1.0))
@@ -267,7 +268,8 @@ def test_fine_tune_standardizes_regression_labels():
     train_table, masked_test, _, tasks = small_study()
     theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=2, k=4), seed=9)
     target = TaskSpec("y", "regression", "target_task")
-    _, transform = fine_tune(theta, target, train_table, BASE, np.random.default_rng(0))
+    data = task_dataset(train_table, target.column, target.kind)
+    _, transform = fine_tune(theta, target, data, BASE, np.random.default_rng(0))
     vals, obs = train_table.column_values("y")
     assert transform.shift == pytest.approx(vals[obs].mean())
     assert transform.scale == pytest.approx(vals[obs].std())
