@@ -181,9 +181,6 @@ class BaseLearnerWeights:
             raise ShapeError("flat parameter vector does not match its layout")
         return self._view(values, self.folds)
 
-    def clone(self) -> "BaseLearnerWeights":
-        return self._view(self.values.copy(), self.folds)
-
     def unstack(self) -> list["BaseLearnerWeights"]:
         """Each fold of a stack as a network of its own (copies)."""
         n = self.folds
@@ -234,31 +231,16 @@ def init_weights(
 # stream per fold. The public functions take one network as a stack of one.
 
 
-def _check_groups(weights: BaseLearnerWeights, group_ids: np.ndarray) -> np.ndarray:
+def _as_stack(weights: BaseLearnerWeights, x, group_ids, y=None, rng=None):
+    """A batch's arguments as those of a stack, group ids checked against
+    the embedding table: one network, its inputs, group ids, labels and RNG
+    stream become a stack of one; a stack needs one stream per fold."""
     g = np.asarray(group_ids, dtype=np.int64)
     if g.size and (g.min() < 0 or g.max() >= weights.n_groups):
-        raise DataError(
-            f"group id out of range: embedding table has {weights.n_groups} rows"
-        )
-    return g
-
-
-def _one_as_stack(weights: BaseLearnerWeights, x, group_ids):
-    """One network's weights, inputs and group ids as those of a stack of one."""
-    return (
-        weights._view(weights.values, 1),
-        np.asarray(x, dtype=np.float64)[None],
-        np.asarray(group_ids)[None],
-    )
-
-
-def _as_stack(weights: BaseLearnerWeights, x, group_ids, y, rng):
-    """A step's arguments for a stack: one network, its batch and its RNG
-    stream become a stack of one; a stack needs one stream per fold."""
-    g = _check_groups(weights, group_ids)
+        raise DataError(f"group id out of range: embedding table has {weights.n_groups} rows")
     if weights.folds is None:
-        weights, x, g = _one_as_stack(weights, x, g)
-        y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+        weights, x, g = weights._view(weights.values, 1), np.asarray(x, np.float64)[None], g[None]
+        y = None if y is None else np.asarray(y, dtype=np.float64).reshape(1, -1)
         rng = None if rng is None else (rng,)
     elif isinstance(rng, np.random.Generator):
         raise ConfigError("a stack of folds takes one RNG stream per fold")
@@ -468,8 +450,7 @@ def forward(
     Classification applies a sigmoid on the head output, so values land in
     (0, 1).
     """
-    g = _check_groups(weights, group_ids)
-    stack, x, g = _one_as_stack(weights, x, g)
+    stack, x, g, _, _ = _as_stack(weights, x, group_ids)
     with np.errstate(all="ignore"):
         return _forward_pass(stack, x, g, kind, None)[0][0]
 

@@ -179,17 +179,10 @@ class Manifest:
 
 
 def auto_differential_pairs(columns: tuple[ColumnMeta, ...]) -> tuple[tuple[str, str], ...]:
-    """Pair columns named ``<stem>_post`` / ``<stem>_pre`` (features only)."""
-    by_name = {c.name: c for c in columns}
-    pairs = []
-    for c in columns:
-        if c.role != "feature" or not c.name.endswith("_post"):
-            continue
-        pre_name = c.name[: -len("_post")] + "_pre"
-        pre = by_name.get(pre_name)
-        if pre is not None and pre.role == "feature":
-            pairs.append((c.name, pre_name))
-    return tuple(pairs)
+    """Pair numeric features named ``<stem>_post`` / ``<stem>_pre``."""
+    names = [c.name for c in columns if c.role == "feature" and c.kind == "numeric"]
+    pairs = [(name, name[: -len("_post")] + "_pre") for name in names if name.endswith("_post")]
+    return tuple(pair for pair in pairs if pair[1] in names)
 
 
 def strict_dataclass(klass, doc: dict, where: str | None = None):
@@ -218,28 +211,39 @@ def strict_dataclass(klass, doc: dict, where: str | None = None):
     )
 
 
+def _json_types(hint) -> tuple[type, ...]:
+    """The Python types of the JSON values that the field type ``hint`` takes."""
+    if typing.get_origin(hint) is tuple:
+        return (list, tuple)
+    if dataclasses.is_dataclass(hint):
+        return (dict,)
+    return (int, float) if hint is float else (hint,)
+
+
 def _typed(where: str, hint, value):
     """``value`` checked against the field type ``hint``: an int field takes
     no float or bool, a float field takes an int within float range,
-    ``tuple[...]`` takes a list, and a dataclass takes its JSON object."""
+    ``tuple[...]`` takes a list, a dataclass takes its JSON object, and a
+    union is the member that takes the value's type."""
     args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # ``X | None``
-        if value is None and type(None) in args:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(where, hint, value)
+    if isinstance(hint, types.UnionType):
+        options = [a for a in args if isinstance(value, _json_types(a))]
+        options = options or [a for a in args if a is not type(None)]
+        if len(options) > 1:
+            names = " or ".join(_json_types(a)[0].__name__ for a in options)
+            raise ConfigError(f"{where}: expected {names}, got {type(value).__name__}")
+        return _typed(where, options[0], value)
     if dataclasses.is_dataclass(hint):
         return strict_dataclass(hint, value, where)
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
+        if not isinstance(value, _json_types(hint)):
             raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
         if args[-1] is Ellipsis:
             args = (args[0],) * len(value)
         elif len(value) != len(args):
             raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
         return tuple(_typed(f"{where}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
-    allowed = (int, float) if hint is float else hint
-    if not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool):
+    if not isinstance(value, _json_types(hint)) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
     if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ConfigError(f"{where}: integer out of float range")
@@ -249,19 +253,26 @@ def _typed(where: str, hint, value):
 @dataclass(frozen=True)
 class ManifestDoc:
     """A manifest file as written: the group column is one of ``columns``,
-    and ``differential_pairs`` (``"auto"`` or a list of pairs) is checked
-    by ``parse_manifest``."""
+    and ``differential_pairs`` is ``"auto"`` or a list of [post, pre]
+    pairs."""
 
     columns: tuple[ColumnMeta, ...]
-    differential_pairs: object = ()
+    differential_pairs: str | tuple[tuple[str, str], ...] = ()
     reference_group: str | None = None
     missing_values: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
 
-def _strings(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"manifest {what} must be a list of strings")
-    return tuple(value)
+def _unpairable(meta: ColumnMeta | None) -> str | None:
+    """What keeps a manifest column out of a differential pair, if anything:
+    a pair subtracts two numeric table columns that are not targets, and a
+    categorical feature is one-hot encoded into columns of other names."""
+    if meta is None:
+        return "undeclared column"
+    if meta.role in ("group", "target"):
+        return f"the {meta.role} column"
+    if meta.role == "feature" and meta.kind == "categorical":
+        return "the categorical feature"
+    return None
 
 
 def parse_manifest(doc: dict) -> Manifest:
@@ -280,24 +291,21 @@ def parse_manifest(doc: dict) -> Manifest:
             raise ConfigError(f"target column {c.name!r} must be numeric")
     table_metas = tuple(c for c in metas if c.role != "group")
 
-    if spec.differential_pairs == "auto":
+    pairs = spec.differential_pairs
+    if isinstance(pairs, str):
+        if pairs != "auto":
+            raise ConfigError(
+                f'ManifestDoc.differential_pairs: expected "auto" or a list of pairs, got {pairs!r}'
+            )
         pairs = auto_differential_pairs(table_metas)
-    elif isinstance(spec.differential_pairs, (list, tuple)):
-        pairs = tuple(_strings(p, "differential pair") for p in spec.differential_pairs)
-        if any(len(p) != 2 for p in pairs):
-            raise ConfigError("manifest differential pairs must be [post, pre] column names")
-        declared = {c.name for c in table_metas}
-        for i, pair in enumerate(pairs):
-            if pair in pairs[:i]:
-                raise ConfigError(f"manifest differential pair {list(pair)} is listed twice")
-            unknown = [name for name in pair if name not in declared]
-            if unknown:
-                what = "the group column" if unknown[0] == groups[0].name else "undeclared column"
-                raise ConfigError(
-                    f"manifest differential pair {list(pair)} names {what} {unknown[0]!r}"
-                )
-    else:
-        raise ConfigError("manifest 'differential_pairs' must be \"auto\" or a list of pairs")
+    by_name = {c.name: c for c in metas}
+    for i, pair in enumerate(pairs):
+        if pair in pairs[:i]:
+            raise ConfigError(f"manifest differential pair {list(pair)} is listed twice")
+        for name in pair:
+            what = _unpairable(by_name.get(name))
+            if what is not None:
+                raise ConfigError(f"manifest differential pair {list(pair)} names {what} {name!r}")
     return Manifest(
         columns=table_metas,
         group_column=groups[0].name,
@@ -325,15 +333,14 @@ def load_manifest(path: str | Path) -> Manifest:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(manifest_path: str | Path, data_path: str | Path) -> DatasetTable:
-    """Read an RFC-4180 CSV against its manifest.
+def load_csv(manifest: Manifest, data_path: str | Path) -> DatasetTable:
+    """Read an RFC-4180 CSV against its parsed manifest.
 
     Empty cells and configured sentinels become missing-mask entries,
     categorical feature columns are one-hot encoded, a binary categorical
     stratifier becomes a 0/1 column, and the group column is mapped to dense
     integer ids in order of first appearance.
     """
-    manifest = load_manifest(manifest_path) if not isinstance(manifest_path, Manifest) else manifest_path
     try:
         with open(data_path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -451,16 +458,15 @@ def table_from_rows(
 
 
 def drop_sparse_features(
-    table: DatasetTable, threshold: float, train_mask: np.ndarray | None = None
+    table: DatasetTable, threshold: float, train_mask: np.ndarray
 ) -> tuple[DatasetTable, tuple[str, ...]]:
-    """Remove feature columns whose missing fraction exceeds ``threshold``.
-
-    The fraction is computed on training rows when a mask is given; group,
-    target, and stratifier columns are never removed.
+    """Remove feature columns whose missing fraction on training rows
+    exceeds ``threshold``; group, target, and stratifier columns are never
+    removed.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ConfigError(f"missing threshold must lie in [0, 1], got {threshold}")
-    rows = slice(None) if train_mask is None else np.asarray(train_mask, dtype=bool)
+    rows = np.asarray(train_mask, dtype=bool)
     dropped = []
     for j, col in enumerate(table.columns):
         if col.role != "feature":
@@ -538,10 +544,7 @@ class ResidualStats:
 
 
 def residualize(
-    table: DatasetTable,
-    stratifier_column: str,
-    alpha: float = 0.05,
-    train_mask: np.ndarray | None = None,
+    table: DatasetTable, stratifier_column: str, alpha: float, train_mask: np.ndarray
 ) -> tuple[DatasetTable, ResidualStats]:
     """Replace stratifier-sensitive features by within-stratum residuals.
 
@@ -549,9 +552,7 @@ def residualize(
     rows only) comes out below ``alpha``; its values then become
     ``value - mean(feature | same stratum, training rows)``.
     """
-    train = (
-        np.ones(table.n_rows, dtype=bool) if train_mask is None else np.asarray(train_mask, bool)
-    )
+    train = np.asarray(train_mask, dtype=bool)
     s_vals, s_obs = table.column_values(stratifier_column)
     strata = np.unique(s_vals[s_obs & train])
     if strata.size != 2:
@@ -629,10 +630,7 @@ class ScaleStats:
 
 
 def fit_scaling(
-    table: DatasetTable,
-    train_mask: np.ndarray,
-    mode: str,
-    reference_group: str | None = None,
+    table: DatasetTable, train_mask: np.ndarray, mode: str, reference_group: str | None
 ) -> tuple[DatasetTable, ScaleStats]:
     """Fit affine scaling on training rows and apply it to every row;
     missing cells stay missing.
@@ -759,7 +757,7 @@ def fit_preprocess(
     table: DatasetTable,
     train_row_mask: np.ndarray,
     config: PreprocessConfig,
-    differential_pairs: tuple[tuple[str, str], ...] = (),
+    differential_pairs: tuple[tuple[str, str], ...],
 ) -> tuple[PreprocessPlan, DatasetTable]:
     """Fit the full pipeline on training rows and apply it to every row.
 
@@ -797,14 +795,14 @@ def model_input_columns(table: DatasetTable) -> list[str]:
     return [c.name for c in table.columns if c.role == "feature" and c.timing in ("pre", "during")]
 
 
-def model_inputs(table: DatasetTable, allow_missing: bool = False) -> np.ndarray:
+def model_inputs(table: DatasetTable) -> np.ndarray:
     """The (rows x input features) matrix fed to models."""
     names = model_input_columns(table)
     if not names:
         raise DataError("table has no pre/during feature columns to use as inputs")
     idx = [table.column_index(n) for n in names]
     x = np.array(table.values[:, idx])
-    if not allow_missing and table.missing_mask[:, idx].any():
+    if table.missing_mask[:, idx].any():
         raise DataError("model inputs contain missing values; impute before modeling")
     return x
 

@@ -696,39 +696,23 @@ def _pick(rng: np.random.Generator, grid: tuple):
 def sample_candidate(
     space: SearchSpace, rng: np.random.Generator, template: PipelineConfig
 ) -> PipelineConfig:
-    base = replace(
-        template.base,
-        n_layers=_pick(rng, space.n_layers),
-        hidden_dim=_pick(rng, space.hidden_dim),
-        embedding_dim=_pick(rng, space.embedding_dim),
-        activation=_pick(rng, space.activation),
-        dropout_rate=_pick(rng, space.dropout_rate),
-        reg_kind=_pick(rng, space.reg_kind),
-        reg_strength=_pick(rng, space.reg_strength),
-        optimizer=_pick(rng, space.optimizer),
-        learning_rate=_pick(rng, space.learning_rate),
-        inner_iterations=_pick(rng, space.inner_iterations),
-    )
-    meta = replace(
-        template.meta,
-        meta_iterations=_pick(rng, space.meta_iterations),
-        epsilon0=_pick(rng, space.epsilon0),
-        k=_pick(rng, space.k),
-        tasks_per_iteration=_pick(rng, space.tasks_per_iteration),
-    )
-    method = _pick(rng, space.selection_method)
-    lo, hi = space.keep_fraction_range
-    selection = replace(
-        template.selection,
-        method=method,
-        keep_fraction=1.0 if method == "all_post" else float(rng.uniform(lo, hi)),
-    )
-    preprocess = replace(
-        template.preprocess,
-        scaling=_pick(rng, space.scaling),
-        missing_threshold=_pick(rng, space.missing_threshold),
-    )
-    return replace(template, base=base, meta=meta, selection=selection, preprocess=preprocess)
+    """One pick per ``space`` field, in declaration order, set in the
+    template section that declares a field of its name; ``selection_method``
+    sets ``selection.method``, and ``keep_fraction_range`` draws the keep
+    fraction uniformly unless the method is ``all_post``, which keeps every
+    task (1.0)."""
+    sections = ("base", "meta", "selection", "preprocess")
+    owner = {f.name: s for s in sections for f in dataclasses.fields(getattr(template, s))}
+    picks: dict[str, dict] = {s: {} for s in sections}
+    for f in dataclasses.fields(space):
+        grid = getattr(space, f.name)
+        if f.name == "keep_fraction_range":
+            ranked = picks["selection"]["method"] != "all_post"
+            picks["selection"]["keep_fraction"] = float(rng.uniform(*grid)) if ranked else 1.0
+        else:
+            name = "method" if f.name == "selection_method" else f.name
+            picks[owner[name]][name] = _pick(rng, grid)
+    return replace(template, **{s: replace(getattr(template, s), **picks[s]) for s in sections})
 
 
 def grid_search(

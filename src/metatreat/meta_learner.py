@@ -359,11 +359,10 @@ def fine_tune(
     task: TaskSpec,
     data: TaskData,
     base_config: BaseLearnerConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[BaseLearnerWeights, TargetTransform]:
     """The meta-test adaptation: one k-shot update on all of the task's
     available rows, ``data`` as ``task_dataset`` builds it."""
-    rng = as_rng(0) if rng is None else rng
     transform = fit_target_transform(data.y, task.kind)
     data = TaskData(data.x, data.group_ids, transform.apply(data.y), data.row_indices)
     return inner_update(weights, data, task, base_config, rng), transform
@@ -374,10 +373,11 @@ def predict_rows(
     table: DatasetTable,
     task_kind: str,
     base_config: BaseLearnerConfig,
-    transform: TargetTransform | None = None,
+    transform: TargetTransform,
 ) -> np.ndarray:
-    """Predictions (without dropout) for every row of a table."""
+    """Predictions (without dropout) for every row of a table, mapped back
+    through the fine-tune's label transform on a regression task."""
     preds = forward(weights, model_inputs(table), table.group_ids, base_config, kind=task_kind)
-    if transform is not None and task_kind == "regression":
+    if task_kind == "regression":
         preds = transform.invert(preds)
     return preds

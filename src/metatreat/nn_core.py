@@ -55,20 +55,14 @@ def apply_activation(kind: str, z: np.ndarray, out: np.ndarray | None = None) ->
 
 
 def activation_grad(kind: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d(activation)/dz expressed through the activation output ``a``,
-    written into ``out`` (not ``a``)."""
-    if kind not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {kind!r}")
+    """d(activation)/dz of an extractor layer (relu or tanh) expressed
+    through the activation output ``a``, written into ``out`` (not ``a``)."""
     if kind == "relu":
         return np.greater(a, 0.0, out=out)
     if kind == "tanh":
         np.multiply(a, a, out=out)
         return np.subtract(1.0, out, out=out)
-    if kind == "sigmoid":
-        np.subtract(1.0, a, out=out)
-        return np.multiply(a, out, out=out)
-    out.fill(1.0)  # identity
-    return out
+    raise ConfigError(f"{kind!r} is not an extractor activation")
 
 
 def record_failures(

@@ -90,10 +90,10 @@ def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
     return max(mi, 0.0)
 
 
-def _observed_pair(table: DatasetTable, a: str, b: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _observed_pair(table: DatasetTable, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
     va, oa = table.column_values(a)
     vb, ob = table.column_values(b)
-    sel = rows & oa & ob
+    sel = oa & ob
     return va[sel], vb[sel]
 
 
@@ -114,7 +114,6 @@ def select_training_tasks(
     targets = tuple(targets)
     if not targets:
         raise ConfigError("at least one target task is required")
-    all_rows = np.ones(train_table.n_rows, dtype=bool)
     candidates = []
     for col in train_table.columns_with(role="feature", timing="post"):
         vals, obs = train_table.column_values(col.name)
@@ -133,7 +132,7 @@ def select_training_tasks(
         for name in candidates:
             best = 0.0
             for tgt in targets:
-                xv, yv = _observed_pair(train_table, name, tgt.column, all_rows)
+                xv, yv = _observed_pair(train_table, name, tgt.column)
                 if xv.size < 2:
                     continue
                 if config.method == "pearson":

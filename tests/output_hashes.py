@@ -10,7 +10,11 @@ any run that exits non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
 regression, classification and two jobs; a study with missing cells under
 two scalings; a binary stratifier tied to ``x0``, so that features
-residualize, under two scalings; and budget-12 searches on the bench space.
+residualize, under two scalings; a study whose manifest declares a
+two-level categorical feature and a ``score_pre``/``score_post`` pair under
+``"differential_pairs": "auto"``, so that loading one-hot encodes and
+preprocessing appends a differential feature; and budget-12 searches on the
+bench space.
 """
 
 from __future__ import annotations
@@ -59,12 +63,15 @@ RUNS = {
         for seed in (0, 1) for jobs in (1, 2)
     },
     "grid-missing-seed2": ("missing", "grid-search", ["--seed", "2"], None),
+    "cv-ingest": ("ingest", "cv", [], None),
+    "grid-ingest-seed0": ("ingest", "grid-search", ["--seed", "0"], None),
 }
 
 
 def write_studies(root: Path) -> dict[str, dict[str, Path]]:
-    """The plain study, the same settings with missing cells, and the plain
-    study with a 0/1 stratifier column ``s`` set where ``x0 > 0``."""
+    """The plain study, the same settings with missing cells, the plain
+    study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, and the
+    ingestion study (``write_ingest_study``)."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -85,7 +92,35 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     )
     manifest = Manifest(columns=columns, group_column=manifest.group_column)
     studies["stratifier"] = write_dataset(root / "study-stratifier", table, manifest, truth, config)
+    table, manifest, _ = generate(config)
+    studies["ingest"] = write_ingest_study(root / "study-ingest", table, manifest)
     return studies
+
+
+def write_ingest_study(out: Path, table, manifest) -> dict[str, Path]:
+    """The plain study plus numeric features ``score_pre`` (``x2``) and
+    ``score_post`` (``x2 + aux0``), paired by ``"auto"``, and a categorical
+    feature ``color``: ``red`` where ``x1 > 0``, else ``blue``."""
+    from metatreat.data_model import ColumnMeta, Manifest
+    from metatreat.synth_gen import manifest_to_json_text, table_to_csv_text
+
+    x1, x2, aux0 = (table.column_values(name)[0] for name in ("x1", "x2", "aux0"))
+    columns = table.columns + (ColumnMeta("score_pre", "pre"), ColumnMeta("score_post", "post"))
+    table = table.replace_matrix(
+        columns, np.column_stack([table.values, x2, x2 + aux0]),
+        np.column_stack([table.missing_mask, np.zeros((table.n_rows, 2), dtype=bool)]),
+    )
+    lines = table_to_csv_text(table).splitlines()
+    colors = ["red" if v > 0.0 else "blue" for v in x1]
+    rows = [f"{line},{color}" for line, color in zip(lines[1:], colors)]
+    doc = json.loads(manifest_to_json_text(Manifest(columns, manifest.group_column)))
+    doc["columns"].append({"name": "color", "timing": "pre", "kind": "categorical"})
+    doc["differential_pairs"] = "auto"
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"data": out / "data.csv", "manifest": out / "manifest.json"}
+    paths["data"].write_text("\n".join([lines[0] + ",color", *rows]) + "\n", encoding="utf-8")
+    paths["manifest"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths
 
 
 def run_all(root: Path) -> list[str]:

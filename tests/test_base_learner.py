@@ -131,8 +131,8 @@ def test_named_views_alias_values_and_clone_copies():
     assert np.array_equal(w.head.v.ravel(), w.values[-w.head.v.size - 2 : -2])
     w.head.bias[:] = -1.0
     assert w.values[-1] == -1.0
-    # a clone shares no memory with its source
-    copy = w.clone()
+    # a clone, the same layout over a copy, shares no memory with its source
+    copy = w.with_values(w.values.copy())
     assert not np.shares_memory(copy.values, w.values)
     before = w.values.copy()
     copy.values[:] = 0.0
@@ -211,7 +211,7 @@ def test_inner_update_matches_unfused_reference_bitwise(optimizer):
     w = init_weights(config, 3, 3, rng)
     data = TaskData(*make_batch(rng, 8, 3, 3), np.arange(8))
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(9))
-    expected = w.clone()
+    expected = w.with_values(w.values.copy())
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
     for _ in range(config.inner_iterations):
@@ -307,7 +307,7 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     streams = lambda: tuple(map(np.random.default_rng, (5, 6, 7)))  # noqa: E731
     out = inner_update(theta, data, tasks, config, streams(), workspace=workspace)
     assert theta.values.tobytes() == before.tobytes()
-    copy = out.clone()
+    copy = out.with_values(out.values.copy())
     assert inner_update(out, data, tasks, config, streams(), workspace=workspace) is out
     expected = inner_update(copy, data, tasks, config, streams())
     assert out.values.tobytes() == expected.values.tobytes()
@@ -356,7 +356,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     out = per_fold(inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams))
     assert [s.calls for s in streams] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
-        expected = net.clone()
+        expected = net.with_values(net.values.copy())
         state = fresh_optimizer("adam", config.learning_rate, net.values.size)
         reference = np.random.default_rng(f)
         for _ in range(config.inner_iterations):

@@ -241,12 +241,15 @@ def test_cv_missing_data_file_exit_3(tmp_path, study_dir):
         ([["aux0", "nope"]], "['aux0', 'nope'] names undeclared column 'nope'"),
         ([["aux0", "group"]], "['aux0', 'group'] names the group column 'group'"),
         ([["aux0", "x0"], ["aux0", "x0"]], "['aux0', 'x0'] is listed twice"),
+        ([["y", "x0"]], "['y', 'x0'] names the target column 'y'"),
+        ([["color", "x0"]], "['color', 'x0'] names the categorical feature 'color'"),
     ],
 )
 def test_bad_differential_pair_exits_2_before_data_loads(
     tmp_path, study_dir, capsys, pairs, needle
 ):
     doc = json.loads((study_dir / "manifest.json").read_text(encoding="utf-8"))
+    doc["columns"].append({"name": "color", "kind": "categorical"})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({**doc, "differential_pairs": pairs}), encoding="utf-8")
     # the data file does not exist: loading it would exit 3
@@ -810,12 +813,18 @@ def manifests(draw):
                 "timing": st.sampled_from(TIMINGS),
             },
         )))
-    # pairs of declared table columns, none listed twice
-    pair = st.lists(st.sampled_from(names[1:]), min_size=2, max_size=2)
+    # pairs of the columns a pair may name (no target, no categorical
+    # feature), none listed twice
+    pairable = [
+        c["name"] for c in columns[2:]
+        if c.get("kind") != "categorical" or c.get("role") == "stratifier"
+    ]
+    pair = st.lists(st.sampled_from(pairable), min_size=2, max_size=2)
+    pairs = st.lists(pair, max_size=2, unique_by=tuple) if pairable else st.just([])
     return draw(st.fixed_dictionaries(
         {"columns": st.permutations(columns)},
         optional={
-            "differential_pairs": st.just("auto") | st.lists(pair, max_size=2, unique_by=tuple),
+            "differential_pairs": st.just("auto") | pairs,
             "reference_group": st.none() | st.sampled_from(names),
             "missing_values": st.lists(st.text(max_size=3), max_size=3),
         },

@@ -1,4 +1,5 @@
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from scipy import stats as scipy_stats
 from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
+    ManifestDoc,
     PreprocessConfig,
+    _typed,
     binarize_labels,
     differential_features,
     drop_sparse_features,
@@ -16,6 +19,7 @@ from metatreat.data_model import (
     group_holdout_split,
     impute_means,
     load_csv,
+    load_manifest,
     model_inputs,
     parse_manifest,
     residualize,
@@ -58,7 +62,7 @@ def test_load_csv_masks_empty_cells(tmp_path):
         + [{"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"}]
     }))
     (tmp_path / "d.csv").write_text("grp,f1,f2,y\nA,1,2,3\nB,,4,5\nA,6,7,8\n")
-    table = load_csv(tmp_path / "m.json", tmp_path / "d.csv")
+    table = load_csv(load_manifest(tmp_path / "m.json"), tmp_path / "d.csv")
     assert table.missing_mask.sum() == 1
     assert table.missing_mask[1, table.column_index("f1")]
     assert np.isnan(table.values[1, table.column_index("f1")])
@@ -133,8 +137,8 @@ def test_manifest_requires_one_group_and_a_target():
         ({"missing_values": 5}, "missing_values: expected"),
         ({"missing_values": ["", 5]}, r"missing_values\[1\]"),
         ({"differential_pairs": 5}, "differential_pairs"),
-        ({"differential_pairs": [["f2"]]}, r"\[post, pre\]"),
-        ({"differential_pairs": [["f2", 1]]}, "differential pair"),
+        ({"differential_pairs": [["f2"]]}, r"\[0\]: expected 2"),
+        ({"differential_pairs": [["f2", 1]]}, r"\[1\]: expected str"),
         ({"reference_group": 0}, "reference_group"),
     ],
 )
@@ -153,6 +157,9 @@ def test_manifest_rejects_wrongly_typed_values(patch, needle):
         ([["f1", "nope"]], r"\['f1', 'nope'\] names undeclared column 'nope'"),
         ([["grp", "f1"]], r"\['grp', 'f1'\] names the group column 'grp'"),
         ([["f1", "f2"], ["f2", "f1"], ["f1", "f2"]], r"\['f1', 'f2'\] is listed twice"),
+        ([["y", "f1"]], r"\['y', 'f1'\] names the target column 'y'"),
+        ([["f1", "color"]], r"\['f1', 'color'\] names the categorical feature 'color'"),
+        ("manual", r'differential_pairs: expected "auto" or a list of pairs'),
     ],
 )
 def test_manifest_rejects_bad_differential_pairs(pairs, needle):
@@ -160,6 +167,7 @@ def test_manifest_rejects_bad_differential_pairs(pairs, needle):
         {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
         {"name": "f1", "timing": "post"},
         {"name": "f2", "timing": "pre"},
+        {"name": "color", "kind": "categorical"},
         {"name": "y", "role": "target", "timing": "post"},
     ]
     with pytest.raises(ConfigError, match=needle):
@@ -168,6 +176,30 @@ def test_manifest_rejects_bad_differential_pairs(pairs, needle):
     both = [["f1", "f2"], ["f2", "f1"]]
     manifest = parse_manifest({"columns": columns, "differential_pairs": both})
     assert manifest.differential_pairs == (("f1", "f2"), ("f2", "f1"))
+
+
+def test_typed_union_takes_the_member_of_the_value_type():
+    where = "ManifestDoc.differential_pairs"
+    hint = typing.get_type_hints(ManifestDoc)["differential_pairs"]
+    assert _typed(where, hint, "auto") == "auto"
+    pairs = _typed(where, hint, [["a_post", "a_pre"], ["b", "c"]])
+    assert pairs == (("a_post", "a_pre"), ("b", "c"))
+    with pytest.raises(ConfigError, match=rf"^{where}: expected str or list, got dict$"):
+        _typed(where, hint, {"a_post": "a_pre"})
+
+
+def test_auto_pairs_numeric_features_only():
+    columns = [
+        {"name": "grp", "role": "group", "kind": "categorical"},
+        {"name": "a_post", "timing": "post"},
+        {"name": "a_pre"},
+        {"name": "c_post", "kind": "categorical", "timing": "post"},
+        {"name": "c_pre", "kind": "categorical"},
+        {"name": "y_post", "role": "target", "timing": "post"},
+        {"name": "y_pre"},
+    ]
+    manifest = parse_manifest({"columns": columns, "differential_pairs": "auto"})
+    assert manifest.differential_pairs == (("a_post", "a_pre"),)
 
 
 def test_manifest_rejects_unknown_keys():
@@ -196,11 +228,12 @@ def test_drop_sparse_features_thresholds():
         [[np.nan, 1.0, 0.0], [np.nan, 2.0, 0.0], [np.nan, np.nan, 0.0], [4.0, 3.0, 0.0], [5.0, 4.0, 0.0]]
     )
     table = make_table(vals, FEAT_COLS, [0, 0, 0, 1, 1])
-    out, dropped = drop_sparse_features(table, 0.5)
+    train = np.ones(5, dtype=bool)
+    out, dropped = drop_sparse_features(table, 0.5, train)
     assert dropped == ("f1",)  # 60% missing > 0.5; f2 at 20% stays
-    out, dropped = drop_sparse_features(table, 1.0)
+    out, dropped = drop_sparse_features(table, 1.0, train)
     assert dropped == ()
-    out, dropped = drop_sparse_features(table, 0.0)
+    out, dropped = drop_sparse_features(table, 0.0, train)
     assert set(dropped) == {"f1", "f2"}
     assert [c.name for c in out.columns] == ["y"]  # targets never dropped
 
@@ -308,7 +341,7 @@ def residual_fixture():
 
 def test_residualize_centers_each_stratum():
     table = residual_fixture()
-    out, stats = residualize(table, "sex", alpha=0.05)
+    out, stats = residualize(table, "sex", 0.05, np.ones(6, dtype=bool))
     assert "f1" in stats.columns
     j = out.column_index("f1")
     assert np.allclose(out.values[:3, j], [-1.0, 1.0, 0.0])
@@ -317,7 +350,7 @@ def test_residualize_centers_each_stratum():
 
 def test_residualize_leaves_insensitive_features():
     table = residual_fixture()
-    out, stats = residualize(table, "sex", alpha=0.05)
+    out, stats = residualize(table, "sex", 0.05, np.ones(6, dtype=bool))
     assert "f2" not in stats.columns  # constant across strata
     j = out.column_index("f2")
     assert np.array_equal(out.values[:, j], table.values[:, j])
@@ -353,7 +386,7 @@ def test_residualize_rejects_nonbinary_stratifier():
     ]
     table = make_table(vals, cols, [0, 0, 1, 1])
     with pytest.raises(DataError, match="two values"):
-        residualize(table, "s", 0.05)
+        residualize(table, "s", 0.05, np.ones(4, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +441,14 @@ def scale_fixture():
 
 def test_normalize_min_max():
     table = scale_fixture()
-    out, _ = fit_scaling(table, np.array([True, True, True, False]), "normalize")
+    out, _ = fit_scaling(table, np.array([True, True, True, False]), "normalize", None)
     assert np.allclose(out.values[:3, 0], [0.0, 0.5, 1.0])
 
 
 def test_standardize_unit_moments_on_fit_rows():
     table = scale_fixture()
     train = np.array([True, True, True, True])
-    out, _ = fit_scaling(table, train, "standardize")
+    out, _ = fit_scaling(table, train, "standardize", None)
     for j in (0, 1):
         assert abs(out.values[:, j].mean()) < 1e-12
         assert abs(out.values[:, j].std() - 1.0) < 1e-12
@@ -441,7 +474,7 @@ def test_zero_variance_column_left_unscaled():
     ]
     table = make_table(vals, cols, [0, 1])
     with pytest.warns(UserWarning, match="const"):
-        out, stats = fit_scaling(table, np.array([True, True]), "standardize")
+        out, stats = fit_scaling(table, np.array([True, True]), "standardize", None)
     assert np.array_equal(out.values[:, 0], table.values[:, 0])
     assert "const" in stats.skipped
 

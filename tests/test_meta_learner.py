@@ -258,7 +258,7 @@ def test_meta_test_prediction_count_and_range():
     theta = train_one(train_table, masked_test, tasks, meta, seed=5)
     target = TaskSpec("y", "classification", "target_task")
     data = task_dataset(train_table, target.column, target.kind)
-    adapted, transform = fine_tune(theta, target, data, BASE)
+    adapted, transform = fine_tune(theta, target, data, BASE, np.random.default_rng(0))
     preds = predict_rows(adapted, masked_test, target.kind, BASE, transform)
     assert preds.shape == (masked_test.n_rows,)
     assert np.all((preds > 0.0) & (preds < 1.0))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from metatreat.data_model import load_csv
+from metatreat.data_model import load_csv, load_manifest
 from metatreat.errors import ConfigError
 from metatreat.eval_harness import baseline_predict, mse
 from metatreat.synth_gen import (
@@ -111,7 +111,7 @@ def test_written_files_reload_to_the_same_table(tmp_path):
     config = GeneratorConfig(n_per_group=20, missing_rate=0.1, seed=8)
     table, manifest, truth = generate(config)
     paths = write_dataset(tmp_path, table, manifest, truth, config)
-    loaded = load_csv(paths["manifest"], paths["data"])
+    loaded = load_csv(load_manifest(paths["manifest"]), paths["data"])
     assert loaded.group_names == table.group_names
     assert np.array_equal(loaded.missing_mask, table.missing_mask)
     assert np.array_equal(
