@@ -355,6 +355,18 @@ def load_csv(manifest: Manifest, data_path: str | Path) -> DatasetTable:
     return table_from_rows(manifest, header, rows, source=str(data_path))
 
 
+def csv_cell(text: str) -> str:
+    """Minimal RFC-4180 quoting for every CSV the package writes: only a cell
+    holding a comma, a quote or a line break is quoted, or one that starts
+    with a byte-order mark, which the readers drop at the start of a file.
+    Python's ``csv`` writer (before 3.12) leaves a bare carriage return
+    unquoted under a "\\n" line terminator, which its own reader then splits
+    on, so the rule is spelled out here."""
+    if text.startswith("\ufeff") or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def table_from_rows(
     manifest: Manifest, header: list[str], rows: list[list[str]], source: str = "<data>"
 ) -> DatasetTable:

@@ -29,6 +29,7 @@ from .data_model import (
     Manifest,
     PreprocessConfig,
     binarize_labels,
+    csv_cell,
     fit_preprocess,
     group_holdout_split,
     model_inputs,
@@ -133,8 +134,6 @@ def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     hess = 2.0 * a.T @ a / n
     hess[np.arange(d), np.arange(d)] += 2.0 * alpha
     lip = float(np.linalg.eigvalsh(hess).max())
-    if lip == 0.0:
-        return np.zeros(d + 1)
 
     def grad(wb: np.ndarray) -> np.ndarray:
         r = a @ wb - y
@@ -284,18 +283,8 @@ class MetricReport:
                 r.group, r.task, r.model, r.metric,
                 repr(r.value), repr(r.train_value), str(r.n_test), r.note,
             )
-            lines.append(",".join(_csv_cell(c) for c in cells))
+            lines.append(",".join(csv_cell(c) for c in cells))
         return "\n".join(lines) + "\n"
-
-
-def _csv_cell(text: str) -> str:
-    """Minimal RFC-4180 quoting: only a cell holding a comma, a quote or a
-    line break is quoted. Python's ``csv`` writer (before 3.12) leaves a bare
-    carriage return unquoted under a "\\n" line terminator, which its own
-    reader then splits on, so the rule is spelled out here."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def overfit_gap(report: MetricReport) -> dict[str, dict[str, float]]:
@@ -333,10 +322,8 @@ def plot_data_csv(report: MetricReport) -> str:
             if g
             else ["", "", "", "", ""]
         )
-        lines.append(
-            f"{entry['model']},{entry['metric']},{entry['mean']!r},{entry['stderr']!r},"
-            + ",".join(gap_cells)
-        )
+        names = [csv_cell(entry["model"]), csv_cell(entry["metric"])]
+        lines.append(",".join(names + [repr(entry["mean"]), repr(entry["stderr"])] + gap_cells))
     return "\n".join(lines) + "\n"
 
 
@@ -534,7 +521,7 @@ def _fold_payloads(
     model_config: PipelineConfig,
     cv_config: CvConfig,
 ) -> list[tuple]:
-    """Pre-flight of ``run_cv``: the payload of every eligible held-out
+    """Pre-flight of one candidate: the payload of every eligible held-out
     group's fold, in fold order. Raises before any fold runs
     when the configuration cannot be evaluated on this table."""
     eligible = _holdout_groups(raw_table, cv_config)
@@ -575,13 +562,12 @@ def _holdout_groups(raw_table: DatasetTable, cv_config: CvConfig) -> list[str]:
     return eligible
 
 
-def _fold_groups(plans: list[list[tuple]], jobs: int) -> list[list[tuple]]:
+def _fold_groups(plans: list[list[tuple]], workers: int) -> list[list[tuple]]:
     """The pool payloads of some candidates' fold payloads: each candidate's
     folds split, in fold order, into ``clamp(workers // candidates, 1,
-    folds)`` groups of consecutive folds that meta-train in lockstep, with
-    ``workers = min(jobs, CPUs)``. One job makes one stack of a
-    candidate's folds; spare workers get a candidate's folds apart."""
-    workers = min(jobs, _usable_cpus())
+    folds)`` groups of consecutive folds that meta-train in lockstep. One
+    worker makes one stack of a candidate's folds; spare workers get a
+    candidate's folds apart."""
     groups = []
     for plan in plans:
         n = max(1, min(workers // len(plans), len(plan)))
@@ -590,15 +576,15 @@ def _fold_groups(plans: list[list[tuple]], jobs: int) -> list[list[tuple]]:
     return groups
 
 
-def _map_fold_groups(groups: list[list[tuple]], jobs: int) -> Iterable[FoldResult]:
+def _map_fold_groups(groups: list[list[tuple]], workers: int) -> Iterable[FoldResult]:
     """``_fold_group_worker`` over ``groups``, one result per fold in
     payload order.
 
-    The pool has no more workers than groups or CPUs this process may run
-    on; results do not depend on the worker count. With one worker the
-    groups run lazily in this process, so a caller may stop at an error.
+    The pool has no more workers than groups; results do not depend on the
+    worker count. With one worker the groups run lazily in this process,
+    one at a time as the caller reads their results.
     """
-    workers = min(jobs, len(groups), _usable_cpus())
+    workers = min(workers, len(groups))
     if workers < 2:
         return itertools.chain.from_iterable(map(_fold_group_worker, groups))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -611,14 +597,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _report(results: Iterable[FoldResult]) -> MetricReport:
-    """Fold rows concatenated in fold order; the first fold error is raised."""
-    rows: list[MetricRow] = []
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        rows.extend(result)
-    return MetricReport(tuple(rows))
+CandidateResult = MetricReport | ConfigError | DataError | NumericError
+
+
+def _run_candidates(
+    configs: list[PipelineConfig],
+    raw_table: DatasetTable,
+    manifest: Manifest,
+    cv_config: CvConfig,
+) -> list[CandidateResult]:
+    """Each config's report, its folds' rows in fold order, or the first
+    error in fold order.
+
+    Every config is pre-flighted first, and one that fails sends no folds.
+    The others' fold groups (``_fold_groups``) go through one
+    ``_map_fold_groups`` in candidate-major order, with ``min(jobs, CPUs)``
+    workers: with one, each candidate is one group run lazily in this
+    process; with more, they share one pool.
+    """
+    plans: list = []
+    for config in configs:
+        try:
+            plans.append(_fold_payloads(raw_table, manifest, config, cv_config))
+        except FOLD_ERRORS as exc:
+            plans.append(exc)
+    workers = min(cv_config.jobs, _usable_cpus())
+    groups = _fold_groups([plan for plan in plans if isinstance(plan, list)], workers)
+    results = iter(_map_fold_groups(groups, workers))
+    outcomes: list[CandidateResult] = []
+    for plan in plans:
+        if isinstance(plan, Exception):
+            outcomes.append(plan)
+            continue
+        folds = list(itertools.islice(results, len(plan)))  # all of them, even after an error
+        errors = [fold for fold in folds if isinstance(fold, Exception)]
+        outcomes.append(errors[0] if errors else MetricReport(tuple(itertools.chain(*folds))))
+    return outcomes
 
 
 def run_cv(
@@ -635,9 +649,10 @@ def run_cv(
     independent of the worker count. Under ``standardize_vs_reference_group``
     scaling the reference group must be excluded from holdout.
     """
-    payloads = _fold_payloads(raw_table, manifest, model_config, cv_config)
-    groups = _fold_groups([payloads], cv_config.jobs)
-    return _report(_map_fold_groups(groups, cv_config.jobs))
+    [outcome] = _run_candidates([model_config], raw_table, manifest, cv_config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +755,10 @@ def grid_search(
     candidates = [
         sample_candidate(space, child_rng(seed, "candidate", i), template) for i in range(budget)
     ]
-    outcomes = _candidate_scores(candidates, raw_table, manifest, cv_config)
+    reports = _run_candidates(candidates, raw_table, manifest, cv_config)
     entries: list[dict] = []
-    for i, (candidate, outcome) in enumerate(zip(candidates, outcomes)):
+    for i, (candidate, report) in enumerate(zip(candidates, reports)):
+        outcome = _meta_score(report) if isinstance(report, MetricReport) else report
         entry: dict = {"candidate": i, "config": candidate.to_dict()}
         if isinstance(outcome, Exception):
             error = f"{type(outcome).__name__}: {outcome}"
@@ -764,51 +780,8 @@ def grid_search(
     return best, leaderboard
 
 
-def _candidate_scores(
-    candidates: list[PipelineConfig],
-    raw_table: DatasetTable,
-    manifest: Manifest,
-    cv_config: CvConfig,
-) -> list[float | ConfigError | DataError | NumericError]:
-    """Each candidate's mean meta metric over every fold and task, or the
-    error that ``run_cv`` raises for it.
-
-    With one job the candidates run one after another through ``run_cv``,
-    which stops a candidate at its first failing fold. With more, every
-    candidate's fold groups (``_fold_groups``) go through one pool in
-    candidate-major order; a candidate that fails pre-flight sends no folds.
-    """
-    errors = FOLD_ERRORS
-    outcomes: list = []
-    if cv_config.jobs == 1:
-        for candidate in candidates:
-            try:
-                outcomes.append(_meta_score(run_cv(raw_table, manifest, candidate, cv_config)))
-            except errors as exc:
-                outcomes.append(exc)
-        return outcomes
-    plans: list = []
-    for candidate in candidates:
-        try:
-            plans.append(_fold_payloads(raw_table, manifest, candidate, cv_config))
-        except (ConfigError, DataError) as exc:
-            plans.append(exc)
-    groups = _fold_groups([plan for plan in plans if isinstance(plan, list)], cv_config.jobs)
-    results = iter(_map_fold_groups(groups, cv_config.jobs))
-    for plan in plans:
-        if isinstance(plan, Exception):
-            outcomes.append(plan)
-            continue
-        folds = list(itertools.islice(results, len(plan)))  # all of them, even after an error
-        try:
-            outcomes.append(_meta_score(_report(folds)))
-        except errors as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _meta_score(report: MetricReport) -> float:
+def _meta_score(report: MetricReport) -> float | DataError:
     vals = [r.value for r in report.rows if r.model == "meta" and math.isfinite(r.value)]
     if not vals:
-        raise DataError("no defined metric values for the meta model")
+        return DataError("no defined metric values for the meta model")
     return float(np.mean(vals))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import ColumnMeta, DatasetTable, Manifest, strict_dataclass
+from .data_model import ColumnMeta, DatasetTable, Manifest, csv_cell, strict_dataclass
 from .errors import ConfigError
 
 COUPLINGS = ("linear", "mild_nonlinear")
@@ -199,9 +199,9 @@ def table_to_csv_text(table: DatasetTable) -> str:
     """RFC-4180 text with missing cells left empty; floats use repr so a
     write/read round trip is value-exact."""
     header = [table.group_column] + [c.name for c in table.columns]
-    lines = [",".join(header)]
+    lines = [",".join(csv_cell(name) for name in header)]
     for i in range(table.n_rows):
-        cells = [table.group_names[table.group_ids[i]]]
+        cells = [csv_cell(table.group_names[table.group_ids[i]])]
         for j in range(len(table.columns)):
             cells.append("" if table.missing_mask[i, j] else repr(float(table.values[i, j])))
         lines.append(",".join(cells))

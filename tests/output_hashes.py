@@ -4,7 +4,9 @@
 
 runs ``cv`` and ``grid-search`` in-process on the benchmark's generator
 study (``bench/workloads.py``'s settings at seed 7), with BLAS and OpenMP
-pinned to one thread, writes each run's outputs under ``OUT_DIR/<run>/`` and
+pinned to one thread, then ``generate`` on that study's settings with
+missing cells and ``report`` on the ``cv-regression`` run's report. It
+writes each run's outputs under ``OUT_DIR/<run>/`` and
 prints one ``<sha256>  <run>/<file>`` line per output file, plus a line for
 any run that exits non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
@@ -68,6 +70,10 @@ RUNS = {
 }
 
 
+STUDY = {**study_config(WORKLOADS["cv-paper"], 0, 0), "seed": STUDY_SEED}
+MISSING_STUDY = {**STUDY, "missing_rate": MISSING_RATE}
+
+
 def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     """The plain study, the same settings with missing cells, the plain
     study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, and the
@@ -75,13 +81,12 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
-    doc = {**study_config(WORKLOADS["cv-paper"], 0, 0), "seed": STUDY_SEED}
     studies = {}
-    for name, extra in (("plain", {}), ("missing", {"missing_rate": MISSING_RATE})):
-        config = GeneratorConfig.from_dict({**doc, **extra})
+    for name, doc in (("plain", STUDY), ("missing", MISSING_STUDY)):
+        config = GeneratorConfig.from_dict(doc)
         table, manifest, truth = generate(config)
         studies[name] = write_dataset(root / f"study-{name}", table, manifest, truth, config)
-    config = GeneratorConfig.from_dict(doc)
+    config = GeneratorConfig.from_dict(STUDY)
     table, manifest, truth = generate(config)
     s = (table.column_values("x0")[0] > 0.0).astype(np.float64)
     meta = ColumnMeta("s", "pre", "numeric", "stratifier")
@@ -128,12 +133,11 @@ def run_all(root: Path) -> list[str]:
 
     studies = write_studies(root)
     space = write_space(root / "space.json")
-    lines = []
+    argvs = {}
     for run, (study, command, extra, config) in RUNS.items():
-        out = root / run
         argv = [
             command, "--data", str(studies[study]["data"]),
-            "--manifest", str(studies[study]["manifest"]), "--out", str(out), *extra,
+            "--manifest", str(studies[study]["manifest"]), *extra,
         ]
         if command == "grid-search":
             argv += ["--budget", str(GRID_BUDGET), "--space", str(space)]
@@ -141,8 +145,16 @@ def run_all(root: Path) -> list[str]:
             path = root / f"{run}.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", str(path)]
+        argvs[run] = argv
+    generator = root / "generate.json"
+    generator.write_text(json.dumps(MISSING_STUDY), encoding="utf-8")
+    argvs["generate"] = ["generate", "--config", str(generator)]
+    argvs["report"] = ["report", "--report", str(root / "cv-regression" / "report.csv")]
+    lines = []
+    for run, argv in argvs.items():
+        out = root / run
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+            code = main([*argv, "--out", str(out)])
         if code != 0:
             lines.append(f"exit {code}  {run}")
         for path in sorted(out.iterdir()) if out.is_dir() else ():

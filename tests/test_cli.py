@@ -1,17 +1,37 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+import tempfile
 import typing
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metatreat import eval_harness
 from metatreat.cli import _load_json, _run_config, build_parser, main, report_from_csv_text
-from metatreat.data_model import KINDS, SCALING_MODES, TIMINGS, load_manifest, strict_dataclass
-from metatreat.eval_harness import MetricReport, MetricRow, SearchSpace
-from metatreat.synth_gen import COUPLINGS, GeneratorConfig, manifest_to_json_text
+from metatreat.data_model import (
+    DEFAULT_MISSING_SENTINELS,
+    KINDS,
+    SCALING_MODES,
+    TIMINGS,
+    DatasetTable,
+    Manifest,
+    load_csv,
+    load_manifest,
+    strict_dataclass,
+)
+from metatreat.eval_harness import MetricReport, MetricRow, SearchSpace, plot_data_csv
+from metatreat.synth_gen import (
+    COUPLINGS,
+    GeneratorConfig,
+    generate,
+    manifest_to_json_text,
+    write_dataset,
+)
 from metatreat.task_selection import SELECTION_METHODS
 
 GEN_CONFIG = {
@@ -660,6 +680,45 @@ def test_report_csv_round_trips_any_names(metric, cells):
     for got, want in zip(back.rows, report.rows):
         for a, b in zip(got.__dict__.values(), want.__dict__.values()):
             assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+    # plot_data.csv names the same models and metric, one full row each;
+    # statistics of values near the float limit overflow to inf, which is
+    # not what this checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        plot, models = plot_data_csv(back), [e["model"] for e in back.summary()]
+    header, *plot_rows = csv.reader(io.StringIO(plot, newline=""))
+    assert all(len(row) == len(header) for row in plot_rows)
+    assert [row[:2] for row in plot_rows] == [[model, metric] for model in models]
+
+
+# Names the loader reads back as written: it strips cells, and a cell equal
+# to a missing sentinel is a missing value.
+LOADABLE_NAMES = NAMES.filter(
+    lambda name: name == name.strip() and name not in DEFAULT_MISSING_SENTINELS
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(LOADABLE_NAMES, min_size=4, max_size=4, unique=True),
+    st.lists(LOADABLE_NAMES, min_size=2, max_size=3, unique=True),
+)
+@example(['gr"p', "x,0", "aux0", "y"], ["a,b", 'c"d', "e\r\nf"])
+@example(["\ufeffgroup", "x0", "aux0", "y"], ["g0", "g1"])  # the file's first cell
+def test_written_study_round_trips_any_names(columns, groups):
+    config = GeneratorConfig(
+        n_groups=len(groups), n_per_group=2, d_pre=1, d_aux=1, delta=(0.0,) * len(groups)
+    )
+    table, _, truth = generate(config)
+    group_column, *names = columns
+    metas = tuple(dataclasses.replace(c, name=n) for c, n in zip(table.columns, names))
+    table = DatasetTable(
+        metas, table.values, table.missing_mask, table.group_ids, tuple(groups), group_column
+    )
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_dataset(out, table, Manifest(metas, group_column), truth, config)
+        back = load_csv(load_manifest(paths["manifest"]), paths["data"])
+    assert back.group_column == group_column and back.group_names == table.group_names
+    assert back.columns == metas and np.array_equal(back.values, table.values)
 
 
 def test_report_csv_quotes_only_names_that_need_it():

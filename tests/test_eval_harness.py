@@ -547,20 +547,20 @@ def test_grid_search_uses_one_pool_no_larger_than_the_work(
     assert json.dumps(board, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
-def test_one_job_runs_each_candidate_through_run_cv_without_a_pool(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
-    calls = []
-    real_run_cv = eval_harness.run_cv
+def test_one_job_runs_each_candidate_as_one_group_without_a_pool(monkeypatch):
+    _in_process_pool(monkeypatch)
+    sizes = []
+    real_worker = eval_harness._fold_group_worker
 
-    def counting_run_cv(*args, **kwargs):
-        calls.append(args[2])
-        return real_run_cv(*args, **kwargs)
+    def recording_worker(payloads):
+        sizes.append(len(payloads))
+        return real_worker(payloads)
 
-    monkeypatch.setattr(eval_harness, "run_cv", counting_run_cv)
+    monkeypatch.setattr(eval_harness, "_fold_group_worker", recording_worker)
     table, manifest, _ = small_raw(seed=12)
     grid_search(tiny_space(), table, manifest, 3, 7, FAST_PIPELINE, CvConfig(seed=0, jobs=1))
-    assert len(calls) == 3 and RecordingPool.sizes == []
+    assert RecordingPool.sizes == []
+    assert sizes == [3, 3, 3]
 
 
 @pytest.mark.parametrize("jobs, expected_sizes", [(1, []), (2, [2]), (10**6, [3])])
