@@ -3,11 +3,11 @@ embedding table with one row per group (including the held-out one), and a
 dense output head over the concatenated representations.
 
 Every weight lives in one flat vector that the layers view by name, so
-``loss_and_grads`` returns one flat gradient and the optimizer and the
-meta-update step the whole network at once. ``inner_update`` is the k-shot
-update operator: it runs a fixed number of full-batch gradient steps on a
-task slice in a step workspace, so identical (weights, data, config, seed)
-always give identical results.
+``loss_and_grads`` returns its gradient in the same layout, and the
+optimizer and the meta-update step the whole network at once.
+``inner_update`` is the k-shot update operator: it runs a fixed number of
+full-batch gradient steps on a task slice in a step workspace, so
+identical (weights, data, config, seed) always give identical results.
 """
 
 from __future__ import annotations
@@ -173,14 +173,6 @@ class BaseLearnerWeights:
     def n_groups(self) -> int:
         return self.embeddings.shape[-2]
 
-    def with_values(self, values: np.ndarray) -> "BaseLearnerWeights":
-        """Weights of the same network, or stack, over another array laid
-        out like ``values``."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.values.shape:
-            raise ShapeError("flat parameter vector does not match its layout")
-        return self._view(values, self.folds)
-
     def unstack(self) -> list["BaseLearnerWeights"]:
         """Each fold of a stack as a network of its own (copies)."""
         n = self.folds
@@ -263,14 +255,12 @@ class StepWorkspace:
     ``loss_and_grads`` call, drops the workspace with the stack.
     """
 
-    def __init__(self, weights: BaseLearnerWeights) -> None:
-        """A workspace for stacks laid out like ``weights``; one network
-        counts as a stack of one."""
-        folds = 1 if weights.folds is None else weights.folds
-        self.net = weights._view(np.empty(weights.values.size), folds)
+    def __init__(self, stack: BaseLearnerWeights) -> None:
+        """A workspace for stacks laid out like ``stack``."""
+        self.net = stack._view(np.empty(stack.values.size), stack.folds)
         # row 1 is the gradient, row 0 the optimizer's step (see ``optimizer``)
-        self._update = np.empty((2, weights.values.size))
-        self.grads = weights._view(self._update[1], folds)
+        self._update = np.empty((2, stack.values.size))
+        self.grads = stack._view(self._update[1], stack.folds)
         self._arrays: dict = {}
         self._batches: dict = {}
 
@@ -370,7 +360,7 @@ class _StepPlan:
 
 def _plan(
     weights: BaseLearnerWeights, x, g: np.ndarray, y, kind: str, config: BaseLearnerConfig,
-    train: bool, ws: StepWorkspace,
+    ws: StepWorkspace,
 ) -> _StepPlan:
     """Check a stacked batch against a stack of weights and index it."""
     x = np.asarray(x, dtype=np.float64)
@@ -386,12 +376,13 @@ def _plan(
         raise ShapeError("folds stepped together must each cover the same number of groups")
     fold_of, active = np.nonzero(present)
     l1, l2 = config.l1_l2()
-    dropout = config.dropout_rate if train else 0.0
-    buffers = ws.batch(x.shape[1], dropout > 0.0)
+    buffers = ws.batch(x.shape[1], config.dropout_rate > 0.0)
     n_groups, dim = weights.embeddings.shape[1:]
     rows = np.arange(len(x))[:, None] * n_groups + g
     scatter = (rows[..., None] * dim + np.arange(dim)).ravel()
-    return _StepPlan(x, g, y, scatter, fold_of, active, kind, l1, l2, dropout, buffers)
+    return _StepPlan(
+        x, g, y, scatter, fold_of, active, kind, l1, l2, config.dropout_rate, buffers
+    )
 
 
 def _forward_pass(
@@ -522,11 +513,10 @@ def loss_and_grads(
     kind: str,
     config: BaseLearnerConfig,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-    train: bool = True,
     errors: FoldErrors | None = None,
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Exact gradients of mean task loss + regularization, as one flat
-    vector laid out like ``weights.values``.
+) -> tuple[float | np.ndarray, BaseLearnerWeights]:
+    """Exact gradients of mean task loss + regularization, as weights laid
+    out like ``weights``: one network, or a stack.
 
     Regularization covers direction matrices and the embedding rows active
     in the batch; untouched embedding rows receive a strictly zero gradient,
@@ -541,14 +531,15 @@ def loss_and_grads(
     Each call runs one step on a plan and workspace of its own, so the
     gradient it returns is a fresh array.
     """
-    one = weights.folds is None
-    weights, x, g, y, rng = _as_stack(weights, x, group_ids, y, rng)
-    ws = StepWorkspace(weights)
-    plan = _plan(weights, x, g, y, kind, config, train, ws)
-    np.copyto(ws.net.values, weights.values)
+    stack, x, g, y, rng = _as_stack(weights, x, group_ids, y, rng)
+    ws = StepWorkspace(stack)
+    plan = _plan(stack, x, g, y, kind, config, ws)
+    np.copyto(ws.net.values, stack.values)
     with np.errstate(all="ignore"):
         loss = _step(ws.net, ws.grads, plan, rng, errors)
-    return (float(loss[0]) if one else loss), ws.grads.values
+    if weights.folds is None:
+        return float(loss[0]), weights._view(ws.grads.values, None)
+    return loss, ws.grads
 
 
 def _task_kind(task: TaskSpec | Sequence[TaskSpec]) -> str:
@@ -589,7 +580,7 @@ def inner_update(
     if stack.values is not net.values:
         np.copyto(net.values, stack.values)
     if config.learning_rate != 0.0 and config.inner_iterations != 0:
-        plan = _plan(stack, x, g, y, _task_kind(task), config, True, ws)
+        plan = _plan(stack, x, g, y, _task_kind(task), config, ws)
         state = ws.optimizer(config)
         with np.errstate(all="ignore"):
             for _ in range(config.inner_iterations):

@@ -144,16 +144,11 @@ class DatasetTable:
             columns, values, missing_mask, self.group_ids, self.group_names, self.group_column
         )
 
-    def resolve_group(self, group: int | str) -> int:
-        if isinstance(group, str):
-            try:
-                return self.group_names.index(group)
-            except ValueError:
-                raise DataError(f"unknown group {group!r}") from None
-        gid = int(group)
-        if not (0 <= gid < self.n_groups):
-            raise DataError(f"group id {gid} out of range")
-        return gid
+    def resolve_group(self, group: str) -> int:
+        try:
+            return self.group_names.index(group)
+        except ValueError:
+            raise DataError(f"unknown group {group!r}") from None
 
 
 @dataclass(frozen=True)
@@ -718,7 +713,7 @@ def fit_scaling(
 
 
 def group_holdout_split(
-    table: DatasetTable, held_out_group: int | str
+    table: DatasetTable, held_out_group: str
 ) -> tuple[DatasetTable, DatasetTable]:
     """Partition rows into (train = other groups, test = held-out group)."""
     gid = table.resolve_group(held_out_group)

@@ -245,6 +245,18 @@ class MetricRow:
     note: str = ""
 
 
+def _scaled_stat(stat, vals: list[float]) -> np.ndarray:
+    """``stat(vals)`` for a statistic that scales with its values, finite for
+    finite values: where the direct arithmetic overflows, ``stat`` runs on
+    the values divided by their largest magnitude and is scaled back."""
+    with np.errstate(all="ignore"):
+        out = stat(vals)
+        if not np.isfinite(out).all():
+            scale = np.abs(vals).max()
+            out = stat(np.divide(vals, scale)) * scale
+    return out
+
+
 @dataclass(frozen=True)
 class MetricReport:
     rows: tuple[MetricRow, ...]
@@ -263,8 +275,11 @@ class MetricReport:
             vals = [r.value for r in self.rows if r.model == model and math.isfinite(r.value)]
             if not vals:
                 continue
-            mean = float(np.mean(vals))
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            mean = float(_scaled_stat(np.mean, vals))
+            stderr = (
+                float(_scaled_stat(lambda v: np.std(v, ddof=1) / math.sqrt(len(v)), vals))
+                if len(vals) > 1 else 0.0
+            )
             out.append(
                 {
                     "model": model,
@@ -288,7 +303,15 @@ class MetricReport:
 
 
 def overfit_gap(report: MetricReport) -> dict[str, dict[str, float]]:
-    """Boxplot statistics of (test - train) per model across fold x task."""
+    """Boxplot statistics of (test - train) per model across fold x task;
+    a gap beyond the float range raises, naming its row."""
+    for n, r in enumerate(report.rows, start=1):
+        finite = math.isfinite(r.value) and math.isfinite(r.train_value)
+        if finite and math.isinf(r.value - r.train_value):
+            raise DataError(
+                f"report row {n}: test - train gap {r.value!r} - {r.train_value!r} "
+                "is beyond the float range"
+            )
     out: dict[str, dict[str, float]] = {}
     for model in report.models():
         gaps = [
@@ -298,7 +321,7 @@ def overfit_gap(report: MetricReport) -> dict[str, dict[str, float]]:
         ]
         if not gaps:
             continue
-        q = np.percentile(gaps, [0, 25, 50, 75, 100])
+        q = _scaled_stat(lambda v: np.percentile(v, [0, 25, 50, 75, 100]), gaps)
         out[model] = {
             "min": float(q[0]),
             "q1": float(q[1]),

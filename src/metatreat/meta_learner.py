@@ -32,7 +32,6 @@ from .base_learner import (
 from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld, task_dataset
 from .errors import ConfigError, DataError
 from .nn_core import FoldErrors, param_axpy
-from .rng import as_rng
 from .task_selection import TaskSet, TaskSpec
 
 
@@ -56,17 +55,15 @@ class MetaConfig:
 
 @dataclass
 class MetaState:
-    """Shared initialization plus progress through the meta-loop: one
-    network with its RNG stream, or a stack of folds with one stream each.
-
-    ``errors`` (a stack's, or None to raise at once) holds each fold's first
-    failure, as ``base_learner.loss_and_grads`` records it.
+    """Shared initialization of a stack of folds plus progress through the
+    meta-loop: one RNG stream per fold, and ``errors``, each fold's first
+    failure as ``base_learner.loss_and_grads`` records it.
     """
 
     theta: BaseLearnerWeights
     t: int
-    rng: np.random.Generator | tuple[np.random.Generator, ...]
-    errors: FoldErrors | None = None
+    rng: tuple[np.random.Generator, ...]
+    errors: FoldErrors
 
 
 @dataclass(frozen=True)
@@ -141,18 +138,18 @@ def sample_task_batch(
     test_table: DatasetTable,
     k: int,
     rng: np.random.Generator,
-    cache: TaskCache | None = None,
+    cache: TaskCache,
 ) -> TaskBatch:
     """Sample a training task plus k rows per group on both sides of the split.
 
     The fine-tune slice comes from the held-out group's rows and uses only
-    the training-task column, never a target column. A caller that samples
-    from the same tables again passes one ``cache`` to every call.
+    the training-task column, never a target column. ``cache`` is the
+    split's: every call that samples from the same tables passes the same.
     """
     if not tasks.training:
         raise ConfigError("no training tasks to sample from")
     task = tasks.training[int(rng.integers(len(tasks.training)))]
-    train_rows, finetune_rows = (cache or TaskCache()).get((train_table, test_table), task)
+    train_rows, finetune_rows = cache.get((train_table, test_table), task)
     train_data = _sample_per_group(train_table, train_rows, k, rng)
     finetune_data = _sample_per_group(test_table, finetune_rows, k, rng)
     return TaskBatch(task, train_data, finetune_data)
@@ -163,22 +160,21 @@ def meta_step(
     batches: list[TaskBatch],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
-    workspace: StepWorkspace | None = None,
+    workspace: StepWorkspace,
 ) -> MetaState:
-    """One meta-iteration: train, fine-tune, then interpolate.
+    """One meta-iteration of a stack: train, fine-tune, then interpolate.
 
     With several task batches the train/fine-tune pair runs sequentially on
     each before the single interpolation, which moves the initialization
     toward the adapted weights: theta + eps*(adapted - theta) is written
-    back into ``state.theta``. The adapted weights live in ``workspace``
-    (one made for ``state.theta``), or in one made here.
+    back into ``state.theta``. The adapted weights live in ``workspace``,
+    one made for ``state.theta``.
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
     if not batches:
         raise ConfigError("a meta-iteration needs at least one task batch")
     eps = epsilon_schedule(state.t, meta_config.meta_iterations, meta_config.epsilon0)
-    workspace = StepWorkspace(state.theta) if workspace is None else workspace
     adapted = state.theta
     for batch in batches:
         for data in (batch.train_data, batch.finetune_data):
@@ -213,7 +209,7 @@ def meta_train(
     tasks: Sequence[TaskSet],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
-    seeds: Sequence[int | np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     initial_weights: Sequence[BaseLearnerWeights],
 ) -> list[BaseLearnerWeights | Exception]:
     """Run the full meta-loop of each fold from a fresh state and return
@@ -234,12 +230,11 @@ def meta_train(
     every later fold stops with it, as a serial run would stop at the first
     failing fold; those later folds carry the earliest failure.
     """
-    folds = list(zip(train_tables, test_tables, tasks, seeds, initial_weights, strict=True))
+    folds = list(zip(train_tables, test_tables, tasks, rngs, initial_weights, strict=True))
     if not all(targets_withheld(fold[1]) for fold in folds):
         raise DataError(
             "test table still carries target values; withhold them before meta-training"
         )
-    rngs = [as_rng(fold[3]) for fold in folds]
     stacks: dict = {}
     for f, (train, test, fold_tasks, _, theta) in enumerate(folds):
         kinds = frozenset(t.kind for t in fold_tasks.training)
@@ -258,7 +253,7 @@ def meta_train(
             continue
         theta = stack_weights([folds[f][4] for f in members])
         for f, result in zip(members, _lockstep(
-            theta, [folds[f][:3] for f in members], tuple(rngs[f] for f in members),
+            theta, [folds[f][:3] for f in members], tuple(folds[f][3] for f in members),
             base_config, meta_config,
         )):
             results[f] = result

@@ -29,10 +29,3 @@ def child_rng(seed: int, *path: int | str) -> np.random.Generator:
     """
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in path]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    """Accept either a seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(int(seed_or_rng))

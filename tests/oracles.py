@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from metatreat.base_learner import BaseLearnerWeights
 from metatreat.nn_core import OptimizerState
 
 
@@ -70,10 +71,11 @@ def plugin_mi_from_counts(counts: np.ndarray) -> float:
     return total
 
 
-def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None, train=True):
+def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None):
     """``base_learner.loss_and_grads`` computed the unfused way, for bitwise
     comparison: each layer's column norms are computed again in backward,
-    the gradient is written through the views of a second weights object,
+    the gradient is written through the views of a second weights object
+    (which is returned),
     and each regularization gradient is accumulated onto zeros. Same
     arithmetic, same order, same dropout draws."""
     act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
@@ -121,7 +123,7 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None, t
         out = act[layer.activation](x_in @ weight_norm(layer)[1] + layer.bias)
         assert np.all(np.isfinite(out))
         mask = None
-        if train and config.dropout_rate > 0.0:
+        if config.dropout_rate > 0.0:
             keep = rng.random(out.shape) >= config.dropout_rate
             mask = keep.astype(np.float64) / (1.0 - config.dropout_rate)
             h = out * mask
@@ -143,7 +145,7 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None, t
     loss += reg_value([layer.v for layer in weights.extractor] + [weights.head.v])
     loss += reg_value([weights.embeddings[active]])
 
-    grads = weights.with_values(np.zeros_like(weights.values))
+    grads = BaseLearnerWeights(np.zeros_like(weights.values), weights.layout, weights.activations)
     dconcat, grads.head.v[...], grads.head.gain[...], grads.head.bias[...] = backward(
         weights.head, concat, dz
     )
@@ -162,7 +164,7 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None, t
             layer, x_in, dz_i
         )
         grad_layer.v[...] += reg_grad(layer.v)
-    return loss, grads.values
+    return loss, grads
 
 
 def fresh_optimizer(kind: str, learning_rate: float, size: int) -> OptimizerState:

@@ -17,6 +17,7 @@ Numbered criteria:
     exact group partitions)
 """
 
+import copy
 import json
 import math
 import time
@@ -24,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from metatreat.base_learner import BaseLearnerConfig, init_weights
+from metatreat.base_learner import BaseLearnerConfig, BaseLearnerWeights, init_weights
 from metatreat.cli import main as cli_main
 from metatreat.data_model import (
     ColumnMeta,
@@ -40,9 +41,8 @@ from metatreat import eval_harness
 from metatreat.eval_harness import CvConfig, PipelineConfig, auc, mse, run_cv
 from metatreat.meta_learner import (
     MetaConfig,
-    MetaState,
+    TaskCache,
     epsilon_schedule,
-    meta_step,
     meta_train,
     sample_task_batch,
 )
@@ -89,7 +89,7 @@ def report_line(criterion: int, name: str, ok: bool, detail: str) -> None:
 def _oracle_loss(values, net, x, g, y, kind, reg, masks):
     """The base-learner's training loss assembled directly from the weight
     views with plain numpy, independently of ``base_learner``'s passes."""
-    w = net.with_values(values)
+    w = BaseLearnerWeights(values, net.layout, net.activations)
 
     def affine(h, layer):
         return h @ (layer.v / np.linalg.norm(layer.v, axis=0) * layer.gain) + layer.bias
@@ -142,9 +142,7 @@ def test_criterion_1_gradient_oracle():
             y = rng.normal(size=n)
 
         mask_seed = int(rng.integers(2**31))
-        _, grads = loss_and_grads(
-            net, x, g, y, kind, config, rng=np.random.default_rng(mask_seed), train=True
-        )
+        _, grads = loss_and_grads(net, x, g, y, kind, config, rng=np.random.default_rng(mask_seed))
         mask_rng = np.random.default_rng(mask_seed)
         rate = config.dropout_rate
         masks = [
@@ -157,7 +155,7 @@ def test_criterion_1_gradient_oracle():
             return _oracle_loss(values, net, x, g, y, kind, config.l1_l2(), masks)
 
         numeric = central_diff(loss_fn, net.values.copy(), h=1e-6)
-        worst = max(worst, max_rel_error(grads, numeric))
+        worst = max(worst, max_rel_error(grads.values, numeric))
     elapsed = time.time() - start
     report_line(
         1, "gradient oracle", worst <= 1e-5 and elapsed < 30.0,
@@ -239,12 +237,16 @@ def test_criterion_3_update_algebra():
     rng = np.random.default_rng(5)
     theta = init_weights(base, 3, 3, rng)
     meta = MetaConfig(meta_iterations=1, epsilon0=1.0, k=4, tasks_per_iteration=1)
-    state = MetaState(theta, 0, rng)
-    batch = sample_task_batch(tasks, train_table, masked_test, meta.k, state.rng)
+    # the batch the fold's first meta-iteration draws from its stream
+    batch = sample_task_batch(
+        tasks, train_table, masked_test, meta.k, copy.deepcopy(rng), TaskCache()
+    )
     adapted = inner_update(theta, batch.train_data, batch.task, base, np.random.default_rng(0))
     adapted = inner_update(adapted, batch.finetune_data, batch.task, base, np.random.default_rng(0))
-    stepped = meta_step(state, [batch], base, meta)
-    eps1_ok = np.array_equal(stepped.theta.values, adapted.values)
+    [stepped] = meta_train(
+        [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
+    )
+    eps1_ok = np.array_equal(stepped.values, adapted.values)
 
     # (c) lr=0 is a fixed point across every meta-iteration
     train_table, masked_test, tasks, base0 = _algebra_setup(lr=0.0)
@@ -252,7 +254,8 @@ def test_criterion_3_update_algebra():
     rng = np.random.default_rng(6)
     theta0 = init_weights(base0, 3, 3, rng)
     [theta_final] = meta_train(
-        [train_table], [masked_test], [tasks], base0, meta, seeds=[6], initial_weights=[theta0]
+        [train_table], [masked_test], [tasks], base0, meta,
+        rngs=[np.random.default_rng(6)], initial_weights=[theta0],
     )
     fixed_point_ok = np.array_equal(theta_final.values, theta0.values)
 
@@ -551,7 +554,7 @@ def test_criterion_9_preprocessing_properties():
             tuple(f"g{i}" for i in range(n_groups)),
         )
         g_star = int(rng.integers(n_groups))
-        train, test = group_holdout_split(table, g_star)
+        train, test = group_holdout_split(table, table.group_names[g_star])
         ids = sorted(np.concatenate([train.values[:, 0], test.values[:, 0]]))
         if ids != list(range(n)) or not np.all(test.group_ids == g_star):
             partition_ok = False

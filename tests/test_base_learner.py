@@ -3,6 +3,7 @@ import pytest
 
 from metatreat.base_learner import (
     BaseLearnerConfig,
+    BaseLearnerWeights,
     StepWorkspace,
     forward,
     init_weights,
@@ -132,7 +133,7 @@ def test_named_views_alias_values_and_clone_copies():
     w.head.bias[:] = -1.0
     assert w.values[-1] == -1.0
     # a clone, the same layout over a copy, shares no memory with its source
-    copy = w.with_values(w.values.copy())
+    copy = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     assert not np.shares_memory(copy.values, w.values)
     before = w.values.copy()
     copy.values[:] = 0.0
@@ -154,13 +155,13 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
     x, g, y = make_batch(rng, 6, 3, 3)
     if kind == "classification":
         y = (y > 0).astype(float)
-    _, grads = loss_and_grads(w, x, g, y, kind, config, train=False)
+    _, grads = loss_and_grads(w, x, g, y, kind, config)
 
     l1, l2 = config.l1_l2()
     active = np.unique(g)
 
     def loss_fn(flat_values):
-        cand = w.with_values(flat_values)
+        cand = BaseLearnerWeights(flat_values, w.layout, w.activations)
         pred = forward(cand, x, g, config, kind=kind)
         lk = "binary_cross_entropy" if kind == "classification" else "mse"
         total = loss_value(pred[None], y[None], lk)[0]
@@ -169,7 +170,7 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
         return total
 
     numeric = central_diff(loss_fn, w.values)
-    assert max_rel_error(grads, numeric) <= 1e-5
+    assert max_rel_error(grads.values, numeric) <= 1e-5
 
 
 @pytest.mark.parametrize("kind", ["regression", "classification"])
@@ -196,8 +197,8 @@ def test_loss_and_grads_matches_unfused_reference_bitwise(kind, activation, reg_
             w, x, g, y, kind, config, rng=np.random.default_rng(seed)
         )
         assert loss == ref_loss
-        assert grads.tobytes() == ref_grads.tobytes()
-        assert not np.shares_memory(grads, w.values)
+        assert grads.values.tobytes() == ref_grads.values.tobytes()
+        assert not np.shares_memory(grads.values, w.values)
         assert w.values.tobytes() == before.tobytes()
 
 
@@ -211,14 +212,14 @@ def test_inner_update_matches_unfused_reference_bitwise(optimizer):
     w = init_weights(config, 3, 3, rng)
     data = TaskData(*make_batch(rng, 8, 3, 3), np.arange(8))
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(9))
-    expected = w.with_values(w.values.copy())
+    expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
     for _ in range(config.inner_iterations):
         _, grads = reference_loss_and_grads(
             expected, data.x, data.group_ids, data.y, "regression", config, rng=step_rng
         )
-        optimizer_step(expected.values, grads, state)
+        optimizer_step(expected.values, grads.values, state)
     assert out.values.tobytes() == expected.values.tobytes()
 
 
@@ -242,12 +243,12 @@ def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
     streams = tuple(np.random.default_rng(seed) for seed in range(3))
     stack = stack_weights(nets)
     losses, grads = loss_and_grads(stack, x, g, y, kind, config, rng=streams)
-    grads = per_fold(stack.with_values(grads))
+    grads = per_fold(grads)
     assert grads.shape == (3, nets[0].values.size)
     for f, net in enumerate(nets):
         loss, grad = loss_and_grads(net, *batches[f], kind, config, rng=np.random.default_rng(f))
         assert losses[f] == loss
-        assert grads[f].tobytes() == grad.tobytes()
+        assert grads[f].tobytes() == grad.values.tobytes()
 
 
 class CountingStream:
@@ -307,7 +308,7 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     streams = lambda: tuple(map(np.random.default_rng, (5, 6, 7)))  # noqa: E731
     out = inner_update(theta, data, tasks, config, streams(), workspace=workspace)
     assert theta.values.tobytes() == before.tobytes()
-    copy = out.with_values(out.values.copy())
+    copy = stack_weights(out.unstack())
     assert inner_update(out, data, tasks, config, streams(), workspace=workspace) is out
     expected = inner_update(copy, data, tasks, config, streams())
     assert out.values.tobytes() == expected.values.tobytes()
@@ -334,12 +335,12 @@ def test_stacked_embedding_gradient_matches_reference_bitwise(embedding_dim):
     x, g, y = (np.stack(parts) for parts in zip(*batches))
     stack = stack_weights(nets)
     _, grads = loss_and_grads(stack, x, g, y, "regression", config)
-    got = per_fold(stack.with_values(grads))
+    got = per_fold(grads)
     for f, net in enumerate(nets):
         _, expected = reference_loss_and_grads(net, *batches[f], "regression", config)
-        assert got[f].tobytes() == expected.tobytes()
+        assert got[f].tobytes() == expected.values.tobytes()
         fitted_group = batches[f][1][0]
-        assert not net.with_values(expected).embeddings[fitted_group].any()
+        assert not expected.embeddings[fitted_group].any()
 
 
 def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
@@ -356,14 +357,14 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     out = per_fold(inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams))
     assert [s.calls for s in streams] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
-        expected = net.with_values(net.values.copy())
+        expected = BaseLearnerWeights(net.values.copy(), net.layout, net.activations)
         state = fresh_optimizer("adam", config.learning_rate, net.values.size)
         reference = np.random.default_rng(f)
         for _ in range(config.inner_iterations):
             _, grads = reference_loss_and_grads(
                 expected, *batches[f], "regression", config, rng=reference
             )
-            optimizer_step(expected.values, grads, state)
+            optimizer_step(expected.values, grads.values, state)
         assert out[f].tobytes() == expected.values.tobytes()
         assert streams[f].stream.random() == reference.random()
 
@@ -374,10 +375,10 @@ def test_step_workspace_never_aliases_results():
     w = init_weights(config, 4, 4, rng)
     x, g, y = make_batch(rng, 9, 4, 4)
     _, first = loss_and_grads(w, x, g, y, "regression", config, rng=np.random.default_rng(0))
-    kept = first.copy()
+    kept = first.values.copy()
     _, second = loss_and_grads(w, x, g, -y, "regression", config, rng=np.random.default_rng(0))
-    assert not np.shares_memory(first, second)
-    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.values, second.values)
+    assert first.values.tobytes() == kept.tobytes()
 
     # updates that share one workspace return its stack, and match updates
     # that each had a fresh one
@@ -407,15 +408,15 @@ def test_stack_keeps_each_folds_first_numeric_failure():
     g, y = np.zeros((2, 1), dtype=int), np.zeros((2, 1))
     errors = [None, None]
     stack = stack_weights(nets)
-    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, train=False, errors=errors)
-    grads = per_fold(stack.with_values(grads))
+    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, errors=errors)
+    grads = per_fold(grads)
     assert errors[0] is None
     assert str(errors[1]) == "extractor layer 1: dense layer produced non-finite activations"
-    loss, grad = loss_and_grads(nets[0], x[0], g[0], y[0], "regression", config, train=False)
-    assert losses[0] == loss and grads[0].tobytes() == grad.tobytes()
+    loss, grad = loss_and_grads(nets[0], x[0], g[0], y[0], "regression", config)
+    assert losses[0] == loss and grads[0].tobytes() == grad.values.tobytes()
     # without a record, the first failing fold raises
     with pytest.raises(NumericError, match="extractor layer 1"):
-        loss_and_grads(stack_weights(nets), x, g, y, "regression", config, train=False)
+        loss_and_grads(stack_weights(nets), x, g, y, "regression", config)
 
 
 def test_untouched_embedding_rows_have_zero_gradient():
@@ -423,8 +424,8 @@ def test_untouched_embedding_rows_have_zero_gradient():
     config = small_config(reg_kind="both", reg_strength=1e-2)
     w = init_weights(config, 3, 4, rng)
     x, g, y = make_batch(rng, 8, 3, 4, exclude_group=2)
-    _, grads = loss_and_grads(w, x, g, y, "regression", config, train=False)
-    demb = w.with_values(grads).embeddings
+    _, grads = loss_and_grads(w, x, g, y, "regression", config)
+    demb = grads.embeddings
     assert np.all(demb[2] == 0.0)
     assert np.any(demb[0] != 0.0)
 
@@ -439,11 +440,11 @@ def test_loss_and_grads_zero_output_is_stationary():
     w.head.bias[:] = 0.0
     w.embeddings[:] = 0.0
     loss, grads = loss_and_grads(
-        w, np.ones((3, 2)), np.array([0, 1, 2]), np.zeros(3), "regression", config, train=False
+        w, np.ones((3, 2)), np.array([0, 1, 2]), np.zeros(3), "regression", config
     )
     assert loss == 0.0
-    assert grads.shape == w.values.shape
-    assert np.all(grads == 0.0)
+    assert grads.values.shape == w.values.shape
+    assert np.all(grads.values == 0.0)
 
 
 def test_loss_and_grads_rejects_empty_batch():
@@ -466,8 +467,7 @@ def test_loss_and_grads_reports_nonfinite_layer():
         layer.bias[:] = 0.0
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="extractor layer 1"):
         loss_and_grads(
-            w, np.array([[1e150]]), np.array([0]), np.array([0.0]), "regression", config,
-            train=False,
+            w, np.array([[1e150]]), np.array([0]), np.array([0.0]), "regression", config
         )
 
 
@@ -498,8 +498,8 @@ def test_inner_update_single_step_matches_hand_sgd():
     data = TaskData(
         rng.normal(size=(4, 2)), np.array([0, 1, 0, 1]), rng.normal(size=4), np.arange(4)
     )
-    _, grads = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config, train=False)
-    expected = w.values - 0.1 * grads
+    _, grads = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config)
+    expected = w.values - 0.1 * grads.values
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
     assert np.allclose(out.values, expected, atol=1e-12)
 
@@ -514,9 +514,9 @@ def test_inner_update_reduces_convex_loss():
     data = TaskData(
         rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20), np.arange(20)
     )
-    loss0, _ = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config, train=False)
+    loss0, _ = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config)
     out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
-    loss1, _ = loss_and_grads(out, data.x, data.group_ids, data.y, "regression", config, train=False)
+    loss1, _ = loss_and_grads(out, data.x, data.group_ids, data.y, "regression", config)
     assert loss1 <= loss0
 
 

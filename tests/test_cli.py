@@ -24,6 +24,7 @@ from metatreat.data_model import (
     load_manifest,
     strict_dataclass,
 )
+from metatreat.errors import DataError
 from metatreat.eval_harness import MetricReport, MetricRow, SearchSpace, plot_data_csv
 from metatreat.synth_gen import (
     COUPLINGS,
@@ -672,6 +673,8 @@ CELL_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
         max_size=4,
     ),
 )
+@example("mse", [("g0", "y", "meta", 0.0, 0.0, 1, ""), ("g1", "y", "meta", 2.68e154, 0.0, 1, "")])
+@example("mse", [("g0", "y", "meta", 1.5e308, -1.5e308, 1, "")])
 def test_report_csv_round_trips_any_names(metric, cells):
     # a report holds one metric, of any name
     report = MetricReport(tuple(MetricRow(*row[:3], metric, *row[3:]) for row in cells))
@@ -680,14 +683,19 @@ def test_report_csv_round_trips_any_names(metric, cells):
     for got, want in zip(back.rows, report.rows):
         for a, b in zip(got.__dict__.values(), want.__dict__.values()):
             assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
-    # plot_data.csv names the same models and metric, one full row each;
-    # statistics of values near the float limit overflow to inf, which is
-    # not what this checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        plot, models = plot_data_csv(back), [e["model"] for e in back.summary()]
+    # plot_data.csv names the same models and metric, one full row each,
+    # whose statistics of finite values are finite; only a test - train gap
+    # beyond the float range is refused, naming its row
+    try:
+        plot = plot_data_csv(back)
+    except DataError as exc:
+        assert "is beyond the float range" in str(exc)
+        return
+    models = [e["model"] for e in back.summary()]
     header, *plot_rows = csv.reader(io.StringIO(plot, newline=""))
     assert all(len(row) == len(header) for row in plot_rows)
     assert [row[:2] for row in plot_rows] == [[model, metric] for model in models]
+    assert all(math.isfinite(float(cell)) for row in plot_rows for cell in row[2:] if cell)
 
 
 # Names the loader reads back as written: it strips cells, and a cell equal
@@ -757,6 +765,31 @@ def test_report_mixing_metrics_exits_3_naming_both(tmp_path, capsys):
     path.write_text("# stamp\n" + MetricReport(rows).to_csv_text(), encoding="utf-8")
     assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "['auc', 'mse']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plot_data.csv").exists()
+
+
+def test_report_keeps_statistics_of_finite_values_finite(tmp_path, capsys):
+    # the sample variance of 0 and 2.68e154 overflows; their standard error
+    # is 1.34e154, and a test - train gap of 3e308 has no float at all
+    def report(*rows):
+        path = tmp_path / "report.csv"
+        path.write_text(MetricReport(rows).to_csv_text(), encoding="utf-8")
+        return main(["report", "--report", str(path), "--out", str(tmp_path / "out")])
+
+    big = (MetricRow("g0", "y", "meta", "mse", 0.0, 0.0, 3),
+           MetricRow("g1", "y", "meta", "mse", 2.68e154, 0.0, 3))
+    assert report(*big) == 0
+    [row] = list(csv.DictReader(io.StringIO((tmp_path / "out" / "plot_data.csv").read_text())))
+    assert float(row["mean"]) == 1.34e154 and float(row["stderr"]) == 1.34e154
+    gaps = json.loads((tmp_path / "out" / "gap_stats.json").read_text())["overfit_gap"]["meta"]
+    assert all(math.isfinite(v) for v in gaps.values()) and gaps["max"] == 2.68e154
+    assert "Warning" not in capsys.readouterr().err
+
+    (tmp_path / "out" / "plot_data.csv").unlink()
+    wide = MetricRow("g2", "y", "meta", "mse", 1.5e308, -1.5e308, 3)
+    assert report(big[0], wide) == 3
+    err = capsys.readouterr().err
+    assert "report row 2: test - train gap 1.5e+308 - -1.5e+308" in err and "Warning" not in err
     assert not (tmp_path / "out" / "plot_data.csv").exists()
 
 

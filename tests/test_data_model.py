@@ -491,7 +491,7 @@ def split_fixture():
 
 
 def test_split_by_group():
-    train, test = group_holdout_split(split_fixture(), 0)
+    train, test = group_holdout_split(split_fixture(), "a")
     assert list(test.group_ids) == [0, 0]
     assert list(train.group_ids) == [1, 2]
 
@@ -520,7 +520,7 @@ def test_split_partition_property_random_tables():
         vals = np.column_stack([np.arange(n, dtype=float), rng.normal(size=n)])
         table = make_table(vals, cols, gids, group_names=tuple(f"g{i}" for i in range(n_groups)))
         g_star = int(rng.integers(n_groups))
-        train, test = group_holdout_split(table, g_star)
+        train, test = group_holdout_split(table, table.group_names[g_star])
         ids = np.concatenate([train.values[:, 0], test.values[:, 0]])
         assert sorted(ids) == list(range(n))  # exact partition, no dup, no loss
         assert np.all(test.group_ids == g_star)

@@ -16,6 +16,7 @@ default pipeline on seeds 1-3, the ablated / trained held-out MSE was
 import numpy as np
 import pytest
 
+from metatreat.base_learner import BaseLearnerWeights
 from metatreat.data_model import task_dataset
 from metatreat.eval_harness import (
     CvConfig,
@@ -60,7 +61,7 @@ def _ablation_ratios(seed: int, d: float) -> dict[str, float]:
     ratios = {}
     for setup, theta in zip(setups, thetas):
         held_out = table.resolve_group(setup.group_name)
-        ablated = theta.with_values(theta.values.copy())
+        ablated = BaseLearnerWeights(theta.values.copy(), theta.layout, theta.activations)
         ablated.embeddings[held_out] = setup.theta0.embeddings[held_out]
         trained = _held_out_mse(setup, theta, config, cv)
         [reported] = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metatreat.base_learner import BaseLearnerConfig, init_weights
+from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, init_weights, stack_weights
 from metatreat.data_model import (
     PreprocessConfig,
     fit_preprocess,
@@ -23,7 +23,6 @@ from metatreat.meta_learner import (
     predict_rows,
     sample_task_batch,
 )
-from metatreat.rng import as_rng
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
 
@@ -88,42 +87,46 @@ def test_epsilon_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 
+def sample(study, k, rng):
+    """One draw from a study's split, with a task cache of its own."""
+    train_table, masked_test, _, tasks = study
+    return sample_task_batch(tasks, train_table, masked_test, k, rng, TaskCache())
+
+
 def test_sample_sizes_k_per_group():
-    train_table, masked_test, _, tasks = small_study()
-    batch = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(0))
+    batch = sample(small_study(), 5, np.random.default_rng(0))
     assert len(batch.train_data.y) == 10  # 2 training groups x k
     assert len(batch.finetune_data.y) == 5  # one held-out group x k
 
 
 def test_finetune_rows_come_from_held_out_group_only():
-    train_table, masked_test, _, tasks = small_study()
-    batch = sample_task_batch(tasks, train_table, masked_test, 4, np.random.default_rng(1))
+    batch = sample(small_study(), 4, np.random.default_rng(1))
     assert set(batch.finetune_data.group_ids) == {2}
     assert set(batch.train_data.group_ids) == {0, 1}
 
 
 def test_sampling_is_deterministic_per_seed():
-    train_table, masked_test, _, tasks = small_study()
-    a = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(3))
-    b = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(3))
+    study = small_study()
+    a = sample(study, 5, np.random.default_rng(3))
+    b = sample(study, 5, np.random.default_rng(3))
     assert a.task == b.task
     assert np.array_equal(a.train_data.row_indices, b.train_data.row_indices)
     assert np.array_equal(a.finetune_data.row_indices, b.finetune_data.row_indices)
 
 
 def test_small_group_warns_and_samples_with_replacement():
-    train_table, masked_test, _, tasks = small_study(n_per_group=3)
+    study = small_study(n_per_group=3)
     with pytest.warns(UserWarning, match="replacement"):
-        batch = sample_task_batch(tasks, train_table, masked_test, 5, np.random.default_rng(0))
+        batch = sample(study, 5, np.random.default_rng(0))
     assert len(batch.finetune_data.y) == 5
 
 
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
-    train_table, masked_test, _, tasks = small_study()
-    plain, kept = np.random.default_rng(8), np.random.default_rng(8)
+    study = train_table, masked_test, _, tasks = small_study()
+    fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
     cache = TaskCache()
     for _ in range(12):
-        a = sample_task_batch(tasks, train_table, masked_test, 4, plain)
+        a = sample(study, 4, fresh)
         b = sample_task_batch(tasks, train_table, masked_test, 4, kept, cache)
         assert a.task == b.task
         for side, table in (("train_data", train_table), ("finetune_data", masked_test)):
@@ -154,9 +157,9 @@ def test_task_cache_keeps_one_input_matrix_per_side():
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
     names = {t.column for t in tasks.training}
-    rng = np.random.default_rng(5)
+    rng, cache = np.random.default_rng(5), TaskCache()
     for _ in range(10):
-        batch = sample_task_batch(tasks, train_table, masked_test, 3, rng)
+        batch = sample_task_batch(tasks, train_table, masked_test, 3, rng, cache)
         assert batch.task.column in names
 
 
@@ -166,6 +169,8 @@ def test_sampled_task_is_always_a_training_task():
 
 
 def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
+    """A one-fold stack as ``meta_train`` steps it, the fold's network, and
+    the fold's first batch, stacked and alone."""
     train_table, masked_test, _, tasks = small_study()
     config = BaseLearnerConfig(
         n_layers=1, hidden_dim=4, embedding_dim=3, activation="tanh",
@@ -175,29 +180,29 @@ def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
     meta = MetaConfig(meta_iterations=iterations, epsilon0=eps0, k=4)
-    batch = sample_task_batch(tasks, train_table, masked_test, meta.k, rng)
-    return MetaState(theta, 0, rng), batch, config, meta
+    batch = sample_task_batch(tasks, train_table, masked_test, meta.k, rng, TaskCache())
+    state = MetaState(stack_weights([theta]), 0, (rng,), [None])
+    return state, theta, meta_learner._stack_batches([batch]), batch, config, meta
 
 
 def test_meta_step_eps1_returns_adapted_weights_bitwise():
-    state, batch, config, meta = _state_and_batch(eps0=1.0)
+    state, theta, stacked, batch, config, meta = _state_and_batch(eps0=1.0)
     from metatreat.base_learner import inner_update
 
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
-    expected = inner_update(state.theta, batch.train_data, batch.task, config, np.random.default_rng(0))
+    expected = inner_update(theta, batch.train_data, batch.task, config, np.random.default_rng(0))
     expected = inner_update(expected, batch.finetune_data, batch.task, config, np.random.default_rng(0))
-    out = meta_step(state, [batch], config, meta)
+    out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
     # epsilon = eps0 * (T - 0) / T = 1.0 exactly -> theta equals adapted weights
     assert np.array_equal(out.theta.values, expected.values)
     assert out.t == 1
 
 
 def test_meta_step_zero_lr_leaves_theta_constant():
-    state, batch, config, meta = _state_and_batch(lr=0.0, iterations=3)
-    before = state.theta.values.copy()
-    out = meta_step(state, [batch], config, meta)
-    assert np.array_equal(out.theta.values, before)
+    state, theta, stacked, _, config, meta = _state_and_batch(lr=0.0, iterations=3)
+    out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
+    assert np.array_equal(out.theta.values, theta.values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +212,19 @@ def test_meta_step_zero_lr_leaves_theta_constant():
 
 def seeded_init(seed):
     """A fold's stream and the initial weights drawn first from it."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     return rng, init_weights(BASE, 3, 3, rng)
 
 
 def train_one(train_table, masked_test, tasks, meta, seed, theta0=None):
     """``meta_train`` on one fold: its weights or the error that stopped it.
-    Without ``theta0`` the loop continues the stream that drew its weights."""
+    Without ``theta0`` the loop continues the stream that drew its weights;
+    with it, the loop runs on a fresh stream of ``seed``."""
     if theta0 is None:
-        seed, theta0 = seeded_init(seed)
-    return meta_train([train_table], [masked_test], [tasks], BASE, meta, [seed], [theta0])[0]
+        rng, theta0 = seeded_init(seed)
+    else:
+        rng = np.random.default_rng(seed)
+    return meta_train([train_table], [masked_test], [tasks], BASE, meta, [rng], [theta0])[0]
 
 
 def test_meta_train_zero_iterations_returns_seeded_init():
@@ -303,7 +311,8 @@ def test_lockstep_failure_stops_the_later_folds_only():
     meta = MetaConfig(meta_iterations=4, k=4)
     thetas = [init_weights(BASE, 3, 3, np.random.default_rng(s)) for s in range(3)]
     thetas[1].extractor[1].v[:, 0] = 0.0
-    results = meta_train(trains, tests, task_sets, BASE, meta, [5, 6, 7], thetas)
+    rngs = [np.random.default_rng(s) for s in (5, 6, 7)]
+    results = meta_train(trains, tests, task_sets, BASE, meta, rngs, thetas)
     message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"
     assert isinstance(results[1], NumericError) and str(results[1]) == message
     assert results[2] is results[1]
