@@ -22,6 +22,7 @@ from . import nn_core
 from .data_model import TaskData
 from .errors import ConfigError, DataError, ShapeError
 from .nn_core import (
+    DenseBuffers,
     DenseLayer,
     FoldErrors,
     OptimizerState,
@@ -31,11 +32,18 @@ from .nn_core import (
     dropout_mask,
     init_dense_layer,
     optimizer_step,
+    record_dense_failures,
     record_failures,
 )
 from .task_selection import TaskSpec
 
 EMBEDDING_INIT_SCALE = 0.05
+
+# Largest network ``init_weights`` draws, in weights. A float64 network at
+# the cap is 80 MB, as a table at ``synth_gen.MAX_CELLS`` is; the published
+# grids' largest network (8 layers of 128 units, a 128-wide embedding) has
+# under 400,000 weights even beside 1,000 input features and 100 groups.
+MAX_WEIGHTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -195,9 +203,19 @@ def stack_weights(weights: Sequence[BaseLearnerWeights]) -> BaseLearnerWeights:
 def init_weights(
     config: BaseLearnerConfig, n_features: int, n_groups: int, rng: np.random.Generator
 ) -> BaseLearnerWeights:
-    """Random initialization; the embedding table covers every group."""
+    """Random initialization; the embedding table covers every group. A
+    network of more than ``MAX_WEIGHTS`` weights is refused before any is
+    drawn."""
     if n_groups < 2:
         raise ConfigError("need at least two treatment groups")
+    h, e = config.hidden_dim, config.embedding_dim
+    size = (n_features + 2) * h + (config.n_layers - 1) * (h + 2) * h + n_groups * e + h + e + 2
+    if size > MAX_WEIGHTS:
+        raise ConfigError(
+            f"network of {size} weights (base.n_layers {config.n_layers}, base.hidden_dim {h}, "
+            f"base.embedding_dim {e}, {n_features} input features, {n_groups} groups) exceeds "
+            f"the cap of {MAX_WEIGHTS}"
+        )
     layers = []
     n_in = n_features
     for _ in range(config.n_layers):
@@ -230,12 +248,16 @@ def _as_stack(weights: BaseLearnerWeights, x, group_ids, y=None, rng=None):
     g = np.asarray(group_ids, dtype=np.int64)
     if g.size and (g.min() < 0 or g.max() >= weights.n_groups):
         raise DataError(f"group id out of range: embedding table has {weights.n_groups} rows")
+    x = np.asarray(x, dtype=np.float64)
     if weights.folds is None:
-        weights, x, g = weights._view(weights.values, 1), np.asarray(x, np.float64)[None], g[None]
+        weights, x, g = weights._view(weights.values, 1), x[None], g[None]
         y = None if y is None else np.asarray(y, dtype=np.float64).reshape(1, -1)
         rng = None if rng is None else (rng,)
     elif isinstance(rng, np.random.Generator):
         raise ConfigError("a stack of folds takes one RNG stream per fold")
+    n_in = weights.extractor[0].n_in
+    if x.shape[-1:] != (n_in,):
+        raise ShapeError(f"the network expects input with {n_in} columns, got shape {x.shape}")
     return weights, x, g, y, rng
 
 
@@ -248,9 +270,10 @@ class StepWorkspace:
     gradient in the same layout. The optimizer's buffers and every other
     array a step writes are made on first use and kept, one buffer per
     role: per layer for an array that lives from the forward to the
-    backward pass (a layer's activations, norms and effective weights), one
-    for all layers for a transient, and each grown to the largest batch, so
-    that the training and fine-tune batches of a meta-iteration share it.
+    backward pass (a layer's effective weights, and its activations and
+    column norms as regions of blocks that hold every layer's), one for all
+    layers for a transient, and each grown to the largest batch, so that
+    the training and fine-tune batches of a meta-iteration share it.
     The owner, one meta-loop stack or one ``inner_update`` or
     ``loss_and_grads`` call, drops the workspace with the stack.
     """
@@ -298,56 +321,98 @@ class StepWorkspace:
 
 
 class _BatchBuffers:
-    """A workspace's arrays for one batch size, bound once: per layer
-    (extractor layers, then the head), the ``dense_forward`` and
-    ``dense_backward`` buffers, the latter writing into the gradient's
-    views; the dropout draw with each extractor layer's mask as a view
-    into it; and scratch for the regularization terms."""
+    """A workspace's arrays for one batch size, bound once: each layer's
+    ``DenseBuffers`` (extractor layers, then the head), whose gradient goes
+    into the workspace's gradient views; the per-column blocks of
+    ``weight_norm``; one block of every layer's activations followed by the
+    per-fold loss, so that one pass checks them all; the head's input, the
+    extractor's output beside each row's embedding; the loss terms; and the
+    dropout draw with each extractor layer's mask as a view into it."""
 
     def __init__(self, ws: StepWorkspace, n_rows: int, dropout: bool) -> None:
         net, grads, array = ws.net, ws.grads, ws._array
-        lead = (len(net.embeddings), n_rows)
-        self.layers = net.extractor + [net.head]
-        self.forward = []
-        self.backward = []
-        self.act_grad = []
-        for i, (layer, grad) in enumerate(zip(self.layers, grads.extractor + [grads.head])):
-            scratch = array("scratch", layer.v.shape)
-            out_shape = (*lead, layer.n_out)
-            self.forward.append((
-                array(("out", i), out_shape), array(("norms", i), layer.gain.shape),
-                array(("w_eff", i), layer.v.shape), scratch,
-            ))
-            dx = array("dx", (*lead, layer.n_in)) if i > 0 else None
-            self.backward.append((dx, grad.v, grad.gain, grad.bias, scratch))
-            self.act_grad.append(array("act_grad", out_shape))
-        self.directions = [layer.v for layer in self.layers]
-        self.reg_terms = [b[-1].reshape(lead[0], -1) for b in self.forward]
+        folds = len(net.embeddings)
+        lead = (folds, n_rows)
+        layers = net.extractor + [net.head]
+        n_cols = sum(layer.n_out for layer in layers)
+        columns = array("columns", (4, folds * n_cols))
+        self.norms, self.norms_sq = columns[0], columns[1]
+        self.checked = array("activations", (folds * (n_rows * n_cols + 1),))
+        self.acts, self.loss = self.checked[:-folds], self.checked[-folds:]
+        self.delta, self.diff = array("delta", lead), array("diff", lead)
+        self.pred = array("pred", lead)
+        hidden_dim = net.extractor[-1].n_out
         self.concat = array("concat", (*lead, net.head.n_in))
+        self.concat_h = self.concat[..., :hidden_dim]
+        self.concat_emb = self.concat[..., hidden_dim:]
         self.h = self.draws = self.masks = None
         if dropout:
-            self.h = [array(("h", i), (*lead, layer.n_out)) for i, layer in enumerate(net.extractor)]
+            # the last extractor layer's masked output goes straight into
+            # the head's input
+            self.h = [
+                array(("h", i), (*lead, layer.n_out)) for i, layer in enumerate(net.extractor[:-1])
+            ] + [self.concat_h]
             ends = np.cumsum([n_rows * layer.n_out for layer in net.extractor])
             self.draws = array("dropout", (lead[0], int(ends[-1])))
             self.masks = [
                 self.draws[:, end - n_rows * layer.n_out : end].reshape(*lead, layer.n_out)
                 for layer, end in zip(net.extractor, ends)
             ]
+        self.dense: list[DenseBuffers] = []
+        start = 0
+        for i, (layer, grad) in enumerate(zip(layers, grads.extractor + [grads.head])):
+            n, last = layer.n_out, i == len(layers) - 1
+            norms, norms_sq, scale, coef = (
+                row[folds * start : folds * (start + n)].reshape(folds, n) for row in columns
+            )
+            if i == 0:
+                x_in = None
+            elif last:
+                x_in = self.concat
+            else:
+                x_in = self.dense[-1].out if self.h is None else self.h[i - 1]
+            squares = array("scratch", layer.v.shape)
+            w_eff = array(("w_eff", i), layer.v.shape)
+            self.dense.append(DenseBuffers(
+                layer=layer, grads=grad, bias=layer.bias[..., None, :],
+                norms=norms, norms_sq=norms_sq, scale=scale, scale_b=scale[..., None, :],
+                coef=coef, coef_b=coef[..., None, :],
+                squares=squares, squares_flat=squares.reshape(folds, -1),
+                w_eff=w_eff, w_eff_t=w_eff.swapaxes(-1, -2),
+                out=self.acts[folds * n_rows * start : folds * n_rows * (start + n)].reshape(
+                    *lead, n
+                ),
+                dz=self.delta[..., None] if last else array("act_grad", (*lead, n)),
+                x_t=None if x_in is None else x_in.swapaxes(-1, -2),
+                dx=None if i == 0 else array("dx", (*lead, layer.n_in)),
+            ))
+            start += n
+        head = self.dense[-1]
+        self.z = head.out[..., 0]
+        self.dconcat_h, self.dconcat_emb = head.dx[..., :hidden_dim], head.dx[..., hidden_dim:]
+        self.directions = [layer.v.reshape(folds, -1) for layer in layers]
+        self.l2_sums = array("l2_sums", (len(layers), folds))
+        self.embedding_rows = net.embeddings.reshape(folds * net.n_groups, -1)
+        self.embedding_grads = grads.embeddings.reshape(-1)
+        self.where = [f"extractor layer {i}: " for i in range(len(net.extractor))] + [""]
 
 
 @dataclass(frozen=True)
 class _StepPlan:
     """One stacked batch, checked once for every step taken on it: inputs
-    (folds, rows, features), group ids and labels (folds, rows), where each
-    row's embedding-gradient entries go in the stack's flattened (folds,
-    groups, embedding dim) block (``scatter``), each fold's active
-    embedding rows as (``fold_of``, ``active``) pairs, the loss settings,
-    and the workspace buffers sized for it. ``dropout`` is the rate masks
-    are drawn at, 0 for steps without dropout."""
+    (folds, rows, features) and their transpose, labels (folds, rows), each
+    row's embedding-table row in the stack's flattened (folds x groups)
+    table (``rows``) and where its embedding-gradient
+    entries go in the flattened (folds, groups, embedding dim) block
+    (``scatter``), each fold's active embedding rows as (``fold_of``,
+    ``active``) pairs, the loss settings, and the workspace buffers sized
+    for it. ``dropout`` is the rate masks are drawn at, 0 for steps without
+    dropout."""
 
     x: np.ndarray
-    g: np.ndarray
+    x_t: np.ndarray
     y: np.ndarray
+    rows: np.ndarray
     scatter: np.ndarray
     fold_of: np.ndarray
     active: np.ndarray
@@ -358,12 +423,17 @@ class _StepPlan:
     buffers: _BatchBuffers
 
 
+def _embedding_rows(weights: BaseLearnerWeights, g: np.ndarray) -> np.ndarray:
+    """Each row's row of a stack's embedding tables, flattened to (folds x
+    groups, embedding dim)."""
+    return np.arange(len(g))[:, None] * weights.n_groups + g
+
+
 def _plan(
-    weights: BaseLearnerWeights, x, g: np.ndarray, y, kind: str, config: BaseLearnerConfig,
-    ws: StepWorkspace,
+    weights: BaseLearnerWeights, x: np.ndarray, g: np.ndarray, y, kind: str,
+    config: BaseLearnerConfig, ws: StepWorkspace,
 ) -> _StepPlan:
     """Check a stacked batch against a stack of weights and index it."""
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim == 3 and x.shape[1] == 0:
         raise DataError("empty batch")
@@ -377,55 +447,54 @@ def _plan(
     fold_of, active = np.nonzero(present)
     l1, l2 = config.l1_l2()
     buffers = ws.batch(x.shape[1], config.dropout_rate > 0.0)
-    n_groups, dim = weights.embeddings.shape[1:]
-    rows = np.arange(len(x))[:, None] * n_groups + g
+    rows = _embedding_rows(weights, g)
+    dim = weights.embeddings.shape[-1]
     scatter = (rows[..., None] * dim + np.arange(dim)).ravel()
     return _StepPlan(
-        x, g, y, scatter, fold_of, active, kind, l1, l2, config.dropout_rate, buffers
+        x, x.swapaxes(-1, -2), y, rows, scatter, fold_of, active, kind, l1, l2,
+        config.dropout_rate, buffers,
     )
 
 
 def _forward_pass(
-    weights: BaseLearnerWeights,
-    x: np.ndarray,
-    g: np.ndarray,
-    kind: str,
-    errors: FoldErrors | None,
-    buffers: _BatchBuffers | None = None,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]]:
-    """Predictions (folds, rows), plus what backprop needs: each extractor
-    layer's (input, output, dropout mask, column norms, effective weights)
-    and the head's (input, column norms, effective weights).
-
-    With ``buffers``, every array is written into them, and each extractor
-    layer's output is multiplied by its dropout mask when they hold masks;
-    without, every array is fresh and there is no dropout.
-    """
-    caches = []
+    b: _BatchBuffers, x: np.ndarray, rows: np.ndarray, kind: str, l2_sums: np.ndarray | None
+) -> np.ndarray:
+    """Predictions (folds, rows) of a workspace's stack on a batch, every
+    array written into ``b``: each extractor layer's output is multiplied
+    by its dropout mask when ``b`` holds masks, and ``l2_sums``, if given,
+    receives each direction matrix's sum of squares (``weight_norm``)."""
+    nn_core.weight_norm(b.dense, b.norms, b.norms_sq, l2_sums)
     h = x
-    for i, layer in enumerate(weights.extractor):
-        x_in = h
-        out, norms, w_eff = dense_forward(
-            x_in, layer, errors, f"extractor layer {i}: ",
-            None if buffers is None else buffers.forward[i],
-        )
-        mask = None
-        if buffers is None or buffers.masks is None:
-            h = out
-        else:
-            mask = buffers.masks[i]
-            h = np.multiply(out, mask, out=buffers.h[i])
-        caches.append((x_in, out, mask, norms, w_eff))
-    concat = np.concatenate(
-        [h, weights.embeddings[np.arange(len(g))[:, None], g]], axis=-1,
-        out=None if buffers is None else buffers.concat,
-    )
-    z, head_norms, head_w_eff = dense_forward(
-        concat, weights.head, errors, "", None if buffers is None else buffers.forward[-1]
-    )
-    z = z[..., 0]
-    pred = nn_core.apply_activation("sigmoid", z) if kind == "classification" else z
-    return pred, caches, (concat, head_norms, head_w_eff)
+    for i, d in enumerate(b.dense[:-1]):
+        h = dense_forward(h, d)
+        if b.masks is not None:
+            h = np.multiply(h, b.masks[i], out=b.h[i])
+    if b.masks is None:
+        np.copyto(b.concat_h, h)
+    b.embedding_rows.take(rows, axis=0, out=b.concat_emb)
+    dense_forward(b.concat, b.dense[-1])
+    if kind == "classification":
+        return nn_core.apply_activation("sigmoid", b.z, out=b.pred)
+    return b.z
+
+
+def _check_step(b: _BatchBuffers, errors: FoldErrors | None, loss: bool) -> None:
+    """Record (or, without ``errors``, raise) each fold's first numeric
+    failure of the pass just run on ``b``, and of its loss if ``loss``. A
+    healthy pass is proven once per step, by one pass over the norm block
+    and one over the activations; only a pass that fails one walks the
+    layers in order, so that each fold keeps the first message a forward
+    pass meets: a zero-norm column or a non-finite activation of a layer,
+    then a loss that is not finite."""
+    checked = b.checked if loss else b.acts
+    if np.count_nonzero(b.norms) == b.norms.size and math.isfinite(
+        np.add.reduce(checked, axis=None)
+    ):
+        return
+    for d, where in zip(b.dense, b.where):
+        record_dense_failures(d, errors, where)
+    if loss:
+        record_failures(errors, ~np.isfinite(b.loss), lambda f: "loss is not finite")
 
 
 def forward(
@@ -436,14 +505,20 @@ def forward(
     kind: str = "regression",
 ) -> np.ndarray:
     """One network's predictions for a batch: extractor(x) ++ embeddings[g]
-    -> head, without dropout, so fully deterministic.
+    -> head, without dropout, so fully deterministic. It runs the training
+    step's layer code, in a workspace of its own.
 
     Classification applies a sigmoid on the head output, so values land in
     (0, 1).
     """
     stack, x, g, _, _ = _as_stack(weights, x, group_ids)
+    ws = StepWorkspace(stack)
+    np.copyto(ws.net.values, stack.values)
+    b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
-        return _forward_pass(stack, x, g, kind, None)[0][0]
+        pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, None)
+        _check_step(b, None, loss=False)
+    return pred[0].copy()
 
 
 def _step(
@@ -463,45 +538,30 @@ def _step(
     l1, l2 = plan.l1, plan.l2
     if b.masks is not None:
         dropout_mask(rng, plan.dropout, b.draws)
-    pred, caches, (concat, head_norms, head_w_eff) = _forward_pass(
-        net, plan.x, plan.g, plan.kind, errors, b
-    )
+    pred = _forward_pass(b, plan.x, plan.rows, plan.kind, b.l2_sums if l2 else None)
     loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
-    loss = nn_core.loss_value(pred, plan.y, loss_kind)
+    loss = nn_core.loss_and_delta(pred, plan.y, loss_kind, b.loss, b.delta, b.diff)
     active_embeddings = net.embeddings[plan.fold_of, plan.active]
-    loss = loss + nn_core.regularization_value(b.directions, l1, l2, b.reg_terms)
-    loss = loss + nn_core.regularization_value(
-        [active_embeddings.reshape(len(loss), -1)], l1, l2
-    )
-    record_failures(errors, ~np.isfinite(loss), lambda f: "loss is not finite")
+    loss += nn_core.regularization_value(b.directions, l1, l2, b.l2_sums)
+    loss += nn_core.regularization_value([active_embeddings.reshape(len(loss), -1)], l1, l2)
+    _check_step(b, errors, loss=True)
 
-    def backward(i: int, x_in, dz, norms, w_eff):
-        layer = b.layers[i]
-        dx, dv, _, _ = dense_backward(layer, x_in, dz, norms, w_eff, b.backward[i])
-        # dW's buffer and the layer's effective weights are free from here on
-        reg = nn_core.regularization_grad(layer.v, l1, l2, out=b.backward[i][-1], scratch=w_eff)
-        np.add(dv, reg, out=dv)
-        return dx
-
-    dz = nn_core.output_delta(pred, plan.y, loss_kind)[..., None]
-    n_layers = len(net.extractor)
-    dconcat = backward(n_layers, concat, dz, head_norms, head_w_eff)
-    hidden_dim = net.extractor[-1].n_out
+    dense_backward(b.dense[-1], b.dense[-1].x_t, l1, l2)
     # each row's entries added from zero in row order, as ``np.add.at``
-    # does on the (groups, dim) table; reshape views the contiguous block
-    demb = grads.embeddings
-    demb.fill(0.0)
-    np.add.at(demb.reshape(-1), plan.scatter, dconcat[..., hidden_dim:].ravel())
-    demb[plan.fold_of, plan.active] += nn_core.regularization_grad(active_embeddings, l1, l2)
-
-    grad_out = dconcat[..., :hidden_dim]
-    for i in range(n_layers - 1, -1, -1):
-        x_in, out_i, mask, norms, w_eff = caches[i]
-        if mask is not None:
-            grad_out *= mask
-        dz_i = activation_grad(b.layers[i].activation, out_i, out=b.act_grad[i])
-        np.multiply(grad_out, dz_i, out=dz_i)
-        grad_out = backward(i, x_in, dz_i, norms, w_eff)
+    # does on the (groups, dim) table
+    b.embedding_grads.fill(0.0)
+    np.add.at(b.embedding_grads, plan.scatter, b.dconcat_emb.ravel())
+    grads.embeddings[plan.fold_of, plan.active] += nn_core.regularization_grad(
+        active_embeddings, l1, l2
+    )
+    grad_out = b.dconcat_h
+    for i in range(len(b.dense) - 2, -1, -1):
+        d = b.dense[i]
+        if b.masks is not None:
+            grad_out *= b.masks[i]
+        activation_grad(d.layer.activation, d.out, out=d.dz)
+        np.multiply(grad_out, d.dz, out=d.dz)
+        grad_out = dense_backward(d, plan.x_t if i == 0 else d.x_t, l1, l2)
     return loss
 
 
@@ -527,7 +587,9 @@ def loss_and_grads(
     ``x``, ``group_ids`` and ``y`` carry the same leading fold axis, ``rng``
     is one stream per fold, the loss comes per fold, and every fold's batch
     must cover the same number of groups. ``errors`` collects each fold's
-    first numeric failure instead of raising it (``nn_core.record_failures``).
+    first numeric failure instead of raising it (``nn_core.record_failures``):
+    a step checks once, over all its layers, and only a failing step names
+    each fold's first failure in layer order, the loss last.
     Each call runs one step on a plan and workspace of its own, so the
     gradient it returns is a fresh array.
     """

@@ -8,6 +8,14 @@ Everything is float64 numpy, single-threaded, and driven by explicit RNG
 streams. Layer arrays may carry a leading fold axis: a stack of networks
 with one layout then steps together, each numpy call serving every fold,
 and each fold's numbers round exactly as they would alone.
+
+A step computes each per-layer quantity once and writes it into the
+``DenseBuffers`` of a step workspace: ``weight_norm`` takes every layer's
+column norms, their squares and gain / ||v|| (the squares of ``v`` also
+give the L2 term), ``dense_forward`` and ``dense_backward`` read them, and
+``loss_and_delta`` takes the loss and the output delta from one pred - y.
+Numeric failures are the caller's to check, once per step over the norm
+and activation blocks; ``record_dense_failures`` then names a layer's.
 """
 
 from __future__ import annotations
@@ -135,88 +143,122 @@ def init_dense_layer(
     return DenseLayer(v, gain, bias, activation)
 
 
-def dense_forward(
-    x: np.ndarray,
-    layer: DenseLayer,
-    errors: FoldErrors | None = None,
-    where: str = "",
-    buffers: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """activation(x @ W_eff + bias) for a weight-normalized layer.
+@dataclass(frozen=True)
+class DenseBuffers:
+    """Where one weight-normalized layer's step on a stacked batch of
+    (folds, rows) reads and writes, every view bound once.
 
-    Returns (out, norms, w_eff): the activations, plus the column norms of
-    ``v`` and the effective weights that ``dense_backward`` takes, so one
-    training step computes them once per layer. A stacked layer takes
-    ``x`` as (folds, rows, n_in). A zero-norm column or a non-finite
-    activation is a numeric failure, prefixed with ``where`` and handled by
-    ``record_failures``. ``buffers``, if given, is (out, norms, w_eff,
-    scratch): arrays shaped like the three results, which receive them,
-    and one shaped like ``v`` for a temporary; by default all are fresh.
+    ``layer`` holds the stack's parameters and ``grads`` receives their
+    gradient. The per-column arrays (folds, n_out), with their (folds, 1,
+    n_out) broadcast views, are ``norms`` (||v_j||), ``norms_sq``
+    (||v_j||^2), ``scale`` (gain_j / ||v_j||) and ``coef``, the backward's
+    factor; ``norms`` and ``norms_sq`` are views into blocks shared by
+    every layer of a network (see ``weight_norm``). ``squares`` (shaped like
+    ``v``) holds v*v, later dW, ``w_eff`` the effective weights, ``out`` the
+    activations (folds, rows, n_out) and ``dz`` dL/d(pre-activation).
+    ``x_t`` is the layer's input, transposed, unless that input is the
+    batch's own (None); ``dx`` receives the input gradient, or is None for
+    a first layer, whose input gradient nothing reads.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != layer.v.ndim or x.shape[-1] != layer.n_in:
-        raise ShapeError(
-            f"dense layer expects input with {layer.n_in} columns, got shape {x.shape}"
-        )
-    out, norms, w_eff, scratch = (None,) * 4 if buffers is None else buffers
-    squares = np.multiply(layer.v, layer.v, out=scratch)
-    norms = np.add.reduce(squares, axis=-2, out=norms)
+
+    layer: DenseLayer
+    grads: DenseLayer
+    bias: np.ndarray
+    norms: np.ndarray
+    norms_sq: np.ndarray
+    scale: np.ndarray
+    scale_b: np.ndarray
+    coef: np.ndarray
+    coef_b: np.ndarray
+    squares: np.ndarray
+    squares_flat: np.ndarray
+    w_eff: np.ndarray
+    w_eff_t: np.ndarray
+    out: np.ndarray
+    dz: np.ndarray
+    x_t: np.ndarray | None
+    dx: np.ndarray | None
+
+
+def weight_norm(
+    dense: Sequence[DenseBuffers],
+    norms: np.ndarray,
+    norms_sq: np.ndarray,
+    l2_sums: np.ndarray | None = None,
+) -> None:
+    """The weight-norm factors of a network's layers, each computed once
+    per step: per layer, the squares of ``v`` give its column sums (and,
+    with ``l2_sums``, each fold's sum of squares, the L2 regularization
+    term, into row i), then one pass over ``norms``, the contiguous block
+    that every layer's ``norms`` views, takes the square roots and one more
+    their squares into ``norms_sq``; last, gain / ||v|| per layer."""
+    for i, d in enumerate(dense):
+        np.multiply(d.layer.v, d.layer.v, out=d.squares)
+        np.add.reduce(d.squares, axis=-2, out=d.norms)
+        if l2_sums is not None:
+            np.add.reduce(d.squares_flat, axis=1, out=l2_sums[i])
     np.sqrt(norms, out=norms)
-    if np.count_nonzero(norms) < norms.size:
-        cols = (norms == 0.0).reshape(-1, layer.n_out)
-        record_failures(
-            errors,
-            cols.any(axis=-1),
-            lambda f: f"{where}degenerate dense layer: direction column "
-            f"{int(np.argmax(cols[f]))} has zero norm",
-        )
-    w_eff = np.multiply(layer.v, (layer.gain / norms)[..., None, :], out=w_eff)
-    out = np.matmul(x, w_eff, out=out)
-    out += layer.bias[..., None, :]
-    apply_activation(layer.activation, out, out=out)
-    # a finite sum proves every activation finite; only a sum that is not
-    # (an overflow, or a non-finite activation) needs the elementwise check
-    if not math.isfinite(np.add.reduce(out, axis=None)):
-        finite = np.isfinite(out)
-        record_failures(
-            errors,
-            ~finite.all(axis=(-2, -1)),
-            lambda f: f"{where}dense layer produced non-finite activations",
-        )
-    return out, norms, w_eff
+    np.multiply(norms, norms, out=norms_sq)
+    for d in dense:
+        np.divide(d.layer.gain, d.norms, out=d.scale)
+
+
+def dense_forward(x: np.ndarray, d: DenseBuffers) -> np.ndarray:
+    """activation(x @ W_eff + bias) into ``d.out``, with W_eff = v * gain /
+    ||v|| from ``weight_norm``'s scale, kept in ``d.w_eff`` for the backward
+    pass. ``x`` is (folds, rows, n_in)."""
+    out = np.matmul(x, np.multiply(d.layer.v, d.scale_b, out=d.w_eff), out=d.out)
+    out += d.bias
+    return apply_activation(d.layer.activation, out, out=out)
 
 
 def dense_backward(
-    layer: DenseLayer,
-    x: np.ndarray,
-    dz: np.ndarray,
-    norms: np.ndarray,
-    w_eff: np.ndarray,
-    buffers: tuple[np.ndarray | None, ...],
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop through the affine part given dL/dz (pre-activation grad),
-    with the column norms and effective weights ``dense_forward`` returned.
-
-    ``buffers`` is (dx, dv, dgain, dbias, scratch): arrays shaped like the
-    four results, which receive them and are returned, and one shaped like
-    ``v`` for dW. A dx buffer of None skips the input gradient, for a first
-    layer whose input gradient nothing reads. The weight-norm chain rule is
+    d: DenseBuffers, x_t: np.ndarray, l1: float, l2: float
+) -> np.ndarray | None:
+    """Backprop through the affine part from ``d.dz`` into ``d.grads`` and
+    ``d.dx`` (returned), given ``x_t``, the layer's input transposed, and
+    the weight-norm factors of the forward pass; the direction gradient
+    includes the regularization's (``regularization_grad``). The
+    weight-norm chain rule is
         dgain_j = v_j . dW_j / ||v_j||
         dv_j    = (gain_j / ||v_j||) dW_j - (gain_j dgain_j / ||v_j||^2) v_j
     with dW = x^T dz the gradient w.r.t. the effective weights.
     """
-    dx, dv, dgain, dbias, dw = buffers
-    np.matmul(x.swapaxes(-1, -2), dz, out=dw)
-    np.add.reduce(dz, axis=-2, out=dbias)
-    if dx is not None:
-        np.matmul(dz, w_eff.swapaxes(-1, -2), out=dx)
+    v, dz, dw = d.layer.v, d.dz, d.squares
+    dv, dgain = d.grads.v, d.grads.gain
+    np.matmul(x_t, dz, out=dw)
+    np.add.reduce(dz, axis=-2, out=d.grads.bias)
+    if d.dx is not None:
+        np.matmul(dz, d.w_eff_t, out=d.dx)
     # dv holds v * dW until the column sums are taken
-    np.multiply(layer.v, dw, out=dv)
-    np.divide(np.add.reduce(dv, axis=-2), norms, out=dgain)
-    np.multiply(dw, (layer.gain / norms)[..., None, :], out=dv)
-    np.multiply(layer.v, (layer.gain * dgain / norms**2)[..., None, :], out=dw)
+    np.multiply(v, dw, out=dv)
+    np.add.reduce(dv, axis=-2, out=dgain)
+    dgain /= d.norms
+    np.multiply(dw, d.scale_b, out=dv)
+    np.divide(np.multiply(d.layer.gain, dgain, out=d.coef), d.norms_sq, out=d.coef)
+    np.multiply(v, d.coef_b, out=dw)
     np.subtract(dv, dw, out=dv)
-    return dx, dv, dgain, dbias
+    # dW's buffer and the effective weights are free from here on
+    np.add(dv, regularization_grad(v, l1, l2, out=dw, scratch=d.w_eff), out=dv)
+    return d.dx
+
+
+def record_dense_failures(d: DenseBuffers, errors: FoldErrors | None, where: str) -> None:
+    """A layer's numeric failures after its forward pass, through
+    ``record_failures``: a zero-norm direction column, then a non-finite
+    activation, each message prefixed with ``where``."""
+    cols = d.norms == 0.0
+    record_failures(
+        errors,
+        cols.any(axis=-1),
+        lambda f: f"{where}degenerate dense layer: direction column "
+        f"{int(np.argmax(cols[f]))} has zero norm",
+    )
+    record_failures(
+        errors,
+        ~np.isfinite(d.out).all(axis=(-2, -1)),
+        lambda f: f"{where}dense layer produced non-finite activations",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,50 +306,48 @@ def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
-def loss_value(pred: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
-    """Mean data loss along the last axis: one mean per fold of a stacked
-    batch (folds, rows)."""
+def loss_and_delta(
+    pred: np.ndarray, y: np.ndarray, loss_kind: str, loss: np.ndarray, delta: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """The mean data loss along the last axis into ``loss`` (returned), one
+    mean per fold of a stacked batch (folds, rows), and dL/dz at the output
+    layer's pre-activation into ``delta``, both from one pred - y (into
+    ``scratch``, shaped like ``pred``). The losses are mean squared error on
+    an identity head and binary cross-entropy on a sigmoid head, whose two
+    gradients fuse to the numerically exact (pred - y) / n.
+    """
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
     n = pred.shape[-1]
+    diff = np.subtract(pred, y, out=scratch)
     # sum then divide: np.mean's own arithmetic, without its Python wrapper
     if loss_kind == "mse":
-        return np.add.reduce((pred - y) ** 2, axis=-1) / n
-    if loss_kind == "binary_cross_entropy":
+        np.add.reduce(np.multiply(diff, diff, out=delta), axis=-1, out=loss)
+        diff *= 2.0
+    elif loss_kind == "binary_cross_entropy":
         p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-        return np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=-1) / n
-    raise ConfigError(f"unknown loss {loss_kind!r}")
-
-
-def output_delta(pred: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
-    """dL/dz at the output layer's pre-activation, for the loss that
-    ``loss_value`` averages along the last axis: mean squared error on an
-    identity head, or binary cross-entropy on a sigmoid head, whose two
-    gradients fuse to the numerically exact (pred - y) / n.
-    """
-    n = pred.shape[-1]
-    if loss_kind == "binary_cross_entropy":
-        return (pred - y) / n
-    if loss_kind == "mse":
-        return 2.0 * (pred - y) / n
-    raise ConfigError(f"unknown loss {loss_kind!r}")
+        np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=-1, out=loss)
+    else:
+        raise ConfigError(f"unknown loss {loss_kind!r}")
+    np.divide(diff, n, out=delta)
+    loss /= n
+    return loss
 
 
 def regularization_value(
-    mats: list[np.ndarray], l1: float, l2: float, scratch: list[np.ndarray] | None = None
+    mats: Sequence[np.ndarray], l1: float, l2: float, l2_sums: np.ndarray | None = None
 ) -> np.ndarray | float:
-    """Per fold, l1 * sum|m| + l2 * sum m^2 over every matrix; each matrix
-    has a leading fold axis. ``scratch``, if given, holds one contiguous
-    array per matrix, shaped (folds, size of one fold's matrix), for the
-    elementwise terms."""
+    """Per fold, l1 * sum|m| + l2 * sum m^2 over every matrix, each given as
+    (folds, size). ``l2_sums``, if given, holds each matrix's per-fold sum
+    of squares already (``weight_norm`` leaves them), one row per matrix."""
     total = 0.0
     for i, m in enumerate(mats):
-        flat = m.reshape(len(m), -1)
-        terms = None if scratch is None else scratch[i]
         if l1:
-            total = total + l1 * np.add.reduce(np.abs(flat, out=terms), axis=1)
+            total = total + l1 * np.add.reduce(np.abs(m), axis=1)
         if l2:
-            total = total + l2 * np.add.reduce(np.multiply(flat, flat, out=terms), axis=1)
+            sums = np.add.reduce(m * m, axis=1) if l2_sums is None else l2_sums[i]
+            total = total + l2 * sums
     return total
 
 

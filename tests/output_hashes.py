@@ -7,16 +7,18 @@ study (``bench/workloads.py``'s settings at seed 7), with BLAS and OpenMP
 pinned to one thread, then ``generate`` on that study's settings with
 missing cells and ``report`` on the ``cv-regression`` run's report. It
 writes each run's outputs under ``OUT_DIR/<run>/`` and
-prints one ``<sha256>  <run>/<file>`` line per output file, plus a line for
-any run that exits non-zero. Run it in two checkouts and diff what they
+prints one ``<sha256>  <run>/<file>`` line per output file, plus an
+``exit <code>  <run>  <last stderr line>`` line for any run that exits
+non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
 regression, classification and two jobs; a study with missing cells under
 two scalings; a binary stratifier tied to ``x0``, so that features
 residualize, under two scalings; a study whose manifest declares a
 two-level categorical feature and a ``score_pre``/``score_post`` pair under
 ``"differential_pairs": "auto"``, so that loading one-hot encodes and
-preprocessing appends a differential feature; and budget-12 searches on the
-bench space.
+preprocessing appends a differential feature; budget-12 searches on the
+bench space; and three ``cv`` runs that stop in a numeric failure, one at
+the head, one in an extractor layer and one at the loss.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ RUNS = {
     "grid-missing-seed2": ("missing", "grid-search", ["--seed", "2"], None),
     "cv-ingest": ("ingest", "cv", [], None),
     "grid-ingest-seed0": ("ingest", "grid-search", ["--seed", "0"], None),
+    # each stops in a numeric failure: at the head, in an extractor layer,
+    # and at the loss
+    "cv-numeric-head": (
+        "plain", "cv", [], {"base": {"activation": "relu", "learning_rate": 1e6, "n_layers": 4}},
+    ),
+    "cv-numeric-extractor": (
+        "plain", "cv", [],
+        {"base": {"activation": "relu", "learning_rate": 1e8, "n_layers": 6, "hidden_dim": 64}},
+    ),
+    "cv-numeric-loss": ("plain", "cv", [], {"base": {"reg_strength": 1e308}}),
 }
 
 
@@ -153,10 +165,12 @@ def run_all(root: Path) -> list[str]:
     lines = []
     for run, argv in argvs.items():
         out = root / run
-        with contextlib.redirect_stdout(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([*argv, "--out", str(out)])
         if code != 0:
-            lines.append(f"exit {code}  {run}")
+            last = (stderr.getvalue().splitlines() or [""])[-1]
+            lines.append(f"exit {code}  {run}  {last}")
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {run}/{path.name}")
     return lines

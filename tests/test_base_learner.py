@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metatreat import base_learner
 from metatreat.base_learner import (
     BaseLearnerConfig,
     BaseLearnerWeights,
@@ -13,8 +14,8 @@ from metatreat.base_learner import (
 )
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError
-from metatreat.eval_harness import off_grid_fields
-from metatreat.nn_core import loss_value, optimizer_step
+from metatreat.eval_harness import SearchSpace, off_grid_fields
+from metatreat.nn_core import optimizer_step
 from metatreat.task_selection import TaskSpec
 from oracles import central_diff, fresh_optimizer, max_rel_error, reference_loss_and_grads
 
@@ -163,8 +164,11 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
     def loss_fn(flat_values):
         cand = BaseLearnerWeights(flat_values, w.layout, w.activations)
         pred = forward(cand, x, g, config, kind=kind)
-        lk = "binary_cross_entropy" if kind == "classification" else "mse"
-        total = loss_value(pred[None], y[None], lk)[0]
+        if kind == "classification":
+            p = np.clip(pred, 1e-12, 1.0 - 1e-12)
+            total = np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+        else:
+            total = np.mean((pred - y) ** 2)
         for mat in [layer.v for layer in cand.extractor] + [cand.head.v, cand.embeddings[active]]:
             total += l1 * np.abs(mat).sum() + l2 * (mat**2).sum()
         return total
@@ -202,22 +206,35 @@ def test_loss_and_grads_matches_unfused_reference_bitwise(kind, activation, reg_
         assert w.values.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("hidden_dim", [7, 128])
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_inner_update_matches_unfused_reference_bitwise(optimizer):
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("reg_kind", ["l1", "l2", "both"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_inner_update_matches_unfused_reference_bitwise(
+    activation, reg_kind, kind, optimizer, hidden_dim
+):
+    # every step reuses the workspace's per-layer buffers, the squares of
+    # the column norms for the L2 term and one pred - y for the loss and
+    # its delta; each step must round as the unfused backprop does
     rng = np.random.default_rng(31)
     config = small_config(
-        optimizer=optimizer, activation="relu", reg_kind="both", dropout_rate=0.2,
-        inner_iterations=4,
+        optimizer=optimizer, activation=activation, reg_kind=reg_kind, reg_strength=1e-2,
+        hidden_dim=hidden_dim, dropout_rate=0.2, inner_iterations=4,
     )
     w = init_weights(config, 3, 3, rng)
-    data = TaskData(*make_batch(rng, 8, 3, 3), np.arange(8))
-    out = inner_update(w, data, REG_TASK, config, np.random.default_rng(9))
+    x, g, y = make_batch(rng, 8, 3, 3)
+    if kind == "classification":
+        y = (y > 0).astype(float)
+    data = TaskData(x, g, y, np.arange(8))
+    task = CLS_TASK if kind == "classification" else REG_TASK
+    out = inner_update(w, data, task, config, np.random.default_rng(9))
     expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
     for _ in range(config.inner_iterations):
         _, grads = reference_loss_and_grads(
-            expected, data.x, data.group_ids, data.y, "regression", config, rng=step_rng
+            expected, data.x, data.group_ids, data.y, kind, config, rng=step_rng
         )
         optimizer_step(expected.values, grads.values, state)
     assert out.values.tobytes() == expected.values.tobytes()
@@ -419,6 +436,52 @@ def test_stack_keeps_each_folds_first_numeric_failure():
         loss_and_grads(stack_weights(nets), x, g, y, "regression", config)
 
 
+def test_once_per_step_check_keeps_each_folds_first_failure():
+    # a step proves itself healthy with one pass over the norm block and one
+    # over the activations and loss; a step that fails walks the layers, so
+    # each fold keeps the first message a per-layer check would record
+    config = small_config(n_layers=2, hidden_dim=2, embedding_dim=2, activation="relu")
+    nets = [init_weights(config, 1, 2, np.random.default_rng(seed)) for seed in range(5)]
+    x = np.tile(np.array([[0.5], [1.0]]), (5, 1, 1))
+    # fold 0: direction column 1 of extractor layer 1 is zero
+    nets[0].extractor[1].v[:, 1] = 0.0
+    # fold 1: layer 0 overflows to +inf, which layer 1's negative weights
+    # turn into -inf and relu into zeros, so the loss stays finite
+    nets[1].extractor[0].v[:] = 1.0
+    nets[1].extractor[0].gain[:] = 1e200
+    nets[1].extractor[0].bias[:] = 0.0
+    nets[1].extractor[1].v[:] = -1.0
+    x[1] = 1e200
+    # fold 2: the head's output is +inf, which the sigmoid saturates
+    nets[2].embeddings[:] = 10.0
+    nets[2].head.v[:] = 1.0
+    nets[2].head.gain[:] = 1e308
+    # fold 3: layer 0's columns have finite norms 1e154, but the L2 sum of
+    # their squares (2e308) overflows
+    nets[3].extractor[0].v[:] = 1e154
+    g = np.tile([0, 1], (5, 1))
+    y = np.tile([0.0, 1.0], (5, 1))
+    errors = [None] * 5
+    losses, _ = loss_and_grads(
+        stack_weights(nets), x, g, y, "classification", config, errors=errors
+    )
+    assert [None if e is None else str(e) for e in errors] == [
+        "extractor layer 1: degenerate dense layer: direction column 1 has zero norm",
+        "extractor layer 0: dense layer produced non-finite activations",
+        "dense layer produced non-finite activations",
+        "loss is not finite",
+        None,
+    ]
+    # a check of the loss alone would miss folds 1 and 2
+    assert np.isfinite(losses[[1, 2, 4]]).all() and not np.isfinite(losses[3])
+    loss, _ = loss_and_grads(nets[4], x[4], g[4], y[4], "classification", config)
+    assert losses[4] == loss
+    # without a record, the first message in layer order is raised
+    with pytest.raises(NumericError) as raised:
+        loss_and_grads(stack_weights(nets), x, g, y, "classification", config)
+    assert str(raised.value) == "extractor layer 0: dense layer produced non-finite activations"
+
+
 def test_untouched_embedding_rows_have_zero_gradient():
     rng = np.random.default_rng(11)
     config = small_config(reg_kind="both", reg_strength=1e-2)
@@ -580,3 +643,19 @@ def test_config_validation():
         BaseLearnerConfig(dropout_rate=1.0)
     with pytest.raises(ConfigError):
         BaseLearnerConfig(dropout_rate=-0.1)
+
+
+def test_every_published_grid_network_is_under_the_weight_cap(monkeypatch):
+    # a network's size grows with each field, so the grids' largest values
+    # bound every candidate; 1,000 features and 100 groups are generous
+    space = SearchSpace()
+    config = BaseLearnerConfig(
+        n_layers=max(space.n_layers), hidden_dim=max(space.hidden_dim),
+        embedding_dim=max(space.embedding_dim),
+    )
+    w = init_weights(config, 1000, 100, np.random.default_rng(0))
+    assert w.values.size <= base_learner.MAX_WEIGHTS
+    # the count checked is the count drawn: one weight under it is refused
+    monkeypatch.setattr(base_learner, "MAX_WEIGHTS", w.values.size - 1)
+    with pytest.raises(ConfigError, match=f"network of {w.values.size} weights"):
+        init_weights(config, 1000, 100, np.random.default_rng(0))

@@ -495,6 +495,36 @@ def test_generate_over_the_cell_cap_exits_2_without_output(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_network_over_the_weight_cap_exits_2_and_fails_its_candidate(
+    tmp_path, study_dir, capsys
+):
+    # ~10^12 weights: refused before any array is drawn, so nothing is
+    # allocated; cv exits 2 naming the fields, a search records the
+    # candidate as failed and keeps the others
+    data = ["--data", str(study_dir / "data.csv"), "--manifest", str(study_dir / "manifest.json")]
+    run = tmp_path / "run.json"
+    huge = {"n_layers": 2, "hidden_dim": 10**6}
+    run.write_text(json.dumps({**FAST_RUN, "base": {**FAST_RUN["base"], **huge}}))
+    assert main(["cv", *data, "--config", str(run), "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "base.n_layers 2, base.hidden_dim 1000000, base.embedding_dim 4" in err
+    assert "exceeds the cap of 10000000" in err
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**TINY_SPACE, "n_layers": [2], "hidden_dim": [6, 10**6]}))
+    out = tmp_path / "gs"
+    assert main([
+        "grid-search", *data, "--config", str(write_run_config(tmp_path)),
+        "--space", str(space), "--budget", "4", "--seed", "0", "--jobs", "2",
+        "--out", str(out),
+    ]) == 0
+    board = json.loads((out / "best_config.json").read_text())["leaderboard"]
+    failed = [e for e in board if e["status"] == "failed"]
+    assert failed and len(failed) < len(board)
+    for e in failed:
+        assert e["config"]["base"]["hidden_dim"] == 10**6
+        assert e["error"].startswith("ConfigError: network of") and "base.hidden_dim" in e["error"]
+
+
 def test_generator_integer_shifts_are_written_as_floats(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({**GEN_CONFIG, "delta": [-1, 0, 1]}))

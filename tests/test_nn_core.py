@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from metatreat.base_learner import BaseLearnerConfig, forward, init_weights
 from metatreat.errors import NumericError, ShapeError
 from metatreat.nn_core import (
+    DenseBuffers,
     DenseLayer,
     dense_backward,
     dense_forward,
     dropout_mask,
     init_dense_layer,
-    loss_value,
+    loss_and_delta,
     optimizer_step,
-    output_delta,
     param_axpy,
-    regularization_grad,
+    record_dense_failures,
+    weight_norm,
 )
 from oracles import central_diff, fresh_optimizer, max_rel_error
 
@@ -21,10 +23,30 @@ def _arr(values):
     return np.asarray(values, dtype=np.float64)
 
 
-def _backward_buffers(layer, x):
-    """dense_backward's (dx, dv, dgain, dbias, dW) buffers for one layer."""
-    parts = (x, layer.v, layer.gain, layer.bias, layer.v)
-    return tuple(np.empty_like(p) for p in parts)
+def _dense(layer, n_rows):
+    """Fresh ``DenseBuffers`` for one layer, as a stack of one, on batches of
+    ``n_rows`` rows."""
+    layer = DenseLayer(layer.v[None], layer.gain[None], layer.bias[None], layer.activation)
+    grads = DenseLayer(*(np.empty_like(a) for a in (layer.v, layer.gain, layer.bias)))
+    cols = np.empty((4, 1, layer.n_out))
+    squares, w_eff = np.empty_like(layer.v), np.empty_like(layer.v)
+    out = np.empty((1, n_rows, layer.n_out))
+    return DenseBuffers(
+        layer, grads, layer.bias[..., None, :], cols[0], cols[1], cols[2], cols[2][..., None, :],
+        cols[3], cols[3][..., None, :], squares, squares.reshape(1, -1), w_eff,
+        w_eff.swapaxes(-1, -2), out, np.empty_like(out), None, np.empty((1, n_rows, layer.n_in)),
+    )
+
+
+def _forward(x, layer):
+    """One layer's forward pass on ``x`` (rows, n_in), failures raised after
+    it, as a step checks them: its activations and buffers."""
+    d = _dense(layer, len(x))
+    with np.errstate(all="ignore"):
+        weight_norm([d], d.norms, d.norms_sq)
+        out = dense_forward(x[None], d)[0]
+    record_dense_failures(d, None, "")
+    return out, d
 
 
 # ---------------------------------------------------------------------------
@@ -34,35 +56,37 @@ def _backward_buffers(layer, x):
 
 def test_dense_forward_identity_case():
     layer = DenseLayer(np.eye(2), np.ones(2), np.zeros(2), "identity")
-    out, norms, w_eff = dense_forward(np.array([[1.0, 2.0]]), layer)
+    out, d = _forward(np.array([[1.0, 2.0]]), layer)
     assert np.array_equal(out, np.array([[1.0, 2.0]]))
-    assert np.array_equal(norms, np.ones(2)) and np.array_equal(w_eff, np.eye(2))
+    assert np.array_equal(d.norms[0], np.ones(2)) and np.array_equal(d.w_eff[0], np.eye(2))
 
 
 def test_dense_forward_norm_cancels_gain():
     # column [3, 4] has norm 5; gain 5 restores the raw column
     layer = DenseLayer(np.array([[3.0], [4.0]]), np.array([5.0]), np.zeros(1), "identity")
-    out, norms, w_eff = dense_forward(np.array([[1.0, 0.0], [0.0, 1.0]]), layer)
-    assert norms == np.array([5.0])
-    assert np.allclose(w_eff, np.array([[3.0], [4.0]]))
+    out, d = _forward(np.array([[1.0, 0.0], [0.0, 1.0]]), layer)
+    assert d.norms[0] == np.array([5.0]) and d.norms_sq[0] == np.array([25.0])
+    assert np.allclose(d.w_eff[0], np.array([[3.0], [4.0]]))
     assert np.allclose(out, np.array([[3.0], [4.0]]))
 
 
 def test_dense_forward_relu_clips_negatives():
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "relu")
-    assert dense_forward(np.array([[-1.0]]), layer)[0] == np.array([[0.0]])
+    assert _forward(np.array([[-1.0]]), layer)[0] == np.array([[0.0]])
 
 
 def test_dense_forward_shape_error():
-    layer = DenseLayer(np.eye(2), np.ones(2), np.zeros(2))
+    # the input width is checked once per batch, where the network takes it
+    config = BaseLearnerConfig(n_layers=1, hidden_dim=2, embedding_dim=1)
+    w = init_weights(config, 2, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        dense_forward(np.ones((1, 3)), layer)
+        forward(w, np.ones((1, 3)), np.zeros(1, dtype=int), config)
 
 
 def test_zero_norm_column_is_degenerate():
     layer = DenseLayer(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2), np.zeros(2))
-    with pytest.raises(NumericError):
-        dense_forward(np.ones((1, 2)), layer)
+    with pytest.raises(NumericError, match="direction column 1 has zero norm"):
+        _forward(np.ones((1, 2)), layer)
 
 
 def test_weight_norm_reparameterization_properties():
@@ -72,11 +96,11 @@ def test_weight_norm_reparameterization_properties():
     # forward equals a plain dense layer over gain-scaled unit directions
     unit = layer.v / np.linalg.norm(layer.v, axis=0)
     plain = np.tanh(x @ (unit * layer.gain) + layer.bias)
-    assert np.allclose(dense_forward(x, layer)[0], plain, atol=1e-12)
+    assert np.allclose(_forward(x, layer)[0], plain, atol=1e-12)
     # scaling v by any c > 0 leaves the output unchanged
     for c in (0.1, 3.0, 117.0):
         scaled = DenseLayer(c * layer.v, layer.gain, layer.bias, "tanh")
-        assert np.allclose(dense_forward(x, scaled)[0], dense_forward(x, layer)[0], atol=1e-10)
+        assert np.allclose(_forward(x, scaled)[0], _forward(x, layer)[0], atol=1e-10)
 
 
 def test_init_gains_match_initial_column_norms():
@@ -85,7 +109,7 @@ def test_init_gains_match_initial_column_norms():
     assert np.allclose(layer.gain, np.linalg.norm(layer.v, axis=0))
     # so the initial forward pass equals the unnormalized init
     x = rng.normal(size=(3, 6))
-    assert np.allclose(dense_forward(x, layer)[0], np.maximum(x @ layer.v + layer.bias, 0.0))
+    assert np.allclose(_forward(x, layer)[0], np.maximum(x @ layer.v + layer.bias, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +147,14 @@ def test_backprop_single_unit_hand_case():
     # for a 1-D direction) and the bias gradient equals dz = 2.
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")
     x, y = np.array([[1.0]]), np.array([[0.0]])
-    pred, norms, w_eff = dense_forward(x, layer)
-    assert loss_value(pred, y, "mse") == pytest.approx([1.0])
-    dz = output_delta(pred, y, "mse")
-    dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff, _backward_buffers(layer, x))
-    assert dgain[0] == pytest.approx(2.0)
-    assert dv[0, 0] == pytest.approx(0.0)
-    assert dbias[0] == pytest.approx(2.0)
-    assert dx[0, 0] == pytest.approx(2.0)
+    pred, d = _forward(x, layer)
+    loss = loss_and_delta(pred.T, y.T, "mse", np.empty(1), d.dz[..., 0], np.empty((1, 1)))
+    assert loss == pytest.approx([1.0])
+    dx = dense_backward(d, x.T[None], 0.0, 0.0)
+    assert d.grads.gain[0, 0] == pytest.approx(2.0)
+    assert d.grads.v[0, 0, 0] == pytest.approx(0.0)
+    assert d.grads.bias[0, 0] == pytest.approx(2.0)
+    assert dx[0, 0, 0] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("loss_kind", ["mse", "binary_cross_entropy"])
@@ -149,12 +173,18 @@ def test_backprop_matches_central_differences(loss_kind, reg):
             y = (rng.random((x.shape[0], n_out)) > 0.5).astype(np.float64)
         else:
             y = rng.normal(size=(x.shape[0], n_out))
-        pred, norms, w_eff = dense_forward(x, layer)
-        # one loss per column of outputs, as a stack takes one per fold
-        dz = output_delta(pred.T, y.T, loss_kind).T
-        buffers = _backward_buffers(layer, x)
-        dx, dv, dgain, dbias = dense_backward(layer, x, dz, norms, w_eff, buffers)
-        dv += regularization_grad(layer.v, *reg)
+
+        def losses(pred, delta=None):
+            # one loss per column of outputs, as a stack takes one per fold
+            delta = np.empty_like(pred.T) if delta is None else delta
+            scratch = np.empty_like(delta)
+            return loss_and_delta(pred.T, y.T, loss_kind, np.empty(n_out), delta, scratch)
+
+        pred, d = _forward(x, layer)
+        delta = np.empty((n_out, len(x)))
+        losses(pred, delta)
+        d.dz[0] = delta.T
+        dx = dense_backward(d, x.T[None], *reg)
         shapes = [x.shape, layer.v.shape, (n_out,), (n_out,)]
         cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
 
@@ -162,12 +192,12 @@ def test_backprop_matches_central_differences(loss_kind, reg):
             xs, v, gain, bias = (
                 part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)
             )
-            pred = dense_forward(xs, DenseLayer(v, gain, bias, head))[0]
-            total = loss_value(pred.T, y.T, loss_kind).sum()
+            total = losses(_forward(xs, DenseLayer(v, gain, bias, head))[0]).sum()
             return total + reg[0] * np.abs(v).sum() + reg[1] * (v**2).sum()
 
         theta = np.concatenate([x.ravel(), layer.v.ravel(), layer.gain, layer.bias])
-        analytic = np.concatenate([dx.ravel(), dv.ravel(), dgain, dbias])
+        grads = (dx, d.grads.v, d.grads.gain, d.grads.bias)
+        analytic = np.concatenate([g.ravel() for g in grads])
         assert max_rel_error(analytic, central_diff(loss_fn, theta)) <= 1e-5
 
 
