@@ -393,6 +393,7 @@ class _BatchBuffers:
         self.directions = [layer.v.reshape(folds, -1) for layer in layers]
         self.l2_sums = array("l2_sums", (len(layers), folds))
         self.embedding_rows = net.embeddings.reshape(folds * net.n_groups, -1)
+        self.embeddings = net.embeddings.reshape(-1)
         self.embedding_grads = grads.embeddings.reshape(-1)
         self.where = [f"extractor layer {i}: " for i in range(len(net.extractor))] + [""]
 
@@ -402,11 +403,11 @@ class _StepPlan:
     """One stacked batch, checked once for every step taken on it: inputs
     (folds, rows, features) and their transpose, labels (folds, rows), each
     row's embedding-table row in the stack's flattened (folds x groups)
-    table (``rows``) and where its embedding-gradient
-    entries go in the flattened (folds, groups, embedding dim) block
-    (``scatter``), each fold's active embedding rows as (``fold_of``,
-    ``active``) pairs, the loss settings, and the workspace buffers sized
-    for it. ``dropout`` is the rate masks are drawn at, 0 for steps without
+    table (``rows``); in the flattened (folds, groups, embedding dim) block,
+    where each row's embedding-gradient entries go (``scatter``) and the
+    entries of each fold's active embedding rows, fold by fold
+    (``active``); the loss settings; and the workspace buffers sized for
+    it. ``dropout`` is the rate masks are drawn at, 0 for steps without
     dropout."""
 
     x: np.ndarray
@@ -414,7 +415,6 @@ class _StepPlan:
     y: np.ndarray
     rows: np.ndarray
     scatter: np.ndarray
-    fold_of: np.ndarray
     active: np.ndarray
     kind: str
     l1: float
@@ -444,15 +444,15 @@ def _plan(
     counts = present.sum(axis=1)
     if (counts != counts[0]).any():
         raise ShapeError("folds stepped together must each cover the same number of groups")
-    fold_of, active = np.nonzero(present)
     l1, l2 = config.l1_l2()
     buffers = ws.batch(x.shape[1], config.dropout_rate > 0.0)
     rows = _embedding_rows(weights, g)
     dim = weights.embeddings.shape[-1]
     scatter = (rows[..., None] * dim + np.arange(dim)).ravel()
+    active = (np.flatnonzero(present)[:, None] * dim + np.arange(dim)).ravel()
     return _StepPlan(
-        x, x.swapaxes(-1, -2), y, rows, scatter, fold_of, active, kind, l1, l2,
-        config.dropout_rate, buffers,
+        x, x.swapaxes(-1, -2), y, rows, scatter, active, kind, l1, l2, config.dropout_rate,
+        buffers,
     )
 
 
@@ -522,14 +522,10 @@ def forward(
 
 
 def _step(
-    net: BaseLearnerWeights,
-    grads: BaseLearnerWeights,
-    plan: _StepPlan,
-    rng: Sequence[np.random.Generator] | None,
-    errors: FoldErrors | None,
+    plan: _StepPlan, rng: Sequence[np.random.Generator] | None, errors: FoldErrors | None
 ) -> np.ndarray:
-    """One forward/backward pass of a workspace's ``net`` on ``plan``'s
-    batch: the per-fold losses, with the gradient written into ``grads``.
+    """One forward/backward pass of a workspace's stack on ``plan``'s batch:
+    the per-fold losses, with the gradient written into the workspace's.
 
     With dropout, each fold draws the masks of every extractor layer, in
     layer order, in one call on its stream.
@@ -541,18 +537,19 @@ def _step(
     pred = _forward_pass(b, plan.x, plan.rows, plan.kind, b.l2_sums if l2 else None)
     loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
     loss = nn_core.loss_and_delta(pred, plan.y, loss_kind, b.loss, b.delta, b.diff)
-    active_embeddings = net.embeddings[plan.fold_of, plan.active]
+    active_embeddings = b.embeddings.take(plan.active)
     loss += nn_core.regularization_value(b.directions, l1, l2, b.l2_sums)
     loss += nn_core.regularization_value([active_embeddings.reshape(len(loss), -1)], l1, l2)
     _check_step(b, errors, loss=True)
 
     dense_backward(b.dense[-1], b.dense[-1].x_t, l1, l2)
     # each row's entries added from zero in row order, as ``np.add.at``
-    # does on the (groups, dim) table
+    # does on the (groups, dim) table, then each active entry's
+    # regularization term
     b.embedding_grads.fill(0.0)
     np.add.at(b.embedding_grads, plan.scatter, b.dconcat_emb.ravel())
-    grads.embeddings[plan.fold_of, plan.active] += nn_core.regularization_grad(
-        active_embeddings, l1, l2
+    np.add.at(
+        b.embedding_grads, plan.active, nn_core.regularization_grad(active_embeddings, l1, l2)
     )
     grad_out = b.dconcat_h
     for i in range(len(b.dense) - 2, -1, -1):
@@ -598,7 +595,7 @@ def loss_and_grads(
     plan = _plan(stack, x, g, y, kind, config, ws)
     np.copyto(ws.net.values, stack.values)
     with np.errstate(all="ignore"):
-        loss = _step(ws.net, ws.grads, plan, rng, errors)
+        loss = _step(plan, rng, errors)
     if weights.folds is None:
         return float(loss[0]), weights._view(ws.grads.values, None)
     return loss, ws.grads
@@ -646,6 +643,6 @@ def inner_update(
         state = ws.optimizer(config)
         with np.errstate(all="ignore"):
             for _ in range(config.inner_iterations):
-                _step(net, ws.grads, plan, rng, errors)
+                _step(plan, rng, errors)
                 optimizer_step(net.values, ws.grads.values, state)
     return net if weights.folds is not None else weights._view(net.values, None)

@@ -472,8 +472,20 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
         "loss is not finite",
         None,
     ]
-    # a check of the loss alone would miss folds 1 and 2
+    # a check of the loss alone would miss folds 1 and 2, also in a stack
+    # whose every loss is finite
     assert np.isfinite(losses[[1, 2, 4]]).all() and not np.isfinite(losses[3])
+    errors = [None] * 3
+    keep = [1, 2, 4]
+    loss_and_grads(
+        stack_weights([nets[f] for f in keep]), x[keep], g[keep], y[keep], "classification",
+        config, errors=errors,
+    )
+    assert [None if e is None else str(e) for e in errors] == [
+        "extractor layer 0: dense layer produced non-finite activations",
+        "dense layer produced non-finite activations",
+        None,
+    ]
     loss, _ = loss_and_grads(nets[4], x[4], g[4], y[4], "classification", config)
     assert losses[4] == loss
     # without a record, the first message in layer order is raised
