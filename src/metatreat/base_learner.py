@@ -390,8 +390,9 @@ class _BatchBuffers:
         head = self.dense[-1]
         self.z = head.out[..., 0]
         self.dconcat_h, self.dconcat_emb = head.dx[..., :hidden_dim], head.dx[..., hidden_dim:]
-        self.directions = [layer.v.reshape(folds, -1) for layer in layers]
-        self.l2_sums = array("l2_sums", (len(layers), folds))
+        # each direction matrix's regularization sums, then the active
+        # embedding rows'
+        self.reg_sums = array("reg_sums", (len(layers) + 1, 2, folds))
         self.embedding_rows = net.embeddings.reshape(folds * net.n_groups, -1)
         self.embeddings = net.embeddings.reshape(-1)
         self.embedding_grads = grads.embeddings.reshape(-1)
@@ -457,13 +458,14 @@ def _plan(
 
 
 def _forward_pass(
-    b: _BatchBuffers, x: np.ndarray, rows: np.ndarray, kind: str, l2_sums: np.ndarray | None
+    b: _BatchBuffers, x: np.ndarray, rows: np.ndarray, kind: str, l1: float, l2: float
 ) -> np.ndarray:
     """Predictions (folds, rows) of a workspace's stack on a batch, every
     array written into ``b``: each extractor layer's output is multiplied
-    by its dropout mask when ``b`` holds masks, and ``l2_sums``, if given,
-    receives each direction matrix's sum of squares (``weight_norm``)."""
-    nn_core.weight_norm(b.dense, b.norms, b.norms_sq, l2_sums)
+    by its dropout mask when ``b`` holds masks, and each direction matrix's
+    regularization sums for ``l1`` and ``l2`` go into ``b.reg_sums``
+    (``weight_norm``)."""
+    nn_core.weight_norm(b.dense, b.norms, b.norms_sq, l1, l2, b.reg_sums)
     h = x
     for i, d in enumerate(b.dense[:-1]):
         h = dense_forward(h, d)
@@ -516,7 +518,7 @@ def forward(
     np.copyto(ws.net.values, stack.values)
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
-        pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, None)
+        pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, 0.0, 0.0)
         _check_step(b, None, loss=False)
     return pred[0].copy()
 
@@ -534,12 +536,13 @@ def _step(
     l1, l2 = plan.l1, plan.l2
     if b.masks is not None:
         dropout_mask(rng, plan.dropout, b.draws)
-    pred = _forward_pass(b, plan.x, plan.rows, plan.kind, b.l2_sums if l2 else None)
+    pred = _forward_pass(b, plan.x, plan.rows, plan.kind, l1, l2)
     loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
     loss = nn_core.loss_and_delta(pred, plan.y, loss_kind, b.loss, b.delta, b.diff)
     active_embeddings = b.embeddings.take(plan.active)
-    loss += nn_core.regularization_value(b.directions, l1, l2, b.l2_sums)
-    loss += nn_core.regularization_value([active_embeddings.reshape(len(loss), -1)], l1, l2)
+    nn_core.regularization_sums(active_embeddings.reshape(len(loss), -1), l1, l2, b.reg_sums[-1])
+    loss += nn_core.regularization_value(b.reg_sums[:-1], l1, l2)
+    loss += nn_core.regularization_value(b.reg_sums[-1:], l1, l2)
     _check_step(b, errors, loss=True)
 
     dense_backward(b.dense[-1], b.dense[-1].x_t, l1, l2)

@@ -154,7 +154,7 @@ class DenseBuffers:
     (||v_j||^2), ``scale`` (gain_j / ||v_j||) and ``coef``, the backward's
     factor; ``norms`` and ``norms_sq`` are views into blocks shared by
     every layer of a network (see ``weight_norm``). ``squares`` (shaped like
-    ``v``) holds v*v, later dW, ``w_eff`` the effective weights, ``out`` the
+    ``v``) holds v*v and |v|, later dW, ``w_eff`` the effective weights, ``out`` the
     activations (folds, rows, n_out) and ``dz`` dL/d(pre-activation).
     ``x_t`` is the layer's input, transposed, unless that input is the
     batch's own (None); ``dx`` receives the input gradient, or is None for
@@ -184,19 +184,26 @@ def weight_norm(
     dense: Sequence[DenseBuffers],
     norms: np.ndarray,
     norms_sq: np.ndarray,
-    l2_sums: np.ndarray | None = None,
+    l1: float = 0.0,
+    l2: float = 0.0,
+    sums: np.ndarray | None = None,
 ) -> None:
     """The weight-norm factors of a network's layers, each computed once
-    per step: per layer, the squares of ``v`` give its column sums (and,
-    with ``l2_sums``, each fold's sum of squares, the L2 regularization
-    term, into row i), then one pass over ``norms``, the contiguous block
-    that every layer's ``norms`` views, takes the square roots and one more
-    their squares into ``norms_sq``; last, gain / ||v|| per layer."""
+    per step: per layer, the squares of ``v`` give its column sums, then one
+    pass over ``norms``, the contiguous block that every layer's ``norms``
+    views, takes the square roots and one more their squares into
+    ``norms_sq``; last, gain / ||v|| per layer. The same pass over ``v``
+    gives each layer's regularization sums (``regularization_sums``) into
+    ``sums[i]``: with ``l2`` from the very squares the norms take, with
+    ``l1`` from |v| written over them once they are read."""
     for i, d in enumerate(dense):
         np.multiply(d.layer.v, d.layer.v, out=d.squares)
         np.add.reduce(d.squares, axis=-2, out=d.norms)
-        if l2_sums is not None:
-            np.add.reduce(d.squares_flat, axis=1, out=l2_sums[i])
+        if l2:
+            np.add.reduce(d.squares_flat, axis=1, out=sums[i, 1])
+        if l1:
+            np.abs(d.layer.v, out=d.squares)
+            np.add.reduce(d.squares_flat, axis=1, out=sums[i, 0])
     np.sqrt(norms, out=norms)
     np.multiply(norms, norms, out=norms_sq)
     for d in dense:
@@ -335,19 +342,26 @@ def loss_and_delta(
     return loss
 
 
-def regularization_value(
-    mats: Sequence[np.ndarray], l1: float, l2: float, l2_sums: np.ndarray | None = None
-) -> np.ndarray | float:
-    """Per fold, l1 * sum|m| + l2 * sum m^2 over every matrix, each given as
-    (folds, size). ``l2_sums``, if given, holds each matrix's per-fold sum
-    of squares already (``weight_norm`` leaves them), one row per matrix."""
+def regularization_sums(m: np.ndarray, l1: float, l2: float, out: np.ndarray) -> np.ndarray:
+    """Per fold, sum |m| into ``out[0]`` (with ``l1``) and sum m^2 into
+    ``out[1]`` (with ``l2``), for a matrix given as (folds, size)."""
+    if l1:
+        np.add.reduce(np.abs(m), axis=1, out=out[0])
+    if l2:
+        np.add.reduce(m * m, axis=1, out=out[1])
+    return out
+
+
+def regularization_value(sums: np.ndarray, l1: float, l2: float) -> np.ndarray | float:
+    """Per fold, l1 * sum|m| + l2 * sum m^2 over matrices, added in matrix
+    order, from their ``regularization_sums`` stacked as (matrices, 2,
+    folds); a term whose coefficient is 0 is left out, its sums unread."""
     total = 0.0
-    for i, m in enumerate(mats):
+    for abs_sum, square_sum in sums:
         if l1:
-            total = total + l1 * np.add.reduce(np.abs(m), axis=1)
+            total = total + l1 * abs_sum
         if l2:
-            sums = np.add.reduce(m * m, axis=1) if l2_sums is None else l2_sums[i]
-            total = total + l2 * sums
+            total = total + l2 * square_sum
     return total
 
 
