@@ -480,22 +480,22 @@ def _forward_pass(
     return b.z
 
 
-def _check_step(b: _BatchBuffers, errors: FoldErrors | None, loss: bool) -> None:
+def _check_step(b: _BatchBuffers, errors: FoldErrors | None, with_loss: bool) -> None:
     """Record (or, without ``errors``, raise) each fold's first numeric
-    failure of the pass just run on ``b``, and of its loss if ``loss``. A
-    healthy pass is proven once per step, by one pass over the norm block
-    and one over the activations; only a pass that fails one walks the
-    layers in order, so that each fold keeps the first message a forward
-    pass meets: a zero-norm column or a non-finite activation of a layer,
-    then a loss that is not finite."""
-    checked = b.checked if loss else b.acts
+    failure of the pass just run on ``b``, and of its loss if
+    ``with_loss``. A healthy pass is proven once per step, by one pass over
+    the norm block and one over the activations (and losses); only a pass
+    that fails one walks the layers in order, so that each fold keeps the
+    first message a forward pass meets: a zero-norm column or a non-finite
+    activation of a layer, then a loss that is not finite."""
+    checked = b.checked if with_loss else b.acts
     if np.count_nonzero(b.norms) == b.norms.size and math.isfinite(
         np.add.reduce(checked, axis=None)
     ):
         return
     for d, where in zip(b.dense, b.where):
         record_dense_failures(d, errors, where)
-    if loss:
+    if with_loss:
         record_failures(errors, ~np.isfinite(b.loss), lambda f: "loss is not finite")
 
 
@@ -519,7 +519,7 @@ def forward(
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
         pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, 0.0, 0.0)
-        _check_step(b, None, loss=False)
+        _check_step(b, None, with_loss=False)
     return pred[0].copy()
 
 
@@ -543,7 +543,7 @@ def _step(
     nn_core.regularization_sums(active_embeddings.reshape(len(loss), -1), l1, l2, b.reg_sums[-1])
     loss += nn_core.regularization_value(b.reg_sums[:-1], l1, l2)
     loss += nn_core.regularization_value(b.reg_sums[-1:], l1, l2)
-    _check_step(b, errors, loss=True)
+    _check_step(b, errors, with_loss=True)
 
     dense_backward(b.dense[-1], b.dense[-1].x_t, l1, l2)
     # each row's entries added from zero in row order, as ``np.add.at``

@@ -11,8 +11,9 @@ and each fold's numbers round exactly as they would alone.
 
 A step computes each per-layer quantity once and writes it into the
 ``DenseBuffers`` of a step workspace: ``weight_norm`` takes every layer's
-column norms, their squares and gain / ||v|| (the squares of ``v`` also
-give the L2 term), ``dense_forward`` and ``dense_backward`` read them, and
+column norms, their squares and gain / ||v||, and in the same pass over
+``v`` its regularization sums (the squares behind the norms give the L2
+term); ``dense_forward`` and ``dense_backward`` read them, and
 ``loss_and_delta`` takes the loss and the output delta from one pred - y.
 Numeric failures are the caller's to check, once per step over the norm
 and activation blocks; ``record_dense_failures`` then names a layer's.
