@@ -21,7 +21,6 @@ and activation blocks; ``record_dense_failures`` then names a layer's.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
