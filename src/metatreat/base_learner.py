@@ -256,7 +256,7 @@ def _as_stack(weights: BaseLearnerWeights, x, group_ids, y=None, rng=None):
     elif isinstance(rng, np.random.Generator):
         raise ConfigError("a stack of folds takes one RNG stream per fold")
     n_in = weights.extractor[0].n_in
-    if x.shape[-1:] != (n_in,):
+    if x.ndim != 3 or x.shape[-1] != n_in:
         raise ShapeError(f"the network expects input with {n_in} columns, got shape {x.shape}")
     return weights, x, g, y, rng
 

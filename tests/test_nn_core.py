@@ -81,6 +81,8 @@ def test_dense_forward_shape_error():
     w = init_weights(config, 2, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         forward(w, np.ones((1, 3)), np.zeros(1, dtype=int), config)
+    with pytest.raises(ShapeError):
+        forward(w, np.ones(2), np.zeros(1, dtype=int), config)
 
 
 def test_zero_norm_column_is_degenerate():
