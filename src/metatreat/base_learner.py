@@ -505,11 +505,13 @@ def forward(
     group_ids: np.ndarray,
     config: BaseLearnerConfig,
     kind: str = "regression",
+    errors: FoldErrors | None = None,
 ) -> np.ndarray:
-    """One network's predictions for a batch: extractor(x) ++ embeddings[g]
-    -> head, without dropout, so fully deterministic. It runs the training
-    step's layer code, in a workspace of its own.
-
+    """Predictions for a batch: extractor(x) ++ embeddings[g] -> head,
+    without dropout, so fully deterministic. It runs the training step's
+    layer code, in a workspace of its own. One network gives one prediction
+    per row; a stack, whose ``x`` and ``group_ids`` carry the leading fold
+    axis, gives (folds, rows). ``errors`` is as in ``loss_and_grads``.
     Classification applies a sigmoid on the head output, so values land in
     (0, 1).
     """
@@ -519,8 +521,8 @@ def forward(
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
         pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, 0.0, 0.0)
-        _check_step(b, None, with_loss=False)
-    return pred[0].copy()
+        _check_step(b, errors, with_loss=False)
+    return pred.copy() if weights.folds is not None else pred[0].copy()
 
 
 def _step(

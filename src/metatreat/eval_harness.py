@@ -38,18 +38,25 @@ from .data_model import (
     withhold_targets,
 )
 from .errors import ConfigError, DataError, NumericError
-from .meta_learner import MetaConfig, fine_tune, meta_train, predict_rows
+from .meta_learner import MetaConfig, fine_tune, meta_train
 from .nn_core import apply_activation
 from .rng import child_rng
 from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
 
 REGRESSION_BASELINES = ("mean", "median", "knn", "ridge")
 CLASSIFICATION_BASELINES = ("knn", "logistic")
+# The networks each fold meta-tests, in the order they are stacked.
+NETWORKS = ("base_initial", "meta")
 REPORT_COLUMNS = ("group", "task", "model", "metric", "value", "train_value", "n_test", "note")
 
 # Upper bound on the (test rows x training rows x features) difference block
 # kNN materializes at once, so its memory stays flat as the row count grows.
 KNN_BLOCK_BYTES = 16 * 2**20
+
+# Upper bound on the input cells of the task batches a fold samples per
+# meta-iteration (tasks_per_iteration x k x groups x features), 80 MB; the
+# published grids reach 7.5 million at 100 groups and 1,000 features.
+MAX_BATCH_CELLS = 10_000_000
 
 # Stopping rule of the gradient descent that fits the ridge and logistic
 # baselines: the largest gradient entry falls below GD_TOL, or GD_MAX_ITERS.
@@ -428,15 +435,21 @@ def _fold_setup(
     masked_test = withhold_targets(test_table)
 
     target_cols = [c.name for c in processed.columns if c.role == "target"]
-    targets = tuple(TaskSpec(col, config.task_kind, "target_task") for col in target_cols)
+    targets = tuple(TaskSpec(col, config.task_kind) for col in target_cols)
     tasks = select_training_tasks(train_table, targets, config.selection)
 
     n_features = model_inputs(train_table).shape[1]
+    n_groups = len(train_table.group_names)
+    meta = config.meta
+    cells = meta.tasks_per_iteration * meta.k * n_groups * n_features
+    if cells > MAX_BATCH_CELLS:  # refused before any row is drawn
+        raise ConfigError(
+            f"task batches of {cells} input cells (meta.k {meta.k}, meta.tasks_per_iteration "
+            f"{meta.tasks_per_iteration}, {n_groups} groups, {n_features} input features) "
+            f"exceed the cap of {MAX_BATCH_CELLS}"
+        )
     theta0 = init_weights(
-        config.base,
-        n_features,
-        len(train_table.group_names),
-        child_rng(cv.seed, "fold", fold_index, "init"),
+        config.base, n_features, n_groups, child_rng(cv.seed, "fold", fold_index, "init")
     )
     return _FoldSetup(
         fold_index, group_name, train_table, test_table, masked_test, targets, tasks, theta0
@@ -450,7 +463,6 @@ def _fold_rows(
     each fitted on the task's training rows, built once per task."""
     train_table, masked_test = fold.train_table, fold.masked_test
     metric_name = "auc" if config.task_kind == "classification" else "mse"
-    networks = {"base_initial": fold.theta0, "meta": theta_star}
     rows: list[MetricRow] = []
     for task in fold.targets:
         y_vals, y_obs = fold.test_table.column_values(task.column)
@@ -461,25 +473,24 @@ def _fold_rows(
         if task.kind == "classification":
             y_test = binarize_labels(y_test)
         data = task_dataset(train_table, task.column, task.kind)
+        rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, task.column) for name in NETWORKS]
+        on_test, on_train = fine_tune(
+            [fold.theta0, theta_star], task, data, (masked_test, train_table), config.base, rngs
+        )
+        predictions = {
+            name: (on_test[n][scored], on_train[n][data.row_indices])
+            for n, name in enumerate(NETWORKS)
+        }
         x_test = model_inputs(masked_test)[scored]
         baselines = (
             CLASSIFICATION_BASELINES if task.kind == "classification" else REGRESSION_BASELINES
         )
-        for model_name in (*networks, *baselines):
-            if model_name in networks:
-                rng_ft = child_rng(cv.seed, "fold", fold.fold_index, model_name, task.column)
-                adapted, transform = fine_tune(
-                    networks[model_name], task, data, config.base, rng_ft
-                )
-                preds_test, preds_train = (
-                    predict_rows(adapted, table, task.kind, config.base, transform)[index]
-                    for table, index in ((masked_test, scored), (train_table, data.row_indices))
-                )
-            else:
-                preds_test, preds_train = (
-                    baseline_predict(model_name, (data.x, data.y), x, config.baselines)
-                    for x in (x_test, data.x)
-                )
+        for name in baselines:
+            predictions[name] = tuple(
+                baseline_predict(name, (data.x, data.y), x, config.baselines)
+                for x in (x_test, data.x)
+            )
+        for model_name, (preds_test, preds_train) in predictions.items():
             value, note = _score(task.kind, preds_test, y_test)
             train_value, _ = _score(task.kind, preds_train, data.y)
             rows.append(

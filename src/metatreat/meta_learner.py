@@ -5,12 +5,12 @@ clone of the current weights on the training groups, fine-tunes it on the
 held-out group's rows for that task (training tasks are post-treatment
 features, so those labels are observable for every group), then interpolates
 the shared initialization toward the adapted weights with a linearly
-annealed step size. Meta-testing (``fine_tune`` then ``predict_rows``)
-adapts the learned initialization on the full training set for a target
-task and predicts for the held-out group, whose target labels are never
-read: the caller withholds them, and ``meta_train`` refuses a test table
-that still carries them. ``meta_train`` steps the folds of a run in
-lockstep on one stacked parameter array.
+annealed step size. Meta-testing (``fine_tune``) adapts the learned
+initialization on the full training set for a target task and predicts
+for the held-out group, whose target labels are never read: the caller
+withholds them, and ``meta_train`` refuses a test table that still carries
+them. ``meta_train`` steps the folds of a run in lockstep on one stacked
+parameter array, and ``fine_tune`` the networks it scores.
 """
 
 from __future__ import annotations
@@ -320,59 +320,39 @@ def _lockstep(
     return results
 
 
-@dataclass(frozen=True)
-class TargetTransform:
-    """Label standardization used inside fine-tuning on regression targets.
-
-    Inner loops run for a handful of steps and cannot re-learn an output
-    scale, so labels are standardized on the fine-tune rows (training groups
-    only) and predictions are mapped back afterwards.
-    """
-
-    shift: float = 0.0
-    scale: float = 1.0
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return (y - self.shift) / self.scale
-
-    def invert(self, pred: np.ndarray) -> np.ndarray:
-        return pred * self.scale + self.shift
-
-
-def fit_target_transform(y: np.ndarray, kind: str) -> TargetTransform:
-    if kind == "classification":
-        return TargetTransform()
-    mu = float(np.mean(y))
-    sd = float(np.std(y))
-    if sd == 0.0:
-        sd = 1.0
-    return TargetTransform(shift=mu, scale=sd)
-
-
 def fine_tune(
-    weights: BaseLearnerWeights,
+    networks: Sequence[BaseLearnerWeights],
     task: TaskSpec,
     data: TaskData,
+    tables: Sequence[DatasetTable],
     base_config: BaseLearnerConfig,
-    rng: np.random.Generator,
-) -> tuple[BaseLearnerWeights, TargetTransform]:
-    """The meta-test adaptation: one k-shot update on all of the task's
-    available rows, ``data`` as ``task_dataset`` builds it."""
-    transform = fit_target_transform(data.y, task.kind)
-    data = TaskData(data.x, data.group_ids, transform.apply(data.y), data.row_indices)
-    return inner_update(weights, data, task, base_config, rng), transform
-
-
-def predict_rows(
-    weights: BaseLearnerWeights,
-    table: DatasetTable,
-    task_kind: str,
-    base_config: BaseLearnerConfig,
-    transform: TargetTransform,
-) -> np.ndarray:
-    """Predictions (without dropout) for every row of a table, mapped back
-    through the fine-tune's label transform on a regression task."""
-    preds = forward(weights, model_inputs(table), table.group_ids, base_config, kind=task_kind)
-    if task_kind == "regression":
-        preds = transform.invert(preds)
+    rngs: Sequence[np.random.Generator],
+) -> list[np.ndarray]:
+    """The meta-test of networks of one layout on a target task: one k-shot
+    update of their stack on all of the task's available rows (``data`` as
+    ``task_dataset`` builds it), each network on its stream of ``rngs``,
+    then the predictions (without dropout) for every row of each of
+    ``tables``, one (networks, rows) array per table. Inner loops are too
+    short to re-learn an output scale, so regression labels are
+    standardized on those rows and the predictions mapped back. Of the
+    networks' first numeric failures the first in network order is raised,
+    as if each network ran alone in turn.
+    """
+    shift, scale = 0.0, 1.0
+    if task.kind == "regression":
+        shift, scale = float(np.mean(data.y)), float(np.std(data.y)) or 1.0
+    n = len(networks)
+    y = (data.y - shift) / scale
+    stacked = TaskData(*(np.stack([a] * n) for a in (data.x, data.group_ids, y, data.row_indices)))
+    errors: FoldErrors = [None] * n
+    adapted = inner_update(stack_weights(networks), stacked, (task,) * n, base_config, rngs, errors)
+    preds = [
+        forward(
+            adapted, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n),
+            base_config, task.kind, errors,
+        ) * scale + shift
+        for table in tables
+    ]
+    for failure in filter(None, errors):
+        raise failure
     return preds

@@ -18,6 +18,9 @@ from .errors import ConfigError, DataError
 
 SELECTION_METHODS = ("all_post", "pearson", "mutual_info")
 
+# Largest mutual-information histogram, ``mi_bins`` squared: 8 MB of counts.
+MAX_HISTOGRAM_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -25,13 +28,10 @@ class TaskSpec:
 
     column: str
     kind: str  # regression | classification
-    role: str  # training_task | target_task
 
     def __post_init__(self) -> None:
         if self.kind not in ("regression", "classification"):
             raise ConfigError(f"unknown task kind {self.kind!r}")
-        if self.role not in ("training_task", "target_task"):
-            raise ConfigError(f"unknown task role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,11 @@ class SelectionConfig:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.mi_bins < 2:
             raise ConfigError("mi_bins must be at least 2")
+        if self.mi_bins**2 > MAX_HISTOGRAM_CELLS:
+            raise ConfigError(
+                f"mi_bins {self.mi_bins} gives a {self.mi_bins} x {self.mi_bins} histogram, "
+                f"over the cap of {MAX_HISTOGRAM_CELLS} cells"
+            )
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -146,5 +151,5 @@ def select_training_tasks(
         order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
         kept = [candidates[i] for i in sorted(order[:n_keep])]
 
-    training = tuple(TaskSpec(name, "regression", "training_task") for name in kept)
+    training = tuple(TaskSpec(name, "regression") for name in kept)
     return TaskSet(training=training, target=targets)

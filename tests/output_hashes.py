@@ -12,7 +12,8 @@ prints one ``<sha256>  <run>/<file>`` line per output file, plus an
 non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
 regression, classification and two jobs; a study with missing cells under
-two scalings; a binary stratifier tied to ``x0``, so that features
+two scalings; a study whose target is blank in some rows of every group,
+so that scoring picks a proper subset of each side's rows; a binary stratifier tied to ``x0``, so that features
 residualize, under two scalings; a study whose manifest declares a
 two-level categorical feature and a ``score_pre``/``score_post`` pair under
 ``"differential_pairs": "auto"``, so that loading one-hot encodes and
@@ -42,6 +43,7 @@ from workloads import GRID_BUDGET, WORKLOADS, study_config, write_space  # noqa:
 
 STUDY_SEED = 7
 MISSING_RATE = 0.35
+TARGET_GAP = 5  # every fifth row's target is blank in the missing-target study
 REFERENCE = "g0"
 
 # run name -> (study, command, extra argv, run config or None)
@@ -53,6 +55,7 @@ RUNS = {
     "cv-missing-normalize": (
         "missing", "cv", [], {"preprocess": {"scaling": "normalize", "missing_threshold": 0.4}},
     ),
+    "cv-missing-target": ("missing-target", "cv", [], None),
     "cv-stratifier-standardize": ("stratifier", "cv", [], None),
     "cv-stratifier-reference": (
         "stratifier", "cv", ["--holdout-exclude", REFERENCE],
@@ -88,6 +91,8 @@ MISSING_STUDY = {**STUDY, "missing_rate": MISSING_RATE}
 
 def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     """The plain study, the same settings with missing cells, the plain
+    study with every ``TARGET_GAP``-th row's ``y`` blank, so that every
+    group, the held-out one included, has rows without a target, the plain
     study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, and the
     ingestion study (``write_ingest_study``)."""
     from metatreat.data_model import ColumnMeta, Manifest
@@ -100,6 +105,12 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
         studies[name] = write_dataset(root / f"study-{name}", table, manifest, truth, config)
     config = GeneratorConfig.from_dict(STUDY)
     table, manifest, truth = generate(config)
+    missing = table.missing_mask.copy()
+    missing[::TARGET_GAP, table.column_index("y")] = True
+    studies["missing-target"] = write_dataset(
+        root / "study-missing-target", table.replace_matrix(table.columns, table.values, missing),
+        manifest, truth, config,
+    )
     s = (table.column_values("x0")[0] > 0.0).astype(np.float64)
     meta = ColumnMeta("s", "pre", "numeric", "stratifier")
     columns = table.columns + (meta,)

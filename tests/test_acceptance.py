@@ -212,7 +212,7 @@ def _algebra_setup(lr):
     )
     train_table, test_table = group_holdout_split(processed, "g2")
     tasks = select_training_tasks(
-        train_table, [TaskSpec("y", "regression", "target_task")], SelectionConfig()
+        train_table, [TaskSpec("y", "regression")], SelectionConfig()
     )
     base = BaseLearnerConfig(
         n_layers=1, hidden_dim=4, embedding_dim=3, activation="tanh",
@@ -273,20 +273,21 @@ def test_criterion_3_update_algebra():
 def test_criterion_4_zero_shot_firewall(monkeypatch):
     # run_cv's own fold path, one fold per run (every other group excluded
     # from holdout): every array a model predicts there (meta and
-    # base_initial through predict_rows, each baseline through
+    # base_initial through fine_tune, each baseline through
     # baseline_predict, on held-out and training rows) and the train_value
     # column must keep their bits when the held-out labels are replaced
     recorded: list[np.ndarray] = []
 
-    def recording(fn):
+    def recording(fn, arrays=lambda out: [out]):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            recorded.append(np.array(out))
+            recorded.extend(np.array(a) for a in arrays(out))
             return out
 
         return wrapper
 
-    monkeypatch.setattr(eval_harness, "predict_rows", recording(eval_harness.predict_rows))
+    # fine_tune returns one (networks, rows) array per table
+    monkeypatch.setattr(eval_harness, "fine_tune", recording(eval_harness.fine_tune, list))
     monkeypatch.setattr(
         eval_harness, "baseline_predict", recording(eval_harness.baseline_predict)
     )

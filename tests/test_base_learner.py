@@ -19,8 +19,8 @@ from metatreat.nn_core import optimizer_step
 from metatreat.task_selection import TaskSpec
 from oracles import central_diff, fresh_optimizer, max_rel_error, reference_loss_and_grads
 
-REG_TASK = TaskSpec("t", "regression", "training_task")
-CLS_TASK = TaskSpec("t", "classification", "target_task")
+REG_TASK = TaskSpec("t", "regression")
+CLS_TASK = TaskSpec("t", "classification")
 
 
 def small_config(**overrides):
@@ -434,6 +434,29 @@ def test_stack_keeps_each_folds_first_numeric_failure():
     # without a record, the first failing fold raises
     with pytest.raises(NumericError, match="extractor layer 1"):
         loss_and_grads(stack_weights(nets), x, g, y, "regression", config)
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_stacked_forward_gives_each_fold_its_own_predictions(kind):
+    # one row per fold, each with the bits its network gives alone; a fold
+    # with a zero-norm column is recorded and the others are untouched
+    rng = np.random.default_rng(36)
+    config = small_config(n_layers=2, hidden_dim=7, activation="relu")
+    nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
+    batches = [make_batch(rng, 9, 4, 4) for _ in range(3)]
+    x, g, _ = (np.stack(parts) for parts in zip(*batches))
+    preds = forward(stack_weights(nets), x, g, config, kind)
+    assert preds.shape == (3, 9)
+    for f, net in enumerate(nets):
+        assert preds[f].tobytes() == forward(net, x[f], g[f], config, kind).tobytes()
+    nets[1].extractor[1].v[:, 2] = 0.0
+    errors = [None] * 3
+    again = forward(stack_weights(nets), x, g, config, kind, errors)
+    message = "extractor layer 1: degenerate dense layer: direction column 2 has zero norm"
+    assert errors[0] is errors[2] is None and str(errors[1]) == message
+    assert again[0].tobytes() == preds[0].tobytes() and again[2].tobytes() == preds[2].tobytes()
+    with pytest.raises(NumericError, match="direction column 2"):
+        forward(stack_weights(nets), x, g, config, kind)
 
 
 def test_once_per_step_check_keeps_each_folds_first_failure():

@@ -17,6 +17,7 @@ STALE_TARGETS = [
     "metatreat.base_learner.flatten_arrays",
     "metatreat.base_learner.unflatten",
     "metatreat.nn_core.FlatParams.__post_init__",
+    "metatreat.eval_harness.predict_rows",
 ]
 
 

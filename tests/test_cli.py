@@ -525,6 +525,47 @@ def test_network_over_the_weight_cap_exits_2_and_fails_its_candidate(
         assert e["error"].startswith("ConfigError: network of") and "base.hidden_dim" in e["error"]
 
 
+def test_task_batches_over_the_cell_cap_exit_2_and_fail_their_candidate(
+    tmp_path, study_dir, capsys
+):
+    # k of 10^15 rows per group: refused before any row is drawn, so
+    # nothing is allocated; cv exits 2 naming meta.k, the groups and the
+    # features, a search records the candidate as failed and keeps the others
+    data = ["--data", str(study_dir / "data.csv"), "--manifest", str(study_dir / "manifest.json")]
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**FAST_RUN, "meta": {**FAST_RUN["meta"], "k": 10**15}}))
+    assert main(["cv", *data, "--config", str(run), "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "meta.k 1000000000000000, meta.tasks_per_iteration 1, 3 groups, 3 input features" in err
+    assert "exceed the cap of 10000000" in err
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**TINY_SPACE, "k": [4, 10**15]}))
+    out = tmp_path / "gs"
+    assert main([
+        "grid-search", *data, "--config", str(write_run_config(tmp_path)),
+        "--space", str(space), "--budget", "4", "--seed", "0", "--jobs", "2",
+        "--out", str(out),
+    ]) == 0
+    board = json.loads((out / "best_config.json").read_text())["leaderboard"]
+    failed = [e for e in board if e["status"] == "failed"]
+    assert failed and len(failed) < len(board)
+    for e in failed:
+        assert e["config"]["meta"]["k"] == 10**15
+        assert e["error"].startswith("ConfigError: task batches of") and "meta.k" in e["error"]
+
+
+def test_mutual_information_histogram_over_the_cap_exits_2(tmp_path, study_dir, capsys):
+    # a 10^12 x 10^12 histogram is refused when the config is read
+    data = ["--data", str(study_dir / "data.csv"), "--manifest", str(study_dir / "manifest.json")]
+    run = tmp_path / "run.json"
+    selection = {"method": "mutual_info", "mi_bins": 10**12}
+    run.write_text(json.dumps({**FAST_RUN, "selection": selection}))
+    assert main(["cv", *data, "--config", str(run), "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "mi_bins 1000000000000" in err and "over the cap of 1000000 cells" in err
+    assert not (tmp_path / "cv" / "report.csv").exists()
+
+
 def test_generator_integer_shifts_are_written_as_floats(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({**GEN_CONFIG, "delta": [-1, 0, 1]}))

@@ -6,8 +6,8 @@ task (a post-treatment feature, never a target), moves it, and the
 interpolation carries the move into the shared weights.
 
 After ``meta_train`` the row is reset to its initial (θ₀) value, and the
-target is fine-tuned and predicted as ``run_cv`` does it, on the same
-stream. Each 3x60 study shifts its groups by (-d, 0, d). Measured with the
+target is fine-tuned and predicted as ``run_cv`` does it: stacked behind
+θ₀, each network on its own stream. Each 3x60 study shifts its groups by (-d, 0, d). Measured with the
 default pipeline on seeds 1-3, the ablated / trained held-out MSE was
 0.93-1.01 at d = 0; at d = 2 it was 4.5-7.2 for the two outer groups and
 1.00-1.01 for the middle one. The bounds keep a margin over that spread.
@@ -26,7 +26,7 @@ from metatreat.eval_harness import (
     mse,
     run_cv,
 )
-from metatreat.meta_learner import fine_tune, meta_train, predict_rows
+from metatreat.meta_learner import fine_tune, meta_train
 from metatreat.rng import child_rng
 from metatreat.synth_gen import GeneratorConfig, generate
 
@@ -41,10 +41,14 @@ def _held_out_mse(setup, weights, config, cv) -> float:
     y, observed = setup.test_table.column_values(task.column)
     scored = np.flatnonzero(observed)
     data = task_dataset(setup.train_table, task.column, task.kind)
-    rng = child_rng(cv.seed, "fold", setup.fold_index, "meta", task.column)
-    adapted, transform = fine_tune(weights, task, data, config.base, rng)
-    preds = predict_rows(adapted, setup.masked_test, task.kind, config.base, transform)
-    return mse(preds[scored], y[scored])
+    rngs = [
+        child_rng(cv.seed, "fold", setup.fold_index, name, task.column)
+        for name in ("base_initial", "meta")
+    ]
+    [preds] = fine_tune(
+        [setup.theta0, weights], task, data, [setup.masked_test], config.base, rngs
+    )
+    return mse(preds[1][scored], y[scored])
 
 
 def _ablation_ratios(seed: int, d: float) -> dict[str, float]:

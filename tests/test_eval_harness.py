@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatreat import eval_harness
+from metatreat import eval_harness, meta_learner
 from metatreat.base_learner import BaseLearnerConfig
 from metatreat.data_model import DatasetTable, PreprocessConfig
 from metatreat.errors import ConfigError, DataError, NumericError
@@ -327,6 +327,30 @@ def test_run_cv_training_path_never_sees_held_out_labels():
     for a, b in zip(base_report.rows, corrupted_report.rows):
         if a.group == "g2":
             assert a == b  # scores on the perturbed fold must not move
+
+
+def test_meta_test_is_one_stacked_update_and_two_forwards_per_task(monkeypatch):
+    # each (fold, target task) fine-tunes base_initial and meta as one stack
+    # of two, then predicts the held-out and the training table from it;
+    # without meta-iterations, the meta-test makes every such call
+    calls = []
+
+    def counted(name):
+        original = getattr(meta_learner, name)
+
+        def wrapper(weights, *args, **kwargs):
+            calls.append((name, weights.folds))
+            return original(weights, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("inner_update", "forward"):
+        monkeypatch.setattr(meta_learner, name, counted(name))
+    table, manifest, _ = small_raw(seed=2)
+    pipeline = dataclasses.replace(FAST_PIPELINE, meta=MetaConfig(meta_iterations=0, k=4))
+    report = run_cv(table, manifest, pipeline, CvConfig(seed=1))
+    assert len({(r.group, r.task) for r in report.rows}) == 3
+    assert calls == [("inner_update", 2), ("forward", 2), ("forward", 2)] * 3
 
 
 def test_run_cv_needs_two_groups():

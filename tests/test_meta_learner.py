@@ -1,11 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, init_weights, stack_weights
+from metatreat.base_learner import (
+    BaseLearnerConfig,
+    StepWorkspace,
+    forward,
+    init_weights,
+    stack_weights,
+)
 from metatreat.data_model import (
     PreprocessConfig,
     fit_preprocess,
     group_holdout_split,
+    model_input_columns,
     model_inputs,
     task_dataset,
     withhold_targets,
@@ -20,7 +29,6 @@ from metatreat.meta_learner import (
     fine_tune,
     meta_step,
     meta_train,
-    predict_rows,
     sample_task_batch,
 )
 from metatreat.synth_gen import GeneratorConfig, generate
@@ -46,7 +54,7 @@ def small_study(seed=0, n_per_group=12, g_star="g2"):
     train_table, test_table = group_holdout_split(processed, g_star)
     tasks = select_training_tasks(
         train_table,
-        [TaskSpec("y", "regression", "target_task")],
+        [TaskSpec("y", "regression")],
         SelectionConfig("all_post"),
     )
     return train_table, withhold_targets(test_table), test_table, tasks
@@ -260,27 +268,103 @@ def test_meta_train_rejects_leaky_test_table():
         train_one(train_table, leaky_test, tasks, meta, seed=0)
 
 
-def test_meta_test_prediction_count_and_range():
+def _meta_test_setup(kind="regression", seed=5):
+    """A study, its target task's training rows, and the two networks a
+    fold meta-tests: a random initialization and a meta-trained one."""
     train_table, masked_test, _, tasks = small_study()
-    meta = MetaConfig(meta_iterations=4, k=4)
-    theta = train_one(train_table, masked_test, tasks, meta, seed=5)
-    target = TaskSpec("y", "classification", "target_task")
+    theta0 = init_weights(BASE, 3, 3, np.random.default_rng(seed))
+    theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=4, k=4), seed)
+    target = TaskSpec("y", kind)
     data = task_dataset(train_table, target.column, target.kind)
-    adapted, transform = fine_tune(theta, target, data, BASE, np.random.default_rng(0))
-    preds = predict_rows(adapted, masked_test, target.kind, BASE, transform)
-    assert preds.shape == (masked_test.n_rows,)
-    assert np.all((preds > 0.0) & (preds < 1.0))
+    return train_table, masked_test, target, data, [theta0, theta]
+
+
+def _streams(n=2):
+    return [np.random.default_rng(100 + i) for i in range(n)]
+
+
+def test_meta_test_prediction_count_and_range():
+    train_table, masked_test, target, data, networks = _meta_test_setup("classification")
+    tables = (masked_test, train_table)
+    preds = fine_tune(networks, target, data, tables, BASE, _streams())
+    assert [p.shape for p in preds] == [(2, masked_test.n_rows), (2, train_table.n_rows)]
+    assert all(np.all((p > 0.0) & (p < 1.0)) for p in preds)
 
 
 def test_fine_tune_standardizes_regression_labels():
-    train_table, masked_test, _, tasks = small_study()
-    theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=2, k=4), seed=9)
-    target = TaskSpec("y", "regression", "target_task")
-    data = task_dataset(train_table, target.column, target.kind)
-    _, transform = fine_tune(theta, target, data, BASE, np.random.default_rng(0))
+    # without a step, a prediction is the network's output mapped back
+    # through the labels' mean and standard deviation
+    train_table, masked_test, target, data, networks = _meta_test_setup()
+    still = replace(BASE, learning_rate=0.0)
+    [preds] = fine_tune(networks, target, data, [masked_test], still, _streams())
     vals, obs = train_table.column_values("y")
-    assert transform.shift == pytest.approx(vals[obs].mean())
-    assert transform.scale == pytest.approx(vals[obs].std())
+    x = model_inputs(masked_test)
+    for net, row in zip(networks, preds):
+        raw = forward(net, x, masked_test.group_ids, still)
+        assert row.tobytes() == (raw * float(vals[obs].std()) + float(vals[obs].mean())).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_stacked_meta_test_matches_each_network_alone(kind):
+    train_table, masked_test, target, data, networks = _meta_test_setup(kind)
+    tables = (masked_test, train_table)
+    stacked = fine_tune(networks, target, data, tables, BASE, _streams())
+    for n, net in enumerate(networks):
+        alone = fine_tune([net], target, data, tables, BASE, [np.random.default_rng(100 + n)])
+        for both, one in zip(stacked, alone):
+            assert both[n].tobytes() == one[0].tobytes()
+
+
+def _zero_column(net, layer):
+    """A copy of ``net`` whose extractor layer ``layer`` has a zero-norm
+    direction column, which fails the first pass through it."""
+    [broken] = stack_weights([net]).unstack()
+    broken.extractor[layer].v[:, 0] = 0.0
+    return broken
+
+
+def _nan_row(table):
+    """``table`` with a NaN input in its first row: every network's forward
+    pass over it fails at extractor layer 0."""
+    values = table.values.copy()
+    values[0, table.column_index(model_input_columns(table)[0])] = np.nan
+    return table.replace_matrix(table.columns, values, table.missing_mask)
+
+
+def _first_failure(networks, target, data, tables, base, streams):
+    with pytest.raises(NumericError) as caught:
+        fine_tune(networks, target, data, tables, base, streams)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("where", ["fine-tune", "first prediction", "second prediction"])
+def test_base_initial_failure_is_raised_before_meta_failure(where):
+    # base_initial fails in its fine-tune, in the first table's prediction
+    # (no step is taken) or only in the second's; meta fails earlier in
+    # layer order, or earlier in time. The stack raises base_initial's
+    # message, the one it raises alone
+    train_table, masked_test, target, data, (theta0, theta) = _meta_test_setup()
+    networks = [_zero_column(theta0, 1), _zero_column(theta, 0)]
+    tables, base = (masked_test, train_table), BASE
+    if where == "first prediction":
+        base = replace(BASE, learning_rate=0.0)
+    elif where == "second prediction":
+        networks[0], tables = theta0, (masked_test, _nan_row(train_table))
+    message = _first_failure(networks, target, data, tables, base, _streams())
+    alone = _first_failure(networks[:1], target, data, tables, base, _streams(1))
+    assert message == alone
+    assert message != _first_failure(
+        networks[1:], target, data, tables, base, [np.random.default_rng(101)]
+    )
+
+
+def test_meta_failure_alone_raises_its_message():
+    train_table, masked_test, target, data, (theta0, theta) = _meta_test_setup()
+    networks = [theta0, _zero_column(theta, 0)]
+    tables = (masked_test, train_table)
+    message = _first_failure(networks, target, data, tables, BASE, _streams())
+    assert message == "extractor layer 0: degenerate dense layer: direction column 0 has zero norm"
+    fine_tune(networks[:1], target, data, tables, BASE, _streams(1))
 
 
 # ---------------------------------------------------------------------------

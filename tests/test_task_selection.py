@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from metatreat.data_model import ColumnMeta, DatasetTable
 from metatreat.errors import ConfigError, DataError
 from metatreat.task_selection import (
+    MAX_HISTOGRAM_CELLS,
     SelectionConfig,
     TaskSet,
     TaskSpec,
@@ -136,7 +139,7 @@ def selection_fixture(n=40, seed=0):
     return table_of(cols, data, np.zeros(n, dtype=int))
 
 
-TARGET = TaskSpec("y", "regression", "target_task")
+TARGET = TaskSpec("y", "regression")
 
 
 def test_all_post_keeps_every_usable_candidate():
@@ -176,7 +179,7 @@ def test_target_columns_never_become_training_tasks():
     assert "y" not in {t.column for t in tasks.training}
     with pytest.raises(ConfigError):
         TaskSet(
-            training=(TaskSpec("y", "regression", "training_task"),),
+            training=(TaskSpec("y", "regression"),),
             target=(TARGET,),
         )
 
@@ -209,6 +212,15 @@ def test_selection_config_validation():
         SelectionConfig("nope")
     with pytest.raises(ConfigError):
         SelectionConfig("pearson", keep_fraction=0.0)
+
+
+def test_mutual_information_histogram_is_capped():
+    # the largest square histogram under the cap is accepted, one bin more
+    # is refused before any histogram is built
+    side = math.isqrt(MAX_HISTOGRAM_CELLS)
+    assert SelectionConfig("mutual_info", mi_bins=side).mi_bins == side
+    with pytest.raises(ConfigError, match=f"mi_bins {side + 1} gives a"):
+        SelectionConfig("mutual_info", mi_bins=side + 1)
 
 
 def test_relevance_ties_break_by_column_order():
