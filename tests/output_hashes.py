@@ -13,8 +13,9 @@ non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
 regression, classification and two jobs; a study with missing cells under
 two scalings; a study whose target is blank in some rows of every group,
-so that scoring picks a proper subset of each side's rows; a binary stratifier tied to ``x0``, so that features
-residualize, under two scalings; a study whose manifest declares a
+so that scoring picks a proper subset of each side's rows; a binary
+stratifier tied to ``x0``, so that features residualize, under two
+scalings; a study whose manifest declares a
 two-level categorical feature and a ``score_pre``/``score_post`` pair under
 ``"differential_pairs": "auto"``, so that loading one-hot encodes and
 preprocessing appends a differential feature; budget-12 searches on the

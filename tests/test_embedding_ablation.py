@@ -7,10 +7,11 @@ interpolation carries the move into the shared weights.
 
 After ``meta_train`` the row is reset to its initial (θ₀) value, and the
 target is fine-tuned and predicted as ``run_cv`` does it: stacked behind
-θ₀, each network on its own stream. Each 3x60 study shifts its groups by (-d, 0, d). Measured with the
-default pipeline on seeds 1-3, the ablated / trained held-out MSE was
-0.93-1.01 at d = 0; at d = 2 it was 4.5-7.2 for the two outer groups and
-1.00-1.01 for the middle one. The bounds keep a margin over that spread.
+θ₀, each network on its own stream. Each 3x60 study shifts its groups by
+(-d, 0, d). Measured with the default pipeline on seeds 1-3, the ablated /
+trained held-out MSE was 0.93-1.01 at d = 0; at d = 2 it was 4.5-7.2 for
+the two outer groups and 1.00-1.01 for the middle one. The bounds keep a
+margin over that spread.
 """
 
 import numpy as np
