@@ -101,20 +101,19 @@ def _layout_names(n_layers: int) -> list[str]:
 
 
 class BaseLearnerWeights:
-    """All trainable state in one contiguous float64 vector: one network, or
-    a stack of networks of one layout that step together.
+    """All trainable state of a stack of networks of one layout, which step
+    together, in one contiguous float64 vector; the constructor takes one
+    network's vector, as a stack of one.
 
     ``extractor``, ``embeddings`` and ``head`` are named views into
-    ``values`` laid out as ``layout`` (name, shape) pairs in parameter
-    order, so writing either side moves the other and an optimizer or an
-    interpolation can treat every weight at once. A stack of ``folds``
-    networks is laid out part-major: each part's (folds, *shape) block is
-    contiguous, so every numpy call of a step sees contiguous arrays, and
-    every view carries the leading fold axis. One network (``folds`` None)
-    has the bytes of a stack of one, without the axis. ``slices`` maps each
-    layout name to its range in one network's vector; in a stack the part's
-    block spans ``folds`` times that range. ``activations`` names the
-    extractor layers' activations followed by the head's.
+    ``values``, each with a leading fold axis, so writing either side moves
+    the other and an optimizer or an interpolation can treat every weight at
+    once. ``layout`` holds one network's (name, shape) pairs in parameter
+    order, and ``slices`` each name's range in one network's vector. The
+    ``folds`` networks are laid out part-major: each part's (folds, *shape)
+    block, ``folds`` times its range, is contiguous, so every numpy call of
+    a step sees contiguous arrays. ``activations`` names the extractor
+    layers' activations followed by the head's.
     """
 
     def __init__(self, values: np.ndarray, layout: Layout, activations: tuple[str, ...]) -> None:
@@ -134,7 +133,7 @@ class BaseLearnerWeights:
             offset += size
         if len(dict(layout)["embeddings"]) != 2:
             raise ShapeError("embedding table must be 2-D (groups x embedding dim)")
-        self._bind(values, layout, tuple(activations), slices, None)
+        self._bind(values, layout, tuple(activations), slices, 1)
         concat_dim = self.extractor[-1].n_out + self.embeddings.shape[-1]
         if self.head.n_in != concat_dim:
             raise ShapeError(
@@ -147,14 +146,12 @@ class BaseLearnerWeights:
         layout: Layout,
         activations: tuple[str, ...],
         slices: dict,
-        folds: int | None,
+        folds: int,
     ) -> None:
         """Point the named views at ``values``, for a layout already checked."""
-        n = 1 if folds is None else folds
-        lead = () if folds is None else (folds,)
         views = {
-            name: values[n * slices[name].start : n * slices[name].stop].reshape(lead + shape)
-            for name, shape in layout
+            name: values[folds * s.start : folds * s.stop].reshape(folds, *shape)
+            for (name, shape), s in zip(layout, slices.values())
         }
 
         def layer(prefix: str, activation: str) -> DenseLayer:
@@ -171,8 +168,8 @@ class BaseLearnerWeights:
         self.embeddings = views["embeddings"]
         self.head = layer("head", activations[-1])
 
-    def _view(self, values: np.ndarray, folds: int | None) -> "BaseLearnerWeights":
-        """This layout over ``values``: one network, or a stack of ``folds``."""
+    def _view(self, values: np.ndarray, folds: int) -> "BaseLearnerWeights":
+        """This layout over ``values``, a stack of ``folds``."""
         out = object.__new__(BaseLearnerWeights)
         out._bind(values, self.layout, self.activations, self.slices, folds)
         return out
@@ -182,30 +179,31 @@ class BaseLearnerWeights:
         return self.embeddings.shape[-2]
 
     def unstack(self) -> list["BaseLearnerWeights"]:
-        """Each fold of a stack as a network of its own (copies)."""
+        """Each fold as a stack of one (copies)."""
         n = self.folds
         blocks = [self.values[n * s.start : n * s.stop].reshape(n, -1) for s in self.slices.values()]
-        return [self._view(np.concatenate([b[f] for b in blocks]), None) for f in range(n)]
+        return [self._view(np.concatenate([b[f] for b in blocks]), 1) for f in range(n)]
 
 
 def stack_weights(weights: Sequence[BaseLearnerWeights]) -> BaseLearnerWeights:
-    """Networks of one layout as one stack, fold f a copy of ``weights[f]``."""
+    """Stacks of one layout as one stack of all their folds, in order (a
+    copy)."""
     first = weights[0]
-    if any(
-        w.folds is not None or w.layout != first.layout or w.activations != first.activations
-        for w in weights
-    ):
-        raise ShapeError("only single networks of one layout can be stacked")
-    values = np.concatenate([w.values[s] for s in first.slices.values() for w in weights])
-    return first._view(values, len(weights))
+    if any(w.layout != first.layout or w.activations != first.activations for w in weights):
+        raise ShapeError("only stacks of one layout can be stacked")
+    values = np.concatenate([
+        w.values[w.folds * s.start : w.folds * s.stop]
+        for s in first.slices.values() for w in weights
+    ])
+    return first._view(values, sum(w.folds for w in weights))
 
 
 def init_weights(
     config: BaseLearnerConfig, n_features: int, n_groups: int, rng: np.random.Generator
 ) -> BaseLearnerWeights:
-    """Random initialization; the embedding table covers every group. A
-    network of more than ``MAX_WEIGHTS`` weights is refused before any is
-    drawn."""
+    """Random initialization of one network, as a stack of one; the
+    embedding table covers every group. A network of more than
+    ``MAX_WEIGHTS`` weights is refused before any is drawn."""
     if n_groups < 2:
         raise ConfigError("need at least two treatment groups")
     h, e = config.hidden_dim, config.embedding_dim
@@ -236,29 +234,29 @@ def init_weights(
 # Forward / backward through the composite network
 # ---------------------------------------------------------------------------
 #
-# The passes below run on a stack: weights with a leading fold axis, and
-# x (folds, rows, features), group ids and labels (folds, rows), one RNG
-# stream per fold. The public functions take one network as a stack of one.
+# Every pass runs on a stack: weights with a leading fold axis, and a
+# batch of x (folds, rows, features), group ids and labels (folds, rows),
+# with one RNG stream, one task and one failure record per fold.
 
 
-def _as_stack(weights: BaseLearnerWeights, x, group_ids, y=None, rng=None):
-    """A batch's arguments as those of a stack, group ids checked against
-    the embedding table: one network, its inputs, group ids, labels and RNG
-    stream become a stack of one; a stack needs one stream per fold."""
+def _check_batch(weights: BaseLearnerWeights, x, group_ids, y=None):
+    """A stacked batch's ``x``, group ids and labels (if given) as arrays,
+    checked against the stack: group ids within the embedding table, ``x``
+    3-D and as wide as the first layer, and all of them with the stack's
+    fold count and one row count."""
     g = np.asarray(group_ids, dtype=np.int64)
     if g.size and (g.min() < 0 or g.max() >= weights.n_groups):
         raise DataError(f"group id out of range: embedding table has {weights.n_groups} rows")
     x = np.asarray(x, dtype=np.float64)
-    if weights.folds is None:
-        weights, x, g = weights._view(weights.values, 1), x[None], g[None]
-        y = None if y is None else np.asarray(y, dtype=np.float64).reshape(1, -1)
-        rng = None if rng is None else (rng,)
-    elif isinstance(rng, np.random.Generator):
-        raise ConfigError("a stack of folds takes one RNG stream per fold")
     n_in = weights.extractor[0].n_in
     if x.ndim != 3 or x.shape[-1] != n_in:
-        raise ShapeError(f"the network expects input with {n_in} columns, got shape {x.shape}")
-    return weights, x, g, y, rng
+        raise ShapeError(f"the network expects input (folds, rows, {n_in}), got shape {x.shape}")
+    y = None if y is None else np.asarray(y, dtype=np.float64)
+    if len(x) != weights.folds or g.shape != x.shape[:2] or (y is not None and y.shape != g.shape):
+        raise ShapeError(
+            f"batch arrays must share their fold and row dimensions, with {weights.folds} folds"
+        )
+    return x, g, y
 
 
 class StepWorkspace:
@@ -434,12 +432,9 @@ def _plan(
     weights: BaseLearnerWeights, x: np.ndarray, g: np.ndarray, y, kind: str,
     config: BaseLearnerConfig, ws: StepWorkspace,
 ) -> _StepPlan:
-    """Check a stacked batch against a stack of weights and index it."""
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 3 and x.shape[1] == 0:
+    """Index a stacked batch that ``_check_batch`` passed for a step."""
+    if x.shape[1] == 0:
         raise DataError("empty batch")
-    if x.ndim != 3 or not (x.shape[:2] == y.shape == g.shape) or len(x) != weights.folds:
-        raise ShapeError("batch arrays must share their fold and row dimensions")
     present = np.zeros(weights.embeddings.shape[:2], dtype=bool)
     present[np.arange(len(x))[:, None], g] = True
     counts = present.sum(axis=1)
@@ -480,14 +475,14 @@ def _forward_pass(
     return b.z
 
 
-def _check_step(b: _BatchBuffers, errors: FoldErrors | None, with_loss: bool) -> None:
-    """Record (or, without ``errors``, raise) each fold's first numeric
-    failure of the pass just run on ``b``, and of its loss if
-    ``with_loss``. A healthy pass is proven once per step, by one pass over
-    the norm block and one over the activations (and losses); only a pass
-    that fails one walks the layers in order, so that each fold keeps the
-    first message a forward pass meets: a zero-norm column or a non-finite
-    activation of a layer, then a loss that is not finite."""
+def _check_step(b: _BatchBuffers, errors: FoldErrors, with_loss: bool) -> None:
+    """Record in ``errors`` each fold's first numeric failure of the pass
+    just run on ``b``, and of its loss if ``with_loss``. A healthy pass is
+    proven once per step, by one pass over the norm block and one over the
+    activations (and losses); only a pass that fails one walks the layers
+    in order, so that each fold keeps the first message a forward pass
+    meets: a zero-norm column or a non-finite activation of a layer, then a
+    loss that is not finite."""
     checked = b.checked if with_loss else b.acts
     if np.count_nonzero(b.norms) == b.norms.size and math.isfinite(
         np.add.reduce(checked, axis=None)
@@ -500,33 +495,28 @@ def _check_step(b: _BatchBuffers, errors: FoldErrors | None, with_loss: bool) ->
 
 
 def forward(
-    weights: BaseLearnerWeights,
-    x: np.ndarray,
-    group_ids: np.ndarray,
-    config: BaseLearnerConfig,
-    kind: str = "regression",
-    errors: FoldErrors | None = None,
+    weights: BaseLearnerWeights, x: np.ndarray, group_ids: np.ndarray, config: BaseLearnerConfig,
+    kind: str, errors: FoldErrors,
 ) -> np.ndarray:
-    """Predictions for a batch: extractor(x) ++ embeddings[g] -> head,
-    without dropout, so fully deterministic. It runs the training step's
-    layer code, in a workspace of its own. One network gives one prediction
-    per row; a stack, whose ``x`` and ``group_ids`` carry the leading fold
-    axis, gives (folds, rows). ``errors`` is as in ``loss_and_grads``.
+    """A stack's predictions (folds, rows) for a stacked batch:
+    extractor(x) ++ embeddings[g] -> head, without dropout, so fully
+    deterministic. It runs the training step's layer code, in a workspace of
+    its own, and records failures in ``errors`` as ``loss_and_grads`` does.
     Classification applies a sigmoid on the head output, so values land in
     (0, 1).
     """
-    stack, x, g, _, _ = _as_stack(weights, x, group_ids)
-    ws = StepWorkspace(stack)
-    np.copyto(ws.net.values, stack.values)
+    x, g, _ = _check_batch(weights, x, group_ids)
+    ws = StepWorkspace(weights)
+    np.copyto(ws.net.values, weights.values)
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
-        pred = _forward_pass(b, x, _embedding_rows(stack, g), kind, 0.0, 0.0)
+        pred = _forward_pass(b, x, _embedding_rows(weights, g), kind, 0.0, 0.0)
         _check_step(b, errors, with_loss=False)
-    return pred.copy() if weights.folds is not None else pred[0].copy()
+    return pred.copy()
 
 
 def _step(
-    plan: _StepPlan, rng: Sequence[np.random.Generator] | None, errors: FoldErrors | None
+    plan: _StepPlan, rng: Sequence[np.random.Generator], errors: FoldErrors
 ) -> np.ndarray:
     """One forward/backward pass of a workspace's stack on ``plan``'s batch:
     the per-fold losses, with the gradient written into the workspace's.
@@ -568,46 +558,36 @@ def _step(
 
 
 def loss_and_grads(
-    weights: BaseLearnerWeights,
-    x: np.ndarray,
-    group_ids: np.ndarray,
-    y: np.ndarray,
-    kind: str,
-    config: BaseLearnerConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-    errors: FoldErrors | None = None,
-) -> tuple[float | np.ndarray, BaseLearnerWeights]:
-    """Exact gradients of mean task loss + regularization, as weights laid
-    out like ``weights``: one network, or a stack.
+    weights: BaseLearnerWeights, x: np.ndarray, group_ids: np.ndarray, y: np.ndarray, kind: str,
+    config: BaseLearnerConfig, rng: Sequence[np.random.Generator], errors: FoldErrors,
+) -> tuple[np.ndarray, BaseLearnerWeights]:
+    """Exact gradients of mean task loss + regularization of a stack whose
+    folds step together, one loss per fold and the gradient laid out like
+    ``weights``.
 
     Regularization covers direction matrices and the embedding rows active
     in the batch; untouched embedding rows receive a strictly zero gradient,
     which is what keeps the held-out group's embedding frozen under plain
     training.
 
-    ``weights`` is one network, or a stack whose folds step together: then
-    ``x``, ``group_ids`` and ``y`` carry the same leading fold axis, ``rng``
-    is one stream per fold, the loss comes per fold, and every fold's batch
-    must cover the same number of groups. ``errors`` collects each fold's
-    first numeric failure instead of raising it (``nn_core.record_failures``):
-    a step checks once, over all its layers, and only a failing step names
-    each fold's first failure in layer order, the loss last.
-    Each call runs one step on a plan and workspace of its own, so the
-    gradient it returns is a fresh array.
+    ``rng`` is one stream per fold, and every fold's batch must cover the
+    same number of groups. ``errors`` collects each fold's first numeric
+    failure (``nn_core.record_failures``): a step checks once, over all its
+    layers, and only a failing step names each fold's first failure in
+    layer order, the loss last. Each call runs one step on a plan and
+    workspace of its own, so the gradient it returns is a fresh array.
     """
-    stack, x, g, y, rng = _as_stack(weights, x, group_ids, y, rng)
-    ws = StepWorkspace(stack)
-    plan = _plan(stack, x, g, y, kind, config, ws)
-    np.copyto(ws.net.values, stack.values)
+    x, g, y = _check_batch(weights, x, group_ids, y)
+    ws = StepWorkspace(weights)
+    plan = _plan(weights, x, g, y, kind, config, ws)
+    np.copyto(ws.net.values, weights.values)
     with np.errstate(all="ignore"):
         loss = _step(plan, rng, errors)
-    if weights.folds is None:
-        return float(loss[0]), weights._view(ws.grads.values, None)
     return loss, ws.grads
 
 
-def _task_kind(task: TaskSpec | Sequence[TaskSpec]) -> str:
-    kinds = {t.kind for t in ((task,) if isinstance(task, TaskSpec) else task)}
+def _task_kind(tasks: Sequence[TaskSpec]) -> str:
+    kinds = {t.kind for t in tasks}
     if len(kinds) != 1:
         raise ConfigError("folds stepped together need tasks of one kind")
     return kinds.pop()
@@ -616,38 +596,37 @@ def _task_kind(task: TaskSpec | Sequence[TaskSpec]) -> str:
 def inner_update(
     weights: BaseLearnerWeights,
     data: TaskData,
-    task: TaskSpec | Sequence[TaskSpec],
+    task: Sequence[TaskSpec],
     config: BaseLearnerConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    errors: FoldErrors | None = None,
+    rng: Sequence[np.random.Generator],
+    errors: FoldErrors,
     workspace: StepWorkspace | None = None,
 ) -> BaseLearnerWeights:
-    """The k-shot update operator: ``inner_iterations`` full-batch steps on
-    one task slice with a fresh optimizer.
+    """The k-shot update operator: ``inner_iterations`` full-batch steps of
+    a stack on one stacked task slice with a fresh optimizer.
 
-    On a stack, ``data`` carries the leading fold axis, ``task`` is one spec
-    per fold (all of one kind) and ``rng`` one stream per fold; ``errors``
-    is as in ``loss_and_grads``. The steps run in ``workspace``, a
-    ``StepWorkspace`` that the caller keeps across updates, or a fresh one:
-    ``weights`` are copied into its stack unless they are that stack
-    already, which is stepped in place and returned (as one network for
-    one network). Other input weights are never mutated. The batch is
-    checked and indexed once for every step.
+    ``data`` carries the leading fold axis, ``task`` is one spec per fold
+    (all of one kind) and ``rng`` one stream per fold; ``errors`` is as in
+    ``loss_and_grads``. The steps run in ``workspace``, a ``StepWorkspace``
+    that the caller keeps across updates, or a fresh one: ``weights`` are
+    copied into its stack unless they are that stack already, which is
+    stepped in place and returned. Other input weights are never mutated.
+    The batch is checked and indexed once for every step.
     """
     if np.size(data.y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    stack, x, g, y, rng = _as_stack(weights, data.x, data.group_ids, data.y, rng)
-    ws = StepWorkspace(stack) if workspace is None else workspace
+    x, g, y = _check_batch(weights, data.x, data.group_ids, data.y)
+    ws = StepWorkspace(weights) if workspace is None else workspace
     net = ws.net
-    if net.folds != stack.folds or net.values.size != stack.values.size:
+    if net.folds != weights.folds or net.values.size != weights.values.size:
         raise ShapeError("step workspace does not match the stack")
-    if stack.values is not net.values:
-        np.copyto(net.values, stack.values)
+    if weights.values is not net.values:
+        np.copyto(net.values, weights.values)
     if config.learning_rate != 0.0 and config.inner_iterations != 0:
-        plan = _plan(stack, x, g, y, _task_kind(task), config, ws)
+        plan = _plan(weights, x, g, y, _task_kind(task), config, ws)
         state = ws.optimizer(config)
         with np.errstate(all="ignore"):
             for _ in range(config.inner_iterations):
                 _step(plan, rng, errors)
                 optimizer_step(net.values, ws.grads.values, state)
-    return net if weights.folds is not None else weights._view(net.values, None)
+    return net

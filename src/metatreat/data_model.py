@@ -738,6 +738,8 @@ class PreprocessConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.missing_threshold <= 1.0):
             raise ConfigError("missing_threshold must lie in [0, 1]")
+        if not (0.0 <= self.residual_alpha <= 1.0):
+            raise ConfigError("residual_alpha must lie in [0, 1]")
         if self.scaling not in SCALING_MODES:
             raise ConfigError(f"unknown scaling mode {self.scaling!r}")
 

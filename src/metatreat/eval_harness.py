@@ -53,10 +53,12 @@ REPORT_COLUMNS = ("group", "task", "model", "metric", "value", "train_value", "n
 # kNN materializes at once, so its memory stays flat as the row count grows.
 KNN_BLOCK_BYTES = 16 * 2**20
 
-# Upper bound on the input cells of the task batches a fold samples per
-# meta-iteration (tasks_per_iteration x k x groups x features), 80 MB; the
-# published grids reach 7.5 million at 100 groups and 1,000 features.
+# Upper bound on the float64 cells of one meta-iteration's task batches
+# (``task_batch_cells``), 80 MB; the published grids reach 7.5 million at
+# 100 groups and 1,000 features. A sampled batch's arrays and objects take
+# BATCH_CELLS beyond its data (1,243 traced bytes, whatever its size).
 MAX_BATCH_CELLS = 10_000_000
+BATCH_CELLS = 160
 
 # Stopping rule of the gradient descent that fits the ridge and logistic
 # baselines: the largest gradient entry falls below GD_TOL, or GD_MAX_ITERS.
@@ -134,13 +136,21 @@ def _gd_minimize(grad_fn, w0: np.ndarray, lr: float) -> np.ndarray:
     return w
 
 
+def _largest_eigenvalue(m: np.ndarray, baseline: str) -> float:
+    """The largest eigenvalue of a baseline fit's curvature matrix, which
+    must be finite for ``eigvalsh`` to converge."""
+    if not np.isfinite(m).all():
+        raise NumericError(f"{baseline} baseline: curvature matrix of its fit is not finite")
+    return float(np.linalg.eigvalsh(m).max())
+
+
 def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Gradient descent on mean squared error + alpha*||w||^2 (bias free)."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
     hess = 2.0 * a.T @ a / n
     hess[np.arange(d), np.arange(d)] += 2.0 * alpha
-    lip = float(np.linalg.eigvalsh(hess).max())
+    lip = _largest_eigenvalue(hess, "ridge")
 
     def grad(wb: np.ndarray) -> np.ndarray:
         r = a @ wb - y
@@ -155,7 +165,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Gradient descent on binary cross-entropy + alpha*||w||^2 (bias free)."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
-    lip = float(np.linalg.eigvalsh(a.T @ a).max()) / (4.0 * n) + 2.0 * alpha
+    lip = _largest_eigenvalue(a.T @ a, "logistic") / (4.0 * n) + 2.0 * alpha
 
     def grad(wb: np.ndarray) -> np.ndarray:
         p = apply_activation("sigmoid", a @ wb)
@@ -418,6 +428,13 @@ class _FoldSetup:
     theta0: BaseLearnerWeights
 
 
+def task_batch_cells(meta: MetaConfig, n_groups: int, n_features: int) -> int:
+    """The cells of one meta-iteration's task batches: per batch, k rows of
+    each group, each its features, group id, label and row index, plus
+    ``BATCH_CELLS``."""
+    return meta.tasks_per_iteration * (meta.k * n_groups * (n_features + 3) + BATCH_CELLS)
+
+
 def _fold_setup(
     raw_table: DatasetTable,
     manifest: Manifest,
@@ -441,10 +458,10 @@ def _fold_setup(
     n_features = model_inputs(train_table).shape[1]
     n_groups = len(train_table.group_names)
     meta = config.meta
-    cells = meta.tasks_per_iteration * meta.k * n_groups * n_features
+    cells = task_batch_cells(meta, n_groups, n_features)
     if cells > MAX_BATCH_CELLS:  # refused before any row is drawn
         raise ConfigError(
-            f"task batches of {cells} input cells (meta.k {meta.k}, meta.tasks_per_iteration "
+            f"task batches of {cells} cells (meta.k {meta.k}, meta.tasks_per_iteration "
             f"{meta.tasks_per_iteration}, {n_groups} groups, {n_features} input features) "
             f"exceed the cap of {MAX_BATCH_CELLS}"
         )

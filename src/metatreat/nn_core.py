@@ -73,19 +73,14 @@ def activation_grad(kind: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     raise ConfigError(f"{kind!r} is not an extractor activation")
 
 
-def record_failures(
-    errors: FoldErrors | None, bad: np.ndarray, message: Callable[[int], str]
-) -> None:
+def record_failures(errors: FoldErrors, bad: np.ndarray, message: Callable[[int], str]) -> None:
     """Note ``NumericError(message(f))`` as the first failure of every fold
-    ``f`` flagged in ``bad`` (one flag per fold, a 0-d flag for one
-    network). Without a record the first flagged fold raises instead; with
-    one, a failed fold keeps computing garbage that nothing reads, so the
-    healthy folds of its stack can go on."""
+    ``f`` flagged in ``bad`` (one flag per fold). A failed fold keeps
+    computing garbage that nothing reads, so the healthy folds of its stack
+    can go on."""
     if not np.count_nonzero(bad):
         return
     for f in np.flatnonzero(bad):
-        if errors is None:
-            raise NumericError(message(int(f)))
         if errors[f] is None:
             errors[f] = NumericError(message(int(f)))
 
@@ -250,7 +245,7 @@ def dense_backward(
     return d.dx
 
 
-def record_dense_failures(d: DenseBuffers, errors: FoldErrors | None, where: str) -> None:
+def record_dense_failures(d: DenseBuffers, errors: FoldErrors, where: str) -> None:
     """A layer's numeric failures after its forward pass, through
     ``record_failures``: a zero-norm direction column, then a non-finite
     activation, each message prefixed with ``where``."""

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from metatreat.base_learner import BaseLearnerWeights
-from metatreat.nn_core import OptimizerState
+from metatreat.nn_core import DenseLayer, OptimizerState
 
 
 def central_diff(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -71,13 +71,24 @@ def plugin_mi_from_counts(counts: np.ndarray) -> float:
     return total
 
 
-def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None):
-    """``base_learner.loss_and_grads`` computed the unfused way, for bitwise
+def _fold0(weights):
+    """A stack of one's extractor layers, embedding table and head as one
+    network's 2-D views."""
+    layers = [
+        DenseLayer(layer.v[0], layer.gain[0], layer.bias[0], layer.activation)
+        for layer in weights.extractor + [weights.head]
+    ]
+    return layers[:-1], weights.embeddings[0], layers[-1]
+
+
+def reference_loss_and_grads(stack, x, group_ids, y, kind, config, rng=None):
+    """``base_learner.loss_and_grads`` of a stack of one on one fold's
+    batch (x as rows x features), computed the unfused way, for bitwise
     comparison: each layer's column norms are computed again in backward,
-    the gradient is written through the views of a second weights object
-    (which is returned),
-    and each regularization gradient is accumulated onto zeros. Same
-    arithmetic, same order, same dropout draws."""
+    the gradient is written through the views of a second stack of one
+    (which is returned with the loss), and each regularization gradient is
+    accumulated onto zeros. Same arithmetic, same order, same dropout
+    draws."""
     act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
     act_grad = {
         "relu": lambda out: (out > 0.0).astype(np.float64),
@@ -114,11 +125,12 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None):
         dv = dw * (layer.gain / norms) - layer.v * (layer.gain * dgain / norms**2)
         return dz @ w_eff.T, dv, dgain, dz.sum(axis=0)
 
+    extractor, embeddings, head = _fold0(stack)
     g = np.asarray(group_ids, dtype=np.int64)
     y2 = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     caches = []
     h = np.asarray(x, dtype=np.float64)
-    for layer in weights.extractor:
+    for layer in extractor:
         x_in = h
         out = act[layer.activation](x_in @ weight_norm(layer)[1] + layer.bias)
         assert np.all(np.isfinite(out))
@@ -130,8 +142,8 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None):
         else:
             h = out
         caches.append((x_in, out, mask))
-    concat = np.concatenate([h, weights.embeddings[g]], axis=1)
-    z = (concat @ weight_norm(weights.head)[1] + weights.head.bias)[:, 0]
+    concat = np.concatenate([h, embeddings[g]], axis=1)
+    z = (concat @ weight_norm(head)[1] + head.bias)[:, 0]
     pred = (expit(z) if kind == "classification" else z).reshape(-1, 1)
     n = pred.size
     if kind == "classification":
@@ -142,20 +154,21 @@ def reference_loss_and_grads(weights, x, group_ids, y, kind, config, rng=None):
         loss = float(np.mean((pred - y2) ** 2))
         dz = 2.0 * (pred - y2) / n * np.ones_like(pred)
     active = np.unique(g)
-    loss += reg_value([layer.v for layer in weights.extractor] + [weights.head.v])
-    loss += reg_value([weights.embeddings[active]])
+    loss += reg_value([layer.v for layer in extractor] + [head.v])
+    loss += reg_value([embeddings[active]])
 
-    grads = BaseLearnerWeights(np.zeros_like(weights.values), weights.layout, weights.activations)
-    dconcat, grads.head.v[...], grads.head.gain[...], grads.head.bias[...] = backward(
-        weights.head, concat, dz
+    grads = BaseLearnerWeights(np.zeros_like(stack.values), stack.layout, stack.activations)
+    grad_extractor, grad_embeddings, grad_head = _fold0(grads)
+    dconcat, grad_head.v[...], grad_head.gain[...], grad_head.bias[...] = backward(
+        head, concat, dz
     )
-    grads.head.v[...] += reg_grad(weights.head.v)
-    hidden_dim = weights.extractor[-1].n_out
-    np.add.at(grads.embeddings, g, dconcat[:, hidden_dim:])
-    grads.embeddings[active] += reg_grad(weights.embeddings[active])
+    grad_head.v[...] += reg_grad(head.v)
+    hidden_dim = extractor[-1].n_out
+    np.add.at(grad_embeddings, g, dconcat[:, hidden_dim:])
+    grad_embeddings[active] += reg_grad(embeddings[active])
     grad_out = dconcat[:, :hidden_dim]
-    for i in range(len(weights.extractor) - 1, -1, -1):
-        layer, grad_layer = weights.extractor[i], grads.extractor[i]
+    for i in range(len(extractor) - 1, -1, -1):
+        layer, grad_layer = extractor[i], grad_extractor[i]
         x_in, out, mask = caches[i]
         if mask is not None:
             grad_out = grad_out * mask

@@ -11,7 +11,8 @@ prints one ``<sha256>  <run>/<file>`` line per output file, plus an
 ``exit <code>  <run>  <last stderr line>`` line for any run that exits
 non-zero. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
-regression, classification and two jobs; a study with missing cells under
+regression, classification and two jobs; a training step without
+dropout, under Adam and both penalties; a study with missing cells under
 two scalings; a study whose target is blank in some rows of every group,
 so that scoring picks a proper subset of each side's rows; a binary
 stratifier tied to ``x0``, so that features residualize, under two
@@ -57,6 +58,11 @@ RUNS = {
         "missing", "cv", [], {"preprocess": {"scaling": "normalize", "missing_threshold": 0.4}},
     ),
     "cv-missing-target": ("missing-target", "cv", [], None),
+    # the only hashed training step without a dropout mask
+    "cv-no-dropout": (
+        "plain", "cv", [],
+        {"base": {"dropout_rate": 0.0, "optimizer": "adam", "reg_kind": "both"}},
+    ),
     "cv-stratifier-standardize": ("stratifier", "cv", [], None),
     "cv-stratifier-reference": (
         "stratifier", "cv", ["--holdout-exclude", REFERENCE],

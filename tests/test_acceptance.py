@@ -31,6 +31,7 @@ from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
     PreprocessConfig,
+    TaskData,
     fit_preprocess,
     group_holdout_split,
     impute_means,
@@ -88,24 +89,26 @@ def report_line(criterion: int, name: str, ok: bool, detail: str) -> None:
 
 def _oracle_loss(values, net, x, g, y, kind, reg, masks):
     """The base-learner's training loss assembled directly from the weight
-    views with plain numpy, independently of ``base_learner``'s passes."""
+    views of a stack of one (fold 0) with plain numpy, independently of
+    ``base_learner``'s passes."""
     w = BaseLearnerWeights(values, net.layout, net.activations)
 
     def affine(h, layer):
-        return h @ (layer.v / np.linalg.norm(layer.v, axis=0) * layer.gain) + layer.bias
+        v = layer.v[0]
+        return h @ (v / np.linalg.norm(v, axis=0) * layer.gain[0]) + layer.bias[0]
 
     h = x
     for layer, mask in zip(w.extractor, masks):
         z = affine(h, layer)
         h = (np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)) * mask
-    z = affine(np.concatenate([h, w.embeddings[g]], axis=1), w.head)[:, 0]
+    z = affine(np.concatenate([h, w.embeddings[0, g]], axis=1), w.head)[:, 0]
     if kind == "classification":
         p = 1.0 / (1.0 + np.exp(-z))
         total = np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     else:
         total = np.mean((z - y) ** 2)
     l1, l2 = reg
-    for m in [layer.v for layer in w.extractor] + [w.head.v, w.embeddings[np.unique(g)]]:
+    for m in [layer.v for layer in w.extractor] + [w.head.v, w.embeddings[0, np.unique(g)]]:
         total += l1 * np.abs(m).sum() + l2 * (m * m).sum()
     return total
 
@@ -142,7 +145,10 @@ def test_criterion_1_gradient_oracle():
             y = rng.normal(size=n)
 
         mask_seed = int(rng.integers(2**31))
-        _, grads = loss_and_grads(net, x, g, y, kind, config, rng=np.random.default_rng(mask_seed))
+        _, grads = loss_and_grads(
+            net, x[None], g[None], y[None], kind, config, (np.random.default_rng(mask_seed),),
+            [None],
+        )
         mask_rng = np.random.default_rng(mask_seed)
         rate = config.dropout_rate
         masks = [
@@ -241,8 +247,12 @@ def test_criterion_3_update_algebra():
     batch = sample_task_batch(
         tasks, train_table, masked_test, meta.k, copy.deepcopy(rng), TaskCache()
     )
-    adapted = inner_update(theta, batch.train_data, batch.task, base, np.random.default_rng(0))
-    adapted = inner_update(adapted, batch.finetune_data, batch.task, base, np.random.default_rng(0))
+    adapted = theta
+    for d in (batch.train_data, batch.finetune_data):
+        stacked = TaskData(d.x[None], d.group_ids[None], d.y[None], d.row_indices[None])
+        adapted = inner_update(
+            adapted, stacked, (batch.task,), base, (np.random.default_rng(0),), [None]
+        )
     [stepped] = meta_train(
         [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
     )

@@ -13,7 +13,7 @@ from metatreat.base_learner import (
     stack_weights,
 )
 from metatreat.data_model import TaskData
-from metatreat.errors import ConfigError, DataError, NumericError
+from metatreat.errors import ConfigError, DataError, NumericError, ShapeError
 from metatreat.eval_harness import SearchSpace, off_grid_fields
 from metatreat.nn_core import optimizer_step
 from metatreat.task_selection import TaskSpec
@@ -40,6 +40,16 @@ def small_config(**overrides):
     return BaseLearnerConfig(**defaults)
 
 
+def streams(*seeds):
+    """One fresh RNG stream per fold."""
+    return tuple(map(np.random.default_rng, seeds))
+
+
+def one(*arrays):
+    """One fold's batch arrays as the batch of a stack of one."""
+    return tuple(np.asarray(a)[None] for a in arrays)
+
+
 def make_batch(rng, n, d, n_groups, exclude_group=None):
     x = rng.normal(size=(n, d))
     choices = [g for g in range(n_groups) if g != exclude_group]
@@ -54,7 +64,7 @@ def test_forward_embedding_path_is_live():
     config = small_config()
     w = init_weights(config, 3, 3, rng)
     x = np.tile(rng.normal(size=(1, 3)), (2, 1))
-    out = forward(w, x, np.array([0, 1]), config)
+    [out] = forward(w, *one(x, [0, 1]), config, "regression", [None])
     assert out[0] != out[1]  # same features, different embeddings
 
 
@@ -65,18 +75,17 @@ def test_forward_zero_embeddings_and_head_give_zero():
     w.embeddings[:] = 0.0
     w.head.gain[:] = 0.0
     w.head.bias[:] = 0.0
-    out = forward(w, rng.normal(size=(4, 3)), np.zeros(4, dtype=int), config)
-    assert np.all(out == 0.0)
+    out = forward(w, *one(rng.normal(size=(4, 3)), np.zeros(4)), config, "regression", [None])
+    assert out.shape == (1, 4) and np.all(out == 0.0)
 
 
 def test_forward_eval_mode_deterministic():
     rng = np.random.default_rng(2)
     config = small_config(dropout_rate=0.2)
     w = init_weights(config, 3, 2, rng)
-    x = rng.normal(size=(5, 3))
-    g = rng.integers(0, 2, 5)
-    a = forward(w, x, g, config)
-    b = forward(w, x, g, config)
+    x, g = one(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
+    a = forward(w, x, g, config, "regression", [None])
+    b = forward(w, x, g, config, "regression", [None])
     assert np.array_equal(a, b)
 
 
@@ -84,7 +93,8 @@ def test_forward_sigmoid_outputs_in_unit_interval():
     rng = np.random.default_rng(3)
     config = small_config()
     w = init_weights(config, 3, 2, rng)
-    out = forward(w, rng.normal(size=(10, 3)), rng.integers(0, 2, 10), config, kind="classification")
+    x, g = one(rng.normal(size=(10, 3)), rng.integers(0, 2, 10))
+    out = forward(w, x, g, config, "classification", [None])
     assert np.all((out > 0.0) & (out < 1.0))
 
 
@@ -93,31 +103,33 @@ def test_forward_unknown_group_rejected():
     config = small_config()
     w = init_weights(config, 3, 2, rng)
     with pytest.raises(DataError):
-        forward(w, rng.normal(size=(1, 3)), np.array([5]), config)
+        forward(w, *one(rng.normal(size=(1, 3)), [5]), config, "regression", [None])
 
 
 def test_forward_respects_batch_decomposition():
     rng = np.random.default_rng(5)
     config = small_config()
     w = init_weights(config, 4, 3, rng)
-    x = rng.normal(size=(7, 4))
-    g = rng.integers(0, 3, 7)
-    batch = forward(w, x, g, config)
-    single = np.array([forward(w, x[i : i + 1], g[i : i + 1], config)[0] for i in range(7)])
+    x, g = one(rng.normal(size=(7, 4)), rng.integers(0, 3, 7))
+    [batch] = forward(w, x, g, config, "regression", [None])
+    single = [
+        forward(w, x[:, i : i + 1], g[:, i : i + 1], config, "regression", [None])[0, 0]
+        for i in range(7)
+    ]
     assert np.allclose(batch, single, atol=1e-12)
 
 
 def test_forward_eval_mode_ignores_dropout():
     rng = np.random.default_rng(6)
     w = init_weights(small_config(dropout_rate=0.7), 3, 2, rng)
-    x = rng.normal(size=(5, 3))
-    g = rng.integers(0, 2, 5)
-    dropped = forward(w, x, g, small_config(dropout_rate=0.7))
-    assert np.array_equal(dropped, forward(w, x, g, small_config(dropout_rate=0.0)))
+    x, g = one(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
+    dropped = forward(w, x, g, small_config(dropout_rate=0.7), "regression", [None])
+    kept = forward(w, x, g, small_config(dropout_rate=0.0), "regression", [None])
+    assert np.array_equal(dropped, kept)
 
 
 # ---------------------------------------------------------------------------
-# one flat parameter vector with named views
+# one flat parameter vector with named views, for a stack of networks
 # ---------------------------------------------------------------------------
 
 
@@ -126,7 +138,9 @@ def test_named_views_alias_values_and_clone_copies():
     w = init_weights(small_config(), 3, 3, rng)
     views = [arr for layer in w.extractor for arr in (layer.v, layer.gain, layer.bias)]
     views += [w.embeddings, w.head.v, w.head.gain, w.head.bias]
-    assert [view.shape for view in views] == [shape for _, shape in w.layout]
+    # one network, as a stack of one: each view carries the fold axis
+    assert w.folds == 1
+    assert [view.shape for view in views] == [(1, *shape) for _, shape in w.layout]
     assert np.array_equal(np.concatenate([view.ravel() for view in views]), w.values)
     # writing the vector moves the views, and the other way round
     w.values[:] = np.arange(w.values.size)
@@ -156,20 +170,21 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
     x, g, y = make_batch(rng, 6, 3, 3)
     if kind == "classification":
         y = (y > 0).astype(float)
-    _, grads = loss_and_grads(w, x, g, y, kind, config)
+    _, grads = loss_and_grads(w, *one(x, g, y), kind, config, streams(0), [None])
 
     l1, l2 = config.l1_l2()
     active = np.unique(g)
 
     def loss_fn(flat_values):
         cand = BaseLearnerWeights(flat_values, w.layout, w.activations)
-        pred = forward(cand, x, g, config, kind=kind)
+        [pred] = forward(cand, *one(x, g), config, kind, [None])
         if kind == "classification":
             p = np.clip(pred, 1e-12, 1.0 - 1e-12)
             total = np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
         else:
             total = np.mean((pred - y) ** 2)
-        for mat in [layer.v for layer in cand.extractor] + [cand.head.v, cand.embeddings[active]]:
+        mats = [layer.v for layer in cand.extractor] + [cand.head.v, cand.embeddings[0, active]]
+        for mat in mats:
             total += l1 * np.abs(mat).sum() + l2 * (mat**2).sum()
         return total
 
@@ -196,7 +211,7 @@ def test_loss_and_grads_matches_unfused_reference_bitwise(kind, activation, reg_
         if kind == "classification":
             y = (y > 0).astype(float)
         before = w.values.copy()
-        loss, grads = loss_and_grads(w, x, g, y, kind, config, rng=np.random.default_rng(seed))
+        [loss], grads = loss_and_grads(w, *one(x, g, y), kind, config, streams(seed), [None])
         ref_loss, ref_grads = reference_loss_and_grads(
             w, x, g, y, kind, config, rng=np.random.default_rng(seed)
         )
@@ -226,16 +241,14 @@ def test_inner_update_matches_unfused_reference_bitwise(
     x, g, y = make_batch(rng, 8, 3, 3)
     if kind == "classification":
         y = (y > 0).astype(float)
-    data = TaskData(x, g, y, np.arange(8))
+    data = TaskData(*one(x, g, y, np.arange(8)))
     task = CLS_TASK if kind == "classification" else REG_TASK
-    out = inner_update(w, data, task, config, np.random.default_rng(9))
+    out = inner_update(w, data, (task,), config, streams(9), [None])
     expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
     for _ in range(config.inner_iterations):
-        _, grads = reference_loss_and_grads(
-            expected, data.x, data.group_ids, data.y, kind, config, rng=step_rng
-        )
+        _, grads = reference_loss_and_grads(expected, x, g, y, kind, config, rng=step_rng)
         optimizer_step(expected.values, grads.values, state)
     assert out.values.tobytes() == expected.values.tobytes()
 
@@ -257,13 +270,12 @@ def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
     if kind == "classification":
         batches = [(x, g, (y > 0).astype(float)) for x, g, y in batches]
     x, g, y = (np.stack(parts) for parts in zip(*batches))
-    streams = tuple(np.random.default_rng(seed) for seed in range(3))
     stack = stack_weights(nets)
-    losses, grads = loss_and_grads(stack, x, g, y, kind, config, rng=streams)
+    losses, grads = loss_and_grads(stack, x, g, y, kind, config, streams(0, 1, 2), [None] * 3)
     grads = per_fold(grads)
     assert grads.shape == (3, nets[0].values.size)
     for f, net in enumerate(nets):
-        loss, grad = loss_and_grads(net, *batches[f], kind, config, rng=np.random.default_rng(f))
+        [loss], grad = loss_and_grads(net, *one(*batches[f]), kind, config, streams(f), [None])
         assert losses[f] == loss
         assert grads[f].tobytes() == grad.values.tobytes()
 
@@ -303,13 +315,16 @@ def test_stack_unstack_round_trips_bitwise(n_layers, hidden_dim, embedding_dim):
     assert stack.values.size == 3 * nets[0].values.size
     assert stack.embeddings.shape == (3, 3, embedding_dim)
     for f, net in enumerate(nets):
-        assert np.array_equal(stack.head.v[f], net.head.v)
-        assert np.array_equal(stack.extractor[0].gain[f], net.extractor[0].gain)
-    assert [net.values.tobytes() for net in stack.unstack()] == [
-        net.values.tobytes() for net in nets
-    ]
-    # a stack of one has one network's bytes
+        assert np.array_equal(stack.head.v[f], net.head.v[0])
+        assert np.array_equal(stack.extractor[0].gain[f], net.extractor[0].gain[0])
+    parts = stack.unstack()
+    assert [net.folds for net in parts] == [1, 1, 1]
+    assert [net.values.tobytes() for net in parts] == [net.values.tobytes() for net in nets]
+    # a stack of one has one network's bytes, and stacks join along the
+    # fold axis
     assert stack_weights(nets[:1]).values.tobytes() == nets[0].values.tobytes()
+    joined = stack_weights([stack_weights(nets[:2]), nets[2]])
+    assert joined.folds == 3 and joined.values.tobytes() == stack.values.tobytes()
 
 
 def test_update_of_a_workspace_stack_steps_it_in_place():
@@ -322,12 +337,11 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     _, data = stacked_task(rng, 3)
     tasks = (REG_TASK,) * 3
     workspace = StepWorkspace(theta)
-    streams = lambda: tuple(map(np.random.default_rng, (5, 6, 7)))  # noqa: E731
-    out = inner_update(theta, data, tasks, config, streams(), workspace=workspace)
+    out = inner_update(theta, data, tasks, config, streams(5, 6, 7), [None] * 3, workspace)
     assert theta.values.tobytes() == before.tobytes()
     copy = stack_weights(out.unstack())
-    assert inner_update(out, data, tasks, config, streams(), workspace=workspace) is out
-    expected = inner_update(copy, data, tasks, config, streams())
+    assert inner_update(out, data, tasks, config, streams(5, 6, 7), [None] * 3, workspace) is out
+    expected = inner_update(copy, data, tasks, config, streams(5, 6, 7), [None] * 3)
     assert out.values.tobytes() == expected.values.tobytes()
 
 
@@ -347,17 +361,17 @@ def test_stacked_embedding_gradient_matches_reference_bitwise(embedding_dim):
         g = rng.permutation(np.repeat([c for c in range(4) if c != f], (1, 3, 5)))
         x, y = rng.normal(size=(9, 4)), rng.normal(size=9)
         fitted = g == g[0]
-        y[fitted] = forward(net, x, g, config)[fitted]
+        y[fitted] = forward(net, *one(x, g), config, "regression", [None])[0, fitted]
         batches.append((x, g, y))
     x, g, y = (np.stack(parts) for parts in zip(*batches))
     stack = stack_weights(nets)
-    _, grads = loss_and_grads(stack, x, g, y, "regression", config)
+    _, grads = loss_and_grads(stack, x, g, y, "regression", config, streams(0, 1, 2), [None] * 3)
     got = per_fold(grads)
     for f, net in enumerate(nets):
         _, expected = reference_loss_and_grads(net, *batches[f], "regression", config)
         assert got[f].tobytes() == expected.values.tobytes()
         fitted_group = batches[f][1][0]
-        assert not expected.embeddings[fitted_group].any()
+        assert not expected.embeddings[0, fitted_group].any()
 
 
 def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
@@ -370,9 +384,11 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     )
     nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
     batches, data = stacked_task(rng, 3)
-    streams = tuple(CountingStream(seed) for seed in range(3))
-    out = per_fold(inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, streams))
-    assert [s.calls for s in streams] == [config.inner_iterations] * 3
+    counting = tuple(CountingStream(seed) for seed in range(3))
+    out = per_fold(
+        inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, counting, [None] * 3)
+    )
+    assert [s.calls for s in counting] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
         expected = BaseLearnerWeights(net.values.copy(), net.layout, net.activations)
         state = fresh_optimizer("adam", config.learning_rate, net.values.size)
@@ -383,17 +399,17 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
             )
             optimizer_step(expected.values, grads.values, state)
         assert out[f].tobytes() == expected.values.tobytes()
-        assert streams[f].stream.random() == reference.random()
+        assert counting[f].stream.random() == reference.random()
 
 
 def test_step_workspace_never_aliases_results():
     rng = np.random.default_rng(34)
     config = small_config(dropout_rate=0.2, optimizer="adam")
     w = init_weights(config, 4, 4, rng)
-    x, g, y = make_batch(rng, 9, 4, 4)
-    _, first = loss_and_grads(w, x, g, y, "regression", config, rng=np.random.default_rng(0))
+    x, g, y = one(*make_batch(rng, 9, 4, 4))
+    _, first = loss_and_grads(w, x, g, y, "regression", config, streams(0), [None])
     kept = first.values.copy()
-    _, second = loss_and_grads(w, x, g, -y, "regression", config, rng=np.random.default_rng(0))
+    _, second = loss_and_grads(w, x, g, -y, "regression", config, streams(0), [None])
     assert not np.shares_memory(first.values, second.values)
     assert first.values.tobytes() == kept.tobytes()
 
@@ -404,12 +420,10 @@ def test_step_workspace_never_aliases_results():
     tasks = (REG_TASK,) * 2
     _, data = stacked_task(rng, 2)
     _, other = stacked_task(rng, 2, n_rows=5)
-    inner_update(theta, data, tasks, config, tuple(map(np.random.default_rng, (1, 2))),
-                 workspace=workspace)
-    later = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))),
-                         workspace=workspace)
+    inner_update(theta, data, tasks, config, streams(1, 2), [None] * 2, workspace)
+    later = inner_update(theta, other, tasks, config, streams(3, 4), [None] * 2, workspace)
     assert later is workspace.net
-    fresh = inner_update(theta, other, tasks, config, tuple(map(np.random.default_rng, (3, 4))))
+    fresh = inner_update(theta, other, tasks, config, streams(3, 4), [None] * 2)
     assert later.values.tobytes() == fresh.values.tobytes()
 
 
@@ -425,15 +439,14 @@ def test_stack_keeps_each_folds_first_numeric_failure():
     g, y = np.zeros((2, 1), dtype=int), np.zeros((2, 1))
     errors = [None, None]
     stack = stack_weights(nets)
-    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, errors=errors)
+    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, streams(0, 1), errors)
     grads = per_fold(grads)
     assert errors[0] is None
     assert str(errors[1]) == "extractor layer 1: dense layer produced non-finite activations"
-    loss, grad = loss_and_grads(nets[0], x[0], g[0], y[0], "regression", config)
+    [loss], grad = loss_and_grads(
+        nets[0], x[:1], g[:1], y[:1], "regression", config, streams(0), [None]
+    )
     assert losses[0] == loss and grads[0].tobytes() == grad.values.tobytes()
-    # without a record, the first failing fold raises
-    with pytest.raises(NumericError, match="extractor layer 1"):
-        loss_and_grads(stack_weights(nets), x, g, y, "regression", config)
 
 
 @pytest.mark.parametrize("kind", ["regression", "classification"])
@@ -445,18 +458,46 @@ def test_stacked_forward_gives_each_fold_its_own_predictions(kind):
     nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
     batches = [make_batch(rng, 9, 4, 4) for _ in range(3)]
     x, g, _ = (np.stack(parts) for parts in zip(*batches))
-    preds = forward(stack_weights(nets), x, g, config, kind)
+    preds = forward(stack_weights(nets), x, g, config, kind, [None] * 3)
     assert preds.shape == (3, 9)
     for f, net in enumerate(nets):
-        assert preds[f].tobytes() == forward(net, x[f], g[f], config, kind).tobytes()
-    nets[1].extractor[1].v[:, 2] = 0.0
+        [alone] = forward(net, x[f : f + 1], g[f : f + 1], config, kind, [None])
+        assert preds[f].tobytes() == alone.tobytes()
+    nets[1].extractor[1].v[..., 2] = 0.0
     errors = [None] * 3
     again = forward(stack_weights(nets), x, g, config, kind, errors)
     message = "extractor layer 1: degenerate dense layer: direction column 2 has zero norm"
     assert errors[0] is errors[2] is None and str(errors[1]) == message
     assert again[0].tobytes() == preds[0].tobytes() and again[2].tobytes() == preds[2].tobytes()
-    with pytest.raises(NumericError, match="direction column 2"):
-        forward(stack_weights(nets), x, g, config, kind)
+
+
+@pytest.mark.parametrize("primitive", ["forward", "loss_and_grads", "inner_update"])
+@pytest.mark.parametrize("bad", ["fold count", "1-D group ids", "2-D inputs"])
+def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
+    # one check serves all three: a batch with another fold count than the
+    # stack's, group ids without the fold axis, or one network's 2-D inputs
+    rng = np.random.default_rng(38)
+    config = small_config()
+    stack = stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)])
+    _, data = stacked_task(rng, 2)
+    x, g, y = data.x, data.group_ids, data.y
+    if bad == "fold count":
+        x, g, y = x[:1], g[:1], y[:1]
+    elif bad == "1-D group ids":
+        g = g[0]
+    else:
+        x, g, y = x[0], g[0], y[0]
+    calls = {
+        "forward": lambda: forward(stack, x, g, config, "regression", [None] * 2),
+        "loss_and_grads": lambda: loss_and_grads(
+            stack, x, g, y, "regression", config, streams(0, 1), [None] * 2
+        ),
+        "inner_update": lambda: inner_update(
+            stack, TaskData(x, g, y, g), (REG_TASK,) * 2, config, streams(0, 1), [None] * 2
+        ),
+    }
+    with pytest.raises(ShapeError):
+        calls[primitive]()
 
 
 def test_once_per_step_check_keeps_each_folds_first_failure():
@@ -467,7 +508,7 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
     nets = [init_weights(config, 1, 2, np.random.default_rng(seed)) for seed in range(5)]
     x = np.tile(np.array([[0.5], [1.0]]), (5, 1, 1))
     # fold 0: direction column 1 of extractor layer 1 is zero
-    nets[0].extractor[1].v[:, 1] = 0.0
+    nets[0].extractor[1].v[..., 1] = 0.0
     # fold 1: layer 0 overflows to +inf, which layer 1's negative weights
     # turn into -inf and relu into zeros, so the loss stays finite
     nets[1].extractor[0].v[:] = 1.0
@@ -486,7 +527,7 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
     y = np.tile([0.0, 1.0], (5, 1))
     errors = [None] * 5
     losses, _ = loss_and_grads(
-        stack_weights(nets), x, g, y, "classification", config, errors=errors
+        stack_weights(nets), x, g, y, "classification", config, streams(*range(5)), errors
     )
     assert [None if e is None else str(e) for e in errors] == [
         "extractor layer 1: degenerate dense layer: direction column 1 has zero norm",
@@ -502,19 +543,17 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
     keep = [1, 2, 4]
     loss_and_grads(
         stack_weights([nets[f] for f in keep]), x[keep], g[keep], y[keep], "classification",
-        config, errors=errors,
+        config, streams(*keep), errors,
     )
     assert [None if e is None else str(e) for e in errors] == [
         "extractor layer 0: dense layer produced non-finite activations",
         "dense layer produced non-finite activations",
         None,
     ]
-    loss, _ = loss_and_grads(nets[4], x[4], g[4], y[4], "classification", config)
+    [loss], _ = loss_and_grads(
+        nets[4], x[4:], g[4:], y[4:], "classification", config, streams(4), [None]
+    )
     assert losses[4] == loss
-    # without a record, the first message in layer order is raised
-    with pytest.raises(NumericError) as raised:
-        loss_and_grads(stack_weights(nets), x, g, y, "classification", config)
-    assert str(raised.value) == "extractor layer 0: dense layer produced non-finite activations"
 
 
 def test_untouched_embedding_rows_have_zero_gradient():
@@ -522,8 +561,8 @@ def test_untouched_embedding_rows_have_zero_gradient():
     config = small_config(reg_kind="both", reg_strength=1e-2)
     w = init_weights(config, 3, 4, rng)
     x, g, y = make_batch(rng, 8, 3, 4, exclude_group=2)
-    _, grads = loss_and_grads(w, x, g, y, "regression", config)
-    demb = grads.embeddings
+    _, grads = loss_and_grads(w, *one(x, g, y), "regression", config, streams(0), [None])
+    [demb] = grads.embeddings
     assert np.all(demb[2] == 0.0)
     assert np.any(demb[0] != 0.0)
 
@@ -537,8 +576,8 @@ def test_loss_and_grads_zero_output_is_stationary():
     w.head.gain[:] = 0.0
     w.head.bias[:] = 0.0
     w.embeddings[:] = 0.0
-    loss, grads = loss_and_grads(
-        w, np.ones((3, 2)), np.array([0, 1, 2]), np.zeros(3), "regression", config
+    [loss], grads = loss_and_grads(
+        w, *one(np.ones((3, 2)), [0, 1, 2], np.zeros(3)), "regression", config, streams(0), [None]
     )
     assert loss == 0.0
     assert grads.values.shape == w.values.shape
@@ -551,7 +590,8 @@ def test_loss_and_grads_rejects_empty_batch():
     w = init_weights(config, 2, 2, rng)
     with pytest.raises(DataError):
         loss_and_grads(
-            w, np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0), "regression", config
+            w, *one(np.zeros((0, 2)), np.zeros(0), np.zeros(0)), "regression", config,
+            streams(0), [None],
         )
 
 
@@ -563,10 +603,10 @@ def test_loss_and_grads_reports_nonfinite_layer():
         layer.v[:] = 1.0
         layer.gain[:] = gain
         layer.bias[:] = 0.0
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="extractor layer 1"):
-        loss_and_grads(
-            w, np.array([[1e150]]), np.array([0]), np.array([0.0]), "regression", config
-        )
+    errors = [None]
+    loss_and_grads(w, *one([[1e150]], [0], [0.0]), "regression", config, streams(0), errors)
+    assert isinstance(errors[0], NumericError)
+    assert str(errors[0]) == "extractor layer 1: dense layer produced non-finite activations"
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +618,8 @@ def test_inner_update_zero_lr_is_identity():
     rng = np.random.default_rng(12)
     config = small_config(learning_rate=0.0)
     w = init_weights(config, 3, 2, rng)
-    data = TaskData(*make_batch(rng, 5, 3, 2), np.arange(5))
-    out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
+    data = TaskData(*one(*make_batch(rng, 5, 3, 2), np.arange(5)))
+    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
     assert np.array_equal(out.values, w.values)
 
 
@@ -594,11 +634,13 @@ def test_inner_update_single_step_matches_hand_sgd():
     )
     w = init_weights(config, 2, 2, rng)
     data = TaskData(
-        rng.normal(size=(4, 2)), np.array([0, 1, 0, 1]), rng.normal(size=4), np.arange(4)
+        *one(rng.normal(size=(4, 2)), [0, 1, 0, 1], rng.normal(size=4), np.arange(4))
     )
-    _, grads = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config)
+    _, grads = loss_and_grads(
+        w, data.x, data.group_ids, data.y, "regression", config, streams(0), [None]
+    )
     expected = w.values - 0.1 * grads.values
-    out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
+    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -610,11 +652,12 @@ def test_inner_update_reduces_convex_loss():
     )
     w = init_weights(config, 2, 2, rng)
     data = TaskData(
-        rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20), np.arange(20)
+        *one(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20), np.arange(20))
     )
-    loss0, _ = loss_and_grads(w, data.x, data.group_ids, data.y, "regression", config)
-    out = inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
-    loss1, _ = loss_and_grads(out, data.x, data.group_ids, data.y, "regression", config)
+    batch = (data.x, data.group_ids, data.y, "regression", config, streams(0), [None])
+    [loss0], _ = loss_and_grads(w, *batch)
+    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
+    [loss1], _ = loss_and_grads(out, *batch)
     assert loss1 <= loss0
 
 
@@ -623,8 +666,8 @@ def test_inner_update_does_not_mutate_input():
     config = small_config()
     w = init_weights(config, 3, 2, rng)
     before = w.values.copy()
-    data = TaskData(*make_batch(rng, 6, 3, 2), np.arange(6))
-    inner_update(w, data, REG_TASK, config, np.random.default_rng(0))
+    data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
+    inner_update(w, data, (REG_TASK,), config, streams(0), [None])
     assert np.array_equal(w.values, before)
 
 
@@ -632,9 +675,9 @@ def test_inner_update_is_pure_given_seed():
     rng = np.random.default_rng(16)
     config = small_config(dropout_rate=0.1)
     w = init_weights(config, 3, 2, rng)
-    data = TaskData(*make_batch(rng, 6, 3, 2), np.arange(6))
-    a = inner_update(w, data, REG_TASK, config, np.random.default_rng(7))
-    b = inner_update(w, data, REG_TASK, config, np.random.default_rng(7))
+    data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
+    a = inner_update(w, data, (REG_TASK,), config, streams(7), [None])
+    b = inner_update(w, data, (REG_TASK,), config, streams(7), [None])
     assert np.array_equal(a.values, b.values)
 
 
@@ -649,13 +692,13 @@ def test_plain_training_never_touches_held_out_embedding():
             dropout_rate=0.1, inner_iterations=4,
         )
         w = init_weights(config, 3, 3, rng)
-        frozen = w.embeddings[g_star].copy()
+        frozen = w.embeddings[0, g_star].copy()
         current = w
         for step in range(3):
-            data = TaskData(*make_batch(rng, 7, 3, 3, exclude_group=g_star), np.arange(7))
-            current = inner_update(current, data, REG_TASK, config, np.random.default_rng(step))
-        assert np.array_equal(current.embeddings[g_star], frozen)
-        assert not np.array_equal(current.embeddings[0], w.embeddings[0])
+            data = TaskData(*one(*make_batch(rng, 7, 3, 3, exclude_group=g_star), np.arange(7)))
+            current = inner_update(current, data, (REG_TASK,), config, streams(step), [None])
+        assert np.array_equal(current.embeddings[0, g_star], frozen)
+        assert not np.array_equal(current.embeddings[0, 0], w.embeddings[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metatreat import eval_harness
+from metatreat import eval_harness, meta_learner
 from metatreat.cli import _load_json, _run_config, build_parser, main, report_from_csv_text
 from metatreat.data_model import (
     DEFAULT_MISSING_SENTINELS,
@@ -451,6 +451,8 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, kind):
         ("config", {"baselines": {"logistic_alpha": -1.0}}, "logistic_alpha must be non-negative"),
         ("space", {"keep_fraction_range": [0.99, 0.7]}, "keep_fraction_range must satisfy"),
         ("space", {"keep_fraction_range": [0.0, 0.7]}, "keep_fraction_range must satisfy"),
+        ("config", {"preprocess": {"residual_alpha": -1.0}}, "residual_alpha must lie in [0, 1]"),
+        ("config", {"preprocess": {"residual_alpha": 1.5}}, "residual_alpha must lie in [0, 1]"),
     ],
 )
 def test_out_of_range_config_values_exit_2_naming_the_key(
@@ -552,6 +554,72 @@ def test_task_batches_over_the_cell_cap_exit_2_and_fail_their_candidate(
     for e in failed:
         assert e["config"]["meta"]["k"] == 10**15
         assert e["error"].startswith("ConfigError: task batches of") and "meta.k" in e["error"]
+
+
+def test_many_tiny_task_batches_exit_2_naming_tasks_per_iteration(
+    tmp_path, study_dir, capsys, monkeypatch
+):
+    # 833,333 one-row-per-group batches hold 7.5 million input cells but
+    # about 1.2 GB: the cap counts each batch's labels, ids and own cost,
+    # and refuses them before any batch is drawn
+    def drawn(*args):
+        raise AssertionError("a task batch was drawn")
+
+    monkeypatch.setattr(meta_learner, "sample_task_batch", drawn)
+    data = ["--data", str(study_dir / "data.csv"), "--manifest", str(study_dir / "manifest.json")]
+    run = tmp_path / "run.json"
+    meta = {**FAST_RUN["meta"], "k": 1, "tasks_per_iteration": 833_333}
+    run.write_text(json.dumps({**FAST_RUN, "meta": meta}))
+    assert main(["cv", *data, "--config", str(run), "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "meta.k 1, meta.tasks_per_iteration 833333, 3 groups, 3 input features" in err
+    assert "exceed the cap of 10000000" in err
+    assert not (tmp_path / "cv" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["ridge_alpha", "x0 regression", "x0 classification"])
+def test_non_finite_baseline_fit_exits_4_naming_the_baseline(tmp_path, study_dir, capsys, case):
+    # a ridge penalty of 1e308, or unscaled x0 cells of -1e308 and 1e308,
+    # overflow the baseline fit's curvature matrix, which eigvalsh cannot
+    # decompose: the run stops with a numeric failure, not a traceback
+    data = study_dir / "data.csv"
+    doc, baseline = {**FAST_RUN, "baselines": {"ridge_alpha": 1e308}}, "ridge"
+    if case != "ridge_alpha":
+        lines = data.read_text().splitlines()
+        col = lines[0].split(",").index("x0")
+        rows = [line.split(",") for line in lines[1:]]
+        for n, cells in enumerate(rows):
+            cells[col] = "1e308" if n % 2 else "-1e308"
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        doc = {**FAST_RUN, "preprocess": {"scaling": "none"}}
+        if case == "x0 classification":
+            doc["task_kind"], baseline = "classification", "logistic"
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        code = main([
+            "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+            "--config", str(run), "--out", str(tmp_path / "x"),
+        ])
+    assert code == 4
+    err = capsys.readouterr().err
+    message = f"{baseline} baseline: curvature matrix of its fit is not finite"
+    assert message in err and "Traceback" not in err
+    if case == "ridge_alpha":
+        # a search records each such candidate as failed; with every one
+        # failed, it exits 3 listing them
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(TINY_SPACE))
+        with np.errstate(all="ignore"):
+            code = main([
+                "grid-search", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+                "--config", str(run), "--space", str(space), "--budget", "2",
+                "--out", str(tmp_path / "gs"),
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"candidate 0: NumericError: {message}; candidate 1: NumericError" in err
 
 
 def test_mutual_information_histogram_over_the_cap_exits_2(tmp_path, study_dir, capsys):

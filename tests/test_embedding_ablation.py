@@ -67,7 +67,7 @@ def _ablation_ratios(seed: int, d: float) -> dict[str, float]:
     for setup, theta in zip(setups, thetas):
         held_out = table.resolve_group(setup.group_name)
         ablated = BaseLearnerWeights(theta.values.copy(), theta.layout, theta.activations)
-        ablated.embeddings[held_out] = setup.theta0.embeddings[held_out]
+        ablated.embeddings[0, held_out] = setup.theta0.embeddings[0, held_out]
         trained = _held_out_mse(setup, theta, config, cv)
         [reported] = [
             r.value for r in report.rows

@@ -740,3 +740,12 @@ def test_strict_dataclass_turns_lists_into_tuples():
         strict_dataclass(SearchSpace, {"keep_fraction_range": [0.9]})
     with pytest.raises(ConfigError, match="search space grid 'n_layers' is empty"):
         strict_dataclass(SearchSpace, {"n_layers": []})
+
+
+def test_published_grids_largest_task_batches_are_under_the_cap():
+    # the grids' largest k and tasks_per_iteration at 100 groups and 1,000
+    # input features, as the cap's comment puts them
+    space = SearchSpace()
+    meta = MetaConfig(k=max(space.k), tasks_per_iteration=max(space.tasks_per_iteration))
+    cells = eval_harness.task_batch_cells(meta, 100, 1000)
+    assert 7_500_000 <= cells <= eval_harness.MAX_BATCH_CELLS

@@ -215,7 +215,7 @@ def _weights(doc: dict) -> BaseLearnerWeights:
 def _predictions(weights: BaseLearnerWeights) -> dict[str, list[float]]:
     x, g = _checkpoint_inputs()
     return {
-        kind: forward(weights, x, g, TINY, kind=kind).tolist()
+        kind: forward(weights, x[None], g[None], TINY, kind, [None])[0].tolist()
         for kind in ("regression", "classification")
     }
 

@@ -178,7 +178,7 @@ def test_sampled_task_is_always_a_training_task():
 
 def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
     """A one-fold stack as ``meta_train`` steps it, the fold's network, and
-    the fold's first batch, stacked and alone."""
+    the fold's first batch, stacked."""
     train_table, masked_test, _, tasks = small_study()
     config = BaseLearnerConfig(
         n_layers=1, hidden_dim=4, embedding_dim=3, activation="tanh",
@@ -190,17 +190,20 @@ def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
     meta = MetaConfig(meta_iterations=iterations, epsilon0=eps0, k=4)
     batch = sample_task_batch(tasks, train_table, masked_test, meta.k, rng, TaskCache())
     state = MetaState(stack_weights([theta]), 0, (rng,), [None])
-    return state, theta, meta_learner._stack_batches([batch]), batch, config, meta
+    return state, theta, meta_learner._stack_batches([batch]), config, meta
 
 
 def test_meta_step_eps1_returns_adapted_weights_bitwise():
-    state, theta, stacked, batch, config, meta = _state_and_batch(eps0=1.0)
+    state, theta, stacked, config, meta = _state_and_batch(eps0=1.0)
     from metatreat.base_learner import inner_update
 
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
-    expected = inner_update(theta, batch.train_data, batch.task, config, np.random.default_rng(0))
-    expected = inner_update(expected, batch.finetune_data, batch.task, config, np.random.default_rng(0))
+    expected = theta
+    for data in (stacked.train_data, stacked.finetune_data):
+        expected = inner_update(
+            expected, data, stacked.task, config, (np.random.default_rng(0),), [None]
+        )
     out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
     # epsilon = eps0 * (T - 0) / T = 1.0 exactly -> theta equals adapted weights
     assert np.array_equal(out.theta.values, expected.values)
@@ -208,7 +211,7 @@ def test_meta_step_eps1_returns_adapted_weights_bitwise():
 
 
 def test_meta_step_zero_lr_leaves_theta_constant():
-    state, theta, stacked, _, config, meta = _state_and_batch(lr=0.0, iterations=3)
+    state, theta, stacked, config, meta = _state_and_batch(lr=0.0, iterations=3)
     out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
     assert np.array_equal(out.theta.values, theta.values)
 
@@ -250,7 +253,7 @@ def test_meta_train_touches_held_out_embedding():
     rng = np.random.default_rng(21)
     theta0 = init_weights(BASE, 3, 3, rng)
     theta = train_one(train_table, masked_test, tasks, meta, seed=21, theta0=theta0)
-    assert not np.array_equal(theta.embeddings[2], theta0.embeddings[2])
+    assert not np.array_equal(theta.embeddings[0, 2], theta0.embeddings[0, 2])
 
 
 def test_meta_train_is_deterministic():
@@ -300,7 +303,7 @@ def test_fine_tune_standardizes_regression_labels():
     vals, obs = train_table.column_values("y")
     x = model_inputs(masked_test)
     for net, row in zip(networks, preds):
-        raw = forward(net, x, masked_test.group_ids, still)
+        [raw] = forward(net, x[None], masked_test.group_ids[None], still, "regression", [None])
         assert row.tobytes() == (raw * float(vals[obs].std()) + float(vals[obs].mean())).tobytes()
 
 
@@ -319,7 +322,7 @@ def _zero_column(net, layer):
     """A copy of ``net`` whose extractor layer ``layer`` has a zero-norm
     direction column, which fails the first pass through it."""
     [broken] = stack_weights([net]).unstack()
-    broken.extractor[layer].v[:, 0] = 0.0
+    broken.extractor[layer].v[..., 0] = 0.0
     return broken
 
 
@@ -394,7 +397,7 @@ def test_lockstep_failure_stops_the_later_folds_only():
     trains, tests, task_sets = _three_folds()
     meta = MetaConfig(meta_iterations=4, k=4)
     thetas = [init_weights(BASE, 3, 3, np.random.default_rng(s)) for s in range(3)]
-    thetas[1].extractor[1].v[:, 0] = 0.0
+    thetas[1].extractor[1].v[..., 0] = 0.0
     rngs = [np.random.default_rng(s) for s in (5, 6, 7)]
     results = meta_train(trains, tests, task_sets, BASE, meta, rngs, thetas)
     message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"

@@ -39,13 +39,16 @@ def _dense(layer, n_rows):
 
 
 def _forward(x, layer):
-    """One layer's forward pass on ``x`` (rows, n_in), failures raised after
-    it, as a step checks them: its activations and buffers."""
+    """One layer's forward pass on ``x`` (rows, n_in), the failure recorded
+    after it, as a step checks them, raised: its activations and buffers."""
     d = _dense(layer, len(x))
     with np.errstate(all="ignore"):
         weight_norm([d], d.norms, d.norms_sq)
         out = dense_forward(x[None], d)[0]
-    record_dense_failures(d, None, "")
+    errors = [None]
+    record_dense_failures(d, errors, "")
+    if errors[0] is not None:
+        raise errors[0]
     return out, d
 
 
@@ -80,9 +83,9 @@ def test_dense_forward_shape_error():
     config = BaseLearnerConfig(n_layers=1, hidden_dim=2, embedding_dim=1)
     w = init_weights(config, 2, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        forward(w, np.ones((1, 3)), np.zeros(1, dtype=int), config)
+        forward(w, np.ones((1, 1, 3)), np.zeros((1, 1), dtype=int), config, "regression", [None])
     with pytest.raises(ShapeError):
-        forward(w, np.ones(2), np.zeros(1, dtype=int), config)
+        forward(w, np.ones((1, 2)), np.zeros((1, 1), dtype=int), config, "regression", [None])
 
 
 def test_zero_norm_column_is_degenerate():
