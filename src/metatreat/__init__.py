@@ -4,7 +4,14 @@ over auxiliary post-treatment tasks."""
 
 __version__ = "0.1.0"
 
-from .base_learner import BaseLearnerConfig, BaseLearnerWeights, forward, init_weights, inner_update
+from .base_learner import (
+    BaseLearnerConfig,
+    BaseLearnerWeights,
+    StepWorkspace,
+    forward,
+    init_weights,
+    inner_update,
+)
 from .data_model import (
     ColumnMeta,
     DatasetTable,
@@ -50,6 +57,7 @@ __all__ = [
     "PreprocessPlan",
     "SearchSpace",
     "SelectionConfig",
+    "StepWorkspace",
     "TaskSet",
     "TaskSpec",
     "auc",

@@ -5,9 +5,10 @@ dense output head over the concatenated representations.
 Every weight lives in one flat vector that the layers view by name, so
 ``loss_and_grads`` returns its gradient in the same layout, and the
 optimizer and the meta-update step the whole network at once.
-``inner_update`` is the k-shot update operator: it runs a fixed number of
-full-batch gradient steps on a task slice in a step workspace, so
-identical (weights, data, config, seed) always give identical results.
+Every primitive acts on a ``StepWorkspace``, which holds the stack it
+steps or reads. ``inner_update`` is the k-shot update operator: it runs a
+fixed number of full-batch gradient steps on a task slice, so identical
+(weights, data, config, seed) always give identical results.
 """
 
 from __future__ import annotations
@@ -260,25 +261,24 @@ def _check_batch(weights: BaseLearnerWeights, x, group_ids, y=None):
 
 
 class StepWorkspace:
-    """Where the steps on one stack run and write.
+    """One stack being stepped or read, with every array its passes write.
 
-    ``net`` is the stack being stepped, an array of the workspace's own:
-    ``inner_update`` copies its input weights in (unless they are ``net``
-    already), steps ``net`` in place and returns it. ``grads`` is the
-    gradient in the same layout. The optimizer's buffers and every other
-    array a step writes are made on first use and kept, one buffer per
-    role: per layer for an array that lives from the forward to the
-    backward pass (a layer's effective weights, and its activations and
-    column norms as regions of blocks that hold every layer's), one for all
-    layers for a transient, and each grown to the largest batch, so that
-    the training and fine-tune batches of a meta-iteration share it.
-    The owner, one meta-loop stack or one ``inner_update`` or
-    ``loss_and_grads`` call, drops the workspace with the stack.
+    ``net`` is the workspace's own copy of the stack, which
+    ``inner_update`` steps in place and ``forward`` reads; ``grads`` is the
+    gradient in the same layout, which each ``loss_and_grads`` call
+    overwrites. The optimizer's buffers and every other array a pass writes
+    are made on first use and kept, one buffer per role: per layer for an
+    array that lives from the forward to the backward pass (a layer's
+    effective weights, and its activations and column norms as regions of
+    blocks that hold every layer's), one for all layers for a transient,
+    and each grown to the largest batch, so that the training, fine-tune
+    and prediction batches run on it share it. The owner, one meta-loop
+    stack or one meta-test, drops the workspace with the stack.
     """
 
     def __init__(self, stack: BaseLearnerWeights) -> None:
-        """A workspace for stacks laid out like ``stack``."""
-        self.net = stack._view(np.empty(stack.values.size), stack.folds)
+        """A workspace over a copy of ``stack``, which stays as it is."""
+        self.net = stack._view(stack.values.copy(), stack.folds)
         # row 1 is the gradient, row 0 the optimizer's step (see ``optimizer``)
         self._update = np.empty((2, stack.values.size))
         self.grads = stack._view(self._update[1], stack.folds)
@@ -429,21 +429,21 @@ def _embedding_rows(weights: BaseLearnerWeights, g: np.ndarray) -> np.ndarray:
 
 
 def _plan(
-    weights: BaseLearnerWeights, x: np.ndarray, g: np.ndarray, y, kind: str,
-    config: BaseLearnerConfig, ws: StepWorkspace,
+    ws: StepWorkspace, x: np.ndarray, g: np.ndarray, y, kind: str, config: BaseLearnerConfig
 ) -> _StepPlan:
-    """Index a stacked batch that ``_check_batch`` passed for a step."""
+    """Index a stacked batch that ``_check_batch`` passed for a step in
+    ``ws``."""
     if x.shape[1] == 0:
         raise DataError("empty batch")
-    present = np.zeros(weights.embeddings.shape[:2], dtype=bool)
+    present = np.zeros(ws.net.embeddings.shape[:2], dtype=bool)
     present[np.arange(len(x))[:, None], g] = True
     counts = present.sum(axis=1)
     if (counts != counts[0]).any():
         raise ShapeError("folds stepped together must each cover the same number of groups")
     l1, l2 = config.l1_l2()
     buffers = ws.batch(x.shape[1], config.dropout_rate > 0.0)
-    rows = _embedding_rows(weights, g)
-    dim = weights.embeddings.shape[-1]
+    rows = _embedding_rows(ws.net, g)
+    dim = ws.net.embeddings.shape[-1]
     scatter = (rows[..., None] * dim + np.arange(dim)).ravel()
     active = (np.flatnonzero(present)[:, None] * dim + np.arange(dim)).ravel()
     return _StepPlan(
@@ -495,22 +495,19 @@ def _check_step(b: _BatchBuffers, errors: FoldErrors, with_loss: bool) -> None:
 
 
 def forward(
-    weights: BaseLearnerWeights, x: np.ndarray, group_ids: np.ndarray, config: BaseLearnerConfig,
-    kind: str, errors: FoldErrors,
+    ws: StepWorkspace, x: np.ndarray, group_ids: np.ndarray, kind: str, errors: FoldErrors
 ) -> np.ndarray:
-    """A stack's predictions (folds, rows) for a stacked batch:
-    extractor(x) ++ embeddings[g] -> head, without dropout, so fully
-    deterministic. It runs the training step's layer code, in a workspace of
-    its own, and records failures in ``errors`` as ``loss_and_grads`` does.
-    Classification applies a sigmoid on the head output, so values land in
-    (0, 1).
+    """The predictions (folds, rows) of ``ws``'s stack for a stacked batch,
+    a fresh array: extractor(x) ++ embeddings[g] -> head, without dropout,
+    so fully deterministic. It runs the training step's layer code in the
+    workspace's buffers and records failures in ``errors`` as
+    ``loss_and_grads`` does. Classification applies a sigmoid on the head
+    output, so values land in (0, 1).
     """
-    x, g, _ = _check_batch(weights, x, group_ids)
-    ws = StepWorkspace(weights)
-    np.copyto(ws.net.values, weights.values)
+    x, g, _ = _check_batch(ws.net, x, group_ids)
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
-        pred = _forward_pass(b, x, _embedding_rows(weights, g), kind, 0.0, 0.0)
+        pred = _forward_pass(b, x, _embedding_rows(ws.net, g), kind, 0.0, 0.0)
         _check_step(b, errors, with_loss=False)
     return pred.copy()
 
@@ -558,12 +555,12 @@ def _step(
 
 
 def loss_and_grads(
-    weights: BaseLearnerWeights, x: np.ndarray, group_ids: np.ndarray, y: np.ndarray, kind: str,
+    ws: StepWorkspace, x: np.ndarray, group_ids: np.ndarray, y: np.ndarray, kind: str,
     config: BaseLearnerConfig, rng: Sequence[np.random.Generator], errors: FoldErrors,
 ) -> tuple[np.ndarray, BaseLearnerWeights]:
-    """Exact gradients of mean task loss + regularization of a stack whose
-    folds step together, one loss per fold and the gradient laid out like
-    ``weights``.
+    """Exact gradients of mean task loss + regularization of ``ws``'s
+    stack, whose folds step together: a fresh array of one loss per fold,
+    and ``ws.grads``, which the workspace's next step overwrites.
 
     Regularization covers direction matrices and the embedding rows active
     in the batch; untouched embedding rows receive a strictly zero gradient,
@@ -574,16 +571,13 @@ def loss_and_grads(
     same number of groups. ``errors`` collects each fold's first numeric
     failure (``nn_core.record_failures``): a step checks once, over all its
     layers, and only a failing step names each fold's first failure in
-    layer order, the loss last. Each call runs one step on a plan and
-    workspace of its own, so the gradient it returns is a fresh array.
+    layer order, the loss last.
     """
-    x, g, y = _check_batch(weights, x, group_ids, y)
-    ws = StepWorkspace(weights)
-    plan = _plan(weights, x, g, y, kind, config, ws)
-    np.copyto(ws.net.values, weights.values)
+    x, g, y = _check_batch(ws.net, x, group_ids, y)
+    plan = _plan(ws, x, g, y, kind, config)
     with np.errstate(all="ignore"):
         loss = _step(plan, rng, errors)
-    return loss, ws.grads
+    return loss.copy(), ws.grads
 
 
 def _task_kind(tasks: Sequence[TaskSpec]) -> str:
@@ -594,39 +588,29 @@ def _task_kind(tasks: Sequence[TaskSpec]) -> str:
 
 
 def inner_update(
-    weights: BaseLearnerWeights,
+    ws: StepWorkspace,
     data: TaskData,
     task: Sequence[TaskSpec],
     config: BaseLearnerConfig,
     rng: Sequence[np.random.Generator],
     errors: FoldErrors,
-    workspace: StepWorkspace | None = None,
-) -> BaseLearnerWeights:
+) -> None:
     """The k-shot update operator: ``inner_iterations`` full-batch steps of
-    a stack on one stacked task slice with a fresh optimizer.
+    ``ws``'s stack, in place, on one stacked task slice with a fresh
+    optimizer.
 
     ``data`` carries the leading fold axis, ``task`` is one spec per fold
     (all of one kind) and ``rng`` one stream per fold; ``errors`` is as in
-    ``loss_and_grads``. The steps run in ``workspace``, a ``StepWorkspace``
-    that the caller keeps across updates, or a fresh one: ``weights`` are
-    copied into its stack unless they are that stack already, which is
-    stepped in place and returned. Other input weights are never mutated.
-    The batch is checked and indexed once for every step.
+    ``loss_and_grads``. The batch is checked and indexed once for every
+    step.
     """
     if np.size(data.y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    x, g, y = _check_batch(weights, data.x, data.group_ids, data.y)
-    ws = StepWorkspace(weights) if workspace is None else workspace
-    net = ws.net
-    if net.folds != weights.folds or net.values.size != weights.values.size:
-        raise ShapeError("step workspace does not match the stack")
-    if weights.values is not net.values:
-        np.copyto(net.values, weights.values)
+    x, g, y = _check_batch(ws.net, data.x, data.group_ids, data.y)
     if config.learning_rate != 0.0 and config.inner_iterations != 0:
-        plan = _plan(weights, x, g, y, _task_kind(task), config, ws)
+        plan = _plan(ws, x, g, y, _task_kind(task), config)
         state = ws.optimizer(config)
         with np.errstate(all="ignore"):
             for _ in range(config.inner_iterations):
                 _step(plan, rng, errors)
-                optimizer_step(net.values, ws.grads.values, state)
-    return net
+                optimizer_step(ws.net.values, ws.grads.values, state)

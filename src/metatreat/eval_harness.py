@@ -445,9 +445,12 @@ def _fold_setup(
 ) -> _FoldSetup:
     gid = raw_table.resolve_group(group_name)
     train_mask = raw_table.group_ids != gid
-    plan, processed = fit_preprocess(
-        raw_table, train_mask, config.preprocess, manifest.differential_pairs
-    )
+    # cells near the float limit overflow the fitted statistics; the
+    # network's or a baseline's check reports the failure
+    with np.errstate(all="ignore"):
+        plan, processed = fit_preprocess(
+            raw_table, train_mask, config.preprocess, manifest.differential_pairs
+        )
     train_table, test_table = group_holdout_split(processed, group_name)
     masked_test = withhold_targets(test_table)
 
@@ -502,20 +505,21 @@ def _fold_rows(
         baselines = (
             CLASSIFICATION_BASELINES if task.kind == "classification" else REGRESSION_BASELINES
         )
-        for name in baselines:
-            predictions[name] = tuple(
-                baseline_predict(name, (data.x, data.y), x, config.baselines)
-                for x in (x_test, data.x)
-            )
-        for model_name, (preds_test, preds_train) in predictions.items():
-            value, note = _score(task.kind, preds_test, y_test)
-            train_value, _ = _score(task.kind, preds_train, data.y)
-            rows.append(
-                MetricRow(
-                    fold.group_name, task.column, model_name, metric_name,
-                    value, train_value, int(scored.size), note,
+        with np.errstate(all="ignore"):
+            for name in baselines:
+                predictions[name] = tuple(
+                    baseline_predict(name, (data.x, data.y), x, config.baselines)
+                    for x in (x_test, data.x)
                 )
-            )
+            for model_name, (preds_test, preds_train) in predictions.items():
+                value, note = _score(task.kind, preds_test, y_test)
+                train_value, _ = _score(task.kind, preds_train, data.y)
+                rows.append(
+                    MetricRow(
+                        fold.group_name, task.column, model_name, metric_name,
+                        value, train_value, int(scored.size), note,
+                    )
+                )
     rows.sort(key=lambda r: (r.task, r.model))
     return rows
 

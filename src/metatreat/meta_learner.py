@@ -167,20 +167,19 @@ def meta_step(
     With several task batches the train/fine-tune pair runs sequentially on
     each before the single interpolation, which moves the initialization
     toward the adapted weights: theta + eps*(adapted - theta) is written
-    back into ``state.theta``. The adapted weights live in ``workspace``,
-    one made for ``state.theta``.
+    back into ``state.theta``. The weights adapt in ``workspace``, one made
+    for ``state.theta``, into which theta is copied first.
     """
     if state.t >= meta_config.meta_iterations:
         raise ConfigError("meta-training already consumed all iterations")
     if not batches:
         raise ConfigError("a meta-iteration needs at least one task batch")
     eps = epsilon_schedule(state.t, meta_config.meta_iterations, meta_config.epsilon0)
-    adapted = state.theta
+    adapted = workspace.net
+    np.copyto(adapted.values, state.theta.values)
     for batch in batches:
         for data in (batch.train_data, batch.finetune_data):
-            adapted = inner_update(
-                adapted, data, batch.task, base_config, state.rng, state.errors, workspace
-            )
+            inner_update(workspace, data, batch.task, base_config, state.rng, state.errors)
     with np.errstate(all="ignore"):
         param_axpy(state.theta.values, adapted.values, eps, out=adapted.values)
     np.copyto(state.theta.values, adapted.values)
@@ -329,14 +328,14 @@ def fine_tune(
     rngs: Sequence[np.random.Generator],
 ) -> list[np.ndarray]:
     """The meta-test of networks of one layout on a target task: one k-shot
-    update of their stack on all of the task's available rows (``data`` as
-    ``task_dataset`` builds it), each network on its stream of ``rngs``,
-    then the predictions (without dropout) for every row of each of
-    ``tables``, one (networks, rows) array per table. Inner loops are too
-    short to re-learn an output scale, so regression labels are
-    standardized on those rows and the predictions mapped back. Of the
-    networks' first numeric failures the first in network order is raised,
-    as if each network ran alone in turn.
+    update of their stack, in one step workspace, on all of the task's
+    available rows (``data`` as ``task_dataset`` builds it), each network
+    on its stream of ``rngs``, then the predictions (without dropout) for
+    every row of each of ``tables`` in that workspace, one (networks, rows)
+    array per table. Inner loops are too short to re-learn an output scale,
+    so regression labels are standardized on those rows and the predictions
+    mapped back. Of the networks' first numeric failures the first in
+    network order is raised, as if each network ran alone in turn.
     """
     shift, scale = 0.0, 1.0
     if task.kind == "regression":
@@ -345,11 +344,12 @@ def fine_tune(
     y = (data.y - shift) / scale
     stacked = TaskData(*(np.stack([a] * n) for a in (data.x, data.group_ids, y, data.row_indices)))
     errors: FoldErrors = [None] * n
-    adapted = inner_update(stack_weights(networks), stacked, (task,) * n, base_config, rngs, errors)
+    ws = StepWorkspace(stack_weights(networks))
+    inner_update(ws, stacked, (task,) * n, base_config, rngs, errors)
     preds = [
         forward(
-            adapted, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n),
-            base_config, task.kind, errors,
+            ws, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n), task.kind,
+            errors,
         ) * scale + shift
         for table in tables
     ]

@@ -16,12 +16,15 @@ dropout, under Adam and both penalties; a study with missing cells under
 two scalings; a study whose target is blank in some rows of every group,
 so that scoring picks a proper subset of each side's rows; a binary
 stratifier tied to ``x0``, so that features residualize, under two
-scalings; a study whose manifest declares a
+scalings, and written as a two-level categorical column, which loading
+codes 0/1; a study whose manifest declares a
 two-level categorical feature and a ``score_pre``/``score_post`` pair under
 ``"differential_pairs": "auto"``, so that loading one-hot encodes and
 preprocessing appends a differential feature; budget-12 searches on the
-bench space; and three ``cv`` runs that stop in a numeric failure, one at
-the head, one in an extractor layer and one at the loss.
+bench space; and four ``cv`` runs that stop in a numeric failure, one at
+the head, one in an extractor layer, one at the loss, and one in the last
+fold alone, whose ``x0`` cells are huge, so that the meta-loop drops that
+fold and steps on with the earlier ones.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from workloads import GRID_BUDGET, WORKLOADS, study_config, write_space  # noqa:
 STUDY_SEED = 7
 MISSING_RATE = 0.35
 TARGET_GAP = 5  # every fifth row's target is blank in the missing-target study
+HUGE = 1e100  # the last-fold study's factor on group g2's x0
 REFERENCE = "g0"
 
 # run name -> (study, command, extra argv, run config or None)
@@ -89,6 +93,10 @@ RUNS = {
         {"base": {"activation": "relu", "learning_rate": 1e8, "n_layers": 6, "hidden_dim": 64}},
     ),
     "cv-numeric-loss": ("plain", "cv", [], {"base": {"reg_strength": 1e308}}),
+    "cv-stratifier-categorical": ("stratifier-categorical", "cv", [], None),
+    "cv-numeric-last-fold": (
+        "last-fold", "cv", [], {"base": {"activation": "relu", "n_layers": 4}},
+    ),
 }
 
 
@@ -100,8 +108,11 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     """The plain study, the same settings with missing cells, the plain
     study with every ``TARGET_GAP``-th row's ``y`` blank, so that every
     group, the held-out one included, has rows without a target, the plain
-    study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, and the
-    ingestion study (``write_ingest_study``)."""
+    study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, the
+    ingestion study (``write_ingest_study``), the plain study with a
+    categorical stratifier ``s``, ``above`` where ``x0 > 0``, else
+    ``below``, and the plain study with group ``g2``'s ``x0`` times
+    ``HUGE``."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -127,8 +138,19 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     )
     manifest = Manifest(columns=columns, group_column=manifest.group_column)
     studies["stratifier"] = write_dataset(root / "study-stratifier", table, manifest, truth, config)
-    table, manifest, _ = generate(config)
+    table, manifest, truth = generate(config)
     studies["ingest"] = write_ingest_study(root / "study-ingest", table, manifest)
+    strata = ["above" if v > 0.0 else "below" for v in table.column_values("x0")[0]]
+    studies["stratifier-categorical"] = write_text_column(
+        root / "study-stratifier-categorical", table, manifest,
+        {"name": "s", "timing": "pre", "kind": "categorical", "role": "stratifier"}, strata,
+    )
+    values = table.values.copy()
+    values[table.group_ids == table.resolve_group("g2"), table.column_index("x0")] *= HUGE
+    studies["last-fold"] = write_dataset(
+        root / "study-last-fold", table.replace_matrix(table.columns, values, table.missing_mask),
+        manifest, truth, config,
+    )
     return studies
 
 
@@ -137,7 +159,6 @@ def write_ingest_study(out: Path, table, manifest) -> dict[str, Path]:
     ``score_post`` (``x2 + aux0``), paired by ``"auto"``, and a categorical
     feature ``color``: ``red`` where ``x1 > 0``, else ``blue``."""
     from metatreat.data_model import ColumnMeta, Manifest
-    from metatreat.synth_gen import manifest_to_json_text, table_to_csv_text
 
     x1, x2, aux0 = (table.column_values(name)[0] for name in ("x1", "x2", "aux0"))
     columns = table.columns + (ColumnMeta("score_pre", "pre"), ColumnMeta("score_post", "post"))
@@ -145,15 +166,27 @@ def write_ingest_study(out: Path, table, manifest) -> dict[str, Path]:
         columns, np.column_stack([table.values, x2, x2 + aux0]),
         np.column_stack([table.missing_mask, np.zeros((table.n_rows, 2), dtype=bool)]),
     )
+    return write_text_column(
+        out, table, Manifest(columns, manifest.group_column),
+        {"name": "color", "timing": "pre", "kind": "categorical"},
+        ["red" if v > 0.0 else "blue" for v in x1], differential_pairs="auto",
+    )
+
+
+def write_text_column(out: Path, table, manifest, column: dict, cells, **keys) -> dict[str, Path]:
+    """``table`` with one more column of text ``cells``, which the manifest
+    declares as ``column``, with further manifest ``keys``."""
+    from metatreat.synth_gen import manifest_to_json_text, table_to_csv_text
+
     lines = table_to_csv_text(table).splitlines()
-    colors = ["red" if v > 0.0 else "blue" for v in x1]
-    rows = [f"{line},{color}" for line, color in zip(lines[1:], colors)]
-    doc = json.loads(manifest_to_json_text(Manifest(columns, manifest.group_column)))
-    doc["columns"].append({"name": "color", "timing": "pre", "kind": "categorical"})
-    doc["differential_pairs"] = "auto"
+    rows = [f"{line},{cell}" for line, cell in zip(lines[1:], cells)]
+    doc = json.loads(manifest_to_json_text(manifest))
+    doc["columns"].append(column)
+    doc.update(keys)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"data": out / "data.csv", "manifest": out / "manifest.json"}
-    paths["data"].write_text("\n".join([lines[0] + ",color", *rows]) + "\n", encoding="utf-8")
+    header = f"{lines[0]},{column['name']}"
+    paths["data"].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     paths["manifest"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return paths
 

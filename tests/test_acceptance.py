@@ -114,7 +114,7 @@ def _oracle_loss(values, net, x, g, y, kind, reg, masks):
 
 
 def test_criterion_1_gradient_oracle():
-    from metatreat.base_learner import loss_and_grads
+    from metatreat.base_learner import StepWorkspace, loss_and_grads
 
     start = time.time()
     rng = np.random.default_rng(20240001)
@@ -146,8 +146,8 @@ def test_criterion_1_gradient_oracle():
 
         mask_seed = int(rng.integers(2**31))
         _, grads = loss_and_grads(
-            net, x[None], g[None], y[None], kind, config, (np.random.default_rng(mask_seed),),
-            [None],
+            StepWorkspace(net), x[None], g[None], y[None], kind, config,
+            (np.random.default_rng(mask_seed),), [None],
         )
         mask_rng = np.random.default_rng(mask_seed)
         rate = config.dropout_rate
@@ -237,7 +237,7 @@ def test_criterion_3_update_algebra():
     )
 
     # (b) eps=1, single task, toward_adapted: theta equals adapted weights bitwise
-    from metatreat.base_learner import inner_update
+    from metatreat.base_learner import StepWorkspace, inner_update
 
     train_table, masked_test, tasks, base = _algebra_setup(lr=0.05)
     rng = np.random.default_rng(5)
@@ -247,16 +247,14 @@ def test_criterion_3_update_algebra():
     batch = sample_task_batch(
         tasks, train_table, masked_test, meta.k, copy.deepcopy(rng), TaskCache()
     )
-    adapted = theta
+    adapted = StepWorkspace(theta)
     for d in (batch.train_data, batch.finetune_data):
         stacked = TaskData(d.x[None], d.group_ids[None], d.y[None], d.row_indices[None])
-        adapted = inner_update(
-            adapted, stacked, (batch.task,), base, (np.random.default_rng(0),), [None]
-        )
+        inner_update(adapted, stacked, (batch.task,), base, (np.random.default_rng(0),), [None])
     [stepped] = meta_train(
         [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
     )
-    eps1_ok = np.array_equal(stepped.values, adapted.values)
+    eps1_ok = np.array_equal(stepped.values, adapted.net.values)
 
     # (c) lr=0 is a fixed point across every meta-iteration
     train_table, masked_test, tasks, base0 = _algebra_setup(lr=0.0)

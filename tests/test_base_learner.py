@@ -50,6 +50,14 @@ def one(*arrays):
     return tuple(np.asarray(a)[None] for a in arrays)
 
 
+def updated(weights, *args):
+    """``weights`` after an ``inner_update`` with ``args``, in a fresh
+    workspace."""
+    ws = StepWorkspace(weights)
+    inner_update(ws, *args)
+    return ws.net
+
+
 def make_batch(rng, n, d, n_groups, exclude_group=None):
     x = rng.normal(size=(n, d))
     choices = [g for g in range(n_groups) if g != exclude_group]
@@ -64,7 +72,7 @@ def test_forward_embedding_path_is_live():
     config = small_config()
     w = init_weights(config, 3, 3, rng)
     x = np.tile(rng.normal(size=(1, 3)), (2, 1))
-    [out] = forward(w, *one(x, [0, 1]), config, "regression", [None])
+    [out] = forward(StepWorkspace(w), *one(x, [0, 1]), "regression", [None])
     assert out[0] != out[1]  # same features, different embeddings
 
 
@@ -75,7 +83,8 @@ def test_forward_zero_embeddings_and_head_give_zero():
     w.embeddings[:] = 0.0
     w.head.gain[:] = 0.0
     w.head.bias[:] = 0.0
-    out = forward(w, *one(rng.normal(size=(4, 3)), np.zeros(4)), config, "regression", [None])
+    x, g = one(rng.normal(size=(4, 3)), np.zeros(4))
+    out = forward(StepWorkspace(w), x, g, "regression", [None])
     assert out.shape == (1, 4) and np.all(out == 0.0)
 
 
@@ -84,8 +93,9 @@ def test_forward_eval_mode_deterministic():
     config = small_config(dropout_rate=0.2)
     w = init_weights(config, 3, 2, rng)
     x, g = one(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
-    a = forward(w, x, g, config, "regression", [None])
-    b = forward(w, x, g, config, "regression", [None])
+    ws = StepWorkspace(w)
+    a = forward(ws, x, g, "regression", [None])
+    b = forward(ws, x, g, "regression", [None])
     assert np.array_equal(a, b)
 
 
@@ -94,7 +104,7 @@ def test_forward_sigmoid_outputs_in_unit_interval():
     config = small_config()
     w = init_weights(config, 3, 2, rng)
     x, g = one(rng.normal(size=(10, 3)), rng.integers(0, 2, 10))
-    out = forward(w, x, g, config, "classification", [None])
+    out = forward(StepWorkspace(w), x, g, "classification", [None])
     assert np.all((out > 0.0) & (out < 1.0))
 
 
@@ -103,7 +113,7 @@ def test_forward_unknown_group_rejected():
     config = small_config()
     w = init_weights(config, 3, 2, rng)
     with pytest.raises(DataError):
-        forward(w, *one(rng.normal(size=(1, 3)), [5]), config, "regression", [None])
+        forward(StepWorkspace(w), *one(rng.normal(size=(1, 3)), [5]), "regression", [None])
 
 
 def test_forward_respects_batch_decomposition():
@@ -111,20 +121,25 @@ def test_forward_respects_batch_decomposition():
     config = small_config()
     w = init_weights(config, 4, 3, rng)
     x, g = one(rng.normal(size=(7, 4)), rng.integers(0, 3, 7))
-    [batch] = forward(w, x, g, config, "regression", [None])
+    ws = StepWorkspace(w)
+    [batch] = forward(ws, x, g, "regression", [None])
     single = [
-        forward(w, x[:, i : i + 1], g[:, i : i + 1], config, "regression", [None])[0, 0]
+        forward(ws, x[:, i : i + 1], g[:, i : i + 1], "regression", [None])[0, 0]
         for i in range(7)
     ]
     assert np.allclose(batch, single, atol=1e-12)
 
 
 def test_forward_eval_mode_ignores_dropout():
+    # the masks a training step drew on the same rows stay out of prediction
     rng = np.random.default_rng(6)
-    w = init_weights(small_config(dropout_rate=0.7), 3, 2, rng)
+    config = small_config(dropout_rate=0.7)
+    w = init_weights(config, 3, 2, rng)
     x, g = one(rng.normal(size=(5, 3)), rng.integers(0, 2, 5))
-    dropped = forward(w, x, g, small_config(dropout_rate=0.7), "regression", [None])
-    kept = forward(w, x, g, small_config(dropout_rate=0.0), "regression", [None])
+    ws = StepWorkspace(w)
+    loss_and_grads(ws, x, g, np.zeros((1, 5)), "regression", config, streams(0), [None])
+    dropped = forward(ws, x, g, "regression", [None])
+    kept = forward(StepWorkspace(w), x, g, "regression", [None])
     assert np.array_equal(dropped, kept)
 
 
@@ -170,14 +185,14 @@ def test_composite_gradients_match_central_differences(kind, reg_kind):
     x, g, y = make_batch(rng, 6, 3, 3)
     if kind == "classification":
         y = (y > 0).astype(float)
-    _, grads = loss_and_grads(w, *one(x, g, y), kind, config, streams(0), [None])
+    _, grads = loss_and_grads(StepWorkspace(w), *one(x, g, y), kind, config, streams(0), [None])
 
     l1, l2 = config.l1_l2()
     active = np.unique(g)
 
     def loss_fn(flat_values):
         cand = BaseLearnerWeights(flat_values, w.layout, w.activations)
-        [pred] = forward(cand, *one(x, g), config, kind, [None])
+        [pred] = forward(StepWorkspace(cand), *one(x, g), kind, [None])
         if kind == "classification":
             p = np.clip(pred, 1e-12, 1.0 - 1e-12)
             total = np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
@@ -211,7 +226,9 @@ def test_loss_and_grads_matches_unfused_reference_bitwise(kind, activation, reg_
         if kind == "classification":
             y = (y > 0).astype(float)
         before = w.values.copy()
-        [loss], grads = loss_and_grads(w, *one(x, g, y), kind, config, streams(seed), [None])
+        [loss], grads = loss_and_grads(
+            StepWorkspace(w), *one(x, g, y), kind, config, streams(seed), [None]
+        )
         ref_loss, ref_grads = reference_loss_and_grads(
             w, x, g, y, kind, config, rng=np.random.default_rng(seed)
         )
@@ -243,7 +260,7 @@ def test_inner_update_matches_unfused_reference_bitwise(
         y = (y > 0).astype(float)
     data = TaskData(*one(x, g, y, np.arange(8)))
     task = CLS_TASK if kind == "classification" else REG_TASK
-    out = inner_update(w, data, (task,), config, streams(9), [None])
+    out = updated(w, data, (task,), config, streams(9), [None])
     expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
@@ -271,11 +288,15 @@ def test_stacked_loss_and_grads_matches_each_fold_alone(kind, hidden_dim):
         batches = [(x, g, (y > 0).astype(float)) for x, g, y in batches]
     x, g, y = (np.stack(parts) for parts in zip(*batches))
     stack = stack_weights(nets)
-    losses, grads = loss_and_grads(stack, x, g, y, kind, config, streams(0, 1, 2), [None] * 3)
+    losses, grads = loss_and_grads(
+        StepWorkspace(stack), x, g, y, kind, config, streams(0, 1, 2), [None] * 3
+    )
     grads = per_fold(grads)
     assert grads.shape == (3, nets[0].values.size)
     for f, net in enumerate(nets):
-        [loss], grad = loss_and_grads(net, *one(*batches[f]), kind, config, streams(f), [None])
+        [loss], grad = loss_and_grads(
+            StepWorkspace(net), *one(*batches[f]), kind, config, streams(f), [None]
+        )
         assert losses[f] == loss
         assert grads[f].tobytes() == grad.values.tobytes()
 
@@ -328,21 +349,27 @@ def test_stack_unstack_round_trips_bitwise(n_layers, hidden_dim, embedding_dim):
 
 
 def test_update_of_a_workspace_stack_steps_it_in_place():
-    # an update leaves its input stack as it was, unless that stack is the
-    # workspace's own, which it steps in place to the bits a copy would get
+    # a workspace steps a copy of the stack it was made from, in place, and
+    # successive updates in it, on batches of two sizes, give the bits of a
+    # fresh workspace per update
     rng = np.random.default_rng(36)
     config = small_config(dropout_rate=0.2, optimizer="adam")
     theta = stack_weights([init_weights(config, 4, 4, rng) for _ in range(3)])
     before = theta.values.copy()
     _, data = stacked_task(rng, 3)
+    _, other = stacked_task(rng, 3, n_rows=5)
     tasks = (REG_TASK,) * 3
-    workspace = StepWorkspace(theta)
-    out = inner_update(theta, data, tasks, config, streams(5, 6, 7), [None] * 3, workspace)
+    ws = StepWorkspace(theta)
+    net = ws.net.values
+    assert inner_update(ws, data, tasks, config, streams(5, 6, 7), [None] * 3) is None
+    assert ws.net.values is net and net.tobytes() != before.tobytes()
+    inner_update(ws, other, tasks, config, streams(8, 9, 10), [None] * 3)
+    inner_update(ws, data, tasks, config, streams(11, 12, 13), [None] * 3)
+    expected = theta
+    for batch, seeds in ((data, (5, 6, 7)), (other, (8, 9, 10)), (data, (11, 12, 13))):
+        expected = updated(expected, batch, tasks, config, streams(*seeds), [None] * 3)
+    assert net.tobytes() == expected.values.tobytes()
     assert theta.values.tobytes() == before.tobytes()
-    copy = stack_weights(out.unstack())
-    assert inner_update(out, data, tasks, config, streams(5, 6, 7), [None] * 3, workspace) is out
-    expected = inner_update(copy, data, tasks, config, streams(5, 6, 7), [None] * 3)
-    assert out.values.tobytes() == expected.values.tobytes()
 
 
 @pytest.mark.parametrize("embedding_dim", [0, 1, 128])
@@ -361,11 +388,13 @@ def test_stacked_embedding_gradient_matches_reference_bitwise(embedding_dim):
         g = rng.permutation(np.repeat([c for c in range(4) if c != f], (1, 3, 5)))
         x, y = rng.normal(size=(9, 4)), rng.normal(size=9)
         fitted = g == g[0]
-        y[fitted] = forward(net, *one(x, g), config, "regression", [None])[0, fitted]
+        y[fitted] = forward(StepWorkspace(net), *one(x, g), "regression", [None])[0, fitted]
         batches.append((x, g, y))
     x, g, y = (np.stack(parts) for parts in zip(*batches))
     stack = stack_weights(nets)
-    _, grads = loss_and_grads(stack, x, g, y, "regression", config, streams(0, 1, 2), [None] * 3)
+    _, grads = loss_and_grads(
+        StepWorkspace(stack), x, g, y, "regression", config, streams(0, 1, 2), [None] * 3
+    )
     got = per_fold(grads)
     for f, net in enumerate(nets):
         _, expected = reference_loss_and_grads(net, *batches[f], "regression", config)
@@ -386,7 +415,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     batches, data = stacked_task(rng, 3)
     counting = tuple(CountingStream(seed) for seed in range(3))
     out = per_fold(
-        inner_update(stack_weights(nets), data, (REG_TASK,) * 3, config, counting, [None] * 3)
+        updated(stack_weights(nets), data, (REG_TASK,) * 3, config, counting, [None] * 3)
     )
     assert [s.calls for s in counting] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
@@ -402,29 +431,29 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
         assert counting[f].stream.random() == reference.random()
 
 
-def test_step_workspace_never_aliases_results():
+def test_step_workspaces_share_no_memory():
+    # each workspace writes only its own arrays: a gradient is the
+    # workspace's, which its next step overwrites with the bits a fresh
+    # workspace gives, and no step in one workspace moves another's
     rng = np.random.default_rng(34)
     config = small_config(dropout_rate=0.2, optimizer="adam")
     w = init_weights(config, 4, 4, rng)
+    before = w.values.copy()
     x, g, y = one(*make_batch(rng, 9, 4, 4))
-    _, first = loss_and_grads(w, x, g, y, "regression", config, streams(0), [None])
-    kept = first.values.copy()
-    _, second = loss_and_grads(w, x, g, -y, "regression", config, streams(0), [None])
-    assert not np.shares_memory(first.values, second.values)
-    assert first.values.tobytes() == kept.tobytes()
-
-    # updates that share one workspace return its stack, and match updates
-    # that each had a fresh one
-    theta = stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)])
-    workspace = StepWorkspace(theta)
-    tasks = (REG_TASK,) * 2
-    _, data = stacked_task(rng, 2)
-    _, other = stacked_task(rng, 2, n_rows=5)
-    inner_update(theta, data, tasks, config, streams(1, 2), [None] * 2, workspace)
-    later = inner_update(theta, other, tasks, config, streams(3, 4), [None] * 2, workspace)
-    assert later is workspace.net
-    fresh = inner_update(theta, other, tasks, config, streams(3, 4), [None] * 2)
-    assert later.values.tobytes() == fresh.values.tobytes()
+    ws, other = StepWorkspace(w), StepWorkspace(w)
+    _, first = loss_and_grads(ws, x, g, y, "regression", config, streams(0), [None])
+    assert first is ws.grads
+    _, second = loss_and_grads(other, x, g, -y, "regression", config, streams(0), [None])
+    kept = second.values.copy()
+    _, again = loss_and_grads(ws, x, g, -y, "regression", config, streams(0), [None])
+    assert again.values.tobytes() == kept.tobytes() == second.values.tobytes()
+    inner_update(ws, TaskData(x, g, y, g), (REG_TASK,), config, streams(1), [None])
+    assert second.values.tobytes() == kept.tobytes()
+    assert w.values.tobytes() == before.tobytes()
+    arrays = [[space.net.values, space._update, *space._arrays.values()] for space in (ws, other)]
+    for a in arrays[0]:
+        assert not np.shares_memory(a, w.values)
+        assert not any(np.shares_memory(a, b) for b in arrays[1])
 
 
 def test_stack_keeps_each_folds_first_numeric_failure():
@@ -439,12 +468,14 @@ def test_stack_keeps_each_folds_first_numeric_failure():
     g, y = np.zeros((2, 1), dtype=int), np.zeros((2, 1))
     errors = [None, None]
     stack = stack_weights(nets)
-    losses, grads = loss_and_grads(stack, x, g, y, "regression", config, streams(0, 1), errors)
+    losses, grads = loss_and_grads(
+        StepWorkspace(stack), x, g, y, "regression", config, streams(0, 1), errors
+    )
     grads = per_fold(grads)
     assert errors[0] is None
     assert str(errors[1]) == "extractor layer 1: dense layer produced non-finite activations"
     [loss], grad = loss_and_grads(
-        nets[0], x[:1], g[:1], y[:1], "regression", config, streams(0), [None]
+        StepWorkspace(nets[0]), x[:1], g[:1], y[:1], "regression", config, streams(0), [None]
     )
     assert losses[0] == loss and grads[0].tobytes() == grad.values.tobytes()
 
@@ -458,17 +489,37 @@ def test_stacked_forward_gives_each_fold_its_own_predictions(kind):
     nets = [init_weights(config, 4, 4, rng) for _ in range(3)]
     batches = [make_batch(rng, 9, 4, 4) for _ in range(3)]
     x, g, _ = (np.stack(parts) for parts in zip(*batches))
-    preds = forward(stack_weights(nets), x, g, config, kind, [None] * 3)
+    preds = forward(StepWorkspace(stack_weights(nets)), x, g, kind, [None] * 3)
     assert preds.shape == (3, 9)
     for f, net in enumerate(nets):
-        [alone] = forward(net, x[f : f + 1], g[f : f + 1], config, kind, [None])
+        [alone] = forward(StepWorkspace(net), x[f : f + 1], g[f : f + 1], kind, [None])
         assert preds[f].tobytes() == alone.tobytes()
     nets[1].extractor[1].v[..., 2] = 0.0
     errors = [None] * 3
-    again = forward(stack_weights(nets), x, g, config, kind, errors)
+    again = forward(StepWorkspace(stack_weights(nets)), x, g, kind, errors)
     message = "extractor layer 1: degenerate dense layer: direction column 2 has zero norm"
     assert errors[0] is errors[2] is None and str(errors[1]) == message
     assert again[0].tobytes() == preds[0].tobytes() and again[2].tobytes() == preds[2].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("n_pred", [4, 20])
+def test_forward_after_an_update_keeps_a_fresh_workspaces_bits(kind, n_pred):
+    # prediction reuses the buffers an update just wrote, on a batch smaller
+    # than the training batch, or larger, which grows the workspace's
+    # arrays and drops the training batch's buffers
+    rng = np.random.default_rng(39)
+    config = small_config(n_layers=3, hidden_dim=7, activation="relu", dropout_rate=0.2)
+    ws = StepWorkspace(stack_weights([init_weights(config, 4, 4, rng) for _ in range(3)]))
+    _, data = stacked_task(rng, 3)
+    if kind == "classification":
+        data = TaskData(data.x, data.group_ids, (data.y > 0).astype(float), data.row_indices)
+    task = CLS_TASK if kind == "classification" else REG_TASK
+    inner_update(ws, data, (task,) * 3, config, streams(0, 1, 2), [None] * 3)
+    x, g = rng.normal(size=(3, n_pred, 4)), rng.integers(0, 4, size=(3, n_pred))
+    pred = forward(ws, x, g, kind, [None] * 3)
+    assert len(ws._batches) == (2 if n_pred < data.x.shape[1] else 1)
+    assert pred.tobytes() == forward(StepWorkspace(ws.net), x, g, kind, [None] * 3).tobytes()
 
 
 @pytest.mark.parametrize("primitive", ["forward", "loss_and_grads", "inner_update"])
@@ -478,7 +529,7 @@ def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
     # stack's, group ids without the fold axis, or one network's 2-D inputs
     rng = np.random.default_rng(38)
     config = small_config()
-    stack = stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)])
+    ws = StepWorkspace(stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)]))
     _, data = stacked_task(rng, 2)
     x, g, y = data.x, data.group_ids, data.y
     if bad == "fold count":
@@ -488,12 +539,12 @@ def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
     else:
         x, g, y = x[0], g[0], y[0]
     calls = {
-        "forward": lambda: forward(stack, x, g, config, "regression", [None] * 2),
+        "forward": lambda: forward(ws, x, g, "regression", [None] * 2),
         "loss_and_grads": lambda: loss_and_grads(
-            stack, x, g, y, "regression", config, streams(0, 1), [None] * 2
+            ws, x, g, y, "regression", config, streams(0, 1), [None] * 2
         ),
         "inner_update": lambda: inner_update(
-            stack, TaskData(x, g, y, g), (REG_TASK,) * 2, config, streams(0, 1), [None] * 2
+            ws, TaskData(x, g, y, g), (REG_TASK,) * 2, config, streams(0, 1), [None] * 2
         ),
     }
     with pytest.raises(ShapeError):
@@ -527,7 +578,8 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
     y = np.tile([0.0, 1.0], (5, 1))
     errors = [None] * 5
     losses, _ = loss_and_grads(
-        stack_weights(nets), x, g, y, "classification", config, streams(*range(5)), errors
+        StepWorkspace(stack_weights(nets)), x, g, y, "classification", config,
+        streams(*range(5)), errors,
     )
     assert [None if e is None else str(e) for e in errors] == [
         "extractor layer 1: degenerate dense layer: direction column 1 has zero norm",
@@ -542,8 +594,8 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
     errors = [None] * 3
     keep = [1, 2, 4]
     loss_and_grads(
-        stack_weights([nets[f] for f in keep]), x[keep], g[keep], y[keep], "classification",
-        config, streams(*keep), errors,
+        StepWorkspace(stack_weights([nets[f] for f in keep])), x[keep], g[keep], y[keep],
+        "classification", config, streams(*keep), errors,
     )
     assert [None if e is None else str(e) for e in errors] == [
         "extractor layer 0: dense layer produced non-finite activations",
@@ -551,7 +603,7 @@ def test_once_per_step_check_keeps_each_folds_first_failure():
         None,
     ]
     [loss], _ = loss_and_grads(
-        nets[4], x[4:], g[4:], y[4:], "classification", config, streams(4), [None]
+        StepWorkspace(nets[4]), x[4:], g[4:], y[4:], "classification", config, streams(4), [None]
     )
     assert losses[4] == loss
 
@@ -561,7 +613,9 @@ def test_untouched_embedding_rows_have_zero_gradient():
     config = small_config(reg_kind="both", reg_strength=1e-2)
     w = init_weights(config, 3, 4, rng)
     x, g, y = make_batch(rng, 8, 3, 4, exclude_group=2)
-    _, grads = loss_and_grads(w, *one(x, g, y), "regression", config, streams(0), [None])
+    _, grads = loss_and_grads(
+        StepWorkspace(w), *one(x, g, y), "regression", config, streams(0), [None]
+    )
     [demb] = grads.embeddings
     assert np.all(demb[2] == 0.0)
     assert np.any(demb[0] != 0.0)
@@ -577,7 +631,8 @@ def test_loss_and_grads_zero_output_is_stationary():
     w.head.bias[:] = 0.0
     w.embeddings[:] = 0.0
     [loss], grads = loss_and_grads(
-        w, *one(np.ones((3, 2)), [0, 1, 2], np.zeros(3)), "regression", config, streams(0), [None]
+        StepWorkspace(w), *one(np.ones((3, 2)), [0, 1, 2], np.zeros(3)), "regression", config,
+        streams(0), [None],
     )
     assert loss == 0.0
     assert grads.values.shape == w.values.shape
@@ -590,8 +645,8 @@ def test_loss_and_grads_rejects_empty_batch():
     w = init_weights(config, 2, 2, rng)
     with pytest.raises(DataError):
         loss_and_grads(
-            w, *one(np.zeros((0, 2)), np.zeros(0), np.zeros(0)), "regression", config,
-            streams(0), [None],
+            StepWorkspace(w), *one(np.zeros((0, 2)), np.zeros(0), np.zeros(0)), "regression",
+            config, streams(0), [None],
         )
 
 
@@ -604,7 +659,9 @@ def test_loss_and_grads_reports_nonfinite_layer():
         layer.gain[:] = gain
         layer.bias[:] = 0.0
     errors = [None]
-    loss_and_grads(w, *one([[1e150]], [0], [0.0]), "regression", config, streams(0), errors)
+    loss_and_grads(
+        StepWorkspace(w), *one([[1e150]], [0], [0.0]), "regression", config, streams(0), errors
+    )
     assert isinstance(errors[0], NumericError)
     assert str(errors[0]) == "extractor layer 1: dense layer produced non-finite activations"
 
@@ -619,7 +676,7 @@ def test_inner_update_zero_lr_is_identity():
     config = small_config(learning_rate=0.0)
     w = init_weights(config, 3, 2, rng)
     data = TaskData(*one(*make_batch(rng, 5, 3, 2), np.arange(5)))
-    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
+    out = updated(w, data, (REG_TASK,), config, streams(0), [None])
     assert np.array_equal(out.values, w.values)
 
 
@@ -637,10 +694,10 @@ def test_inner_update_single_step_matches_hand_sgd():
         *one(rng.normal(size=(4, 2)), [0, 1, 0, 1], rng.normal(size=4), np.arange(4))
     )
     _, grads = loss_and_grads(
-        w, data.x, data.group_ids, data.y, "regression", config, streams(0), [None]
+        StepWorkspace(w), data.x, data.group_ids, data.y, "regression", config, streams(0), [None]
     )
     expected = w.values - 0.1 * grads.values
-    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
+    out = updated(w, data, (REG_TASK,), config, streams(0), [None])
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -655,9 +712,10 @@ def test_inner_update_reduces_convex_loss():
         *one(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20), np.arange(20))
     )
     batch = (data.x, data.group_ids, data.y, "regression", config, streams(0), [None])
-    [loss0], _ = loss_and_grads(w, *batch)
-    out = inner_update(w, data, (REG_TASK,), config, streams(0), [None])
-    [loss1], _ = loss_and_grads(out, *batch)
+    ws = StepWorkspace(w)
+    [loss0], _ = loss_and_grads(ws, *batch)
+    inner_update(ws, data, (REG_TASK,), config, streams(0), [None])
+    [loss1], _ = loss_and_grads(ws, *batch)
     assert loss1 <= loss0
 
 
@@ -667,7 +725,7 @@ def test_inner_update_does_not_mutate_input():
     w = init_weights(config, 3, 2, rng)
     before = w.values.copy()
     data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    inner_update(w, data, (REG_TASK,), config, streams(0), [None])
+    inner_update(StepWorkspace(w), data, (REG_TASK,), config, streams(0), [None])
     assert np.array_equal(w.values, before)
 
 
@@ -676,8 +734,8 @@ def test_inner_update_is_pure_given_seed():
     config = small_config(dropout_rate=0.1)
     w = init_weights(config, 3, 2, rng)
     data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    a = inner_update(w, data, (REG_TASK,), config, streams(7), [None])
-    b = inner_update(w, data, (REG_TASK,), config, streams(7), [None])
+    a = updated(w, data, (REG_TASK,), config, streams(7), [None])
+    b = updated(w, data, (REG_TASK,), config, streams(7), [None])
     assert np.array_equal(a.values, b.values)
 
 
@@ -693,10 +751,11 @@ def test_plain_training_never_touches_held_out_embedding():
         )
         w = init_weights(config, 3, 3, rng)
         frozen = w.embeddings[0, g_star].copy()
-        current = w
+        ws = StepWorkspace(w)
+        current = ws.net
         for step in range(3):
             data = TaskData(*one(*make_batch(rng, 7, 3, 3, exclude_group=g_star), np.arange(7)))
-            current = inner_update(current, data, (REG_TASK,), config, streams(step), [None])
+            inner_update(ws, data, (REG_TASK,), config, streams(step), [None])
         assert np.array_equal(current.embeddings[0, g_star], frozen)
         assert not np.array_equal(current.embeddings[0, 0], w.embeddings[0, 0])
 

@@ -577,6 +577,18 @@ def test_many_tiny_task_batches_exit_2_naming_tasks_per_iteration(
     assert not (tmp_path / "cv" / "report.csv").exists()
 
 
+def huge_x0_data(tmp_path, study_dir):
+    """The study's data with its ``x0`` cells -1e308 and 1e308 in turn."""
+    lines = (study_dir / "data.csv").read_text().splitlines()
+    col = lines[0].split(",").index("x0")
+    rows = [line.split(",") for line in lines[1:]]
+    for n, cells in enumerate(rows):
+        cells[col] = "1e308" if n % 2 else "-1e308"
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+    return data
+
+
 @pytest.mark.parametrize("case", ["ridge_alpha", "x0 regression", "x0 classification"])
 def test_non_finite_baseline_fit_exits_4_naming_the_baseline(tmp_path, study_dir, capsys, case):
     # a ridge penalty of 1e308, or unscaled x0 cells of -1e308 and 1e308,
@@ -585,23 +597,16 @@ def test_non_finite_baseline_fit_exits_4_naming_the_baseline(tmp_path, study_dir
     data = study_dir / "data.csv"
     doc, baseline = {**FAST_RUN, "baselines": {"ridge_alpha": 1e308}}, "ridge"
     if case != "ridge_alpha":
-        lines = data.read_text().splitlines()
-        col = lines[0].split(",").index("x0")
-        rows = [line.split(",") for line in lines[1:]]
-        for n, cells in enumerate(rows):
-            cells[col] = "1e308" if n % 2 else "-1e308"
-        data = tmp_path / "huge.csv"
-        data.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        data = huge_x0_data(tmp_path, study_dir)
         doc = {**FAST_RUN, "preprocess": {"scaling": "none"}}
         if case == "x0 classification":
             doc["task_kind"], baseline = "classification", "logistic"
     run = tmp_path / "run.json"
     run.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
-        code = main([
-            "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
-            "--config", str(run), "--out", str(tmp_path / "x"),
-        ])
+    code = main([
+        "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(run), "--out", str(tmp_path / "x"),
+    ])
     assert code == 4
     err = capsys.readouterr().err
     message = f"{baseline} baseline: curvature matrix of its fit is not finite"
@@ -611,15 +616,36 @@ def test_non_finite_baseline_fit_exits_4_naming_the_baseline(tmp_path, study_dir
         # failed, it exits 3 listing them
         space = tmp_path / "space.json"
         space.write_text(json.dumps(TINY_SPACE))
-        with np.errstate(all="ignore"):
-            code = main([
-                "grid-search", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
-                "--config", str(run), "--space", str(space), "--budget", "2",
-                "--out", str(tmp_path / "gs"),
-            ])
+        code = main([
+            "grid-search", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+            "--config", str(run), "--space", str(space), "--budget", "2",
+            "--out", str(tmp_path / "gs"),
+        ])
         assert code == 3
         err = capsys.readouterr().err
         assert f"candidate 0: NumericError: {message}; candidate 1: NumericError" in err
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("scaling", ["none", "standardize", "normalize"])
+def test_huge_cells_exit_4_without_numpy_warnings(tmp_path, study_dir, capsys, scaling, kind):
+    # x0 cells of -1e308 and 1e308 overflow preprocessing's statistics and
+    # the baselines' fits; under the suite's error::RuntimeWarning filter
+    # the run still ends on the failure's own message
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**FAST_RUN, "task_kind": kind, "preprocess": {"scaling": scaling}}))
+    code = main([
+        "cv", "--data", str(huge_x0_data(tmp_path, study_dir)),
+        "--manifest", str(study_dir / "manifest.json"), "--config", str(run),
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 4
+    if scaling == "none":
+        baseline = "ridge" if kind == "regression" else "logistic"
+        message = f"{baseline} baseline: curvature matrix of its fit is not finite"
+    else:
+        message = "extractor layer 0: dense layer produced non-finite activations"
+    assert capsys.readouterr().err.splitlines()[-1] == f"numeric failure: {message}"
 
 
 def test_mutual_information_histogram_over_the_cap_exits_2(tmp_path, study_dir, capsys):

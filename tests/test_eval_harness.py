@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatreat import eval_harness, meta_learner
-from metatreat.base_learner import BaseLearnerConfig
+from metatreat.base_learner import BaseLearnerConfig, StepWorkspace
 from metatreat.data_model import DatasetTable, PreprocessConfig
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.eval_harness import (
@@ -331,16 +331,17 @@ def test_run_cv_training_path_never_sees_held_out_labels():
 
 def test_meta_test_is_one_stacked_update_and_two_forwards_per_task(monkeypatch):
     # each (fold, target task) fine-tunes base_initial and meta as one stack
-    # of two, then predicts the held-out and the training table from it;
-    # without meta-iterations, the meta-test makes every such call
+    # of two, then predicts the held-out and the training table from it, all
+    # in one workspace; without meta-iterations, the meta-test makes every
+    # such call
     calls = []
 
     def counted(name):
         original = getattr(meta_learner, name)
 
-        def wrapper(weights, *args, **kwargs):
-            calls.append((name, weights.folds))
-            return original(weights, *args, **kwargs)
+        def wrapper(ws, *args, **kwargs):
+            calls.append((name, ws.net.folds, ws))
+            return original(ws, *args, **kwargs)
 
         return wrapper
 
@@ -350,7 +351,28 @@ def test_meta_test_is_one_stacked_update_and_two_forwards_per_task(monkeypatch):
     pipeline = dataclasses.replace(FAST_PIPELINE, meta=MetaConfig(meta_iterations=0, k=4))
     report = run_cv(table, manifest, pipeline, CvConfig(seed=1))
     assert len({(r.group, r.task) for r in report.rows}) == 3
-    assert calls == [("inner_update", 2), ("forward", 2), ("forward", 2)] * 3
+    assert [call[:2] for call in calls] == [
+        ("inner_update", 2), ("forward", 2), ("forward", 2)
+    ] * 3
+    for start in range(0, 9, 3):
+        assert calls[start][2] is calls[start + 1][2] is calls[start + 2][2]
+
+
+def test_default_cv_builds_one_workspace_per_stack_and_meta_test(monkeypatch):
+    # the meta-loop keeps one step workspace for its stack of the three
+    # folds, and each (fold, target task) meta-test one for its two networks
+    built = []
+    init = StepWorkspace.__init__
+
+    def counted(ws, stack):
+        built.append(stack.folds)
+        init(ws, stack)
+
+    monkeypatch.setattr(StepWorkspace, "__init__", counted)
+    table, manifest, _ = small_raw(seed=2, n_per_group=60)
+    report = run_cv(table, manifest, PipelineConfig(), CvConfig(seed=0))
+    assert len({(r.group, r.task) for r in report.rows}) == 3
+    assert built == [3, 2, 2, 2]
 
 
 def test_run_cv_needs_two_groups():

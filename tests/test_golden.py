@@ -29,6 +29,7 @@ import pytest
 from metatreat.base_learner import (
     BaseLearnerConfig,
     BaseLearnerWeights,
+    StepWorkspace,
     forward,
     init_weights,
 )
@@ -215,7 +216,7 @@ def _weights(doc: dict) -> BaseLearnerWeights:
 def _predictions(weights: BaseLearnerWeights) -> dict[str, list[float]]:
     x, g = _checkpoint_inputs()
     return {
-        kind: forward(weights, x[None], g[None], TINY, kind, [None])[0].tolist()
+        kind: forward(StepWorkspace(weights), x[None], g[None], kind, [None])[0].tolist()
         for kind in ("regression", "classification")
     }
 

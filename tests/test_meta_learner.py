@@ -199,14 +199,12 @@ def test_meta_step_eps1_returns_adapted_weights_bitwise():
 
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
-    expected = theta
+    expected = StepWorkspace(theta)
     for data in (stacked.train_data, stacked.finetune_data):
-        expected = inner_update(
-            expected, data, stacked.task, config, (np.random.default_rng(0),), [None]
-        )
+        inner_update(expected, data, stacked.task, config, (np.random.default_rng(0),), [None])
     out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
     # epsilon = eps0 * (T - 0) / T = 1.0 exactly -> theta equals adapted weights
-    assert np.array_equal(out.theta.values, expected.values)
+    assert np.array_equal(out.theta.values, expected.net.values)
     assert out.t == 1
 
 
@@ -303,7 +301,8 @@ def test_fine_tune_standardizes_regression_labels():
     vals, obs = train_table.column_values("y")
     x = model_inputs(masked_test)
     for net, row in zip(networks, preds):
-        [raw] = forward(net, x[None], masked_test.group_ids[None], still, "regression", [None])
+        ws = StepWorkspace(net)
+        [raw] = forward(ws, x[None], masked_test.group_ids[None], "regression", [None])
         assert row.tobytes() == (raw * float(vals[obs].std()) + float(vals[obs].mean())).tobytes()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metatreat.base_learner import BaseLearnerConfig, forward, init_weights
+from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, forward, init_weights
 from metatreat.errors import NumericError, ShapeError
 from metatreat.nn_core import (
     DenseBuffers,
@@ -81,11 +81,11 @@ def test_dense_forward_relu_clips_negatives():
 def test_dense_forward_shape_error():
     # the input width is checked once per batch, where the network takes it
     config = BaseLearnerConfig(n_layers=1, hidden_dim=2, embedding_dim=1)
-    w = init_weights(config, 2, 2, np.random.default_rng(0))
+    ws = StepWorkspace(init_weights(config, 2, 2, np.random.default_rng(0)))
     with pytest.raises(ShapeError):
-        forward(w, np.ones((1, 1, 3)), np.zeros((1, 1), dtype=int), config, "regression", [None])
+        forward(ws, np.ones((1, 1, 3)), np.zeros((1, 1), dtype=int), "regression", [None])
     with pytest.raises(ShapeError):
-        forward(w, np.ones((1, 2)), np.zeros((1, 1), dtype=int), config, "regression", [None])
+        forward(ws, np.ones((1, 2)), np.zeros((1, 1), dtype=int), "regression", [None])
 
 
 def test_zero_norm_column_is_degenerate():
