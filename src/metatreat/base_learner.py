@@ -36,7 +36,6 @@ from .nn_core import (
     record_dense_failures,
     record_failures,
 )
-from .task_selection import TaskSpec
 
 EMBEDDING_INIT_SCALE = 0.05
 
@@ -237,14 +236,17 @@ def init_weights(
 #
 # Every pass runs on a stack: weights with a leading fold axis, and a
 # batch of x (folds, rows, features), group ids and labels (folds, rows),
-# with one RNG stream, one task and one failure record per fold.
+# of one task kind, with one RNG stream and one failure record per fold.
 
 
-def _check_batch(weights: BaseLearnerWeights, x, group_ids, y=None):
+def _check_batch(weights: BaseLearnerWeights, x, group_ids, kind: str, y=None):
     """A stacked batch's ``x``, group ids and labels (if given) as arrays,
-    checked against the stack: group ids within the embedding table, ``x``
-    3-D and as wide as the first layer, and all of them with the stack's
-    fold count and one row count."""
+    checked against the stack: a task kind of ``"regression"`` or
+    ``"classification"``, group ids within the embedding table, ``x`` 3-D
+    and as wide as the first layer, and all of them with the stack's fold
+    count and one row count."""
+    if kind not in ("regression", "classification"):
+        raise ConfigError(f"unknown task kind {kind!r}")
     g = np.asarray(group_ids, dtype=np.int64)
     if g.size and (g.min() < 0 or g.max() >= weights.n_groups):
         raise DataError(f"group id out of range: embedding table has {weights.n_groups} rows")
@@ -504,7 +506,7 @@ def forward(
     ``loss_and_grads`` does. Classification applies a sigmoid on the head
     output, so values land in (0, 1).
     """
-    x, g, _ = _check_batch(ws.net, x, group_ids)
+    x, g, _ = _check_batch(ws.net, x, group_ids, kind)
     b = ws.batch(x.shape[1], False)
     with np.errstate(all="ignore"):
         pred = _forward_pass(b, x, _embedding_rows(ws.net, g), kind, 0.0, 0.0)
@@ -573,24 +575,17 @@ def loss_and_grads(
     layers, and only a failing step names each fold's first failure in
     layer order, the loss last.
     """
-    x, g, y = _check_batch(ws.net, x, group_ids, y)
+    x, g, y = _check_batch(ws.net, x, group_ids, kind, y)
     plan = _plan(ws, x, g, y, kind, config)
     with np.errstate(all="ignore"):
         loss = _step(plan, rng, errors)
     return loss.copy(), ws.grads
 
 
-def _task_kind(tasks: Sequence[TaskSpec]) -> str:
-    kinds = {t.kind for t in tasks}
-    if len(kinds) != 1:
-        raise ConfigError("folds stepped together need tasks of one kind")
-    return kinds.pop()
-
-
 def inner_update(
     ws: StepWorkspace,
     data: TaskData,
-    task: Sequence[TaskSpec],
+    kind: str,
     config: BaseLearnerConfig,
     rng: Sequence[np.random.Generator],
     errors: FoldErrors,
@@ -599,16 +594,16 @@ def inner_update(
     ``ws``'s stack, in place, on one stacked task slice with a fresh
     optimizer.
 
-    ``data`` carries the leading fold axis, ``task`` is one spec per fold
-    (all of one kind) and ``rng`` one stream per fold; ``errors`` is as in
+    ``data`` carries the leading fold axis, ``kind`` is the task kind of
+    every fold's slice and ``rng`` one stream per fold; ``errors`` is as in
     ``loss_and_grads``. The batch is checked and indexed once for every
     step.
     """
     if np.size(data.y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    x, g, y = _check_batch(ws.net, data.x, data.group_ids, data.y)
+    x, g, y = _check_batch(ws.net, data.x, data.group_ids, kind, data.y)
     if config.learning_rate != 0.0 and config.inner_iterations != 0:
-        plan = _plan(ws, x, g, y, _task_kind(task), config)
+        plan = _plan(ws, x, g, y, kind, config)
         state = ws.optimizer(config)
         with np.errstate(all="ignore"):
             for _ in range(config.inner_iterations):

@@ -199,8 +199,6 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
     column order), without sorting the whole row: a partition finds the
     k-th smallest distance, and only the columns at or below it, every
     one tied with it included, are stable-sorted."""
-    if k >= d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")
     kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
     if not np.isfinite(kth).all():
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
@@ -495,7 +493,8 @@ def _fold_rows(
         data = task_dataset(train_table, task.column, task.kind)
         rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, task.column) for name in NETWORKS]
         on_test, on_train = fine_tune(
-            [fold.theta0, theta_star], task, data, (masked_test, train_table), config.base, rngs
+            [fold.theta0, theta_star], task.kind, data, (masked_test, train_table), config.base,
+            rngs,
         )
         predictions = {
             name: (on_test[n][scored], on_train[n][data.row_indices])

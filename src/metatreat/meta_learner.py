@@ -53,25 +53,11 @@ class MetaConfig:
             raise ConfigError("tasks_per_iteration must be at least 1")
 
 
-@dataclass
-class MetaState:
-    """Shared initialization of a stack of folds plus progress through the
-    meta-loop: one RNG stream per fold, and ``errors``, each fold's first
-    failure as ``base_learner.loss_and_grads`` records it.
-    """
-
-    theta: BaseLearnerWeights
-    t: int
-    rng: tuple[np.random.Generator, ...]
-    errors: FoldErrors
-
-
 @dataclass(frozen=True)
 class TaskBatch:
-    """One sampled task with its training and fine-tune rows; stacked, one
-    task per fold and the rows with a leading fold axis."""
+    """One sampled task with its training and fine-tune rows."""
 
-    task: TaskSpec | tuple[TaskSpec, ...]
+    task: TaskSpec
     train_data: TaskData
     finetune_data: TaskData
 
@@ -84,19 +70,21 @@ def epsilon_schedule(t: int, total: int, epsilon0: float) -> float:
 
 
 class TaskCache:
-    """Each drawn task's observed rows on both sides of one split, with each
-    group's positions among them, built on first use. A side keeps one input
-    matrix, shared by all its tasks, so the cache holds about one copy of the
-    split's inputs however many tasks are drawn."""
+    """Each drawn task's observed rows on both sides of one split, the
+    training and the held-out table, with each group's positions among
+    them, built on first use. A side keeps one input matrix, shared by all
+    its tasks, so the cache holds about one copy of the split's inputs
+    however many tasks are drawn."""
 
-    def __init__(self) -> None:
+    def __init__(self, train_table: DatasetTable, test_table: DatasetTable) -> None:
+        self.tables = (train_table, test_table)
         self.inputs: list[np.ndarray | None] = [None, None]
         self.tasks: dict[tuple[str, str], list[tuple]] = {}
 
-    def get(self, tables: tuple[DatasetTable, DatasetTable], task: TaskSpec) -> list[tuple]:
+    def get(self, task: TaskSpec) -> list[tuple]:
         key = (task.column, task.kind)
         if key not in self.tasks:
-            self.tasks[key] = [self._build(side, t, *key) for side, t in enumerate(tables)]
+            self.tasks[key] = [self._build(side, t, *key) for side, t in enumerate(self.tables)]
         return self.tasks[key]
 
     def _build(self, side: int, table: DatasetTable, column: str, kind: str) -> tuple:
@@ -133,72 +121,58 @@ def _sample_per_group(
 
 
 def sample_task_batch(
-    tasks: TaskSet,
-    train_table: DatasetTable,
-    test_table: DatasetTable,
-    k: int,
-    rng: np.random.Generator,
-    cache: TaskCache,
+    tasks: TaskSet, cache: TaskCache, k: int, rng: np.random.Generator
 ) -> TaskBatch:
-    """Sample a training task plus k rows per group on both sides of the split.
+    """Sample a training task plus k rows per group on both sides of the
+    split that ``cache`` holds.
 
     The fine-tune slice comes from the held-out group's rows and uses only
-    the training-task column, never a target column. ``cache`` is the
-    split's: every call that samples from the same tables passes the same.
+    the training-task column, never a target column.
     """
     if not tasks.training:
         raise ConfigError("no training tasks to sample from")
     task = tasks.training[int(rng.integers(len(tasks.training)))]
-    train_rows, finetune_rows = cache.get((train_table, test_table), task)
-    train_data = _sample_per_group(train_table, train_rows, k, rng)
-    finetune_data = _sample_per_group(test_table, finetune_rows, k, rng)
+    train_data, finetune_data = (
+        _sample_per_group(table, rows, k, rng) for table, rows in zip(cache.tables, cache.get(task))
+    )
     return TaskBatch(task, train_data, finetune_data)
 
 
 def meta_step(
-    state: MetaState,
-    batches: list[TaskBatch],
-    base_config: BaseLearnerConfig,
-    meta_config: MetaConfig,
+    theta: BaseLearnerWeights,
     workspace: StepWorkspace,
-) -> MetaState:
+    batches: list[tuple[str, TaskData, TaskData]],
+    eps: float,
+    base_config: BaseLearnerConfig,
+    rngs: Sequence[np.random.Generator],
+    errors: FoldErrors,
+) -> None:
     """One meta-iteration of a stack: train, fine-tune, then interpolate.
 
-    With several task batches the train/fine-tune pair runs sequentially on
-    each before the single interpolation, which moves the initialization
-    toward the adapted weights: theta + eps*(adapted - theta) is written
-    back into ``state.theta``. The weights adapt in ``workspace``, one made
-    for ``state.theta``, into which theta is copied first.
+    Each batch is a task kind with its training and fine-tune slices, both
+    with a leading fold axis. With several batches the train/fine-tune pair
+    runs sequentially on each before the single interpolation, which moves
+    the initialization toward the adapted weights: theta + eps*(adapted -
+    theta) is written back into ``theta``. The weights adapt in
+    ``workspace``, one made for ``theta``, into which theta is copied
+    first; ``rngs`` and ``errors`` are as in ``inner_update``.
     """
-    if state.t >= meta_config.meta_iterations:
-        raise ConfigError("meta-training already consumed all iterations")
-    if not batches:
-        raise ConfigError("a meta-iteration needs at least one task batch")
-    eps = epsilon_schedule(state.t, meta_config.meta_iterations, meta_config.epsilon0)
     adapted = workspace.net
-    np.copyto(adapted.values, state.theta.values)
-    for batch in batches:
-        for data in (batch.train_data, batch.finetune_data):
-            inner_update(workspace, data, batch.task, base_config, state.rng, state.errors)
+    np.copyto(adapted.values, theta.values)
+    for kind, *slices in batches:
+        for data in slices:
+            inner_update(workspace, data, kind, base_config, rngs, errors)
     with np.errstate(all="ignore"):
-        param_axpy(state.theta.values, adapted.values, eps, out=adapted.values)
-    np.copyto(state.theta.values, adapted.values)
-    return MetaState(theta=state.theta, t=state.t + 1, rng=state.rng, errors=state.errors)
+        param_axpy(theta.values, adapted.values, eps, out=adapted.values)
+    np.copyto(theta.values, adapted.values)
 
 
-def _stack_batches(batches: list[TaskBatch]) -> TaskBatch:
-    """Per-fold batches of one shape as one batch with a leading fold axis."""
-
-    def stack(parts: list[TaskData]) -> TaskData:
-        return TaskData(
-            *(np.stack([getattr(p, name) for p in parts])
-              for name in ("x", "group_ids", "y", "row_indices"))
-        )
-
-    return TaskBatch(
-        tuple(b.task for b in batches),
-        stack([b.train_data for b in batches]),
-        stack([b.finetune_data for b in batches]),
+def _stack(parts: list[TaskData]) -> TaskData:
+    """Per-fold task slices of one shape as one slice with a leading fold
+    axis."""
+    return TaskData(
+        *(np.stack([getattr(p, name) for p in parts])
+          for name in ("x", "group_ids", "y", "row_indices"))
     )
 
 
@@ -252,8 +226,8 @@ def meta_train(
             continue
         theta = stack_weights([folds[f][4] for f in members])
         for f, result in zip(members, _lockstep(
-            theta, [folds[f][:3] for f in members], tuple(folds[f][3] for f in members),
-            base_config, meta_config,
+            theta, [(folds[f][2], TaskCache(*folds[f][:2])) for f in members],
+            [folds[f][3] for f in members], base_config, meta_config,
         )):
             results[f] = result
             if isinstance(result, Exception):
@@ -263,92 +237,94 @@ def meta_train(
 
 def _lockstep(
     theta: BaseLearnerWeights,
-    folds: list[tuple[DatasetTable, DatasetTable, TaskSet]],
-    rngs: tuple[np.random.Generator, ...],
+    folds: list[tuple[TaskSet, TaskCache]],
+    rngs: list[np.random.Generator],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
 ) -> list[BaseLearnerWeights | Exception | None]:
-    """The meta-loop of one stack (owned by the loop), in fold order: each
-    fold's weights, its error, or None if an earlier fold's failure stopped
-    it. Weights objects and the step workspace are built only as folds
-    enter and leave the stack."""
+    """The meta-loop of one stack, which owns ``theta``, ``folds`` (each
+    fold's tasks and the cache of its split) and ``rngs``, in fold order:
+    each fold's weights, its error, or None if an earlier fold's failure
+    stopped it. Weights objects and the step workspace are built only as
+    folds enter and leave the stack."""
     errors: FoldErrors = [None] * len(folds)
     results: list = [None] * len(folds)
-    caches = [TaskCache() for _ in folds]
-    state = MetaState(theta, 0, rngs, errors)
     workspace = StepWorkspace(theta)
 
     def shrink() -> bool:
         """Drop the first failed fold and every later one; False once the
         stack is empty."""
-        nonlocal state, workspace
-        cut = next((j for j, e in enumerate(state.errors) if e is not None), None)
+        nonlocal theta, rngs, errors, workspace
+        cut = next((j for j, e in enumerate(errors) if e is not None), None)
         if cut is None:
             return True
-        results[cut] = state.errors[cut]
-        del folds[cut:], caches[cut:]
+        results[cut] = errors[cut]
         if cut == 0:
             return False
-        state = MetaState(
-            stack_weights(state.theta.unstack()[:cut]), state.t, state.rng[:cut], [None] * cut
-        )
-        workspace = StepWorkspace(state.theta)
+        del folds[cut:]
+        theta = stack_weights(theta.unstack()[:cut])
+        rngs, errors = rngs[:cut], [None] * cut
+        workspace = StepWorkspace(theta)
         return True
 
-    while state.t < meta_config.meta_iterations:
+    for t in range(meta_config.meta_iterations):
         per_fold = []
-        for j, (train, test, fold_tasks) in enumerate(folds):
+        for j, (fold_tasks, cache) in enumerate(folds):
             try:
                 per_fold.append([
-                    sample_task_batch(
-                        fold_tasks, train, test, meta_config.k, state.rng[j], caches[j]
-                    )
+                    sample_task_batch(fold_tasks, cache, meta_config.k, rngs[j])
                     for _ in range(meta_config.tasks_per_iteration)
                 ])
             except (ConfigError, DataError) as exc:
-                state.errors[j] = exc
+                errors[j] = exc
                 break
         if not shrink():
             return results
-        batches = [_stack_batches(list(b)) for b in zip(*per_fold)]
-        state = meta_step(state, batches, base_config, meta_config, workspace)
+        batches = [
+            (draws[0].task.kind, _stack([b.train_data for b in draws]),
+             _stack([b.finetune_data for b in draws]))
+            for draws in zip(*per_fold)
+        ]
+        eps = epsilon_schedule(t, meta_config.meta_iterations, meta_config.epsilon0)
+        meta_step(theta, workspace, batches, eps, base_config, rngs, errors)
         if not shrink():
             return results
-    for j, weights in enumerate(state.theta.unstack()):
+    for j, weights in enumerate(theta.unstack()):
         results[j] = weights
     return results
 
 
 def fine_tune(
     networks: Sequence[BaseLearnerWeights],
-    task: TaskSpec,
+    kind: str,
     data: TaskData,
     tables: Sequence[DatasetTable],
     base_config: BaseLearnerConfig,
     rngs: Sequence[np.random.Generator],
 ) -> list[np.ndarray]:
-    """The meta-test of networks of one layout on a target task: one k-shot
-    update of their stack, in one step workspace, on all of the task's
-    available rows (``data`` as ``task_dataset`` builds it), each network
-    on its stream of ``rngs``, then the predictions (without dropout) for
-    every row of each of ``tables`` in that workspace, one (networks, rows)
-    array per table. Inner loops are too short to re-learn an output scale,
-    so regression labels are standardized on those rows and the predictions
-    mapped back. Of the networks' first numeric failures the first in
-    network order is raised, as if each network ran alone in turn.
+    """The meta-test of networks of one layout on a target task of
+    ``kind``: one k-shot update of their stack, in one step workspace, on
+    all of the task's available rows (``data`` as ``task_dataset`` builds
+    it), each network on its stream of ``rngs``, then the predictions
+    (without dropout) for every row of each of ``tables`` in that
+    workspace, one (networks, rows) array per table. Inner loops are too
+    short to re-learn an output scale, so regression labels are
+    standardized on those rows and the predictions mapped back. Of the
+    networks' first numeric failures the first in network order is raised,
+    as if each network ran alone in turn.
     """
     shift, scale = 0.0, 1.0
-    if task.kind == "regression":
+    if kind == "regression":
         shift, scale = float(np.mean(data.y)), float(np.std(data.y)) or 1.0
     n = len(networks)
     y = (data.y - shift) / scale
     stacked = TaskData(*(np.stack([a] * n) for a in (data.x, data.group_ids, y, data.row_indices)))
     errors: FoldErrors = [None] * n
     ws = StepWorkspace(stack_weights(networks))
-    inner_update(ws, stacked, (task,) * n, base_config, rngs, errors)
+    inner_update(ws, stacked, kind, base_config, rngs, errors)
     preds = [
         forward(
-            ws, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n), task.kind,
+            ws, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n), kind,
             errors,
         ) * scale + shift
         for table in tables

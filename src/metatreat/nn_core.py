@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
-LOSS_KINDS = ("mse", "binary_cross_entropy")
 OPTIMIZER_KINDS = ("sgd", "adam")
 
 # Floor used when clipping sigmoid outputs inside the cross-entropy loss.
@@ -287,14 +286,12 @@ def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
     """a + scale * (b - a), elementwise, into ``out`` (which may be ``b``
     but not ``a``).
 
-    scale 0 and 1 give exact copies of a and b respectively, so callers
-    can rely on bitwise equality at the interpolation endpoints.
+    scale 1 gives an exact copy of b, so callers can rely on bitwise
+    equality with the adapted weights at a full step.
     """
     if a.shape != b.shape:
         raise ShapeError("param_axpy requires equally shaped parameter vectors")
-    if scale == 0.0:
-        np.copyto(out, a)
-    elif scale == 1.0:
+    if scale == 1.0:
         np.copyto(out, b)
     else:
         np.subtract(b, a, out=out)

@@ -24,7 +24,10 @@ preprocessing appends a differential feature; budget-12 searches on the
 bench space; and four ``cv`` runs that stop in a numeric failure, one at
 the head, one in an extractor layer, one at the loss, and one in the last
 fold alone, whose ``x0`` cells are huge, so that the meta-loop drops that
-fold and steps on with the earlier ones.
+fold and steps on with the earlier ones. After ``generate`` and ``report``
+come a ``cv`` whose first meta-iteration steps all the way to the adapted
+weights (``epsilon0`` 1) and a ``report`` on a hand-written report whose
+scores overflow the mean's sum.
 """
 
 from __future__ import annotations
@@ -98,6 +101,20 @@ RUNS = {
         "last-fold", "cv", [], {"base": {"activation": "relu", "n_layers": 4}},
     ),
 }
+# runs added later, hashed after ``generate`` and ``report`` so that the
+# earlier lines keep their order; the first meta-iteration's step size is
+# exactly 1, which the interpolation writes as a copy
+LATER_RUNS = {
+    "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
+}
+# a report in which one model scores 1.5e308, test and train alike, in each
+# of three groups: the mean's sum overflows, so the summary statistics run
+# on scaled values
+HUGE_REPORT = """group,task,model,metric,value,train_value,n_test,note
+g0,y,meta,mse,1.5e+308,1.5e+308,20,
+g1,y,meta,mse,1.5e+308,1.5e+308,20,
+g2,y,meta,mse,1.5e+308,1.5e+308,20,
+"""
 
 
 STUDY = {**study_config(WORKLOADS["cv-paper"], 0, 0), "seed": STUDY_SEED}
@@ -197,7 +214,7 @@ def run_all(root: Path) -> list[str]:
     studies = write_studies(root)
     space = write_space(root / "space.json")
     argvs = {}
-    for run, (study, command, extra, config) in RUNS.items():
+    for run, (study, command, extra, config) in {**RUNS, **LATER_RUNS}.items():
         argv = [
             command, "--data", str(studies[study]["data"]),
             "--manifest", str(studies[study]["manifest"]), *extra,
@@ -213,8 +230,12 @@ def run_all(root: Path) -> list[str]:
     generator.write_text(json.dumps(MISSING_STUDY), encoding="utf-8")
     argvs["generate"] = ["generate", "--config", str(generator)]
     argvs["report"] = ["report", "--report", str(root / "cv-regression" / "report.csv")]
+    huge = root / "huge-report.csv"
+    huge.write_text(HUGE_REPORT, encoding="utf-8")
+    argvs["report-overflow"] = ["report", "--report", str(huge)]
     lines = []
-    for run, argv in argvs.items():
+    for run in [*RUNS, "generate", "report", *LATER_RUNS, "report-overflow"]:
+        argv = argvs[run]
         out = root / run
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -245,12 +245,12 @@ def test_criterion_3_update_algebra():
     meta = MetaConfig(meta_iterations=1, epsilon0=1.0, k=4, tasks_per_iteration=1)
     # the batch the fold's first meta-iteration draws from its stream
     batch = sample_task_batch(
-        tasks, train_table, masked_test, meta.k, copy.deepcopy(rng), TaskCache()
+        tasks, TaskCache(train_table, masked_test), meta.k, copy.deepcopy(rng)
     )
     adapted = StepWorkspace(theta)
     for d in (batch.train_data, batch.finetune_data):
         stacked = TaskData(d.x[None], d.group_ids[None], d.y[None], d.row_indices[None])
-        inner_update(adapted, stacked, (batch.task,), base, (np.random.default_rng(0),), [None])
+        inner_update(adapted, stacked, batch.task.kind, base, (np.random.default_rng(0),), [None])
     [stepped] = meta_train(
         [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
     )

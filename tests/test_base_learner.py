@@ -15,13 +15,10 @@ from metatreat.base_learner import (
 from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError, ShapeError
 from metatreat.eval_harness import SearchSpace, off_grid_fields
+from metatreat.meta_learner import fine_tune
 from metatreat.nn_core import optimizer_step
 from metatreat.task_selection import TaskSpec
 from oracles import central_diff, fresh_optimizer, max_rel_error, reference_loss_and_grads
-
-REG_TASK = TaskSpec("t", "regression")
-CLS_TASK = TaskSpec("t", "classification")
-
 
 def small_config(**overrides):
     defaults = dict(
@@ -259,8 +256,7 @@ def test_inner_update_matches_unfused_reference_bitwise(
     if kind == "classification":
         y = (y > 0).astype(float)
     data = TaskData(*one(x, g, y, np.arange(8)))
-    task = CLS_TASK if kind == "classification" else REG_TASK
-    out = updated(w, data, (task,), config, streams(9), [None])
+    out = updated(w, data, kind, config, streams(9), [None])
     expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
@@ -358,16 +354,15 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     before = theta.values.copy()
     _, data = stacked_task(rng, 3)
     _, other = stacked_task(rng, 3, n_rows=5)
-    tasks = (REG_TASK,) * 3
     ws = StepWorkspace(theta)
     net = ws.net.values
-    assert inner_update(ws, data, tasks, config, streams(5, 6, 7), [None] * 3) is None
+    assert inner_update(ws, data, "regression", config, streams(5, 6, 7), [None] * 3) is None
     assert ws.net.values is net and net.tobytes() != before.tobytes()
-    inner_update(ws, other, tasks, config, streams(8, 9, 10), [None] * 3)
-    inner_update(ws, data, tasks, config, streams(11, 12, 13), [None] * 3)
+    inner_update(ws, other, "regression", config, streams(8, 9, 10), [None] * 3)
+    inner_update(ws, data, "regression", config, streams(11, 12, 13), [None] * 3)
     expected = theta
     for batch, seeds in ((data, (5, 6, 7)), (other, (8, 9, 10)), (data, (11, 12, 13))):
-        expected = updated(expected, batch, tasks, config, streams(*seeds), [None] * 3)
+        expected = updated(expected, batch, "regression", config, streams(*seeds), [None] * 3)
     assert net.tobytes() == expected.values.tobytes()
     assert theta.values.tobytes() == before.tobytes()
 
@@ -415,7 +410,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     batches, data = stacked_task(rng, 3)
     counting = tuple(CountingStream(seed) for seed in range(3))
     out = per_fold(
-        updated(stack_weights(nets), data, (REG_TASK,) * 3, config, counting, [None] * 3)
+        updated(stack_weights(nets), data, "regression", config, counting, [None] * 3)
     )
     assert [s.calls for s in counting] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
@@ -447,7 +442,7 @@ def test_step_workspaces_share_no_memory():
     kept = second.values.copy()
     _, again = loss_and_grads(ws, x, g, -y, "regression", config, streams(0), [None])
     assert again.values.tobytes() == kept.tobytes() == second.values.tobytes()
-    inner_update(ws, TaskData(x, g, y, g), (REG_TASK,), config, streams(1), [None])
+    inner_update(ws, TaskData(x, g, y, g), "regression", config, streams(1), [None])
     assert second.values.tobytes() == kept.tobytes()
     assert w.values.tobytes() == before.tobytes()
     arrays = [[space.net.values, space._update, *space._arrays.values()] for space in (ws, other)]
@@ -514,8 +509,7 @@ def test_forward_after_an_update_keeps_a_fresh_workspaces_bits(kind, n_pred):
     _, data = stacked_task(rng, 3)
     if kind == "classification":
         data = TaskData(data.x, data.group_ids, (data.y > 0).astype(float), data.row_indices)
-    task = CLS_TASK if kind == "classification" else REG_TASK
-    inner_update(ws, data, (task,) * 3, config, streams(0, 1, 2), [None] * 3)
+    inner_update(ws, data, kind, config, streams(0, 1, 2), [None] * 3)
     x, g = rng.normal(size=(3, n_pred, 4)), rng.integers(0, 4, size=(3, n_pred))
     pred = forward(ws, x, g, kind, [None] * 3)
     assert len(ws._batches) == (2 if n_pred < data.x.shape[1] else 1)
@@ -544,10 +538,36 @@ def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
             ws, x, g, y, "regression", config, streams(0, 1), [None] * 2
         ),
         "inner_update": lambda: inner_update(
-            ws, TaskData(x, g, y, g), (REG_TASK,) * 2, config, streams(0, 1), [None] * 2
+            ws, TaskData(x, g, y, g), "regression", config, streams(0, 1), [None] * 2
         ),
     }
     with pytest.raises(ShapeError):
+        calls[primitive]()
+
+
+@pytest.mark.parametrize("primitive", ["forward", "loss_and_grads", "inner_update", "fine_tune"])
+@pytest.mark.parametrize(
+    "kind", ["Classification", TaskSpec("t", "classification")], ids=["misspelled", "task spec"]
+)
+def test_every_primitive_refuses_an_unknown_task_kind(primitive, kind):
+    # the batch check refuses any kind but "regression" and "classification"
+    # rather than reading it as regression
+    rng = np.random.default_rng(40)
+    config = small_config()
+    w = init_weights(config, 4, 4, rng)
+    ws = StepWorkspace(w)
+    x, g, y = one(*make_batch(rng, 6, 4, 4))
+    calls = {
+        "forward": lambda: forward(ws, x, g, kind, [None]),
+        "loss_and_grads": lambda: loss_and_grads(ws, x, g, y, kind, config, streams(0), [None]),
+        "inner_update": lambda: inner_update(
+            ws, TaskData(x, g, y, g), kind, config, streams(0), [None]
+        ),
+        "fine_tune": lambda: fine_tune(
+            [w], kind, TaskData(x[0], g[0], y[0], g[0]), (), config, streams(0)
+        ),
+    }
+    with pytest.raises(ConfigError, match="unknown task kind"):
         calls[primitive]()
 
 
@@ -676,7 +696,7 @@ def test_inner_update_zero_lr_is_identity():
     config = small_config(learning_rate=0.0)
     w = init_weights(config, 3, 2, rng)
     data = TaskData(*one(*make_batch(rng, 5, 3, 2), np.arange(5)))
-    out = updated(w, data, (REG_TASK,), config, streams(0), [None])
+    out = updated(w, data, "regression", config, streams(0), [None])
     assert np.array_equal(out.values, w.values)
 
 
@@ -697,7 +717,7 @@ def test_inner_update_single_step_matches_hand_sgd():
         StepWorkspace(w), data.x, data.group_ids, data.y, "regression", config, streams(0), [None]
     )
     expected = w.values - 0.1 * grads.values
-    out = updated(w, data, (REG_TASK,), config, streams(0), [None])
+    out = updated(w, data, "regression", config, streams(0), [None])
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -714,7 +734,7 @@ def test_inner_update_reduces_convex_loss():
     batch = (data.x, data.group_ids, data.y, "regression", config, streams(0), [None])
     ws = StepWorkspace(w)
     [loss0], _ = loss_and_grads(ws, *batch)
-    inner_update(ws, data, (REG_TASK,), config, streams(0), [None])
+    inner_update(ws, data, "regression", config, streams(0), [None])
     [loss1], _ = loss_and_grads(ws, *batch)
     assert loss1 <= loss0
 
@@ -725,7 +745,7 @@ def test_inner_update_does_not_mutate_input():
     w = init_weights(config, 3, 2, rng)
     before = w.values.copy()
     data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    inner_update(StepWorkspace(w), data, (REG_TASK,), config, streams(0), [None])
+    inner_update(StepWorkspace(w), data, "regression", config, streams(0), [None])
     assert np.array_equal(w.values, before)
 
 
@@ -734,8 +754,8 @@ def test_inner_update_is_pure_given_seed():
     config = small_config(dropout_rate=0.1)
     w = init_weights(config, 3, 2, rng)
     data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    a = updated(w, data, (REG_TASK,), config, streams(7), [None])
-    b = updated(w, data, (REG_TASK,), config, streams(7), [None])
+    a = updated(w, data, "regression", config, streams(7), [None])
+    b = updated(w, data, "regression", config, streams(7), [None])
     assert np.array_equal(a.values, b.values)
 
 
@@ -755,7 +775,7 @@ def test_plain_training_never_touches_held_out_embedding():
         current = ws.net
         for step in range(3):
             data = TaskData(*one(*make_batch(rng, 7, 3, 3, exclude_group=g_star), np.arange(7)))
-            inner_update(ws, data, (REG_TASK,), config, streams(step), [None])
+            inner_update(ws, data, "regression", config, streams(step), [None])
         assert np.array_equal(current.embeddings[0, g_star], frozen)
         assert not np.array_equal(current.embeddings[0, 0], w.embeddings[0, 0])
 

@@ -47,7 +47,7 @@ def _held_out_mse(setup, weights, config, cv) -> float:
         for name in ("base_initial", "meta")
     ]
     [preds] = fine_tune(
-        [setup.theta0, weights], task, data, [setup.masked_test], config.base, rngs
+        [setup.theta0, weights], task.kind, data, [setup.masked_test], config.base, rngs
     )
     return mse(preds[1][scored], y[scored])
 

@@ -23,7 +23,6 @@ from metatreat import meta_learner
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.meta_learner import (
     MetaConfig,
-    MetaState,
     TaskCache,
     epsilon_schedule,
     fine_tune,
@@ -98,7 +97,7 @@ def test_epsilon_rejects_out_of_range():
 def sample(study, k, rng):
     """One draw from a study's split, with a task cache of its own."""
     train_table, masked_test, _, tasks = study
-    return sample_task_batch(tasks, train_table, masked_test, k, rng, TaskCache())
+    return sample_task_batch(tasks, TaskCache(train_table, masked_test), k, rng)
 
 
 def test_sample_sizes_k_per_group():
@@ -132,10 +131,10 @@ def test_small_group_warns_and_samples_with_replacement():
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
     study = train_table, masked_test, _, tasks = small_study()
     fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
-    cache = TaskCache()
+    cache = TaskCache(train_table, masked_test)
     for _ in range(12):
         a = sample(study, 4, fresh)
-        b = sample_task_batch(tasks, train_table, masked_test, 4, kept, cache)
+        b = sample_task_batch(tasks, cache, 4, kept)
         assert a.task == b.task
         for side, table in (("train_data", train_table), ("finetune_data", masked_test)):
             full = task_dataset(table, b.task.column, b.task.kind)
@@ -149,9 +148,9 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
 
 def test_task_cache_keeps_one_input_matrix_per_side():
     train_table, masked_test, _, tasks = small_study()
-    cache, rng = TaskCache(), np.random.default_rng(2)
+    cache, rng = TaskCache(train_table, masked_test), np.random.default_rng(2)
     for _ in range(20):
-        sample_task_batch(tasks, train_table, masked_test, 4, rng, cache)
+        sample_task_batch(tasks, cache, 4, rng)
     assert len(cache.tasks) > 1
     for side, table in enumerate((train_table, masked_test)):
         assert cache.inputs[side].tobytes() == model_inputs(table).tobytes()
@@ -165,9 +164,9 @@ def test_task_cache_keeps_one_input_matrix_per_side():
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
     names = {t.column for t in tasks.training}
-    rng, cache = np.random.default_rng(5), TaskCache()
+    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test)
     for _ in range(10):
-        batch = sample_task_batch(tasks, train_table, masked_test, 3, rng, cache)
+        batch = sample_task_batch(tasks, cache, 3, rng)
         assert batch.task.column in names
 
 
@@ -176,9 +175,10 @@ def test_sampled_task_is_always_a_training_task():
 # ---------------------------------------------------------------------------
 
 
-def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
-    """A one-fold stack as ``meta_train`` steps it, the fold's network, and
-    the fold's first batch, stacked."""
+def _stack_and_batch(lr=0.05, seed=0):
+    """A one-fold stack as ``meta_train`` steps it, the fold's network, the
+    fold's first batch as ``meta_step`` takes it, the config and the fold's
+    stream."""
     train_table, masked_test, _, tasks = small_study()
     config = BaseLearnerConfig(
         n_layers=1, hidden_dim=4, embedding_dim=3, activation="tanh",
@@ -187,31 +187,33 @@ def _state_and_batch(eps0=1.0, iterations=1, lr=0.05, seed=0):
     )
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
-    meta = MetaConfig(meta_iterations=iterations, epsilon0=eps0, k=4)
-    batch = sample_task_batch(tasks, train_table, masked_test, meta.k, rng, TaskCache())
-    state = MetaState(stack_weights([theta]), 0, (rng,), [None])
-    return state, theta, meta_learner._stack_batches([batch]), config, meta
+    batch = sample_task_batch(tasks, TaskCache(train_table, masked_test), 4, rng)
+    stacked = (
+        batch.task.kind,
+        *(meta_learner._stack([d]) for d in (batch.train_data, batch.finetune_data)),
+    )
+    return stack_weights([theta]), theta, stacked, config, rng
 
 
 def test_meta_step_eps1_returns_adapted_weights_bitwise():
-    state, theta, stacked, config, meta = _state_and_batch(eps0=1.0)
+    stack, theta, stacked, config, rng = _stack_and_batch()
     from metatreat.base_learner import inner_update
 
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
     expected = StepWorkspace(theta)
-    for data in (stacked.train_data, stacked.finetune_data):
-        inner_update(expected, data, stacked.task, config, (np.random.default_rng(0),), [None])
-    out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
-    # epsilon = eps0 * (T - 0) / T = 1.0 exactly -> theta equals adapted weights
-    assert np.array_equal(out.theta.values, expected.net.values)
-    assert out.t == 1
+    kind, *slices = stacked
+    for data in slices:
+        inner_update(expected, data, kind, config, (np.random.default_rng(0),), [None])
+    assert meta_step(stack, StepWorkspace(stack), [stacked], 1.0, config, (rng,), [None]) is None
+    # epsilon 1.0 -> theta equals the adapted weights
+    assert np.array_equal(stack.values, expected.net.values)
 
 
 def test_meta_step_zero_lr_leaves_theta_constant():
-    state, theta, stacked, config, meta = _state_and_batch(lr=0.0, iterations=3)
-    out = meta_step(state, [stacked], config, meta, StepWorkspace(state.theta))
-    assert np.array_equal(out.theta.values, theta.values)
+    stack, theta, stacked, config, rng = _stack_and_batch(lr=0.0)
+    meta_step(stack, StepWorkspace(stack), [stacked], 1.0, config, (rng,), [None])
+    assert np.array_equal(stack.values, theta.values)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +272,14 @@ def test_meta_train_rejects_leaky_test_table():
 
 
 def _meta_test_setup(kind="regression", seed=5):
-    """A study, its target task's training rows, and the two networks a
-    fold meta-tests: a random initialization and a meta-trained one."""
+    """A study, the target task's kind and training rows, and the two
+    networks a fold meta-tests: a random initialization and a meta-trained
+    one."""
     train_table, masked_test, _, tasks = small_study()
     theta0 = init_weights(BASE, 3, 3, np.random.default_rng(seed))
     theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=4, k=4), seed)
-    target = TaskSpec("y", kind)
-    data = task_dataset(train_table, target.column, target.kind)
-    return train_table, masked_test, target, data, [theta0, theta]
+    data = task_dataset(train_table, "y", kind)
+    return train_table, masked_test, kind, data, [theta0, theta]
 
 
 def _streams(n=2):
@@ -285,9 +287,9 @@ def _streams(n=2):
 
 
 def test_meta_test_prediction_count_and_range():
-    train_table, masked_test, target, data, networks = _meta_test_setup("classification")
+    train_table, masked_test, kind, data, networks = _meta_test_setup("classification")
     tables = (masked_test, train_table)
-    preds = fine_tune(networks, target, data, tables, BASE, _streams())
+    preds = fine_tune(networks, kind, data, tables, BASE, _streams())
     assert [p.shape for p in preds] == [(2, masked_test.n_rows), (2, train_table.n_rows)]
     assert all(np.all((p > 0.0) & (p < 1.0)) for p in preds)
 
@@ -295,9 +297,9 @@ def test_meta_test_prediction_count_and_range():
 def test_fine_tune_standardizes_regression_labels():
     # without a step, a prediction is the network's output mapped back
     # through the labels' mean and standard deviation
-    train_table, masked_test, target, data, networks = _meta_test_setup()
+    train_table, masked_test, kind, data, networks = _meta_test_setup()
     still = replace(BASE, learning_rate=0.0)
-    [preds] = fine_tune(networks, target, data, [masked_test], still, _streams())
+    [preds] = fine_tune(networks, kind, data, [masked_test], still, _streams())
     vals, obs = train_table.column_values("y")
     x = model_inputs(masked_test)
     for net, row in zip(networks, preds):
@@ -308,11 +310,11 @@ def test_fine_tune_standardizes_regression_labels():
 
 @pytest.mark.parametrize("kind", ["regression", "classification"])
 def test_stacked_meta_test_matches_each_network_alone(kind):
-    train_table, masked_test, target, data, networks = _meta_test_setup(kind)
+    train_table, masked_test, kind, data, networks = _meta_test_setup(kind)
     tables = (masked_test, train_table)
-    stacked = fine_tune(networks, target, data, tables, BASE, _streams())
+    stacked = fine_tune(networks, kind, data, tables, BASE, _streams())
     for n, net in enumerate(networks):
-        alone = fine_tune([net], target, data, tables, BASE, [np.random.default_rng(100 + n)])
+        alone = fine_tune([net], kind, data, tables, BASE, [np.random.default_rng(100 + n)])
         for both, one in zip(stacked, alone):
             assert both[n].tobytes() == one[0].tobytes()
 
@@ -333,9 +335,9 @@ def _nan_row(table):
     return table.replace_matrix(table.columns, values, table.missing_mask)
 
 
-def _first_failure(networks, target, data, tables, base, streams):
+def _first_failure(networks, kind, data, tables, base, streams):
     with pytest.raises(NumericError) as caught:
-        fine_tune(networks, target, data, tables, base, streams)
+        fine_tune(networks, kind, data, tables, base, streams)
     return str(caught.value)
 
 
@@ -345,28 +347,28 @@ def test_base_initial_failure_is_raised_before_meta_failure(where):
     # (no step is taken) or only in the second's; meta fails earlier in
     # layer order, or earlier in time. The stack raises base_initial's
     # message, the one it raises alone
-    train_table, masked_test, target, data, (theta0, theta) = _meta_test_setup()
+    train_table, masked_test, kind, data, (theta0, theta) = _meta_test_setup()
     networks = [_zero_column(theta0, 1), _zero_column(theta, 0)]
     tables, base = (masked_test, train_table), BASE
     if where == "first prediction":
         base = replace(BASE, learning_rate=0.0)
     elif where == "second prediction":
         networks[0], tables = theta0, (masked_test, _nan_row(train_table))
-    message = _first_failure(networks, target, data, tables, base, _streams())
-    alone = _first_failure(networks[:1], target, data, tables, base, _streams(1))
+    message = _first_failure(networks, kind, data, tables, base, _streams())
+    alone = _first_failure(networks[:1], kind, data, tables, base, _streams(1))
     assert message == alone
     assert message != _first_failure(
-        networks[1:], target, data, tables, base, [np.random.default_rng(101)]
+        networks[1:], kind, data, tables, base, [np.random.default_rng(101)]
     )
 
 
 def test_meta_failure_alone_raises_its_message():
-    train_table, masked_test, target, data, (theta0, theta) = _meta_test_setup()
+    train_table, masked_test, kind, data, (theta0, theta) = _meta_test_setup()
     networks = [theta0, _zero_column(theta, 0)]
     tables = (masked_test, train_table)
-    message = _first_failure(networks, target, data, tables, BASE, _streams())
+    message = _first_failure(networks, kind, data, tables, BASE, _streams())
     assert message == "extractor layer 0: degenerate dense layer: direction column 0 has zero norm"
-    fine_tune(networks[:1], target, data, tables, BASE, _streams(1))
+    fine_tune(networks[:1], kind, data, tables, BASE, _streams(1))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +408,36 @@ def test_lockstep_failure_stops_the_later_folds_only():
     assert results[0].values.tobytes() == alone.values.tobytes()
     failed = train_one(trains[1], tests[1], task_sets[1], meta, 6, thetas[1])
     assert isinstance(failed, NumericError) and str(failed) == message
+
+
+def test_lockstep_sampling_failure_stops_the_later_folds_only(monkeypatch):
+    # fold 1's training group g0 has no observed value of the second of its
+    # two training tasks; fold 1 first draws that task in its second
+    # meta-iteration, after fold 0 has drawn, so the stack of three steps
+    # once, then fold 0 steps on alone and fold 2 stops with fold 1
+    trains, tests, task_sets = _three_folds()
+    train = trains[1]
+    missing = train.missing_mask.copy()
+    column = train.column_index(task_sets[1].training[1].column)
+    missing[train.group_ids == train.resolve_group("g0"), column] = True
+    trains[1] = train.replace_matrix(train.columns, train.values, missing)
+    task_sets[1] = replace(task_sets[1], training=task_sets[1].training[:2])
+    stack_sizes = []
+    update = meta_learner.inner_update
+
+    def counted(ws, *args):
+        stack_sizes.append(ws.net.folds)
+        return update(ws, *args)
+
+    monkeypatch.setattr(meta_learner, "inner_update", counted)
+    meta = MetaConfig(meta_iterations=4, k=4)
+    results = meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [5, 6, 7])))
+    assert stack_sizes == [3] * 4 + [1] * 12
+    assert isinstance(results[1], DataError)
+    assert str(results[1]) == "group 'g0' has no rows with observed task values"
+    assert results[2] is results[1]
+    alone = train_one(trains[0], tests[0], task_sets[0], meta, seed=5)
+    assert results[0].values.tobytes() == alone.values.tobytes()
 
 
 def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
