@@ -38,7 +38,7 @@ from .eval_harness import (
 )
 from .meta_learner import MetaConfig, epsilon_schedule, meta_train
 from .synth_gen import GeneratorConfig, bayes_optimal_mse, generate
-from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
+from .task_selection import SelectionConfig, select_training_tasks
 
 __all__ = [
     "__version__",
@@ -58,8 +58,6 @@ __all__ = [
     "SearchSpace",
     "SelectionConfig",
     "StepWorkspace",
-    "TaskSet",
-    "TaskSpec",
     "auc",
     "baseline_predict",
     "bayes_optimal_mse",

@@ -87,7 +87,8 @@ class DatasetTable:
             raise DataError("group ids out of range of group names")
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
-            raise DataError("column names must be unique")
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DataError(f"column names must be unique: {repeated!r} appears twice")
         for arr in (values, mask, gids):
             arr.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -281,6 +282,11 @@ def parse_manifest(doc: dict) -> Manifest:
         raise ConfigError(f"manifest must declare exactly one group column, found {len(groups)}")
     if not any(c.role == "target" for c in metas):
         raise ConfigError("manifest must declare at least one target column")
+    stratifiers = [c.name for c in metas if c.role == "stratifier"]
+    if len(stratifiers) > 1:
+        raise ConfigError(
+            f"manifest may declare at most one stratifier column, found {stratifiers}"
+        )
     for c in metas:
         if c.role == "target" and c.kind != "numeric":
             raise ConfigError(f"target column {c.name!r} must be numeric")

@@ -41,7 +41,7 @@ from .errors import ConfigError, DataError, NumericError
 from .meta_learner import MetaConfig, fine_tune, meta_train
 from .nn_core import apply_activation
 from .rng import child_rng
-from .task_selection import SelectionConfig, TaskSet, TaskSpec, select_training_tasks
+from .task_selection import SelectionConfig, select_training_tasks
 
 REGRESSION_BASELINES = ("mean", "median", "knn", "ridge")
 CLASSIFICATION_BASELINES = ("knn", "logistic")
@@ -414,15 +414,16 @@ def _score(kind: str, preds: np.ndarray, y: np.ndarray) -> tuple[float, str]:
 
 @dataclass(frozen=True)
 class _FoldSetup:
-    """One fold ready to meta-train: its split, tasks and initial weights."""
+    """One fold ready to meta-train: its split, its target and training
+    columns, and its initial weights."""
 
     fold_index: int
     group_name: str
     train_table: DatasetTable
     test_table: DatasetTable
     masked_test: DatasetTable
-    targets: tuple[TaskSpec, ...]
-    tasks: TaskSet
+    targets: tuple[str, ...]
+    tasks: tuple[str, ...]
     theta0: BaseLearnerWeights
 
 
@@ -452,8 +453,7 @@ def _fold_setup(
     train_table, test_table = group_holdout_split(processed, group_name)
     masked_test = withhold_targets(test_table)
 
-    target_cols = [c.name for c in processed.columns if c.role == "target"]
-    targets = tuple(TaskSpec(col, config.task_kind) for col in target_cols)
+    targets = tuple(c.name for c in processed.columns if c.role == "target")
     tasks = select_training_tasks(train_table, targets, config.selection)
 
     n_features = model_inputs(train_table).shape[1]
@@ -478,32 +478,31 @@ def _fold_rows(
     fold: _FoldSetup, theta_star: BaseLearnerWeights, config: PipelineConfig, cv: CvConfig
 ) -> list[MetricRow]:
     """One fold's report rows: meta-test and baselines on every target task,
-    each fitted on the task's training rows, built once per task."""
+    each fitted on the task's training rows, built once per task. Every
+    target is of the run's task kind."""
     train_table, masked_test = fold.train_table, fold.masked_test
-    metric_name = "auc" if config.task_kind == "classification" else "mse"
+    kind = config.task_kind
+    metric_name = "auc" if kind == "classification" else "mse"
+    baselines = CLASSIFICATION_BASELINES if kind == "classification" else REGRESSION_BASELINES
     rows: list[MetricRow] = []
-    for task in fold.targets:
-        y_vals, y_obs = fold.test_table.column_values(task.column)
+    for column in fold.targets:
+        y_vals, y_obs = fold.test_table.column_values(column)
         scored = np.flatnonzero(y_obs)
         if scored.size == 0:
-            raise DataError(f"held-out group {fold.group_name!r} has no observed {task.column!r}")
+            raise DataError(f"held-out group {fold.group_name!r} has no observed {column!r}")
         y_test = y_vals[scored]
-        if task.kind == "classification":
+        if kind == "classification":
             y_test = binarize_labels(y_test)
-        data = task_dataset(train_table, task.column, task.kind)
-        rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, task.column) for name in NETWORKS]
+        data = task_dataset(train_table, column, kind)
+        rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in NETWORKS]
         on_test, on_train = fine_tune(
-            [fold.theta0, theta_star], task.kind, data, (masked_test, train_table), config.base,
-            rngs,
+            [fold.theta0, theta_star], kind, data, (masked_test, train_table), config.base, rngs
         )
         predictions = {
             name: (on_test[n][scored], on_train[n][data.row_indices])
             for n, name in enumerate(NETWORKS)
         }
         x_test = model_inputs(masked_test)[scored]
-        baselines = (
-            CLASSIFICATION_BASELINES if task.kind == "classification" else REGRESSION_BASELINES
-        )
         with np.errstate(all="ignore"):
             for name in baselines:
                 predictions[name] = tuple(
@@ -511,11 +510,11 @@ def _fold_rows(
                     for x in (x_test, data.x)
                 )
             for model_name, (preds_test, preds_train) in predictions.items():
-                value, note = _score(task.kind, preds_test, y_test)
-                train_value, _ = _score(task.kind, preds_train, data.y)
+                value, note = _score(kind, preds_test, y_test)
+                train_value, _ = _score(kind, preds_train, data.y)
                 rows.append(
                     MetricRow(
-                        fold.group_name, task.column, model_name, metric_name,
+                        fold.group_name, column, model_name, metric_name,
                         value, train_value, int(scored.size), note,
                     )
                 )

@@ -32,7 +32,9 @@ from .base_learner import (
 from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld, task_dataset
 from .errors import ConfigError, DataError
 from .nn_core import FoldErrors, param_axpy
-from .task_selection import TaskSet, TaskSpec
+
+# training tasks are feature values: they regress whatever the targets' kind
+TRAINING_KIND = "regression"
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,6 @@ class MetaConfig:
             raise ConfigError("tasks_per_iteration must be at least 1")
 
 
-@dataclass(frozen=True)
-class TaskBatch:
-    """One sampled task with its training and fine-tune rows."""
-
-    task: TaskSpec
-    train_data: TaskData
-    finetune_data: TaskData
-
-
 def epsilon_schedule(t: int, total: int, epsilon0: float) -> float:
     """Linear annealing: epsilon0 at t=0 down to epsilon0/total at t=total-1."""
     if not (0 <= t < total):
@@ -79,16 +72,15 @@ class TaskCache:
     def __init__(self, train_table: DatasetTable, test_table: DatasetTable) -> None:
         self.tables = (train_table, test_table)
         self.inputs: list[np.ndarray | None] = [None, None]
-        self.tasks: dict[tuple[str, str], list[tuple]] = {}
+        self.tasks: dict[str, list[tuple]] = {}
 
-    def get(self, task: TaskSpec) -> list[tuple]:
-        key = (task.column, task.kind)
-        if key not in self.tasks:
-            self.tasks[key] = [self._build(side, t, *key) for side, t in enumerate(self.tables)]
-        return self.tasks[key]
+    def get(self, column: str) -> list[tuple]:
+        if column not in self.tasks:
+            self.tasks[column] = [self._build(side, t, column) for side, t in enumerate(self.tables)]
+        return self.tasks[column]
 
-    def _build(self, side: int, table: DatasetTable, column: str, kind: str) -> tuple:
-        data = task_dataset(table, column, kind)
+    def _build(self, side: int, table: DatasetTable, column: str) -> tuple:
+        data = task_dataset(table, column, TRAINING_KIND)
         if self.inputs[side] is None:
             self.inputs[side] = model_inputs(table)
         groups = [(g, np.flatnonzero(data.group_ids == g)) for g in np.unique(table.group_ids)]
@@ -121,27 +113,29 @@ def _sample_per_group(
 
 
 def sample_task_batch(
-    tasks: TaskSet, cache: TaskCache, k: int, rng: np.random.Generator
-) -> TaskBatch:
-    """Sample a training task plus k rows per group on both sides of the
-    split that ``cache`` holds.
+    tasks: Sequence[str], cache: TaskCache, k: int, rng: np.random.Generator
+) -> tuple[TaskData, TaskData]:
+    """Sample one of the training columns ``tasks`` plus k rows per group
+    on both sides of the split that ``cache`` holds: the training and the
+    fine-tune slice.
 
     The fine-tune slice comes from the held-out group's rows and uses only
     the training-task column, never a target column.
     """
-    if not tasks.training:
+    if not tasks:
         raise ConfigError("no training tasks to sample from")
-    task = tasks.training[int(rng.integers(len(tasks.training)))]
+    column = tasks[int(rng.integers(len(tasks)))]
     train_data, finetune_data = (
-        _sample_per_group(table, rows, k, rng) for table, rows in zip(cache.tables, cache.get(task))
+        _sample_per_group(table, rows, k, rng)
+        for table, rows in zip(cache.tables, cache.get(column))
     )
-    return TaskBatch(task, train_data, finetune_data)
+    return train_data, finetune_data
 
 
 def meta_step(
     theta: BaseLearnerWeights,
     workspace: StepWorkspace,
-    batches: list[tuple[str, TaskData, TaskData]],
+    batches: list[tuple[TaskData, TaskData]],
     eps: float,
     base_config: BaseLearnerConfig,
     rngs: Sequence[np.random.Generator],
@@ -149,19 +143,20 @@ def meta_step(
 ) -> None:
     """One meta-iteration of a stack: train, fine-tune, then interpolate.
 
-    Each batch is a task kind with its training and fine-tune slices, both
-    with a leading fold axis. With several batches the train/fine-tune pair
-    runs sequentially on each before the single interpolation, which moves
-    the initialization toward the adapted weights: theta + eps*(adapted -
-    theta) is written back into ``theta``. The weights adapt in
-    ``workspace``, one made for ``theta``, into which theta is copied
-    first; ``rngs`` and ``errors`` are as in ``inner_update``.
+    Each batch is a training task's training and fine-tune slices, both
+    with a leading fold axis, and is stepped as ``TRAINING_KIND``. With
+    several batches the train/fine-tune pair runs sequentially on each
+    before the single interpolation, which moves the initialization toward
+    the adapted weights: theta + eps*(adapted - theta) is written back into
+    ``theta``. The weights adapt in ``workspace``, one made for ``theta``,
+    into which theta is copied first; ``rngs`` and ``errors`` are as in
+    ``inner_update``.
     """
     adapted = workspace.net
     np.copyto(adapted.values, theta.values)
-    for kind, *slices in batches:
+    for slices in batches:
         for data in slices:
-            inner_update(workspace, data, kind, base_config, rngs, errors)
+            inner_update(workspace, data, TRAINING_KIND, base_config, rngs, errors)
     with np.errstate(all="ignore"):
         param_axpy(theta.values, adapted.values, eps, out=adapted.values)
     np.copyto(theta.values, adapted.values)
@@ -179,7 +174,7 @@ def _stack(parts: list[TaskData]) -> TaskData:
 def meta_train(
     train_tables: Sequence[DatasetTable],
     test_tables: Sequence[DatasetTable],
-    tasks: Sequence[TaskSet],
+    tasks: Sequence[Sequence[str]],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
     rngs: Sequence[np.random.Generator],
@@ -188,16 +183,17 @@ def meta_train(
     """Run the full meta-loop of each fold from a fresh state and return
     the learned initializations.
 
-    Every argument but the configs has one entry per fold. Each fold's loop
-    starts from its ``initial_weights`` (never mutated), so callers can score
-    the same random initialization. Each test table must arrive with its
+    Every argument but the configs has one entry per fold; a fold's
+    ``tasks`` are its training columns. Each fold's loop starts from its
+    ``initial_weights`` (never mutated), so callers can score the same
+    random initialization. Each test table must arrive with its
     target columns withheld; this is the structural zero-shot firewall,
     checked here rather than trusted, and a table that fails it raises.
 
-    The folds step in lockstep: folds of one layout, batch shape and task
-    kind form one stack, and each fold samples its batches and draws its
-    dropout masks from its own stream in the order it would alone, so its
-    result is bitwise the same. The result is a list in fold order: each
+    The folds step in lockstep: folds of one layout and batch shape form
+    one stack, and each fold samples its batches and draws its dropout
+    masks from its own stream in the order it would alone, so its result
+    is bitwise the same. The result is a list in fold order: each
     fold's weights, or the configuration, data or numeric error that stopped
     it. A fold leaves its stack after the meta-iteration it failed in, and
     every later fold stops with it, as a serial run would stop at the first
@@ -209,12 +205,10 @@ def meta_train(
             "test table still carries target values; withhold them before meta-training"
         )
     stacks: dict = {}
-    for f, (train, test, fold_tasks, _, theta) in enumerate(folds):
-        kinds = frozenset(t.kind for t in fold_tasks.training)
+    for f, (train, test, _, _, theta) in enumerate(folds):
         key = (
             theta.layout, theta.activations,
             np.unique(train.group_ids).size, np.unique(test.group_ids).size,
-            kinds if len(kinds) <= 1 else f,
         )
         stacks.setdefault(key, []).append(f)
 
@@ -237,7 +231,7 @@ def meta_train(
 
 def _lockstep(
     theta: BaseLearnerWeights,
-    folds: list[tuple[TaskSet, TaskCache]],
+    folds: list[tuple[Sequence[str], TaskCache]],
     rngs: list[np.random.Generator],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
@@ -281,8 +275,7 @@ def _lockstep(
         if not shrink():
             return results
         batches = [
-            (draws[0].task.kind, _stack([b.train_data for b in draws]),
-             _stack([b.finetune_data for b in draws]))
+            (_stack([train for train, _ in draws]), _stack([finetune for _, finetune in draws]))
             for draws in zip(*per_fold)
         ]
         eps = epsilon_schedule(t, meta_config.meta_iterations, meta_config.epsilon0)

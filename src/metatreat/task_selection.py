@@ -9,6 +9,7 @@ training rows only, so the selected set is independent of test data.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,29 +21,6 @@ SELECTION_METHODS = ("all_post", "pearson", "mutual_info")
 
 # Largest mutual-information histogram, ``mi_bins`` squared: 8 MB of counts.
 MAX_HISTOGRAM_CELLS = 1_000_000
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One prediction task: a column and how its labels are treated."""
-
-    column: str
-    kind: str  # regression | classification
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("regression", "classification"):
-            raise ConfigError(f"unknown task kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class TaskSet:
-    training: tuple[TaskSpec, ...]
-    target: tuple[TaskSpec, ...]
-
-    def __post_init__(self) -> None:
-        target_cols = {t.column for t in self.target}
-        if any(t.column in target_cols for t in self.training):
-            raise ConfigError("a target column may not appear among training tasks")
 
 
 @dataclass(frozen=True)
@@ -104,19 +82,18 @@ def _observed_pair(table: DatasetTable, a: str, b: str) -> tuple[np.ndarray, np.
 
 def select_training_tasks(
     train_table: DatasetTable,
-    targets: list[TaskSpec] | tuple[TaskSpec, ...],
+    targets: Sequence[str],
     config: SelectionConfig,
-) -> TaskSet:
-    """Pick post-treatment feature columns as meta-training tasks.
+) -> tuple[str, ...]:
+    """Pick post-treatment feature columns as meta-training tasks and
+    return their names.
 
     ``all_post`` keeps every usable candidate; the relevance methods score
     each candidate by its best relevance over the target columns and keep
     the top ``ceil(keep_fraction * n_candidates)``, ties broken by column
     order. Candidates that are entirely missing or constant are excluded.
-    Training tasks regress on the (scaled) feature value regardless of the
-    target task kind.
+    Target columns are never candidates: only feature columns are.
     """
-    targets = tuple(targets)
     if not targets:
         raise ConfigError("at least one target task is required")
     candidates = []
@@ -131,25 +108,21 @@ def select_training_tasks(
         raise DataError("no training tasks available: no usable post-treatment features")
 
     if config.method == "all_post":
-        kept = candidates
-    else:
-        scores = []
-        for name in candidates:
-            best = 0.0
-            for tgt in targets:
-                xv, yv = _observed_pair(train_table, name, tgt.column)
-                if xv.size < 2:
-                    continue
-                if config.method == "pearson":
-                    r = pearson(xv, yv)
-                    rel = 0.0 if math.isnan(r) else abs(r)
-                else:
-                    rel = mutual_information(xv, yv, config.mi_bins)
-                best = max(best, rel)
-            scores.append(best)
-        n_keep = math.ceil(config.keep_fraction * len(candidates))
-        order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-        kept = [candidates[i] for i in sorted(order[:n_keep])]
-
-    training = tuple(TaskSpec(name, "regression") for name in kept)
-    return TaskSet(training=training, target=targets)
+        return tuple(candidates)
+    scores = []
+    for name in candidates:
+        best = 0.0
+        for tgt in targets:
+            xv, yv = _observed_pair(train_table, name, tgt)
+            if xv.size < 2:
+                continue
+            if config.method == "pearson":
+                r = pearson(xv, yv)
+                rel = 0.0 if math.isnan(r) else abs(r)
+            else:
+                rel = mutual_information(xv, yv, config.mi_bins)
+            best = max(best, rel)
+        scores.append(best)
+    n_keep = math.ceil(config.keep_fraction * len(candidates))
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
+    return tuple(candidates[i] for i in sorted(order[:n_keep]))

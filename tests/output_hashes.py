@@ -26,8 +26,9 @@ the head, one in an extractor layer, one at the loss, and one in the last
 fold alone, whose ``x0`` cells are huge, so that the meta-loop drops that
 fold and steps on with the earlier ones. After ``generate`` and ``report``
 come a ``cv`` whose first meta-iteration steps all the way to the adapted
-weights (``epsilon0`` 1) and a ``report`` on a hand-written report whose
-scores overflow the mean's sum.
+weights (``epsilon0`` 1), a ``report`` on a hand-written report whose
+scores overflow the mean's sum, and a ``cv`` with two target columns
+under Pearson selection.
 """
 
 from __future__ import annotations
@@ -102,11 +103,18 @@ RUNS = {
     ),
 }
 # runs added later, hashed after ``generate`` and ``report`` so that the
-# earlier lines keep their order; the first meta-iteration's step size is
-# exactly 1, which the interpolation writes as a copy
+# earlier lines keep their order: one whose first meta-iteration's step
+# size is exactly 1, which the interpolation writes as a copy, and one with
+# two target columns, whose training tasks are selected by their best
+# relevance over both
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
+    "cv-two-targets": (
+        "two-targets", "cv", [], {"selection": {"method": "pearson", "keep_fraction": 0.5}},
+    ),
 }
+# the order in which the runs are hashed; a run added later goes last
+ORDER = (*RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets")
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
 # on scaled values
@@ -128,8 +136,9 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     study with a 0/1 stratifier column ``s`` set where ``x0 > 0``, the
     ingestion study (``write_ingest_study``), the plain study with a
     categorical stratifier ``s``, ``above`` where ``x0 > 0``, else
-    ``below``, and the plain study with group ``g2``'s ``x0`` times
-    ``HUGE``."""
+    ``below``, the plain study with group ``g2``'s ``x0`` times
+    ``HUGE``, and the plain study's data under a manifest that declares
+    ``aux7`` a second target."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -168,6 +177,14 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
         root / "study-last-fold", table.replace_matrix(table.columns, values, table.missing_mask),
         manifest, truth, config,
     )
+    doc = json.loads(studies["plain"]["manifest"].read_text(encoding="utf-8"))
+    for column in doc["columns"]:
+        if column["name"] == "aux7":
+            column["role"] = "target"
+    path = root / "study-two-targets" / "manifest.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    studies["two-targets"] = {"data": studies["plain"]["data"], "manifest": path}
     return studies
 
 
@@ -234,7 +251,7 @@ def run_all(root: Path) -> list[str]:
     huge.write_text(HUGE_REPORT, encoding="utf-8")
     argvs["report-overflow"] = ["report", "--report", str(huge)]
     lines = []
-    for run in [*RUNS, "generate", "report", *LATER_RUNS, "report-overflow"]:
+    for run in ORDER:
         argv = argvs[run]
         out = root / run
         stderr = io.StringIO()

@@ -48,7 +48,7 @@ from metatreat.meta_learner import (
     sample_task_batch,
 )
 from metatreat.synth_gen import GeneratorConfig, generate
-from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
+from metatreat.task_selection import SelectionConfig, select_training_tasks
 from oracles import central_diff, max_rel_error, pairwise_auc
 
 SIGMA = 1.0
@@ -217,9 +217,7 @@ def _algebra_setup(lr):
         table, table.group_ids != 2, PreprocessConfig(scaling="standardize"), ()
     )
     train_table, test_table = group_holdout_split(processed, "g2")
-    tasks = select_training_tasks(
-        train_table, [TaskSpec("y", "regression")], SelectionConfig()
-    )
+    tasks = select_training_tasks(train_table, ["y"], SelectionConfig())
     base = BaseLearnerConfig(
         n_layers=1, hidden_dim=4, embedding_dim=3, activation="tanh",
         dropout_rate=0.0, reg_strength=0.0, optimizer="sgd",
@@ -248,9 +246,9 @@ def test_criterion_3_update_algebra():
         tasks, TaskCache(train_table, masked_test), meta.k, copy.deepcopy(rng)
     )
     adapted = StepWorkspace(theta)
-    for d in (batch.train_data, batch.finetune_data):
+    for d in batch:
         stacked = TaskData(d.x[None], d.group_ids[None], d.y[None], d.row_indices[None])
-        inner_update(adapted, stacked, batch.task.kind, base, (np.random.default_rng(0),), [None])
+        inner_update(adapted, stacked, "regression", base, (np.random.default_rng(0),), [None])
     [stepped] = meta_train(
         [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
     )

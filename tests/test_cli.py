@@ -282,6 +282,54 @@ def test_bad_differential_pair_exits_2_before_data_loads(
     assert needle in capsys.readouterr().err
 
 
+def test_second_stratifier_exits_2_before_data_loads(tmp_path, study_dir, capsys):
+    # preprocessing residualizes on one stratifier; a second one would be
+    # ignored, so the manifest is refused
+    doc = json.loads((study_dir / "manifest.json").read_text(encoding="utf-8"))
+    for name in ("s1", "s2"):
+        doc["columns"].append({"name": name, "kind": "categorical", "role": "stratifier"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    # the data file does not exist: loading it would exit 3
+    code = main([
+        "cv", "--data", str(tmp_path / "absent.csv"), "--manifest", str(manifest),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "at most one stratifier column, found ['s1', 's2']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, cells, pairs, repeated",
+    [
+        # one-hot encoding names a column of categorical feature c "c=a"
+        ([{"name": "c", "kind": "categorical"}, {"name": "c=a"}], ["a", "1.5"], [], "c=a"),
+        # the pair (aux0, x0) adds a feature named "aux0_minus_x0"
+        ([{"name": "aux0_minus_x0"}], ["1.5"], [["aux0", "x0"]], "aux0_minus_x0"),
+    ],
+    ids=["one-hot", "differential pair"],
+)
+def test_derived_column_repeating_a_declared_one_exits_3_naming_it(
+    tmp_path, study_dir, capsys, extra, cells, pairs, repeated
+):
+    doc = json.loads((study_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({**doc, "columns": doc["columns"] + extra, "differential_pairs": pairs}),
+        encoding="utf-8",
+    )
+    lines = (study_dir / "data.csv").read_text().splitlines()
+    header = ",".join([lines[0]] + [c["name"] for c in extra])
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header] + [",".join([line] + cells) for line in lines[1:]]) + "\n")
+    code = main([
+        "cv", "--data", str(data), "--manifest", str(manifest),
+        "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert f"column names must be unique: {repeated!r} appears twice" in capsys.readouterr().err
+
+
 def test_cv_numeric_blowup_exit_4(tmp_path, study_dir, capsys):
     # an absurd learning rate overflows the forward pass mid-run
     run = tmp_path / "run.json"
@@ -1061,11 +1109,14 @@ def manifests(draw):
     names = draw(st.lists(st.text(max_size=6), min_size=2, max_size=6, unique=True))
     columns = [{"name": names[0], "role": "group", "kind": "categorical"},
                {"name": names[1], "role": "target", "timing": draw(st.sampled_from(TIMINGS))}]
+    # at most one column may be a stratifier
+    stratifier = draw(st.sampled_from([None, *names[2:]]))
     for name in names[2:]:
+        roles = ["feature", "stratifier"] if name == stratifier else ["feature"]
         columns.append(draw(st.fixed_dictionaries(
             {"name": st.just(name)},
             optional={
-                "role": st.sampled_from(["feature", "stratifier"]),
+                "role": st.sampled_from(roles),
                 "kind": st.sampled_from(KINDS),
                 "timing": st.sampled_from(TIMINGS),
             },

@@ -38,16 +38,16 @@ MIDDLE_AT_2 = (0.95, 1.05)
 
 def _held_out_mse(setup, weights, config, cv) -> float:
     """The meta row's held-out MSE, as ``run_cv``'s fold computes it."""
-    task = setup.targets[0]
-    y, observed = setup.test_table.column_values(task.column)
+    column = setup.targets[0]
+    y, observed = setup.test_table.column_values(column)
     scored = np.flatnonzero(observed)
-    data = task_dataset(setup.train_table, task.column, task.kind)
+    data = task_dataset(setup.train_table, column, config.task_kind)
     rngs = [
-        child_rng(cv.seed, "fold", setup.fold_index, name, task.column)
+        child_rng(cv.seed, "fold", setup.fold_index, name, column)
         for name in ("base_initial", "meta")
     ]
     [preds] = fine_tune(
-        [setup.theta0, weights], task.kind, data, [setup.masked_test], config.base, rngs
+        [setup.theta0, weights], config.task_kind, data, [setup.masked_test], config.base, rngs
     )
     return mse(preds[1][scored], y[scored])
 
@@ -71,7 +71,7 @@ def _ablation_ratios(seed: int, d: float) -> dict[str, float]:
         trained = _held_out_mse(setup, theta, config, cv)
         [reported] = [
             r.value for r in report.rows
-            if (r.group, r.task, r.model) == (setup.group_name, setup.targets[0].column, "meta")
+            if (r.group, r.task, r.model) == (setup.group_name, setup.targets[0], "meta")
         ]
         assert trained == reported
         ratios[setup.group_name] = _held_out_mse(setup, ablated, config, cv) / trained

@@ -288,6 +288,37 @@ def test_run_cv_classification_models():
             assert 0.0 <= r.value <= 1.0
 
 
+def test_meta_training_regresses_and_the_meta_test_takes_the_run_kind(monkeypatch):
+    # training tasks are post-treatment features and always regress; only
+    # the meta-test of a target takes the run's task kind
+    table, manifest, _ = small_raw(seed=3)
+    pipeline = dataclasses.replace(FAST_PIPELINE, task_kind="classification")
+    kinds = {"meta_step": [], "fine_tune": []}
+    inside = []
+    update = meta_learner.inner_update
+
+    def recorded(ws, data, kind, *args):
+        kinds[inside[-1]].append(kind)
+        return update(ws, data, kind, *args)
+
+    def within(name, call):
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(meta_learner, "inner_update", recorded)
+    monkeypatch.setattr(meta_learner, "meta_step", within("meta_step", meta_learner.meta_step))
+    monkeypatch.setattr(eval_harness, "fine_tune", within("fine_tune", eval_harness.fine_tune))
+    run_cv(table, manifest, pipeline, CvConfig(seed=2))
+    # one stack of 3 folds: 4 meta-iterations x 2 tasks x (train, fine-tune);
+    # then one meta-test per fold and target
+    assert kinds == {"meta_step": ["regression"] * 16, "fine_tune": ["classification"] * 3}
+
+
 def test_run_cv_deterministic_per_seed():
     table, manifest, _ = small_raw(seed=5)
     a = run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=9))

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from metatreat.meta_learner import (
     sample_task_batch,
 )
 from metatreat.synth_gen import GeneratorConfig, generate
-from metatreat.task_selection import SelectionConfig, TaskSpec, select_training_tasks
+from metatreat.task_selection import SelectionConfig, select_training_tasks
 
 BASE = BaseLearnerConfig(
     n_layers=2, hidden_dim=8, embedding_dim=4, activation="tanh",
@@ -51,11 +52,7 @@ def small_study(seed=0, n_per_group=12, g_star="g2"):
         table, table.group_ids != gid, PreprocessConfig(scaling="standardize"), ()
     )
     train_table, test_table = group_holdout_split(processed, g_star)
-    tasks = select_training_tasks(
-        train_table,
-        [TaskSpec("y", "regression")],
-        SelectionConfig("all_post"),
-    )
+    tasks = select_training_tasks(train_table, ["y"], SelectionConfig("all_post"))
     return train_table, withhold_targets(test_table), test_table, tasks
 
 
@@ -101,31 +98,31 @@ def sample(study, k, rng):
 
 
 def test_sample_sizes_k_per_group():
-    batch = sample(small_study(), 5, np.random.default_rng(0))
-    assert len(batch.train_data.y) == 10  # 2 training groups x k
-    assert len(batch.finetune_data.y) == 5  # one held-out group x k
+    train, finetune = sample(small_study(), 5, np.random.default_rng(0))
+    assert len(train.y) == 10  # 2 training groups x k
+    assert len(finetune.y) == 5  # one held-out group x k
 
 
 def test_finetune_rows_come_from_held_out_group_only():
-    batch = sample(small_study(), 4, np.random.default_rng(1))
-    assert set(batch.finetune_data.group_ids) == {2}
-    assert set(batch.train_data.group_ids) == {0, 1}
+    train, finetune = sample(small_study(), 4, np.random.default_rng(1))
+    assert set(finetune.group_ids) == {2}
+    assert set(train.group_ids) == {0, 1}
 
 
 def test_sampling_is_deterministic_per_seed():
     study = small_study()
     a = sample(study, 5, np.random.default_rng(3))
     b = sample(study, 5, np.random.default_rng(3))
-    assert a.task == b.task
-    assert np.array_equal(a.train_data.row_indices, b.train_data.row_indices)
-    assert np.array_equal(a.finetune_data.row_indices, b.finetune_data.row_indices)
+    for side_a, side_b in zip(a, b, strict=True):
+        assert np.array_equal(side_a.row_indices, side_b.row_indices)
+        assert side_a.y.tobytes() == side_b.y.tobytes()
 
 
 def test_small_group_warns_and_samples_with_replacement():
     study = small_study(n_per_group=3)
     with pytest.warns(UserWarning, match="replacement"):
-        batch = sample(study, 5, np.random.default_rng(0))
-    assert len(batch.finetune_data.y) == 5
+        _, finetune = sample(study, 5, np.random.default_rng(0))
+    assert len(finetune.y) == 5
 
 
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
@@ -133,17 +130,18 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
     fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
     cache = TaskCache(train_table, masked_test)
     for _ in range(12):
+        # the first number a draw takes from its stream picks its column
+        column = tasks[int(copy.deepcopy(kept).integers(len(tasks)))]
         a = sample(study, 4, fresh)
         b = sample_task_batch(tasks, cache, 4, kept)
-        assert a.task == b.task
-        for side, table in (("train_data", train_table), ("finetune_data", masked_test)):
-            full = task_dataset(table, b.task.column, b.task.kind)
-            pos = np.searchsorted(full.row_indices, getattr(b, side).row_indices)
+        for side, table in enumerate((train_table, masked_test)):
+            full = task_dataset(table, column, "regression")
+            pos = np.searchsorted(full.row_indices, b[side].row_indices)
             for name in ("x", "group_ids", "y", "row_indices"):
                 want = getattr(full, name)[pos].tobytes()
-                assert getattr(getattr(a, side), name).tobytes() == want
-                assert getattr(getattr(b, side), name).tobytes() == want
-    assert set(cache.tasks) == {(t.column, t.kind) for t in tasks.training}
+                assert getattr(a[side], name).tobytes() == want
+                assert getattr(b[side], name).tobytes() == want
+    assert set(cache.tasks) == set(tasks)
 
 
 def test_task_cache_keeps_one_input_matrix_per_side():
@@ -163,11 +161,11 @@ def test_task_cache_keeps_one_input_matrix_per_side():
 
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
-    names = {t.column for t in tasks.training}
     rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test)
     for _ in range(10):
-        batch = sample_task_batch(tasks, cache, 3, rng)
-        assert batch.task.column in names
+        sample_task_batch(tasks, cache, 3, rng)
+    # the cache holds the rows of every column a draw sampled
+    assert set(cache.tasks) <= set(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +186,7 @@ def _stack_and_batch(lr=0.05, seed=0):
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
     batch = sample_task_batch(tasks, TaskCache(train_table, masked_test), 4, rng)
-    stacked = (
-        batch.task.kind,
-        *(meta_learner._stack([d]) for d in (batch.train_data, batch.finetune_data)),
-    )
+    stacked = tuple(meta_learner._stack([d]) for d in batch)
     return stack_weights([theta]), theta, stacked, config, rng
 
 
@@ -202,9 +197,8 @@ def test_meta_step_eps1_returns_adapted_weights_bitwise():
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
     expected = StepWorkspace(theta)
-    kind, *slices = stacked
-    for data in slices:
-        inner_update(expected, data, kind, config, (np.random.default_rng(0),), [None])
+    for data in stacked:
+        inner_update(expected, data, "regression", config, (np.random.default_rng(0),), [None])
     assert meta_step(stack, StepWorkspace(stack), [stacked], 1.0, config, (rng,), [None]) is None
     # epsilon 1.0 -> theta equals the adapted weights
     assert np.array_equal(stack.values, expected.net.values)
@@ -418,10 +412,10 @@ def test_lockstep_sampling_failure_stops_the_later_folds_only(monkeypatch):
     trains, tests, task_sets = _three_folds()
     train = trains[1]
     missing = train.missing_mask.copy()
-    column = train.column_index(task_sets[1].training[1].column)
+    column = train.column_index(task_sets[1][1])
     missing[train.group_ids == train.resolve_group("g0"), column] = True
     trains[1] = train.replace_matrix(train.columns, train.values, missing)
-    task_sets[1] = replace(task_sets[1], training=task_sets[1].training[:2])
+    task_sets[1] = task_sets[1][:2]
     stack_sizes = []
     update = meta_learner.inner_update
 
@@ -452,7 +446,7 @@ def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
     monkeypatch.setattr(meta_learner, "task_dataset", counted)
     meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
     meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [10, 11, 12])))
-    columns = {t.column for tasks in task_sets for t in tasks.training}
+    columns = {column for tasks in task_sets for column in tasks}
     assert len(columns) > 1
     # 3 folds x 10 iterations x 2 draws, each needing a train and a test slice
     assert set(calls.values()) == {1} and len(calls) < 3 * 10 * 2 * 2

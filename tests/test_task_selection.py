@@ -8,8 +8,6 @@ from metatreat.errors import ConfigError, DataError
 from metatreat.task_selection import (
     MAX_HISTOGRAM_CELLS,
     SelectionConfig,
-    TaskSet,
-    TaskSpec,
     mutual_information,
     pearson,
     select_training_tasks,
@@ -139,28 +137,27 @@ def selection_fixture(n=40, seed=0):
     return table_of(cols, data, np.zeros(n, dtype=int))
 
 
-TARGET = TaskSpec("y", "regression")
+TARGET = "y"
 
 
 def test_all_post_keeps_every_usable_candidate():
     table = selection_fixture()
     tasks = select_training_tasks(table, [TARGET], SelectionConfig("all_post"))
-    assert {t.column for t in tasks.training} == {"p1", "p2", "p3", "p4"}
-    assert all(t.kind == "regression" for t in tasks.training)
+    assert tasks == ("p1", "p2", "p3", "p4")
 
 
 def test_pearson_top1_picks_target_duplicate():
     table = selection_fixture()
     config = SelectionConfig("pearson", keep_fraction=0.25)
     tasks = select_training_tasks(table, [TARGET], config)
-    assert [t.column for t in tasks.training] == ["p2"]  # |r| = 1
+    assert tasks == ("p2",)  # |r| = 1
 
 
 def test_keep_fraction_rounds_up():
     table = selection_fixture()
     config = SelectionConfig("pearson", keep_fraction=0.7)
     tasks = select_training_tasks(table, [TARGET], config)
-    assert len(tasks.training) == 3  # ceil(0.7 * 4)
+    assert len(tasks) == 3  # ceil(0.7 * 4)
 
 
 def test_selection_uses_training_rows_only():
@@ -176,12 +173,7 @@ def test_selection_uses_training_rows_only():
 def test_target_columns_never_become_training_tasks():
     table = selection_fixture()
     tasks = select_training_tasks(table, [TARGET], SelectionConfig("all_post"))
-    assert "y" not in {t.column for t in tasks.training}
-    with pytest.raises(ConfigError):
-        TaskSet(
-            training=(TaskSpec("y", "regression"),),
-            target=(TARGET,),
-        )
+    assert "y" not in tasks
 
 
 def test_no_post_features_errors():
@@ -204,7 +196,7 @@ def test_constant_candidates_excluded():
     )
     table = table_of(cols, data)
     tasks = select_training_tasks(table, [TARGET], SelectionConfig("all_post"))
-    assert {t.column for t in tasks.training} == {"p1"}
+    assert tasks == ("p1",)
 
 
 def test_selection_config_validation():
@@ -239,4 +231,4 @@ def test_relevance_ties_break_by_column_order():
     tasks = select_training_tasks(
         table, [TARGET], SelectionConfig("pearson", keep_fraction=0.5)
     )
-    assert [t.column for t in tasks.training] == ["p_second"]  # earlier column wins
+    assert tasks == ("p_second",)  # earlier column wins
