@@ -69,7 +69,6 @@ class DatasetTable:
     missing_mask: np.ndarray
     group_ids: np.ndarray
     group_names: tuple[str, ...]
-    group_column: str = "group"
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
@@ -115,16 +114,6 @@ class DatasetTable:
         j = self.column_index(name)
         return self.values[:, j], ~self.missing_mask[:, j]
 
-    def columns_with(self, role: str | None = None, timing: str | None = None) -> list[ColumnMeta]:
-        out = []
-        for c in self.columns:
-            if role is not None and c.role != role:
-                continue
-            if timing is not None and c.timing != timing:
-                continue
-            out.append(c)
-        return out
-
     def take_rows(self, idx: np.ndarray) -> "DatasetTable":
         return DatasetTable(
             self.columns,
@@ -132,7 +121,6 @@ class DatasetTable:
             self.missing_mask[idx],
             self.group_ids[idx],
             self.group_names,
-            self.group_column,
         )
 
     def replace_matrix(
@@ -141,9 +129,7 @@ class DatasetTable:
         values: np.ndarray,
         missing_mask: np.ndarray,
     ) -> "DatasetTable":
-        return DatasetTable(
-            columns, values, missing_mask, self.group_ids, self.group_names, self.group_column
-        )
+        return DatasetTable(columns, values, missing_mask, self.group_ids, self.group_names)
 
     def resolve_group(self, group: str) -> int:
         try:
@@ -154,24 +140,69 @@ class DatasetTable:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Column declarations plus study-level preprocessing hints."""
+    """A manifest file's own form: every column, the group column among
+    them, plus study-level preprocessing hints. ``differential_pairs`` is
+    ``"auto"``, resolved here, or [post, pre] pairs. Every rule holds
+    however the manifest is built, from its file or in Python."""
 
     columns: tuple[ColumnMeta, ...]
-    group_column: str
-    differential_pairs: tuple[tuple[str, str], ...] = ()
+    differential_pairs: str | tuple[tuple[str, str], ...] = ()
     reference_group: str | None = None
     missing_values: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
+    def __post_init__(self) -> None:
+        columns = self.columns
+        names = [c.name for c in columns]
+        if len(set(names)) != len(names):
+            raise ConfigError("manifest declares duplicate column names")
+        n_groups = sum(c.role == "group" for c in columns)
+        if n_groups != 1:
+            raise ConfigError(f"manifest must declare exactly one group column, found {n_groups}")
+        if not any(c.role == "target" for c in columns):
+            raise ConfigError("manifest must declare at least one target column")
+        _stratifier_column(columns)
+        for c in columns:
+            if c.role == "target" and c.kind != "numeric":
+                raise ConfigError(f"target column {c.name!r} must be numeric")
+        pairs = self.differential_pairs
+        if isinstance(pairs, str):
+            if pairs != "auto":
+                raise ConfigError(
+                    f'Manifest.differential_pairs: expected "auto" or a list of pairs, got {pairs!r}'
+                )
+            pairs = auto_differential_pairs(columns)
+            object.__setattr__(self, "differential_pairs", pairs)
+        by_name = {c.name: c for c in columns}
+        for i, pair in enumerate(pairs):
+            if pair in pairs[:i]:
+                raise ConfigError(f"manifest differential pair {list(pair)} is listed twice")
+            for name in pair:
+                what = _unpairable(by_name.get(name))
+                if what is not None:
+                    raise ConfigError(
+                        f"manifest differential pair {list(pair)} names {what} {name!r}"
+                    )
+
+    @property
+    def group_column(self) -> str:
+        return next(c.name for c in self.columns if c.role == "group")
+
+    @property
+    def table_columns(self) -> tuple[ColumnMeta, ...]:
+        """The columns a loaded table holds: every one but the group column."""
+        return tuple(c for c in self.columns if c.role != "group")
+
     def to_dict(self) -> dict:
-        return {
-            "columns": [
-                {"name": c.name, "timing": c.timing, "kind": c.kind, "role": c.role}
-                for c in self.columns
-            ],
-            "differential_pairs": [list(p) for p in self.differential_pairs],
-            "reference_group": self.reference_group,
-            "missing_values": list(self.missing_values),
-        }
+        return dataclasses.asdict(self)
+
+
+def _stratifier_column(columns: tuple[ColumnMeta, ...]) -> str | None:
+    """The name of the one stratifier among ``columns``, if any; residual
+    features stratify on one column, so a second is refused, not ignored."""
+    names = [c.name for c in columns if c.role == "stratifier"]
+    if len(names) > 1:
+        raise ConfigError(f"manifest may declare at most one stratifier column, found {names}")
+    return names[0] if names else None
 
 
 def auto_differential_pairs(columns: tuple[ColumnMeta, ...]) -> tuple[tuple[str, str], ...]:
@@ -246,18 +277,6 @@ def _typed(where: str, hint, value):
     return value
 
 
-@dataclass(frozen=True)
-class ManifestDoc:
-    """A manifest file as written: the group column is one of ``columns``,
-    and ``differential_pairs`` is ``"auto"`` or a list of [post, pre]
-    pairs."""
-
-    columns: tuple[ColumnMeta, ...]
-    differential_pairs: str | tuple[tuple[str, str], ...] = ()
-    reference_group: str | None = None
-    missing_values: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
-
-
 def _unpairable(meta: ColumnMeta | None) -> str | None:
     """What keeps a manifest column out of a differential pair, if anything:
     a pair subtracts two numeric table columns that are not targets, and a
@@ -271,51 +290,6 @@ def _unpairable(meta: ColumnMeta | None) -> str | None:
     return None
 
 
-def parse_manifest(doc: dict) -> Manifest:
-    spec = strict_dataclass(ManifestDoc, doc)
-    metas = spec.columns
-    names = [c.name for c in metas]
-    if len(set(names)) != len(names):
-        raise ConfigError("manifest declares duplicate column names")
-    groups = [c for c in metas if c.role == "group"]
-    if len(groups) != 1:
-        raise ConfigError(f"manifest must declare exactly one group column, found {len(groups)}")
-    if not any(c.role == "target" for c in metas):
-        raise ConfigError("manifest must declare at least one target column")
-    stratifiers = [c.name for c in metas if c.role == "stratifier"]
-    if len(stratifiers) > 1:
-        raise ConfigError(
-            f"manifest may declare at most one stratifier column, found {stratifiers}"
-        )
-    for c in metas:
-        if c.role == "target" and c.kind != "numeric":
-            raise ConfigError(f"target column {c.name!r} must be numeric")
-    table_metas = tuple(c for c in metas if c.role != "group")
-
-    pairs = spec.differential_pairs
-    if isinstance(pairs, str):
-        if pairs != "auto":
-            raise ConfigError(
-                f'ManifestDoc.differential_pairs: expected "auto" or a list of pairs, got {pairs!r}'
-            )
-        pairs = auto_differential_pairs(table_metas)
-    by_name = {c.name: c for c in metas}
-    for i, pair in enumerate(pairs):
-        if pair in pairs[:i]:
-            raise ConfigError(f"manifest differential pair {list(pair)} is listed twice")
-        for name in pair:
-            what = _unpairable(by_name.get(name))
-            if what is not None:
-                raise ConfigError(f"manifest differential pair {list(pair)} names {what} {name!r}")
-    return Manifest(
-        columns=table_metas,
-        group_column=groups[0].name,
-        differential_pairs=pairs,
-        reference_group=spec.reference_group,
-        missing_values=spec.missing_values,
-    )
-
-
 def load_manifest(path: str | Path) -> Manifest:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -326,7 +300,7 @@ def load_manifest(path: str | Path) -> Manifest:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"manifest {path}: invalid JSON ({exc})") from None
-    return parse_manifest(doc)
+    return strict_dataclass(Manifest, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +345,7 @@ def csv_cell(text: str) -> str:
 def table_from_rows(
     manifest: Manifest, header: list[str], rows: list[list[str]], source: str = "<data>"
 ) -> DatasetTable:
-    declared = {c.name for c in manifest.columns} | {manifest.group_column}
+    declared = {c.name for c in manifest.columns}
     col_pos: dict[str, int] = {}
     for i, name in enumerate(header):
         if name not in declared:
@@ -405,7 +379,7 @@ def table_from_rows(
     out_values: list[np.ndarray] = []
     out_mask: list[np.ndarray] = []
 
-    for meta in manifest.columns:
+    for meta in manifest.table_columns:
         pos = col_pos[meta.name]
         raw = [row[pos].strip() for row in rows]
         missing = np.array([cell in sentinels for cell in raw], dtype=bool)
@@ -430,39 +404,31 @@ def table_from_rows(
             out_columns.append(meta)
             out_values.append(vals)
             out_mask.append(missing)
-        else:  # categorical
-            cats = sorted({cell for r, cell in enumerate(raw) if not missing[r]})
+        else:  # categorical: each cell's index among the sorted levels
+            levels = sorted({cell for cell, gap in zip(raw, missing) if not gap})
+            index = {level: i for i, level in enumerate(levels)}
+            cells = [np.nan if gap else index[cell] for cell, gap in zip(raw, missing)]
+            codes = np.array(cells, dtype=np.float64)
             if meta.role == "stratifier":
-                if len(cats) != 2:
+                if len(levels) != 2:
                     raise DataError(
                         f"{source}: stratifier {meta.name!r} must be binary, "
-                        f"found {len(cats)} categories"
+                        f"found {len(levels)} categories"
                     )
-                vals = np.full(n, np.nan)
-                for r, cell in enumerate(raw):
-                    if not missing[r]:
-                        vals[r] = float(cats.index(cell))
                 out_columns.append(ColumnMeta(meta.name, meta.timing, "numeric", "stratifier"))
-                out_values.append(vals)
+                out_values.append(codes)
                 out_mask.append(missing)
-            else:
-                # one-hot encode a categorical feature
-                for cat in cats:
-                    vals = np.full(n, np.nan)
-                    for r, cell in enumerate(raw):
-                        if not missing[r]:
-                            vals[r] = 1.0 if cell == cat else 0.0
+            else:  # one-hot: one column per level
+                for i, level in enumerate(levels):
                     out_columns.append(
-                        ColumnMeta(f"{meta.name}={cat}", meta.timing, "numeric", meta.role)
+                        ColumnMeta(f"{meta.name}={level}", meta.timing, "numeric", meta.role)
                     )
-                    out_values.append(vals)
-                    out_mask.append(missing.copy())
+                    out_values.append(np.where(missing, np.nan, codes == i))
+                    out_mask.append(missing)
 
     values = np.column_stack(out_values) if out_values else np.zeros((n, 0))
     mask = np.column_stack(out_mask) if out_mask else np.zeros((n, 0), dtype=bool)
-    return DatasetTable(
-        tuple(out_columns), values, mask, group_ids, tuple(group_names), manifest.group_column
-    )
+    return DatasetTable(tuple(out_columns), values, mask, group_ids, tuple(group_names))
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +750,9 @@ def fit_preprocess(
     t = differential_features(table, differential_pairs)
     t, dropped = drop_sparse_features(t, config.missing_threshold, train)
     rstats = None
-    stratifiers = t.columns_with(role="stratifier")
-    if stratifiers:
-        t, rstats = residualize(t, stratifiers[0].name, config.residual_alpha, train)
+    stratifier = _stratifier_column(t.columns)
+    if stratifier is not None:
+        t, rstats = residualize(t, stratifier, config.residual_alpha, train)
     t, means = impute_means(t, train)
     t, sstats = fit_scaling(t, train, config.scaling, config.reference_group)
     plan = PreprocessPlan(

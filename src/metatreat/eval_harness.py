@@ -583,15 +583,19 @@ def _fold_payloads(
         if preprocess.reference_group is None:
             preprocess = replace(preprocess, reference_group=manifest.reference_group)
             model_config = replace(model_config, preprocess=preprocess)
-        if preprocess.reference_group is not None:
-            # the reference group's own fold has no reference rows to scale
-            # targets with; fail before any fold spends its meta-training
-            ref = raw_table.group_names[raw_table.resolve_group(preprocess.reference_group)]
-            if ref in eligible:
-                raise DataError(
-                    f"reference group {ref!r} has no training rows to fit on when held out; "
-                    f"exclude it with --holdout-exclude {ref}"
-                )
+        ref = preprocess.reference_group
+        if ref is not None and ref not in raw_table.group_names:
+            raise DataError(
+                f"reference group {ref!r} is not in the data; "
+                f"its groups are {list(raw_table.group_names)}"
+            )
+        # the reference group's own fold has no reference rows to scale
+        # targets with; fail before any fold spends its meta-training
+        if ref in eligible:
+            raise DataError(
+                f"reference group {ref!r} has no training rows to fit on when held out; "
+                f"exclude it with --holdout-exclude {ref}"
+            )
     return [
         (raw_table, manifest, model_config, cv_config, i, name)
         for i, name in enumerate(eligible)

@@ -182,8 +182,8 @@ def generate(config: GeneratorConfig) -> tuple[DatasetTable, Manifest, GroundTru
         values = np.where(mask, np.nan, values)
 
     group_names = tuple(f"g{i}" for i in range(g_count))
-    table = DatasetTable(tuple(columns), values, mask, group_ids, group_names, "group")
-    manifest = Manifest(columns=tuple(columns), group_column="group")
+    table = DatasetTable(tuple(columns), values, mask, group_ids, group_names)
+    manifest = Manifest((*columns, ColumnMeta("group", "pre", "categorical", "group")))
     truth = GroundTruth(
         noiseless_target=noiseless, delta=config.delta, bayes_mse=bayes_optimal_mse(config)
     )
@@ -195,10 +195,11 @@ def generate(config: GeneratorConfig) -> tuple[DatasetTable, Manifest, GroundTru
 # ---------------------------------------------------------------------------
 
 
-def table_to_csv_text(table: DatasetTable) -> str:
-    """RFC-4180 text with missing cells left empty; floats use repr so a
-    write/read round trip is value-exact."""
-    header = [table.group_column] + [c.name for c in table.columns]
+def table_to_csv_text(table: DatasetTable, group_column: str) -> str:
+    """RFC-4180 text, the group column named ``group_column`` first, with
+    missing cells left empty; floats use repr so a write/read round trip is
+    value-exact."""
+    header = [group_column] + [c.name for c in table.columns]
     lines = [",".join(csv_cell(name) for name in header)]
     for i in range(table.n_rows):
         cells = [csv_cell(table.group_names[table.group_ids[i]])]
@@ -209,11 +210,7 @@ def table_to_csv_text(table: DatasetTable) -> str:
 
 
 def manifest_to_json_text(manifest: Manifest) -> str:
-    doc = manifest.to_dict()
-    doc["columns"].append(
-        {"name": manifest.group_column, "timing": "pre", "kind": "categorical", "role": "group"}
-    )
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def write_dataset(
@@ -230,7 +227,7 @@ def write_dataset(
         "manifest": out / "manifest.json",
         "ground_truth": out / "ground_truth.json",
     }
-    paths["data"].write_text(table_to_csv_text(table), encoding="utf-8")
+    paths["data"].write_text(table_to_csv_text(table, manifest.group_column), encoding="utf-8")
     paths["manifest"].write_text(manifest_to_json_text(manifest), encoding="utf-8")
     truth_doc = truth.to_dict()
     truth_doc["generator_config"] = config.to_dict()

@@ -97,13 +97,14 @@ def select_training_tasks(
     if not targets:
         raise ConfigError("at least one target task is required")
     candidates = []
-    for col in train_table.columns_with(role="feature", timing="post"):
-        vals, obs = train_table.column_values(col.name)
+    posts = [c.name for c in train_table.columns if c.role == "feature" and c.timing == "post"]
+    for name in posts:
+        vals, obs = train_table.column_values(name)
         if not obs.any():
             continue
         if np.unique(vals[obs]).size < 2:
             continue  # constant column carries no trainable signal
-        candidates.append(col.name)
+        candidates.append(name)
     if not candidates:
         raise DataError("no training tasks available: no usable post-treatment features")
 

@@ -27,8 +27,9 @@ fold alone, whose ``x0`` cells are huge, so that the meta-loop drops that
 fold and steps on with the earlier ones. After ``generate`` and ``report``
 come a ``cv`` whose first meta-iteration steps all the way to the adapted
 weights (``epsilon0`` 1), a ``report`` on a hand-written report whose
-scores overflow the mean's sum, and a ``cv`` with two target columns
-under Pearson selection.
+scores overflow the mean's sum, a ``cv`` with two target columns
+under Pearson selection, and a ``cv`` on a study with a three-level
+categorical feature and a categorical stratifier, each with blank cells.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from workloads import GRID_BUDGET, WORKLOADS, study_config, write_space  # noqa:
 STUDY_SEED = 7
 MISSING_RATE = 0.35
 TARGET_GAP = 5  # every fifth row's target is blank in the missing-target study
+TIER_GAP, STRATUM_GAP = 7, 11  # blank rows of the categorical-blanks study's two columns
 HUGE = 1e100  # the last-fold study's factor on group g2's x0
 REFERENCE = "g0"
 
@@ -104,17 +106,22 @@ RUNS = {
 }
 # runs added later, hashed after ``generate`` and ``report`` so that the
 # earlier lines keep their order: one whose first meta-iteration's step
-# size is exactly 1, which the interpolation writes as a copy, and one with
+# size is exactly 1, which the interpolation writes as a copy, one with
 # two target columns, whose training tasks are selected by their best
-# relevance over both
+# relevance over both, and one whose categorical feature and stratifier
+# have blank cells
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
         "two-targets", "cv", [], {"selection": {"method": "pearson", "keep_fraction": 0.5}},
     ),
+    "cv-categorical-blanks": ("categorical-blanks", "cv", [], None),
 }
 # the order in which the runs are hashed; a run added later goes last
-ORDER = (*RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets")
+ORDER = (
+    *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
+    "cv-categorical-blanks",
+)
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
 # on scaled values
@@ -137,8 +144,11 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     ingestion study (``write_ingest_study``), the plain study with a
     categorical stratifier ``s``, ``above`` where ``x0 > 0``, else
     ``below``, the plain study with group ``g2``'s ``x0`` times
-    ``HUGE``, and the plain study's data under a manifest that declares
-    ``aux7`` a second target."""
+    ``HUGE``, the plain study's data under a manifest that declares
+    ``aux7`` a second target, and the plain study plus a categorical
+    feature ``tier`` (``low``, ``mid`` or ``high`` by ``x1``, blank in every
+    ``TIER_GAP``-th row) and the categorical stratifier ``s``, blank in
+    every ``STRATUM_GAP``-th row."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -162,14 +172,15 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
         columns, np.column_stack([table.values, s]),
         np.column_stack([table.missing_mask, np.zeros(table.n_rows, dtype=bool)]),
     )
-    manifest = Manifest(columns=columns, group_column=manifest.group_column)
+    # ``generate`` declares the group column last
+    manifest = Manifest(columns + manifest.columns[-1:])
     studies["stratifier"] = write_dataset(root / "study-stratifier", table, manifest, truth, config)
     table, manifest, truth = generate(config)
     studies["ingest"] = write_ingest_study(root / "study-ingest", table, manifest)
     strata = ["above" if v > 0.0 else "below" for v in table.column_values("x0")[0]]
+    stratifier = {"name": "s", "timing": "pre", "kind": "categorical", "role": "stratifier"}
     studies["stratifier-categorical"] = write_text_column(
-        root / "study-stratifier-categorical", table, manifest,
-        {"name": "s", "timing": "pre", "kind": "categorical", "role": "stratifier"}, strata,
+        root / "study-stratifier-categorical", table, manifest, (stratifier, strata),
     )
     values = table.values.copy()
     values[table.group_ids == table.resolve_group("g2"), table.column_index("x0")] *= HUGE
@@ -185,6 +196,15 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     studies["two-targets"] = {"data": studies["plain"]["data"], "manifest": path}
+    x0, x1 = (table.column_values(name)[0] for name in ("x0", "x1"))
+    tiers = ["low" if v < -0.5 else "high" if v > 0.5 else "mid" for v in x1]
+    tiers[::TIER_GAP] = [""] * len(tiers[::TIER_GAP])
+    strata = ["above" if v > 0.0 else "below" for v in x0]
+    strata[::STRATUM_GAP] = [""] * len(strata[::STRATUM_GAP])
+    studies["categorical-blanks"] = write_text_column(
+        root / "study-categorical-blanks", table, manifest,
+        ({"name": "tier", "timing": "pre", "kind": "categorical"}, tiers), (stratifier, strata),
+    )
     return studies
 
 
@@ -201,26 +221,29 @@ def write_ingest_study(out: Path, table, manifest) -> dict[str, Path]:
         np.column_stack([table.missing_mask, np.zeros((table.n_rows, 2), dtype=bool)]),
     )
     return write_text_column(
-        out, table, Manifest(columns, manifest.group_column),
-        {"name": "color", "timing": "pre", "kind": "categorical"},
-        ["red" if v > 0.0 else "blue" for v in x1], differential_pairs="auto",
+        out, table, Manifest(columns + manifest.columns[-1:]),
+        ({"name": "color", "timing": "pre", "kind": "categorical"},
+         ["red" if v > 0.0 else "blue" for v in x1]),
+        differential_pairs="auto",
     )
 
 
-def write_text_column(out: Path, table, manifest, column: dict, cells, **keys) -> dict[str, Path]:
-    """``table`` with one more column of text ``cells``, which the manifest
-    declares as ``column``, with further manifest ``keys``."""
+def write_text_column(out: Path, table, manifest, *columns, **keys) -> dict[str, Path]:
+    """``table`` with more columns of text, each a ``(column, cells)`` pair
+    whose ``column`` the manifest declares, with further manifest ``keys``."""
     from metatreat.synth_gen import manifest_to_json_text, table_to_csv_text
 
-    lines = table_to_csv_text(table).splitlines()
-    rows = [f"{line},{cell}" for line, cell in zip(lines[1:], cells)]
+    lines = table_to_csv_text(table, manifest.group_column).splitlines()
     doc = json.loads(manifest_to_json_text(manifest))
-    doc["columns"].append(column)
+    header = lines[0]
+    for column, cells in columns:
+        doc["columns"].append(column)
+        header += f",{column['name']}"
+        lines[1:] = [f"{line},{cell}" for line, cell in zip(lines[1:], cells)]
     doc.update(keys)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"data": out / "data.csv", "manifest": out / "manifest.json"}
-    header = f"{lines[0]},{column['name']}"
-    paths["data"].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    paths["data"].write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
     paths["manifest"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return paths
 

@@ -18,6 +18,7 @@ from metatreat.data_model import (
     KINDS,
     SCALING_MODES,
     TIMINGS,
+    ColumnMeta,
     DatasetTable,
     Manifest,
     load_csv,
@@ -373,6 +374,29 @@ def test_cv_reference_group_holdout_fails_before_any_fold(tmp_path, study_dir, m
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_unknown_reference_group_exits_3_naming_it_and_the_groups(
+    tmp_path, study_dir, capsys, source
+):
+    scaling = {"scaling": "standardize_vs_reference_group"}
+    manifest = study_dir / "manifest.json"
+    if source == "config":
+        scaling["reference_group"] = "zz"
+    else:
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**doc, "reference_group": "zz"}), encoding="utf-8")
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**FAST_RUN, "preprocess": scaling}))
+    code = main([
+        "cv", "--data", str(study_dir / "data.csv"), "--manifest", str(manifest),
+        "--config", str(run), "--out", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "reference group 'zz' is not in the data; its groups are ['g0', 'g1', 'g2']" in err
+
+
 @pytest.mark.parametrize(
     "kind, code", [("data", 3), ("manifest", 3), ("config", 2), ("space", 2)]
 )
@@ -419,9 +443,9 @@ def test_json_input_that_is_not_an_object_exits_2(tmp_path, study_dir, capsys, k
         ("config", {"cv": {"jobs": "2"}}, "CvConfig.jobs: expected int, got str"),
         ("config", {"cv": {"jobs": True}}, "CvConfig.jobs: expected int, got bool"),
         ("config", {"preprocess": {"missing_threshold": "a"}}, "missing_threshold"),
-        ("manifest", {"columns": 5}, "ManifestDoc.columns: expected a list"),
-        ("manifest", {"columns": [5]}, "ManifestDoc.columns[0]: ColumnMeta"),
-        ("manifest", {"missing_values": 5}, "ManifestDoc.missing_values"),
+        ("manifest", {"columns": 5}, "Manifest.columns: expected a list"),
+        ("manifest", {"columns": [5]}, "Manifest.columns[0]: ColumnMeta"),
+        ("manifest", {"missing_values": 5}, "Manifest.missing_values"),
         ("space", {"n_layers": 5}, "SearchSpace.n_layers: expected a list, got int"),
         ("space", {"n_layers": []}, "grid 'n_layers' is empty"),
         ("space", {"n_layers": ["a"]}, "SearchSpace.n_layers[0]: expected int, got str"),
@@ -430,7 +454,7 @@ def test_json_input_that_is_not_an_object_exits_2(tmp_path, study_dir, capsys, k
         ("config", {"task_kind": 5}, "PipelineConfig.task_kind: expected str, got int"),
         ("config", {"cv": {"excluded_holdout_groups": [1]}}, "CvConfig.excluded_holdout_groups[0]"),
         ("space", {"keep_fraction_range": [0.8, "1"]}, "SearchSpace.keep_fraction_range[1]"),
-        ("manifest", {"reference_group": 0}, "ManifestDoc.reference_group: expected str"),
+        ("manifest", {"reference_group": 0}, "Manifest.reference_group: expected str"),
         ("manifest", {"columns": [{"name": "y", "role": None}]}, "ColumnMeta.role: expected str"),
     ],
 )
@@ -932,13 +956,13 @@ def test_written_study_round_trips_any_names(columns, groups):
     table, _, truth = generate(config)
     group_column, *names = columns
     metas = tuple(dataclasses.replace(c, name=n) for c, n in zip(table.columns, names))
-    table = DatasetTable(
-        metas, table.values, table.missing_mask, table.group_ids, tuple(groups), group_column
-    )
+    table = DatasetTable(metas, table.values, table.missing_mask, table.group_ids, tuple(groups))
+    manifest = Manifest((*metas, ColumnMeta(group_column, kind="categorical", role="group")))
     with tempfile.TemporaryDirectory() as out:
-        paths = write_dataset(out, table, Manifest(metas, group_column), truth, config)
-        back = load_csv(load_manifest(paths["manifest"]), paths["data"])
-    assert back.group_column == group_column and back.group_names == table.group_names
+        paths = write_dataset(out, table, manifest, truth, config)
+        loaded = load_manifest(paths["manifest"])
+        back = load_csv(loaded, paths["data"])
+    assert loaded == manifest and back.group_names == table.group_names
     assert back.columns == metas and np.array_equal(back.values, table.values)
 
 

@@ -8,7 +8,7 @@ from scipy import stats as scipy_stats
 from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
-    ManifestDoc,
+    Manifest,
     PreprocessConfig,
     _typed,
     binarize_labels,
@@ -21,8 +21,8 @@ from metatreat.data_model import (
     load_csv,
     load_manifest,
     model_inputs,
-    parse_manifest,
     residualize,
+    strict_dataclass,
     table_from_rows,
     task_dataset,
     two_sample_t_test,
@@ -38,8 +38,28 @@ def make_table(values, columns, group_ids, group_names=("a", "b"), mask=None):
     return DatasetTable(tuple(columns), values, mask, np.asarray(group_ids), tuple(group_names))
 
 
+def manifest_from_file(doc):
+    """The manifest that a file holding ``doc`` loads as."""
+    return strict_dataclass(Manifest, doc)
+
+
+def manifest_in_python(doc):
+    """The manifest ``doc`` describes, built in Python from ``ColumnMeta``s."""
+    pairs = doc.get("differential_pairs", ())
+    return Manifest(
+        tuple(ColumnMeta(**c) for c in doc["columns"]),
+        pairs if isinstance(pairs, str) else tuple(tuple(p) for p in pairs),
+    )
+
+
+# every manifest rule holds however the manifest is built
+BOTH_PATHS = pytest.mark.parametrize(
+    "build", [manifest_from_file, manifest_in_python], ids=["file", "python"]
+)
+
+
 def simple_manifest():
-    return parse_manifest(
+    return manifest_from_file(
         {
             "columns": [
                 {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
@@ -57,10 +77,7 @@ def simple_manifest():
 
 
 def test_load_csv_masks_empty_cells(tmp_path):
-    (tmp_path / "m.json").write_text(json.dumps(simple_manifest().to_dict() | {
-        "columns": simple_manifest().to_dict()["columns"]
-        + [{"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"}]
-    }))
+    (tmp_path / "m.json").write_text(json.dumps(simple_manifest().to_dict()))
     (tmp_path / "d.csv").write_text("grp,f1,f2,y\nA,1,2,3\nB,,4,5\nA,6,7,8\n")
     table = load_csv(load_manifest(tmp_path / "m.json"), tmp_path / "d.csv")
     assert table.missing_mask.sum() == 1
@@ -100,7 +117,7 @@ def test_load_csv_missing_group_value():
 
 
 def test_load_csv_one_hot_encodes_categorical():
-    manifest = parse_manifest(
+    manifest = manifest_from_file(
         {
             "columns": [
                 {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
@@ -118,13 +135,45 @@ def test_load_csv_one_hot_encodes_categorical():
     assert table.missing_mask[2, j]  # missing categorical masks every one-hot cell
 
 
-def test_manifest_requires_one_group_and_a_target():
-    with pytest.raises(ConfigError, match="group"):
-        parse_manifest({"columns": [{"name": "y", "role": "target", "timing": "post"}]})
-    with pytest.raises(ConfigError, match="target"):
-        parse_manifest(
-            {"columns": [{"name": "g", "role": "group", "kind": "categorical", "timing": "pre"}]}
-        )
+def test_load_csv_codes_a_categorical_stratifier_by_sorted_level():
+    manifest = manifest_from_file({"columns": [
+        {"name": "grp", "role": "group", "kind": "categorical"},
+        {"name": "sex", "role": "stratifier", "kind": "categorical"},
+        {"name": "y", "role": "target", "timing": "post"},
+    ]})
+    rows = [["A", "m", "1"], ["B", "f", "2"], ["A", "", "3"]]
+    table = table_from_rows(manifest, ["grp", "sex", "y"], rows)
+    values, observed = table.column_values("sex")
+    assert table.columns[0] == ColumnMeta("sex", "pre", "numeric", "stratifier")
+    assert list(values[:2]) == [1.0, 0.0] and list(observed) == [True, True, False]
+
+
+GROUP = {"name": "g", "role": "group", "kind": "categorical"}
+TARGET = {"name": "y", "role": "target", "timing": "post"}
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize(
+    "columns, needle",
+    [
+        ([TARGET], "exactly one group column, found 0"),
+        ([GROUP, {**GROUP, "name": "g2"}, TARGET], "exactly one group column, found 2"),
+        ([GROUP], "at least one target column"),
+        ([GROUP, TARGET, {"name": "y"}], "duplicate column names"),
+        ([GROUP, {**TARGET, "kind": "categorical"}], "target column 'y' must be numeric"),
+        (
+            [GROUP, TARGET, *({"name": s, "role": "stratifier"} for s in ("s1", "s2"))],
+            r"at most one stratifier column, found \['s1', 's2'\]",
+        ),
+    ],
+    ids=[
+        "no-group", "two-groups", "no-target", "duplicate", "categorical-target",
+        "two-stratifiers",
+    ],
+)
+def test_manifest_column_rules(build, columns, needle):
+    with pytest.raises(ConfigError, match=needle):
+        build({"columns": columns})
 
 
 @pytest.mark.parametrize(
@@ -148,9 +197,10 @@ def test_manifest_rejects_wrongly_typed_values(patch, needle):
         {"name": "y", "role": "target", "timing": "post"},
     ]}
     with pytest.raises(ConfigError, match=needle):
-        parse_manifest({**doc, **patch})
+        manifest_from_file({**doc, **patch})
 
 
+@BOTH_PATHS
 @pytest.mark.parametrize(
     "pairs, needle",
     [
@@ -162,7 +212,7 @@ def test_manifest_rejects_wrongly_typed_values(patch, needle):
         ("manual", r'differential_pairs: expected "auto" or a list of pairs'),
     ],
 )
-def test_manifest_rejects_bad_differential_pairs(pairs, needle):
+def test_manifest_rejects_bad_differential_pairs(build, pairs, needle):
     columns = [
         {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"},
         {"name": "f1", "timing": "post"},
@@ -171,16 +221,16 @@ def test_manifest_rejects_bad_differential_pairs(pairs, needle):
         {"name": "y", "role": "target", "timing": "post"},
     ]
     with pytest.raises(ConfigError, match=needle):
-        parse_manifest({"columns": columns, "differential_pairs": pairs})
+        build({"columns": columns, "differential_pairs": pairs})
     # both orders of one pair are two pairs
     both = [["f1", "f2"], ["f2", "f1"]]
-    manifest = parse_manifest({"columns": columns, "differential_pairs": both})
+    manifest = build({"columns": columns, "differential_pairs": both})
     assert manifest.differential_pairs == (("f1", "f2"), ("f2", "f1"))
 
 
 def test_typed_union_takes_the_member_of_the_value_type():
-    where = "ManifestDoc.differential_pairs"
-    hint = typing.get_type_hints(ManifestDoc)["differential_pairs"]
+    where = "Manifest.differential_pairs"
+    hint = typing.get_type_hints(Manifest)["differential_pairs"]
     assert _typed(where, hint, "auto") == "auto"
     pairs = _typed(where, hint, [["a_post", "a_pre"], ["b", "c"]])
     assert pairs == (("a_post", "a_pre"), ("b", "c"))
@@ -188,7 +238,8 @@ def test_typed_union_takes_the_member_of_the_value_type():
         _typed(where, hint, {"a_post": "a_pre"})
 
 
-def test_auto_pairs_numeric_features_only():
+@BOTH_PATHS
+def test_auto_pairs_numeric_features_only(build):
     columns = [
         {"name": "grp", "role": "group", "kind": "categorical"},
         {"name": "a_post", "timing": "post"},
@@ -198,18 +249,15 @@ def test_auto_pairs_numeric_features_only():
         {"name": "y_post", "role": "target", "timing": "post"},
         {"name": "y_pre"},
     ]
-    manifest = parse_manifest({"columns": columns, "differential_pairs": "auto"})
+    manifest = build({"columns": columns, "differential_pairs": "auto"})
     assert manifest.differential_pairs == (("a_post", "a_pre"),)
 
 
 def test_manifest_rejects_unknown_keys():
     doc = simple_manifest().to_dict()
-    doc["columns"].append(
-        {"name": "grp", "role": "group", "kind": "categorical", "timing": "pre"}
-    )
     doc["surprise"] = 1
     with pytest.raises(ConfigError, match="surprise"):
-        parse_manifest(doc)
+        manifest_from_file(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The README's configuration reference lists every settable run-config
-key, and its library section names only modules and functions that exist."""
+key, its example manifest loads, and its library section names only
+modules and functions that exist."""
 
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import metatreat
 from metatreat.base_learner import BaseLearnerConfig
-from metatreat.data_model import PreprocessConfig
+from metatreat.data_model import Manifest, PreprocessConfig, strict_dataclass
 from metatreat.eval_harness import BaselineConfig, CvConfig
 from metatreat.meta_learner import MetaConfig
 from metatreat.task_selection import SelectionConfig
@@ -33,6 +35,13 @@ def test_every_config_field_is_documented(klass):
     reference = readme_section("Configuration reference")
     missing = [f.name for f in dataclasses.fields(klass) if f"`{f.name}`" not in reference]
     assert missing == [], f"{klass.__name__} fields missing from the README: {missing}"
+
+
+def test_data_format_example_manifest_loads():
+    [block] = re.findall(r"```json\n(.*?)```", readme_section("Data format"), flags=re.S)
+    manifest = strict_dataclass(Manifest, json.loads(block))
+    assert manifest.group_column == "group"
+    assert manifest.differential_pairs == (("score_post", "score_pre"),)
 
 
 def test_library_section_names_resolve_inside_the_package():

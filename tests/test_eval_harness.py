@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from metatreat import eval_harness, meta_learner
 from metatreat.base_learner import BaseLearnerConfig, StepWorkspace
-from metatreat.data_model import DatasetTable, PreprocessConfig
+from metatreat.data_model import ColumnMeta, DatasetTable, PreprocessConfig
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.eval_harness import (
     BaselineConfig,
@@ -415,6 +415,20 @@ def test_run_cv_needs_two_groups():
     )
     with pytest.raises(DataError):
         run_cv(one_group, manifest, FAST_PIPELINE, CvConfig())
+
+
+def test_run_cv_refuses_a_table_with_two_stratifiers():
+    # residual features stratify on one column: a second one is refused,
+    # never dropped, also in a table that no manifest file declared
+    table, manifest, _ = small_raw(n_per_group=20)
+    strata = [table.column_values(name)[0] > 0.0 for name in ("x0", "x1")]
+    metas = tuple(ColumnMeta(name, "pre", "numeric", "stratifier") for name in ("s1", "s2"))
+    two = table.replace_matrix(
+        table.columns + metas, np.column_stack([table.values, *strata]),
+        np.column_stack([table.missing_mask, np.zeros((table.n_rows, 2), dtype=bool)]),
+    )
+    with pytest.raises(ConfigError, match=r"at most one stratifier column, found \['s1', 's2'\]"):
+        run_cv(two, manifest, FAST_PIPELINE, CvConfig())
 
 
 def test_run_cv_all_excluded_errors():
