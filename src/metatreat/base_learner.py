@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .data_model import TaskData
 from .errors import ConfigError, DataError, ShapeError
 from .nn_core import (
     DenseBuffers,
@@ -528,8 +527,7 @@ def _step(
     if b.masks is not None:
         dropout_mask(rng, plan.dropout, b.draws)
     pred = _forward_pass(b, plan.x, plan.rows, plan.kind, l1, l2)
-    loss_kind = "binary_cross_entropy" if plan.kind == "classification" else "mse"
-    loss = nn_core.loss_and_delta(pred, plan.y, loss_kind, b.loss, b.delta, b.diff)
+    loss = nn_core.loss_and_delta(pred, plan.y, plan.kind, b.loss, b.delta, b.diff)
     active_embeddings = b.embeddings.take(plan.active)
     nn_core.regularization_sums(active_embeddings.reshape(len(loss), -1), l1, l2, b.reg_sums[-1])
     loss += nn_core.regularization_value(b.reg_sums[:-1], l1, l2)
@@ -583,25 +581,21 @@ def loss_and_grads(
 
 
 def inner_update(
-    ws: StepWorkspace,
-    data: TaskData,
-    kind: str,
-    config: BaseLearnerConfig,
-    rng: Sequence[np.random.Generator],
-    errors: FoldErrors,
+    ws: StepWorkspace, x: np.ndarray, group_ids: np.ndarray, y: np.ndarray, kind: str,
+    config: BaseLearnerConfig, rng: Sequence[np.random.Generator], errors: FoldErrors,
 ) -> None:
     """The k-shot update operator: ``inner_iterations`` full-batch steps of
     ``ws``'s stack, in place, on one stacked task slice with a fresh
     optimizer.
 
-    ``data`` carries the leading fold axis, ``kind`` is the task kind of
-    every fold's slice and ``rng`` one stream per fold; ``errors`` is as in
-    ``loss_and_grads``. The batch is checked and indexed once for every
-    step.
+    The batch is as in ``loss_and_grads``, with the leading fold axis;
+    ``kind`` is the task kind of every fold's slice and ``rng`` one stream
+    per fold, and ``errors`` is as there. The batch is checked and indexed
+    once for every step.
     """
-    if np.size(data.y) == 0:
+    if np.size(y) == 0:
         raise DataError("inner update requires a nonempty data slice")
-    x, g, y = _check_batch(ws.net, data.x, data.group_ids, kind, data.y)
+    x, g, y = _check_batch(ws.net, x, group_ids, kind, y)
     if config.learning_rate != 0.0 and config.inner_iterations != 0:
         plan = _plan(ws, x, g, y, kind, config)
         state = ws.optimizer(config)

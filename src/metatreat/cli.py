@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -178,7 +177,7 @@ def cmd_grid_search(args) -> int:
     stamp = _stamp(hash_, cv.seed)
     lines = ["rank,candidate,status,score"]
     for e in leaderboard:
-        score = "" if math.isnan(e["score"]) else repr(e["score"])
+        score = "" if e["score"] is None else repr(e["score"])
         lines.append(f"{e['rank']},{e['candidate']},{e['status']},{score}")
     (out / "leaderboard.csv").write_text(stamp + "\n".join(lines) + "\n", encoding="utf-8")
     best_doc = {

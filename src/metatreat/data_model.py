@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -249,9 +250,10 @@ def _json_types(hint) -> tuple[type, ...]:
 
 def _typed(where: str, hint, value):
     """``value`` checked against the field type ``hint``: an int field takes
-    no float or bool, a float field takes an int within float range,
-    ``tuple[...]`` takes a list, a dataclass takes its JSON object, and a
-    union is the member that takes the value's type."""
+    no float or bool, a float field takes an int within float range and no
+    number that ``json`` read as infinite (such as 1e400), ``tuple[...]``
+    takes a list, a dataclass takes its JSON object, and a union is the
+    member that takes the value's type."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         options = [a for a in args if isinstance(value, _json_types(a))]
@@ -274,6 +276,8 @@ def _typed(where: str, hint, value):
         raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
     if hint is float and isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ConfigError(f"{where}: integer out of float range")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: number out of float range")
     return value
 
 

@@ -55,8 +55,10 @@ KNN_BLOCK_BYTES = 16 * 2**20
 
 # Upper bound on the float64 cells of one meta-iteration's task batches
 # (``task_batch_cells``), 80 MB; the published grids reach 7.5 million at
-# 100 groups and 1,000 features. A sampled batch's arrays and objects take
-# BATCH_CELLS beyond its data (1,243 traced bytes, whatever its size).
+# 100 groups and 1,000 features. The count is an upper bound on a batch's
+# memory: a sampled batch holds each row's inputs, group id and label, one
+# cell per row fewer than counted, and its own arrays and tuples take about
+# 900 traced bytes, whatever its size, under the 1,280 of BATCH_CELLS.
 MAX_BATCH_CELLS = 10_000_000
 BATCH_CELLS = 160
 
@@ -428,9 +430,9 @@ class _FoldSetup:
 
 
 def task_batch_cells(meta: MetaConfig, n_groups: int, n_features: int) -> int:
-    """The cells of one meta-iteration's task batches: per batch, k rows of
-    each group, each its features, group id, label and row index, plus
-    ``BATCH_CELLS``."""
+    """An upper bound on the cells of one meta-iteration's task batches:
+    per batch, k rows of each group, each its features, group id and label
+    plus one spare cell, and ``BATCH_CELLS``."""
     return meta.tasks_per_iteration * (meta.k * n_groups * (n_features + 3) + BATCH_CELLS)
 
 
@@ -819,7 +821,7 @@ def grid_search(
         entry: dict = {"candidate": i, "config": candidate.to_dict()}
         if isinstance(outcome, Exception):
             error = f"{type(outcome).__name__}: {outcome}"
-            entry.update(score=float("nan"), status="failed", error=error)
+            entry.update(score=None, status="failed", error=error)
         else:
             entry.update(score=outcome, status="ok")
         entries.append(entry)

@@ -36,6 +36,8 @@ from .nn_core import FoldErrors, param_axpy
 # training tasks are feature values: they regress whatever the targets' kind
 TRAINING_KIND = "regression"
 
+Slice = tuple[np.ndarray, np.ndarray, np.ndarray]  # a task's x, group ids and labels
+
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -89,7 +91,7 @@ class TaskCache:
 
 def _sample_per_group(
     table: DatasetTable, task_rows: tuple, k: int, rng: np.random.Generator
-) -> TaskData:
+) -> Slice:
     """k rows per group present in the table, without replacement when possible."""
     inputs, observed, y, groups = task_rows
     picks = []
@@ -109,15 +111,15 @@ def _sample_per_group(
             picks.append(rng.choice(rows, size=k, replace=False))
     idx = np.concatenate(picks)
     rows = observed[idx]
-    return TaskData(inputs[rows], table.group_ids[rows], y[idx], rows)
+    return inputs[rows], table.group_ids[rows], y[idx]
 
 
 def sample_task_batch(
     tasks: Sequence[str], cache: TaskCache, k: int, rng: np.random.Generator
-) -> tuple[TaskData, TaskData]:
+) -> tuple[Slice, Slice]:
     """Sample one of the training columns ``tasks`` plus k rows per group
     on both sides of the split that ``cache`` holds: the training and the
-    fine-tune slice.
+    fine-tune slice, each ``(x, group_ids, y)``.
 
     The fine-tune slice comes from the held-out group's rows and uses only
     the training-task column, never a target column.
@@ -125,17 +127,14 @@ def sample_task_batch(
     if not tasks:
         raise ConfigError("no training tasks to sample from")
     column = tasks[int(rng.integers(len(tasks)))]
-    train_data, finetune_data = (
-        _sample_per_group(table, rows, k, rng)
-        for table, rows in zip(cache.tables, cache.get(column))
-    )
-    return train_data, finetune_data
+    sides = zip(cache.tables, cache.get(column))
+    return tuple(_sample_per_group(table, rows, k, rng) for table, rows in sides)
 
 
 def meta_step(
     theta: BaseLearnerWeights,
     workspace: StepWorkspace,
-    batches: list[tuple[TaskData, TaskData]],
+    batches: list[tuple[Slice, Slice]],
     eps: float,
     base_config: BaseLearnerConfig,
     rngs: Sequence[np.random.Generator],
@@ -147,28 +146,18 @@ def meta_step(
     with a leading fold axis, and is stepped as ``TRAINING_KIND``. With
     several batches the train/fine-tune pair runs sequentially on each
     before the single interpolation, which moves the initialization toward
-    the adapted weights: theta + eps*(adapted - theta) is written back into
+    the adapted weights: theta + eps*(adapted - theta) is written into
     ``theta``. The weights adapt in ``workspace``, one made for ``theta``,
     into which theta is copied first; ``rngs`` and ``errors`` are as in
     ``inner_update``.
     """
-    adapted = workspace.net
-    np.copyto(adapted.values, theta.values)
+    adapted = workspace.net.values
+    np.copyto(adapted, theta.values)
     for slices in batches:
-        for data in slices:
-            inner_update(workspace, data, TRAINING_KIND, base_config, rngs, errors)
+        for x, group_ids, y in slices:
+            inner_update(workspace, x, group_ids, y, TRAINING_KIND, base_config, rngs, errors)
     with np.errstate(all="ignore"):
-        param_axpy(theta.values, adapted.values, eps, out=adapted.values)
-    np.copyto(theta.values, adapted.values)
-
-
-def _stack(parts: list[TaskData]) -> TaskData:
-    """Per-fold task slices of one shape as one slice with a leading fold
-    axis."""
-    return TaskData(
-        *(np.stack([getattr(p, name) for p in parts])
-          for name in ("x", "group_ids", "y", "row_indices"))
-    )
+        param_axpy(theta.values, adapted, eps)
 
 
 def meta_train(
@@ -274,8 +263,9 @@ def _lockstep(
                 break
         if not shrink():
             return results
+        # each draw's two sides, every side's per-fold arrays stacked one by one
         batches = [
-            (_stack([train for train, _ in draws]), _stack([finetune for _, finetune in draws]))
+            tuple(tuple(map(np.stack, zip(*side))) for side in zip(*draws))
             for draws in zip(*per_fold)
         ]
         eps = epsilon_schedule(t, meta_config.meta_iterations, meta_config.epsilon0)
@@ -311,10 +301,10 @@ def fine_tune(
         shift, scale = float(np.mean(data.y)), float(np.std(data.y)) or 1.0
     n = len(networks)
     y = (data.y - shift) / scale
-    stacked = TaskData(*(np.stack([a] * n) for a in (data.x, data.group_ids, y, data.row_indices)))
+    stacked = (np.stack([a] * n) for a in (data.x, data.group_ids, y))
     errors: FoldErrors = [None] * n
     ws = StepWorkspace(stack_weights(networks))
-    inner_update(ws, stacked, kind, base_config, rngs, errors)
+    inner_update(ws, *stacked, kind, base_config, rngs, errors)
     preds = [
         forward(
             ws, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n), kind,

@@ -282,9 +282,9 @@ def dropout_mask(rng: Sequence[np.random.Generator], rate: float, out: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """a + scale * (b - a), elementwise, into ``out`` (which may be ``b``
-    but not ``a``).
+def param_axpy(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """a + scale * (b - a), elementwise, written into ``a`` (returned), with
+    ``b`` as scratch.
 
     scale 1 gives an exact copy of b, so callers can rely on bitwise
     equality with the adapted weights at a full step.
@@ -292,12 +292,12 @@ def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
     if a.shape != b.shape:
         raise ShapeError("param_axpy requires equally shaped parameter vectors")
     if scale == 1.0:
-        np.copyto(out, b)
+        np.copyto(a, b)
     else:
-        np.subtract(b, a, out=out)
-        out *= scale
-        out += a
-    return out
+        b -= a
+        b *= scale
+        a += b
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +306,30 @@ def param_axpy(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
 
 
 def loss_and_delta(
-    pred: np.ndarray, y: np.ndarray, loss_kind: str, loss: np.ndarray, delta: np.ndarray,
+    pred: np.ndarray, y: np.ndarray, kind: str, loss: np.ndarray, delta: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
     """The mean data loss along the last axis into ``loss`` (returned), one
     mean per fold of a stacked batch (folds, rows), and dL/dz at the output
     layer's pre-activation into ``delta``, both from one pred - y (into
-    ``scratch``, shaped like ``pred``). The losses are mean squared error on
-    an identity head and binary cross-entropy on a sigmoid head, whose two
-    gradients fuse to the numerically exact (pred - y) / n.
+    ``scratch``, shaped like ``pred``). A ``"regression"`` task's loss is
+    mean squared error on an identity head and a ``"classification"``
+    task's binary cross-entropy on a sigmoid head, whose two gradients fuse
+    to the numerically exact (pred - y) / n.
     """
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
     n = pred.shape[-1]
     diff = np.subtract(pred, y, out=scratch)
     # sum then divide: np.mean's own arithmetic, without its Python wrapper
-    if loss_kind == "mse":
+    if kind == "regression":
         np.add.reduce(np.multiply(diff, diff, out=delta), axis=-1, out=loss)
         diff *= 2.0
-    elif loss_kind == "binary_cross_entropy":
+    elif kind == "classification":
         p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
         np.add.reduce(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)), axis=-1, out=loss)
     else:
-        raise ConfigError(f"unknown loss {loss_kind!r}")
+        raise ConfigError(f"unknown task kind {kind!r}")
     np.divide(diff, n, out=delta)
     loss /= n
     return loss

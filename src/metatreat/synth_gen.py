@@ -12,6 +12,8 @@ noise variance.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -65,6 +67,8 @@ class GeneratorConfig:
             raise ConfigError(f"delta must list one shift per group ({self.n_groups})")
         if self.noise_sigma <= 0.0 or (self.aux_noise_sigma is not None and self.aux_noise_sigma <= 0.0):
             raise ConfigError("noise standard deviations must be positive")
+        if self.noise_sigma > math.sqrt(sys.float_info.max):  # the Bayes-optimal MSE squares it
+            raise ConfigError(f"noise_sigma {self.noise_sigma!r} squared is beyond the float range")
         if self.coupling not in COUPLINGS:
             raise ConfigError(f"unknown coupling {self.coupling!r}")
         if not (0.0 <= self.missing_rate < 1.0):

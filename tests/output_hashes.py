@@ -28,8 +28,11 @@ fold and steps on with the earlier ones. After ``generate`` and ``report``
 come a ``cv`` whose first meta-iteration steps all the way to the adapted
 weights (``epsilon0`` 1), a ``report`` on a hand-written report whose
 scores overflow the mean's sum, a ``cv`` with two target columns
-under Pearson selection, and a ``cv`` on a study with a three-level
-categorical feature and a categorical stratifier, each with blank cells.
+under Pearson selection, a ``cv`` on a study with a three-level
+categorical feature and a categorical stratifier, each with blank cells, a
+``cv`` whose ``k`` exceeds every group's rows, so that each draw samples
+with replacement, and a ``cv`` on the plain study's settings at 10 groups,
+whose one lockstep stack holds 10 folds.
 """
 
 from __future__ import annotations
@@ -108,19 +111,22 @@ RUNS = {
 # earlier lines keep their order: one whose first meta-iteration's step
 # size is exactly 1, which the interpolation writes as a copy, one with
 # two target columns, whose training tasks are selected by their best
-# relevance over both, and one whose categorical feature and stratifier
-# have blank cells
+# relevance over both, one whose categorical feature and stratifier have
+# blank cells, one whose k of 80 exceeds the 60 rows of every group, and one
+# with 10 groups, so 10 folds step in one stack
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
         "two-targets", "cv", [], {"selection": {"method": "pearson", "keep_fraction": 0.5}},
     ),
     "cv-categorical-blanks": ("categorical-blanks", "cv", [], None),
+    "cv-k-over-rows": ("plain", "cv", [], {"meta": {"k": 80}}),
+    "cv-ten-groups": ("ten-groups", "cv", [], None),
 }
 # the order in which the runs are hashed; a run added later goes last
 ORDER = (
     *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
-    "cv-categorical-blanks",
+    "cv-categorical-blanks", "cv-k-over-rows", "cv-ten-groups",
 )
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
@@ -134,6 +140,8 @@ g2,y,meta,mse,1.5e+308,1.5e+308,20,
 
 STUDY = {**study_config(WORKLOADS["cv-paper"], 0, 0), "seed": STUDY_SEED}
 MISSING_STUDY = {**STUDY, "missing_rate": MISSING_RATE}
+# the plain study's settings at 10 groups, delta evenly spaced over [-2, 2]
+TEN_GROUP_STUDY = {**STUDY, "n_groups": 10, "delta": np.linspace(-2.0, 2.0, 10).tolist()}
 
 
 def write_studies(root: Path) -> dict[str, dict[str, Path]]:
@@ -148,7 +156,7 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     ``aux7`` a second target, and the plain study plus a categorical
     feature ``tier`` (``low``, ``mid`` or ``high`` by ``x1``, blank in every
     ``TIER_GAP``-th row) and the categorical stratifier ``s``, blank in
-    every ``STRATUM_GAP``-th row."""
+    every ``STRATUM_GAP``-th row; last, ``TEN_GROUP_STUDY``."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -205,6 +213,8 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
         root / "study-categorical-blanks", table, manifest,
         ({"name": "tier", "timing": "pre", "kind": "categorical"}, tiers), (stratifier, strata),
     )
+    config = GeneratorConfig.from_dict(TEN_GROUP_STUDY)
+    studies["ten-groups"] = write_dataset(root / "study-ten-groups", *generate(config), config)
     return studies
 
 

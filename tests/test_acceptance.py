@@ -31,7 +31,6 @@ from metatreat.data_model import (
     ColumnMeta,
     DatasetTable,
     PreprocessConfig,
-    TaskData,
     fit_preprocess,
     group_holdout_split,
     impute_means,
@@ -246,9 +245,11 @@ def test_criterion_3_update_algebra():
         tasks, TaskCache(train_table, masked_test), meta.k, copy.deepcopy(rng)
     )
     adapted = StepWorkspace(theta)
-    for d in batch:
-        stacked = TaskData(d.x[None], d.group_ids[None], d.y[None], d.row_indices[None])
-        inner_update(adapted, stacked, "regression", base, (np.random.default_rng(0),), [None])
+    for x, g, y in batch:
+        inner_update(
+            adapted, x[None], g[None], y[None], "regression", base, (np.random.default_rng(0),),
+            [None],
+        )
     [stepped] = meta_train(
         [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
     )

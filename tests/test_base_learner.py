@@ -254,8 +254,7 @@ def test_inner_update_matches_unfused_reference_bitwise(
     x, g, y = make_batch(rng, 8, 3, 3)
     if kind == "classification":
         y = (y > 0).astype(float)
-    data = TaskData(*one(x, g, y, np.arange(8)))
-    out = updated(w, data, kind, config, streams(9), [None])
+    out = updated(w, *one(x, g, y), kind, config, streams(9), [None])
     expected = BaseLearnerWeights(w.values.copy(), w.layout, w.activations)
     state = fresh_optimizer(optimizer, config.learning_rate, w.values.size)
     step_rng = np.random.default_rng(9)
@@ -311,7 +310,7 @@ class CountingStream:
 def stacked_task(rng, n_folds, n_rows=9):
     batches = [make_batch(rng, n_rows, 4, 4, exclude_group=f) for f in range(n_folds)]
     x, g, y = (np.stack(parts) for parts in zip(*batches))
-    return batches, TaskData(x, g, y, np.zeros(g.shape, dtype=int))
+    return batches, (x, g, y)
 
 
 def per_fold(stack):
@@ -355,13 +354,13 @@ def test_update_of_a_workspace_stack_steps_it_in_place():
     _, other = stacked_task(rng, 3, n_rows=5)
     ws = StepWorkspace(theta)
     net = ws.net.values
-    assert inner_update(ws, data, "regression", config, streams(5, 6, 7), [None] * 3) is None
+    assert inner_update(ws, *data, "regression", config, streams(5, 6, 7), [None] * 3) is None
     assert ws.net.values is net and net.tobytes() != before.tobytes()
-    inner_update(ws, other, "regression", config, streams(8, 9, 10), [None] * 3)
-    inner_update(ws, data, "regression", config, streams(11, 12, 13), [None] * 3)
+    inner_update(ws, *other, "regression", config, streams(8, 9, 10), [None] * 3)
+    inner_update(ws, *data, "regression", config, streams(11, 12, 13), [None] * 3)
     expected = theta
     for batch, seeds in ((data, (5, 6, 7)), (other, (8, 9, 10)), (data, (11, 12, 13))):
-        expected = updated(expected, batch, "regression", config, streams(*seeds), [None] * 3)
+        expected = updated(expected, *batch, "regression", config, streams(*seeds), [None] * 3)
     assert net.tobytes() == expected.values.tobytes()
     assert theta.values.tobytes() == before.tobytes()
 
@@ -409,7 +408,7 @@ def test_stacked_inner_update_draws_each_folds_masks_once_per_step():
     batches, data = stacked_task(rng, 3)
     counting = tuple(CountingStream(seed) for seed in range(3))
     out = per_fold(
-        updated(stack_weights(nets), data, "regression", config, counting, [None] * 3)
+        updated(stack_weights(nets), *data, "regression", config, counting, [None] * 3)
     )
     assert [s.calls for s in counting] == [config.inner_iterations] * 3
     for f, net in enumerate(nets):
@@ -441,7 +440,7 @@ def test_step_workspaces_share_no_memory():
     kept = second.values.copy()
     _, again = loss_and_grads(ws, x, g, -y, "regression", config, streams(0), [None])
     assert again.values.tobytes() == kept.tobytes() == second.values.tobytes()
-    inner_update(ws, TaskData(x, g, y, g), "regression", config, streams(1), [None])
+    inner_update(ws, x, g, y, "regression", config, streams(1), [None])
     assert second.values.tobytes() == kept.tobytes()
     assert w.values.tobytes() == before.tobytes()
     arrays = [[space.net.values, space._update, *space._arrays.values()] for space in (ws, other)]
@@ -505,13 +504,13 @@ def test_forward_after_an_update_keeps_a_fresh_workspaces_bits(kind, n_pred):
     rng = np.random.default_rng(39)
     config = small_config(n_layers=3, hidden_dim=7, activation="relu", dropout_rate=0.2)
     ws = StepWorkspace(stack_weights([init_weights(config, 4, 4, rng) for _ in range(3)]))
-    _, data = stacked_task(rng, 3)
+    _, (x_train, g_train, y_train) = stacked_task(rng, 3)
     if kind == "classification":
-        data = TaskData(data.x, data.group_ids, (data.y > 0).astype(float), data.row_indices)
-    inner_update(ws, data, kind, config, streams(0, 1, 2), [None] * 3)
+        y_train = (y_train > 0).astype(float)
+    inner_update(ws, x_train, g_train, y_train, kind, config, streams(0, 1, 2), [None] * 3)
     x, g = rng.normal(size=(3, n_pred, 4)), rng.integers(0, 4, size=(3, n_pred))
     pred = forward(ws, x, g, kind, [None] * 3)
-    assert len(ws._batches) == (2 if n_pred < data.x.shape[1] else 1)
+    assert len(ws._batches) == (2 if n_pred < x_train.shape[1] else 1)
     assert pred.tobytes() == forward(StepWorkspace(ws.net), x, g, kind, [None] * 3).tobytes()
 
 
@@ -523,8 +522,7 @@ def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
     rng = np.random.default_rng(38)
     config = small_config()
     ws = StepWorkspace(stack_weights([init_weights(config, 4, 4, rng) for _ in range(2)]))
-    _, data = stacked_task(rng, 2)
-    x, g, y = data.x, data.group_ids, data.y
+    _, (x, g, y) = stacked_task(rng, 2)
     if bad == "fold count":
         x, g, y = x[:1], g[:1], y[:1]
     elif bad == "1-D group ids":
@@ -537,7 +535,7 @@ def test_every_primitive_refuses_a_batch_unlike_its_stack(primitive, bad):
             ws, x, g, y, "regression", config, streams(0, 1), [None] * 2
         ),
         "inner_update": lambda: inner_update(
-            ws, TaskData(x, g, y, g), "regression", config, streams(0, 1), [None] * 2
+            ws, x, g, y, "regression", config, streams(0, 1), [None] * 2
         ),
     }
     with pytest.raises(ShapeError):
@@ -557,9 +555,7 @@ def test_every_primitive_refuses_an_unknown_task_kind(primitive, kind):
     calls = {
         "forward": lambda: forward(ws, x, g, kind, [None]),
         "loss_and_grads": lambda: loss_and_grads(ws, x, g, y, kind, config, streams(0), [None]),
-        "inner_update": lambda: inner_update(
-            ws, TaskData(x, g, y, g), kind, config, streams(0), [None]
-        ),
+        "inner_update": lambda: inner_update(ws, x, g, y, kind, config, streams(0), [None]),
         "fine_tune": lambda: fine_tune(
             [w], kind, TaskData(x[0], g[0], y[0], g[0]), (), config, streams(0)
         ),
@@ -692,8 +688,7 @@ def test_inner_update_zero_lr_is_identity():
     rng = np.random.default_rng(12)
     config = small_config(learning_rate=0.0)
     w = init_weights(config, 3, 2, rng)
-    data = TaskData(*one(*make_batch(rng, 5, 3, 2), np.arange(5)))
-    out = updated(w, data, "regression", config, streams(0), [None])
+    out = updated(w, *one(*make_batch(rng, 5, 3, 2)), "regression", config, streams(0), [None])
     assert np.array_equal(out.values, w.values)
 
 
@@ -707,14 +702,10 @@ def test_inner_update_single_step_matches_hand_sgd():
         learning_rate=0.1, inner_iterations=1, reg_strength=0.0, dropout_rate=0.0,
     )
     w = init_weights(config, 2, 2, rng)
-    data = TaskData(
-        *one(rng.normal(size=(4, 2)), [0, 1, 0, 1], rng.normal(size=4), np.arange(4))
-    )
-    _, grads = loss_and_grads(
-        StepWorkspace(w), data.x, data.group_ids, data.y, "regression", config, streams(0), [None]
-    )
+    data = one(rng.normal(size=(4, 2)), [0, 1, 0, 1], rng.normal(size=4))
+    _, grads = loss_and_grads(StepWorkspace(w), *data, "regression", config, streams(0), [None])
     expected = w.values - 0.1 * grads.values
-    out = updated(w, data, "regression", config, streams(0), [None])
+    out = updated(w, *data, "regression", config, streams(0), [None])
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -725,13 +716,11 @@ def test_inner_update_reduces_convex_loss():
         inner_iterations=5, reg_strength=0.0,
     )
     w = init_weights(config, 2, 2, rng)
-    data = TaskData(
-        *one(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20), np.arange(20))
-    )
-    batch = (data.x, data.group_ids, data.y, "regression", config, streams(0), [None])
+    data = one(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20))
+    batch = (*data, "regression", config, streams(0), [None])
     ws = StepWorkspace(w)
     [loss0], _ = loss_and_grads(ws, *batch)
-    inner_update(ws, data, "regression", config, streams(0), [None])
+    inner_update(ws, *data, "regression", config, streams(0), [None])
     [loss1], _ = loss_and_grads(ws, *batch)
     assert loss1 <= loss0
 
@@ -741,8 +730,8 @@ def test_inner_update_does_not_mutate_input():
     config = small_config()
     w = init_weights(config, 3, 2, rng)
     before = w.values.copy()
-    data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    inner_update(StepWorkspace(w), data, "regression", config, streams(0), [None])
+    data = one(*make_batch(rng, 6, 3, 2))
+    inner_update(StepWorkspace(w), *data, "regression", config, streams(0), [None])
     assert np.array_equal(w.values, before)
 
 
@@ -750,9 +739,9 @@ def test_inner_update_is_pure_given_seed():
     rng = np.random.default_rng(16)
     config = small_config(dropout_rate=0.1)
     w = init_weights(config, 3, 2, rng)
-    data = TaskData(*one(*make_batch(rng, 6, 3, 2), np.arange(6)))
-    a = updated(w, data, "regression", config, streams(7), [None])
-    b = updated(w, data, "regression", config, streams(7), [None])
+    data = one(*make_batch(rng, 6, 3, 2))
+    a = updated(w, *data, "regression", config, streams(7), [None])
+    b = updated(w, *data, "regression", config, streams(7), [None])
     assert np.array_equal(a.values, b.values)
 
 
@@ -771,8 +760,8 @@ def test_plain_training_never_touches_held_out_embedding():
         ws = StepWorkspace(w)
         current = ws.net
         for step in range(3):
-            data = TaskData(*one(*make_batch(rng, 7, 3, 3, exclude_group=g_star), np.arange(7)))
-            inner_update(ws, data, "regression", config, streams(step), [None])
+            data = one(*make_batch(rng, 7, 3, 3, exclude_group=g_star))
+            inner_update(ws, *data, "regression", config, streams(step), [None])
         assert np.array_equal(current.embeddings[0, g_star], frozen)
         assert not np.array_equal(current.embeddings[0, 0], w.embeddings[0, 0])
 

@@ -545,6 +545,50 @@ def test_out_of_range_config_values_exit_2_naming_the_key(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, text, needle",
+    [
+        ("generate", '{"aux_delta_scale": 1e400}', "GeneratorConfig.aux_delta_scale"),
+        ("generate", '{"delta": [0, 1e400, 2]}', "GeneratorConfig.delta[1]"),
+        ("config", '{"base": {"reg_strength": 1e400}}', "BaseLearnerConfig.reg_strength"),
+        ("space", '{"learning_rate": [0.1, -1e400]}', "SearchSpace.learning_rate[1]"),
+    ],
+)
+def test_json_number_beyond_the_float_range_exits_2(
+    tmp_path, study_dir, capsys, kind, text, needle
+):
+    # 1e400 is a legal JSON number, which Python's json reads as infinity
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(text)
+    data = ["--data", str(study_dir / "data.csv"), "--manifest", str(study_dir / "manifest.json")]
+    argv = {
+        "generate": ["generate", "--config", str(bad)],
+        "config": ["cv", *data, "--config", str(bad)],
+        "space": ["grid-search", *data, "--budget", "1", "--space", str(bad)],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{needle}: number out of float range" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_noise_sigma_whose_square_overflows_exits_2(tmp_path, capsys):
+    # the Bayes-optimal MSE is noise_sigma squared: 1e154 squares within
+    # the float range, 1e155 beyond it
+    config = {"n_groups": 3, "n_per_group": 5, "delta": [0, 1, 2], "seed": 1}
+    for sigma, code in ((1e154, 0), (1e155, 2)):
+        path = tmp_path / f"gen-{sigma}.json"
+        path.write_text(json.dumps({**config, "noise_sigma": sigma}))
+        out = tmp_path / f"out-{sigma}"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "noise_sigma 1e+155 squared is beyond the float range" in err and "Traceback" not in err
+    assert json.loads((tmp_path / "out-1e+154" / "ground_truth.json").read_text())["bayes_mse"] == (
+        1e154**2
+    )
+    assert not (tmp_path / "out-1e+155").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_data_cell_exits_3_naming_row_and_column(tmp_path, study_dir, capsys, cell):
     lines = (study_dir / "data.csv").read_text().splitlines()
@@ -597,6 +641,30 @@ def test_network_over_the_weight_cap_exits_2_and_fails_its_candidate(
     for e in failed:
         assert e["config"]["base"]["hidden_dim"] == 10**6
         assert e["error"].startswith("ConfigError: network of") and "base.hidden_dim" in e["error"]
+
+
+def test_best_config_of_a_search_with_a_failed_candidate_is_strict_json(tmp_path, study_dir):
+    # a failed candidate has no score: best_config.json writes null, which
+    # a parser that refuses NaN and Infinity reads, and leaderboard.csv
+    # leaves the cell empty
+    def refused(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**TINY_SPACE, "k": [4, 10**15]}))
+    out = tmp_path / "gs"
+    assert main([
+        "grid-search", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"), "--config", str(write_run_config(tmp_path)),
+        "--space", str(space), "--budget", "4", "--seed", "0", "--out", str(out),
+    ]) == 0
+    text = (out / "best_config.json").read_text()
+    board = json.loads(text, parse_constant=refused)["leaderboard"]
+    failed = [e for e in board if e["status"] == "failed"]
+    assert failed and all(e["score"] is None for e in failed)
+    assert all(isinstance(e["score"], float) for e in board if e["status"] == "ok")
+    rows = (out / "leaderboard.csv").read_text().splitlines()
+    assert {f"{e['rank']},{e['candidate']},failed," for e in failed} <= set(rows)
 
 
 def test_task_batches_over_the_cell_cap_exit_2_and_fail_their_candidate(

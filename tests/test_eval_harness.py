@@ -297,9 +297,9 @@ def test_meta_training_regresses_and_the_meta_test_takes_the_run_kind(monkeypatc
     inside = []
     update = meta_learner.inner_update
 
-    def recorded(ws, data, kind, *args):
+    def recorded(ws, x, group_ids, y, kind, *args):
         kinds[inside[-1]].append(kind)
-        return update(ws, data, kind, *args)
+        return update(ws, x, group_ids, y, kind, *args)
 
     def within(name, call):
         def wrapped(*args):
@@ -571,11 +571,12 @@ def test_grid_search_results_identical_at_any_worker_count():
         jobs: grid_search(space, table, manifest, 5, 1, template, CvConfig(seed=0, jobs=jobs))[1]
         for jobs in (1, 2, 3)
     }
-    # as best_config.json writes them; failed scores are NaN, which != itself
+    # as best_config.json writes them
     as_json = {jobs: json.dumps(board, sort_keys=True) for jobs, board in boards.items()}
     assert as_json[1] == as_json[2] == as_json[3]
     failed = {e["candidate"]: e for e in boards[1] if e["status"] == "failed"}
     assert sorted(failed) == [1, 3, 4]
+    assert all(entry["score"] is None for entry in failed.values())
     assert failed[1]["error"] == "NumericError: loss is not finite"
     assert all("--holdout-exclude g0" in failed[i]["error"] for i in (3, 4))
     for entry in failed.values():

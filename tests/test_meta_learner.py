@@ -98,15 +98,15 @@ def sample(study, k, rng):
 
 
 def test_sample_sizes_k_per_group():
-    train, finetune = sample(small_study(), 5, np.random.default_rng(0))
-    assert len(train.y) == 10  # 2 training groups x k
-    assert len(finetune.y) == 5  # one held-out group x k
+    (_, _, train_y), (_, _, finetune_y) = sample(small_study(), 5, np.random.default_rng(0))
+    assert len(train_y) == 10  # 2 training groups x k
+    assert len(finetune_y) == 5  # one held-out group x k
 
 
 def test_finetune_rows_come_from_held_out_group_only():
-    train, finetune = sample(small_study(), 4, np.random.default_rng(1))
-    assert set(finetune.group_ids) == {2}
-    assert set(train.group_ids) == {0, 1}
+    (_, train_g, _), (_, finetune_g, _) = sample(small_study(), 4, np.random.default_rng(1))
+    assert set(finetune_g) == {2}
+    assert set(train_g) == {0, 1}
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -114,15 +114,14 @@ def test_sampling_is_deterministic_per_seed():
     a = sample(study, 5, np.random.default_rng(3))
     b = sample(study, 5, np.random.default_rng(3))
     for side_a, side_b in zip(a, b, strict=True):
-        assert np.array_equal(side_a.row_indices, side_b.row_indices)
-        assert side_a.y.tobytes() == side_b.y.tobytes()
+        assert [arr.tobytes() for arr in side_a] == [arr.tobytes() for arr in side_b]
 
 
 def test_small_group_warns_and_samples_with_replacement():
     study = small_study(n_per_group=3)
     with pytest.warns(UserWarning, match="replacement"):
-        _, finetune = sample(study, 5, np.random.default_rng(0))
-    assert len(finetune.y) == 5
+        _, (_, _, finetune_y) = sample(study, 5, np.random.default_rng(0))
+    assert len(finetune_y) == 5
 
 
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
@@ -135,12 +134,14 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
         a = sample(study, 4, fresh)
         b = sample_task_batch(tasks, cache, 4, kept)
         for side, table in enumerate((train_table, masked_test)):
+            # the same inputs, group ids and labels, each row one of the
+            # drawn column's observed rows
+            assert [arr.tobytes() for arr in a[side]] == [arr.tobytes() for arr in b[side]]
             full = task_dataset(table, column, "regression")
-            pos = np.searchsorted(full.row_indices, b[side].row_indices)
-            for name in ("x", "group_ids", "y", "row_indices"):
-                want = getattr(full, name)[pos].tobytes()
-                assert getattr(a[side], name).tobytes() == want
-                assert getattr(b[side], name).tobytes() == want
+            observed = {(x.tobytes(), g, y) for x, g, y in zip(full.x, full.group_ids, full.y)}
+            assert all(row in observed for row in zip(
+                (x.tobytes() for x in b[side][0]), b[side][1], b[side][2]
+            ))
     assert set(cache.tasks) == set(tasks)
 
 
@@ -186,7 +187,7 @@ def _stack_and_batch(lr=0.05, seed=0):
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
     batch = sample_task_batch(tasks, TaskCache(train_table, masked_test), 4, rng)
-    stacked = tuple(meta_learner._stack([d]) for d in batch)
+    stacked = tuple(tuple(arr[None] for arr in side) for side in batch)
     return stack_weights([theta]), theta, stacked, config, rng
 
 
@@ -197,8 +198,8 @@ def test_meta_step_eps1_returns_adapted_weights_bitwise():
     # dropout is 0 here, so inner updates never consume the rng stream and
     # the train-then-fine-tune weights can be recomputed independently
     expected = StepWorkspace(theta)
-    for data in stacked:
-        inner_update(expected, data, "regression", config, (np.random.default_rng(0),), [None])
+    for x, g, y in stacked:
+        inner_update(expected, x, g, y, "regression", config, (np.random.default_rng(0),), [None])
     assert meta_step(stack, StepWorkspace(stack), [stacked], 1.0, config, (rng,), [None]) is None
     # epsilon 1.0 -> theta equals the adapted weights
     assert np.array_equal(stack.values, expected.net.values)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, forward, init_weights
-from metatreat.errors import NumericError, ShapeError
+from metatreat.errors import ConfigError, NumericError, ShapeError
 from metatreat.nn_core import (
     DenseBuffers,
     DenseLayer,
@@ -153,7 +153,7 @@ def test_backprop_single_unit_hand_case():
     layer = DenseLayer(np.array([[1.0]]), np.array([1.0]), np.zeros(1), "identity")
     x, y = np.array([[1.0]]), np.array([[0.0]])
     pred, d = _forward(x, layer)
-    loss = loss_and_delta(pred.T, y.T, "mse", np.empty(1), d.dz[..., 0], np.empty((1, 1)))
+    loss = loss_and_delta(pred.T, y.T, "regression", np.empty(1), d.dz[..., 0], np.empty((1, 1)))
     assert loss == pytest.approx([1.0])
     dx = dense_backward(d, x.T[None], 0.0, 0.0)
     assert d.grads.gain[0, 0] == pytest.approx(2.0)
@@ -162,19 +162,19 @@ def test_backprop_single_unit_hand_case():
     assert dx[0, 0, 0] == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("loss_kind", ["mse", "binary_cross_entropy"])
+@pytest.mark.parametrize("kind", ["regression", "classification"])
 @pytest.mark.parametrize("reg", [(0.0, 0.0), (1e-3, 1e-2)])
-def test_backprop_matches_central_differences(loss_kind, reg):
+def test_backprop_matches_central_differences(kind, reg):
     # one weight-normalized layer plus loss: dense_backward's chain rule for
     # the input, direction, gain and bias against finite differences
-    rng = np.random.default_rng(42 if loss_kind == "mse" else 43)
-    head = "sigmoid" if loss_kind == "binary_cross_entropy" else "identity"
+    rng = np.random.default_rng(42 if kind == "regression" else 43)
+    head = "sigmoid" if kind == "classification" else "identity"
     for _ in range(5):
         n_in, n_out = int(rng.integers(2, 9)), int(rng.integers(1, 5))
         layer = init_dense_layer(rng, n_in, n_out, head)
         layer.bias[:] = rng.normal(size=n_out)
         x = rng.normal(size=(int(rng.integers(2, 7)), n_in))
-        if loss_kind == "binary_cross_entropy":
+        if kind == "classification":
             y = (rng.random((x.shape[0], n_out)) > 0.5).astype(np.float64)
         else:
             y = rng.normal(size=(x.shape[0], n_out))
@@ -183,7 +183,7 @@ def test_backprop_matches_central_differences(loss_kind, reg):
             # one loss per column of outputs, as a stack takes one per fold
             delta = np.empty_like(pred.T) if delta is None else delta
             scratch = np.empty_like(delta)
-            return loss_and_delta(pred.T, y.T, loss_kind, np.empty(n_out), delta, scratch)
+            return loss_and_delta(pred.T, y.T, kind, np.empty(n_out), delta, scratch)
 
         pred, d = _forward(x, layer)
         delta = np.empty((n_out, len(x)))
@@ -204,6 +204,15 @@ def test_backprop_matches_central_differences(loss_kind, reg):
         grads = (dx, d.grads.v, d.grads.gain, d.grads.bias)
         analytic = np.concatenate([g.ravel() for g in grads])
         assert max_rel_error(analytic, central_diff(loss_fn, theta)) <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["mse", "Classification"])
+def test_loss_takes_only_the_task_kinds(kind):
+    # the loss is named by the task kind the network steps, not by a loss
+    # name of its own
+    pred, y = np.zeros((1, 3)), np.zeros((1, 3))
+    with pytest.raises(ConfigError, match=f"unknown task kind '{kind}'"):
+        loss_and_delta(pred, y, kind, np.empty(1), np.empty((1, 3)), np.empty((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +274,22 @@ def test_optimizer_step_matches_out_of_place_rounding():
 def test_param_axpy_endpoints_exact():
     a = _arr([0.1, 1e16, -3.0])
     b = _arr([0.7, 1.0, 2.0])
-    out = np.empty(3)
-    assert param_axpy(a, b, 1.0, out) is out and np.array_equal(out, b)
-    # ``out`` may be ``b`` itself, as the meta-update writes it
-    adapted = b.copy()
-    param_axpy(a, adapted, 0.5, out=adapted)
-    assert adapted.tobytes() == param_axpy(a, b, 0.5, out).tobytes()
+    # scale 1 writes an exact copy of b into a, and leaves b as it is
+    theta = a.copy()
+    assert param_axpy(theta, b, 1.0) is theta and theta.tobytes() == b.tobytes()
+    assert b.tobytes() == _arr([0.7, 1.0, 2.0]).tobytes()
+    # in place, with b as scratch, each entry rounds as (b - a) * s + a
+    theta, adapted = a.copy(), b.copy()
+    assert param_axpy(theta, adapted, 0.3) is theta
+    assert theta.tobytes() == ((b - a) * 0.3 + a).tobytes()
 
 
 def test_param_axpy_midpoint():
-    out = param_axpy(_arr([0.0, 0.0]), _arr([1.0, 2.0]), 0.5, np.empty(2))
+    out = param_axpy(_arr([0.0, 0.0]), _arr([1.0, 2.0]), 0.5)
     assert np.allclose(out, [0.5, 1.0])
 
 
 def test_param_axpy_layout_mismatch():
     # differently shaped vectors cannot come from the same network layout
     with pytest.raises(ShapeError):
-        param_axpy(np.zeros(2), np.zeros(3), 0.5, np.empty(2))
+        param_axpy(np.zeros(2), np.zeros(3), 0.5)
