@@ -197,6 +197,13 @@ def stack_weights(weights: Sequence[BaseLearnerWeights]) -> BaseLearnerWeights:
     return first._view(values, sum(w.folds for w in weights))
 
 
+def network_size(config: BaseLearnerConfig, n_features: int, n_groups: int) -> int:
+    """The weights of one network of ``config`` on ``n_features`` inputs,
+    with an embedding row for each of ``n_groups`` groups."""
+    h, e = config.hidden_dim, config.embedding_dim
+    return (n_features + 2) * h + (config.n_layers - 1) * (h + 2) * h + n_groups * e + h + e + 2
+
+
 def init_weights(
     config: BaseLearnerConfig, n_features: int, n_groups: int, rng: np.random.Generator
 ) -> BaseLearnerWeights:
@@ -206,7 +213,7 @@ def init_weights(
     if n_groups < 2:
         raise ConfigError("need at least two treatment groups")
     h, e = config.hidden_dim, config.embedding_dim
-    size = (n_features + 2) * h + (config.n_layers - 1) * (h + 2) * h + n_groups * e + h + e + 2
+    size = network_size(config, n_features, n_groups)
     if size > MAX_WEIGHTS:
         raise ConfigError(
             f"network of {size} weights (base.n_layers {config.n_layers}, base.hidden_dim {h}, "

@@ -7,12 +7,14 @@ from the meta-learner structurally, and the same processed features feed
 the baselines so comparisons are like for like. Train-partition scores are
 recorded next to test scores for the overfitting-gap analysis, and the
 base-learner's pre-meta-training scores are reported alongside the final
-meta-learner.
+meta-learner. A grid search ranks candidates by the final meta-learner's
+held-out score alone, and computes nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base_learner import BaseLearnerConfig, BaseLearnerWeights, init_weights
+from .base_learner import BaseLearnerConfig, BaseLearnerWeights, init_weights, network_size
 from .data_model import (
     DatasetTable,
     Manifest,
@@ -32,6 +34,7 @@ from .data_model import (
     csv_cell,
     fit_preprocess,
     group_holdout_split,
+    model_input_columns,
     model_inputs,
     strict_dataclass,
     task_dataset,
@@ -67,6 +70,11 @@ BATCH_CELLS = 160
 GD_MAX_ITERS = 20000
 GD_TOL = 1e-12
 
+# A training step's fixed cost, in network weights: the numpy calls a step
+# makes whatever the network's size. It only orders the fold groups a pool
+# receives (``_group_work``), so results never depend on it.
+STEP_OVERHEAD_WEIGHTS = 2_000
+
 
 # ---------------------------------------------------------------------------
 # Metrics
@@ -90,12 +98,24 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    # Imported on use: scipy takes ~1 s to load and regression runs never call it.
-    from scipy.stats import rankdata
-
-    ranks = rankdata(scores, method="average")
-    u = ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    u = _midranks(scores)[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _midranks(scores: np.ndarray) -> np.ndarray:
+    """Each score's 1-based rank in ascending order, the members of a tie
+    group each taking its mean rank, or NaN throughout if a score is NaN:
+    ``scipy.stats.rankdata(scores, method="average")``, bit for bit. A tie
+    group at sorted positions [start, end) has midrank (start + end + 1) / 2."""
+    if np.isnan(scores).any():
+        return np.full(scores.size, np.nan)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], scores.size)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def mse(pred: np.ndarray, y: np.ndarray) -> float:
@@ -477,15 +497,29 @@ def _fold_setup(
 
 
 def _fold_rows(
-    fold: _FoldSetup, theta_star: BaseLearnerWeights, config: PipelineConfig, cv: CvConfig
+    fold: _FoldSetup,
+    theta_star: BaseLearnerWeights,
+    config: PipelineConfig,
+    cv: CvConfig,
+    ranked_only: bool,
 ) -> list[MetricRow]:
-    """One fold's report rows: meta-test and baselines on every target task,
-    each fitted on the task's training rows, built once per task. Every
-    target is of the run's task kind."""
+    """One fold's report rows: on every target task, the networks'
+    meta-test, fine-tuned as one stack on the task's training rows (built
+    once per task) and scored on the held-out rows; every target is of the
+    run's task kind. ``cv`` meta-tests both ``NETWORKS`` and adds the
+    baselines and every training-row score. A search (``ranked_only``)
+    meta-tests the learned network alone on the held-out rows and keeps
+    only what ``_meta_score`` reads, the ``meta`` values (``train_value``
+    NaN)."""
     train_table, masked_test = fold.train_table, fold.masked_test
     kind = config.task_kind
     metric_name = "auc" if kind == "classification" else "mse"
-    baselines = CLASSIFICATION_BASELINES if kind == "classification" else REGRESSION_BASELINES
+    if ranked_only:
+        networks, tables, baselines = {"meta": theta_star}, (masked_test,), ()
+    else:
+        networks = dict(zip(NETWORKS, (fold.theta0, theta_star)))
+        tables = (masked_test, train_table)
+        baselines = CLASSIFICATION_BASELINES if kind == "classification" else REGRESSION_BASELINES
     rows: list[MetricRow] = []
     for column in fold.targets:
         y_vals, y_obs = fold.test_table.column_values(column)
@@ -496,24 +530,27 @@ def _fold_rows(
         if kind == "classification":
             y_test = binarize_labels(y_test)
         data = task_dataset(train_table, column, kind)
-        rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in NETWORKS]
-        on_test, on_train = fine_tune(
-            [fold.theta0, theta_star], kind, data, (masked_test, train_table), config.base, rngs
+        rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in networks]
+        on_test, *on_train = fine_tune(
+            list(networks.values()), kind, data, tables, config.base, rngs
         )
+        # each model's held-out predictions, then any on its training rows
         predictions = {
-            name: (on_test[n][scored], on_train[n][data.row_indices])
-            for n, name in enumerate(NETWORKS)
+            name: (on_test[n][scored], *(p[n][data.row_indices] for p in on_train))
+            for n, name in enumerate(networks)
         }
-        x_test = model_inputs(masked_test)[scored]
+        x_test = model_inputs(masked_test)[scored] if baselines else None
         with np.errstate(all="ignore"):
             for name in baselines:
                 predictions[name] = tuple(
                     baseline_predict(name, (data.x, data.y), x, config.baselines)
                     for x in (x_test, data.x)
                 )
-            for model_name, (preds_test, preds_train) in predictions.items():
+            for model_name, (preds_test, *preds_train) in predictions.items():
                 value, note = _score(kind, preds_test, y_test)
-                train_value, _ = _score(kind, preds_train, data.y)
+                train_value = math.nan
+                if preds_train:
+                    train_value, _ = _score(kind, preds_train[0], data.y)
                 rows.append(
                     MetricRow(
                         fold.group_name, column, model_name, metric_name,
@@ -528,10 +565,11 @@ FoldResult = list[MetricRow] | ConfigError | DataError | NumericError
 FOLD_ERRORS = (ConfigError, DataError, NumericError)
 
 
-def _fold_group_worker(payloads: list[tuple]) -> list[FoldResult]:
+def _fold_group_worker(payloads: list[tuple], ranked_only: bool = False) -> list[FoldResult]:
     """The rows of each fold in ``payloads`` (consecutive folds of one
-    candidate), or the configuration, data or numeric error that stopped
-    it; any other exception propagates.
+    candidate), as ``_fold_rows`` scores them with ``ranked_only``, or the
+    configuration, data or numeric error that stopped it; any other
+    exception propagates.
 
     Every fold is set up, then all meta-train in lockstep, then each is
     scored. A fold after the first failing one carries that failure, as a
@@ -563,7 +601,7 @@ def _fold_group_worker(payloads: list[tuple]) -> list[FoldResult]:
                 failure = theta
                 break
             try:
-                results.append(_fold_rows(setup, theta, config, cv))
+                results.append(_fold_rows(setup, theta, config, cv, ranked_only))
             except FOLD_ERRORS as exc:
                 failure = exc
                 break
@@ -635,19 +673,37 @@ def _fold_groups(plans: list[list[tuple]], workers: int) -> list[list[tuple]]:
     return groups
 
 
-def _map_fold_groups(groups: list[list[tuple]], workers: int) -> Iterable[FoldResult]:
-    """``_fold_group_worker`` over ``groups``, one result per fold in
-    payload order.
+def _group_work(group: list[tuple]) -> int:
+    """A fold group's estimated work: folds x meta-iterations x tasks per
+    iteration x inner steps x (network weights + ``STEP_OVERHEAD_WEIGHTS``),
+    the network as wide as the raw table's inputs."""
+    raw_table, _, config = group[0][:3]
+    base, meta = config.base, config.meta
+    weights = network_size(base, len(model_input_columns(raw_table)), raw_table.n_groups)
+    steps = len(group) * meta.meta_iterations * meta.tasks_per_iteration * base.inner_iterations
+    return steps * (weights + STEP_OVERHEAD_WEIGHTS)
 
-    The pool has no more workers than groups; results do not depend on the
-    worker count. With one worker the groups run lazily in this process,
-    one at a time as the caller reads their results.
+
+def _map_fold_groups(
+    groups: list[list[tuple]], workers: int, ranked_only: bool
+) -> Iterable[FoldResult]:
+    """``_fold_group_worker`` over ``groups``, scoring as ``ranked_only``
+    says, one result per fold in payload order.
+
+    With one worker the groups run lazily in this process, in payload
+    order, one at a time as the caller reads their results. A pool has no
+    more workers than groups and receives them largest ``_group_work``
+    first, ties in payload order, so that a long group does not start
+    last. Results depend on neither the worker count nor that order.
     """
+    worker = functools.partial(_fold_group_worker, ranked_only=ranked_only)
     workers = min(workers, len(groups))
     if workers < 2:
-        return itertools.chain.from_iterable(map(_fold_group_worker, groups))
+        return itertools.chain.from_iterable(map(worker, groups))
+    order = sorted(range(len(groups)), key=lambda i: -_group_work(groups[i]))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [result for group in pool.map(_fold_group_worker, groups) for result in group]
+        done = dict(zip(order, pool.map(worker, [groups[i] for i in order])))
+    return [result for i in range(len(groups)) for result in done[i]]
 
 
 def _usable_cpus() -> int:
@@ -664,9 +720,10 @@ def _run_candidates(
     raw_table: DatasetTable,
     manifest: Manifest,
     cv_config: CvConfig,
+    ranked_only: bool = False,
 ) -> list[CandidateResult]:
-    """Each config's report, its folds' rows in fold order, or the first
-    error in fold order.
+    """Each config's report, its folds' rows (``_fold_rows``, scored as
+    ``ranked_only`` says) in fold order, or the first error in fold order.
 
     Every config is pre-flighted first, and one that fails sends no folds.
     The others' fold groups (``_fold_groups``) go through one
@@ -682,7 +739,7 @@ def _run_candidates(
             plans.append(exc)
     workers = min(cv_config.jobs, _usable_cpus())
     groups = _fold_groups([plan for plan in plans if isinstance(plan, list)], workers)
-    results = iter(_map_fold_groups(groups, workers))
+    results = iter(_map_fold_groups(groups, workers, ranked_only))
     outcomes: list[CandidateResult] = []
     for plan in plans:
         if isinstance(plan, Exception):
@@ -799,9 +856,13 @@ def grid_search(
     cv_config: CvConfig = CvConfig(),
 ) -> tuple[PipelineConfig, list[dict]]:
     """Randomized search: sample ``budget`` candidates, score each by its
-    mean CV metric over every fold and task, and return the best.
+    learned network's mean held-out metric over every fold and task, and
+    return the best.
 
-    Higher AUC wins for classification, lower MSE for regression. The
+    Higher AUC wins for classification, lower MSE for regression. A fold
+    meta-tests only the learned network (``_fold_rows``), so a candidate
+    fails only in its pre-flight, a fold's setup, meta-training, that
+    meta-test, or on a held-out group with no observed target. The
     leaderboard is deterministic for a given seed; candidates that fail are
     kept with their diagnostics, and an error is raised only if all fail.
     A pre-flight check that no candidate can pass (too few groups, an
@@ -814,7 +875,7 @@ def grid_search(
     candidates = [
         sample_candidate(space, child_rng(seed, "candidate", i), template) for i in range(budget)
     ]
-    reports = _run_candidates(candidates, raw_table, manifest, cv_config)
+    reports = _run_candidates(candidates, raw_table, manifest, cv_config, ranked_only=True)
     entries: list[dict] = []
     for i, (candidate, report) in enumerate(zip(candidates, reports)):
         outcome = _meta_score(report) if isinstance(report, MetricReport) else report

@@ -347,15 +347,15 @@ def regularization_sums(m: np.ndarray, l1: float, l2: float, out: np.ndarray) ->
 
 def regularization_value(sums: np.ndarray, l1: float, l2: float) -> np.ndarray | float:
     """Per fold, l1 * sum|m| + l2 * sum m^2 over matrices, added in matrix
-    order, from their ``regularization_sums`` stacked as (matrices, 2,
-    folds); a term whose coefficient is 0 is left out, its sums unread."""
-    total = 0.0
-    for abs_sum, square_sum in sums:
-        if l1:
-            total = total + l1 * abs_sum
-        if l2:
-            total = total + l2 * square_sum
-    return total
+    order, each matrix's l1 term first, from their ``regularization_sums``
+    stacked as (matrices, 2, folds); a term whose coefficient is 0 is left
+    out, its sums unread, and with both 0 the value is 0.0."""
+    if not (l1 or l2):
+        return 0.0
+    terms = slice(0 if l1 else 1, 2 if l2 else 1)
+    weighted = sums[:, terms] * np.array((l1, l2)[terms])[:, None]
+    # accumulate adds the (matrix, term) rows one at a time, in order
+    return np.add.accumulate(weighted.reshape(-1, sums.shape[-1]), axis=0)[-1]
 
 
 def regularization_grad(

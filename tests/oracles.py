@@ -180,6 +180,20 @@ def reference_loss_and_grads(stack, x, group_ids, y, kind, config, rng=None):
     return loss, grads
 
 
+def reference_regularization_value(sums: np.ndarray, l1: float, l2: float):
+    """``nn_core.regularization_value`` as a loop over the matrices, each
+    term added to the running total in order, reading no sum whose
+    coefficient is 0: the arithmetic the vectorized form must repeat bit
+    for bit."""
+    total = 0.0
+    for abs_sum, square_sum in sums:
+        if l1:
+            total = total + l1 * abs_sum
+        if l2:
+            total = total + l2 * square_sum
+    return total
+
+
 def fresh_optimizer(kind: str, learning_rate: float, size: int) -> OptimizerState:
     """An optimizer over buffers of its own for ``size`` parameters, Adam's
     moments zeroed, as a step workspace hands one out."""

@@ -31,8 +31,9 @@ scores overflow the mean's sum, a ``cv`` with two target columns
 under Pearson selection, a ``cv`` on a study with a three-level
 categorical feature and a categorical stratifier, each with blank cells, a
 ``cv`` whose ``k`` exceeds every group's rows, so that each draw samples
-with replacement, and a ``cv`` on the plain study's settings at 10 groups,
-whose one lockstep stack holds 10 folds.
+with replacement, a ``cv`` on the plain study's settings at 10 groups,
+whose one lockstep stack holds 10 folds, and a two-job classification
+``grid-search`` on the plain study.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ RUNS = {
 # size is exactly 1, which the interpolation writes as a copy, one with
 # two target columns, whose training tasks are selected by their best
 # relevance over both, one whose categorical feature and stratifier have
-# blank cells, one whose k of 80 exceeds the 60 rows of every group, and one
-# with 10 groups, so 10 folds step in one stack
+# blank cells, one whose k of 80 exceeds the 60 rows of every group, one
+# with 10 groups, so 10 folds step in one stack, and a classification search,
+# which ranks its candidates by AUC
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
@@ -122,11 +124,16 @@ LATER_RUNS = {
     "cv-categorical-blanks": ("categorical-blanks", "cv", [], None),
     "cv-k-over-rows": ("plain", "cv", [], {"meta": {"k": 80}}),
     "cv-ten-groups": ("ten-groups", "cv", [], None),
+    "grid-classification-seed1-jobs2": (
+        "plain", "grid-search", ["--task-kind", "classification", "--seed", "1", "--jobs", "2"],
+        None,
+    ),
 }
 # the order in which the runs are hashed; a run added later goes last
 ORDER = (
     *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
     "cv-categorical-blanks", "cv-k-over-rows", "cv-ten-groups",
+    "grid-classification-seed1-jobs2",
 )
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metatreat import eval_harness, meta_learner
-from metatreat.base_learner import BaseLearnerConfig, StepWorkspace
-from metatreat.data_model import ColumnMeta, DatasetTable, PreprocessConfig
+from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, network_size
+from metatreat.data_model import ColumnMeta, DatasetTable, PreprocessConfig, model_input_columns
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.eval_harness import (
     BaselineConfig,
@@ -101,6 +101,35 @@ def test_auc_invariant_under_increasing_transform():
     base = auc(scores, labels)
     assert auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
     assert auc(3.0 * scores + 11.0, labels) == pytest.approx(base, abs=1e-12)
+
+
+SCORES_WITH_TIES = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, np.inf]), max_size=40)
+DISTINCT_SCORES = st.lists(st.floats(allow_nan=False), max_size=40, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=SCORES_WITH_TIES | DISTINCT_SCORES, data=st.data())
+def test_auc_midranks_equal_rankdata_bit_for_bit(scores, data):
+    from scipy.stats import rankdata
+
+    scores = np.array(scores, dtype=np.float64)
+    ranks = rankdata(scores, method="average")
+    assert eval_harness._midranks(scores).tobytes() == ranks.tobytes()
+    labels = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(scores),
+                                         max_size=len(scores))))
+    n_pos = int(labels.sum())
+    if 0 < n_pos < labels.size:
+        u = ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+        assert auc(scores, labels) == float(u / (n_pos * (labels.size - n_pos)))
+
+
+def test_auc_midranks_are_nan_when_a_score_is():
+    from scipy.stats import rankdata
+
+    scores = np.array([0.5, np.nan, 0.1])
+    assert np.isnan(rankdata(scores, method="average")).all()
+    assert np.isnan(eval_harness._midranks(scores)).all()
+    assert math.isnan(auc(scores, np.array([1.0, 0.0, 0.0])))
 
 
 def test_auc_single_class_is_nan():
@@ -592,10 +621,12 @@ def test_grid_search_results_identical_at_any_worker_count():
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor: records each pool's
-    size and the fold count of each payload, and runs ``map`` serially."""
+    size, the fold count of each payload and the groups in the order they
+    reach ``map``, and runs ``map`` serially."""
 
     sizes: list[int] = []
     payloads: list[int] = []
+    groups: list[list[tuple]] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -609,6 +640,7 @@ class RecordingPool:
     def map(self, fn, items):
         items = list(items)
         self.payloads.extend(len(group) for group in items)
+        self.groups.extend(items)
         return map(fn, items)
 
 
@@ -644,9 +676,9 @@ def test_one_job_runs_each_candidate_as_one_group_without_a_pool(monkeypatch):
     sizes = []
     real_worker = eval_harness._fold_group_worker
 
-    def recording_worker(payloads):
+    def recording_worker(payloads, **options):
         sizes.append(len(payloads))
-        return real_worker(payloads)
+        return real_worker(payloads, **options)
 
     monkeypatch.setattr(eval_harness, "_fold_group_worker", recording_worker)
     table, manifest, _ = small_raw(seed=12)
@@ -669,8 +701,84 @@ def test_run_cv_pool_no_larger_than_its_folds(monkeypatch, jobs, expected_sizes)
 def _in_process_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "payloads", [])
+    monkeypatch.setattr(RecordingPool, "groups", [])
     monkeypatch.setattr(eval_harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(eval_harness, "_usable_cpus", lambda: 64)
+
+
+def test_pool_receives_the_largest_groups_first_and_results_keep_payload_order(monkeypatch):
+    # two workers, six candidates: each candidate's three folds are one
+    # group, and the groups reach the pool by estimated work, largest
+    # first, ties in candidate order
+    _in_process_pool(monkeypatch)
+    table, manifest, _ = small_raw(seed=12)
+    space = dataclasses.replace(
+        tiny_space(), hidden_dim=(4, 16), inner_iterations=(1, 2), meta_iterations=(2, 4)
+    )
+    _, board = grid_search(space, table, manifest, 6, 7, FAST_PIPELINE, CvConfig(seed=0, jobs=2))
+    candidates = [
+        sample_candidate(space, child_rng(7, "candidate", i), FAST_PIPELINE) for i in range(6)
+    ]
+    n_inputs = len(model_input_columns(table))
+
+    def work(c):
+        steps = 3 * c.meta.meta_iterations * c.meta.tasks_per_iteration * c.base.inner_iterations
+        return steps * (network_size(c.base, n_inputs, 3) + eval_harness.STEP_OVERHEAD_WEIGHTS)
+
+    largest_first = sorted(range(6), key=lambda i: -work(candidates[i]))
+    assert largest_first != list(range(6))
+    assert RecordingPool.payloads == [3] * 6
+    assert [group[0][2] for group in RecordingPool.groups] == [
+        candidates[i] for i in largest_first
+    ]
+    _, serial = grid_search(space, table, manifest, 6, 7, FAST_PIPELINE, CvConfig(seed=0))
+    assert json.dumps(board, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_search_fine_tunes_the_learned_network_alone_and_fits_no_baseline(monkeypatch):
+    # per fold and target, a search fine-tunes one network and predicts one
+    # table, the held-out one; cv fine-tunes both networks, predicts both
+    # tables, and fits every baseline on the held-out and the training rows
+    calls = []
+
+    def recorded(name, describe):
+        original = getattr(eval_harness, name)
+
+        def wrapper(*args):
+            calls.append(describe(*args))
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(eval_harness, "fine_tune", recorded(
+        "fine_tune", lambda networks, kind, data, tables, *rest: (len(networks), len(tables))
+    ))
+    monkeypatch.setattr(eval_harness, "baseline_predict", recorded(
+        "baseline_predict", lambda kind, *rest: kind
+    ))
+    table, manifest, _ = small_raw(seed=12)
+    grid_search(tiny_space(), table, manifest, 2, 7, FAST_PIPELINE, CvConfig(seed=0))
+    assert calls == [(1, 1)] * 2 * 3  # candidates x folds x targets
+    calls.clear()
+    run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=0))
+    per_fold = [(2, 2)] + [name for name in eval_harness.REGRESSION_BASELINES for _ in "ab"]
+    assert calls == per_fold * 3
+
+
+def test_a_baseline_failure_fails_cv_but_not_a_search_candidate(monkeypatch):
+    table, manifest, _ = small_raw(seed=12)
+    _, unpatched = grid_search(tiny_space(), table, manifest, 2, 7, FAST_PIPELINE)
+
+    def failing(*args):
+        raise NumericError("ridge baseline: curvature matrix of its fit is not finite")
+
+    monkeypatch.setattr(eval_harness, "baseline_predict", failing)
+    candidate = PipelineConfig.from_dict(unpatched[0]["config"])
+    with pytest.raises(NumericError, match="ridge baseline"):
+        run_cv(table, manifest, candidate, CvConfig())
+    _, board = grid_search(tiny_space(), table, manifest, 2, 7, FAST_PIPELINE)
+    assert [e["status"] for e in board] == ["ok", "ok"]
+    assert board == unpatched
 
 
 def test_lockstep_folds_match_folds_alone_across_layouts(monkeypatch):

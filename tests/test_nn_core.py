@@ -14,9 +14,10 @@ from metatreat.nn_core import (
     optimizer_step,
     param_axpy,
     record_dense_failures,
+    regularization_value,
     weight_norm,
 )
-from oracles import central_diff, fresh_optimizer, max_rel_error
+from oracles import central_diff, fresh_optimizer, max_rel_error, reference_regularization_value
 
 
 def _arr(values):
@@ -293,3 +294,33 @@ def test_param_axpy_layout_mismatch():
     # differently shaped vectors cannot come from the same network layout
     with pytest.raises(ShapeError):
         param_axpy(np.zeros(2), np.zeros(3), 0.5)
+
+
+@pytest.mark.parametrize(
+    "l1, l2", [(1e-3, 0.0), (0.0, 1e-3), (1e-2, 1e-4), (1e308, 1e308), (0.0, 0.0)]
+)
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow"])
+def test_regularization_value_matches_the_loop_bit_for_bit(l1, l2, overflow):
+    # the sums of a term whose coefficient is 0 hold garbage that neither
+    # reads; an overflowing case has sums near the float limit and one that
+    # overflowed, in fold 0
+    rng = np.random.default_rng(3)
+    for matrices, folds in ((1, 1), (3, 2), (7, 5)):
+        sums = rng.random((matrices, 2, folds))
+        if overflow:
+            sums *= np.finfo(np.float64).max
+            sums[-1, :, 0] = np.inf
+        if not l1:
+            sums[:, 0] = np.nan
+        if not l2:
+            sums[:, 1] = np.nan
+        with np.errstate(over="ignore"):
+            expected = reference_regularization_value(sums, l1, l2)
+            got = regularization_value(sums, l1, l2)
+        if not (l1 or l2):
+            assert got == 0.0 and isinstance(got, float)
+            continue
+        assert got.shape == (folds,)
+        assert got.tobytes() == np.asarray(expected).tobytes()
+        if overflow:
+            assert np.isinf(got[0])
