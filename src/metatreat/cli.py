@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -290,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one line per warning, naming no source file; forked workers inherit it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -301,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -65,10 +65,8 @@ KNN_BLOCK_BYTES = 16 * 2**20
 MAX_BATCH_CELLS = 10_000_000
 BATCH_CELLS = 160
 
-# Stopping rule of the gradient descent that fits the ridge and logistic
-# baselines: the largest gradient entry falls below GD_TOL, or GD_MAX_ITERS.
-GD_MAX_ITERS = 20000
-GD_TOL = 1e-12
+# Newton steps the logistic baseline may take before its fit fails.
+NEWTON_MAX_STEPS = 50
 
 # A training step's fixed cost, in network weights: the numpy calls a step
 # makes whatever the network's size. It only orders the fold groups a pool
@@ -148,54 +146,42 @@ class BaselineConfig:
                 raise ConfigError(f"{name} must be non-negative")
 
 
-def _gd_minimize(grad_fn, w0: np.ndarray, lr: float) -> np.ndarray:
-    w = w0.copy()
-    for _ in range(GD_MAX_ITERS):
-        g = grad_fn(w)
-        if np.max(np.abs(g)) < GD_TOL:
-            break
-        w = w - lr * g
-    return w
-
-
-def _largest_eigenvalue(m: np.ndarray, baseline: str) -> float:
-    """The largest eigenvalue of a baseline fit's curvature matrix, which
-    must be finite for ``eigvalsh`` to converge."""
+def _solve(m: np.ndarray, rhs: np.ndarray, baseline: str) -> np.ndarray:
+    """The least-norm solution of ``m @ w = rhs`` for a baseline fit's
+    curvature matrix ``m``, which must be finite for the SVD to converge."""
     if not np.isfinite(m).all():
         raise NumericError(f"{baseline} baseline: curvature matrix of its fit is not finite")
-    return float(np.linalg.eigvalsh(m).max())
+    return np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
 def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Gradient descent on mean squared error + alpha*||w||^2 (bias free)."""
+    """The minimizer of mean squared error + alpha*||w||^2 (bias free),
+    from its normal equations."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
     hess = 2.0 * a.T @ a / n
     hess[np.arange(d), np.arange(d)] += 2.0 * alpha
-    lip = _largest_eigenvalue(hess, "ridge")
-
-    def grad(wb: np.ndarray) -> np.ndarray:
-        r = a @ wb - y
-        g = 2.0 * a.T @ r / n
-        g[:d] += 2.0 * alpha * wb[:d]
-        return g
-
-    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip)
+    return _solve(hess, 2.0 * a.T @ y / n, "ridge")
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Gradient descent on binary cross-entropy + alpha*||w||^2 (bias free)."""
+    """Newton's method from zero weights on binary cross-entropy +
+    alpha*||w||^2 (bias free), until a step's largest entry is at most
+    1e-10 of the weights' largest magnitude (or of 1)."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
-    lip = _largest_eigenvalue(a.T @ a, "logistic") / (4.0 * n) + 2.0 * alpha
-
-    def grad(wb: np.ndarray) -> np.ndarray:
+    penalty = np.append(np.full(d, 2.0 * alpha), 0.0)
+    wb = np.zeros(d + 1)
+    for _ in range(NEWTON_MAX_STEPS):
         p = apply_activation("sigmoid", a @ wb)
-        g = a.T @ (p - y) / n
-        g[:d] += 2.0 * alpha * wb[:d]
-        return g
-
-    return _gd_minimize(grad, np.zeros(d + 1), 1.0 / lip)
+        hess = (a.T * (p * (1.0 - p))) @ a / n + np.diag(penalty)
+        step = _solve(hess, a.T @ (p - y) / n + penalty * wb, "logistic")
+        wb -= step
+        if np.abs(step).max() <= 1e-10 * max(1.0, np.abs(wb).max()):
+            return wb
+    raise NumericError(
+        f"logistic baseline: fit did not converge in {NEWTON_MAX_STEPS} Newton steps"
+    )
 
 
 def _knn_predict(
@@ -241,8 +227,9 @@ def baseline_predict(
 
     mean/median emit a constant; knn averages the k nearest training rows by
     Euclidean distance on the (already scaled) features; ridge and logistic
-    are L2-regularized linear fits obtained by gradient descent on their
-    convex objectives.
+    are L2-regularized linear fits with an unpenalized bias. Ridge solves
+    its normal equations; logistic takes Newton steps and raises
+    NumericError if they have not converged within NEWTON_MAX_STEPS.
     """
     train_x, train_y = train
     train_x = np.asarray(train_x, dtype=np.float64)

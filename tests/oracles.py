@@ -5,7 +5,10 @@ central finite differences of an independently assembled loss, AUC from
 O(n^2) pairwise counting, MI from the plug-in formula on explicit counts,
 and the base-learner's loss and gradient from a layer-by-layer backprop that
 recomputes every weight-norm term where it is used. ``fresh_optimizer``
-gives the reference optimizer steps their own buffers.
+gives the reference optimizer steps their own buffers. The ridge baseline's
+weights come from least squares on a design augmented with its penalty,
+never from normal equations, and the logistic baseline's gradient is its
+objective's derivative written out.
 """
 
 from __future__ import annotations
@@ -200,3 +203,24 @@ def fresh_optimizer(kind: str, learning_rate: float, size: int) -> OptimizerStat
     scratch = np.empty((2 if kind == "adam" else 1, size))
     moments = (np.zeros(size), np.zeros(size)) if kind == "adam" else (None, None)
     return OptimizerState(kind, learning_rate, scratch, *moments)
+
+
+def reference_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """The weights and bias minimizing mean squared error + alpha*||w||^2,
+    the bias unpenalized: least squares of [A; sqrt(n*alpha) [I_d | 0]]
+    against [y; 0], where A is ``x`` with a column of ones. Where the
+    minimizer is not unique (alpha 0, collinear columns) this is the one
+    of least norm."""
+    n, d = x.shape
+    a = np.column_stack([x, np.ones(n)])
+    penalty = np.sqrt(n * alpha) * np.eye(d, d + 1)
+    return np.linalg.lstsq(np.vstack([a, penalty]), np.append(y, np.zeros(d)), rcond=None)[0]
+
+
+def reference_logistic_gradient(x, y, alpha: float, wb: np.ndarray) -> np.ndarray:
+    """The gradient at weights-and-bias ``wb`` of mean binary cross-entropy
+    + alpha*||w||^2, the bias unpenalized."""
+    a = np.column_stack([x, np.ones(len(x))])
+    grad = a.T @ (expit(a @ wb) - y) / len(x)
+    grad[:-1] += 2.0 * alpha * wb[:-1]
+    return grad

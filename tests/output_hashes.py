@@ -32,8 +32,12 @@ under Pearson selection, a ``cv`` on a study with a three-level
 categorical feature and a categorical stratifier, each with blank cells, a
 ``cv`` whose ``k`` exceeds every group's rows, so that each draw samples
 with replacement, a ``cv`` on the plain study's settings at 10 groups,
-whose one lockstep stack holds 10 folds, and a two-job classification
-``grid-search`` on the plain study.
+whose one lockstep stack holds 10 folds, a two-job classification
+``grid-search`` on the plain study. Last come ``cv-unscaled-x0`` and
+``cv-unscaled-x0-classification``, regression and classification ``cv`` on
+the plain study with every ``x0`` cell times ``UNSCALED`` under
+``"scaling": "none"``, whose ridge and logistic fits meet columns of
+unequal scale.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ MISSING_RATE = 0.35
 TARGET_GAP = 5  # every fifth row's target is blank in the missing-target study
 TIER_GAP, STRATUM_GAP = 7, 11  # blank rows of the categorical-blanks study's two columns
 HUGE = 1e100  # the last-fold study's factor on group g2's x0
+UNSCALED = 1e3  # the unscaled-x0 study's factor on every group's x0
 REFERENCE = "g0"
 
 # run name -> (study, command, extra argv, run config or None)
@@ -114,8 +119,10 @@ RUNS = {
 # two target columns, whose training tasks are selected by their best
 # relevance over both, one whose categorical feature and stratifier have
 # blank cells, one whose k of 80 exceeds the 60 rows of every group, one
-# with 10 groups, so 10 folds step in one stack, and a classification search,
-# which ranks its candidates by AUC
+# with 10 groups, so 10 folds step in one stack, a classification search,
+# which ranks its candidates by AUC, and two unscaled runs on an x0 a
+# thousand times the other columns' scale, whose ridge and logistic
+# baselines fit an ill-conditioned system
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
@@ -128,12 +135,18 @@ LATER_RUNS = {
         "plain", "grid-search", ["--task-kind", "classification", "--seed", "1", "--jobs", "2"],
         None,
     ),
+    **{
+        f"cv-unscaled-x0{suffix}": (
+            "unscaled-x0", "cv", extra, {"preprocess": {"scaling": "none"}},
+        )
+        for suffix, extra in (("", []), ("-classification", ["--task-kind", "classification"]))
+    },
 }
 # the order in which the runs are hashed; a run added later goes last
 ORDER = (
     *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
     "cv-categorical-blanks", "cv-k-over-rows", "cv-ten-groups",
-    "grid-classification-seed1-jobs2",
+    "grid-classification-seed1-jobs2", "cv-unscaled-x0", "cv-unscaled-x0-classification",
 )
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
@@ -163,7 +176,8 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     ``aux7`` a second target, and the plain study plus a categorical
     feature ``tier`` (``low``, ``mid`` or ``high`` by ``x1``, blank in every
     ``TIER_GAP``-th row) and the categorical stratifier ``s``, blank in
-    every ``STRATUM_GAP``-th row; last, ``TEN_GROUP_STUDY``."""
+    every ``STRATUM_GAP``-th row; then ``TEN_GROUP_STUDY``, and last the
+    plain study with every ``x0`` cell times ``UNSCALED``."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -222,6 +236,14 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     )
     config = GeneratorConfig.from_dict(TEN_GROUP_STUDY)
     studies["ten-groups"] = write_dataset(root / "study-ten-groups", *generate(config), config)
+    config = GeneratorConfig.from_dict(STUDY)
+    table, manifest, truth = generate(config)
+    values = table.values.copy()
+    values[:, table.column_index("x0")] *= UNSCALED
+    studies["unscaled-x0"] = write_dataset(
+        root / "study-unscaled-x0", table.replace_matrix(table.columns, values, table.missing_mask),
+        manifest, truth, config,
+    )
     return studies
 
 

@@ -3,8 +3,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from metatreat.synth_gen import (
     write_dataset,
 )
 from metatreat.task_selection import SELECTION_METHODS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GEN_CONFIG = {
     "n_groups": 3,
@@ -732,7 +738,7 @@ def huge_x0_data(tmp_path, study_dir):
 @pytest.mark.parametrize("case", ["ridge_alpha", "x0 regression", "x0 classification"])
 def test_non_finite_baseline_fit_exits_4_naming_the_baseline(tmp_path, study_dir, capsys, case):
     # a ridge penalty of 1e308, or unscaled x0 cells of -1e308 and 1e308,
-    # overflow the baseline fit's curvature matrix, which eigvalsh cannot
+    # overflow the baseline fit's curvature matrix, which the fit's SVD cannot
     # decompose: the run stops with a numeric failure, not a traceback
     data = study_dir / "data.csv"
     doc, baseline = {**FAST_RUN, "baselines": {"ridge_alpha": 1e308}}, "ridge"
@@ -786,6 +792,87 @@ def test_huge_cells_exit_4_without_numpy_warnings(tmp_path, study_dir, capsys, s
     else:
         message = "extractor layer 0: dense layer produced non-finite activations"
     assert capsys.readouterr().err.splitlines()[-1] == f"numeric failure: {message}"
+
+
+def test_unpenalized_ridge_on_one_hot_columns_exits_0_with_finite_rows(tmp_path, study_dir):
+    # a two-level categorical feature becomes two one-hot columns, which sum
+    # to the ridge fit's bias column: at ridge_alpha 0 its normal equations
+    # are singular, and the fit is their least-norm solution
+    lines = (study_dir / "data.csv").read_text().splitlines()
+    x1 = lines[0].split(",").index("x1")
+    colors = ["red" if float(line.split(",")[x1]) > 0.0 else "blue" for line in lines[1:]]
+    data = tmp_path / "color.csv"
+    data.write_text("\n".join(
+        [lines[0] + ",color", *(f"{line},{c}" for line, c in zip(lines[1:], colors))]
+    ) + "\n")
+    doc = json.loads((study_dir / "manifest.json").read_text(encoding="utf-8"))
+    doc["columns"].append({"name": "color", "kind": "categorical"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**FAST_RUN, "baselines": {"ridge_alpha": 0.0}}))
+    code = main([
+        "cv", "--data", str(data), "--manifest", str(manifest), "--config", str(run),
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 0
+    report = report_from_csv_text((tmp_path / "x" / "report.csv").read_text())
+    rows = [row for row in report.rows if row.model == "ridge"]
+    assert len(rows) == 3
+    assert all(math.isfinite(row.value) and math.isfinite(row.train_value) for row in rows)
+
+
+def test_unpenalized_logistic_on_separable_labels_exits_4_naming_the_baseline(
+    tmp_path, study_dir, capsys
+):
+    # the target copies x0, so x0 separates every fold's training labels:
+    # at logistic_alpha 0 the fit has no finite minimizer and its Newton
+    # steps never settle
+    lines = [line.split(",") for line in (study_dir / "data.csv").read_text().splitlines()]
+    x0, y = lines[0].index("x0"), lines[0].index("y")
+    for cells in lines[1:]:
+        cells[y] = cells[x0]
+    data = tmp_path / "separable.csv"
+    data.write_text("\n".join(map(",".join, lines)) + "\n")
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(
+        {**FAST_RUN, "task_kind": "classification", "baselines": {"logistic_alpha": 0.0}}
+    ))
+    code = main([
+        "cv", "--data", str(data), "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(run), "--out", str(tmp_path / "x"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "numeric failure: logistic baseline: fit did not converge in 50 Newton steps"
+    )
+    assert not (tmp_path / "x" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_warnings_print_as_one_line_naming_no_source_file(tmp_path, study_dir, jobs):
+    # k 80 exceeds every group's 10 rows, so draws warn that they sample
+    # with replacement, in the main process or in a worker; a separate
+    # process shows what a user sees, where the suite would record them
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**FAST_RUN, "meta": {**FAST_RUN["meta"], "k": 80}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metatreat.cli", "cv", "--data", str(study_dir / "data.csv"),
+         "--manifest", str(study_dir / "manifest.json"), "--config", str(run),
+         "--jobs", jobs, "--out", str(tmp_path / "x")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    warned = [line for line in lines if not line.startswith("note: ")]
+    assert warned and all(
+        line.startswith("warning: group ") and line.endswith("; sampling with replacement")
+        for line in warned
+    )
+    assert not any(str(SRC) in line or ".py" in line for line in lines)
 
 
 def test_mutual_information_histogram_over_the_cap_exits_2(tmp_path, study_dir, capsys):

@@ -34,7 +34,7 @@ from metatreat.meta_learner import MetaConfig
 from metatreat.rng import child_rng
 from metatreat.synth_gen import GeneratorConfig, generate
 from metatreat.task_selection import SelectionConfig
-from oracles import pairwise_auc
+from oracles import pairwise_auc, reference_logistic_gradient, reference_ridge
 
 FAST_PIPELINE = PipelineConfig(
     task_kind="regression",
@@ -268,6 +268,113 @@ def test_logistic_separates_separable_data():
     preds = baseline_predict("logistic", (x, y), x, BaselineConfig(logistic_alpha=1e-3))
     assert auc(preds, y) == 1.0
     assert np.all((preds > 0) & (preds < 1))
+
+
+def with_bias(x):
+    return np.column_stack([x, np.ones(len(x))])
+
+
+@given(
+    d=st.integers(1, 5),
+    extra_rows=st.integers(-4, 40),
+    alpha=st.sampled_from([0.0, 1e-3, 0.1, 1.0]) | st.floats(1e-6, 10.0),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_ridge_matches_augmented_least_squares_oracle(d, extra_rows, alpha, wide, seed):
+    # the normal equations square the design's condition number, so the fit
+    # is held to the oracle within that condition number's rounding; a
+    # column a thousand times the others' scale makes it about 10^6
+    rng = np.random.default_rng(seed)
+    n = max(2, d + 1 + extra_rows)
+    x = rng.normal(size=(n, d))
+    if wide:
+        x[:, 0] *= 1e3
+    y = rng.normal(size=n)
+    wb = eval_harness._fit_ridge(x, y, alpha)
+    expected = reference_ridge(x, y, alpha)
+    a = with_bias(x)
+    curvature = 2.0 * a.T @ a / n + np.diag(np.append(np.full(d, 2.0 * alpha), 0.0))
+    bound = 1e-13 * np.linalg.cond(curvature) * np.abs(y).max()
+    assert np.abs(a @ wb - a @ expected).max() <= bound
+    preds = baseline_predict("ridge", (x, y), x, BaselineConfig(ridge_alpha=alpha))
+    assert np.array_equal(preds, x @ wb[:-1] + wb[-1])
+
+
+@given(levels=st.integers(2, 5), d=st.integers(0, 3), extra_rows=st.integers(2, 40),
+       seed=st.integers(0, 2**16))
+def test_unpenalized_ridge_on_one_hot_columns_is_the_minimum_norm_fit(levels, d, extra_rows, seed):
+    # one-hot levels sum to the bias column, so at alpha 0 many weights fit
+    # equally well; the fit is the one of least norm, which gradient
+    # descent from zero weights would also reach
+    rng = np.random.default_rng(seed)
+    n = levels + d + extra_rows
+    codes = np.concatenate([np.arange(levels), rng.integers(levels, size=n - levels)])
+    x = np.column_stack([rng.normal(size=(n, d)), np.eye(levels)[codes]])
+    y = rng.normal(size=n)
+    wb = eval_harness._fit_ridge(x, y, 0.0)
+    expected = reference_ridge(x, y, 0.0)
+    assert np.allclose(wb, expected, rtol=0.0, atol=1e-9 * np.abs(expected).max())
+
+
+@given(
+    d=st.integers(1, 5),
+    rows_per_weight=st.integers(10, 40),
+    alpha=st.sampled_from([1e-3, 0.1, 1.0]) | st.floats(1e-4, 10.0),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_logistic_fit_is_stationary(d, rows_per_weight, alpha, wide, seed):
+    # labels drawn from a noisy logistic model on ten or more rows per
+    # weight; a column a thousand times the others' scale scales its
+    # gradient entry with it
+    rng = np.random.default_rng(seed)
+    n = rows_per_weight * (d + 1)
+    x = rng.normal(size=(n, d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.normal(0.0, 2.0, d)))).astype(float)
+    if wide:
+        x[:, 0] *= 1e3
+    wb = eval_harness._fit_logistic(x, y, alpha)
+    grad = reference_logistic_gradient(x, y, alpha, wb)
+    assert np.all(np.abs(grad) <= 1e-9 * np.abs(with_bias(x)).max(axis=0))
+
+
+def test_unpenalized_logistic_on_separable_data_fails_naming_the_baseline():
+    # separable rows have no finite minimizer at alpha 0: the weights grow
+    # with every Newton step, and the fit fails instead of stopping early
+    x = np.linspace(-1.0, 1.0, 20).reshape(-1, 1)
+    y = (x[:, 0] > 0.0).astype(float)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match="^logistic baseline: fit did not converge in 50 Newton steps$"
+    ):
+        baseline_predict("logistic", (x, y), x, BaselineConfig(logistic_alpha=0.0))
+
+
+EXTREME = st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e150, -1e150, 1e200, 1e308, -1e308])
+
+
+@given(
+    cells=st.lists(EXTREME | st.floats(-1e6, 1e6), min_size=2, max_size=24),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["ridge", "logistic"]),
+    alpha=st.sampled_from([0.0, 1e-3, 1.0, 1e308]),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_baselines_never_raise_linalg_errors(cells, d, kind, alpha, seed):
+    # duplicated, constant, collinear and overflowing columns, at any
+    # penalty: a fit returns or fails with a NumericError naming itself
+    rng = np.random.default_rng(seed)
+    n = max(2, len(cells) // d)
+    x = np.resize(np.array(cells), (n, d))
+    y = rng.integers(0, 2, n).astype(float) if kind == "logistic" else rng.normal(size=n)
+    config = BaselineConfig(ridge_alpha=alpha, logistic_alpha=alpha)
+    with np.errstate(all="ignore"):
+        try:
+            preds = baseline_predict(kind, (x, y), x, config)
+        except NumericError as exc:
+            assert str(exc).startswith(f"{kind} baseline: ")
+        else:
+            assert preds.shape == (n,)
 
 
 def test_unknown_baseline_rejected():
