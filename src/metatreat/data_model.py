@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 TIMINGS = ("pre", "during", "post")
 KINDS = ("numeric", "categorical")
@@ -510,12 +510,44 @@ def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> float:
     if se2 == 0.0:
         warnings.warn("t-test on zero-variance samples; returning p=1", stacklevel=2)
         return 1.0
-    t = (a.mean() - b.mean()) / np.sqrt(se2)
-    df = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
-    # Imported on use: scipy takes ~1 s to load and regression runs never call it.
-    from scipy.special import stdtr
+    t = float((a.mean() - b.mean()) / np.sqrt(se2))
+    df = float(se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1)))
+    # Student's t with df degrees of freedom puts I_x(df/2, 1/2) of its mass beyond ±t
+    return _betainc(df / 2.0, 0.5, df / (df + t * t))
 
-    return float(2.0 * stdtr(df, -abs(t)))
+
+# A cap on the continued fraction's terms, far above the few hundred that
+# df in the millions takes, and the floor that keeps Lentz's quotients finite.
+_BETAINC_MAX_TERMS = 10_000
+_LENTZ_TINY = 1e-300
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), for a, b > 0:
+    its continued fraction, summed by the modified Lentz method where
+    x < (a + 1)/(a + b + 2), which is where it converges fast, and through
+    I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere."""
+    if not 0.0 < x < 1.0:
+        return x  # 0 at x = 0, 1 at x = 1, and NaN stays NaN
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(_BETAINC_MAX_TERMS):
+        m = i // 2
+        if i == 0:
+            term = 1.0
+        elif i % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + term * d) or _LENTZ_TINY)
+        c = (1.0 + term / c) or _LENTZ_TINY
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            log_front = a * math.log(x) + b * math.log1p(-x)
+            log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+            return math.exp(log_front - log_beta) / a * (f - 1.0)
+    raise NumericError(f"incomplete beta I_x({a}, {b}) at x = {x} did not converge")
 
 
 @dataclass(frozen=True)

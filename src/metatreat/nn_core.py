@@ -45,17 +45,19 @@ FoldErrors = list[Exception | None]
 
 
 def apply_activation(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of ``z``, in place when ``out`` is ``z``, else in a
-    fresh array; identity returns ``z`` itself."""
+    """The activation of ``z``, written into ``out`` when given (in place
+    when ``out`` is ``z``), else into a fresh array; identity returns ``z``
+    itself. The sigmoid is 1/(1 + exp(-z)), which is 0 where exp(-z)
+    overflows."""
     if kind == "relu":
         return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
         return np.tanh(z, out=out)
     if kind == "sigmoid":
-        # Imported on use: scipy takes ~1 s to load and regression runs never call it.
-        from scipy.special import expit
-
-        return expit(z, out=out)
+        with np.errstate(over="ignore"):
+            out = np.exp(np.negative(z, out=out), out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
     if kind == "identity":
         return z
     raise ConfigError(f"unknown activation {kind!r}")

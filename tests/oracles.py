@@ -14,10 +14,16 @@ objective's derivative written out.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from metatreat.base_learner import BaseLearnerWeights
 from metatreat.nn_core import DenseLayer, OptimizerState
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-z)), the formula the network's sigmoid evaluates, so that
+    the bitwise oracles check how a step is fused, not how ``exp`` rounds."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def central_diff(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -147,7 +153,7 @@ def reference_loss_and_grads(stack, x, group_ids, y, kind, config, rng=None):
         caches.append((x_in, out, mask))
     concat = np.concatenate([h, embeddings[g]], axis=1)
     z = (concat @ weight_norm(head)[1] + head.bias)[:, 0]
-    pred = (expit(z) if kind == "classification" else z).reshape(-1, 1)
+    pred = (sigmoid(z) if kind == "classification" else z).reshape(-1, 1)
     n = pred.size
     if kind == "classification":
         p = np.clip(pred, 1e-12, 1.0 - 1e-12)
@@ -221,6 +227,6 @@ def reference_logistic_gradient(x, y, alpha: float, wb: np.ndarray) -> np.ndarra
     """The gradient at weights-and-bias ``wb`` of mean binary cross-entropy
     + alpha*||w||^2, the bias unpenalized."""
     a = np.column_stack([x, np.ones(len(x))])
-    grad = a.T @ (expit(a @ wb) - y) / len(x)
+    grad = a.T @ (sigmoid(a @ wb) - y) / len(x)
     grad[:-1] += 2.0 * alpha * wb[:-1]
     return grad

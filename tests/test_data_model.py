@@ -10,6 +10,7 @@ from metatreat.data_model import (
     DatasetTable,
     Manifest,
     PreprocessConfig,
+    _betainc,
     _typed,
     binarize_labels,
     differential_features,
@@ -353,6 +354,46 @@ def test_t_test_random_cases_match_reference():
         b = rng.normal(loc=rng.normal(), size=rng.integers(2, 12))
         expected = scipy_stats.ttest_ind(a, b, equal_var=False).pvalue
         assert two_sample_t_test(a, b) == pytest.approx(expected, abs=1e-9)
+
+
+def _welch_p(df: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The two-sided p of Student's t with ``df`` degrees of freedom at
+    ``t``, as ``two_sample_t_test`` computes it."""
+    return np.array([
+        _betainc(d / 2.0, 0.5, d / (d + s * s)) for d, s in zip(df.tolist(), t.tolist())
+    ])
+
+
+def test_t_test_tail_matches_student_t_within_1e_10():
+    from scipy.special import stdtr
+
+    rng = np.random.default_rng(11)
+    dfs = np.concatenate([
+        np.arange(1.0, 61.0), np.geomspace(60.0, 2000.0, 40), rng.uniform(1.0, 2000.0, 100),
+    ])
+    ts = np.concatenate([np.geomspace(1e-3, 100.0, 120), rng.uniform(0.0, 100.0, 30)])
+    df, t = (a.ravel() for a in np.meshgrid(dfs, ts))
+    expected = 2.0 * stdtr(df, -t)
+    got = _welch_p(df, t)
+    normal = (expected <= 0.5) & (expected >= np.finfo(np.float64).tiny)
+    assert normal.sum() > 10_000
+    np.testing.assert_allclose(got[normal], expected[normal], rtol=1e-10, atol=0.0)
+    # tails below the smallest normal double are as good as 0
+    assert got[expected < np.finfo(np.float64).tiny].max() < 1e-300
+    assert _welch_p(np.array([5.0, 5.0]), np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+
+
+def test_t_test_decisions_match_scipy_at_every_alpha():
+    from scipy.special import stdtr, stdtrit
+
+    rng = np.random.default_rng(12)
+    n = 100_000
+    df = np.exp(rng.uniform(0.0, np.log(2000.0), n))
+    # scipy's p spread over (0, 0.2), so that every level has cases on both sides
+    t = -stdtrit(df, rng.uniform(0.0, 0.2, n) / 2.0)
+    expected, got = 2.0 * stdtr(df, -t), _welch_p(df, t)
+    for alpha in (0.01, 0.05, 0.1):
+        assert np.array_equal(got < alpha, expected < alpha)
 
 
 def test_t_test_degenerate_variance_warns_p1():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from metatreat.errors import ConfigError, NumericError, ShapeError
 from metatreat.nn_core import (
     DenseBuffers,
     DenseLayer,
+    apply_activation,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -51,6 +54,35 @@ def _forward(x, layer):
     if errors[0] is not None:
         raise errors[0]
     return out, d
+
+
+# ---------------------------------------------------------------------------
+# activations
+# ---------------------------------------------------------------------------
+
+
+def test_sigmoid_is_within_2_pow_minus_52_of_scipy_expit():
+    from scipy.special import expit
+
+    z = np.concatenate([
+        np.linspace(-800.0, 800.0, 3_000_001),
+        [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324],
+    ])
+    before = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_activation("sigmoid", z)
+    assert np.array_equal(z, before)
+    assert np.abs(got - expit(z)).max() <= 2.0**-52
+    assert np.array_equal(got[-8:-4], [1.0, 0.0, 1.0, 0.0])
+
+
+def test_sigmoid_writes_into_out():
+    z = _arr([-2.0, 0.0, 3.0])
+    expected = apply_activation("sigmoid", z)
+    out = np.empty(3)
+    assert apply_activation("sigmoid", z, out=out) is out and np.array_equal(out, expected)
+    assert apply_activation("sigmoid", z, out=z) is z and np.array_equal(z, expected)
 
 
 # ---------------------------------------------------------------------------
