@@ -65,8 +65,10 @@ KNN_BLOCK_BYTES = 16 * 2**20
 MAX_BATCH_CELLS = 10_000_000
 BATCH_CELLS = 160
 
-# Newton steps the logistic baseline may take before its fit fails.
+# Newton steps the logistic baseline may take before its fit fails, and the
+# largest gradient entry it may stop at.
 NEWTON_MAX_STEPS = 50
+LOGISTIC_GRAD_TOL = 1e-8
 
 # A training step's fixed cost, in network weights: the numpy calls a step
 # makes whatever the network's size. It only orders the fold groups a pool
@@ -167,7 +169,10 @@ def _fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
 def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Newton's method from zero weights on binary cross-entropy +
     alpha*||w||^2 (bias free), until a step's largest entry is at most
-    1e-10 of the weights' largest magnitude (or of 1)."""
+    1e-10 of the weights' largest magnitude (or of 1). A stop where the
+    gradient is not zero, to ``LOGISTIC_GRAD_TOL``, is a failure: a step
+    that saturates rows on their wrong side drops them from the Hessian,
+    and the next, tiny beside the weights, passes the step test."""
     n, d = x.shape
     a = np.column_stack([x, np.ones(n)])
     penalty = np.append(np.full(d, 2.0 * alpha), 0.0)
@@ -178,6 +183,13 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
         step = _solve(hess, a.T @ (p - y) / n + penalty * wb, "logistic")
         wb -= step
         if np.abs(step).max() <= 1e-10 * max(1.0, np.abs(wb).max()):
+            p = apply_activation("sigmoid", a @ wb)
+            grad = np.abs(a.T @ (p - y) / n + penalty * wb).max()
+            if not grad <= LOGISTIC_GRAD_TOL:
+                raise NumericError(
+                    f"logistic baseline: Newton steps stopped where the gradient is {grad:.3g}, "
+                    "not at a minimum"
+                )
             return wb
     raise NumericError(
         f"logistic baseline: fit did not converge in {NEWTON_MAX_STEPS} Newton steps"

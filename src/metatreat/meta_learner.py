@@ -69,57 +69,56 @@ class TaskCache:
     training and the held-out table, with each group's positions among
     them, built on first use. A side keeps one input matrix, shared by all
     its tasks, so the cache holds about one copy of the split's inputs
-    however many tasks are drawn."""
+    however many tasks are drawn. Each group's rows are checked once, as
+    the task is built: a group without an observed value raises, and one
+    with fewer than ``k`` rows warns that its draws of k rows repeat some."""
 
-    def __init__(self, train_table: DatasetTable, test_table: DatasetTable) -> None:
+    def __init__(self, train_table: DatasetTable, test_table: DatasetTable, k: int) -> None:
         self.tables = (train_table, test_table)
+        self.k = k
         self.inputs: list[np.ndarray | None] = [None, None]
         self.tasks: dict[str, list[tuple]] = {}
 
     def get(self, column: str) -> list[tuple]:
         if column not in self.tasks:
-            self.tasks[column] = [self._build(side, t, column) for side, t in enumerate(self.tables)]
+            data = [task_dataset(table, column, TRAINING_KIND) for table in self.tables]
+            self.tasks[column] = [self._build(side, d) for side, d in enumerate(data)]
         return self.tasks[column]
 
-    def _build(self, side: int, table: DatasetTable, column: str) -> tuple:
-        data = task_dataset(table, column, TRAINING_KIND)
+    def _build(self, side: int, data: TaskData) -> tuple:
+        table = self.tables[side]
         if self.inputs[side] is None:
             self.inputs[side] = model_inputs(table)
-        groups = [(g, np.flatnonzero(data.group_ids == g)) for g in np.unique(table.group_ids)]
-        return self.inputs[side], data.row_indices, data.y, groups
+        groups = []
+        for gid in np.unique(table.group_ids):
+            rows = np.flatnonzero(data.group_ids == gid)
+            if rows.size == 0:
+                raise DataError(
+                    f"group {table.group_names[gid]!r} has no rows with observed task values"
+                )
+            if rows.size < self.k:
+                warnings.warn(
+                    f"group {table.group_names[gid]!r} has {rows.size} usable rows "
+                    f"< k={self.k}; sampling with replacement",
+                    stacklevel=2,
+                )
+            groups.append(rows)
+        return self.inputs[side], data.row_indices, data.group_ids, data.y, groups
 
 
-def _sample_per_group(
-    table: DatasetTable, task_rows: tuple, k: int, rng: np.random.Generator
-) -> Slice:
-    """k rows per group present in the table, without replacement when possible."""
-    inputs, observed, y, groups = task_rows
-    picks = []
-    for gid, rows in groups:
-        if rows.size == 0:
-            raise DataError(
-                f"group {table.group_names[gid]!r} has no rows with observed task values"
-            )
-        if rows.size < k:
-            warnings.warn(
-                f"group {table.group_names[gid]!r} has {rows.size} usable rows < k={k}; "
-                "sampling with replacement",
-                stacklevel=2,
-            )
-            picks.append(rng.choice(rows, size=k, replace=True))
-        else:
-            picks.append(rng.choice(rows, size=k, replace=False))
-    idx = np.concatenate(picks)
-    rows = observed[idx]
-    return inputs[rows], table.group_ids[rows], y[idx]
+def _sample_per_group(task_rows: tuple, k: int, rng: np.random.Generator) -> Slice:
+    """k rows of each group, without replacement where the group has k."""
+    inputs, observed, group_ids, y, groups = task_rows
+    idx = np.concatenate([rng.choice(rows, size=k, replace=rows.size < k) for rows in groups])
+    return inputs[observed[idx]], group_ids[idx], y[idx]
 
 
 def sample_task_batch(
-    tasks: Sequence[str], cache: TaskCache, k: int, rng: np.random.Generator
+    tasks: Sequence[str], cache: TaskCache, rng: np.random.Generator
 ) -> tuple[Slice, Slice]:
-    """Sample one of the training columns ``tasks`` plus k rows per group
-    on both sides of the split that ``cache`` holds: the training and the
-    fine-tune slice, each ``(x, group_ids, y)``.
+    """Sample one of the training columns ``tasks`` plus ``cache.k`` rows
+    per group on both sides of the split that ``cache`` holds: the
+    training and the fine-tune slice, each ``(x, group_ids, y)``.
 
     The fine-tune slice comes from the held-out group's rows and uses only
     the training-task column, never a target column.
@@ -127,8 +126,7 @@ def sample_task_batch(
     if not tasks:
         raise ConfigError("no training tasks to sample from")
     column = tasks[int(rng.integers(len(tasks)))]
-    sides = zip(cache.tables, cache.get(column))
-    return tuple(_sample_per_group(table, rows, k, rng) for table, rows in sides)
+    return tuple(_sample_per_group(rows, cache.k, rng) for rows in cache.get(column))
 
 
 def meta_step(
@@ -209,7 +207,7 @@ def meta_train(
             continue
         theta = stack_weights([folds[f][4] for f in members])
         for f, result in zip(members, _lockstep(
-            theta, [(folds[f][2], TaskCache(*folds[f][:2])) for f in members],
+            theta, [(folds[f][2], TaskCache(*folds[f][:2], meta_config.k)) for f in members],
             [folds[f][3] for f in members], base_config, meta_config,
         )):
             results[f] = result
@@ -255,7 +253,7 @@ def _lockstep(
         for j, (fold_tasks, cache) in enumerate(folds):
             try:
                 per_fold.append([
-                    sample_task_batch(fold_tasks, cache, meta_config.k, rngs[j])
+                    sample_task_batch(fold_tasks, cache, rngs[j])
                     for _ in range(meta_config.tasks_per_iteration)
                 ])
             except (ConfigError, DataError) as exc:

@@ -350,6 +350,35 @@ def test_unpenalized_logistic_on_separable_data_fails_naming_the_baseline():
         baseline_predict("logistic", (x, y), x, BaselineConfig(logistic_alpha=0.0))
 
 
+def _logistic_draw(seed):
+    """45 rows of two standard-normal features, labelled by a logistic model
+    whose weights are drawn from N(0, 3^2)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(45, 2))
+    w = rng.normal(0.0, 3.0, 2)
+    return x, (rng.random(45) < 1.0 / (1.0 + np.exp(-x @ w))).astype(float)
+
+
+def test_unpenalized_logistic_stop_short_of_a_minimum_fails():
+    # seed 6230 of a sweep over such draws at alpha 0: a Newton step pushes
+    # rows to their wrong side, where they saturate and leave the Hessian,
+    # and the next step is tiny beside weights near 1e11, so the step test
+    # passes where the gradient reads 0.57
+    x, y = _logistic_draw(6230)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match="^logistic baseline: Newton steps stopped where the gradient is 0.57, "
+    ):
+        eval_harness._fit_logistic(x, y, 0.0)
+
+
+def test_logistic_gradient_check_keeps_an_ordinary_fit_bitwise():
+    # the check reads the fit it stops at and never moves it
+    wb = eval_harness._fit_logistic(*_logistic_draw(3), 0.0)
+    assert [v.hex() for v in wb.tolist()] == [
+        "-0x1.0800eb8f9a63ap+1", "-0x1.a4857bca3b7e1p-1", "0x1.97352daee845dp-3",
+    ]
+
+
 EXTREME = st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e150, -1e150, 1e200, 1e308, -1e308])
 
 

@@ -1,4 +1,5 @@
 import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_epsilon_rejects_out_of_range():
 def sample(study, k, rng):
     """One draw from a study's split, with a task cache of its own."""
     train_table, masked_test, _, tasks = study
-    return sample_task_batch(tasks, TaskCache(train_table, masked_test), k, rng)
+    return sample_task_batch(tasks, TaskCache(train_table, masked_test, k), rng)
 
 
 def test_sample_sizes_k_per_group():
@@ -124,15 +125,30 @@ def test_small_group_warns_and_samples_with_replacement():
     assert len(finetune_y) == 5
 
 
+def test_short_groups_warn_once_per_group_however_many_draws():
+    # the cache checks a column's groups when it builds the column, training
+    # side first, so 20 draws of one column warn once for each group
+    train_table, masked_test, _, tasks = small_study(n_per_group=3)
+    cache, rng = TaskCache(train_table, masked_test, 5), np.random.default_rng(0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(20):
+            sample_task_batch(tasks[:1], cache, rng)
+    assert [str(w.message) for w in caught] == [
+        f"group {name!r} has 3 usable rows < k=5; sampling with replacement"
+        for name in ("g0", "g1", "g2")
+    ]
+
+
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
     study = train_table, masked_test, _, tasks = small_study()
     fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
-    cache = TaskCache(train_table, masked_test)
+    cache = TaskCache(train_table, masked_test, 4)
     for _ in range(12):
         # the first number a draw takes from its stream picks its column
         column = tasks[int(copy.deepcopy(kept).integers(len(tasks)))]
         a = sample(study, 4, fresh)
-        b = sample_task_batch(tasks, cache, 4, kept)
+        b = sample_task_batch(tasks, cache, kept)
         for side, table in enumerate((train_table, masked_test)):
             # the same inputs, group ids and labels, each row one of the
             # drawn column's observed rows
@@ -147,24 +163,25 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
 
 def test_task_cache_keeps_one_input_matrix_per_side():
     train_table, masked_test, _, tasks = small_study()
-    cache, rng = TaskCache(train_table, masked_test), np.random.default_rng(2)
+    cache, rng = TaskCache(train_table, masked_test, 4), np.random.default_rng(2)
     for _ in range(20):
-        sample_task_batch(tasks, cache, 4, rng)
+        sample_task_batch(tasks, cache, rng)
     assert len(cache.tasks) > 1
     for side, table in enumerate((train_table, masked_test)):
         assert cache.inputs[side].tobytes() == model_inputs(table).tobytes()
         for sides in cache.tasks.values():
             # no per-task copy of the inputs: only 1-D row data besides the shared matrix
-            inputs, observed, y, groups = sides[side]
+            inputs, observed, group_ids, y, groups = sides[side]
             assert inputs is cache.inputs[side]
-            assert observed.ndim == y.ndim == 1 and all(pos.ndim == 1 for _, pos in groups)
+            assert observed.ndim == group_ids.ndim == y.ndim == 1
+            assert all(pos.ndim == 1 for pos in groups)
 
 
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
-    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test)
+    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test, 3)
     for _ in range(10):
-        sample_task_batch(tasks, cache, 3, rng)
+        sample_task_batch(tasks, cache, rng)
     # the cache holds the rows of every column a draw sampled
     assert set(cache.tasks) <= set(tasks)
 
@@ -186,7 +203,7 @@ def _stack_and_batch(lr=0.05, seed=0):
     )
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
-    batch = sample_task_batch(tasks, TaskCache(train_table, masked_test), 4, rng)
+    batch = sample_task_batch(tasks, TaskCache(train_table, masked_test, 4), rng)
     stacked = tuple(tuple(arr[None] for arr in side) for side in batch)
     return stack_weights([theta]), theta, stacked, config, rng
 
