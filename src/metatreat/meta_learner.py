@@ -107,7 +107,7 @@ class TaskCache:
 
 
 def _sample_per_group(task_rows: tuple, k: int, rng: np.random.Generator) -> Slice:
-    """k rows of each group, without replacement where the group has k."""
+    """k rows of each group, without replacement where it has k or more."""
     inputs, observed, group_ids, y, groups = task_rows
     idx = np.concatenate([rng.choice(rows, size=k, replace=rows.size < k) for rows in groups])
     return inputs[observed[idx]], group_ids[idx], y[idx]
