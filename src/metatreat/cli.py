@@ -288,12 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, *_) -> str:
+    """One line per warning, naming no source file; pool workers import it."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # one line per warning, naming no source file; forked workers inherit it
     formatwarning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import os
 import warnings
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -560,21 +560,18 @@ def _fold_rows(
     return rows
 
 
-FoldResult = list[MetricRow] | ConfigError | DataError | NumericError
 FOLD_ERRORS = (ConfigError, DataError, NumericError)
 
 
-def _fold_group_worker(payloads: list[tuple], ranked_only: bool = False) -> list[FoldResult]:
-    """The rows of each fold in ``payloads`` (consecutive folds of one
-    candidate), as ``_fold_rows`` scores them with ``ranked_only``, or the
-    configuration, data or numeric error that stopped it; any other
-    exception propagates.
-
-    Every fold is set up, then all meta-train in lockstep, then each is
-    scored. A fold after the first failing one carries that failure, as a
-    serial run would stop there, and a fold whose setup fails stops the
-    folds after it before any of them is set up.
-    """
+def _fold_group_worker(
+    payloads: list[tuple], ranked_only: bool = False
+) -> list[MetricRow] | ConfigError | DataError | NumericError:
+    """The rows of the folds in ``payloads`` (consecutive folds of one
+    candidate) in fold order, as ``_fold_rows`` scores them with
+    ``ranked_only``, or the first configuration, data or numeric error in
+    fold order, as a serial run would stop there; any other exception
+    propagates. Every fold is set up, then all meta-train in lockstep, then
+    each is scored; a fold whose setup fails stops the folds after it."""
     config, cv = payloads[0][2], payloads[0][3]
     setups: list[_FoldSetup] = []
     failure = None
@@ -584,27 +581,24 @@ def _fold_group_worker(payloads: list[tuple], ranked_only: bool = False) -> list
         except FOLD_ERRORS as exc:
             failure = exc
             break
-    results: list[FoldResult] = []
-    if setups:
-        thetas = meta_train(
-            [s.train_table for s in setups],
-            [s.masked_test for s in setups],
-            [s.tasks for s in setups],
-            config.base,
-            config.meta,
-            [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
-            [s.theta0 for s in setups],
-        )
-        for setup, theta in zip(setups, thetas):
-            if isinstance(theta, Exception):
-                failure = theta
-                break
-            try:
-                results.append(_fold_rows(setup, theta, config, cv, ranked_only))
-            except FOLD_ERRORS as exc:
-                failure = exc
-                break
-    return results + [failure] * (len(payloads) - len(results))
+    thetas = meta_train(
+        [s.train_table for s in setups],
+        [s.masked_test for s in setups],
+        [s.tasks for s in setups],
+        config.base,
+        config.meta,
+        [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
+        [s.theta0 for s in setups],
+    )
+    rows: list[MetricRow] = []
+    for setup, theta in zip(setups, thetas):
+        if isinstance(theta, Exception):
+            return theta
+        try:
+            rows += _fold_rows(setup, theta, config, cv, ranked_only)
+        except FOLD_ERRORS as exc:
+            return exc
+    return rows if failure is None else failure
 
 
 def _fold_payloads(
@@ -658,18 +652,14 @@ def _holdout_groups(raw_table: DatasetTable, cv_config: CvConfig) -> list[str]:
     return eligible
 
 
-def _fold_groups(plans: list[list[tuple]], workers: int) -> list[list[tuple]]:
-    """The pool payloads of some candidates' fold payloads: each candidate's
-    folds split, in fold order, into ``clamp(workers // candidates, 1,
-    folds)`` groups of consecutive folds that meta-train in lockstep. One
-    worker makes one stack of a candidate's folds; spare workers get a
-    candidate's folds apart."""
-    groups = []
-    for plan in plans:
-        n = max(1, min(workers // len(plans), len(plan)))
-        cuts = [-(-i * len(plan) // n) for i in range(n + 1)]  # ceil: larger groups first
-        groups += [plan[a:b] for a, b in zip(cuts, cuts[1:])]
-    return groups
+def _fold_groups(plan: list[tuple], share: int) -> list[list[tuple]]:
+    """One candidate's fold payloads split, in fold order, into ``clamp(share,
+    1, folds)`` groups of consecutive folds that meta-train in lockstep. A
+    share of one worker makes one stack of the folds; a larger share gets
+    them apart."""
+    n = max(1, min(share, len(plan)))
+    cuts = [-(-i * len(plan) // n) for i in range(n + 1)]  # ceil: larger groups first
+    return [plan[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _group_work(group: list[tuple]) -> int:
@@ -683,26 +673,35 @@ def _group_work(group: list[tuple]) -> int:
     return steps * (weights + STEP_OVERHEAD_WEIGHTS)
 
 
-def _map_fold_groups(
-    groups: list[list[tuple]], workers: int, ranked_only: bool
-) -> Iterable[FoldResult]:
+def _map_fold_groups(groups: list[list[tuple]], workers: int, ranked_only: bool):
     """``_fold_group_worker`` over ``groups``, scoring as ``ranked_only``
-    says, one result per fold in payload order.
+    says: one outcome per group, in group order.
 
-    With one worker the groups run lazily in this process, in payload
-    order, one at a time as the caller reads their results. A pool has no
-    more workers than groups and receives them largest ``_group_work``
-    first, ties in payload order, so that a long group does not start
-    last. Results depend on neither the worker count nor that order.
+    With one worker the groups run lazily in this process, in group order,
+    one at a time as the caller reads their outcomes. A pool has no more
+    workers than groups, formats warnings as this process does, and
+    receives the groups largest ``_group_work`` first, ties in group order,
+    so that a long group does not start last. Outcomes depend on neither
+    the worker count nor that order.
     """
     worker = functools.partial(_fold_group_worker, ranked_only=ranked_only)
     workers = min(workers, len(groups))
     if workers < 2:
-        return itertools.chain.from_iterable(map(worker, groups))
+        return map(worker, groups)
     order = sorted(range(len(groups)), key=lambda i: -_group_work(groups[i]))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    formatter = warnings.formatwarning
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_format_warnings,
+        initargs=(formatter.__module__, getattr(formatter, "__qualname__", "")),
+    ) as pool:
         done = dict(zip(order, pool.map(worker, [groups[i] for i in order])))
-    return [result for i in range(len(groups)) for result in done[i]]
+    return [done[i] for i in range(len(groups))]
+
+
+def _format_warnings(module: str, name: str) -> None:
+    """A pool worker's initializer: install the parent's warning formatter, which
+    a spawned worker lacks, if ``module``'s ``name`` reaches it (a lambda's does not)."""
+    warnings.formatwarning = getattr(importlib.import_module(module), name, warnings.formatwarning)
 
 
 def _usable_cpus() -> int:
@@ -737,16 +736,14 @@ def _run_candidates(
         except FOLD_ERRORS as exc:
             plans.append(exc)
     workers = min(cv_config.jobs, _usable_cpus())
-    groups = _fold_groups([plan for plan in plans if isinstance(plan, list)], workers)
-    results = iter(_map_fold_groups(groups, workers, ranked_only))
+    share = workers // max(1, sum(isinstance(plan, list) for plan in plans))
+    splits = [_fold_groups(plan, share) if isinstance(plan, list) else [] for plan in plans]
+    done = iter(_map_fold_groups([g for split in splits for g in split], workers, ranked_only))
     outcomes: list[CandidateResult] = []
-    for plan in plans:
-        if isinstance(plan, Exception):
-            outcomes.append(plan)
-            continue
-        folds = list(itertools.islice(results, len(plan)))  # all of them, even after an error
-        errors = [fold for fold in folds if isinstance(fold, Exception)]
-        outcomes.append(errors[0] if errors else MetricReport(tuple(itertools.chain(*folds))))
+    for plan, split in zip(plans, splits):
+        results = [plan] if isinstance(plan, Exception) else [next(done) for _ in split]
+        errors = [r for r in results if isinstance(r, Exception)]
+        outcomes.append(errors[0] if errors else MetricReport(tuple(itertools.chain(*results))))
     return outcomes
 
 
@@ -891,16 +888,14 @@ def grid_search(
         details = "; ".join(f"candidate {e['candidate']}: {e['error']}" for e in entries)
         raise DataError(f"all grid-search candidates failed: {details}")
     scored.sort(key=lambda e: ((-e["score"]) if maximize else e["score"], e["candidate"]))
-    failed = [e for e in entries if e["status"] != "ok"]
-    leaderboard = scored + sorted(failed, key=lambda e: e["candidate"])
+    leaderboard = scored + [e for e in entries if e["status"] != "ok"]
     for rank, e in enumerate(leaderboard, start=1):
         e["rank"] = rank
-    best = PipelineConfig.from_dict(leaderboard[0]["config"])
-    return best, leaderboard
+    return candidates[leaderboard[0]["candidate"]], leaderboard
 
 
 def _meta_score(report: MetricReport) -> float | DataError:
     vals = [r.value for r in report.rows if r.model == "meta" and math.isfinite(r.value)]
     if not vals:
         return DataError("no defined metric values for the meta model")
-    return float(np.mean(vals))
+    return float(_scaled_stat(np.mean, vals))

@@ -37,7 +37,11 @@ whose one lockstep stack holds 10 folds, a two-job classification
 ``cv-unscaled-x0-classification``, regression and classification ``cv`` on
 the plain study with every ``x0`` cell times ``UNSCALED`` under
 ``"scaling": "none"``, whose ridge and logistic fits meet columns of
-unequal scale.
+unequal scale, then ``cv-setup-last-fold`` and ``cv-setup-last-fold-jobs2``
+at one and two jobs on the plain study with every ``x0`` cell blank outside
+``g2`` under ``"missing_threshold": 1.0``, so that the last fold stops in
+its setup, unable to impute ``x0``; at two jobs that fold is a group of
+its own, and the run merges the outcomes of (g0, g1) and (g2).
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ RUNS = {
 # with 10 groups, so 10 folds step in one stack, a classification search,
 # which ranks its candidates by AUC, and two unscaled runs on an x0 a
 # thousand times the other columns' scale, whose ridge and logistic
-# baselines fit an ill-conditioned system
+# baselines fit an ill-conditioned system, and two whose last fold fails in
+# its setup, one with that fold in a group of its own
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
@@ -141,12 +146,19 @@ LATER_RUNS = {
         )
         for suffix, extra in (("", []), ("-classification", ["--task-kind", "classification"]))
     },
+    **{
+        f"cv-setup-last-fold{suffix}": (
+            "x0-in-g2", "cv", extra, {"preprocess": {"missing_threshold": 1.0}},
+        )
+        for suffix, extra in (("", []), ("-jobs2", ["--jobs", "2"]))
+    },
 }
 # the order in which the runs are hashed; a run added later goes last
 ORDER = (
     *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
     "cv-categorical-blanks", "cv-k-over-rows", "cv-ten-groups",
     "grid-classification-seed1-jobs2", "cv-unscaled-x0", "cv-unscaled-x0-classification",
+    "cv-setup-last-fold", "cv-setup-last-fold-jobs2",
 )
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
@@ -176,8 +188,9 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     ``aux7`` a second target, and the plain study plus a categorical
     feature ``tier`` (``low``, ``mid`` or ``high`` by ``x1``, blank in every
     ``TIER_GAP``-th row) and the categorical stratifier ``s``, blank in
-    every ``STRATUM_GAP``-th row; then ``TEN_GROUP_STUDY``, and last the
-    plain study with every ``x0`` cell times ``UNSCALED``."""
+    every ``STRATUM_GAP``-th row; then ``TEN_GROUP_STUDY``, the plain study
+    with every ``x0`` cell times ``UNSCALED``, and last the plain study with
+    every ``x0`` cell outside ``g2`` blank."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -242,6 +255,12 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     values[:, table.column_index("x0")] *= UNSCALED
     studies["unscaled-x0"] = write_dataset(
         root / "study-unscaled-x0", table.replace_matrix(table.columns, values, table.missing_mask),
+        manifest, truth, config,
+    )
+    missing = table.missing_mask.copy()
+    missing[table.group_ids != table.resolve_group("g2"), table.column_index("x0")] = True
+    studies["x0-in-g2"] = write_dataset(
+        root / "study-x0-in-g2", table.replace_matrix(table.columns, table.values, missing),
         manifest, truth, config,
     )
     return studies

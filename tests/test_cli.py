@@ -851,15 +851,27 @@ def test_unpenalized_logistic_on_separable_labels_exits_4_naming_the_baseline(
     assert not (tmp_path / "x" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_warnings_print_as_one_line_naming_no_source_file(tmp_path, study_dir, jobs):
+@pytest.mark.parametrize(
+    "jobs, start_method", [("1", None), ("2", None), ("2", "spawn")], ids=["1", "2", "2-spawn"]
+)
+def test_warnings_print_as_one_line_naming_no_source_file(
+    tmp_path, study_dir, jobs, start_method
+):
     # k 80 exceeds every group's 10 rows, so draws warn that they sample
     # with replacement, in the main process or in a worker; a separate
-    # process shows what a user sees, where the suite would record them
+    # process shows what a user sees, where the suite would record them. A
+    # spawned worker (macOS's default start method) inherits nothing from
+    # the parent, so the pool hands it the parent's format
     run = tmp_path / "run.json"
     run.write_text(json.dumps({**FAST_RUN, "meta": {**FAST_RUN["meta"], "k": 80}}))
+    command = [sys.executable, "-m", "metatreat.cli"]
+    if start_method is not None:
+        command = [sys.executable, "-c", (
+            "import multiprocessing, sys; from metatreat.cli import main; "
+            "multiprocessing.set_start_method(sys.argv[1]); raise SystemExit(main(sys.argv[2:]))"
+        ), start_method]
     proc = subprocess.run(
-        [sys.executable, "-m", "metatreat.cli", "cv", "--data", str(study_dir / "data.csv"),
+        [*command, "cv", "--data", str(study_dir / "data.csv"),
          "--manifest", str(study_dir / "manifest.json"), "--config", str(run),
          "--jobs", jobs, "--out", str(tmp_path / "x")],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,

@@ -751,20 +751,21 @@ def test_grid_search_results_identical_at_any_worker_count():
         assert entry["error"] == f"{type(alone.value).__name__}: {alone.value}"
     numeric = PipelineConfig.from_dict(failed[1]["config"])
     folds = eval_harness._fold_payloads(table, manifest, numeric, CvConfig(seed=0))
-    outcomes = [eval_harness._fold_group_worker([p])[0] for p in folds]
+    outcomes = [eval_harness._fold_group_worker([p]) for p in folds]
     assert [type(o).__name__ for o in outcomes] == ["list", "NumericError", "list"]
 
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor: records each pool's
     size, the fold count of each payload and the groups in the order they
-    reach ``map``, and runs ``map`` serially."""
+    reach ``map``, and runs ``map`` serially. The worker initializer, which
+    sets this process's warning format, is not run."""
 
     sizes: list[int] = []
     payloads: list[int] = []
     groups: list[list[tuple]] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -869,6 +870,63 @@ def test_pool_receives_the_largest_groups_first_and_results_keep_payload_order(m
     ]
     _, serial = grid_search(space, table, manifest, 6, 7, FAST_PIPELINE, CvConfig(seed=0))
     assert json.dumps(board, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+@pytest.mark.parametrize("jobs, payloads", [(1, []), (2, [2, 1] * 3), (3, [1, 1, 1] * 3)])
+def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
+    monkeypatch, jobs, payloads
+):
+    # fold 0 fails in scoring, fold 1 in meta-training and fold 2 in setup:
+    # whether the folds run as one group, as (g0, g1) and (g2), or each
+    # alone, the run raises the earliest fold's failure, whatever its stage
+    _in_process_pool(monkeypatch)
+    errors = {
+        "g0": DataError("g0 failed in scoring"),
+        "g1": NumericError("g1 failed in meta-training"),
+        "g2": ConfigError("g2 failed in setup"),
+    }
+    failing: set[str] = set()
+    real_setup, real_meta_train, real_rows = (
+        eval_harness._fold_setup, eval_harness.meta_train, eval_harness._fold_rows
+    )
+
+    def fold_setup(*payload):
+        if payload[-1] == "g2" and "g2" in failing:
+            raise errors["g2"]
+        return real_setup(*payload)
+
+    def meta_train(train_tables, test_tables, *rest):
+        thetas = real_meta_train(train_tables, test_tables, *rest)
+        held_out = [t.group_names[t.group_ids[0]] for t in test_tables]
+        if "g1" in failing and "g1" in held_out:
+            cut = held_out.index("g1")  # the later folds carry its failure
+            thetas[cut:] = [errors["g1"]] * (len(thetas) - cut)
+        return thetas
+
+    def fold_rows(fold, *rest):
+        if fold.group_name == "g0" and "g0" in failing:
+            raise errors["g0"]
+        return real_rows(fold, *rest)
+
+    monkeypatch.setattr(eval_harness, "_fold_setup", fold_setup)
+    monkeypatch.setattr(eval_harness, "meta_train", meta_train)
+    monkeypatch.setattr(eval_harness, "_fold_rows", fold_rows)
+    table, manifest, _ = small_raw(seed=6)
+    for first in ("g0", "g1", "g2"):
+        failing.clear()
+        failing.update(g for g in errors if g >= first)
+        with pytest.raises((ConfigError, DataError, NumericError)) as caught:
+            run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4, jobs=jobs))
+        assert caught.value is errors[first]
+    assert RecordingPool.payloads == payloads
+
+
+def test_search_score_is_the_summary_mean_where_a_plain_mean_overflows():
+    # the sum of three meta values of 1.5e308 overflows; the score is the
+    # mean the summary reports, finite and without a RuntimeWarning
+    rows = tuple(MetricRow(g, "y", "meta", "mse", 1.5e308, 1.5e308, 20) for g in ("g0", "g1", "g2"))
+    report = MetricReport(rows)
+    assert eval_harness._meta_score(report) == report.summary()[0]["mean"] == 1.5e308
 
 
 def test_search_fine_tunes_the_learned_network_alone_and_fits_no_baseline(monkeypatch):
