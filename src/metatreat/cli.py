@@ -234,7 +234,7 @@ def cmd_report(args) -> int:
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.report}: not UTF-8 text ({exc.reason})") from None
     report = report_from_csv_text(text)
-    stamp_line = text.partition("\n")[0]
+    stamp_line = text.partition("\n")[0].removesuffix("\r")
     out = _out_dir(args)
     stamp = stamp_line + "\n" if stamp_line.startswith("#") else ""
     (out / "plot_data.csv").write_text(stamp + plot_data_csv(report), encoding="utf-8")

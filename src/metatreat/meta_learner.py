@@ -29,7 +29,7 @@ from .base_learner import (
     inner_update,
     stack_weights,
 )
-from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld, task_dataset
+from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld
 from .errors import ConfigError, DataError
 from .nn_core import FoldErrors, param_axpy
 
@@ -65,68 +65,66 @@ def epsilon_schedule(t: int, total: int, epsilon0: float) -> float:
 
 
 class TaskCache:
-    """Each drawn task's observed rows on both sides of one split, the
-    training and the held-out table, with each group's positions among
-    them, built on first use. A side keeps one input matrix, shared by all
-    its tasks, so the cache holds about one copy of the split's inputs
-    however many tasks are drawn. Each group's rows are checked once, as
-    the task is built: a group without an observed value raises, and one
-    with fewer than ``k`` rows warns that its draws of k rows repeat some."""
+    """Both sides of one split, the training and the held-out table, as
+    meta-training draws from them: each side's input matrix, group ids and
+    training-task columns, and each group's row positions, built on the
+    first draw. Training-task columns must be complete, as the pipeline
+    imputes every feature: a missing cell raises. A group with fewer than
+    ``k`` rows warns that its draws of k rows repeat some."""
 
-    def __init__(self, train_table: DatasetTable, test_table: DatasetTable, k: int) -> None:
+    def __init__(
+        self, train_table: DatasetTable, test_table: DatasetTable, tasks: Sequence[str], k: int
+    ) -> None:
         self.tables = (train_table, test_table)
+        self.tasks = tuple(tasks)
         self.k = k
-        self.inputs: list[np.ndarray | None] = [None, None]
-        self.tasks: dict[str, list[tuple]] = {}
+        self.sides: list[tuple] = []
 
-    def get(self, column: str) -> list[tuple]:
-        if column not in self.tasks:
-            data = [task_dataset(table, column, TRAINING_KIND) for table in self.tables]
-            self.tasks[column] = [self._build(side, d) for side, d in enumerate(data)]
-        return self.tasks[column]
+    def draw_tables(self) -> list[tuple]:
+        if not self.sides:
+            if not self.tasks:
+                raise ConfigError("no training tasks to sample from")
+            self.sides = [self._side(table) for table in self.tables]
+        return self.sides
 
-    def _build(self, side: int, data: TaskData) -> tuple:
-        table = self.tables[side]
-        if self.inputs[side] is None:
-            self.inputs[side] = model_inputs(table)
+    def _side(self, table: DatasetTable) -> tuple:
+        columns = [table.column_index(name) for name in self.tasks]
+        for name, j in zip(self.tasks, columns):
+            if table.missing_mask[:, j].any():
+                raise DataError(
+                    f"training task {name!r} has missing cells; meta-training needs "
+                    "complete task columns"
+                )
         groups = []
         for gid in np.unique(table.group_ids):
-            rows = np.flatnonzero(data.group_ids == gid)
-            if rows.size == 0:
-                raise DataError(
-                    f"group {table.group_names[gid]!r} has no rows with observed task values"
-                )
+            rows = np.flatnonzero(table.group_ids == gid)
             if rows.size < self.k:
                 warnings.warn(
                     f"group {table.group_names[gid]!r} has {rows.size} usable rows "
-                    f"< k={self.k}; sampling with replacement",
-                    stacklevel=2,
+                    f"< k={self.k}; sampling with replacement"
                 )
             groups.append(rows)
-        return self.inputs[side], data.row_indices, data.group_ids, data.y, groups
+        return model_inputs(table), table.group_ids, table.values[:, columns], groups
 
 
-def _sample_per_group(task_rows: tuple, k: int, rng: np.random.Generator) -> Slice:
-    """k rows of each group, without replacement where it has k or more."""
-    inputs, observed, group_ids, y, groups = task_rows
-    idx = np.concatenate([rng.choice(rows, size=k, replace=rows.size < k) for rows in groups])
-    return inputs[observed[idx]], group_ids[idx], y[idx]
-
-
-def sample_task_batch(
-    tasks: Sequence[str], cache: TaskCache, rng: np.random.Generator
-) -> tuple[Slice, Slice]:
-    """Sample one of the training columns ``tasks`` plus ``cache.k`` rows
-    per group on both sides of the split that ``cache`` holds: the
-    training and the fine-tune slice, each ``(x, group_ids, y)``.
+def sample_task_batch(cache: TaskCache, rng: np.random.Generator) -> tuple[Slice, Slice]:
+    """Sample one of ``cache.tasks`` plus ``cache.k`` rows per group on
+    both sides of the split that ``cache`` holds: the training and the
+    fine-tune slice, each ``(x, group_ids, y)``, k rows of each group,
+    without replacement where it has k or more.
 
     The fine-tune slice comes from the held-out group's rows and uses only
     the training-task column, never a target column.
     """
-    if not tasks:
-        raise ConfigError("no training tasks to sample from")
-    column = tasks[int(rng.integers(len(tasks)))]
-    return tuple(_sample_per_group(rows, cache.k, rng) for rows in cache.get(column))
+    sides = cache.draw_tables()
+    column = int(rng.integers(len(cache.tasks)))
+    batch = []
+    for inputs, group_ids, labels, groups in sides:
+        idx = np.concatenate([
+            rng.choice(rows, size=cache.k, replace=rows.size < cache.k) for rows in groups
+        ])
+        batch.append((inputs[idx], group_ids[idx], labels[idx, column]))
+    return tuple(batch)
 
 
 def meta_step(
@@ -171,7 +169,9 @@ def meta_train(
     the learned initializations.
 
     Every argument but the configs has one entry per fold; a fold's
-    ``tasks`` are its training columns. Each fold's loop starts from its
+    ``tasks`` are its training columns, which must be complete on both
+    tables: a missing cell in one raises on the fold's first draw, as does
+    a fold without tasks. Each fold's loop starts from its
     ``initial_weights`` (never mutated), so callers can score the same
     random initialization. Each test table must arrive with its
     target columns withheld; this is the structural zero-shot firewall,
@@ -181,10 +181,10 @@ def meta_train(
     one stack, and each fold samples its batches and draws its dropout
     masks from its own stream in the order it would alone, so its result
     is bitwise the same. The result is a list in fold order: each
-    fold's weights, or the configuration, data or numeric error that stopped
-    it. A fold leaves its stack after the meta-iteration it failed in, and
-    every later fold stops with it, as a serial run would stop at the first
-    failing fold; those later folds carry the earliest failure.
+    fold's weights, or the numeric error that stopped it. A fold leaves
+    its stack after the meta-iteration it failed in, and every later fold
+    stops with it, as a serial run would stop at the first failing fold;
+    those later folds carry the earliest failure.
     """
     folds = list(zip(train_tables, test_tables, tasks, rngs, initial_weights, strict=True))
     if not all(targets_withheld(fold[1]) for fold in folds):
@@ -207,7 +207,7 @@ def meta_train(
             continue
         theta = stack_weights([folds[f][4] for f in members])
         for f, result in zip(members, _lockstep(
-            theta, [(folds[f][2], TaskCache(*folds[f][:2], meta_config.k)) for f in members],
+            theta, [TaskCache(*folds[f][:3], meta_config.k) for f in members],
             [folds[f][3] for f in members], base_config, meta_config,
         )):
             results[f] = result
@@ -218,49 +218,24 @@ def meta_train(
 
 def _lockstep(
     theta: BaseLearnerWeights,
-    folds: list[tuple[Sequence[str], TaskCache]],
+    caches: list[TaskCache],
     rngs: list[np.random.Generator],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
 ) -> list[BaseLearnerWeights | Exception | None]:
-    """The meta-loop of one stack, which owns ``theta``, ``folds`` (each
-    fold's tasks and the cache of its split) and ``rngs``, in fold order:
-    each fold's weights, its error, or None if an earlier fold's failure
-    stopped it. Weights objects and the step workspace are built only as
-    folds enter and leave the stack."""
-    errors: FoldErrors = [None] * len(folds)
-    results: list = [None] * len(folds)
+    """The meta-loop of one stack, which owns ``theta``, ``caches`` (each
+    fold's draw tables) and ``rngs``, in fold order: each fold's weights,
+    its error, or None if an earlier fold's failure stopped it. Weights
+    objects and the step workspace are built only as folds enter and
+    leave the stack."""
+    errors: FoldErrors = [None] * len(caches)
+    results: list = [None] * len(caches)
     workspace = StepWorkspace(theta)
-
-    def shrink() -> bool:
-        """Drop the first failed fold and every later one; False once the
-        stack is empty."""
-        nonlocal theta, rngs, errors, workspace
-        cut = next((j for j, e in enumerate(errors) if e is not None), None)
-        if cut is None:
-            return True
-        results[cut] = errors[cut]
-        if cut == 0:
-            return False
-        del folds[cut:]
-        theta = stack_weights(theta.unstack()[:cut])
-        rngs, errors = rngs[:cut], [None] * cut
-        workspace = StepWorkspace(theta)
-        return True
-
     for t in range(meta_config.meta_iterations):
-        per_fold = []
-        for j, (fold_tasks, cache) in enumerate(folds):
-            try:
-                per_fold.append([
-                    sample_task_batch(fold_tasks, cache, rngs[j])
-                    for _ in range(meta_config.tasks_per_iteration)
-                ])
-            except (ConfigError, DataError) as exc:
-                errors[j] = exc
-                break
-        if not shrink():
-            return results
+        per_fold = [
+            [sample_task_batch(cache, rng) for _ in range(meta_config.tasks_per_iteration)]
+            for cache, rng in zip(caches, rngs)
+        ]
         # each draw's two sides, every side's per-fold arrays stacked one by one
         batches = [
             tuple(tuple(map(np.stack, zip(*side))) for side in zip(*draws))
@@ -268,8 +243,16 @@ def _lockstep(
         ]
         eps = epsilon_schedule(t, meta_config.meta_iterations, meta_config.epsilon0)
         meta_step(theta, workspace, batches, eps, base_config, rngs, errors)
-        if not shrink():
-            return results
+        # the first failed fold and every later one leave the stack
+        cut = next((j for j, e in enumerate(errors) if e is not None), None)
+        if cut is not None:
+            results[cut] = errors[cut]
+            if cut == 0:
+                return results
+            del caches[cut:]
+            theta = stack_weights(theta.unstack()[:cut])
+            rngs, errors = rngs[:cut], [None] * cut
+            workspace = StepWorkspace(theta)
     for j, weights in enumerate(theta.unstack()):
         results[j] = weights
     return results

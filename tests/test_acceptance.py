@@ -242,7 +242,7 @@ def test_criterion_3_update_algebra():
     meta = MetaConfig(meta_iterations=1, epsilon0=1.0, k=4, tasks_per_iteration=1)
     # the batch the fold's first meta-iteration draws from its stream
     batch = sample_task_batch(
-        tasks, TaskCache(train_table, masked_test, meta.k), copy.deepcopy(rng)
+        TaskCache(train_table, masked_test, tasks, meta.k), copy.deepcopy(rng)
     )
     adapted = StepWorkspace(theta)
     for x, g, y in batch:

@@ -14,6 +14,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Targets of bench/tracer.py that name functions the program no longer has;
 # their per-layer rows read 0 until the tracer drops them.
 STALE_TARGETS = [
+    "metatreat.meta_learner.task_dataset",
     "metatreat.base_learner.flatten_arrays",
     "metatreat.base_learner.unflatten",
     "metatreat.nn_core.FlatParams.__post_init__",

@@ -852,18 +852,22 @@ def test_unpenalized_logistic_on_separable_labels_exits_4_naming_the_baseline(
 
 
 @pytest.mark.parametrize(
-    "jobs, start_method", [("1", None), ("2", None), ("2", "spawn")], ids=["1", "2", "2-spawn"]
+    "jobs, start_method, meta_iterations",
+    [("1", None, 3), ("2", None, 3), ("2", "spawn", 3), ("1", None, 0)],
+    ids=["1", "2", "2-spawn", "no-draws"],
 )
 def test_warnings_print_as_one_line_naming_no_source_file(
-    tmp_path, study_dir, jobs, start_method
+    tmp_path, study_dir, jobs, start_method, meta_iterations
 ):
     # k 80 exceeds every group's 10 rows, so draws warn that they sample
     # with replacement, in the main process or in a worker; a separate
     # process shows what a user sees, where the suite would record them. A
     # spawned worker (macOS's default start method) inherits nothing from
-    # the parent, so the pool hands it the parent's format
+    # the parent, so the pool hands it the parent's format. A run without
+    # meta-iterations draws nothing and warns of nothing
     run = tmp_path / "run.json"
-    run.write_text(json.dumps({**FAST_RUN, "meta": {**FAST_RUN["meta"], "k": 80}}))
+    meta = {**FAST_RUN["meta"], "k": 80, "meta_iterations": meta_iterations}
+    run.write_text(json.dumps({**FAST_RUN, "meta": meta}))
     command = [sys.executable, "-m", "metatreat.cli"]
     if start_method is not None:
         command = [sys.executable, "-c", (
@@ -880,10 +884,20 @@ def test_warnings_print_as_one_line_naming_no_source_file(
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     warned = [line for line in lines if not line.startswith("note: ")]
-    assert warned and all(
-        line.startswith("warning: group ") and line.endswith("; sampling with replacement")
-        for line in warned
-    )
+    if meta_iterations == 0:
+        assert not any(line.startswith("warning:") for line in lines)
+    elif jobs == "1":
+        # one line per group, in the order the first fold (holding out g0)
+        # draws: its training groups, then its held-out group
+        assert warned == [
+            f"warning: group {name!r} has 10 usable rows < k=80; sampling with replacement"
+            for name in ("g1", "g2", "g0")
+        ]
+    else:
+        assert warned and all(
+            line.startswith("warning: group ") and line.endswith("; sampling with replacement")
+            for line in warned
+        )
     assert not any(str(SRC) in line or ".py" in line for line in lines)
 
 
@@ -1061,6 +1075,24 @@ def test_report_command_recomputes_gap_files(tmp_path, study_dir):
     assert (rep_out / "plot_data.csv").read_bytes() == (cv_out / "plot_data.csv").read_bytes()
     gaps = json.loads((rep_out / "gap_stats.json").read_text())
     assert "meta" in gaps["overfit_gap"]
+
+
+def test_report_of_a_crlf_copy_writes_the_same_bytes(tmp_path, study_dir):
+    # a report saved by Excel or a Windows editor has CRLF endings; the
+    # stamp line it starts with is written with the other lines' ending
+    cv_out = tmp_path / "cv"
+    assert main([
+        "cv", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"),
+        "--config", str(write_run_config(tmp_path)), "--out", str(cv_out),
+    ]) == 0
+    report = cv_out / "report.csv"
+    crlf = tmp_path / "crlf-report.csv"
+    crlf.write_bytes(report.read_bytes().replace(b"\n", b"\r\n"))
+    for name, path in (("lf", report), ("crlf", crlf)):
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / name)]) == 0
+    for out in ("plot_data.csv", "gap_stats.json"):
+        assert (tmp_path / "crlf" / out).read_bytes() == (tmp_path / "lf" / out).read_bytes()
 
 
 # Any legal name: every Unicode text except lone surrogates, which cannot

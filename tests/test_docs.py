@@ -1,9 +1,11 @@
 """The README's configuration reference lists every settable run-config
 key, its example manifest loads, and its library section names only
-modules and functions that exist."""
+modules and functions that exist and writes each call with the parameters
+it takes."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -25,6 +27,13 @@ def readme_section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {title}\n", 1)[1]
     return section.split("\n## ", 1)[0]
+
+
+def package_modules() -> list:
+    return [
+        importlib.import_module(f"metatreat.{m.name}")
+        for m in pkgutil.iter_modules(metatreat.__path__)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -49,10 +58,7 @@ def test_library_section_names_resolve_inside_the_package():
     # "Lower-level pieces" is the section's closing paragraph
     prose = re.sub(r"```.*?```", "", readme_section("Library use"), flags=re.S)
     names = set(re.findall(r"`([A-Za-z_]\w*)`", prose))
-    modules = [
-        importlib.import_module(f"metatreat.{m.name}")
-        for m in pkgutil.iter_modules(metatreat.__path__)
-    ]
+    modules = package_modules()
     module_names = {m.__name__.rpartition(".")[2] for m in modules}
     missing = sorted(
         name for name in names
@@ -60,3 +66,35 @@ def test_library_section_names_resolve_inside_the_package():
     )
     assert len(names) > 10
     assert missing == []
+
+
+def _resolve(dotted: str):
+    """A bare name, ``module.attr`` or ``Class.attr``, looked up in the
+    package's modules."""
+    head, *rest = dotted.split(".")
+    modules = package_modules()
+    owner = next((m for m in modules if m.__name__ == f"metatreat.{head}"), None)
+    if owner is None:
+        owner = next(getattr(m, head) for m in modules if hasattr(m, head))
+    for attr in rest:
+        owner = getattr(owner, attr)
+    return owner
+
+
+def test_library_section_calls_list_their_parameters_in_order():
+    # every inline call span, such as `fine_tune(networks, kind, ...)`,
+    # names the parameters of the function or class it calls
+    prose = re.sub(r"```.*?```", "", readme_section("Library use"), flags=re.S)
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`", prose)
+    stale = {}
+    for name, args in calls:
+        params = inspect.signature(_resolve(name)).parameters.values()
+        expected = [
+            {p.VAR_POSITIONAL: "*", p.VAR_KEYWORD: "**"}.get(p.kind, "") + p.name
+            for p in params
+        ]
+        written = [arg.strip() for arg in args.split(",")]
+        if written != expected:
+            stale[name] = (written, expected)
+    assert len(calls) == 11
+    assert stale == {}

@@ -998,6 +998,24 @@ def test_lockstep_folds_match_folds_alone_across_layouts(monkeypatch):
     assert texts[1] == texts[2] == texts[3]
 
 
+def test_fold_setup_leaves_no_gap_in_any_post_treatment_feature():
+    # meta-training refuses a training-task column with a missing cell, so
+    # every fold's training table and masked held-out table leave
+    # preprocessing with each post-treatment feature observed in every row
+    table, manifest, _ = generate(GeneratorConfig(
+        n_groups=3, n_per_group=12, d_pre=3, d_aux=3, missing_rate=0.2, seed=3,
+    ))
+    posts = [c.name for c in table.columns if c.role == "feature" and c.timing == "post"]
+    assert all(table.column_values(name)[1].mean() < 1.0 for name in posts)
+    for payload in eval_harness._fold_payloads(table, manifest, FAST_PIPELINE, CvConfig()):
+        setup = eval_harness._fold_setup(*payload)
+        assert setup.tasks
+        for side in (setup.train_table, setup.masked_test):
+            kept = [c.name for c in side.columns if c.role == "feature" and c.timing == "post"]
+            assert set(setup.tasks) <= set(kept)
+            assert all(side.column_values(name)[1].all() for name in kept)
+
+
 def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):
     # candidate 1 of the mixed-outcome search fails in fold 1 whether its
     # folds step together or alone, with the same error, and the overflow

@@ -18,6 +18,7 @@ The fixtures are regenerated with ``PYTHONPATH=src python tests/test_golden.py``
 which is only right when a change is meant to move these numbers.
 """
 
+import contextlib
 import json
 import tempfile
 from dataclasses import replace
@@ -277,7 +278,12 @@ def test_generate_writes_the_pinned_manifest_and_ground_truth_bytes(tmp_path):
 
 @pytest.mark.parametrize("command, run", sorted(STAMP_HASHES))
 def test_stamp_config_hash_is_pinned(tmp_path, command, run):
-    assert _stamp_hash(tmp_path, command, run) == STAMP_HASHES[command, run]
+    warns = contextlib.nullcontext()
+    if (command, run) == ("cv", "default"):
+        # the default k of 15 exceeds the study's 4-row groups, so the draws warn
+        warns = pytest.warns(UserWarning, match="has 4 usable rows < k=15; sampling with")
+    with warns:
+        assert _stamp_hash(tmp_path, command, run) == STAMP_HASHES[command, run]
 
 
 def _write_fixtures() -> None:

@@ -95,7 +95,7 @@ def test_epsilon_rejects_out_of_range():
 def sample(study, k, rng):
     """One draw from a study's split, with a task cache of its own."""
     train_table, masked_test, _, tasks = study
-    return sample_task_batch(tasks, TaskCache(train_table, masked_test, k), rng)
+    return sample_task_batch(TaskCache(train_table, masked_test, tasks, k), rng)
 
 
 def test_sample_sizes_k_per_group():
@@ -126,14 +126,14 @@ def test_small_group_warns_and_samples_with_replacement():
 
 
 def test_short_groups_warn_once_per_group_however_many_draws():
-    # the cache checks a column's groups when it builds the column, training
-    # side first, so 20 draws of one column warn once for each group
+    # the cache checks each side's groups on the first draw, training side
+    # first, so 20 draws of any columns warn once for each group
     train_table, masked_test, _, tasks = small_study(n_per_group=3)
-    cache, rng = TaskCache(train_table, masked_test, 5), np.random.default_rng(0)
+    cache, rng = TaskCache(train_table, masked_test, tasks, 5), np.random.default_rng(0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(20):
-            sample_task_batch(tasks[:1], cache, rng)
+            sample_task_batch(cache, rng)
     assert [str(w.message) for w in caught] == [
         f"group {name!r} has 3 usable rows < k=5; sampling with replacement"
         for name in ("g0", "g1", "g2")
@@ -143,12 +143,12 @@ def test_short_groups_warn_once_per_group_however_many_draws():
 def test_sampling_from_a_kept_cache_draws_the_same_rows():
     study = train_table, masked_test, _, tasks = small_study()
     fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
-    cache = TaskCache(train_table, masked_test, 4)
+    cache = TaskCache(train_table, masked_test, tasks, 4)
     for _ in range(12):
         # the first number a draw takes from its stream picks its column
         column = tasks[int(copy.deepcopy(kept).integers(len(tasks)))]
         a = sample(study, 4, fresh)
-        b = sample_task_batch(tasks, cache, kept)
+        b = sample_task_batch(cache, kept)
         for side, table in enumerate((train_table, masked_test)):
             # the same inputs, group ids and labels, each row one of the
             # drawn column's observed rows
@@ -158,32 +158,34 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
             assert all(row in observed for row in zip(
                 (x.tobytes() for x in b[side][0]), b[side][1], b[side][2]
             ))
-    assert set(cache.tasks) == set(tasks)
 
 
-def test_task_cache_keeps_one_input_matrix_per_side():
+def test_task_cache_keeps_one_draw_table_per_side():
     train_table, masked_test, _, tasks = small_study()
-    cache, rng = TaskCache(train_table, masked_test, 4), np.random.default_rng(2)
+    cache, rng = TaskCache(train_table, masked_test, tasks, 4), np.random.default_rng(2)
+    assert len(tasks) > 1 and cache.sides == []
     for _ in range(20):
-        sample_task_batch(tasks, cache, rng)
-    assert len(cache.tasks) > 1
-    for side, table in enumerate((train_table, masked_test)):
-        assert cache.inputs[side].tobytes() == model_inputs(table).tobytes()
-        for sides in cache.tasks.values():
-            # no per-task copy of the inputs: only 1-D row data besides the shared matrix
-            inputs, observed, group_ids, y, groups = sides[side]
-            assert inputs is cache.inputs[side]
-            assert observed.ndim == group_ids.ndim == y.ndim == 1
-            assert all(pos.ndim == 1 for pos in groups)
+        sample_task_batch(cache, rng)
+    sides = cache.draw_tables()
+    assert len(sides) == 2
+    for (inputs, group_ids, labels, groups), table in zip(sides, (train_table, masked_test)):
+        # one input matrix and one column per task, whichever columns were drawn
+        assert inputs.tobytes() == model_inputs(table).tobytes()
+        assert group_ids is table.group_ids
+        assert labels.shape == (table.n_rows, len(tasks))
+        assert [pos.tolist() for pos in groups] == [
+            np.flatnonzero(table.group_ids == gid).tolist() for gid in np.unique(table.group_ids)
+        ]
 
 
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
-    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test, 3)
+    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test, tasks, 3)
     for _ in range(10):
-        sample_task_batch(tasks, cache, rng)
-    # the cache holds the rows of every column a draw sampled
-    assert set(cache.tasks) <= set(tasks)
+        # the first number a draw takes from its stream picks its column
+        column = tasks[int(copy.deepcopy(rng).integers(len(tasks)))]
+        for (_, _, y), table in zip(sample_task_batch(cache, rng), (train_table, masked_test)):
+            assert set(y) <= set(table.column_values(column)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def _stack_and_batch(lr=0.05, seed=0):
     )
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
-    batch = sample_task_batch(tasks, TaskCache(train_table, masked_test, 4), rng)
+    batch = sample_task_batch(TaskCache(train_table, masked_test, tasks, 4), rng)
     stacked = tuple(tuple(arr[None] for arr in side) for side in batch)
     return stack_weights([theta]), theta, stacked, config, rng
 
@@ -422,51 +424,34 @@ def test_lockstep_failure_stops_the_later_folds_only():
     assert isinstance(failed, NumericError) and str(failed) == message
 
 
-def test_lockstep_sampling_failure_stops_the_later_folds_only(monkeypatch):
-    # fold 1's training group g0 has no observed value of the second of its
-    # two training tasks; fold 1 first draws that task in its second
-    # meta-iteration, after fold 0 has drawn, so the stack of three steps
-    # once, then fold 0 steps on alone and fold 2 stops with fold 1
+def test_meta_train_refuses_a_training_task_with_a_gap():
+    # fold 1's training group g0 lacks one value of its second training
+    # task; the fold's first draw refuses the column, before any step
     trains, tests, task_sets = _three_folds()
     train = trains[1]
     missing = train.missing_mask.copy()
-    column = train.column_index(task_sets[1][1])
-    missing[train.group_ids == train.resolve_group("g0"), column] = True
+    column = task_sets[1][1]
+    g0_row = np.flatnonzero(train.group_ids == train.resolve_group("g0"))[0]
+    missing[g0_row, train.column_index(column)] = True
     trains[1] = train.replace_matrix(train.columns, train.values, missing)
-    task_sets[1] = task_sets[1][:2]
-    stack_sizes = []
-    update = meta_learner.inner_update
-
-    def counted(ws, *args):
-        stack_sizes.append(ws.net.folds)
-        return update(ws, *args)
-
-    monkeypatch.setattr(meta_learner, "inner_update", counted)
     meta = MetaConfig(meta_iterations=4, k=4)
-    results = meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [5, 6, 7])))
-    assert stack_sizes == [3] * 4 + [1] * 12
-    assert isinstance(results[1], DataError)
-    assert str(results[1]) == "group 'g0' has no rows with observed task values"
-    assert results[2] is results[1]
-    alone = train_one(trains[0], tests[0], task_sets[0], meta, seed=5)
-    assert results[0].values.tobytes() == alone.values.tobytes()
+    with pytest.raises(DataError, match=f"^training task {column!r} has missing cells"):
+        meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [5, 6, 7])))
 
 
-def test_lockstep_builds_each_fold_task_dataset_once(monkeypatch):
+def test_lockstep_builds_each_fold_side_once(monkeypatch):
     trains, tests, task_sets = _three_folds()
     calls = {}
-    build = meta_learner.task_dataset
+    build = meta_learner.model_inputs
 
-    def counted(table, column, kind):
-        calls[id(table), column] = calls.get((id(table), column), 0) + 1
-        return build(table, column, kind)
+    def counted(table):
+        calls[id(table)] = calls.get(id(table), 0) + 1
+        return build(table)
 
-    monkeypatch.setattr(meta_learner, "task_dataset", counted)
+    monkeypatch.setattr(meta_learner, "model_inputs", counted)
     meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
     meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [10, 11, 12])))
-    columns = {column for tasks in task_sets for column in tasks}
-    assert len(columns) > 1
-    # 3 folds x 10 iterations x 2 draws, each needing a train and a test slice
-    assert set(calls.values()) == {1} and len(calls) < 3 * 10 * 2 * 2
-    tables = {id(t) for t in trains + tests}
-    assert {table for table, _ in calls} == tables
+    assert len({column for tasks in task_sets for column in tasks}) > 1
+    # 3 folds x 10 iterations x 2 draws, each needing a train and a test
+    # slice, read each table's inputs once
+    assert calls == {id(t): 1 for t in trains + tests}
