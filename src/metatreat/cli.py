@@ -68,9 +68,11 @@ class _Constant(str):
 
 def _reject_constants(pairs: list[tuple[str, object]]) -> dict:
     for key, value in pairs:
-        for item in value if isinstance(value, list) else (value,):
+        items = [value]
+        for item in items:  # each nested list's items join the end
             if isinstance(item, _Constant):
                 raise ValueError(f"{key}: {item} is not a JSON number")
+            items += item if isinstance(item, list) else []
     return dict(pairs)
 
 
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _format_warning(message, *_) -> str:
-    """One line per warning, naming no source file; pool workers import it."""
+    """One line per warning, naming no source file."""
     return f"warning: {message}\n"
 
 

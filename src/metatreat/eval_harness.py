@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib
-import itertools
 import math
 import os
 import warnings
@@ -41,7 +39,7 @@ from .data_model import (
     withhold_targets,
 )
 from .errors import ConfigError, DataError, NumericError
-from .meta_learner import MetaConfig, fine_tune, meta_train
+from .meta_learner import MetaConfig, TaskCache, fine_tune, meta_train
 from .nn_core import apply_activation
 from .rng import child_rng
 from .task_selection import SelectionConfig, select_training_tasks
@@ -435,8 +433,8 @@ def _score(kind: str, preds: np.ndarray, y: np.ndarray) -> tuple[float, str]:
 
 @dataclass(frozen=True)
 class _FoldSetup:
-    """One fold ready to meta-train: its split, its target and training
-    columns, and its initial weights."""
+    """One fold ready to meta-train: its split, its target columns, the
+    draw tables of its training columns, and its initial weights."""
 
     fold_index: int
     group_name: str
@@ -444,7 +442,7 @@ class _FoldSetup:
     test_table: DatasetTable
     masked_test: DatasetTable
     targets: tuple[str, ...]
-    tasks: tuple[str, ...]
+    cache: TaskCache
     theta0: BaseLearnerWeights
 
 
@@ -490,8 +488,9 @@ def _fold_setup(
     theta0 = init_weights(
         config.base, n_features, n_groups, child_rng(cv.seed, "fold", fold_index, "init")
     )
+    cache = TaskCache(train_table, masked_test, tasks, meta.k)
     return _FoldSetup(
-        fold_index, group_name, train_table, test_table, masked_test, targets, tasks, theta0
+        fold_index, group_name, train_table, test_table, masked_test, targets, cache, theta0
     )
 
 
@@ -565,40 +564,54 @@ FOLD_ERRORS = (ConfigError, DataError, NumericError)
 
 def _fold_group_worker(
     payloads: list[tuple], ranked_only: bool = False
-) -> list[MetricRow] | ConfigError | DataError | NumericError:
+) -> tuple[list[MetricRow] | ConfigError | DataError | NumericError, list[str]]:
     """The rows of the folds in ``payloads`` (consecutive folds of one
     candidate) in fold order, as ``_fold_rows`` scores them with
     ``ranked_only``, or the first configuration, data or numeric error in
     fold order, as a serial run would stop there; any other exception
     propagates. Every fold is set up, then all meta-train in lockstep, then
-    each is scored; a fold whose setup fails stops the folds after it."""
+    each is scored; a fold whose setup fails stops the folds after it.
+    Beside it, the warning messages of each fold up to that error, as
+    ``fold 'g0': <message>``: its setup's, its draws', then its scoring's."""
     config, cv = payloads[0][2], payloads[0][3]
+    said: list[list[str]] = [[] for _ in payloads]  # each fold's warning messages
     setups: list[_FoldSetup] = []
     failure = None
-    for payload in payloads:
+    for payload, notes in zip(payloads, said):
         try:
-            setups.append(_fold_setup(*payload))
+            setups.append(_recorded(notes, _fold_setup, *payload))
         except FOLD_ERRORS as exc:
             failure = exc
             break
     thetas = meta_train(
-        [s.train_table for s in setups],
-        [s.masked_test for s in setups],
-        [s.tasks for s in setups],
+        [s.cache for s in setups],
         config.base,
         config.meta,
         [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
         [s.theta0 for s in setups],
     )
     rows: list[MetricRow] = []
-    for setup, theta in zip(setups, thetas):
-        if isinstance(theta, Exception):
-            return theta
+    for f, (setup, theta) in enumerate(zip(setups, thetas)):
+        said[f] += setup.cache.shortfalls
         try:
-            rows += _fold_rows(setup, theta, config, cv, ranked_only)
+            if isinstance(theta, Exception):
+                raise theta
+            rows += _recorded(said[f], _fold_rows, setup, theta, config, cv, ranked_only)
         except FOLD_ERRORS as exc:
-            return exc
-    return rows if failure is None else failure
+            failure, said = exc, said[: f + 1]
+            break
+    messages = [f"fold {p[-1]!r}: {m}" for p, fold in zip(payloads, said) for m in fold]
+    return (rows if failure is None else failure), messages
+
+
+def _recorded(messages: list[str], call, *args):
+    """``call(*args)``, the messages of the warnings it raises added to ``messages``, unshown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return call(*args)
+        finally:
+            messages += [str(w.message) for w in caught]
 
 
 def _fold_payloads(
@@ -677,31 +690,21 @@ def _map_fold_groups(groups: list[list[tuple]], workers: int, ranked_only: bool)
     """``_fold_group_worker`` over ``groups``, scoring as ``ranked_only``
     says: one outcome per group, in group order.
 
-    With one worker the groups run lazily in this process, in group order,
-    one at a time as the caller reads their outcomes. A pool has no more
-    workers than groups, formats warnings as this process does, and
-    receives the groups largest ``_group_work`` first, ties in group order,
-    so that a long group does not start last. Outcomes depend on neither
-    the worker count nor that order.
+    With one worker the groups run in this process, one at a time in
+    group order. A pool has no more workers than groups and receives the
+    groups largest ``_group_work`` first, ties in group order, so that a
+    long group does not start last. No worker prints: each outcome carries
+    its warning messages, and outcomes depend on neither the worker count
+    nor that order.
     """
     worker = functools.partial(_fold_group_worker, ranked_only=ranked_only)
     workers = min(workers, len(groups))
     if workers < 2:
-        return map(worker, groups)
+        return [worker(group) for group in groups]
     order = sorted(range(len(groups)), key=lambda i: -_group_work(groups[i]))
-    formatter = warnings.formatwarning
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_format_warnings,
-        initargs=(formatter.__module__, getattr(formatter, "__qualname__", "")),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         done = dict(zip(order, pool.map(worker, [groups[i] for i in order])))
     return [done[i] for i in range(len(groups))]
-
-
-def _format_warnings(module: str, name: str) -> None:
-    """A pool worker's initializer: install the parent's warning formatter, which
-    a spawned worker lacks, if ``module``'s ``name`` reaches it (a lambda's does not)."""
-    warnings.formatwarning = getattr(importlib.import_module(module), name, warnings.formatwarning)
 
 
 def _usable_cpus() -> int:
@@ -726,8 +729,10 @@ def _run_candidates(
     Every config is pre-flighted first, and one that fails sends no folds.
     The others' fold groups (``_fold_groups``) go through one
     ``_map_fold_groups`` in candidate-major order, with ``min(jobs, CPUs)``
-    workers: with one, each candidate is one group run lazily in this
-    process; with more, they share one pool.
+    workers: with one, each candidate is one group run in this process;
+    with more, they share one pool. Once all have run, this process warns
+    each candidate's fold messages in order up to its error, in a search
+    (``ranked_only``) each prefixed ``candidate 3, ``.
     """
     plans: list = []
     for config in configs:
@@ -740,10 +745,18 @@ def _run_candidates(
     splits = [_fold_groups(plan, share) if isinstance(plan, list) else [] for plan in plans]
     done = iter(_map_fold_groups([g for split in splits for g in split], workers, ranked_only))
     outcomes: list[CandidateResult] = []
-    for plan, split in zip(plans, splits):
-        results = [plan] if isinstance(plan, Exception) else [next(done) for _ in split]
-        errors = [r for r in results if isinstance(r, Exception)]
-        outcomes.append(errors[0] if errors else MetricReport(tuple(itertools.chain(*results))))
+    with warnings.catch_warnings():  # forgets what was shown: an earlier run hides nothing
+        for c, (plan, split) in enumerate(zip(plans, splits)):
+            prefix = f"candidate {c}, " if ranked_only else ""
+            results = [(plan, [])] if isinstance(plan, Exception) else [next(done) for _ in split]
+            rows: list[MetricRow] = []
+            for result, messages in results:
+                for message in messages:
+                    warnings.warn(prefix + message, stacklevel=3)
+                if isinstance(result, Exception):
+                    break
+                rows += result
+            outcomes.append(result if isinstance(result, Exception) else MetricReport(tuple(rows)))
     return outcomes
 
 
@@ -759,7 +772,8 @@ def run_cv(
     meta-trains, meta-tests per target task, and scores baselines on the
     same features. Fold order and output ordering are deterministic and
     independent of the worker count. Under ``standardize_vs_reference_group``
-    scaling the reference group must be excluded from holdout.
+    scaling the reference group must be excluded from holdout. The folds'
+    warnings are raised here, prefixed ``fold 'g0': ``, up to the failure.
     """
     [outcome] = _run_candidates([model_config], raw_table, manifest, cv_config)
     if isinstance(outcome, Exception):
@@ -863,6 +877,7 @@ def grid_search(
     kept with their diagnostics, and an error is raised only if all fail.
     A pre-flight check that no candidate can pass (too few groups, an
     unknown or every group excluded) raises once, before any candidate.
+    Its warnings are ``run_cv``'s, each prefixed ``candidate 3, ``.
     """
     if budget < 1:
         raise ConfigError("grid search budget must be at least 1")

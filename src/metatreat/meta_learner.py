@@ -15,7 +15,6 @@ parameter array, and ``fine_tune`` the networks it scores.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -69,8 +68,8 @@ class TaskCache:
     meta-training draws from them: each side's input matrix, group ids and
     training-task columns, and each group's row positions, built on the
     first draw. Training-task columns must be complete, as the pipeline
-    imputes every feature: a missing cell raises. A group with fewer than
-    ``k`` rows warns that its draws of k rows repeat some."""
+    imputes every feature: a missing cell raises. Each group with fewer than
+    ``k`` rows, whose draws repeat rows, adds one message to ``shortfalls``."""
 
     def __init__(
         self, train_table: DatasetTable, test_table: DatasetTable, tasks: Sequence[str], k: int
@@ -79,6 +78,7 @@ class TaskCache:
         self.tasks = tuple(tasks)
         self.k = k
         self.sides: list[tuple] = []
+        self.shortfalls: list[str] = []
 
     def draw_tables(self) -> list[tuple]:
         if not self.sides:
@@ -99,7 +99,7 @@ class TaskCache:
         for gid in np.unique(table.group_ids):
             rows = np.flatnonzero(table.group_ids == gid)
             if rows.size < self.k:
-                warnings.warn(
+                self.shortfalls.append(
                     f"group {table.group_names[gid]!r} has {rows.size} usable rows "
                     f"< k={self.k}; sampling with replacement"
                 )
@@ -157,9 +157,7 @@ def meta_step(
 
 
 def meta_train(
-    train_tables: Sequence[DatasetTable],
-    test_tables: Sequence[DatasetTable],
-    tasks: Sequence[Sequence[str]],
+    caches: Sequence[TaskCache],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
     rngs: Sequence[np.random.Generator],
@@ -168,14 +166,14 @@ def meta_train(
     """Run the full meta-loop of each fold from a fresh state and return
     the learned initializations.
 
-    Every argument but the configs has one entry per fold; a fold's
-    ``tasks`` are its training columns, which must be complete on both
-    tables: a missing cell in one raises on the fold's first draw, as does
-    a fold without tasks. Each fold's loop starts from its
-    ``initial_weights`` (never mutated), so callers can score the same
-    random initialization. Each test table must arrive with its
-    target columns withheld; this is the structural zero-shot firewall,
-    checked here rather than trusted, and a table that fails it raises.
+    Every argument but the configs has one entry per fold; a fold's cache
+    holds its split, its training columns, which must be complete on both
+    tables, and the ``k`` of its draws; a missing cell raises on the fold's
+    first draw, as does a fold without tasks. Each fold's loop starts from
+    its ``initial_weights`` (never mutated), so callers can score the same
+    random initialization. Each test table must arrive with its target
+    columns withheld; this is the structural zero-shot firewall, checked
+    here rather than trusted, and a table that fails it raises.
 
     The folds step in lockstep: folds of one layout and batch shape form
     one stack, and each fold samples its batches and draws its dropout
@@ -186,17 +184,15 @@ def meta_train(
     stops with it, as a serial run would stop at the first failing fold;
     those later folds carry the earliest failure.
     """
-    folds = list(zip(train_tables, test_tables, tasks, rngs, initial_weights, strict=True))
-    if not all(targets_withheld(fold[1]) for fold in folds):
+    folds = list(zip(caches, rngs, initial_weights, strict=True))
+    if not all(targets_withheld(cache.tables[1]) for cache in caches):
         raise DataError(
             "test table still carries target values; withhold them before meta-training"
         )
     stacks: dict = {}
-    for f, (train, test, _, _, theta) in enumerate(folds):
-        key = (
-            theta.layout, theta.activations,
-            np.unique(train.group_ids).size, np.unique(test.group_ids).size,
-        )
+    for f, (cache, _, theta) in enumerate(folds):
+        sizes = (np.unique(table.group_ids).size for table in cache.tables)
+        key = (theta.layout, theta.activations, *sizes)
         stacks.setdefault(key, []).append(f)
 
     results: list = [None] * len(folds)
@@ -205,10 +201,10 @@ def meta_train(
         members = [f for f in members if f < first_failed]
         if not members:
             continue
-        theta = stack_weights([folds[f][4] for f in members])
+        theta = stack_weights([folds[f][2] for f in members])
         for f, result in zip(members, _lockstep(
-            theta, [TaskCache(*folds[f][:3], meta_config.k) for f in members],
-            [folds[f][3] for f in members], base_config, meta_config,
+            theta, [folds[f][0] for f in members], [folds[f][1] for f in members],
+            base_config, meta_config,
         )):
             results[f] = result
             if isinstance(result, Exception):

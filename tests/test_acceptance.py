@@ -251,7 +251,8 @@ def test_criterion_3_update_algebra():
             [None],
         )
     [stepped] = meta_train(
-        [train_table], [masked_test], [tasks], base, meta, rngs=[rng], initial_weights=[theta]
+        [TaskCache(train_table, masked_test, tasks, meta.k)], base, meta,
+        rngs=[rng], initial_weights=[theta],
     )
     eps1_ok = np.array_equal(stepped.values, adapted.net.values)
 
@@ -261,7 +262,7 @@ def test_criterion_3_update_algebra():
     rng = np.random.default_rng(6)
     theta0 = init_weights(base0, 3, 3, rng)
     [theta_final] = meta_train(
-        [train_table], [masked_test], [tasks], base0, meta,
+        [TaskCache(train_table, masked_test, tasks, meta.k)], base0, meta,
         rngs=[np.random.default_rng(6)], initial_weights=[theta0],
     )
     fixed_point_ok = np.array_equal(theta_final.values, theta0.values)

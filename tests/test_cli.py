@@ -519,6 +519,10 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, kind):
     [
         ("generate", {**GEN_CONFIG, "noise_sigma": math.nan}, "noise_sigma: NaN is not a JSON"),
         ("generate", {**GEN_CONFIG, "delta": [0.0, math.inf, 1.0]}, "delta: Infinity is not"),
+        (
+            "generate", {**GEN_CONFIG, "aux_delta": [[math.nan, 0.0, 0.0]] + [[0.0] * 3] * 2},
+            "aux_delta: NaN is not a JSON number",
+        ),
         ("config", {"baselines": {"ridge_alpha": math.nan}}, "ridge_alpha: NaN is not a JSON"),
         ("config", {"base": {"learning_rate": -math.inf}}, "learning_rate: -Infinity is not"),
         ("config", {"base": {"hidden_dim": 0}}, "hidden_dim must be >= 1"),
@@ -851,23 +855,9 @@ def test_unpenalized_logistic_on_separable_labels_exits_4_naming_the_baseline(
     assert not (tmp_path / "x" / "report.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "jobs, start_method, meta_iterations",
-    [("1", None, 3), ("2", None, 3), ("2", "spawn", 3), ("1", None, 0)],
-    ids=["1", "2", "2-spawn", "no-draws"],
-)
-def test_warnings_print_as_one_line_naming_no_source_file(
-    tmp_path, study_dir, jobs, start_method, meta_iterations
-):
-    # k 80 exceeds every group's 10 rows, so draws warn that they sample
-    # with replacement, in the main process or in a worker; a separate
-    # process shows what a user sees, where the suite would record them. A
-    # spawned worker (macOS's default start method) inherits nothing from
-    # the parent, so the pool hands it the parent's format. A run without
-    # meta-iterations draws nothing and warns of nothing
-    run = tmp_path / "run.json"
-    meta = {**FAST_RUN["meta"], "k": 80, "meta_iterations": meta_iterations}
-    run.write_text(json.dumps({**FAST_RUN, "meta": meta}))
+def _run_cli(tmp_path, argv, start_method=None):
+    """``metatreat`` run in a separate process, which shows what a user
+    sees where the suite would record warnings, under ``start_method``."""
     command = [sys.executable, "-m", "metatreat.cli"]
     if start_method is not None:
         command = [sys.executable, "-c", (
@@ -875,30 +865,73 @@ def test_warnings_print_as_one_line_naming_no_source_file(
             "multiprocessing.set_start_method(sys.argv[1]); raise SystemExit(main(sys.argv[2:]))"
         ), start_method]
     proc = subprocess.run(
-        [*command, "cv", "--data", str(study_dir / "data.csv"),
-         "--manifest", str(study_dir / "manifest.json"), "--config", str(run),
-         "--jobs", jobs, "--out", str(tmp_path / "x")],
+        [*command, *argv, "--out", str(tmp_path / "x")],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
         timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()
-    warned = [line for line in lines if not line.startswith("note: ")]
+    assert not any(str(SRC) in line or ".py" in line for line in proc.stderr.splitlines())
+    return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "jobs, start_method, meta_iterations",
+    [
+        ("1", None, 3), ("2", None, 3), ("2", "spawn", 3), ("2", "forkserver", 3),
+        ("1", None, 0),
+    ],
+    ids=["1", "2", "2-spawn", "2-forkserver", "no-draws"],
+)
+def test_warnings_print_as_one_line_naming_no_source_file(
+    tmp_path, study_dir, jobs, start_method, meta_iterations
+):
+    # k 80 exceeds every group's 10 rows, so each fold's draws record that
+    # they sample with replacement, in this process or in a worker, and
+    # this process prints them in fold order, whatever the job count or
+    # start method. A run without meta-iterations draws nothing and warns
+    # of nothing
+    run = tmp_path / "run.json"
+    meta = {**FAST_RUN["meta"], "k": 80, "meta_iterations": meta_iterations}
+    run.write_text(json.dumps({**FAST_RUN, "meta": meta}))
+    err = _run_cli(tmp_path, [
+        "cv", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"), "--config", str(run), "--jobs", jobs,
+    ], start_method)
+    warned = [line for line in err.splitlines() if not line.startswith("note: ")]
     if meta_iterations == 0:
-        assert not any(line.startswith("warning:") for line in lines)
-    elif jobs == "1":
-        # one line per group, in the order the first fold (holding out g0)
-        # draws: its training groups, then its held-out group
-        assert warned == [
-            f"warning: group {name!r} has 10 usable rows < k=80; sampling with replacement"
-            for name in ("g1", "g2", "g0")
-        ]
-    else:
-        assert warned and all(
-            line.startswith("warning: group ") and line.endswith("; sampling with replacement")
-            for line in warned
-        )
-    assert not any(str(SRC) in line or ".py" in line for line in lines)
+        assert warned == []
+        return
+    # each fold's training groups, then its held-out group
+    order = {"g0": ("g1", "g2", "g0"), "g1": ("g0", "g2", "g1"), "g2": ("g0", "g1", "g2")}
+    assert warned == [
+        f"warning: fold {fold!r}: group {name!r} has 10 usable rows < k=80; "
+        "sampling with replacement"
+        for fold, names in order.items() for name in names
+    ]
+
+
+def test_grid_search_warnings_are_the_same_at_one_and_two_jobs(tmp_path, study_dir):
+    # k 15 exceeds every group's 10 rows; each candidate's fold messages
+    # print after its number, byte for byte the same at one and two jobs
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "n_layers": [1], "hidden_dim": [6], "meta_iterations": [2], "k": [15],
+        "tasks_per_iteration": [1],
+    }))
+    argv = [
+        "grid-search", "--data", str(study_dir / "data.csv"),
+        "--manifest", str(study_dir / "manifest.json"), "--budget", "2", "--seed", "1",
+        "--space", str(space),
+    ]
+    one, two = (_run_cli(tmp_path, [*argv, "--jobs", jobs]) for jobs in ("1", "2"))
+    lines = one.splitlines()
+    assert one == two
+    assert len(lines) == 2 * 9
+    assert all(line.startswith("warning: candidate ") for line in lines)
+    assert lines[0] == (
+        "warning: candidate 0, fold 'g0': group 'g1' has 10 usable rows < k=15; "
+        "sampling with replacement"
+    )
 
 
 def test_mutual_information_histogram_over_the_cap_exits_2(tmp_path, study_dir, capsys):

@@ -96,5 +96,5 @@ def test_library_section_calls_list_their_parameters_in_order():
         written = [arg.strip() for arg in args.split(",")]
         if written != expected:
             stale[name] = (written, expected)
-    assert len(calls) == 11
+    assert len(calls) == 12
     assert stale == {}

@@ -66,8 +66,7 @@ def _meta_trained(table, manifest, config, cv) -> tuple[list, list]:
     them."""
     setups = [_fold_setup(*payload) for payload in _fold_payloads(table, manifest, config, cv)]
     thetas = meta_train(
-        [s.train_table for s in setups], [s.masked_test for s in setups],
-        [s.tasks for s in setups], config.base, config.meta,
+        [s.cache for s in setups], config.base, config.meta,
         [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
         [s.theta0 for s in setups],
     )

@@ -751,21 +751,21 @@ def test_grid_search_results_identical_at_any_worker_count():
         assert entry["error"] == f"{type(alone.value).__name__}: {alone.value}"
     numeric = PipelineConfig.from_dict(failed[1]["config"])
     folds = eval_harness._fold_payloads(table, manifest, numeric, CvConfig(seed=0))
-    outcomes = [eval_harness._fold_group_worker([p]) for p in folds]
+    outcomes = [eval_harness._fold_group_worker([p])[0] for p in folds]
     assert [type(o).__name__ for o in outcomes] == ["list", "NumericError", "list"]
 
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor: records each pool's
     size, the fold count of each payload and the groups in the order they
-    reach ``map``, and runs ``map`` serially. The worker initializer, which
-    sets this process's warning format, is not run."""
+    reach ``map``, and runs ``map`` serially. It takes a size alone, as the
+    workers need no setup: they print nothing."""
 
     sizes: list[int] = []
     payloads: list[int] = []
     groups: list[list[tuple]] = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -878,7 +878,8 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
 ):
     # fold 0 fails in scoring, fold 1 in meta-training and fold 2 in setup:
     # whether the folds run as one group, as (g0, g1) and (g2), or each
-    # alone, the run raises the earliest fold's failure, whatever its stage
+    # alone, the run raises the earliest fold's failure, whatever its stage,
+    # and warns what each stage said, fold by fold, up to that failure
     _in_process_pool(monkeypatch)
     errors = {
         "g0": DataError("g0 failed in scoring"),
@@ -891,19 +892,23 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
     )
 
     def fold_setup(*payload):
+        warnings.warn(f"setting up {payload[-1]}")
         if payload[-1] == "g2" and "g2" in failing:
             raise errors["g2"]
         return real_setup(*payload)
 
-    def meta_train(train_tables, test_tables, *rest):
-        thetas = real_meta_train(train_tables, test_tables, *rest)
-        held_out = [t.group_names[t.group_ids[0]] for t in test_tables]
+    def meta_train(caches, *rest):
+        thetas = real_meta_train(caches, *rest)
+        held_out = [c.tables[1].group_names[c.tables[1].group_ids[0]] for c in caches]
+        for cache, name in zip(caches, held_out):  # meta-training warns through its caches
+            cache.shortfalls.append(f"drawing for {name}")
         if "g1" in failing and "g1" in held_out:
             cut = held_out.index("g1")  # the later folds carry its failure
             thetas[cut:] = [errors["g1"]] * (len(thetas) - cut)
         return thetas
 
     def fold_rows(fold, *rest):
+        warnings.warn(f"scoring {fold.group_name}")
         if fold.group_name == "g0" and "g0" in failing:
             raise errors["g0"]
         return real_rows(fold, *rest)
@@ -912,13 +917,45 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
     monkeypatch.setattr(eval_harness, "meta_train", meta_train)
     monkeypatch.setattr(eval_harness, "_fold_rows", fold_rows)
     table, manifest, _ = small_raw(seed=6)
+    said = {
+        g: [f"fold {g!r}: {m}" for m in (f"setting up {g}", f"drawing for {g}", f"scoring {g}")]
+        for g in errors
+    }
+    # the failing fold's messages up to its failing stage
+    said_before_failing = {"g0": said["g0"], "g1": said["g1"][:2], "g2": said["g2"][:1]}
     for first in ("g0", "g1", "g2"):
         failing.clear()
         failing.update(g for g in errors if g >= first)
-        with pytest.raises((ConfigError, DataError, NumericError)) as caught:
+        with (
+            pytest.raises((ConfigError, DataError, NumericError)) as caught,
+            warnings.catch_warnings(record=True) as warned,
+        ):
+            warnings.simplefilter("always")
             run_cv(table, manifest, FAST_PIPELINE, CvConfig(seed=4, jobs=jobs))
         assert caught.value is errors[first]
+        earlier = [m for g in errors if g < first for m in said[g]]
+        assert [str(w.message) for w in warned] == earlier + said_before_failing[first]
     assert RecordingPool.payloads == payloads
+
+
+def test_fold_group_worker_prints_nothing_and_returns_each_folds_shortfalls():
+    # k 15 exceeds every group's 12 rows: each fold's draws record its
+    # training groups' shortfalls, then its held-out group's, and the worker
+    # returns them, prefixed with the fold, in fold order; none escapes
+    table, manifest, _ = small_raw(seed=6)
+    config = dataclasses.replace(FAST_PIPELINE, meta=MetaConfig(meta_iterations=2, k=15))
+    payloads = eval_harness._fold_payloads(table, manifest, config, CvConfig(seed=4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, messages = eval_harness._fold_group_worker(payloads)
+    assert caught == []
+    with pytest.warns(UserWarning, match="sampling with replacement"):
+        assert tuple(rows) == run_cv(table, manifest, config, CvConfig(seed=4)).rows
+    order = {"g0": ("g1", "g2", "g0"), "g1": ("g0", "g2", "g1"), "g2": ("g0", "g1", "g2")}
+    assert messages == [
+        f"fold {fold!r}: group {g!r} has 12 usable rows < k=15; sampling with replacement"
+        for fold, groups in order.items() for g in groups
+    ]
 
 
 def test_search_score_is_the_summary_mean_where_a_plain_mean_overflows():
@@ -1009,17 +1046,18 @@ def test_fold_setup_leaves_no_gap_in_any_post_treatment_feature():
     assert all(table.column_values(name)[1].mean() < 1.0 for name in posts)
     for payload in eval_harness._fold_payloads(table, manifest, FAST_PIPELINE, CvConfig()):
         setup = eval_harness._fold_setup(*payload)
-        assert setup.tasks
+        assert setup.cache.tasks
         for side in (setup.train_table, setup.masked_test):
             kept = [c.name for c in side.columns if c.role == "feature" and c.timing == "post"]
-            assert set(setup.tasks) <= set(kept)
+            assert set(setup.cache.tasks) <= set(kept)
             assert all(side.column_values(name)[1].all() for name in kept)
 
 
 def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):
     # candidate 1 of the mixed-outcome search fails in fold 1 whether its
     # folds step together or alone, with the same error, and the overflow
-    # behind it prints no RuntimeWarning
+    # behind it raises no warning: a fold would pass a RuntimeWarning on as
+    # a UserWarning naming the fold, so none of any kind may arrive
     _in_process_pool(monkeypatch)
     table, manifest, space, template = mixed_outcome_search()
     numeric = sample_candidate(space, child_rng(1, "candidate", 1), template)
@@ -1034,7 +1072,7 @@ def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypat
     assert messages == ["loss is not finite"] * 3
     assert board[-1]["candidate"] == 1
     assert board[-1]["error"] == "NumericError: loss is not finite"
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [str(w.message) for w in caught] == []
 
 
 def test_pipeline_config_round_trip_and_strictness():

@@ -1,5 +1,4 @@
 import copy
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -119,22 +118,23 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_small_group_warns_and_samples_with_replacement():
-    study = small_study(n_per_group=3)
-    with pytest.warns(UserWarning, match="replacement"):
-        _, (_, _, finetune_y) = sample(study, 5, np.random.default_rng(0))
+    # the cache records the shortfall for its caller to warn of
+    train_table, masked_test, _, tasks = small_study(n_per_group=3)
+    cache = TaskCache(train_table, masked_test, tasks, 5)
+    assert cache.shortfalls == []
+    _, (_, _, finetune_y) = sample_task_batch(cache, np.random.default_rng(0))
     assert len(finetune_y) == 5
+    assert cache.shortfalls[-1].endswith("< k=5; sampling with replacement")
 
 
 def test_short_groups_warn_once_per_group_however_many_draws():
     # the cache checks each side's groups on the first draw, training side
-    # first, so 20 draws of any columns warn once for each group
+    # first, so 20 draws of any columns record one shortfall for each group
     train_table, masked_test, _, tasks = small_study(n_per_group=3)
     cache, rng = TaskCache(train_table, masked_test, tasks, 5), np.random.default_rng(0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(20):
-            sample_task_batch(cache, rng)
-    assert [str(w.message) for w in caught] == [
+    for _ in range(20):
+        sample_task_batch(cache, rng)
+    assert cache.shortfalls == [
         f"group {name!r} has 3 usable rows < k=5; sampling with replacement"
         for name in ("g0", "g1", "g2")
     ]
@@ -249,7 +249,8 @@ def train_one(train_table, masked_test, tasks, meta, seed, theta0=None):
         rng, theta0 = seeded_init(seed)
     else:
         rng = np.random.default_rng(seed)
-    return meta_train([train_table], [masked_test], [tasks], BASE, meta, [rng], [theta0])[0]
+    cache = TaskCache(train_table, masked_test, tasks, meta.k)
+    return meta_train([cache], BASE, meta, [rng], [theta0])[0]
 
 
 def test_meta_train_zero_iterations_returns_seeded_init():
@@ -395,12 +396,17 @@ def _three_folds():
     return [s[0] for s in studies], [s[1] for s in studies], [s[3] for s in studies]
 
 
+def _caches(trains, tests, task_sets, meta):
+    """Each fold's task cache, as ``meta_train`` takes them."""
+    return [TaskCache(*fold, meta.k) for fold in zip(trains, tests, task_sets)]
+
+
 def test_lockstep_meta_train_matches_each_fold_alone():
     trains, tests, task_sets = _three_folds()
     meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
     seeds = [10, 11, 12]
     rngs, thetas = zip(*map(seeded_init, seeds))
-    stacked = meta_train(trains, tests, task_sets, BASE, meta, rngs, thetas)
+    stacked = meta_train(_caches(trains, tests, task_sets, meta), BASE, meta, rngs, thetas)
     for f, seed in enumerate(seeds):
         alone = train_one(trains[f], tests[f], task_sets[f], meta, seed=seed)
         assert stacked[f].values.tobytes() == alone.values.tobytes()
@@ -414,7 +420,7 @@ def test_lockstep_failure_stops_the_later_folds_only():
     thetas = [init_weights(BASE, 3, 3, np.random.default_rng(s)) for s in range(3)]
     thetas[1].extractor[1].v[..., 0] = 0.0
     rngs = [np.random.default_rng(s) for s in (5, 6, 7)]
-    results = meta_train(trains, tests, task_sets, BASE, meta, rngs, thetas)
+    results = meta_train(_caches(trains, tests, task_sets, meta), BASE, meta, rngs, thetas)
     message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"
     assert isinstance(results[1], NumericError) and str(results[1]) == message
     assert results[2] is results[1]
@@ -436,7 +442,10 @@ def test_meta_train_refuses_a_training_task_with_a_gap():
     trains[1] = train.replace_matrix(train.columns, train.values, missing)
     meta = MetaConfig(meta_iterations=4, k=4)
     with pytest.raises(DataError, match=f"^training task {column!r} has missing cells"):
-        meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [5, 6, 7])))
+        meta_train(
+            _caches(trains, tests, task_sets, meta), BASE, meta,
+            *zip(*map(seeded_init, [5, 6, 7])),
+        )
 
 
 def test_lockstep_builds_each_fold_side_once(monkeypatch):
@@ -450,7 +459,10 @@ def test_lockstep_builds_each_fold_side_once(monkeypatch):
 
     monkeypatch.setattr(meta_learner, "model_inputs", counted)
     meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
-    meta_train(trains, tests, task_sets, BASE, meta, *zip(*map(seeded_init, [10, 11, 12])))
+    meta_train(
+        _caches(trains, tests, task_sets, meta), BASE, meta,
+        *zip(*map(seeded_init, [10, 11, 12])),
+    )
     assert len({column for tasks in task_sets for column in tasks}) > 1
     # 3 folds x 10 iterations x 2 draws, each needing a train and a test
     # slice, read each table's inputs once
