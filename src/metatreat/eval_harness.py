@@ -33,13 +33,12 @@ from .data_model import (
     fit_preprocess,
     group_holdout_split,
     model_input_columns,
-    model_inputs,
     strict_dataclass,
     task_dataset,
     withhold_targets,
 )
 from .errors import ConfigError, DataError, NumericError
-from .meta_learner import MetaConfig, TaskCache, fine_tune, meta_train
+from .meta_learner import DrawTable, MetaConfig, draw_tables, fine_tune, meta_train
 from .nn_core import apply_activation
 from .rng import child_rng
 from .task_selection import SelectionConfig, select_training_tasks
@@ -434,15 +433,15 @@ def _score(kind: str, preds: np.ndarray, y: np.ndarray) -> tuple[float, str]:
 @dataclass(frozen=True)
 class _FoldSetup:
     """One fold ready to meta-train: its split, its target columns, the
-    draw tables of its training columns, and its initial weights."""
+    draw tables of its training columns (the training side, then the
+    held-out one), and its initial weights."""
 
     fold_index: int
     group_name: str
     train_table: DatasetTable
     test_table: DatasetTable
-    masked_test: DatasetTable
     targets: tuple[str, ...]
-    cache: TaskCache
+    sides: tuple[DrawTable, DrawTable]
     theta0: BaseLearnerWeights
 
 
@@ -470,12 +469,14 @@ def _fold_setup(
             raw_table, train_mask, config.preprocess, manifest.differential_pairs
         )
     train_table, test_table = group_holdout_split(processed, group_name)
-    masked_test = withhold_targets(test_table)
 
     targets = tuple(c.name for c in processed.columns if c.role == "target")
     tasks = select_training_tasks(train_table, targets, config.selection)
 
-    n_features = model_inputs(train_table).shape[1]
+    # built where the training inputs are first needed: a split with no
+    # input column fails here, before init_weights divides by their count
+    sides = draw_tables(train_table, withhold_targets(test_table), tasks)
+    n_features = sides[0][0].shape[1]
     n_groups = len(train_table.group_names)
     meta = config.meta
     cells = task_batch_cells(meta, n_groups, n_features)
@@ -488,10 +489,17 @@ def _fold_setup(
     theta0 = init_weights(
         config.base, n_features, n_groups, child_rng(cv.seed, "fold", fold_index, "init")
     )
-    cache = TaskCache(train_table, masked_test, tasks, meta.k)
-    return _FoldSetup(
-        fold_index, group_name, train_table, test_table, masked_test, targets, cache, theta0
-    )
+    if meta.meta_iterations > 0:  # groups whose draws will repeat rows
+        for table, (*_, groups) in zip((train_table, test_table), sides):
+            for rows in groups:
+                if rows.size < meta.k:
+                    name = table.group_names[table.group_ids[rows[0]]]
+                    warnings.warn(
+                        f"group {name!r} has {rows.size} usable rows < k={meta.k}; "
+                        "sampling with replacement",
+                        stacklevel=2,
+                    )
+    return _FoldSetup(fold_index, group_name, train_table, test_table, targets, sides, theta0)
 
 
 def _fold_rows(
@@ -509,14 +517,14 @@ def _fold_rows(
     meta-tests the learned network alone on the held-out rows and keeps
     only what ``_meta_score`` reads, the ``meta`` values (``train_value``
     NaN)."""
-    train_table, masked_test = fold.train_table, fold.masked_test
+    training, held_out = (side[:2] for side in fold.sides)  # (inputs, group ids)
     kind = config.task_kind
     metric_name = "auc" if kind == "classification" else "mse"
     if ranked_only:
-        networks, tables, baselines = {"meta": theta_star}, (masked_test,), ()
+        networks, inputs, baselines = {"meta": theta_star}, (held_out,), ()
     else:
         networks = dict(zip(NETWORKS, (fold.theta0, theta_star)))
-        tables = (masked_test, train_table)
+        inputs = (held_out, training)
         baselines = CLASSIFICATION_BASELINES if kind == "classification" else REGRESSION_BASELINES
     rows: list[MetricRow] = []
     for column in fold.targets:
@@ -527,17 +535,17 @@ def _fold_rows(
         y_test = y_vals[scored]
         if kind == "classification":
             y_test = binarize_labels(y_test)
-        data = task_dataset(train_table, column, kind)
+        data = task_dataset(fold.train_table, column, kind)
         rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in networks]
         on_test, *on_train = fine_tune(
-            list(networks.values()), kind, data, tables, config.base, rngs
+            list(networks.values()), kind, data, inputs, config.base, rngs
         )
         # each model's held-out predictions, then any on its training rows
         predictions = {
             name: (on_test[n][scored], *(p[n][data.row_indices] for p in on_train))
             for n, name in enumerate(networks)
         }
-        x_test = model_inputs(masked_test)[scored] if baselines else None
+        x_test = held_out[0][scored] if baselines else None
         with np.errstate(all="ignore"):
             for name in baselines:
                 predictions[name] = tuple(
@@ -569,10 +577,11 @@ def _fold_group_worker(
     candidate) in fold order, as ``_fold_rows`` scores them with
     ``ranked_only``, or the first configuration, data or numeric error in
     fold order, as a serial run would stop there; any other exception
-    propagates. Every fold is set up, then all meta-train in lockstep, then
-    each is scored; a fold whose setup fails stops the folds after it.
-    Beside it, the warning messages of each fold up to that error, as
-    ``fold 'g0': <message>``: its setup's, its draws', then its scoring's."""
+    propagates. Every fold is set up, its draw tables built with it, then
+    all meta-train in lockstep, then each is scored; a fold whose setup
+    fails stops the folds after it. Beside it, the warning messages of each
+    fold up to that error, as ``fold 'g0': <message>``: its setup's, short
+    groups last, then its scoring's."""
     config, cv = payloads[0][2], payloads[0][3]
     said: list[list[str]] = [[] for _ in payloads]  # each fold's warning messages
     setups: list[_FoldSetup] = []
@@ -584,7 +593,7 @@ def _fold_group_worker(
             failure = exc
             break
     thetas = meta_train(
-        [s.cache for s in setups],
+        [s.sides for s in setups],
         config.base,
         config.meta,
         [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
@@ -592,7 +601,6 @@ def _fold_group_worker(
     )
     rows: list[MetricRow] = []
     for f, (setup, theta) in enumerate(zip(setups, thetas)):
-        said[f] += setup.cache.shortfalls
         try:
             if isinstance(theta, Exception):
                 raise theta

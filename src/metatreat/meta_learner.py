@@ -1,16 +1,18 @@
 """Zero-shot meta-training and meta-testing.
 
-Each meta-iteration samples a training task and k rows per group, trains a
-clone of the current weights on the training groups, fine-tunes it on the
-held-out group's rows for that task (training tasks are post-treatment
-features, so those labels are observable for every group), then interpolates
-the shared initialization toward the adapted weights with a linearly
-annealed step size. Meta-testing (``fine_tune``) adapts the learned
-initialization on the full training set for a target task and predicts
-for the held-out group, whose target labels are never read: the caller
-withholds them, and ``meta_train`` refuses a test table that still carries
-them. ``meta_train`` steps the folds of a run in lockstep on one stacked
-parameter array, and ``fine_tune`` the networks it scores.
+A fold's draw tables (``draw_tables``) hold both sides of its split, built
+once. Each meta-iteration samples from them a training task and k rows per
+group, trains a clone of the current weights on the training groups,
+fine-tunes it on the held-out group's rows for that task (training tasks
+are post-treatment features, so those labels are observable for every
+group), then interpolates the shared initialization toward the adapted
+weights with a linearly annealed step size. Meta-testing (``fine_tune``)
+adapts the learned initialization on the full training set for a target
+task and predicts for the held-out group, whose target labels are never
+read: the caller withholds them, and ``draw_tables`` refuses a test table
+that still carries them. ``meta_train`` steps the folds of a run in
+lockstep on one stacked parameter array, and ``fine_tune`` the networks it
+scores.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .nn_core import FoldErrors, param_axpy
 TRAINING_KIND = "regression"
 
 Slice = tuple[np.ndarray, np.ndarray, np.ndarray]  # a task's x, group ids and labels
+# one side's inputs, group ids, training-task columns and each group's rows
+DrawTable = tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -63,66 +67,56 @@ def epsilon_schedule(t: int, total: int, epsilon0: float) -> float:
     return epsilon0 * (total - t) / total
 
 
-class TaskCache:
-    """Both sides of one split, the training and the held-out table, as
-    meta-training draws from them: each side's input matrix, group ids and
-    training-task columns, and each group's row positions, built on the
-    first draw. Training-task columns must be complete, as the pipeline
-    imputes every feature: a missing cell raises. Each group with fewer than
-    ``k`` rows, whose draws repeat rows, adds one message to ``shortfalls``."""
+def draw_tables(
+    train_table: DatasetTable, test_table: DatasetTable, tasks: Sequence[str]
+) -> tuple[DrawTable, DrawTable]:
+    """Both sides of one split as meta-training draws from them, the
+    training and then the held-out side: each side's input matrix, group
+    ids and ``tasks`` columns, and each group's row positions.
 
-    def __init__(
-        self, train_table: DatasetTable, test_table: DatasetTable, tasks: Sequence[str], k: int
-    ) -> None:
-        self.tables = (train_table, test_table)
-        self.tasks = tuple(tasks)
-        self.k = k
-        self.sides: list[tuple] = []
-        self.shortfalls: list[str] = []
-
-    def draw_tables(self) -> list[tuple]:
-        if not self.sides:
-            if not self.tasks:
-                raise ConfigError("no training tasks to sample from")
-            self.sides = [self._side(table) for table in self.tables]
-        return self.sides
-
-    def _side(self, table: DatasetTable) -> tuple:
-        columns = [table.column_index(name) for name in self.tasks]
-        for name, j in zip(self.tasks, columns):
-            if table.missing_mask[:, j].any():
-                raise DataError(
-                    f"training task {name!r} has missing cells; meta-training needs "
-                    "complete task columns"
-                )
-        groups = []
-        for gid in np.unique(table.group_ids):
-            rows = np.flatnonzero(table.group_ids == gid)
-            if rows.size < self.k:
-                self.shortfalls.append(
-                    f"group {table.group_names[gid]!r} has {rows.size} usable rows "
-                    f"< k={self.k}; sampling with replacement"
-                )
-            groups.append(rows)
-        return model_inputs(table), table.group_ids, table.values[:, columns], groups
+    The test table must arrive with its target columns withheld; this is
+    the structural zero-shot firewall, checked here rather than trusted,
+    and a table that fails it raises. Training-task columns must be
+    complete, as the pipeline imputes every feature: a missing cell
+    raises, as does an empty task list.
+    """
+    if not targets_withheld(test_table):
+        raise DataError(
+            "test table still carries target values; withhold them before meta-training"
+        )
+    if not tasks:
+        raise ConfigError("no training tasks to sample from")
+    return _side(train_table, tasks), _side(test_table, tasks)
 
 
-def sample_task_batch(cache: TaskCache, rng: np.random.Generator) -> tuple[Slice, Slice]:
-    """Sample one of ``cache.tasks`` plus ``cache.k`` rows per group on
-    both sides of the split that ``cache`` holds: the training and the
-    fine-tune slice, each ``(x, group_ids, y)``, k rows of each group,
-    without replacement where it has k or more.
+def _side(table: DatasetTable, tasks: Sequence[str]) -> DrawTable:
+    inputs = model_inputs(table)
+    columns = [table.column_index(name) for name in tasks]
+    for name, j in zip(tasks, columns):
+        if table.missing_mask[:, j].any():
+            raise DataError(
+                f"training task {name!r} has missing cells; meta-training needs "
+                "complete task columns"
+            )
+    groups = [np.flatnonzero(table.group_ids == gid) for gid in np.unique(table.group_ids)]
+    return inputs, table.group_ids, table.values[:, columns], groups
+
+
+def sample_task_batch(
+    sides: tuple[DrawTable, DrawTable], k: int, rng: np.random.Generator
+) -> tuple[Slice, Slice]:
+    """Sample one of the training tasks plus ``k`` rows per group on both
+    ``sides`` of a split (``draw_tables``): the training and the fine-tune
+    slice, each ``(x, group_ids, y)``, k rows of each group, without
+    replacement where it has k or more.
 
     The fine-tune slice comes from the held-out group's rows and uses only
     the training-task column, never a target column.
     """
-    sides = cache.draw_tables()
-    column = int(rng.integers(len(cache.tasks)))
+    column = int(rng.integers(sides[0][2].shape[1]))
     batch = []
     for inputs, group_ids, labels, groups in sides:
-        idx = np.concatenate([
-            rng.choice(rows, size=cache.k, replace=rows.size < cache.k) for rows in groups
-        ])
+        idx = np.concatenate([rng.choice(rows, size=k, replace=rows.size < k) for rows in groups])
         batch.append((inputs[idx], group_ids[idx], labels[idx, column]))
     return tuple(batch)
 
@@ -157,7 +151,7 @@ def meta_step(
 
 
 def meta_train(
-    caches: Sequence[TaskCache],
+    sides: Sequence[tuple[DrawTable, DrawTable]],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
     rngs: Sequence[np.random.Generator],
@@ -166,14 +160,11 @@ def meta_train(
     """Run the full meta-loop of each fold from a fresh state and return
     the learned initializations.
 
-    Every argument but the configs has one entry per fold; a fold's cache
-    holds its split, its training columns, which must be complete on both
-    tables, and the ``k`` of its draws; a missing cell raises on the fold's
-    first draw, as does a fold without tasks. Each fold's loop starts from
-    its ``initial_weights`` (never mutated), so callers can score the same
-    random initialization. Each test table must arrive with its target
-    columns withheld; this is the structural zero-shot firewall, checked
-    here rather than trusted, and a table that fails it raises.
+    Every argument but the configs has one entry per fold; a fold's
+    ``sides`` are its split as ``draw_tables`` builds it, from which each
+    draw takes ``meta_config.k`` rows per group. Each fold's loop starts
+    from its ``initial_weights`` (never mutated), so callers can score the
+    same random initialization.
 
     The folds step in lockstep: folds of one layout and batch shape form
     one stack, and each fold samples its batches and draws its dropout
@@ -184,15 +175,10 @@ def meta_train(
     stops with it, as a serial run would stop at the first failing fold;
     those later folds carry the earliest failure.
     """
-    folds = list(zip(caches, rngs, initial_weights, strict=True))
-    if not all(targets_withheld(cache.tables[1]) for cache in caches):
-        raise DataError(
-            "test table still carries target values; withhold them before meta-training"
-        )
+    folds = list(zip(sides, rngs, initial_weights, strict=True))
     stacks: dict = {}
-    for f, (cache, _, theta) in enumerate(folds):
-        sizes = (np.unique(table.group_ids).size for table in cache.tables)
-        key = (theta.layout, theta.activations, *sizes)
+    for f, (pair, _, theta) in enumerate(folds):
+        key = (theta.layout, theta.activations, *(len(side[3]) for side in pair))
         stacks.setdefault(key, []).append(f)
 
     results: list = [None] * len(folds)
@@ -214,23 +200,26 @@ def meta_train(
 
 def _lockstep(
     theta: BaseLearnerWeights,
-    caches: list[TaskCache],
+    sides: list[tuple[DrawTable, DrawTable]],
     rngs: list[np.random.Generator],
     base_config: BaseLearnerConfig,
     meta_config: MetaConfig,
 ) -> list[BaseLearnerWeights | Exception | None]:
-    """The meta-loop of one stack, which owns ``theta``, ``caches`` (each
+    """The meta-loop of one stack, which owns ``theta``, ``sides`` (each
     fold's draw tables) and ``rngs``, in fold order: each fold's weights,
     its error, or None if an earlier fold's failure stopped it. Weights
     objects and the step workspace are built only as folds enter and
     leave the stack."""
-    errors: FoldErrors = [None] * len(caches)
-    results: list = [None] * len(caches)
+    errors: FoldErrors = [None] * len(sides)
+    results: list = [None] * len(sides)
     workspace = StepWorkspace(theta)
     for t in range(meta_config.meta_iterations):
         per_fold = [
-            [sample_task_batch(cache, rng) for _ in range(meta_config.tasks_per_iteration)]
-            for cache, rng in zip(caches, rngs)
+            [
+                sample_task_batch(pair, meta_config.k, rng)
+                for _ in range(meta_config.tasks_per_iteration)
+            ]
+            for pair, rng in zip(sides, rngs)
         ]
         # each draw's two sides, every side's per-fold arrays stacked one by one
         batches = [
@@ -245,7 +234,7 @@ def _lockstep(
             results[cut] = errors[cut]
             if cut == 0:
                 return results
-            del caches[cut:]
+            del sides[cut:]
             theta = stack_weights(theta.unstack()[:cut])
             rngs, errors = rngs[:cut], [None] * cut
             workspace = StepWorkspace(theta)
@@ -258,7 +247,7 @@ def fine_tune(
     networks: Sequence[BaseLearnerWeights],
     kind: str,
     data: TaskData,
-    tables: Sequence[DatasetTable],
+    inputs: Sequence[tuple[np.ndarray, np.ndarray]],
     base_config: BaseLearnerConfig,
     rngs: Sequence[np.random.Generator],
 ) -> list[np.ndarray]:
@@ -266,12 +255,12 @@ def fine_tune(
     ``kind``: one k-shot update of their stack, in one step workspace, on
     all of the task's available rows (``data`` as ``task_dataset`` builds
     it), each network on its stream of ``rngs``, then the predictions
-    (without dropout) for every row of each of ``tables`` in that
-    workspace, one (networks, rows) array per table. Inner loops are too
-    short to re-learn an output scale, so regression labels are
-    standardized on those rows and the predictions mapped back. Of the
-    networks' first numeric failures the first in network order is raised,
-    as if each network ran alone in turn.
+    (without dropout) for every row of each of ``inputs``, ``(x,
+    group_ids)`` pairs, in that workspace, one (networks, rows) array per
+    pair. Inner loops are too short to re-learn an output scale, so
+    regression labels are standardized on those rows and the predictions
+    mapped back. Of the networks' first numeric failures the first in
+    network order is raised, as if each network ran alone in turn.
     """
     shift, scale = 0.0, 1.0
     if kind == "regression":
@@ -283,11 +272,8 @@ def fine_tune(
     ws = StepWorkspace(stack_weights(networks))
     inner_update(ws, *stacked, kind, base_config, rngs, errors)
     preds = [
-        forward(
-            ws, np.stack([model_inputs(table)] * n), np.stack([table.group_ids] * n), kind,
-            errors,
-        ) * scale + shift
-        for table in tables
+        forward(ws, np.stack([x] * n), np.stack([group_ids] * n), kind, errors) * scale + shift
+        for x, group_ids in inputs
     ]
     for failure in filter(None, errors):
         raise failure

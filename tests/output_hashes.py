@@ -9,7 +9,9 @@ missing cells and ``report`` on the ``cv-regression`` run's report. It
 writes each run's outputs under ``OUT_DIR/<run>/`` and
 prints one ``<sha256>  <run>/<file>`` line per output file, plus an
 ``exit <code>  <run>  <last stderr line>`` line for any run that exits
-non-zero. Run it in two checkouts and diff what they
+non-zero; after all of those, one ``<sha256>  <run>/stderr`` line for
+each run that exits 0 having printed to stderr, such as the warnings of
+``cv-k-over-rows``. Run it in two checkouts and diff what they
 print: a change that keeps behaviour prints the same lines. The runs cover
 regression, classification and two jobs; a training step without
 dropout, under Adam and both penalties; a study with missing cells under
@@ -331,7 +333,7 @@ def run_all(root: Path) -> list[str]:
     huge = root / "huge-report.csv"
     huge.write_text(HUGE_REPORT, encoding="utf-8")
     argvs["report-overflow"] = ["report", "--report", str(huge)]
-    lines = []
+    lines, warned = [], []
     for run in ORDER:
         argv = argvs[run]
         out = root / run
@@ -341,9 +343,12 @@ def run_all(root: Path) -> list[str]:
         if code != 0:
             last = (stderr.getvalue().splitlines() or [""])[-1]
             lines.append(f"exit {code}  {run}  {last}")
+        elif stderr.getvalue():
+            digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+            warned.append(f"{digest}  {run}/stderr")
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {run}/{path.name}")
-    return lines
+    return lines + warned
 
 
 if __name__ == "__main__":

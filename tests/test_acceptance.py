@@ -41,7 +41,7 @@ from metatreat import eval_harness
 from metatreat.eval_harness import CvConfig, PipelineConfig, auc, mse, run_cv
 from metatreat.meta_learner import (
     MetaConfig,
-    TaskCache,
+    draw_tables,
     epsilon_schedule,
     meta_train,
     sample_task_batch,
@@ -242,7 +242,7 @@ def test_criterion_3_update_algebra():
     meta = MetaConfig(meta_iterations=1, epsilon0=1.0, k=4, tasks_per_iteration=1)
     # the batch the fold's first meta-iteration draws from its stream
     batch = sample_task_batch(
-        TaskCache(train_table, masked_test, tasks, meta.k), copy.deepcopy(rng)
+        draw_tables(train_table, masked_test, tasks), meta.k, copy.deepcopy(rng)
     )
     adapted = StepWorkspace(theta)
     for x, g, y in batch:
@@ -251,7 +251,7 @@ def test_criterion_3_update_algebra():
             [None],
         )
     [stepped] = meta_train(
-        [TaskCache(train_table, masked_test, tasks, meta.k)], base, meta,
+        [draw_tables(train_table, masked_test, tasks)], base, meta,
         rngs=[rng], initial_weights=[theta],
     )
     eps1_ok = np.array_equal(stepped.values, adapted.net.values)
@@ -262,7 +262,7 @@ def test_criterion_3_update_algebra():
     rng = np.random.default_rng(6)
     theta0 = init_weights(base0, 3, 3, rng)
     [theta_final] = meta_train(
-        [TaskCache(train_table, masked_test, tasks, meta.k)], base0, meta,
+        [draw_tables(train_table, masked_test, tasks)], base0, meta,
         rngs=[np.random.default_rng(6)], initial_weights=[theta0],
     )
     fixed_point_ok = np.array_equal(theta_final.values, theta0.values)

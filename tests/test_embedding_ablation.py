@@ -56,7 +56,7 @@ def _held_out_mse(setup, weights, config, cv) -> float:
         for name in ("base_initial", "meta")
     ]
     [preds] = fine_tune(
-        [setup.theta0, weights], config.task_kind, data, [setup.masked_test], config.base, rngs
+        [setup.theta0, weights], config.task_kind, data, [setup.sides[1][:2]], config.base, rngs
     )
     return mse(preds[1][scored], y[scored])
 
@@ -66,7 +66,7 @@ def _meta_trained(table, manifest, config, cv) -> tuple[list, list]:
     them."""
     setups = [_fold_setup(*payload) for payload in _fold_payloads(table, manifest, config, cv)]
     thetas = meta_train(
-        [s.cache for s in setups], config.base, config.meta,
+        [s.sides for s in setups], config.base, config.meta,
         [child_rng(cv.seed, "fold", s.fold_index, "meta") for s in setups],
         [s.theta0 for s in setups],
     )

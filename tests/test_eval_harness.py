@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import warnings
 from unittest import mock
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatreat import eval_harness, meta_learner
+import metatreat
+from metatreat import data_model, eval_harness, meta_learner
 from metatreat.base_learner import BaseLearnerConfig, StepWorkspace, network_size
 from metatreat.data_model import ColumnMeta, DatasetTable, PreprocessConfig, model_input_columns
 from metatreat.errors import ConfigError, DataError, NumericError
@@ -33,7 +36,7 @@ from metatreat.eval_harness import (
 from metatreat.meta_learner import MetaConfig
 from metatreat.rng import child_rng
 from metatreat.synth_gen import GeneratorConfig, generate
-from metatreat.task_selection import SelectionConfig
+from metatreat.task_selection import SelectionConfig, select_training_tasks
 from oracles import pairwise_auc, reference_logistic_gradient, reference_ridge
 
 FAST_PIPELINE = PipelineConfig(
@@ -879,7 +882,7 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
     # fold 0 fails in scoring, fold 1 in meta-training and fold 2 in setup:
     # whether the folds run as one group, as (g0, g1) and (g2), or each
     # alone, the run raises the earliest fold's failure, whatever its stage,
-    # and warns what each stage said, fold by fold, up to that failure
+    # and warns what setup and scoring said, fold by fold, up to that failure
     _in_process_pool(monkeypatch)
     errors = {
         "g0": DataError("g0 failed in scoring"),
@@ -897,11 +900,9 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
             raise errors["g2"]
         return real_setup(*payload)
 
-    def meta_train(caches, *rest):
-        thetas = real_meta_train(caches, *rest)
-        held_out = [c.tables[1].group_names[c.tables[1].group_ids[0]] for c in caches]
-        for cache, name in zip(caches, held_out):  # meta-training warns through its caches
-            cache.shortfalls.append(f"drawing for {name}")
+    def meta_train(sides, *rest):
+        thetas = real_meta_train(sides, *rest)
+        held_out = [f"g{side[1][1][0]}" for side in sides]  # each held-out side's group id
         if "g1" in failing and "g1" in held_out:
             cut = held_out.index("g1")  # the later folds carry its failure
             thetas[cut:] = [errors["g1"]] * (len(thetas) - cut)
@@ -918,11 +919,10 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
     monkeypatch.setattr(eval_harness, "_fold_rows", fold_rows)
     table, manifest, _ = small_raw(seed=6)
     said = {
-        g: [f"fold {g!r}: {m}" for m in (f"setting up {g}", f"drawing for {g}", f"scoring {g}")]
-        for g in errors
+        g: [f"fold {g!r}: {m}" for m in (f"setting up {g}", f"scoring {g}")] for g in errors
     }
     # the failing fold's messages up to its failing stage
-    said_before_failing = {"g0": said["g0"], "g1": said["g1"][:2], "g2": said["g2"][:1]}
+    said_before_failing = {"g0": said["g0"], "g1": said["g1"][:1], "g2": said["g2"][:1]}
     for first in ("g0", "g1", "g2"):
         failing.clear()
         failing.update(g for g in errors if g >= first)
@@ -939,7 +939,7 @@ def test_the_first_failure_in_fold_order_stops_the_run_across_stages_and_groups(
 
 
 def test_fold_group_worker_prints_nothing_and_returns_each_folds_shortfalls():
-    # k 15 exceeds every group's 12 rows: each fold's draws record its
+    # k 15 exceeds every group's 12 rows: each fold's setup warns of its
     # training groups' shortfalls, then its held-out group's, and the worker
     # returns them, prefixed with the fold, in fold order; none escapes
     table, manifest, _ = small_raw(seed=6)
@@ -1036,9 +1036,9 @@ def test_lockstep_folds_match_folds_alone_across_layouts(monkeypatch):
 
 
 def test_fold_setup_leaves_no_gap_in_any_post_treatment_feature():
-    # meta-training refuses a training-task column with a missing cell, so
-    # every fold's training table and masked held-out table leave
-    # preprocessing with each post-treatment feature observed in every row
+    # the draw tables refuse a training-task column with a missing cell, so
+    # every fold's training table and held-out table leave preprocessing
+    # with each post-treatment feature observed in every row
     table, manifest, _ = generate(GeneratorConfig(
         n_groups=3, n_per_group=12, d_pre=3, d_aux=3, missing_rate=0.2, seed=3,
     ))
@@ -1046,11 +1046,62 @@ def test_fold_setup_leaves_no_gap_in_any_post_treatment_feature():
     assert all(table.column_values(name)[1].mean() < 1.0 for name in posts)
     for payload in eval_harness._fold_payloads(table, manifest, FAST_PIPELINE, CvConfig()):
         setup = eval_harness._fold_setup(*payload)
-        assert setup.cache.tasks
-        for side in (setup.train_table, setup.masked_test):
+        tasks = select_training_tasks(setup.train_table, setup.targets, FAST_PIPELINE.selection)
+        assert tasks and setup.sides[0][2].shape[1] == len(tasks)
+        for side in (setup.train_table, setup.test_table):
             kept = [c.name for c in side.columns if c.role == "feature" and c.timing == "post"]
-            assert set(setup.cache.tasks) <= set(kept)
+            assert set(tasks) <= set(kept)
             assert all(side.column_values(name)[1].all() for name in kept)
+
+
+def test_a_draw_table_error_fails_its_candidate_alone(monkeypatch):
+    # candidate 1's preprocessing leaves one training row's aux0, a training
+    # task, blank: its first fold fails in setup with the draw tables'
+    # DataError, and candidates 0 and 2 rank ok. The pipeline imputes every
+    # feature, so only a patched preprocessing reaches this path
+    real = eval_harness.fit_preprocess
+
+    def gapped(raw_table, train_mask, config, pairs):
+        plan, processed = real(raw_table, train_mask, config, pairs)
+        if config.missing_threshold == 0.6:
+            missing = processed.missing_mask.copy()
+            missing[np.flatnonzero(train_mask)[0], processed.column_index("aux0")] = True
+            processed = processed.replace_matrix(processed.columns, processed.values, missing)
+        return plan, processed
+
+    monkeypatch.setattr(eval_harness, "fit_preprocess", gapped)
+    table, manifest, _ = small_raw(seed=12)
+    space = dataclasses.replace(tiny_space(), missing_threshold=(0.5, 0.6))
+    _, board = grid_search(space, table, manifest, 3, 4, FAST_PIPELINE)
+    assert [(e["candidate"], e["status"]) for e in board] == [(0, "ok"), (2, "ok"), (1, "failed")]
+    assert board[2]["error"] == (
+        "DataError: training task 'aux0' has missing cells; meta-training needs complete "
+        "task columns"
+    )
+
+
+def test_each_fold_side_builds_its_input_matrix_once(monkeypatch):
+    # per fold, the draw tables build the training and the held-out side's
+    # inputs, which meta-training, the meta-test and the baselines share,
+    # and task_dataset builds the target task's training rows
+    calls = []
+    real = data_model.model_inputs
+
+    def counted(table):
+        calls.append(table)
+        return real(table)
+
+    for info in pkgutil.iter_modules(metatreat.__path__):
+        module = importlib.import_module(f"metatreat.{info.name}")
+        if getattr(module, "model_inputs", None) is real:
+            monkeypatch.setattr(module, "model_inputs", counted)
+    table, manifest, _ = generate(GeneratorConfig(seed=7))
+    run_cv(table, manifest, PipelineConfig(), CvConfig(seed=0))
+    assert len(calls) == 3 * 3  # folds x (two sides, one task_dataset)
+    calls.clear()
+    table, manifest, _ = small_raw(seed=12)
+    grid_search(tiny_space(), table, manifest, 2, 7, FAST_PIPELINE)
+    assert len(calls) == 2 * 3 * 3  # candidates x folds x (two sides, one task_dataset)
 
 
 def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from metatreat import meta_learner
 from metatreat.errors import ConfigError, DataError, NumericError
 from metatreat.meta_learner import (
     MetaConfig,
-    TaskCache,
+    draw_tables,
     epsilon_schedule,
     fine_tune,
     meta_step,
@@ -92,9 +93,9 @@ def test_epsilon_rejects_out_of_range():
 
 
 def sample(study, k, rng):
-    """One draw from a study's split, with a task cache of its own."""
+    """One draw from a study's split, from draw tables of its own."""
     train_table, masked_test, _, tasks = study
-    return sample_task_batch(TaskCache(train_table, masked_test, tasks, k), rng)
+    return sample_task_batch(draw_tables(train_table, masked_test, tasks), k, rng)
 
 
 def test_sample_sizes_k_per_group():
@@ -117,38 +118,24 @@ def test_sampling_is_deterministic_per_seed():
         assert [arr.tobytes() for arr in side_a] == [arr.tobytes() for arr in side_b]
 
 
-def test_small_group_warns_and_samples_with_replacement():
-    # the cache records the shortfall for its caller to warn of
-    train_table, masked_test, _, tasks = small_study(n_per_group=3)
-    cache = TaskCache(train_table, masked_test, tasks, 5)
-    assert cache.shortfalls == []
-    _, (_, _, finetune_y) = sample_task_batch(cache, np.random.default_rng(0))
+def test_small_group_samples_with_replacement():
+    # 3 rows per group, k 5: each group's 5 draws repeat some of its rows
+    study = small_study(n_per_group=3)
+    (_, train_g, _), (_, finetune_g, finetune_y) = sample(study, 5, np.random.default_rng(0))
     assert len(finetune_y) == 5
-    assert cache.shortfalls[-1].endswith("< k=5; sampling with replacement")
+    assert np.bincount(train_g).tolist() == [5, 5]
+    assert np.bincount(finetune_g).tolist() == [0, 0, 5]
 
 
-def test_short_groups_warn_once_per_group_however_many_draws():
-    # the cache checks each side's groups on the first draw, training side
-    # first, so 20 draws of any columns record one shortfall for each group
-    train_table, masked_test, _, tasks = small_study(n_per_group=3)
-    cache, rng = TaskCache(train_table, masked_test, tasks, 5), np.random.default_rng(0)
-    for _ in range(20):
-        sample_task_batch(cache, rng)
-    assert cache.shortfalls == [
-        f"group {name!r} has 3 usable rows < k=5; sampling with replacement"
-        for name in ("g0", "g1", "g2")
-    ]
-
-
-def test_sampling_from_a_kept_cache_draws_the_same_rows():
+def test_sampling_from_kept_draw_tables_draws_the_same_rows():
     study = train_table, masked_test, _, tasks = small_study()
     fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
-    cache = TaskCache(train_table, masked_test, tasks, 4)
+    sides = draw_tables(train_table, masked_test, tasks)
     for _ in range(12):
         # the first number a draw takes from its stream picks its column
         column = tasks[int(copy.deepcopy(kept).integers(len(tasks)))]
         a = sample(study, 4, fresh)
-        b = sample_task_batch(cache, kept)
+        b = sample_task_batch(sides, 4, kept)
         for side, table in enumerate((train_table, masked_test)):
             # the same inputs, group ids and labels, each row one of the
             # drawn column's observed rows
@@ -160,31 +147,45 @@ def test_sampling_from_a_kept_cache_draws_the_same_rows():
             ))
 
 
-def test_task_cache_keeps_one_draw_table_per_side():
+def test_draw_tables_keep_one_table_per_side():
     train_table, masked_test, _, tasks = small_study()
-    cache, rng = TaskCache(train_table, masked_test, tasks, 4), np.random.default_rng(2)
-    assert len(tasks) > 1 and cache.sides == []
-    for _ in range(20):
-        sample_task_batch(cache, rng)
-    sides = cache.draw_tables()
-    assert len(sides) == 2
+    sides = draw_tables(train_table, masked_test, tasks)
+    assert len(tasks) > 1 and len(sides) == 2
     for (inputs, group_ids, labels, groups), table in zip(sides, (train_table, masked_test)):
-        # one input matrix and one column per task, whichever columns were drawn
+        # one input matrix and one column per task
         assert inputs.tobytes() == model_inputs(table).tobytes()
         assert group_ids is table.group_ids
-        assert labels.shape == (table.n_rows, len(tasks))
+        columns = [table.column_index(name) for name in tasks]
+        assert labels.tobytes() == table.values[:, columns].tobytes()
         assert [pos.tolist() for pos in groups] == [
             np.flatnonzero(table.group_ids == gid).tolist() for gid in np.unique(table.group_ids)
         ]
 
 
+def test_draw_tables_reject_leaky_test_table():
+    train_table, _, leaky_test, tasks = small_study()
+    with pytest.raises(DataError, match="withhold"):
+        draw_tables(train_table, leaky_test, tasks)
+
+
+def test_draw_tables_refuse_a_training_task_with_a_gap():
+    # training group g0 lacks one value of the second training task
+    train_table, masked_test, _, tasks = small_study()
+    missing = train_table.missing_mask.copy()
+    g0_row = np.flatnonzero(train_table.group_ids == train_table.resolve_group("g0"))[0]
+    missing[g0_row, train_table.column_index(tasks[1])] = True
+    gapped = train_table.replace_matrix(train_table.columns, train_table.values, missing)
+    with pytest.raises(DataError, match=f"^training task {tasks[1]!r} has missing cells"):
+        draw_tables(gapped, masked_test, tasks)
+
+
 def test_sampled_task_is_always_a_training_task():
     train_table, masked_test, _, tasks = small_study()
-    rng, cache = np.random.default_rng(5), TaskCache(train_table, masked_test, tasks, 3)
+    rng, sides = np.random.default_rng(5), draw_tables(train_table, masked_test, tasks)
     for _ in range(10):
         # the first number a draw takes from its stream picks its column
         column = tasks[int(copy.deepcopy(rng).integers(len(tasks)))]
-        for (_, _, y), table in zip(sample_task_batch(cache, rng), (train_table, masked_test)):
+        for (_, _, y), table in zip(sample_task_batch(sides, 3, rng), (train_table, masked_test)):
             assert set(y) <= set(table.column_values(column)[0])
 
 
@@ -205,7 +206,7 @@ def _stack_and_batch(lr=0.05, seed=0):
     )
     rng = np.random.default_rng(seed)
     theta = init_weights(config, 3, 3, rng)
-    batch = sample_task_batch(TaskCache(train_table, masked_test, tasks, 4), rng)
+    batch = sample_task_batch(draw_tables(train_table, masked_test, tasks), 4, rng)
     stacked = tuple(tuple(arr[None] for arr in side) for side in batch)
     return stack_weights([theta]), theta, stacked, config, rng
 
@@ -249,8 +250,8 @@ def train_one(train_table, masked_test, tasks, meta, seed, theta0=None):
         rng, theta0 = seeded_init(seed)
     else:
         rng = np.random.default_rng(seed)
-    cache = TaskCache(train_table, masked_test, tasks, meta.k)
-    return meta_train([cache], BASE, meta, [rng], [theta0])[0]
+    sides = draw_tables(train_table, masked_test, tasks)
+    return meta_train([sides], BASE, meta, [rng], [theta0])[0]
 
 
 def test_meta_train_zero_iterations_returns_seeded_init():
@@ -279,11 +280,28 @@ def test_meta_train_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_meta_train_rejects_leaky_test_table():
-    train_table, _, leaky_test, tasks = small_study()
-    meta = MetaConfig(meta_iterations=1, k=4)
-    with pytest.raises(DataError, match="withhold"):
-        train_one(train_table, leaky_test, tasks, meta, seed=0)
+def test_meta_train_draws_meta_config_k_rows_per_group_and_side(monkeypatch):
+    # 3 rows per group and k 2: every draw holds 2 rows of each group on
+    # each side, without repeating a row, and nothing warns
+    train_table, masked_test, _, tasks = small_study(n_per_group=3)
+    draws = []
+    real = meta_learner.sample_task_batch
+
+    def recorded(*args):
+        draws.append(real(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(meta_learner, "sample_task_batch", recorded)
+    meta = MetaConfig(meta_iterations=2, k=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_one(train_table, masked_test, tasks, meta, seed=0)
+    assert caught == []
+    assert len(draws) == meta.meta_iterations * meta.tasks_per_iteration
+    for (x, train_g, _), (_, finetune_g, _) in draws:
+        assert np.bincount(train_g).tolist() == [2, 2]
+        assert np.bincount(finetune_g).tolist() == [0, 0, 2]
+        assert len({row.tobytes() for row in x}) == len(x)
 
 
 def _meta_test_setup(kind="regression", seed=5):
@@ -297,14 +315,19 @@ def _meta_test_setup(kind="regression", seed=5):
     return train_table, masked_test, kind, data, [theta0, theta]
 
 
+def rows_of(*tables):
+    """Each table's inputs and group ids, as ``fine_tune`` predicts on them."""
+    return [(model_inputs(table), table.group_ids) for table in tables]
+
+
 def _streams(n=2):
     return [np.random.default_rng(100 + i) for i in range(n)]
 
 
 def test_meta_test_prediction_count_and_range():
     train_table, masked_test, kind, data, networks = _meta_test_setup("classification")
-    tables = (masked_test, train_table)
-    preds = fine_tune(networks, kind, data, tables, BASE, _streams())
+    inputs = rows_of(masked_test, train_table)
+    preds = fine_tune(networks, kind, data, inputs, BASE, _streams())
     assert [p.shape for p in preds] == [(2, masked_test.n_rows), (2, train_table.n_rows)]
     assert all(np.all((p > 0.0) & (p < 1.0)) for p in preds)
 
@@ -314,7 +337,7 @@ def test_fine_tune_standardizes_regression_labels():
     # through the labels' mean and standard deviation
     train_table, masked_test, kind, data, networks = _meta_test_setup()
     still = replace(BASE, learning_rate=0.0)
-    [preds] = fine_tune(networks, kind, data, [masked_test], still, _streams())
+    [preds] = fine_tune(networks, kind, data, rows_of(masked_test), still, _streams())
     vals, obs = train_table.column_values("y")
     x = model_inputs(masked_test)
     for net, row in zip(networks, preds):
@@ -326,10 +349,10 @@ def test_fine_tune_standardizes_regression_labels():
 @pytest.mark.parametrize("kind", ["regression", "classification"])
 def test_stacked_meta_test_matches_each_network_alone(kind):
     train_table, masked_test, kind, data, networks = _meta_test_setup(kind)
-    tables = (masked_test, train_table)
-    stacked = fine_tune(networks, kind, data, tables, BASE, _streams())
+    inputs = rows_of(masked_test, train_table)
+    stacked = fine_tune(networks, kind, data, inputs, BASE, _streams())
     for n, net in enumerate(networks):
-        alone = fine_tune([net], kind, data, tables, BASE, [np.random.default_rng(100 + n)])
+        alone = fine_tune([net], kind, data, inputs, BASE, [np.random.default_rng(100 + n)])
         for both, one in zip(stacked, alone):
             assert both[n].tobytes() == one[0].tobytes()
 
@@ -350,9 +373,9 @@ def _nan_row(table):
     return table.replace_matrix(table.columns, values, table.missing_mask)
 
 
-def _first_failure(networks, kind, data, tables, base, streams):
+def _first_failure(networks, kind, data, inputs, base, streams):
     with pytest.raises(NumericError) as caught:
-        fine_tune(networks, kind, data, tables, base, streams)
+        fine_tune(networks, kind, data, inputs, base, streams)
     return str(caught.value)
 
 
@@ -364,26 +387,26 @@ def test_base_initial_failure_is_raised_before_meta_failure(where):
     # message, the one it raises alone
     train_table, masked_test, kind, data, (theta0, theta) = _meta_test_setup()
     networks = [_zero_column(theta0, 1), _zero_column(theta, 0)]
-    tables, base = (masked_test, train_table), BASE
+    inputs, base = rows_of(masked_test, train_table), BASE
     if where == "first prediction":
         base = replace(BASE, learning_rate=0.0)
     elif where == "second prediction":
-        networks[0], tables = theta0, (masked_test, _nan_row(train_table))
-    message = _first_failure(networks, kind, data, tables, base, _streams())
-    alone = _first_failure(networks[:1], kind, data, tables, base, _streams(1))
+        networks[0], inputs = theta0, rows_of(masked_test, _nan_row(train_table))
+    message = _first_failure(networks, kind, data, inputs, base, _streams())
+    alone = _first_failure(networks[:1], kind, data, inputs, base, _streams(1))
     assert message == alone
     assert message != _first_failure(
-        networks[1:], kind, data, tables, base, [np.random.default_rng(101)]
+        networks[1:], kind, data, inputs, base, [np.random.default_rng(101)]
     )
 
 
 def test_meta_failure_alone_raises_its_message():
     train_table, masked_test, kind, data, (theta0, theta) = _meta_test_setup()
     networks = [theta0, _zero_column(theta, 0)]
-    tables = (masked_test, train_table)
-    message = _first_failure(networks, kind, data, tables, BASE, _streams())
+    inputs = rows_of(masked_test, train_table)
+    message = _first_failure(networks, kind, data, inputs, BASE, _streams())
     assert message == "extractor layer 0: degenerate dense layer: direction column 0 has zero norm"
-    fine_tune(networks[:1], kind, data, tables, BASE, _streams(1))
+    fine_tune(networks[:1], kind, data, inputs, BASE, _streams(1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +419,9 @@ def _three_folds():
     return [s[0] for s in studies], [s[1] for s in studies], [s[3] for s in studies]
 
 
-def _caches(trains, tests, task_sets, meta):
-    """Each fold's task cache, as ``meta_train`` takes them."""
-    return [TaskCache(*fold, meta.k) for fold in zip(trains, tests, task_sets)]
+def _sides(trains, tests, task_sets):
+    """Each fold's draw tables, as ``meta_train`` takes them."""
+    return [draw_tables(*fold) for fold in zip(trains, tests, task_sets)]
 
 
 def test_lockstep_meta_train_matches_each_fold_alone():
@@ -406,7 +429,7 @@ def test_lockstep_meta_train_matches_each_fold_alone():
     meta = MetaConfig(meta_iterations=5, k=4, tasks_per_iteration=2)
     seeds = [10, 11, 12]
     rngs, thetas = zip(*map(seeded_init, seeds))
-    stacked = meta_train(_caches(trains, tests, task_sets, meta), BASE, meta, rngs, thetas)
+    stacked = meta_train(_sides(trains, tests, task_sets), BASE, meta, rngs, thetas)
     for f, seed in enumerate(seeds):
         alone = train_one(trains[f], tests[f], task_sets[f], meta, seed=seed)
         assert stacked[f].values.tobytes() == alone.values.tobytes()
@@ -420,7 +443,7 @@ def test_lockstep_failure_stops_the_later_folds_only():
     thetas = [init_weights(BASE, 3, 3, np.random.default_rng(s)) for s in range(3)]
     thetas[1].extractor[1].v[..., 0] = 0.0
     rngs = [np.random.default_rng(s) for s in (5, 6, 7)]
-    results = meta_train(_caches(trains, tests, task_sets, meta), BASE, meta, rngs, thetas)
+    results = meta_train(_sides(trains, tests, task_sets), BASE, meta, rngs, thetas)
     message = "extractor layer 1: degenerate dense layer: direction column 0 has zero norm"
     assert isinstance(results[1], NumericError) and str(results[1]) == message
     assert results[2] is results[1]
@@ -428,42 +451,3 @@ def test_lockstep_failure_stops_the_later_folds_only():
     assert results[0].values.tobytes() == alone.values.tobytes()
     failed = train_one(trains[1], tests[1], task_sets[1], meta, 6, thetas[1])
     assert isinstance(failed, NumericError) and str(failed) == message
-
-
-def test_meta_train_refuses_a_training_task_with_a_gap():
-    # fold 1's training group g0 lacks one value of its second training
-    # task; the fold's first draw refuses the column, before any step
-    trains, tests, task_sets = _three_folds()
-    train = trains[1]
-    missing = train.missing_mask.copy()
-    column = task_sets[1][1]
-    g0_row = np.flatnonzero(train.group_ids == train.resolve_group("g0"))[0]
-    missing[g0_row, train.column_index(column)] = True
-    trains[1] = train.replace_matrix(train.columns, train.values, missing)
-    meta = MetaConfig(meta_iterations=4, k=4)
-    with pytest.raises(DataError, match=f"^training task {column!r} has missing cells"):
-        meta_train(
-            _caches(trains, tests, task_sets, meta), BASE, meta,
-            *zip(*map(seeded_init, [5, 6, 7])),
-        )
-
-
-def test_lockstep_builds_each_fold_side_once(monkeypatch):
-    trains, tests, task_sets = _three_folds()
-    calls = {}
-    build = meta_learner.model_inputs
-
-    def counted(table):
-        calls[id(table)] = calls.get(id(table), 0) + 1
-        return build(table)
-
-    monkeypatch.setattr(meta_learner, "model_inputs", counted)
-    meta = MetaConfig(meta_iterations=10, k=4, tasks_per_iteration=2)
-    meta_train(
-        _caches(trains, tests, task_sets, meta), BASE, meta,
-        *zip(*map(seeded_init, [10, 11, 12])),
-    )
-    assert len({column for tasks in task_sets for column in tasks}) > 1
-    # 3 folds x 10 iterations x 2 draws, each needing a train and a test
-    # slice, read each table's inputs once
-    assert calls == {id(t): 1 for t in trains + tests}
