@@ -209,7 +209,10 @@ def init_weights(
 ) -> BaseLearnerWeights:
     """Random initialization of one network, as a stack of one; the
     embedding table covers every group. A network of more than
-    ``MAX_WEIGHTS`` weights is refused before any is drawn."""
+    ``MAX_WEIGHTS`` weights is refused before any is drawn, as are fewer
+    than one input feature or two groups."""
+    if n_features < 1:
+        raise ConfigError("need at least one input feature")
     if n_groups < 2:
         raise ConfigError("need at least two treatment groups")
     h, e = config.hidden_dim, config.embedding_dim

@@ -825,18 +825,7 @@ def model_inputs(table: DatasetTable) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class TaskData:
-    """One task's training slice: inputs, group ids, labels, source rows."""
-
-    x: np.ndarray
-    group_ids: np.ndarray
-    y: np.ndarray
-    row_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (len(self.x) == len(self.group_ids) == len(self.y) == len(self.row_indices)):
-            raise ShapeError("task data arrays must share their first dimension")
+Slice = tuple[np.ndarray, np.ndarray, np.ndarray]  # a task's x, group ids and labels
 
 
 def binarize_labels(y: np.ndarray) -> np.ndarray:
@@ -851,19 +840,25 @@ def binarize_labels(y: np.ndarray) -> np.ndarray:
     return (np.asarray(y, dtype=np.float64) > 0.0).astype(np.float64)
 
 
-def task_dataset(table: DatasetTable, column: str, kind: str) -> TaskData:
-    """Rows with an observed label for one task, as model-ready arrays."""
+def task_dataset(
+    table: DatasetTable, inputs: np.ndarray, column: str, kind: str
+) -> tuple[np.ndarray, Slice]:
+    """The positions of ``table``'s rows with an observed ``column`` label
+    and their ``(x, group_ids, y)`` slice, ``x`` cut from ``inputs``, the
+    table's ``model_inputs`` matrix; classification labels are binarized.
+    ``inputs`` of another row count is a ``ShapeError``."""
     if kind not in ("regression", "classification"):
         raise ConfigError(f"unknown task kind {kind!r}")
+    if len(inputs) != table.n_rows:
+        raise ShapeError(f"inputs have {len(inputs)} rows for a table of {table.n_rows}")
     vals, obs = table.column_values(column)
     rows = np.flatnonzero(obs)
     if rows.size == 0:
         raise DataError(f"task column {column!r} has no observed values")
-    x = model_inputs(table)[rows]
     y = vals[rows]
     if kind == "classification":
         y = binarize_labels(y)
-    return TaskData(x, table.group_ids[rows], y, rows)
+    return rows, (inputs[rows], table.group_ids[rows], y)
 
 
 def withhold_targets(table: DatasetTable) -> DatasetTable:

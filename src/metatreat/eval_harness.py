@@ -473,8 +473,6 @@ def _fold_setup(
     targets = tuple(c.name for c in processed.columns if c.role == "target")
     tasks = select_training_tasks(train_table, targets, config.selection)
 
-    # built where the training inputs are first needed: a split with no
-    # input column fails here, before init_weights divides by their count
     sides = draw_tables(train_table, withhold_targets(test_table), tasks)
     n_features = sides[0][0].shape[1]
     n_groups = len(train_table.group_names)
@@ -510,13 +508,13 @@ def _fold_rows(
     ranked_only: bool,
 ) -> list[MetricRow]:
     """One fold's report rows: on every target task, the networks'
-    meta-test, fine-tuned as one stack on the task's training rows (built
-    once per task) and scored on the held-out rows; every target is of the
-    run's task kind. ``cv`` meta-tests both ``NETWORKS`` and adds the
-    baselines and every training-row score. A search (``ranked_only``)
-    meta-tests the learned network alone on the held-out rows and keeps
-    only what ``_meta_score`` reads, the ``meta`` values (``train_value``
-    NaN)."""
+    meta-test, fine-tuned as one stack on the task's training rows (cut
+    once per task from the training side's inputs) and scored on the
+    held-out rows; every target is of the run's task kind. ``cv``
+    meta-tests both ``NETWORKS`` and adds the baselines and every
+    training-row score. A search (``ranked_only``) meta-tests the learned
+    network alone on the held-out rows and keeps only what ``_meta_score``
+    reads, the ``meta`` values (``train_value`` NaN)."""
     training, held_out = (side[:2] for side in fold.sides)  # (inputs, group ids)
     kind = config.task_kind
     metric_name = "auc" if kind == "classification" else "mse"
@@ -535,28 +533,29 @@ def _fold_rows(
         y_test = y_vals[scored]
         if kind == "classification":
             y_test = binarize_labels(y_test)
-        data = task_dataset(fold.train_table, column, kind)
+        observed, task = task_dataset(fold.train_table, training[0], column, kind)
+        x_train, _, y_train = task
         rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in networks]
         on_test, *on_train = fine_tune(
-            list(networks.values()), kind, data, inputs, config.base, rngs
+            list(networks.values()), kind, task, inputs, config.base, rngs
         )
         # each model's held-out predictions, then any on its training rows
         predictions = {
-            name: (on_test[n][scored], *(p[n][data.row_indices] for p in on_train))
+            name: (on_test[n][scored], *(p[n][observed] for p in on_train))
             for n, name in enumerate(networks)
         }
         x_test = held_out[0][scored] if baselines else None
         with np.errstate(all="ignore"):
             for name in baselines:
                 predictions[name] = tuple(
-                    baseline_predict(name, (data.x, data.y), x, config.baselines)
-                    for x in (x_test, data.x)
+                    baseline_predict(name, (x_train, y_train), x, config.baselines)
+                    for x in (x_test, x_train)
                 )
             for model_name, (preds_test, *preds_train) in predictions.items():
                 value, note = _score(kind, preds_test, y_test)
                 train_value = math.nan
                 if preds_train:
-                    train_value, _ = _score(kind, preds_train[0], data.y)
+                    train_value, _ = _score(kind, preds_train[0], y_train)
                 rows.append(
                     MetricRow(
                         fold.group_name, column, model_name, metric_name,

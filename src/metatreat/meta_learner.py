@@ -30,14 +30,13 @@ from .base_learner import (
     inner_update,
     stack_weights,
 )
-from .data_model import DatasetTable, TaskData, model_inputs, targets_withheld
+from .data_model import DatasetTable, Slice, model_inputs, targets_withheld
 from .errors import ConfigError, DataError
 from .nn_core import FoldErrors, param_axpy
 
 # training tasks are feature values: they regress whatever the targets' kind
 TRAINING_KIND = "regression"
 
-Slice = tuple[np.ndarray, np.ndarray, np.ndarray]  # a task's x, group ids and labels
 # one side's inputs, group ids, training-task columns and each group's rows
 DrawTable = tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]
 
@@ -246,34 +245,35 @@ def _lockstep(
 def fine_tune(
     networks: Sequence[BaseLearnerWeights],
     kind: str,
-    data: TaskData,
+    task: Slice,
     inputs: Sequence[tuple[np.ndarray, np.ndarray]],
     base_config: BaseLearnerConfig,
     rngs: Sequence[np.random.Generator],
 ) -> list[np.ndarray]:
     """The meta-test of networks of one layout on a target task of
     ``kind``: one k-shot update of their stack, in one step workspace, on
-    all of the task's available rows (``data`` as ``task_dataset`` builds
-    it), each network on its stream of ``rngs``, then the predictions
-    (without dropout) for every row of each of ``inputs``, ``(x,
-    group_ids)`` pairs, in that workspace, one (networks, rows) array per
-    pair. Inner loops are too short to re-learn an output scale, so
-    regression labels are standardized on those rows and the predictions
-    mapped back. Of the networks' first numeric failures the first in
-    network order is raised, as if each network ran alone in turn.
+    all of the task's available rows (``task``, the ``(x, group_ids, y)``
+    slice ``task_dataset`` cuts from the training side's inputs), each
+    network on its stream of ``rngs``, then the predictions (without
+    dropout) for every row of each of ``inputs``, ``(x, group_ids)``
+    pairs, in that workspace, one (networks, rows) array per pair. Inner
+    loops are too short to re-learn an output scale, so regression labels
+    are standardized on those rows and the predictions mapped back. Of the
+    networks' first numeric failures the first in network order is
+    raised, as if each network ran alone in turn.
     """
+    x, group_ids, y = task
     shift, scale = 0.0, 1.0
     if kind == "regression":
-        shift, scale = float(np.mean(data.y)), float(np.std(data.y)) or 1.0
+        shift, scale = float(np.mean(y)), float(np.std(y)) or 1.0
     n = len(networks)
-    y = (data.y - shift) / scale
-    stacked = (np.stack([a] * n) for a in (data.x, data.group_ids, y))
+    stacked = (np.stack([a] * n) for a in (x, group_ids, (y - shift) / scale))
     errors: FoldErrors = [None] * n
     ws = StepWorkspace(stack_weights(networks))
     inner_update(ws, *stacked, kind, base_config, rngs, errors)
     preds = [
-        forward(ws, np.stack([x] * n), np.stack([group_ids] * n), kind, errors) * scale + shift
-        for x, group_ids in inputs
+        forward(ws, np.stack([side_x] * n), np.stack([side_ids] * n), kind, errors) * scale + shift
+        for side_x, side_ids in inputs
     ]
     for failure in filter(None, errors):
         raise failure

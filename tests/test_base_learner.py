@@ -12,7 +12,6 @@ from metatreat.base_learner import (
     loss_and_grads,
     stack_weights,
 )
-from metatreat.data_model import TaskData
 from metatreat.errors import ConfigError, DataError, NumericError, ShapeError
 from metatreat.eval_harness import SearchSpace, off_grid_fields
 from metatreat.meta_learner import fine_tune
@@ -556,9 +555,7 @@ def test_every_primitive_refuses_an_unknown_task_kind(primitive, kind):
         "forward": lambda: forward(ws, x, g, kind, [None]),
         "loss_and_grads": lambda: loss_and_grads(ws, x, g, y, kind, config, streams(0), [None]),
         "inner_update": lambda: inner_update(ws, x, g, y, kind, config, streams(0), [None]),
-        "fine_tune": lambda: fine_tune(
-            [w], kind, TaskData(x[0], g[0], y[0], g[0]), (), config, streams(0)
-        ),
+        "fine_tune": lambda: fine_tune([w], kind, (x[0], g[0], y[0]), (), config, streams(0)),
     }
     with pytest.raises(ConfigError, match="unknown task kind"):
         calls[primitive]()
@@ -802,3 +799,17 @@ def test_every_published_grid_network_is_under_the_weight_cap(monkeypatch):
     monkeypatch.setattr(base_learner, "MAX_WEIGHTS", w.values.size - 1)
     with pytest.raises(ConfigError, match=f"network of {w.values.size} weights"):
         init_weights(config, 1000, 100, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(("n_features", "n_groups", "message"), [
+    (0, 3, "at least one input feature"),
+    (3, 1, "at least two treatment groups"),
+])
+def test_init_weights_refuses_an_empty_layout_before_drawing(n_features, n_groups, message):
+    # a network with no input feature would divide by zero as its first
+    # layer is scaled; like one group too few, it is refused before any draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match=message):
+        init_weights(BaseLearnerConfig(), n_features, n_groups, rng)
+    assert rng.bit_generator.state == state

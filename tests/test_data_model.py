@@ -29,7 +29,7 @@ from metatreat.data_model import (
     two_sample_t_test,
     withhold_targets,
 )
-from metatreat.errors import ConfigError, DataError
+from metatreat.errors import ConfigError, DataError, ShapeError
 
 
 def make_table(values, columns, group_ids, group_names=("a", "b"), mask=None):
@@ -700,9 +700,23 @@ def test_task_dataset_binarizes_strictly_above_zero():
     vals = np.array([[1.0, -0.5], [2.0, 0.0], [3.0, 0.5]])
     cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
     table = make_table(vals, cols, [0, 1, 0])
-    data = task_dataset(table, "y", "classification")
-    assert list(data.y) == [0.0, 0.0, 1.0]
+    _, (_, _, y) = task_dataset(table, model_inputs(table), "y", "classification")
+    assert list(y) == [0.0, 0.0, 1.0]
     assert list(binarize_labels(np.array([-1.0, 0.0, 1e-12]))) == [0.0, 0.0, 1.0]
+
+
+def test_task_dataset_cuts_observed_rows_from_the_inputs():
+    vals = np.array([[1.0, -0.5], [2.0, np.nan], [3.0, 0.5]])
+    cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
+    table = make_table(vals, cols, [0, 1, 0])
+    inputs = model_inputs(table)
+    rows, (x, group_ids, y) = task_dataset(table, inputs, "y", "regression")
+    assert rows.tolist() == [0, 2]
+    assert x.tobytes() == inputs[[0, 2]].tobytes()
+    assert group_ids.tolist() == [0, 0] and y.tolist() == [-0.5, 0.5]
+    # the inputs must be the table's, one row per table row
+    with pytest.raises(ShapeError, match="2 rows for a table of 3"):
+        task_dataset(table, inputs[:2], "y", "regression")
 
 
 def test_reference_scaling_binarizes_above_the_reference_mean():
@@ -714,7 +728,8 @@ def test_reference_scaling_binarizes_above_the_reference_mean():
     table = make_table(vals, cols, [0, 0, 1, 1, 1])
     config = PreprocessConfig(scaling="standardize_vs_reference_group", reference_group="a")
     _, processed = fit_preprocess(table, np.ones(5, dtype=bool), config, ())
-    assert list(task_dataset(processed, "y", "classification").y) == [0.0, 1.0, 0.0, 1.0, 0.0]
+    _, (_, _, y) = task_dataset(processed, model_inputs(processed), "y", "classification")
+    assert list(y) == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_withhold_targets_masks_all_target_cells():

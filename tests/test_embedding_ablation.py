@@ -50,13 +50,13 @@ def _held_out_mse(setup, weights, config, cv) -> float:
     column = setup.targets[0]
     y, observed = setup.test_table.column_values(column)
     scored = np.flatnonzero(observed)
-    data = task_dataset(setup.train_table, column, config.task_kind)
+    _, task = task_dataset(setup.train_table, setup.sides[0][0], column, config.task_kind)
     rngs = [
         child_rng(cv.seed, "fold", setup.fold_index, name, column)
         for name in ("base_initial", "meta")
     ]
     [preds] = fine_tune(
-        [setup.theta0, weights], config.task_kind, data, [setup.sides[1][:2]], config.base, rngs
+        [setup.theta0, weights], config.task_kind, task, [setup.sides[1][:2]], config.base, rngs
     )
     return mse(preds[1][scored], y[scored])
 

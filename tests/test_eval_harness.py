@@ -1082,8 +1082,9 @@ def test_a_draw_table_error_fails_its_candidate_alone(monkeypatch):
 
 def test_each_fold_side_builds_its_input_matrix_once(monkeypatch):
     # per fold, the draw tables build the training and the held-out side's
-    # inputs, which meta-training, the meta-test and the baselines share,
-    # and task_dataset builds the target task's training rows
+    # inputs, two sides per fold, which meta-training, the meta-test and
+    # the baselines share; task_dataset cuts the target task's training
+    # rows from the training side's
     calls = []
     real = data_model.model_inputs
 
@@ -1097,11 +1098,43 @@ def test_each_fold_side_builds_its_input_matrix_once(monkeypatch):
             monkeypatch.setattr(module, "model_inputs", counted)
     table, manifest, _ = generate(GeneratorConfig(seed=7))
     run_cv(table, manifest, PipelineConfig(), CvConfig(seed=0))
-    assert len(calls) == 3 * 3  # folds x (two sides, one task_dataset)
+    assert len(calls) == 3 * 2  # folds x two sides
     calls.clear()
     table, manifest, _ = small_raw(seed=12)
     grid_search(tiny_space(), table, manifest, 2, 7, FAST_PIPELINE)
-    assert len(calls) == 2 * 3 * 3  # candidates x folds x (two sides, one task_dataset)
+    assert len(calls) == 2 * 3 * 2  # candidates x folds x two sides
+
+
+def test_training_scores_and_n_test_count_only_observed_labels(monkeypatch):
+    # with about 30% of y blank in every group, each fold fine-tunes on the
+    # training rows whose y is observed, scores its training side on those
+    # rows alone, and counts the held-out group's observed rows in n_test
+    table, manifest, _ = generate(GeneratorConfig(seed=7))
+    j = table.column_index("y")
+    blank = np.random.default_rng(3).random(table.n_rows) < 0.3
+    values, missing = np.array(table.values), np.array(table.missing_mask)
+    values[blank, j], missing[blank, j] = np.nan, True
+    table = DatasetTable(table.columns, values, missing, table.group_ids, table.group_names)
+    assert all(0 < blank[table.group_ids == g].sum() < 60 for g in range(3))
+    calls = []
+    real = eval_harness.fine_tune
+
+    def recorded(networks, kind, task, inputs, base_config, rngs):
+        preds = real(networks, kind, task, inputs, base_config, rngs)
+        calls.append((task, preds))
+        return preds
+
+    monkeypatch.setattr(eval_harness, "fine_tune", recorded)
+    report = run_cv(table, manifest, PipelineConfig(), CvConfig(seed=0))
+    assert len(calls) == 3  # one target task per fold, in fold order
+    for gid, ((_, _, y), (_, on_train)) in enumerate(calls):
+        name = table.group_names[gid]
+        row = {r.model: r for r in report.rows if r.group == name}
+        observed = np.flatnonzero(~blank[table.group_ids != gid])
+        assert len(y) == observed.size
+        assert row["mean"].train_value == mse(np.full(y.size, y.mean()), y)
+        assert row["meta"].train_value == mse(on_train[1][observed], y)
+        assert {r.n_test for r in row.values()} == {int((~blank[table.group_ids == gid]).sum())}
 
 
 def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):
