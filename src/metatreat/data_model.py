@@ -840,12 +840,10 @@ def binarize_labels(y: np.ndarray) -> np.ndarray:
     return (np.asarray(y, dtype=np.float64) > 0.0).astype(np.float64)
 
 
-def task_dataset(
-    table: DatasetTable, inputs: np.ndarray, column: str, kind: str
-) -> tuple[np.ndarray, Slice]:
-    """The positions of ``table``'s rows with an observed ``column`` label
-    and their ``(x, group_ids, y)`` slice, ``x`` cut from ``inputs``, the
-    table's ``model_inputs`` matrix; classification labels are binarized.
+def task_dataset(table: DatasetTable, inputs: np.ndarray, column: str, kind: str) -> Slice:
+    """The ``(x, group_ids, y)`` slice of ``table``'s rows with an observed
+    ``column`` label, ``x`` cut from ``inputs``, the table's
+    ``model_inputs`` matrix; classification labels are binarized.
     ``inputs`` of another row count is a ``ShapeError``."""
     if kind not in ("regression", "classification"):
         raise ConfigError(f"unknown task kind {kind!r}")
@@ -858,7 +856,7 @@ def task_dataset(
     y = vals[rows]
     if kind == "classification":
         y = binarize_labels(y)
-    return rows, (inputs[rows], table.group_ids[rows], y)
+    return inputs[rows], table.group_ids[rows], y
 
 
 def withhold_targets(table: DatasetTable) -> DatasetTable:

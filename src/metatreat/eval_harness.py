@@ -28,7 +28,6 @@ from .data_model import (
     DatasetTable,
     Manifest,
     PreprocessConfig,
-    binarize_labels,
     csv_cell,
     fit_preprocess,
     group_holdout_split,
@@ -508,48 +507,35 @@ def _fold_rows(
     ranked_only: bool,
 ) -> list[MetricRow]:
     """One fold's report rows: on every target task, the networks'
-    meta-test, fine-tuned as one stack on the task's training rows (cut
-    once per task from the training side's inputs) and scored on the
-    held-out rows; every target is of the run's task kind. ``cv``
-    meta-tests both ``NETWORKS`` and adds the baselines and every
+    meta-test, fine-tuned as one stack on the task's training rows and
+    scored on its held-out rows; every target is of the run's task kind.
+    ``task_dataset`` cuts both sides' observed rows from the fold's input
+    matrices, and every model predicts exactly the rows it is scored on.
+    ``cv`` meta-tests both ``NETWORKS`` and adds the baselines and every
     training-row score. A search (``ranked_only``) meta-tests the learned
     network alone on the held-out rows and keeps only what ``_meta_score``
     reads, the ``meta`` values (``train_value`` NaN)."""
-    training, held_out = (side[:2] for side in fold.sides)  # (inputs, group ids)
     kind = config.task_kind
     metric_name = "auc" if kind == "classification" else "mse"
     if ranked_only:
-        networks, inputs, baselines = {"meta": theta_star}, (held_out,), ()
+        networks, baselines = {"meta": theta_star}, ()
     else:
         networks = dict(zip(NETWORKS, (fold.theta0, theta_star)))
-        inputs = (held_out, training)
         baselines = CLASSIFICATION_BASELINES if kind == "classification" else REGRESSION_BASELINES
     rows: list[MetricRow] = []
     for column in fold.targets:
-        y_vals, y_obs = fold.test_table.column_values(column)
-        scored = np.flatnonzero(y_obs)
-        if scored.size == 0:
-            raise DataError(f"held-out group {fold.group_name!r} has no observed {column!r}")
-        y_test = y_vals[scored]
-        if kind == "classification":
-            y_test = binarize_labels(y_test)
-        observed, task = task_dataset(fold.train_table, training[0], column, kind)
-        x_train, _, y_train = task
+        task = task_dataset(fold.train_table, fold.sides[0][0], column, kind)
+        x_train, ids_train, y_train = task
+        x_test, ids_test, y_test = task_dataset(fold.test_table, fold.sides[1][0], column, kind)
+        pairs = [(x_test, ids_test)] if ranked_only else [(x_test, ids_test), (x_train, ids_train)]
         rngs = [child_rng(cv.seed, "fold", fold.fold_index, name, column) for name in networks]
-        on_test, *on_train = fine_tune(
-            list(networks.values()), kind, task, inputs, config.base, rngs
-        )
-        # each model's held-out predictions, then any on its training rows
-        predictions = {
-            name: (on_test[n][scored], *(p[n][observed] for p in on_train))
-            for n, name in enumerate(networks)
-        }
-        x_test = held_out[0][scored] if baselines else None
+        on_pairs = fine_tune(list(networks.values()), kind, task, pairs, config.base, rngs)
+        predictions = {name: tuple(p[n] for p in on_pairs) for n, name in enumerate(networks)}
         with np.errstate(all="ignore"):
             for name in baselines:
                 predictions[name] = tuple(
                     baseline_predict(name, (x_train, y_train), x, config.baselines)
-                    for x in (x_test, x_train)
+                    for x, _ in pairs
                 )
             for model_name, (preds_test, *preds_train) in predictions.items():
                 value, note = _score(kind, preds_test, y_test)
@@ -559,7 +545,7 @@ def _fold_rows(
                 rows.append(
                     MetricRow(
                         fold.group_name, column, model_name, metric_name,
-                        value, train_value, int(scored.size), note,
+                        value, train_value, len(y_test), note,
                     )
                 )
     rows.sort(key=lambda r: (r.task, r.model))
@@ -657,7 +643,8 @@ def _fold_payloads(
 
 def _holdout_groups(raw_table: DatasetTable, cv_config: CvConfig) -> list[str]:
     """The groups that take a turn as the held-out fold, in table order: the
-    pre-flight checks that hold for every pipeline config alike."""
+    pre-flight checks that hold for every pipeline config alike, the last
+    of which asks each such group for an observed value of every target."""
     if raw_table.n_groups < 2:
         raise DataError("group-holdout CV needs at least two groups")
     unknown = [g for g in cv_config.excluded_holdout_groups if g not in raw_table.group_names]
@@ -669,6 +656,12 @@ def _holdout_groups(raw_table: DatasetTable, cv_config: CvConfig) -> list[str]:
     eligible = [g for g in raw_table.group_names if g not in cv_config.excluded_holdout_groups]
     if not eligible:
         raise ConfigError("every group is excluded from holdout; nothing to evaluate")
+    targets = [c.name for c in raw_table.columns if c.role == "target"]
+    for name in eligible:
+        held = raw_table.group_ids == raw_table.resolve_group(name)
+        for column in targets:
+            if not raw_table.column_values(column)[1][held].any():
+                raise DataError(f"held-out group {name!r} has no observed {column!r}")
     return eligible
 
 
@@ -878,12 +871,12 @@ def grid_search(
 
     Higher AUC wins for classification, lower MSE for regression. A fold
     meta-tests only the learned network (``_fold_rows``), so a candidate
-    fails only in its pre-flight, a fold's setup, meta-training, that
-    meta-test, or on a held-out group with no observed target. The
-    leaderboard is deterministic for a given seed; candidates that fail are
-    kept with their diagnostics, and an error is raised only if all fail.
-    A pre-flight check that no candidate can pass (too few groups, an
-    unknown or every group excluded) raises once, before any candidate.
+    fails only in its pre-flight, a fold's setup, meta-training or that
+    meta-test. The leaderboard is deterministic for a given seed;
+    candidates that fail are kept with their diagnostics, and an error is
+    raised only if all fail. A pre-flight check that no candidate can pass
+    (too few groups, an unknown or every group excluded, a held-out group
+    with no observed target) raises once, before any candidate.
     Its warnings are ``run_cv``'s, each prefixed ``candidate 3, ``.
     """
     if budget < 1:

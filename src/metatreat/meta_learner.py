@@ -256,7 +256,8 @@ def fine_tune(
     slice ``task_dataset`` cuts from the training side's inputs), each
     network on its stream of ``rngs``, then the predictions (without
     dropout) for every row of each of ``inputs``, ``(x, group_ids)``
-    pairs, in that workspace, one (networks, rows) array per pair. Inner
+    pairs, in that workspace, one (networks, rows) array per pair;
+    ``run_cv`` passes the rows it scores, cut by ``task_dataset``. Inner
     loops are too short to re-learn an output scale, so regression labels
     are standardized on those rows and the predictions mapped back. Of the
     networks' first numeric failures the first in network order is

@@ -43,7 +43,9 @@ unequal scale, then ``cv-setup-last-fold`` and ``cv-setup-last-fold-jobs2``
 at one and two jobs on the plain study with every ``x0`` cell blank outside
 ``g2`` under ``"missing_threshold": 1.0``, so that the last fold stops in
 its setup, unable to impute ``x0``; at two jobs that fold is a group of
-its own, and the run merges the outcomes of (g0, g1) and (g2).
+its own, and the run merges the outcomes of (g0, g1) and (g2). The last,
+``cv-held-out-no-target``, is a ``cv`` on the plain study with every ``y``
+cell of ``g1`` blank, which the pre-flight refuses before any fold runs.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ RUNS = {
 # with 10 groups, so 10 folds step in one stack, a classification search,
 # which ranks its candidates by AUC, and two unscaled runs on an x0 a
 # thousand times the other columns' scale, whose ridge and logistic
-# baselines fit an ill-conditioned system, and two whose last fold fails in
-# its setup, one with that fold in a group of its own
+# baselines fit an ill-conditioned system, two whose last fold fails in
+# its setup, one with that fold in a group of its own, and one whose
+# held-out group g1 has no observed target
 LATER_RUNS = {
     "cv-epsilon-one": ("plain", "cv", [], {"meta": {"epsilon0": 1.0}}),
     "cv-two-targets": (
@@ -154,13 +157,14 @@ LATER_RUNS = {
         )
         for suffix, extra in (("", []), ("-jobs2", ["--jobs", "2"]))
     },
+    "cv-held-out-no-target": ("g1-no-target", "cv", [], None),
 }
 # the order in which the runs are hashed; a run added later goes last
 ORDER = (
     *RUNS, "generate", "report", "cv-epsilon-one", "report-overflow", "cv-two-targets",
     "cv-categorical-blanks", "cv-k-over-rows", "cv-ten-groups",
     "grid-classification-seed1-jobs2", "cv-unscaled-x0", "cv-unscaled-x0-classification",
-    "cv-setup-last-fold", "cv-setup-last-fold-jobs2",
+    "cv-setup-last-fold", "cv-setup-last-fold-jobs2", "cv-held-out-no-target",
 )
 # a report in which one model scores 1.5e308, test and train alike, in each
 # of three groups: the mean's sum overflows, so the summary statistics run
@@ -191,8 +195,9 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     feature ``tier`` (``low``, ``mid`` or ``high`` by ``x1``, blank in every
     ``TIER_GAP``-th row) and the categorical stratifier ``s``, blank in
     every ``STRATUM_GAP``-th row; then ``TEN_GROUP_STUDY``, the plain study
-    with every ``x0`` cell times ``UNSCALED``, and last the plain study with
-    every ``x0`` cell outside ``g2`` blank."""
+    with every ``x0`` cell times ``UNSCALED``, the plain study with every
+    ``x0`` cell outside ``g2`` blank, and last the plain study with every
+    ``y`` cell of ``g1`` blank."""
     from metatreat.data_model import ColumnMeta, Manifest
     from metatreat.synth_gen import GeneratorConfig, generate, write_dataset
 
@@ -263,6 +268,12 @@ def write_studies(root: Path) -> dict[str, dict[str, Path]]:
     missing[table.group_ids != table.resolve_group("g2"), table.column_index("x0")] = True
     studies["x0-in-g2"] = write_dataset(
         root / "study-x0-in-g2", table.replace_matrix(table.columns, table.values, missing),
+        manifest, truth, config,
+    )
+    missing = table.missing_mask.copy()
+    missing[table.group_ids == table.resolve_group("g1"), table.column_index("y")] = True
+    studies["g1-no-target"] = write_dataset(
+        root / "study-g1-no-target", table.replace_matrix(table.columns, table.values, missing),
         manifest, truth, config,
     )
     return studies

@@ -700,7 +700,7 @@ def test_task_dataset_binarizes_strictly_above_zero():
     vals = np.array([[1.0, -0.5], [2.0, 0.0], [3.0, 0.5]])
     cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
     table = make_table(vals, cols, [0, 1, 0])
-    _, (_, _, y) = task_dataset(table, model_inputs(table), "y", "classification")
+    _, _, y = task_dataset(table, model_inputs(table), "y", "classification")
     assert list(y) == [0.0, 0.0, 1.0]
     assert list(binarize_labels(np.array([-1.0, 0.0, 1e-12]))) == [0.0, 0.0, 1.0]
 
@@ -710,8 +710,7 @@ def test_task_dataset_cuts_observed_rows_from_the_inputs():
     cols = [ColumnMeta("f1", "pre"), ColumnMeta("y", "post", "numeric", "target")]
     table = make_table(vals, cols, [0, 1, 0])
     inputs = model_inputs(table)
-    rows, (x, group_ids, y) = task_dataset(table, inputs, "y", "regression")
-    assert rows.tolist() == [0, 2]
+    x, group_ids, y = task_dataset(table, inputs, "y", "regression")
     assert x.tobytes() == inputs[[0, 2]].tobytes()
     assert group_ids.tolist() == [0, 0] and y.tolist() == [-0.5, 0.5]
     # the inputs must be the table's, one row per table row
@@ -728,7 +727,7 @@ def test_reference_scaling_binarizes_above_the_reference_mean():
     table = make_table(vals, cols, [0, 0, 1, 1, 1])
     config = PreprocessConfig(scaling="standardize_vs_reference_group", reference_group="a")
     _, processed = fit_preprocess(table, np.ones(5, dtype=bool), config, ())
-    _, (_, _, y) = task_dataset(processed, model_inputs(processed), "y", "classification")
+    _, _, y = task_dataset(processed, model_inputs(processed), "y", "classification")
     assert list(y) == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 

@@ -47,18 +47,15 @@ SHIFT_ORDER = 0.9  # least |Spearman rho| of the leading coordinate with the shi
 
 def _held_out_mse(setup, weights, config, cv) -> float:
     """The meta row's held-out MSE, as ``run_cv``'s fold computes it."""
-    column = setup.targets[0]
-    y, observed = setup.test_table.column_values(column)
-    scored = np.flatnonzero(observed)
-    _, task = task_dataset(setup.train_table, setup.sides[0][0], column, config.task_kind)
+    column, kind = setup.targets[0], config.task_kind
+    task = task_dataset(setup.train_table, setup.sides[0][0], column, kind)
+    x, group_ids, y = task_dataset(setup.test_table, setup.sides[1][0], column, kind)
     rngs = [
         child_rng(cv.seed, "fold", setup.fold_index, name, column)
         for name in ("base_initial", "meta")
     ]
-    [preds] = fine_tune(
-        [setup.theta0, weights], config.task_kind, task, [setup.sides[1][:2]], config.base, rngs
-    )
-    return mse(preds[1][scored], y[scored])
+    [preds] = fine_tune([setup.theta0, weights], kind, task, [(x, group_ids)], config.base, rngs)
+    return mse(preds[1], y)
 
 
 def _meta_trained(table, manifest, config, cv) -> tuple[list, list]:

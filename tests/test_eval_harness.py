@@ -608,6 +608,48 @@ def test_run_cv_all_excluded_errors():
         )
 
 
+def _without_target_in(table: DatasetTable, group: str) -> DatasetTable:
+    """``table`` with every ``y`` cell of ``group`` blank."""
+    rows = table.group_ids == table.resolve_group(group)
+    values, missing = np.array(table.values), np.array(table.missing_mask)
+    j = table.column_index("y")
+    values[rows, j], missing[rows, j] = np.nan, True
+    return table.replace_matrix(table.columns, values, missing)
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refused
+
+
+def test_run_cv_held_out_group_without_target_fails_before_any_fold(monkeypatch):
+    table, manifest, _ = small_raw()
+    monkeypatch.setattr(eval_harness, "_fold_setup", _refuse("_fold_setup"))
+    monkeypatch.setattr(eval_harness, "meta_train", _refuse("meta_train"))
+    with pytest.raises(DataError) as caught:
+        run_cv(_without_target_in(table, "g1"), manifest, FAST_PIPELINE, CvConfig(seed=1))
+    assert str(caught.value) == "held-out group 'g1' has no observed 'y'"
+
+
+def test_grid_search_held_out_group_without_target_raises_once(monkeypatch):
+    # the check holds for every candidate alike, so the search raises it
+    # alone instead of meta-training each candidate and failing them all
+    table, manifest, _ = small_raw()
+    monkeypatch.setattr(eval_harness, "meta_train", _refuse("meta_train"))
+    with pytest.raises(DataError) as caught:
+        grid_search(tiny_space(), _without_target_in(table, "g1"), manifest, 2, 1, FAST_PIPELINE)
+    assert str(caught.value) == "held-out group 'g1' has no observed 'y'"
+
+
+def test_run_cv_excluded_group_without_target_still_runs():
+    table, manifest, _ = small_raw()
+    cv = CvConfig(excluded_holdout_groups=("g1",), seed=1)
+    report = run_cv(_without_target_in(table, "g1"), manifest, FAST_PIPELINE, cv)
+    assert {r.group for r in report.rows} == {"g0", "g2"}
+
+
 # ---------------------------------------------------------------------------
 # overfit gap
 # ---------------------------------------------------------------------------
@@ -1107,8 +1149,9 @@ def test_each_fold_side_builds_its_input_matrix_once(monkeypatch):
 
 def test_training_scores_and_n_test_count_only_observed_labels(monkeypatch):
     # with about 30% of y blank in every group, each fold fine-tunes on the
-    # training rows whose y is observed, scores its training side on those
-    # rows alone, and counts the held-out group's observed rows in n_test
+    # training rows whose y is observed, predicts and scores its training
+    # side on those rows alone and its held-out side on the held-out group's
+    # observed rows, and counts those in n_test
     table, manifest, _ = generate(GeneratorConfig(seed=7))
     j = table.column_index("y")
     blank = np.random.default_rng(3).random(table.n_rows) < 0.3
@@ -1127,14 +1170,18 @@ def test_training_scores_and_n_test_count_only_observed_labels(monkeypatch):
     monkeypatch.setattr(eval_harness, "fine_tune", recorded)
     report = run_cv(table, manifest, PipelineConfig(), CvConfig(seed=0))
     assert len(calls) == 3  # one target task per fold, in fold order
-    for gid, ((_, _, y), (_, on_train)) in enumerate(calls):
+    for gid, ((_, _, y), (on_test, on_train)) in enumerate(calls):
         name = table.group_names[gid]
         row = {r.model: r for r in report.rows if r.group == name}
         observed = np.flatnonzero(~blank[table.group_ids != gid])
+        n_test = int((~blank[table.group_ids == gid]).sum())
         assert len(y) == observed.size
+        # the meta-test forwards exactly the rows it scores
+        assert observed.size == on_train.shape[1]
+        assert on_test.shape[1] == n_test
         assert row["mean"].train_value == mse(np.full(y.size, y.mean()), y)
-        assert row["meta"].train_value == mse(on_train[1][observed], y)
-        assert {r.n_test for r in row.values()} == {int((~blank[table.group_ids == gid]).sum())}
+        assert row["meta"].train_value == mse(on_train[1], y)
+        assert {r.n_test for r in row.values()} == {n_test}
 
 
 def test_lockstep_numeric_failure_matches_folds_alone_without_warnings(monkeypatch):

@@ -140,7 +140,7 @@ def test_sampling_from_kept_draw_tables_draws_the_same_rows():
             # the same inputs, group ids and labels, each row one of the
             # drawn column's observed rows
             assert [arr.tobytes() for arr in a[side]] == [arr.tobytes() for arr in b[side]]
-            _, full = task_dataset(table, model_inputs(table), column, "regression")
+            full = task_dataset(table, model_inputs(table), column, "regression")
             observed = {(x.tobytes(), g, y) for x, g, y in zip(*full)}
             assert all(row in observed for row in zip(
                 (x.tobytes() for x in b[side][0]), b[side][1], b[side][2]
@@ -311,7 +311,7 @@ def _meta_test_setup(kind="regression", seed=5):
     train_table, masked_test, _, tasks = small_study()
     theta0 = init_weights(BASE, 3, 3, np.random.default_rng(seed))
     theta = train_one(train_table, masked_test, tasks, MetaConfig(meta_iterations=4, k=4), seed)
-    _, data = task_dataset(train_table, model_inputs(train_table), "y", kind)
+    data = task_dataset(train_table, model_inputs(train_table), "y", kind)
     return train_table, masked_test, kind, data, [theta0, theta]
 
 
